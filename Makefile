@@ -21,9 +21,11 @@ analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.analyze src \
 		--report analyze-report.json
 
-# lint + analyzer + tier-1 tests with runtime invariant checks enabled
+# lint + analyzer + tier-1 tests with runtime invariant checks enabled,
+# then the performance ledger's own tests (benchmarks/e2e, <20 s)
 check: lint analyze
 	REPRO_DEBUG_INVARIANTS=1 PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -140,6 +140,8 @@ def run_chaos(scenario: Scenario, policy, plan: FaultPlan | None = None,
     for controller in controllers.values():
         controller.distribute(rules, simulation.table)
 
+    if decision_log is not None:
+        decision_log.seed_rules(simulation.table.rules())
     if provenance is not None:
         provenance.bind_run(scenario.name,
                             scenario.seed if seed is None else seed,

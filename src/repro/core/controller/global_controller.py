@@ -11,7 +11,10 @@ comes from the application spec, demands and compute times from the learned
 state — solves it, and emits a :class:`RuleSet` for the Cluster Controllers.
 
 ``GlobalController.oracle`` is the one-shot path used by benchmarks: known
-demand, ground-truth compute times, single solve.
+demand, ground-truth compute times, single solve. ``plan_known`` plans the
+same inputs under a controller's own config and solver — what
+:class:`~repro.core.controller.policy.SlatePolicy` installs before the
+first epoch.
 """
 
 from __future__ import annotations
@@ -205,6 +208,12 @@ class GlobalController:
                 if self.demand_estimate(name, cluster) > 0
             }
             workloads[name] = ClassWorkload(spec=spec, demand=demand)
+        return self._problem(workloads)
+
+    def _problem(self, workloads: dict[str, ClassWorkload]) -> TEProblem:
+        """The TE instance for ``workloads`` on the live deployment, under
+        this controller's config — the one place config fields become
+        problem fields, for learned and known demand alike."""
         replicas = {
             (service, cluster.name): count
             for cluster in self.deployment.clusters
@@ -222,6 +231,19 @@ class GlobalController:
             egress_budget=self.config.egress_budget,
             delay_model=self.config.delay_model,
         )
+
+    def plan_known(self, demand: DemandMatrix) -> OptimizationResult:
+        """Plan for known demand and the app spec's own compute times.
+
+        The oracle's inputs, but under this controller's whole config and
+        through its :attr:`epoch_solver` — so the formulation, split
+        limit and egress budget are the ones every later epoch uses, and
+        the structure cache is warm when the first :meth:`plan` arrives.
+        Not an epoch: learned state and :attr:`last_result` are untouched.
+        Raises :class:`SolverError` when the instance is infeasible.
+        """
+        known = TEProblem.from_specs(self.app, self.deployment, demand)
+        return self.epoch_solver.solve(self._problem(known.workloads))
 
     def plan(self) -> OptimizationResult | None:
         """Solve for current state; ``None`` when no demand observed yet.

@@ -1,10 +1,10 @@
 """SLATE as a routing policy: the optimizer behind the policy interface.
 
 Wraps :class:`GlobalController` so the experiment harness can run SLATE and
-the baselines through the same machinery. In static (oracle) mode the rules
-come from one solve over the known demand; in adaptive mode each epoch's
-telemetry feeds the controller, optionally through the incremental rollout
-guard.
+the baselines through the same machinery. The initial rules come from one
+solve over the known demand (:meth:`GlobalController.plan_known`); in
+adaptive mode each epoch's telemetry then feeds the same controller,
+optionally through the incremental rollout guard.
 """
 
 from __future__ import annotations
@@ -41,41 +41,58 @@ class SlatePolicy:
         """Route optimizer timings into a control-plane profiler.
 
         Duck-typed (``section(name)`` context manager) so the harness can
-        pass the obs-layer profiler without core importing it. Takes effect
-        immediately if the controller exists, else on its lazy creation.
+        pass the obs-layer profiler without core importing it. Adaptive
+        policies only: takes effect immediately if the controller exists,
+        else on its creation.
         """
         self._profiler = profiler
-        if self._controller is not None:
+        if self.adaptive and self._controller is not None:
             self._controller.attach_profiler(profiler)
 
     def attach_provenance(self, recorder) -> None:
         """Route per-epoch solver decisions into a provenance recorder.
 
         Duck-typed (``record_solve(info)``) like :meth:`attach_profiler`,
-        and with the same lazy-creation semantics.
+        and with the same semantics.
         """
         self._provenance = recorder
-        if self._controller is not None:
+        if self.adaptive and self._controller is not None:
             self._controller.attach_provenance(recorder)
 
     @property
     def controller(self) -> GlobalController | None:
-        """The adaptive-mode controller (None before the first epoch).
+        """The adaptive-mode controller (None before ``compute_rules``).
 
-        Exposes learned state and the solver memoization cache
-        (``controller.solver_cache``) for diagnostics and benchmarks.
+        Exposes learned state, the epoch solver and the solver memoization
+        cache (``controller.solver_cache``) for diagnostics and benchmarks.
+        Always None for a static policy: it observes nothing, and the
+        harness keeps epoch records only for policies that expose one.
         """
-        return self._controller
+        return self._controller if self.adaptive else None
+
+    def _planner(self, ctx: PolicyContext) -> GlobalController:
+        """The controller every plan of this policy goes through.
+
+        One per policy, so the initial plan and the adaptive epochs share
+        one config-to-problem path and one epoch solver (structure cache,
+        solver cache, warm starts). Rebuilt only if the policy is handed a
+        different app or deployment.
+        """
+        controller = self._controller
+        if (controller is None or controller.app is not ctx.app
+                or controller.deployment is not ctx.deployment):
+            controller = GlobalController(ctx.app, ctx.deployment,
+                                          self.config)
+            if self.adaptive:
+                if self._profiler is not None:
+                    controller.attach_profiler(self._profiler)
+                if self._provenance is not None:
+                    controller.attach_provenance(self._provenance)
+            self._controller = controller
+        return controller
 
     def compute_rules(self, ctx: PolicyContext) -> RuleSet:
-        result = GlobalController.oracle(
-            ctx.app, ctx.deployment, ctx.demand,
-            rho_max=self.config.rho_max,
-            cost_weight=self.config.cost_weight,
-            delay_model=self.config.delay_model,
-            max_splits=self.config.max_splits,
-        )
-        rules = result.rules()
+        rules = self._planner(ctx).plan_known(ctx.demand).rules()
         if self.rollout is not None:
             rules = self.rollout.advance(rules)
         return rules
@@ -84,15 +101,9 @@ class SlatePolicy:
                  ctx: PolicyContext) -> RuleSet | None:
         if not self.adaptive:
             return None
-        if self._controller is None:
-            self._controller = GlobalController(ctx.app, ctx.deployment,
-                                                self.config)
-            if self._profiler is not None:
-                self._controller.attach_profiler(self._profiler)
-            if self._provenance is not None:
-                self._controller.attach_provenance(self._provenance)
-        self._controller.observe(reports)
-        result = self._controller.plan()
+        controller = self._planner(ctx)
+        controller.observe(reports)
+        result = controller.plan()
         if result is None:
             return None
         rules = result.rules()

@@ -145,10 +145,12 @@ def warm_solve(model, previous_solution: np.ndarray,
 class EpochSolver:
     """Build + solve pipeline with structure reuse and warm starts.
 
-    One instance lives inside each adaptive :class:`GlobalController`; the
-    oracle/one-shot paths keep using :func:`~repro.core.optimizer.solve
-    .solve`. ``profiler`` duck-types the control-plane profiler's
-    ``section(name)`` context manager, and ``recorder`` duck-types the
+    One instance lives inside each :class:`GlobalController` and solves
+    everything it plans — ``plan_known`` (a policy's initial plan) and
+    every epoch's ``plan``; the static oracle/one-shot paths keep using
+    :func:`~repro.core.optimizer.solve.solve`. ``profiler`` duck-types the
+    control-plane profiler's ``section(name)`` context manager, and
+    ``recorder`` duck-types the
     provenance log's ``record_solve(info)`` hook (both kept duck-typed so
     ``repro.core`` never imports ``repro.obs``; both None by default, so
     the instrumented path costs one attribute check per epoch).

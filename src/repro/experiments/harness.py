@@ -127,6 +127,8 @@ def run_policy(scenario: Scenario, policy: RoutingPolicy,
         rules = policy.compute_rules(ctx)
     for controller in controllers.values():
         controller.distribute(rules, simulation.table)
+    if decision_log is not None:
+        decision_log.seed_rules(simulation.table.rules())
     if provenance is not None:
         provenance.seed_rules(simulation.table.rules())
 

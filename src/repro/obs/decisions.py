@@ -106,6 +106,15 @@ class DecisionLog:
 
     # ----------------------------------------------------------- recording
 
+    def seed_rules(self, rules: dict) -> None:
+        """Baseline the rule diff against the pre-epoch initial install.
+
+        Epoch 0 then reports what *it* changed, not the initial plan's
+        rules as additions — in particular an epoch that replays the
+        initial plan out of the solver cache shows zero churn.
+        """
+        self._prev_rules = dict(rules)
+
     def record(self, sim_time: float, controller: GlobalController,
                update: RuleSet | None) -> EpochDecision:
         """Fold one epoch's controller state into the log.

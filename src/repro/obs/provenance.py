@@ -271,9 +271,12 @@ class ProvenanceLog:
 
         Without this, epoch 0 would claim the initial plan's rules as its
         own additions; with it, each record shows only what *that* epoch
-        shipped — matching the scraped churn signal exactly.
+        shipped — matching the scraped churn signal exactly. The solve
+        behind the initial install is likewise no epoch's: it is dropped,
+        so an epoch that plans nothing reports no solver path.
         """
         self._prev_rules = dict(rules)
+        self._last_solve = None
 
     # ----------------------------------------------------------- recording
 

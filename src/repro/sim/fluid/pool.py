@@ -48,6 +48,10 @@ class FluidPool:
         self._arrival_rate = 0.0   # requests/second
         self._mean_wait = 0.0      # M/M/c mean queueing wait, seconds
         self._queue_estimate = 0.0
+        # the sampled slice's wait distribution, solved once per distinct
+        # (replicas, offered, arrival rate) rather than once per draw
+        self._wait_law_state: tuple[int, float, float] | None = None
+        self._wait_law: tuple[float, float] | None = None
         self._last_update = sim.now
         self._lifetime_busy = 0.0
         self._window_start = sim.now
@@ -171,18 +175,28 @@ class FluidPool:
     def _draw_wait(self) -> float:
         if self._rng is None:
             return 0.0
-        servers = self._replicas
-        offered = self._offered
-        arrival = self._arrival_rate
-        if offered <= 0 or arrival <= 0:
+        state = (self._replicas, self._offered, self._arrival_rate)
+        if state != self._wait_law_state:
+            self._wait_law_state = state
+            self._wait_law = self._solve_wait_law(*state)
+        if self._wait_law is None:
             return 0.0
-        effective = min(offered, UTILIZATION_CAP * servers)
-        wait_probability = fast_erlang_c(servers, effective)
+        wait_probability, mean_wait_if_queued = self._wait_law
         if float(self._rng.random()) >= wait_probability:
             return 0.0
+        return float(self._rng.exponential(mean_wait_if_queued))
+
+    @staticmethod
+    def _solve_wait_law(servers: int, offered: float,
+                        arrival: float) -> tuple[float, float] | None:
+        """(P[wait > 0], mean wait given one) of the M/M/c queue; None
+        for an idle pool, which draws nothing."""
+        if offered <= 0 or arrival <= 0:
+            return None
+        effective = min(offered, UTILIZATION_CAP * servers)
         mean_service = offered / arrival
         rate = (servers - effective) / mean_service
-        return float(self._rng.exponential(1.0 / rate))
+        return fast_erlang_c(servers, effective), 1.0 / rate
 
     def __repr__(self) -> str:
         return (f"FluidPool({self.service}@{self.cluster}, "

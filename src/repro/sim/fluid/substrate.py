@@ -25,6 +25,8 @@ at the timeline end to flush the partial interval.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...devtools import invariants
 from .flows import FlowModel, FluidTickSolution
 
@@ -55,14 +57,17 @@ class FluidSubstrate:
         self.last_solution: FluidTickSolution | None = None
         self.ticks = 0
         self._last_tick = 0.0
-        # deterministic carry accumulators: fractional-rate remainders that
-        # roll into the next tick so integer counts conserve exactly
-        self._carry_admit: dict[tuple[str, str], float] = {}
-        self._carry_fail: dict[tuple[str, str], float] = {}
+        # deterministic carry registers: fractional-rate remainders that
+        # roll into the next tick so integer counts conserve exactly. The
+        # array registers take the shape of the solution array they
+        # integrate on the first tick (rows are classes or hops, both fixed
+        # by the app for the life of the run)
         self._carry_pool: dict[tuple[str, str], float] = {}
-        self._carry_window: dict[tuple[str, str, str], float] = {}
-        self._carry_remote: dict[tuple[str, str, str], float] = {}
-        self._carry_bytes: dict[tuple[str, str], float] = {}
+        self._carry: dict[str, np.ndarray] = {}
+        #: the hop list the window bookkeeping below was derived from
+        self._hops: tuple[tuple[str, str], ...] | None = None
+        self._window_order = np.zeros(0, dtype=np.intp)
+        self._hop_exec_time: list[float] = []
         self._debug_invariants = invariants.invariants_enabled()
 
     def install(self, duration: float) -> None:
@@ -115,92 +120,91 @@ class FluidSubstrate:
             pool.fluid_update(solution.pool_offered.get(key, 0.0), arrival,
                               solution.pool_wait.get(key, 0.0), dt, jobs)
 
+    def _register(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        carry = self._carry.get(name)
+        if carry is None:
+            carry = self._carry[name] = np.zeros(shape)
+        return carry
+
+    def _spill(self, register: str, rates: np.ndarray,
+               dt: float) -> np.ndarray:
+        """Integrate ``rates`` over the tick into the named carry register
+        and return the whole counts that spill out of it."""
+        carry = self._register(register, rates.shape)
+        carry += rates * self.bulk_fraction * dt
+        counts = carry.astype(np.int64)
+        carry -= counts
+        return counts
+
     def _apply_admissions(self, solution: FluidTickSolution,
                           dt: float) -> None:
-        for cls_name in sorted(solution.per_class):
-            state = solution.per_class[cls_name]
-            failure_fraction = state.failure_fraction
-            latency = state.mean_latency
-            for j, cluster_name in enumerate(solution.clusters):
-                rps = float(state.demand[j])
-                if rps <= 0:
-                    continue
-                key = (cls_name, cluster_name)
-                carry = (self._carry_admit.get(key, 0.0)
-                         + rps * self.bulk_fraction * dt)
-                count = int(carry)
-                self._carry_admit[key] = carry - count
-                if count == 0:
-                    continue
-                fail_carry = (self._carry_fail.get(key, 0.0)
-                              + count * failure_fraction)
-                failed = min(count, int(fail_carry))
-                self._carry_fail[key] = fail_carry - failed
-                gateway = self._mesh.gateways[cluster_name]
-                gateway.admit_bulk(cls_name, count)
-                # the credit event settles this tick's cohort after its
-                # predicted latency, so open_requests drains to zero and
-                # request conservation holds exactly at quiesce
-                self._sim.schedule(latency, gateway.settle_bulk, cls_name,
-                                   count - failed, failed)
+        states = [solution.per_class[name] for name in solution.classes]
+        counts = self._spill("admit", solution.demand, dt)
+        fail_carry = self._register("fail", counts.shape)
+        fail_carry += counts * np.array(
+            [state.failure_fraction for state in states])[:, None]
+        failures = np.minimum(counts, fail_carry.astype(np.int64))
+        fail_carry -= failures
+        rows, columns = np.nonzero(counts)
+        for row, column, count, failed in zip(
+                rows.tolist(), columns.tolist(),
+                counts[rows, columns].tolist(),
+                failures[rows, columns].tolist()):
+            cls_name = solution.classes[row]
+            gateway = self._mesh.gateways[solution.clusters[column]]
+            gateway.admit_bulk(cls_name, count)
+            # the credit event settles this tick's cohort after its
+            # predicted latency, so open_requests drains to zero and
+            # request conservation holds exactly at quiesce
+            self._sim.schedule(states[row].mean_latency,
+                               gateway.settle_bulk, cls_name,
+                               count - failed, failed)
 
     def _apply_windows(self, solution: FluidTickSolution, pool_state,
                        dt: float) -> None:
-        for cls_name in sorted(solution.per_class):
-            state = solution.per_class[cls_name]
-            spec = self._mesh.app.traffic_class(cls_name)
-            for service in sorted(state.exec_rates):
-                rates = state.exec_rates[service]
-                remote = state.remote_rates[service]
-                service_time = spec.exec_time_of(service)
-                for j, cluster_name in enumerate(solution.clusters):
-                    rate = float(rates[j])
-                    if rate <= 0:
-                        continue
-                    key = (cluster_name, service, cls_name)
-                    carry = (self._carry_window.get(key, 0.0)
-                             + rate * self.bulk_fraction * dt)
-                    count = int(carry)
-                    self._carry_window[key] = carry - count
-                    remote_carry = (self._carry_remote.get(key, 0.0)
-                                    + float(remote[j])
-                                    * self.bulk_fraction * dt)
-                    remote_count = int(remote_carry)
-                    self._carry_remote[key] = remote_carry - remote_count
-                    if count == 0 and remote_count == 0:
-                        continue
-                    pool_key = (service, cluster_name)
-                    wait = solution.pool_wait.get(pool_key, 0.0)
-                    entry = pool_state.get(pool_key)
-                    slowdown = entry[1] if entry is not None else 1.0
-                    effective_exec = service_time * slowdown
-                    self._mesh.proxies[cluster_name].telemetry.observe_bulk(
-                        service, cls_name, completions=count,
-                        latency_sum=count * (wait + effective_exec),
-                        exec_sum=count * effective_exec,
-                        queue_wait_sum=count * wait,
-                        remote_arrivals=remote_count)
+        hops = solution.hops
+        if hops is not self._hops:
+            # telemetry windows fill in (class, service) order
+            self._hops = hops
+            self._window_order = np.array(
+                sorted(range(len(hops)), key=hops.__getitem__),
+                dtype=np.intp)
+            self._hop_exec_time = [
+                self._mesh.app.traffic_class(cls_name).exec_time_of(service)
+                for cls_name, service in hops]
+        order = self._window_order
+        counts = self._spill("window", solution.hop_exec_rates[order], dt)
+        remote_counts = self._spill("remote",
+                                    solution.hop_remote_rates[order], dt)
+        rows, columns = np.nonzero(counts | remote_counts)
+        for hop, column, count, remote_count in zip(
+                order[rows].tolist(), columns.tolist(),
+                counts[rows, columns].tolist(),
+                remote_counts[rows, columns].tolist()):
+            cls_name, service = hops[hop]
+            cluster_name = solution.clusters[column]
+            pool_key = (service, cluster_name)
+            wait = solution.pool_wait.get(pool_key, 0.0)
+            entry = pool_state.get(pool_key)
+            slowdown = entry[1] if entry is not None else 1.0
+            effective_exec = self._hop_exec_time[hop] * slowdown
+            self._mesh.proxies[cluster_name].telemetry.observe_bulk(
+                service, cls_name, completions=count,
+                latency_sum=count * (wait + effective_exec),
+                exec_sum=count * effective_exec,
+                queue_wait_sum=count * wait,
+                remote_arrivals=remote_count)
 
     def _apply_egress(self, solution: FluidTickSolution, dt: float) -> None:
         network = self._mesh.network
-        rates = solution.egress_bytes
-        for i, src in enumerate(solution.clusters):
-            for j, dst in enumerate(solution.clusters):
-                if i == j:
-                    continue
-                rate = float(rates[i, j])
-                if rate <= 0:
-                    continue
-                key = (src, dst)
-                carry = (self._carry_bytes.get(key, 0.0)
-                         + rate * self.bulk_fraction * dt)
-                nbytes = int(carry)
-                self._carry_bytes[key] = carry - nbytes
-                if nbytes == 0:
-                    continue
-                network.ledger.record(
-                    src, dst, nbytes,
-                    nbytes * network.pricing.per_byte(src, dst))
+        counts = self._spill("bytes", solution.egress_bytes, dt)
+        rows, columns = np.nonzero(counts)
+        for row, column, nbytes in zip(rows.tolist(), columns.tolist(),
+                                       counts[rows, columns].tolist()):
+            src, dst = solution.clusters[row], solution.clusters[column]
+            network.ledger.record(
+                src, dst, nbytes,
+                nbytes * network.pricing.per_byte(src, dst))
 
     def __repr__(self) -> str:
         return (f"FluidSubstrate(tick={self.tick}, "

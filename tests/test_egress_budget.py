@@ -63,3 +63,34 @@ def test_budget_tightening_is_monotone():
         result = solve(make_problem(egress_budget=base_cost * fraction))
         latencies.append(result.predicted_mean_latency)
     assert latencies == sorted(latencies)   # tighter budget, more latency
+
+
+def test_static_slate_policy_honours_the_budget():
+    """Regression: ``SlatePolicy.compute_rules`` used to drop
+    ``config.egress_budget`` on its way to the oracle and plan uncapped."""
+    from repro.analysis.fluid import evaluate_rules
+    from repro.baselines.base import PolicyContext
+    from repro.core.controller.global_controller import GlobalControllerConfig
+    from repro.core.controller.policy import SlatePolicy
+
+    app = anomaly_detection_app()
+    deployment = DeploymentSpec(
+        clusters=[ClusterSpec("west", {"FR": 4, "MP": 5}),
+                  ClusterSpec("east", {"FR": 4, "MP": 8, "DB": 8})],
+        latency=two_region_latency(25.0))
+    demand = DemandMatrix({("default", "west"): 300.0,
+                           ("default", "east"): 100.0})
+    ctx = PolicyContext(app, deployment, demand)
+
+    def planned(budget):
+        rules = SlatePolicy(GlobalControllerConfig(
+            egress_budget=budget)).compute_rules(ctx)
+        cost = evaluate_rules(app, deployment, demand, rules).egress_cost_rate
+        return rules, cost
+
+    uncapped_rules, uncapped_cost = planned(None)
+    budget = uncapped_cost * 0.5
+    capped_rules, capped_cost = planned(budget)
+    assert uncapped_cost > 0
+    assert capped_cost <= budget * 1.001
+    assert capped_rules.by_key() != uncapped_rules.by_key()
