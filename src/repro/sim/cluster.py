@@ -80,8 +80,9 @@ class Cluster:
     def undeploy(self, service: str) -> None:
         """Remove a service (models decommissioning / failure, §2).
 
-        In-flight jobs in the pool are abandoned by dropping the pool; the
-        caller is responsible for quiescing traffic first.
+        In-flight jobs are abandoned with the pool: the runner discards
+        the completion of any job whose pool is no longer the live one, so
+        the caller is responsible for quiescing traffic first.
         """
         self.pools.pop(service, None)
 

@@ -224,8 +224,10 @@ class MeshSimulation:
         """Kill a service in one cluster (§2: "temporary service failure").
 
         The replica pool is removed — jobs queued or running there are lost
-        and their requests never complete (they show up as incomplete in
-        telemetry, like real timeouts). The deployment view is updated, so
+        (counted in ``dropped_calls``, no span recorded) and, without a
+        :class:`TimeoutPolicy` to retry them, their requests never complete:
+        they stay in the gateway's ``open_requests``, like real
+        timeout-less calls. The deployment view is updated, so
         proxies immediately stop selecting the failed location: installed
         rules pointing at it are filtered and the locality-failover default
         takes over until the controller re-plans.
@@ -540,6 +542,12 @@ class MeshSimulation:
                 span.start_time = now
 
             def computed(now: float) -> None:
+                if cluster.pools.get(service) is not pool:
+                    # the service was killed while this job was queued or
+                    # running: its work is lost with the pool (the request
+                    # hangs, or times out and retries under a TimeoutPolicy)
+                    self.dropped_calls += 1
+                    return
                 self._run_children(request, spec, service, dst_cluster,
                                    lambda ok: respond(span, ok))
 

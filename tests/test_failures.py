@@ -45,17 +45,33 @@ def test_traffic_fails_over_after_failure():
 
 
 def test_in_flight_requests_at_failed_service_are_lost():
-    app, _, sim = make_sim()
-    sim.sim.schedule(5.0, sim.fail_service, "west", "S3")
-    sim.run(DemandMatrix({("default", "west"): 200.0}), duration=15.0)
-    incomplete = [r for r in sim.telemetry.requests if not r.done]
-    # telemetry.requests only holds completed ones; cross-check via counts
-    total_generated = sum(
-        r.ingress_counts.get("default", 0)
-        for r in sim.harvest_reports())
-    # some requests were in flight at S3 west when it died
-    assert len(sim.telemetry.requests) < 200 * 15
-    assert incomplete == []   # completed list contains only completed
+    app = linear_chain_app(n_services=3, exec_time=0.010)
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=1,
+        latency=two_region_latency(25.0))
+    sim = MeshSimulation(app, deployment, seed=9, keep_spans=True)
+    at_kill = {}
+
+    def kill():
+        at_kill["in_flight"] = sim.clusters["west"].pool("S3").in_flight
+        sim.fail_service("west", "S3")
+
+    sim.sim.schedule(5.0, kill)
+    sim.run(DemandMatrix({("default", "west"): 80.0}), duration=15.0)
+    # every job queued or running at S3 west when it died is lost ...
+    assert at_kill["in_flight"] > 0
+    assert sim.dropped_calls == at_kill["in_flight"]
+    # ... so the dead pool reports nothing after the kill ...
+    assert not [s for s in sim.telemetry.spans
+                if (s.service, s.cluster) == ("S3", "west")
+                and s.end_time > 5.0]
+    # ... and, with no TimeoutPolicy to retry them, the requests hang
+    gateway = sim.gateways["west"]
+    assert gateway.open_requests == sim.dropped_calls
+    assert gateway.failed_count == 0
+    assert (gateway.admitted_count
+            == gateway.completed_count + gateway.open_requests)
+    assert len(sim.telemetry.requests) == gateway.completed_count
 
 
 def test_restore_brings_traffic_back_local():
