@@ -21,10 +21,13 @@ analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.analyze src \
 		--report analyze-report.json
 
-# lint + analyzer + tier-1 tests with runtime invariant checks enabled,
-# then the performance ledger's own tests (benchmarks/e2e, <20 s)
+# lint + analyzer + tier-1 tests with runtime invariant checks enabled
+# (the slowest 20 are printed so CI logs where tier-1's time goes; the
+# table is budgeted in docs/performance.md), then the performance
+# ledger's own tests (benchmarks/e2e, <20 s)
 check: lint analyze
-	REPRO_DEBUG_INVARIANTS=1 PYTHONPATH=src $(PYTHON) -m pytest tests/
+	REPRO_DEBUG_INVARIANTS=1 PYTHONPATH=src $(PYTHON) -m pytest tests/ \
+		--durations=20
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 bench:

@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 from typing import Protocol, Sequence
 
 import numpy as np
 
 __all__ = ["Endpoint", "LoadBalancer", "RoundRobinBalancer",
            "LeastOutstandingBalancer", "ConsistentHashBalancer",
-           "WeightedRandomSelector"]
+           "WeightedChoice", "WeightedRandomSelector"]
+
+#: a validated weight map ready to draw from:
+#: (names, running weight sums in name order, total weight)
+WeightedChoice = tuple[tuple[str, ...], tuple[float, ...], float]
 
 
 class Endpoint(Protocol):
@@ -119,26 +124,44 @@ class WeightedRandomSelector:
     """Sample a name according to normalised weights.
 
     This realises SLATE's fractional routing rules per request: over many
-    requests the empirical split converges to the rule's weights.
+    requests the empirical split converges to the rule's weights. A rule
+    changes far less often than it is drawn from, so realising one is two
+    steps: :meth:`compile` validates a weight map once into a
+    :data:`WeightedChoice`; :meth:`draw` samples it with one uniform draw
+    and a bisection. :meth:`pick` does both for a one-off map.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
-    def pick(self, weights: dict[str, float]) -> str:
+    @staticmethod
+    def compile(weights: dict[str, float]) -> WeightedChoice:
+        """Validate ``weights`` into ``(names, running sums, total)``.
+
+        Names keep the map's order. The running sums are formed by one
+        IEEE addition per name in that order and the total by numpy's
+        ``sum`` — which differs from the last running sum in the final bit
+        once there are 8 or more names — so a compiled draw lands exactly
+        where a draw that re-derived both per call would.
+        """
         if not weights:
             raise ValueError("empty weight map")
-        names = list(weights)
-        values = np.fromiter((weights[n] for n in names), dtype=float)
-        total = values.sum()
+        values = np.fromiter(weights.values(), dtype=float)
+        total = float(values.sum())
         if total <= 0:
             raise ValueError(f"weights sum to {total}, need > 0")
+        return (tuple(weights), tuple(itertools.accumulate(values.tolist())),
+                total)
+
+    def draw(self, choice: WeightedChoice) -> str:
+        """Sample one name; a single candidate consumes no randomness."""
+        names, cumulative, total = choice
         if len(names) == 1:
             return names[0]
-        point = self._rng.random() * total
-        cumulative = 0.0
-        for name, value in zip(names, values):
-            cumulative += value
-            if point < cumulative:
-                return name
-        return names[-1]   # floating-point edge: point == total
+        # first name whose running sum exceeds the point; the clamp covers
+        # the floating-point edge point == total
+        index = bisect.bisect_right(cumulative, self._rng.random() * total)
+        return names[min(index, len(names) - 1)]
+
+    def pick(self, weights: dict[str, float]) -> str:
+        return self.draw(self.compile(weights))

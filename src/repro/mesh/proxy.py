@@ -31,7 +31,15 @@ class RoutingError(RuntimeError):
 
 
 class SlateProxy:
-    """Outbound router + telemetry reporter for one cluster."""
+    """Outbound router + telemetry reporter for one cluster.
+
+    A routing decision only changes when the routing table, the replica
+    placement or the latency matrix does, so each ``(service, class,
+    exclude)`` is compiled once into a route — a fixed destination, or the
+    usable rule weights ready to draw from — and reused until one of
+    ``table.version``, ``latency.revision`` or ``deployment.revision``
+    moves; the call after any such change compiles afresh.
+    """
 
     def __init__(self, cluster: str, table: RoutingTable,
                  deployment: DeploymentSpec, latency: LatencyMatrix,
@@ -42,6 +50,13 @@ class SlateProxy:
         self._deployment = deployment
         self._latency = latency
         self._selector = WeightedRandomSelector(rng)
+        #: (service, class, exclude) -> (fixed destination, None, None) or
+        #: (None, weighted choice, usable weights); valid for _signature
+        self._routes: dict[tuple, tuple] = {}
+        self._signature: tuple | None = None
+        #: routes compiled so far — a deterministic work counter: at most
+        #: one per distinct (service, class, exclude) per routing change
+        self.route_compiles = 0
         self.telemetry = ProxyTelemetry(cluster,
                                         trace_sample_rate=trace_sample_rate,
                                         rng=rng)
@@ -66,6 +81,24 @@ class SlateProxy:
         same key always lands on the same cluster while the key population
         still splits by the weights (cache/data locality, §5).
         """
+        signature = (self._table.version, self._latency.revision,
+                     self._deployment.revision)
+        if signature != self._signature:
+            self._routes.clear()
+            self._signature = signature
+        key = (service, traffic_class, exclude)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._compile(*key)
+        fixed, choice, usable = route
+        if fixed is not None:
+            return fixed
+        if affinity_key is not None:
+            return weighted_rendezvous(affinity_key, usable)
+        return self._selector.draw(choice)
+
+    def _compile(self, service: str, traffic_class: str,
+                 exclude: str | None) -> tuple:
         deployed = self._deployment.clusters_with(service)
         if not deployed:
             raise RoutingError(
@@ -73,16 +106,19 @@ class SlateProxy:
         if exclude is not None and len(deployed) > 1:
             deployed = [c for c in deployed if c != exclude]
         weights = self._table.weights_for(service, traffic_class, self.cluster)
-        if weights:
-            usable = {c: w for c, w in weights.items() if c in deployed}
-            if usable:
-                if affinity_key is not None:
-                    return weighted_rendezvous(affinity_key, usable)
-                return self._selector.pick(usable)
-        if self.cluster in deployed:
-            return self.cluster
-        return min(deployed,
-                   key=lambda c: (self._latency.one_way(self.cluster, c), c))
+        usable = {c: w for c, w in (weights or {}).items() if c in deployed}
+        if usable:
+            choice = self._selector.compile(usable)
+            route = ((None, choice, usable) if len(usable) > 1
+                     else (choice[0][0], None, None))
+        elif self.cluster in deployed:
+            route = (self.cluster, None, None)
+        else:
+            nearest = min(deployed, key=lambda c: (
+                self._latency.one_way(self.cluster, c), c))
+            route = (nearest, None, None)
+        self.route_compiles += 1
+        return route
 
     def __repr__(self) -> str:
         return f"SlateProxy(cluster={self.cluster!r})"

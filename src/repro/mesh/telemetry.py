@@ -32,11 +32,14 @@ class ServiceClassWindow:
     remote_arrivals: int = 0
 
     def observe(self, span: Span) -> None:
+        # once per span: Span.total_time / queue_wait / remote, inlined
+        enqueue_time = span.enqueue_time
+        caller_cluster = span.caller_cluster
         self.completions += 1
-        self.latency_sum += span.total_time
+        self.latency_sum += span.end_time - enqueue_time
         self.exec_sum += span.exec_time
-        self.queue_wait_sum += span.queue_wait
-        if span.remote:
+        self.queue_wait_sum += span.start_time - enqueue_time
+        if caller_cluster is not None and caller_cluster != span.cluster:
             self.remote_arrivals += 1
 
     @property

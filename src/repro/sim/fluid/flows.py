@@ -13,7 +13,7 @@ item 1).
 Everything a tick needs that only moves when *routing* moves — the call
 trees flattened to hops, one split matrix per hop, RTTs, the partition
 mask — is compiled into a routing plan at most once per (routing-table
-version, latency revision, deployment signature), checked once per tick.
+version, latency revision, deployment revision), checked once per tick.
 A tick is then a fixed number of array operations per call-tree depth:
 all hops at one depth, across every class, are one stacked product.
 Batching leaves the arithmetic alone — each number is produced by the
@@ -291,14 +291,9 @@ class FlowModel:
 
     # ------------------------------------------------------------ compiling
 
-    def _deployment_signature(self) -> tuple:
-        return tuple(
-            (spec.name, tuple(sorted(spec.replicas.items())))
-            for spec in self._deployment.clusters)
-
     def _current_plan(self) -> _RoutingPlan:
         signature = (self._table.version, self._latency.revision,
-                     self._deployment_signature())
+                     self._deployment.revision)
         if self._plan is None or self._plan.signature != signature:
             self._plan = self._compile(signature)
         return self._plan

@@ -114,19 +114,22 @@ class FluidPool:
         wait = self._draw_wait()
         self._stats.queue_wait_seconds += wait
 
-        def start() -> None:
-            if on_start is not None:
-                on_start(self._sim.now)
-            self._sim.schedule(work_time * self._slowdown, finish)
-
-        def finish() -> None:
-            self._stats.completions += 1
-            on_complete(self._sim.now)
-
         if wait > 0:
-            self._sim.schedule(wait, start)
+            self._sim.schedule(wait, self._start, work_time, on_complete,
+                               on_start)
         else:
-            start()
+            self._start(work_time, on_complete, on_start)
+
+    def _start(self, work_time: float, on_complete: Callable[[float], None],
+               on_start: Callable[[float], None] | None) -> None:
+        if on_start is not None:
+            on_start(self._sim.now)
+        self._sim.schedule(work_time * self._slowdown, self._finish,
+                           on_complete)
+
+    def _finish(self, on_complete: Callable[[float], None]) -> None:
+        self._stats.completions += 1
+        on_complete(self._sim.now)
 
     def harvest(self) -> PoolStats:
         """Window stats since the last harvest (busy normalised per replica)."""

@@ -20,6 +20,7 @@ routing policy — the Cluster Controller → Global Controller cycle of §3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -28,7 +29,7 @@ from ..mesh.gateway import Classifier, IngressGateway
 from ..mesh.proxy import SlateProxy
 from ..mesh.routing_table import RoutingTable
 from ..mesh.telemetry import ClusterEpochReport, RunTelemetry
-from .apps import AppSpec, TrafficClassSpec
+from .apps import AppSpec
 from .cache import EdgeCache
 from .cluster import Cluster
 from .engine import Simulator
@@ -76,6 +77,288 @@ class TimeoutPolicy:
                 raise ValueError("hedge_delay must be > 0")
             if self.hedge_delay >= self.call_timeout:
                 raise ValueError("hedge_delay must precede the deadline")
+
+
+@dataclass(frozen=True, slots=True)
+class _ServiceNode:
+    """What one execution of a service does within one traffic class."""
+
+    #: mean compute seconds (0.0 when the service does no work)
+    exec_mean: float
+    #: ``exec/{service}`` stream's ``exponential``; None = use the mean
+    exec_draw: Callable[[float], float] | None
+    #: child edges in call order: (callee, request_bytes, response_bytes,
+    #: whole calls, fractional call, has_cache)
+    children: tuple[tuple, ...]
+    #: the child calls of every execution; None when an edge is fractional
+    fixed_calls: tuple[tuple, ...] | None
+    #: ``fanout/{service}`` stream's ``random`` (fractional edges only)
+    fanout_draw: Callable[[], float] | None
+    parallel: bool
+
+
+@dataclass(frozen=True, slots=True)
+class _ClassPlan:
+    """A traffic class's per-call constants, resolved once per simulation."""
+
+    name: str
+    root: str
+    ingress_request_bytes: int
+    ingress_response_bytes: int
+    sticky: bool
+    key_space: int
+    #: ``keys/{class}`` stream's ``integers``; None without a key space
+    keys_draw: Callable[[int], int] | None
+    nodes: dict[str, _ServiceNode]
+
+
+class _Call:
+    """One service call in flight: WAN out, queue + compute, children, WAN
+    back. Its bound methods are the engine/pool/WAN callbacks, so a call
+    costs one object; nothing it references points back at it, so a
+    finished call is freed by reference count alone.
+    """
+
+    __slots__ = ("mesh", "request", "plan", "caller_service",
+                 "caller_cluster", "service", "cluster", "request_bytes",
+                 "response_bytes", "on_outcome", "span", "pool", "calls",
+                 "cursor", "pending", "all_ok")
+
+    def __init__(self, mesh: "MeshSimulation", request: Request,
+                 plan: _ClassPlan, caller_service: str | None,
+                 caller_cluster: str, service: str, request_bytes: int,
+                 response_bytes: int, cluster: str,
+                 on_outcome: Callable[[bool], None]) -> None:
+        self.mesh = mesh
+        self.request = request
+        self.plan = plan
+        self.caller_service = caller_service
+        self.caller_cluster = caller_cluster
+        self.service = service
+        self.request_bytes = request_bytes
+        self.response_bytes = response_bytes
+        self.cluster = cluster
+        self.on_outcome = on_outcome
+
+    def send(self) -> None:
+        self.mesh.network.transfer(self.caller_cluster, self.cluster,
+                                   self.request_bytes, self.deliver)
+
+    def deliver(self) -> None:
+        """The call reached its destination: queue for a replica."""
+        mesh = self.mesh
+        request = self.request
+        service = self.service
+        span = self.span = Span(
+            request_id=request.request_id,
+            traffic_class=request.traffic_class,
+            service=service, cluster=self.cluster,
+            caller_service=self.caller_service,
+            caller_cluster=self.caller_cluster,
+            enqueue_time=mesh.sim.now,
+            request_bytes=self.request_bytes,
+            response_bytes=self.response_bytes,
+        )
+        node = self.plan.nodes[service]
+        work = (node.exec_mean if node.exec_draw is None
+                else float(node.exec_draw(node.exec_mean)))
+        span.exec_time = work
+        pool = self.pool = mesh.clusters[self.cluster].pools.get(service)
+        if pool is None:
+            # destination died while the call was on the wire: the call
+            # is lost; with a TimeoutPolicy the deadline fires and the
+            # proxy retries elsewhere, otherwise it hangs like a real
+            # timeout-less mesh would
+            mesh.dropped_calls += 1
+            return
+        pool.submit(work, self.computed, self.started)
+
+    def started(self, now: float) -> None:
+        self.span.start_time = now
+
+    def computed(self, now: float) -> None:
+        """Compute finished: invoke the child edges, then respond."""
+        mesh = self.mesh
+        service = self.service
+        if mesh.clusters[self.cluster].pools.get(service) is not self.pool:
+            # the service was killed while this job was queued or
+            # running: its work is lost with the pool (the request
+            # hangs, or times out and retries under a TimeoutPolicy)
+            mesh.dropped_calls += 1
+            return
+        node = self.plan.nodes[service]
+        calls = node.fixed_calls
+        if calls is None:
+            # every edge's count is realised before any child is issued
+            draw = node.fanout_draw
+            calls = []
+            for child in node.children:
+                count = child[3]
+                if child[4] > 0 and draw() < child[4]:
+                    count += 1
+                calls.extend([child] * count)
+        if not calls:
+            self.respond(True)
+        elif node.parallel:
+            self.pending = len(calls)
+            self.all_ok = True
+            for child in calls:
+                self.issue_child(child, self.parallel_done)
+        else:
+            self.calls = calls
+            self.cursor = 0
+            self.sequential_done(True)
+
+    def issue_child(self, child: tuple,
+                    on_outcome: Callable[[bool], None]) -> None:
+        callee, request_bytes, response_bytes, _, _, has_cache = child
+        mesh = self.mesh
+        if has_cache and self.request.data_key is not None:
+            cache = mesh.edge_cache(self.service, callee, self.cluster)
+            if cache.lookup(self.request.data_key, mesh.sim.now):
+                on_outcome(True)   # cache hit: downstream call skipped
+                return
+            on_outcome = _CacheFill(mesh.sim, cache, self.request.data_key,
+                                    on_outcome).outcome
+        mesh._issue_call(self.request, self.plan, self.service,
+                         self.cluster, callee, request_bytes,
+                         response_bytes, on_outcome)
+
+    def parallel_done(self, ok: bool) -> None:
+        self.pending -= 1
+        if not ok:
+            self.all_ok = False
+        if self.pending == 0:
+            self.respond(self.all_ok)
+
+    def sequential_done(self, ok: bool) -> None:
+        """The previous sibling's outcome: run the next, or finish."""
+        if not ok:
+            self.respond(False)   # abort remaining siblings on failure
+            return
+        index = self.cursor
+        if index == len(self.calls):
+            self.respond(True)
+            return
+        self.cursor = index + 1
+        self.issue_child(self.calls[index], self.sequential_done)
+
+    def respond(self, ok: bool) -> None:
+        mesh = self.mesh
+        span = self.span
+        span.end_time = mesh.sim.now
+        mesh.proxies[self.cluster].telemetry.record_span(span)
+        mesh.telemetry.record_span(span)
+        if mesh._obs_tracer is not None:
+            mesh._obs_tracer.record_span(span)
+        if not ok:
+            # a child subtree failed: surface the error immediately
+            # (error responses are small; no payload transfer)
+            self.on_outcome(False)
+            return
+        mesh.network.transfer(self.cluster, self.caller_cluster,
+                              self.response_bytes, self.responded)
+
+    def responded(self) -> None:
+        self.on_outcome(True)
+
+
+class _CacheFill:
+    """Caches a missed edge's response once the downstream call succeeds."""
+
+    __slots__ = ("sim", "cache", "key", "on_outcome")
+
+    def __init__(self, sim: Simulator, cache: EdgeCache, key: int,
+                 on_outcome: Callable[[bool], None]) -> None:
+        self.sim = sim
+        self.cache = cache
+        self.key = key
+        self.on_outcome = on_outcome
+
+    def outcome(self, ok: bool) -> None:
+        if ok:
+            self.cache.insert(self.key, self.sim.now)
+        self.on_outcome(ok)
+
+
+class _Guard:
+    """Deadline, retry and hedge handling for one routed attempt of a call
+    under a :class:`TimeoutPolicy`: of everything that can answer — the
+    primary, a hedge, the deadline — exactly one decides the attempt.
+    """
+
+    __slots__ = ("mesh", "call", "on_outcome", "attempt", "dst", "settled",
+                 "branches", "deadline", "hedge")
+
+    def __init__(self, mesh: "MeshSimulation", call: tuple,
+                 on_outcome: Callable[[bool], None], attempt: int,
+                 dst: str) -> None:
+        self.mesh = mesh
+        #: what is being called, as :meth:`MeshSimulation._issue_call` takes
+        #: it: (request, plan, caller_service, caller_cluster, service,
+        #: request_bytes, response_bytes)
+        self.call = call
+        self.on_outcome = on_outcome
+        self.attempt = attempt
+        self.dst = dst
+        self.settled = False
+        self.branches = 1   # grows to 2 when a hedge launches
+        policy = mesh._timeouts
+        self.deadline = mesh.sim.schedule_cancellable(policy.call_timeout,
+                                                      self.timed_out)
+        self.hedge = (mesh.sim.schedule_cancellable(policy.hedge_delay,
+                                                    self.launch_hedge)
+                      if policy.hedge_delay is not None else None)
+
+    def _disarm(self) -> None:
+        """Cancel what has not fired, and let go of the handles: they hold
+        this guard's bound methods, so keeping them would be a cycle."""
+        self.deadline.cancel()
+        if self.hedge is not None:
+            self.hedge.cancel()
+        self.deadline = self.hedge = None
+
+    def settle(self, ok: bool) -> None:
+        if self.settled:
+            return   # orphaned/losing response: dropped
+        if not ok:
+            # one branch erred; if a sibling is still in flight, let it
+            # decide the call
+            self.branches -= 1
+            if self.branches > 0:
+                return
+        self.settled = True
+        self._disarm()
+        self.on_outcome(ok)
+
+    def timed_out(self) -> None:
+        if self.settled:
+            return
+        self.settled = True
+        self._disarm()
+        mesh = self.mesh
+        mesh.timed_out_calls += 1
+        policy = mesh._timeouts
+        if self.attempt < policy.max_attempts:
+            mesh._issue_call(
+                *self.call, self.on_outcome, self.attempt + 1,
+                self.dst if policy.exclude_failed_cluster else None)
+        else:
+            self.on_outcome(False)
+
+    def launch_hedge(self) -> None:
+        if self.settled:
+            return
+        mesh = self.mesh
+        request, plan, _, caller_cluster, service, _, _ = self.call
+        hedge_dst = mesh.proxies[caller_cluster].choose_cluster(
+            service, plan.name, self.dst,
+            request.data_key if plan.sticky else None)
+        if hedge_dst == self.dst:
+            return   # nowhere else to hedge to
+        mesh.hedged_calls += 1
+        self.branches += 1
+        _Call(mesh, *self.call, hedge_dst, self.settle).send()
 
 
 class EpochHook(Protocol):
@@ -146,6 +429,8 @@ class MeshSimulation:
         self.hedged_calls = 0
         #: per-(caller, callee, cluster) edge caches, created on demand
         self._caches: dict[tuple[str, str, str], EdgeCache] = {}
+        #: traffic class -> its per-call constants, resolved on first use
+        self._plans: dict[str, _ClassPlan] = {}
 
         if service_model not in self.SERVICE_MODELS:
             raise ValueError(f"unknown service_model {service_model!r}; "
@@ -413,241 +698,84 @@ class MeshSimulation:
             cache = self._caches[key] = EdgeCache(spec)
         return cache
 
+    def _class_plan(self, traffic_class: str) -> _ClassPlan:
+        """Resolve a class's per-call constants, once per simulation."""
+        spec = self.app.traffic_class(traffic_class)
+        stream = self.rngs.stream
+        children_of = spec.children_map()
+        nodes: dict[str, _ServiceNode] = {}
+        for service in spec.services():
+            children = tuple(
+                (edge.callee, edge.request_bytes, edge.response_bytes,
+                 int(edge.calls_per_request),
+                 edge.calls_per_request - int(edge.calls_per_request),
+                 self.app.cache_for(service, edge.callee) is not None)
+                for edge in children_of.get(service, ()))
+            fractional = any(child[4] > 0 for child in children)
+            mean = spec.exec_time_of(service)
+            drawn = mean > 0 and not self._deterministic_exec
+            nodes[service] = _ServiceNode(
+                exec_mean=mean if mean > 0 else 0.0,
+                exec_draw=(stream(f"exec/{service}").exponential
+                           if drawn else None),
+                children=children,
+                fixed_calls=(None if fractional else tuple(
+                    child for child in children for _ in range(child[3]))),
+                fanout_draw=(stream(f"fanout/{service}").random
+                             if fractional else None),
+                parallel=service in spec.parallel_fanout)
+        plan = self._plans[traffic_class] = _ClassPlan(
+            name=traffic_class, root=spec.root_service,
+            ingress_request_bytes=spec.ingress_request_bytes,
+            ingress_response_bytes=spec.ingress_response_bytes,
+            sticky=spec.sticky_affinity, key_space=spec.key_space,
+            keys_draw=(stream(f"keys/{traffic_class}").integers
+                       if spec.key_space > 0 else None),
+            nodes=nodes)
+        return plan
+
     def _dispatch(self, request: Request) -> None:
         """Start the root call for a freshly classified request."""
-        spec = self.app.traffic_class(request.traffic_class)
-        if spec.key_space > 0:
-            rng = self.rngs.stream(f"keys/{request.traffic_class}")
-            request.data_key = int(rng.integers(spec.key_space))
-        ingress = request.ingress_cluster
+        plan = self._plans.get(request.traffic_class)
+        if plan is None:
+            plan = self._class_plan(request.traffic_class)
+        if plan.keys_draw is not None:
+            request.data_key = int(plan.keys_draw(plan.key_space))
+        self._issue_call(request, plan, None, request.ingress_cluster,
+                         plan.root, plan.ingress_request_bytes,
+                         plan.ingress_response_bytes,
+                         functools.partial(self._finish, request))
 
-        def finish(ok: bool) -> None:
-            if ok:
-                self.gateways[ingress].complete(request, self.sim.now)
-            else:
-                self.gateways[ingress].fail(request, self.sim.now)
-            if self._obs_tracer is not None:
-                self._obs_tracer.record_request(request)
+    def _finish(self, request: Request, ok: bool) -> None:
+        """The root call's outcome: the response leaves the gateway."""
+        gateway = self.gateways[request.ingress_cluster]
+        if ok:
+            gateway.complete(request, self.sim.now)
+        else:
+            gateway.fail(request, self.sim.now)
+        if self._obs_tracer is not None:
+            self._obs_tracer.record_request(request)
 
-        self._issue_call(request, spec,
-                         caller_service=None, caller_cluster=ingress,
-                         service=spec.root_service,
-                         request_bytes=spec.ingress_request_bytes,
-                         response_bytes=spec.ingress_response_bytes,
-                         on_outcome=finish)
-
-    def _issue_call(self, request: Request, spec: TrafficClassSpec,
+    def _issue_call(self, request: Request, plan: _ClassPlan,
                     caller_service: str | None, caller_cluster: str,
                     service: str, request_bytes: int, response_bytes: int,
                     on_outcome: Callable[[bool], None],
-                    attempt: int = 1,
-                    exclude: str | None = None) -> None:
-        """One routed attempt of a call, with deadline and retry handling."""
-        affinity_key = (request.data_key if spec.sticky_affinity else None)
+                    attempt: int = 1, exclude: str | None = None) -> None:
+        """One routed attempt of a call; ``on_outcome(ok)`` fires once.
+
+        Without a :class:`TimeoutPolicy` a call has exactly one outcome and
+        nothing to guard, so it reports straight to ``on_outcome``.
+        """
         dst = self.proxies[caller_cluster].choose_cluster(
-            service, request.traffic_class, exclude=exclude,
-            affinity_key=affinity_key)
-        policy = self._timeouts
-        settled = False
-        deadline = None
-        hedge = None
-        branches = 1   # grows to 2 when a hedge launches
-
-        def settle(ok: bool) -> None:
-            nonlocal settled, branches
-            if settled:
-                return   # orphaned/losing response: dropped
-            if not ok:
-                # one branch erred; if a sibling is still in flight, let it
-                # decide the call
-                branches -= 1
-                if branches > 0:
-                    return
-            settled = True
-            if deadline is not None:
-                deadline.cancel()
-            if hedge is not None:
-                hedge.cancel()
-            on_outcome(ok)
-
-        def timed_out() -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            self.timed_out_calls += 1
-            if policy is not None and attempt < policy.max_attempts:
-                retry_exclude = (dst if policy.exclude_failed_cluster
-                                 else None)
-                self._issue_call(request, spec, caller_service,
-                                 caller_cluster, service, request_bytes,
-                                 response_bytes, on_outcome,
-                                 attempt=attempt + 1, exclude=retry_exclude)
-            else:
-                on_outcome(False)
-
-        def launch_hedge() -> None:
-            nonlocal branches
-            if settled:
-                return
-            hedge_dst = self.proxies[caller_cluster].choose_cluster(
-                service, request.traffic_class, exclude=dst,
-                affinity_key=affinity_key)
-            if hedge_dst == dst:
-                return   # nowhere else to hedge to
-            self.hedged_calls += 1
-            branches += 1
-            self._call(request, spec, caller_service, caller_cluster,
-                       service, hedge_dst, request_bytes, response_bytes,
-                       on_outcome=settle)
-
-        if policy is not None:
-            deadline = self.sim.schedule_cancellable(policy.call_timeout,
-                                                     timed_out)
-            if policy.hedge_delay is not None:
-                hedge = self.sim.schedule_cancellable(policy.hedge_delay,
-                                                      launch_hedge)
-        self._call(request, spec, caller_service, caller_cluster, service,
-                   dst, request_bytes, response_bytes, on_outcome=settle)
-
-    def _call(self, request: Request, spec: TrafficClassSpec,
-              caller_service: str | None, caller_cluster: str,
-              service: str, dst_cluster: str,
-              request_bytes: int, response_bytes: int,
-              on_outcome: Callable[[bool], None]) -> None:
-        """Execute one call: WAN out, queue + compute, children, WAN back."""
-
-        def deliver() -> None:
-            span = Span(
-                request_id=request.request_id,
-                traffic_class=request.traffic_class,
-                service=service, cluster=dst_cluster,
-                caller_service=caller_service, caller_cluster=caller_cluster,
-                enqueue_time=self.sim.now,
-                request_bytes=request_bytes, response_bytes=response_bytes,
-            )
-            work = self._draw_exec_time(spec, service)
-            span.exec_time = work
-            cluster = self.clusters[dst_cluster]
-            if not cluster.has(service):
-                # destination died while the call was on the wire: the call
-                # is lost; with a TimeoutPolicy the deadline fires and the
-                # proxy retries elsewhere, otherwise it hangs like a real
-                # timeout-less mesh would
-                self.dropped_calls += 1
-                return
-            pool = cluster.pool(service)
-
-            def started(now: float) -> None:
-                span.start_time = now
-
-            def computed(now: float) -> None:
-                if cluster.pools.get(service) is not pool:
-                    # the service was killed while this job was queued or
-                    # running: its work is lost with the pool (the request
-                    # hangs, or times out and retries under a TimeoutPolicy)
-                    self.dropped_calls += 1
-                    return
-                self._run_children(request, spec, service, dst_cluster,
-                                   lambda ok: respond(span, ok))
-
-            pool.submit(work, on_complete=computed, on_start=started)
-
-        def respond(span: Span, ok: bool) -> None:
-            span.end_time = self.sim.now
-            self.proxies[dst_cluster].telemetry.record_span(span)
-            self.telemetry.record_span(span)
-            if self._obs_tracer is not None:
-                self._obs_tracer.record_span(span)
-            if not ok:
-                # a child subtree failed: surface the error immediately
-                # (error responses are small; no payload transfer)
-                on_outcome(False)
-                return
-            self.network.transfer(dst_cluster, caller_cluster,
-                                  response_bytes, lambda: on_outcome(True))
-
-        self.network.transfer(caller_cluster, dst_cluster, request_bytes,
-                              deliver)
-
-    def _run_children(self, request: Request, spec: TrafficClassSpec,
-                      service: str, cluster: str,
-                      done: Callable[[bool], None]) -> None:
-        """Invoke all child edges of ``service``, then call ``done(ok)``."""
-        calls: list[tuple[str, int, int]] = []
-        rng = self.rngs.stream(f"fanout/{service}")
-        for edge in spec.children_map().get(service, []):
-            count = self._realise_count(edge.calls_per_request, rng)
-            calls.extend((edge.callee, edge.request_bytes,
-                          edge.response_bytes) for _ in range(count))
-        if not calls:
-            done(True)
-            return
-
-        def issue(callee: str, request_bytes: int, response_bytes: int,
-                  on_outcome: Callable[[bool], None]) -> None:
-            cache = None
-            if (request.data_key is not None
-                    and self.app.cache_for(service, callee) is not None):
-                cache = self.edge_cache(service, callee, cluster)
-                if cache.lookup(request.data_key, self.sim.now):
-                    on_outcome(True)   # cache hit: downstream call skipped
-                    return
-
-            def outcome(ok: bool) -> None:
-                if ok and cache is not None:
-                    cache.insert(request.data_key, self.sim.now)
-                on_outcome(ok)
-
-            self._issue_call(request, spec,
-                             caller_service=service, caller_cluster=cluster,
-                             service=callee,
-                             request_bytes=request_bytes,
-                             response_bytes=response_bytes,
-                             on_outcome=outcome)
-
-        if service in spec.parallel_fanout:
-            remaining = len(calls)
-            all_ok = True
-
-            def one_done(ok: bool) -> None:
-                nonlocal remaining, all_ok
-                remaining -= 1
-                all_ok = all_ok and ok
-                if remaining == 0:
-                    done(all_ok)
-
-            for callee, req_b, resp_b in calls:
-                issue(callee, req_b, resp_b, one_done)
-        else:
-            def run_next(index: int, ok: bool) -> None:
-                if not ok:
-                    done(False)   # abort remaining siblings on failure
-                    return
-                if index == len(calls):
-                    done(True)
-                    return
-                callee, req_b, resp_b = calls[index]
-                issue(callee, req_b, resp_b,
-                      lambda child_ok: run_next(index + 1, child_ok))
-
-            run_next(0, True)
-
-    def _realise_count(self, expected: float, rng) -> int:
-        """Turn a fractional calls-per-request into an integer draw."""
-        base = int(expected)
-        frac = expected - base
-        if frac > 0 and rng.random() < frac:
-            base += 1
-        return base
-
-    def _draw_exec_time(self, spec: TrafficClassSpec, service: str) -> float:
-        mean = spec.exec_time_of(service)
-        if mean <= 0:
-            return 0.0
-        if self._deterministic_exec:
-            return mean
-        return float(self.rngs.stream(f"exec/{service}").exponential(mean))
+            service, plan.name, exclude,
+            request.data_key if plan.sticky else None)
+        if self._timeouts is not None:
+            on_outcome = _Guard(
+                self, (request, plan, caller_service, caller_cluster,
+                       service, request_bytes, response_bytes),
+                on_outcome, attempt, dst).settle
+        _Call(self, request, plan, caller_service, caller_cluster, service,
+              request_bytes, response_bytes, dst, on_outcome).send()
 
     def __repr__(self) -> str:
         return (f"MeshSimulation(app={self.app.name!r}, "

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .network import EgressPricing, LatencyMatrix
 
-__all__ = ["ClusterSpec", "DeploymentSpec", "gcp_four_region_latency",
+__all__ = ["ClusterSpec", "DeploymentSpec", "ReplicaMap",
+           "gcp_four_region_latency",
            "two_region_latency", "GCP_REGIONS", "GCP_RTT_MS"]
 
 GCP_REGIONS = ("OR", "UT", "IOW", "SC")
@@ -44,12 +45,71 @@ def two_region_latency(one_way_ms: float, west: str = "west",
     return LatencyMatrix.from_ms((west, east), {(west, east): one_way_ms})
 
 
+class ReplicaMap(dict):
+    """service → replica count, notifying on every change.
+
+    Placement is edited in place all over the tree (``fail_service``, the
+    chaos layer, tests and benchmarks write ``spec.replicas[service]``
+    directly), and proxies and the fluid model cache views derived from it.
+    Every mutating ``dict`` method bumps the revision cell of each
+    :class:`DeploymentSpec` holding this map, so those caches validate
+    against :attr:`DeploymentSpec.revision` in O(1) and cannot miss a write.
+    """
+
+    #: revision cells of the deployments watching this map; the class
+    #: default also covers the item writes pickle makes before any state
+    _watchers: tuple[list[int], ...] = ()
+
+    def _changed(self) -> None:
+        for cell in self._watchers:
+            cell[0] += 1
+
+    def __setitem__(self, service: str, count: int) -> None:
+        # an unchanged count is not a change: derived views stay valid
+        if self.get(service) != count:
+            super().__setitem__(service, count)
+            self._changed()
+
+    def __delitem__(self, service: str) -> None:
+        super().__delitem__(service)
+        self._changed()
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def clear(self) -> None:
+        super().clear()
+        self._changed()
+
+    def pop(self, *args):
+        value = super().pop(*args)
+        self._changed()
+        return value
+
+    def popitem(self):
+        item = super().popitem()
+        self._changed()
+        return item
+
+    def setdefault(self, service: str, default=None):
+        if service not in self:
+            self[service] = default
+        return self[service]
+
+    def update(self, *args, **kwargs) -> None:
+        super().update(*args, **kwargs)
+        self._changed()
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Replica placement for one cluster: service → replica count.
 
     A service absent from ``replicas`` (or mapped to 0) is not deployed in
-    this cluster — the partial-replication case of Fig. 1 / §4.3.
+    this cluster — the partial-replication case of Fig. 1 / §4.3. The
+    mapping is held as a :class:`ReplicaMap` (a copy of the ``dict``
+    passed in), so in-place edits reach every deployment's revision.
     """
 
     name: str
@@ -60,6 +120,8 @@ class ClusterSpec:
             if count < 0:
                 raise ValueError(
                     f"cluster {self.name!r}: negative replicas for {service!r}")
+        if not isinstance(self.replicas, ReplicaMap):
+            object.__setattr__(self, "replicas", ReplicaMap(self.replicas))
 
     def has(self, service: str) -> bool:
         return self.replicas.get(service, 0) > 0
@@ -81,6 +143,19 @@ class DeploymentSpec:
         if unknown:
             raise ValueError(
                 f"clusters {sorted(unknown)} missing from the latency matrix")
+        self._revision = [0]
+        for spec in self.clusters:
+            spec.replicas._watchers += (self._revision,)
+
+    @property
+    def revision(self) -> int:
+        """Monotone count of replica-placement changes in any cluster.
+
+        Bumped by every write that changes a ``spec.replicas`` entry,
+        however it is made; consumers caching a view of the placement
+        (compiled proxy routes, the fluid routing plan) compare it in O(1).
+        """
+        return self._revision[0]
 
     @property
     def cluster_names(self) -> list[str]:

@@ -94,3 +94,76 @@ def test_unknown_cluster_lookup():
                                  two_region_latency(10.0))
     with pytest.raises(KeyError):
         dep.cluster("north")
+
+
+# ------------------------------------------------- placement change notices
+
+
+def two_cluster_deployment():
+    return DeploymentSpec(
+        clusters=[ClusterSpec("west", {"FR": 1, "DB": 1}),
+                  ClusterSpec("east", {"FR": 1, "DB": 2})],
+        latency=two_region_latency(10.0))
+
+
+@pytest.mark.parametrize("write", [
+    lambda replicas: replicas.__setitem__("DB", 3),
+    lambda replicas: replicas.__delitem__("DB"),
+    lambda replicas: replicas.update({"DB": 0}),
+    lambda replicas: replicas.update(DB=0),
+    lambda replicas: replicas.__ior__({"DB": 0}),
+    lambda replicas: replicas.pop("DB"),
+    lambda replicas: replicas.popitem(),
+    lambda replicas: replicas.setdefault("MP", 2),
+    lambda replicas: replicas.clear(),
+], ids=["setitem", "delitem", "update", "update-kw", "ior", "pop",
+        "popitem", "setdefault", "clear"])
+def test_every_way_of_writing_replicas_bumps_the_revision(write):
+    dep = two_cluster_deployment()
+    before = dep.revision
+    write(dep.cluster("east").replicas)
+    assert dep.revision > before
+
+
+def test_revision_ignores_reads_and_unchanged_writes():
+    dep = two_cluster_deployment()
+    replicas = dep.cluster("west").replicas
+    before = dep.revision
+    replicas["DB"] = 1                    # the count already there
+    assert replicas.setdefault("FR", 9) == 1
+    assert replicas.get("nope", 0) == 0 and dict(replicas) == replicas
+    assert dep.revision == before
+    replicas["DB"] += 1
+    assert dep.revision == before + 1
+
+
+def test_cluster_spec_copies_the_mapping_it_is_given():
+    given = {"FR": 1}
+    spec = ClusterSpec("west", given)
+    given["FR"] = 5                       # not a write to the placement
+    assert spec.replicas == {"FR": 1}
+    assert isinstance(spec.replicas, dict)
+
+
+def test_cluster_spec_shared_by_two_deployments_notifies_both():
+    spec = ClusterSpec("west", {"FR": 1})
+    latency = two_region_latency(10.0)
+    one = DeploymentSpec([spec, ClusterSpec("east", {"FR": 1})], latency)
+    two = DeploymentSpec([spec], latency)
+    spec.replicas["FR"] = 0
+    assert (one.revision, two.revision) == (1, 1)
+    assert one.clusters_with("FR") == ["east"]
+    assert two.clusters_with("FR") == []
+
+
+def test_deployment_copies_keep_counting_their_own_writes():
+    import copy
+    import pickle
+    dep = two_cluster_deployment()
+    for clone in (copy.deepcopy(dep), pickle.loads(pickle.dumps(dep))):
+        assert clone.clusters == dep.clusters
+        before, original = clone.revision, dep.revision
+        clone.cluster("east").replicas["DB"] = 7
+        assert clone.revision == before + 1
+        assert dep.revision == original
+        assert dep.cluster("east").replicas["DB"] == 2
