@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.optimizer import (EpochSolver, SolverCache, StructureCache,
-                                  build_model, warm_solve)
+                                  build_model, build_path_model, warm_solve)
 from repro.core.optimizer.solve import _solve_lp
 from repro.core.optimizer.warm import EpochSolver as _EpochSolver
 from repro.devtools.invariants import InvariantViolation
@@ -164,3 +164,28 @@ def test_warm_epoch_on_randomized_instance(monkeypatch):
             workload.demand[cluster] *= 1.07
     result = solver.solve(problem)
     assert result.ok and result.warm_build
+
+
+def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
+        monkeypatch):
+    """``max_throughput`` with headroom is optimal for *every* split that
+    serves all demand; the restricted and the full solve each return their
+    own vertex of that face, and the shadow must not call that divergence."""
+    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
+    solver = EpochSolver(formulation="path",
+                         path_objective="max_throughput")
+    problem = chain_problem(west_rps=520.0, east_rps=90.0)
+    solver.solve(problem)
+    problem.workloads["default"].demand["west"] = 610.0
+    problem.workloads["default"].demand["east"] = 97.0
+    result = solver.solve(problem)
+    assert result.warm_start
+    model = build_path_model(problem, objective="max_throughput")
+    cold_x, _ = _solve_lp(model)
+    warm_x = warm_solve(model, cold_x)
+    # an infeasible point at the same objective is still a violation
+    shifted = warm_x.copy()
+    shifted[:2] += (1.0, -1.0)
+    shifted[np.argmax(shifted)] *= 4.0
+    with pytest.raises(InvariantViolation):
+        _EpochSolver._check_warm_invariant(model, shifted)
