@@ -107,11 +107,10 @@ class ClusterController:
         controller contact; a distribution that lands while the fallback is
         active reconciles it (optimized rules overwrite fallback rules).
         """
-        count = 0
-        for rule in rules:
-            if rule.src_cluster == self.cluster:
-                table.set_weights(rule.key, rule.weight_map())
-                count += 1
+        relevant = rules.for_source(self.cluster)
+        for rule in relevant:
+            table.set_weights(rule.key, rule.weight_map())
+        count = len(relevant)
         self.rules_distributed += count
         if now is not None:
             self.touch(now)

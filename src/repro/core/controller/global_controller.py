@@ -100,8 +100,13 @@ class GlobalController:
         self.config = config or GlobalControllerConfig()
         self.profiles = profiles or ProfileRegistry()
         self.callgraph = CallGraphLearner()
+        #: fed only under ``forecast_demand`` — nothing else reads it
         self.forecaster = HoltForecaster()
-        self._demand_estimate: dict[tuple[str, str], float] = {}
+        #: cluster → class → EWMA of observed ingress rps, for every
+        #: cluster that has reported. Sparse: a class is absent while its
+        #: estimate is exactly 0.0 (never seen there, or decayed to zero),
+        #: which is what an absent class of a present cluster means
+        self._demand_estimate: dict[str, dict[str, float]] = {}
         self.last_result: OptimizationResult | None = None
         self.epochs_observed = 0
         #: end of the newest telemetry window folded in (None until first
@@ -140,28 +145,55 @@ class GlobalController:
     # ------------------------------------------------------------ learning
 
     def observe(self, reports: list[ClusterEpochReport]) -> None:
-        """Fold one epoch of cluster reports into the learned state."""
+        """Fold one epoch of cluster reports into the learned state.
+
+        Per report the work is proportional to the classes that carry
+        state at that cluster or were counted in this window, not to the
+        app's class list: a class neither counted nor holding a non-zero
+        estimate keeps its estimate of exactly 0.0 whatever ``alpha`` is.
+        """
         if self.config.learn_profiles:
             self.profiles.ingest(reports)
         if self.config.learn_structure:
             for report in reports:
                 self.callgraph.ingest(report.span_samples)
         alpha = self.config.demand_alpha
+        forecaster = (self.forecaster if self.config.forecast_demand
+                      else None)
+        classes = self.app.classes
         for report in reports:
             window_end = report.start_time + report.duration
             if (self.last_observe_time is None
                     or window_end > self.last_observe_time):
                 self.last_observe_time = window_end
-            for cls in self.app.classes:
+            cluster = report.cluster
+            estimates = self._demand_estimate.get(cluster)
+            # a cluster's first report seeds its estimates; from then on a
+            # class without one stands at 0.0 and is averaged like any other
+            absent = None if estimates is None else 0.0
+            if estimates is None:
+                estimates = self._demand_estimate[cluster] = {}
+            counted = [cls for cls, count in report.ingress_counts.items()
+                       if count and cls in classes and cls not in estimates]
+            for cls in [*estimates, *counted]:
                 observed = report.ingress_rps(cls)
-                key = (cls, report.cluster)
-                self.forecaster.observe(key, observed)
-                current = self._demand_estimate.get(key)
-                if current is None:
-                    self._demand_estimate[key] = observed
+                if observed < 0:
+                    raise ValueError(f"negative observation {observed} for "
+                                     f"{(cls, cluster)!r}")
+                current = estimates.get(cls, absent)
+                if forecaster is not None:
+                    key = (cls, cluster)
+                    if current is not None and not forecaster.known(key):
+                        # the zeros this series has seen so far: Holt's
+                        # state after any number of them is (0, 0)
+                        forecaster.observe(key, 0.0)
+                    forecaster.observe(key, observed)
+                estimate = (observed if current is None
+                            else (1 - alpha) * current + alpha * observed)
+                if estimate != 0.0 or forecaster is not None:
+                    estimates[cls] = estimate
                 else:
-                    self._demand_estimate[key] = (
-                        (1 - alpha) * current + alpha * observed)
+                    estimates.pop(cls, None)
         self.epochs_observed += 1
 
     def demand_estimate(self, traffic_class: str, cluster: str) -> float:
@@ -174,7 +206,8 @@ class GlobalController:
         if self.config.forecast_demand and self.forecaster.known(key):
             estimate = self.forecaster.forecast(key, steps_ahead=1)
         else:
-            estimate = self._demand_estimate.get(key, 0.0)
+            estimate = self._demand_estimate.get(cluster, {}).get(
+                traffic_class, 0.0)
         quantum = self.config.demand_quantum
         if quantum > 0:
             estimate = round(estimate / quantum) * quantum
@@ -184,6 +217,15 @@ class GlobalController:
 
     def build_problem(self) -> TEProblem:
         """Assemble the TE instance from current learned state."""
+        # positive estimates per class, clusters in deployment order; only
+        # (class, cluster) pairs holding state can have one
+        demands: dict[str, dict[str, float]] = {
+            name: {} for name in self.app.classes}
+        for cluster in self.deployment.cluster_names:
+            for name in self._demand_estimate.get(cluster, ()):
+                estimate = self.demand_estimate(name, cluster)
+                if estimate > 0 and name in demands:
+                    demands[name][cluster] = estimate
         workloads = {}
         for name, spec in self.app.classes.items():
             if self.config.learn_structure and self.callgraph.ready(name):
@@ -202,12 +244,7 @@ class GlobalController:
                     for service in spec.services()
                 }
                 spec = dataclasses.replace(spec, exec_time=exec_time)
-            demand = {
-                cluster: self.demand_estimate(name, cluster)
-                for cluster in self.deployment.cluster_names
-                if self.demand_estimate(name, cluster) > 0
-            }
-            workloads[name] = ClassWorkload(spec=spec, demand=demand)
+            workloads[name] = ClassWorkload(spec=spec, demand=demands[name])
         return self._problem(workloads)
 
     def _problem(self, workloads: dict[str, ClassWorkload]) -> TEProblem:

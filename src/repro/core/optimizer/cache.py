@@ -56,6 +56,14 @@ def _hash_sparse(hasher, matrix: sparse.csr_matrix) -> None:
     _hash_array(hasher, canonical.data)
 
 
+def _hash_components(hasher, components) -> None:
+    for component in components:
+        if sparse.issparse(component):
+            _hash_sparse(hasher, component)
+        else:
+            _hash_array(hasher, component)
+
+
 def model_fingerprint(model: LinearModel) -> str:
     """Canonical content hash of a model's numeric payload.
 
@@ -63,15 +71,21 @@ def model_fingerprint(model: LinearModel) -> str:
     matrices (in canonical CSR form), right-hand sides, variable bounds,
     and integrality pattern are byte-identical — exactly the inputs the
     solver sees, so equal fingerprints imply equal solution vectors.
+
+    The leading components a model shares with its structure are hashed
+    once per structure: their SHA-256 state is kept on ``model.tables``
+    and every later fingerprint resumes from a copy of it, which yields
+    the same digest as hashing all seven components afresh.
     """
-    hasher = hashlib.sha256()
-    _hash_array(hasher, model.objective)
-    _hash_sparse(hasher, model.a_ub)
-    _hash_array(hasher, model.b_ub)
-    _hash_sparse(hasher, model.a_eq)
-    _hash_array(hasher, model.b_eq)
-    _hash_array(hasher, model.integrality)
-    _hash_array(hasher, model.upper_bounds)
+    components = (model.objective, model.a_ub, model.b_ub, model.a_eq,
+                  model.b_eq, model.integrality, model.upper_bounds)
+    tables = model.tables
+    if tables.hash_prefix is None:
+        tables.hash_prefix = hashlib.sha256()
+        _hash_components(tables.hash_prefix,
+                         components[:tables.static_components])
+    hasher = tables.hash_prefix.copy()
+    _hash_components(hasher, components[tables.static_components:])
     return hasher.hexdigest()
 
 

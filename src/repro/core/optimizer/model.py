@@ -31,12 +31,15 @@ from scipy import sparse
 
 from ..latency.mm1 import PoolDelayModel
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment, linearize_convex
-from .problem import TEProblem
+from .problem import INGRESS_EDGE, TEProblem
+from .tables import ModelTables
 
 __all__ = ["EdgeRef", "RouteVar", "LinearModel", "build_model",
            "build_model_loop", "class_edges", "pool_segments_for"]
 
-INGRESS_EDGE = -1   # edge index of the user → root pseudo-edge
+#: leading fingerprint components an arc model shares with its structure:
+#: objective, a_ub, b_ub, a_eq (demand lives in b_eq and the flow bounds)
+ARC_STATIC_COMPONENTS = 4
 
 #: memoized piecewise linearizations — Erlang-C evaluation at the knots
 #: dominates build cost, and uniform fleets share a handful of
@@ -106,6 +109,8 @@ class LinearModel:
     #: (service, cluster) → piecewise segments used
     pool_segments: dict[tuple[str, str], list[Segment]]
     problem: TEProblem
+    #: demand-independent lookups, shared with the cached structure
+    tables: ModelTables
 
     @property
     def n_variables(self) -> int:
@@ -348,6 +353,8 @@ def build_model_loop(problem: TEProblem, max_splits: int | None = None,
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
+        tables=ModelTables(problem, pool_columns, a_ub, a_eq,
+                           ARC_STATIC_COMPONENTS),
     )
 
 

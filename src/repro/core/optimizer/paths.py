@@ -42,13 +42,14 @@ import numpy as np
 from scipy import sparse
 
 from .contraction import candidate_clusters
-from .model import INGRESS_EDGE, class_edges, pool_segments_for
+from .model import class_edges, pool_segments_for
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
-from .problem import TEProblem
+from .problem import INGRESS_EDGE, TEProblem
 from .result import (FLOW_EPSILON, OptimizationResult, finalize_result)
+from .tables import ModelTables
 from .vectorized import _Coo, structure_key
 
-__all__ = ["CandidateEmbedding", "PathModel", "PathStructure",
+__all__ = ["CandidateEmbedding", "PathModel", "PathStructure", "PlanGeometry",
            "candidate_paths", "build_path_model", "extract_path_result",
            "PATH_OBJECTIVES"]
 
@@ -95,6 +96,11 @@ class PathModel:
     pool_segments: dict[tuple[str, str], list[Segment]]
     path_objective: str
     problem: TEProblem
+    #: per path, the flow keys one unit of it feeds and the call
+    #: multiplier of each: the ingress hop first, then the call-tree edges
+    path_hops: list[tuple[tuple[tuple[str, int, str, str], float], ...]]
+    #: demand-independent lookups, shared with the cached structure
+    tables: ModelTables
 
     @property
     def n_variables(self) -> int:
@@ -142,8 +148,84 @@ def _stratified_beam(frontier: list, beam: int) -> list:
     return kept
 
 
-def _penalized_walk(problem: TEProblem, ingress: str, spec, execs,
-                    incoming, order, prune_limit, pool_use) -> tuple:
+class PlanGeometry:
+    """Per-build memo of the geometry candidate enumeration keeps asking for.
+
+    One cold build enumerates candidates for every (class, ingress) pair,
+    and the beam asks the same few questions each time: which clusters
+    run a service, which of them are nearest some anchor, what a cluster
+    pair's RTT and egress price are, what a class's call tree looks like.
+    The answers depend only on the problem, so they are computed once per
+    build; every value is the one the unmemoised call returns. Valid for
+    one problem at one latency revision, i.e. for the build that made it.
+    """
+
+    def __init__(self, problem: TEProblem) -> None:
+        self.problem = problem
+        self._deployed: dict[str, list[str]] = {}
+        self._nearest: dict[tuple, list[str]] = {}
+        self._rtt: dict[tuple[str, str], float] = {}
+        self._per_byte: dict[tuple[str, str], float] = {}
+        self._classes: dict[str, tuple] = {}
+
+    def deployed(self, service: str) -> list[str]:
+        clusters = self._deployed.get(service)
+        if clusters is None:
+            clusters = self._deployed[service] = (
+                self.problem.deployed_in(service))
+        return clusters
+
+    def nearest(self, service: str, anchor: str,
+                limit: int | None) -> list[str]:
+        """``service``'s deployment sites nearest ``anchor``, pruned."""
+        key = (service, anchor, limit)
+        ranked = self._nearest.get(key)
+        if ranked is None:
+            ranked = self._nearest[key] = candidate_clusters(
+                self.problem.latency, self.deployed(service), anchor, limit)
+        return ranked
+
+    def rtt(self, a: str, b: str) -> float:
+        pair = (a, b)
+        value = self._rtt.get(pair)
+        if value is None:
+            value = self._rtt[pair] = self.problem.rtt(a, b)
+        return value
+
+    def per_byte(self, src: str, dst: str) -> float:
+        pair = (src, dst)
+        value = self._per_byte.get(pair)
+        if value is None:
+            value = self._per_byte[pair] = (
+                self.problem.pricing.per_byte(src, dst))
+        return value
+
+    def hop_cost(self, mult: float, edge, caller_cluster: str,
+                 cluster: str) -> tuple[float, float]:
+        """Latency and egress one ingress request adds by serving ``edge``
+        from ``caller_cluster`` in ``cluster``."""
+        return (mult * self.rtt(caller_cluster, cluster),
+                mult * (edge.request_bytes
+                        * self.per_byte(caller_cluster, cluster)
+                        + edge.response_bytes
+                        * self.per_byte(cluster, caller_cluster)))
+
+    def call_tree(self, name: str) -> tuple:
+        """``(executions per request, service → incoming edge, services in
+        BFS order)`` of class ``name``."""
+        tree = self._classes.get(name)
+        if tree is None:
+            spec = self.problem.workloads[name].spec
+            tree = self._classes[name] = (
+                spec.executions_per_request(),
+                {edge.callee: edge
+                 for edge in class_edges(self.problem, name)},
+                spec.services())   # BFS, root first: callers before callees
+        return tree
+
+
+def _penalized_walk(geometry: PlanGeometry, name: str, ingress: str,
+                    prune_limit, pool_use) -> tuple:
     """One greedy embedding that avoids already-used pools.
 
     The service-layer analogue of link-disjoint k-shortest paths: each
@@ -152,27 +234,24 @@ def _penalized_walk(problem: TEProblem, ingress: str, spec, execs,
     only steers the *choice*; the returned score/latency/egress are the
     true unpenalized values, so the LP sees honest coefficients.
     """
+    execs, incoming, order = geometry.call_tree(name)
+    cost_weight = geometry.problem.cost_weight
     score = lat = egress = 0.0
     assign: tuple = ()
     placed: dict[str, str] = {}
-    for service in order:
+    for position, service in enumerate(order):
         edge = incoming[service]
-        if service == spec.root_service:
+        if not position:
             mult, caller_cluster = 1.0, ingress
         else:
             mult = execs[edge.caller] * edge.calls_per_request
             caller_cluster = placed[edge.caller]
         best = None
-        for cluster in candidate_clusters(
-                problem.latency, problem.deployed_in(service),
-                caller_cluster, prune_limit):
-            hop_lat = mult * problem.rtt(caller_cluster, cluster)
-            hop_egress = mult * (
-                problem.transfer_cost(caller_cluster, cluster,
-                                      edge.request_bytes)
-                + problem.transfer_cost(cluster, caller_cluster,
-                                        edge.response_bytes))
-            hop_score = hop_lat + problem.cost_weight * hop_egress
+        for cluster in geometry.nearest(service, caller_cluster,
+                                        prune_limit):
+            hop_lat, hop_egress = geometry.hop_cost(mult, edge,
+                                                    caller_cluster, cluster)
+            hop_score = hop_lat + cost_weight * hop_egress
             key = (pool_use[(service, cluster)], hop_score, cluster)
             if best is None or key < best[0]:
                 best = (key, cluster, hop_lat, hop_egress, hop_score)
@@ -187,7 +266,9 @@ def _penalized_walk(problem: TEProblem, ingress: str, spec, execs,
 
 def candidate_paths(problem: TEProblem, name: str, ingress: str,
                     k: int = 4, prune_limit: int | None = None,
-                    beam: int | None = None) -> list[CandidateEmbedding]:
+                    beam: int | None = None,
+                    geometry: PlanGeometry | None = None
+                    ) -> list[CandidateEmbedding]:
     """k best embeddings of class ``name``'s call tree from ``ingress``.
 
     Beam search over services in BFS order; each hop considers the
@@ -203,32 +284,29 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
     already use, so the candidate set spreads across clusters instead of
     stacking k near-duplicates of the shortest path — which is what
     keeps sparse planet-scale instances feasible at small ``k``.
+
+    ``geometry`` is ``problem``'s :class:`PlanGeometry` when the caller
+    enumerates many (class, ingress) pairs of one problem; the candidates
+    are the same with or without it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if beam is None:
         beam = max(4 * k, 8)
-    workload = problem.workloads[name]
-    spec = workload.spec
-    execs = spec.executions_per_request()
-    incoming = {edge.callee: edge for edge in class_edges(problem, name)}
-    order = spec.services()   # BFS, root first: callers precede callees
+    if geometry is None:
+        geometry = PlanGeometry(problem)
+    cost_weight = problem.cost_weight
+    execs, incoming, order = geometry.call_tree(name)
 
-    root = spec.root_service
+    root = order[0]
     root_edge = incoming[root]
     partials: list[tuple[float, float, float, tuple]] = []
-    deployed = problem.deployed_in(root)
-    if not deployed:
+    if not geometry.deployed(root):
         raise ValueError(
             f"class {name!r}: service {root!r} deployed nowhere")
-    for cluster in candidate_clusters(problem.latency, deployed, ingress,
-                                      prune_limit):
-        lat = problem.rtt(ingress, cluster)
-        egress = (problem.transfer_cost(ingress, cluster,
-                                        root_edge.request_bytes)
-                  + problem.transfer_cost(cluster, ingress,
-                                          root_edge.response_bytes))
-        score = lat + problem.cost_weight * egress
+    for cluster in geometry.nearest(root, ingress, prune_limit):
+        lat, egress = geometry.hop_cost(1.0, root_edge, ingress, cluster)
+        score = lat + cost_weight * egress
         partials.append((score, lat, egress, ((root, cluster),)))
     partials.sort(key=lambda p: (p[0], p[3]))
     partials = partials[:beam]
@@ -236,23 +314,20 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
     for service in order[1:]:
         edge = incoming[service]
         mult = execs[edge.caller] * edge.calls_per_request
-        deployed = problem.deployed_in(service)
-        if not deployed:
+        if not geometry.deployed(service):
             raise ValueError(
                 f"class {name!r}: service {service!r} deployed nowhere")
+        # assignments are in BFS order, so the caller sits at a fixed slot
+        caller_slot = order.index(edge.caller)
         frontier: list[tuple[float, float, float, tuple]] = []
         for score, lat, egress, assign in partials:
-            caller_cluster = dict(assign)[edge.caller]
-            for cluster in candidate_clusters(
-                    problem.latency, deployed, caller_cluster, prune_limit):
-                hop_lat = mult * problem.rtt(caller_cluster, cluster)
-                hop_egress = mult * (
-                    problem.transfer_cost(caller_cluster, cluster,
-                                          edge.request_bytes)
-                    + problem.transfer_cost(cluster, caller_cluster,
-                                            edge.response_bytes))
+            caller_cluster = assign[caller_slot][1]
+            for cluster in geometry.nearest(service, caller_cluster,
+                                            prune_limit):
+                hop_lat, hop_egress = geometry.hop_cost(
+                    mult, edge, caller_cluster, cluster)
                 frontier.append((
-                    score + hop_lat + problem.cost_weight * hop_egress,
+                    score + hop_lat + cost_weight * hop_egress,
                     lat + hop_lat, egress + hop_egress,
                     assign + ((service, cluster),)))
         frontier.sort(key=lambda p: (p[0], p[3]))
@@ -263,8 +338,8 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
     pool_use: Counter = Counter(partials[0][3])
     beam_rest = iter(partials[1:])
     while len(chosen) < k:
-        walked = _penalized_walk(problem, ingress, spec, execs, incoming,
-                                 order, prune_limit, pool_use)
+        walked = _penalized_walk(geometry, name, ingress, prune_limit,
+                                 pool_use)
         if walked[3] not in seen:
             entry = walked
         else:
@@ -299,8 +374,8 @@ class PathStructure:
     """
 
     key: tuple
-    latency: object
-    pricing: object
+    #: demand-independent lookups and the WAN-geometry identity anchors
+    tables: ModelTables
     objective: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
@@ -320,11 +395,11 @@ class PathStructure:
     pool_keys: list[tuple[str, str]]
     pool_segments: dict[tuple[str, str], list[Segment]]
     path_objective: str
+    path_hops: list
     instantiations: int = field(default=0)
 
     def matches(self, problem: TEProblem) -> bool:
-        return (self.latency is problem.latency
-                and self.pricing is problem.pricing)
+        return self.tables.matches(problem)
 
     def instantiate(self, problem: TEProblem) -> PathModel:
         values = np.empty(len(self.demand_slots))
@@ -347,6 +422,8 @@ class PathStructure:
             pool_segments=self.pool_segments,
             path_objective=self.path_objective,
             problem=problem,
+            path_hops=self.path_hops,
+            tables=self.tables,
         )
 
 
@@ -376,6 +453,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
             return structure.instantiate(problem)
 
     # -------------------------------------------------- candidate paths
+    geometry = PlanGeometry(problem)
     path_vars: list[CandidateEmbedding] = []
     groups: list[tuple[str, str, int, int]] = []
     for name in sorted(problem.workloads):
@@ -383,7 +461,8 @@ def build_path_model(problem: TEProblem, k: int = 4,
         for ingress in sorted(c for c in problem.clusters
                               if workload.demand.get(c, 0) > 0):
             paths = candidate_paths(problem, name, ingress, k=k,
-                                    prune_limit=prune_limit, beam=beam)
+                                    prune_limit=prune_limit, beam=beam,
+                                    geometry=geometry)
             if not paths:
                 raise ValueError(
                     f"class {name!r}: no candidate paths from {ingress!r}")
@@ -420,12 +499,9 @@ def build_path_model(problem: TEProblem, k: int = 4,
     # per-pool offered work per unit path flow: execs[s] · st[s]
     work_entries: dict[tuple[str, str], list[tuple[int, float]]] = {
         pool: [] for pool in pools}
-    execs_of: dict[str, dict[str, float]] = {}
     for j, path in enumerate(path_vars):
         spec = problem.workloads[path.traffic_class].spec
-        if path.traffic_class not in execs_of:
-            execs_of[path.traffic_class] = spec.executions_per_request()
-        execs = execs_of[path.traffic_class]
+        execs = geometry.call_tree(path.traffic_class)[0]
         for service, cluster in path.assignment:
             st = spec.exec_time_of(service)
             if st > 0:
@@ -507,6 +583,12 @@ def build_path_model(problem: TEProblem, k: int = 4,
 
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
+    demand_in_ub = objective == "max_throughput"
+    # demand is the only thing later epochs move: it sits in b_ub under
+    # max_throughput (after objective, a_ub), else in b_eq (after a_eq too)
+    tables = ModelTables(problem, pools, a_ub, a_eq,
+                         static_components=2 if demand_in_ub else 4)
+    path_hops = _path_hops(geometry, path_vars)
     model = PathModel(
         objective=objective_vec,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
@@ -519,16 +601,16 @@ def build_path_model(problem: TEProblem, k: int = 4,
         pool_segments=pool_segments,
         path_objective=objective,
         problem=problem,
+        path_hops=path_hops,
+        tables=tables,
     )
     if key is not None:
-        demand_in_ub = objective == "max_throughput"
         rhs = b_ub if demand_in_ub else b_eq
         rhs_template = rhs.copy()
         rhs_template[np.array(demand_rows, dtype=np.intp)] = 0.0
         structure_cache.store(key, PathStructure(
             key=key,
-            latency=problem.latency,
-            pricing=problem.pricing,
+            tables=tables,
             objective=objective_vec,
             a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
             rhs_template=rhs_template,
@@ -543,8 +625,32 @@ def build_path_model(problem: TEProblem, k: int = 4,
             pool_keys=pools,
             pool_segments=pool_segments,
             path_objective=objective,
+            path_hops=path_hops,
         ))
     return model
+
+
+def _path_hops(geometry: PlanGeometry,
+               path_vars: list[CandidateEmbedding]) -> list[tuple]:
+    """Per path, the (flow key, call multiplier) of every hop: each unit
+    of path flow puts the multiplier's worth of flow on the (caller
+    cluster → callee cluster) arc of every edge of its embedding."""
+    workloads = geometry.problem.workloads
+    keys: dict[tuple, tuple] = {}    # equal keys share one tuple
+    hops = []
+    for path in path_vars:
+        name = path.traffic_class
+        spec = workloads[name].spec
+        execs = geometry.call_tree(name)[0]
+        assign = dict(path.assignment)
+        key = (name, INGRESS_EDGE, path.ingress, assign[spec.root_service])
+        entry = [(keys.setdefault(key, key), 1.0)]
+        for index, edge in enumerate(spec.edges):
+            key = (name, index, assign[edge.caller], assign[edge.callee])
+            entry.append((keys.setdefault(key, key),
+                          execs[edge.caller] * edge.calls_per_request))
+        hops.append(tuple(entry))
+    return hops
 
 
 # --------------------------------------------------------------------------
@@ -555,46 +661,33 @@ def extract_path_result(model: PathModel, solution, status: str,
                         solve_time: float) -> OptimizationResult:
     """Expand path flows onto call-tree edges and finalize the result.
 
-    Path flows map exactly onto the arc flow keys — each unit of path flow
-    puts the edge multiplier's worth of flow on every (caller cluster →
-    callee cluster) hop of its embedding — so routing rules, predicted
-    latency, and egress cost come from the same shared machinery as the
-    arc extractor.
+    Path flows map exactly onto the arc flow keys (``model.path_hops``),
+    so routing rules, predicted latency, and egress cost come from the
+    same shared machinery as the arc extractor.
     """
-    problem = model.problem
     result = OptimizationResult(
         status=status,
         objective=float("nan"),
         solve_time=solve_time,
-        total_demand=problem.total_demand(),
+        total_demand=model.problem.total_demand(),
         n_variables=model.n_variables,
         n_constraints=int(model.a_ub.shape[0] + model.a_eq.shape[0]),
+        _edge_service=model.tables.edge_service,
     )
-    for name in problem.workloads:
-        for edge in class_edges(problem, name):
-            result._edge_service[(name, edge.edge_index)] = edge.callee
     if solution is None:
         return result
 
     x = np.asarray(solution)
     result.objective = float(model.objective @ x)
 
-    execs_of: dict[str, dict[str, float]] = {}
+    flows = result.flows
+    path_hops = model.path_hops
     for j in np.flatnonzero(x[:len(model.route_columns)] > FLOW_EPSILON):
-        path = model.path_vars[j]
         rate = float(x[j])
-        name = path.traffic_class
-        spec = problem.workloads[name].spec
-        if name not in execs_of:
-            execs_of[name] = spec.executions_per_request()
-        execs = execs_of[name]
-        assign = dict(path.assignment)
-        key = (name, INGRESS_EDGE, path.ingress, assign[spec.root_service])
-        result.flows[key] = result.flows.get(key, 0.0) + rate
-        for index, edge in enumerate(spec.edges):
-            mult = execs[edge.caller] * edge.calls_per_request
-            key = (name, index, assign[edge.caller], assign[edge.callee])
-            result.flows[key] = result.flows.get(key, 0.0) + rate * mult
+        (key, _), *edges = path_hops[j]
+        flows[key] = flows.get(key, 0.0) + rate
+        for key, mult in edges:
+            flows[key] = flows.get(key, 0.0) + rate * mult
 
-    finalize_result(result, problem, model.pool_keys)
+    finalize_result(result, model.tables)
     return result

@@ -19,7 +19,10 @@ from ...sim.network import EgressPricing, LatencyMatrix
 from ...sim.topology import DeploymentSpec
 from ...sim.workload import DemandMatrix
 
-__all__ = ["ClassWorkload", "TEProblem"]
+__all__ = ["ClassWorkload", "TEProblem", "INGRESS_EDGE"]
+
+#: edge index of the user → root pseudo-edge in flow keys and edge refs
+INGRESS_EDGE = -1
 
 
 @dataclass
@@ -78,6 +81,7 @@ class TEProblem:
         if self.egress_budget is not None and self.egress_budget < 0:
             raise ValueError("egress_budget must be >= 0")
         known = set(self.clusters)
+        deployed = set()
         for (service, cluster), count in self.replicas.items():
             if cluster not in known:
                 raise ValueError(
@@ -86,6 +90,8 @@ class TEProblem:
             if count < 0:
                 raise ValueError(
                     f"negative replicas for {service!r}@{cluster!r}")
+            if count > 0:
+                deployed.add(service)
         for name, workload in self.workloads.items():
             if name != workload.name:
                 raise ValueError(
@@ -96,7 +102,7 @@ class TEProblem:
                         f"class {name!r} demand references unknown cluster "
                         f"{cluster!r}")
             for service in workload.spec.services():
-                if not self.deployed_in(service):
+                if service not in deployed:
                     raise ValueError(
                         f"class {name!r} uses service {service!r} which is "
                         "deployed nowhere")

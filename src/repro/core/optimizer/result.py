@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..latency.mm1 import PoolDelayModel
 from ..rules import RoutingRule, RuleSet
-from .model import INGRESS_EDGE, LinearModel
-from .problem import TEProblem
+from .model import LinearModel
+from .problem import INGRESS_EDGE
+from .tables import ModelTables
 
 __all__ = ["OptimizationResult", "extract_result", "finalize_result"]
 
@@ -84,13 +84,14 @@ class OptimizationResult:
     def rules(self) -> RuleSet:
         """Convert flows into per-(service, class, source) routing rules."""
         grouped: dict[tuple[str, str, str], dict[str, float]] = {}
-        service_of: dict[tuple[str, int], str] = {}
+        edge_service = self._edge_service
         for (cls, edge_index, src, dst), rate in self.flows.items():
-            service = self._edge_service[(cls, edge_index)]
-            service_of[(cls, edge_index)] = service
-            key = (service, cls, src)
-            grouped.setdefault(key, {})
-            grouped[key][dst] = grouped[key].get(dst, 0.0) + rate
+            key = (edge_service[(cls, edge_index)], cls, src)
+            weights = grouped.get(key)
+            if weights is None:
+                grouped[key] = {dst: rate}
+            else:
+                weights[dst] = weights.get(dst, 0.0) + rate
         rule_set = RuleSet()
         for (service, cls, src), weights in sorted(grouped.items()):
             total = sum(weights.values())
@@ -117,26 +118,23 @@ class OptimizationResult:
         return sum(rate for (cls, e, src, dst), rate in self.flows.items()
                    if cls == traffic_class and e == edge_index and src != dst)
 
-    # populated by extract_result; (class, edge index) → callee service
+    # (class, edge index) → callee service; the extractors point this at
+    # the structure's shared table, so it is read-only here
     _edge_service: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
 def extract_result(model: LinearModel, solution, status: str,
                    solve_time: float) -> OptimizationResult:
     """Build an :class:`OptimizationResult` from a scipy solution vector."""
-    problem: TEProblem = model.problem
     result = OptimizationResult(
         status=status,
         objective=float("nan"),
         solve_time=solve_time,
-        total_demand=problem.total_demand(),
+        total_demand=model.problem.total_demand(),
         n_variables=model.n_variables,
         n_constraints=int(model.a_ub.shape[0] + model.a_eq.shape[0]),
+        _edge_service=model.tables.edge_service,
     )
-    for name in problem.workloads:
-        from .model import class_edges   # local import avoids module cycle
-        for edge in class_edges(problem, name):
-            result._edge_service[(name, edge.edge_index)] = edge.callee
     if solution is None:
         return result
 
@@ -153,55 +151,45 @@ def extract_result(model: LinearModel, solution, status: str,
                var.src, var.dst)
         result.flows[key] = result.flows.get(key, 0.0) + rate
 
-    finalize_result(result, problem, model.pool_columns)
+    finalize_result(result, model.tables)
     return result
 
 
-def finalize_result(result: OptimizationResult, problem: TEProblem,
-                    pools) -> OptimizationResult:
+def finalize_result(result: OptimizationResult,
+                    tables: ModelTables) -> OptimizationResult:
     """Fill predicted system state from ``result.flows``.
 
     Shared by the arc and path extractors: once flows are in the common
     (class, edge, src, dst) → rate shape, predicted pool loads, backlog,
-    network delay, and egress cost are formulation-independent.
+    network delay, and egress cost are formulation-independent. Every
+    factor that does not depend on the flow *rates* comes from the
+    structure's ``tables``.
     """
-    # pool loads: recompute offered work from flows
-    work: dict[tuple[str, str], float] = {p: 0.0 for p in pools}
-    for (cls, edge_index, src, dst), rate in result.flows.items():
-        workload = problem.workloads[cls]
-        service = result._edge_service[(cls, edge_index)]
-        st = workload.spec.exec_time_of(service)
-        if st > 0 and (service, dst) in work:
-            work[(service, dst)] += rate * st
-
-    backlog_total = 0.0
-    for (service, cluster), offered in work.items():
-        replicas = problem.replica_count(service, cluster)
-        result.pool_load[(service, cluster)] = offered
-        result.pool_utilization[(service, cluster)] = (
-            offered / replicas if replicas else 0.0)
-        delay_model = PoolDelayModel(replicas, mode=problem.delay_model)
-        # clamp numerically-at-capacity loads just inside the pole
-        safe = min(offered, problem.rho_max * replicas)
-        backlog_total += delay_model.backlog(safe)
-    result.predicted_backlog = backlog_total
-
-    # network delay + egress cost rates
+    # offered work per pool, network delay and egress cost rates: one pass
+    # over the flows, each sum accumulated in flow order
+    work: dict[tuple[str, str], float] = {
+        entry[0]: 0.0 for entry in tables.pools}
     delay_rate = 0.0
     cost_rate = 0.0
-    for (cls, edge_index, src, dst), rate in result.flows.items():
-        spec = problem.workloads[cls].spec
-        if edge_index == INGRESS_EDGE:
-            req_b, resp_b = (spec.ingress_request_bytes,
-                             spec.ingress_response_bytes)
-        else:
-            edge = spec.edges[edge_index]
-            req_b, resp_b = edge.request_bytes, edge.response_bytes
-        delay_rate += rate * problem.rtt(src, dst)
-        cost_rate += rate * (problem.transfer_cost(src, dst, req_b)
-                             + problem.transfer_cost(dst, src, resp_b))
+    flow_terms = tables.flow_terms
+    for key, rate in result.flows.items():
+        pool, exec_time, rtt, unit_cost = flow_terms(key)
+        if pool is not None:
+            work[pool] += rate * exec_time
+        delay_rate += rate * rtt
+        cost_rate += rate * unit_cost
     result.predicted_network_delay_rate = delay_rate
     result.predicted_egress_cost_rate = cost_rate
+
+    backlog_total = 0.0
+    for pool, replicas, load_cap, delay_model in tables.pools:
+        offered = work[pool]
+        result.pool_load[pool] = offered
+        result.pool_utilization[pool] = (
+            offered / replicas if replicas else 0.0)
+        # clamp numerically-at-capacity loads just inside the pole
+        backlog_total += delay_model.backlog(min(offered, load_cap))
+    result.predicted_backlog = backlog_total
 
     if result.total_demand > 0:
         result.predicted_mean_latency = (

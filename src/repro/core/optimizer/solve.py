@@ -90,13 +90,21 @@ def solve_model(model: LinearModel,
     return result
 
 
+def _lp_bounds(upper: np.ndarray) -> np.ndarray:
+    """``linprog``'s (n, 2) bounds array for columns in ``[0, upper]``
+    (``inf`` = unbounded above): the LP a list of ``(0, ub or None)``
+    tuples describes, without a Python tuple per column."""
+    bounds = np.zeros((len(upper), 2))
+    bounds[:, 1] = upper
+    return bounds
+
+
 def _solve_lp(model: LinearModel) -> tuple[np.ndarray | None, str]:
     outcome = optimize.linprog(
         c=model.objective,
         A_ub=model.a_ub, b_ub=model.b_ub,
         A_eq=model.a_eq, b_eq=model.b_eq,
-        bounds=[(0.0, ub if np.isfinite(ub) else None)
-                for ub in model.upper_bounds],
+        bounds=_lp_bounds(model.upper_bounds),
         method="highs",
     )
     if not outcome.success:

@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .model import (INGRESS_EDGE, EdgeRef, LinearModel, RouteVar,
+from .model import (ARC_STATIC_COMPONENTS, LinearModel, RouteVar,
                     class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
-from .problem import TEProblem
+from .problem import INGRESS_EDGE, TEProblem
+from .tables import ModelTables
 
 __all__ = ["build_model_vectorized", "ModelStructure", "StructureCache",
            "structure_key", "DEFAULT_STRUCTURE_CACHE_SIZE"]
@@ -91,6 +92,7 @@ def structure_key(problem: TEProblem,
     checked separately via :meth:`ModelStructure.matches`) produce models
     that differ only in ``b_eq`` demand entries and flow upper bounds.
     """
+    cluster_index = {name: i for i, name in enumerate(problem.clusters)}
     classes = []
     for name in sorted(problem.workloads):
         workload = problem.workloads[name]
@@ -103,9 +105,10 @@ def structure_key(problem: TEProblem,
             tuple((e.caller, e.callee, e.calls_per_request,
                    e.request_bytes, e.response_bytes) for e in spec.edges),
             tuple(sorted(spec.exec_time.items())),
-            # demand *pattern*: which clusters have positive ingress
-            tuple(c for c in problem.clusters
-                  if workload.demand.get(c, 0) > 0),
+            # demand *pattern*: which clusters have positive ingress, in
+            # problem cluster order
+            tuple(sorted((c for c, rps in workload.demand.items()
+                          if rps > 0), key=cluster_index.__getitem__)),
         ))
     return (
         tuple(problem.clusters),
@@ -132,10 +135,11 @@ class ModelStructure:
     """
 
     key: tuple
-    #: identity anchors — structural equality of latency/pricing content is
-    #: too expensive to verify, so a snapshot only matches the exact objects
-    latency: object
-    pricing: object
+    #: demand-independent lookups; also the identity anchors — structural
+    #: equality of latency/pricing content is too expensive to verify, so a
+    #: snapshot only matches the exact objects at the revision it was
+    #: built on
+    tables: ModelTables
     objective: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
@@ -155,8 +159,7 @@ class ModelStructure:
     instantiations: int = field(default=0)
 
     def matches(self, problem: TEProblem) -> bool:
-        return (self.latency is problem.latency
-                and self.pricing is problem.pricing)
+        return self.tables.matches(problem)
 
     def instantiate(self, problem: TEProblem) -> LinearModel:
         """Warm rebuild: scatter the new demand into the cached structure."""
@@ -183,6 +186,7 @@ class ModelStructure:
             pool_columns=self.pool_columns,
             pool_segments=self.pool_segments,
             problem=problem,
+            tables=self.tables,
         )
 
 
@@ -563,6 +567,8 @@ def build_model_vectorized(problem: TEProblem,
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
     route_columns = list(range(n_routes))
+    tables = ModelTables(problem, pool_columns, a_ub, a_eq,
+                         ARC_STATIC_COMPONENTS)
     model = LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
@@ -573,14 +579,14 @@ def build_model_vectorized(problem: TEProblem,
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
+        tables=tables,
     )
     if key is not None:
         b_eq_template = b_eq.copy()
         b_eq_template[np.array(demand_rows, dtype=np.intp)] = 0.0
         structure_cache.store(key, ModelStructure(
             key=key,
-            latency=problem.latency,
-            pricing=problem.pricing,
+            tables=tables,
             objective=objective,
             a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
             b_eq_template=b_eq_template,

@@ -55,7 +55,7 @@ from .model import build_model
 from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
-from .solve import SolverError, _solve_lp, _solve_milp
+from .solve import SolverError, _lp_bounds, _solve_lp, _solve_milp
 from .vectorized import StructureCache
 
 __all__ = ["EpochSolver", "warm_solve"]
@@ -111,8 +111,7 @@ def warm_solve(model, previous_solution: np.ndarray,
         return None   # nothing restricted, a "warm" solve would be cold
 
     c = model.objective
-    a_ub = model.a_ub.tocsc()
-    a_eq = model.a_eq.tocsc()
+    a_ub, a_eq = model.tables.csc()
     upper = model.upper_bounds
     tolerance = PRICING_TOLERANCE * (1.0 + float(np.abs(c).max(initial=0.0)))
 
@@ -122,8 +121,7 @@ def warm_solve(model, previous_solution: np.ndarray,
                 c=c[keep],
                 A_ub=a_ub[:, keep], b_ub=model.b_ub,
                 A_eq=a_eq[:, keep], b_eq=model.b_eq,
-                bounds=[(0.0, ub if np.isfinite(ub) else None)
-                        for ub in upper[keep]],
+                bounds=_lp_bounds(upper[keep]),
                 method="highs",
             )
         if not outcome.success:

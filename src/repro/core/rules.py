@@ -29,6 +29,13 @@ class RoutingRule:
     @staticmethod
     def make(service: str, traffic_class: str, src_cluster: str,
              weights: dict[str, float]) -> "RoutingRule":
+        if len(weights) == 1:
+            # the common rule — everything to one cluster: w / w == 1.0
+            # for any finite positive w (NaN fails both comparisons)
+            (cluster, weight), = weights.items()
+            if 0 < weight < math.inf:
+                return RoutingRule(service, traffic_class, src_cluster,
+                                   ((cluster, 1.0),))
         total = sum(weights.values())
         if total <= 0 or not all(math.isfinite(w) and w >= 0
                                  for w in weights.values()):
@@ -60,9 +67,25 @@ class RuleSet:
     """A coherent batch of rules, applied atomically to a routing table."""
 
     rules: list[RoutingRule] = field(default_factory=list)
+    #: (len(rules) it was built for, source cluster → its rules in order)
+    _by_source: tuple[int, dict[str, list[RoutingRule]]] | None = field(
+        default=None, repr=False, compare=False)
 
     def add(self, rule: RoutingRule) -> None:
         self.rules.append(rule)
+
+    def for_source(self, src_cluster: str) -> list[RoutingRule]:
+        """The rules one cluster's proxies enforce, in rule-set order.
+
+        Indexed once per rule set, so distributing to every cluster is one
+        pass over the rules rather than one per cluster.
+        """
+        if self._by_source is None or self._by_source[0] != len(self.rules):
+            index: dict[str, list[RoutingRule]] = {}
+            for rule in self.rules:
+                index.setdefault(rule.src_cluster, []).append(rule)
+            self._by_source = (len(self.rules), index)
+        return self._by_source[1].get(src_cluster, [])
 
     def merge(self, other: "RuleSet") -> "RuleSet":
         return RuleSet(self.rules + other.rules)

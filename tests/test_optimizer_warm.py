@@ -12,10 +12,13 @@ import pytest
 
 from repro.core.optimizer import (EpochSolver, SolverCache, StructureCache,
                                   build_model, build_path_model, warm_solve)
+from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.solve import _solve_lp
 from repro.core.optimizer.warm import EpochSolver as _EpochSolver
 from repro.devtools.invariants import InvariantViolation
 from repro.experiments.scenarios import synthetic_te_problem
+from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
+from repro.sim.network import LatencyMatrix
 from tests.test_optimizer import chain_problem
 
 
@@ -189,3 +192,43 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
     shifted[np.argmax(shifted)] *= 4.0
     with pytest.raises(InvariantViolation):
         _EpochSolver._check_warm_invariant(model, shifted)
+
+
+def spill_problem():
+    """700 rps at ``a``, which holds 415 of it: the rest spills to the
+    nearer of ``b`` (5 ms away) and ``c`` (20 ms)."""
+    app = linear_chain_app(n_services=1, exec_time=0.010)
+    latency = LatencyMatrix.from_ms(
+        ("a", "b", "c"), {("a", "b"): 5.0, ("a", "c"): 20.0,
+                          ("b", "c"): 20.0})
+    deployment = DeploymentSpec.uniform(app.services(), ["a", "b", "c"],
+                                        replicas=5, latency=latency)
+    return TEProblem.from_specs(
+        app, deployment, DemandMatrix({("default", "a"): 700.0}))
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_latency_override_invalidates_the_cached_structure(formulation):
+    """A chaos override mutates the latency matrix in place: same object,
+    new RTTs. A structure (objective row, path scores, flow pricing) built
+    before it must not be rescattered after it."""
+    problem = spill_problem()
+    solver = EpochSolver(formulation=formulation)
+    before = solver.solve(problem)
+    assert before.edge_remote_rate("default", INGRESS_EDGE) > 100.0
+    assert before.flows.get(("default", INGRESS_EDGE, "a", "c"), 0.0) == 0.0
+
+    token = problem.latency.apply_override("a", "b", extra_delay=0.5)
+    after = solver.solve(problem)
+    fresh = EpochSolver(formulation=formulation).solve(problem)
+    assert not after.warm_build and not after.warm_start
+    assert after.flows.get(("default", INGRESS_EDGE, "a", "b"), 0.0) == 0.0
+    assert after.objective == fresh.objective
+    assert after.predicted_mean_latency == fresh.predicted_mean_latency
+    assert after.rules().by_key() == fresh.rules().by_key()
+
+    problem.latency.remove_override(token)
+    restored = solver.solve(problem)
+    assert not restored.warm_build
+    assert restored.objective == before.objective
+    assert restored.rules().by_key() == before.rules().by_key()

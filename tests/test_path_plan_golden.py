@@ -53,8 +53,9 @@ RELATIVE = 1e-9
 TIED: frozenset[str] = frozenset()
 
 
-def _reports(names, base: dict[tuple[str, str], float],
-             repeat_at: int | None = 4) -> list[list[ClusterEpochReport]]:
+def epoch_reports(names, base: dict[tuple[str, str], float],
+                  repeat_at: int | None = 4
+                  ) -> list[list[ClusterEpochReport]]:
     """Six epochs of ingress counts swinging ±30% around ``base`` rps, each
     cluster on its own phase; epoch ``repeat_at`` repeats the one before."""
     epochs = []
@@ -74,6 +75,22 @@ def _reports(names, base: dict[tuple[str, str], float],
     return epochs
 
 
+def mesh_of(problem):
+    """The app, deployment and base demand behind a synthetic problem."""
+    app = AppSpec(name="synthetic", classes={
+        name: workload.spec for name, workload in problem.workloads.items()})
+    deployment = DeploymentSpec(
+        [ClusterSpec(cluster, {service: count for (service, where), count
+                               in problem.replicas.items()
+                               if where == cluster})
+         for cluster in problem.clusters],
+        problem.latency, problem.pricing)
+    base = {(name, cluster): rps
+            for name, workload in problem.workloads.items()
+            for cluster, rps in workload.demand.items()}
+    return app, deployment, base
+
+
 def _chain(objective: str = "latency", **config):
     app = linear_chain_app(n_services=3, exec_time=0.010)
     deployment = DeploymentSpec.uniform(
@@ -83,7 +100,7 @@ def _chain(objective: str = "latency", **config):
     return (app, deployment,
             GlobalControllerConfig(formulation="path", learn_profiles=False,
                                    **config),
-            objective, _reports(deployment.cluster_names, base))
+            objective, epoch_reports(deployment.cluster_names, base))
 
 
 def _spill_over():
@@ -111,7 +128,7 @@ def _fanout_tree():
     return (app, deployment,
             GlobalControllerConfig(formulation="path", path_k=6,
                                    learn_profiles=False, demand_alpha=0.7),
-            "latency", _reports(deployment.cluster_names, base))
+            "latency", epoch_reports(deployment.cluster_names, base))
 
 
 def _scatter_gather():
@@ -131,7 +148,7 @@ def _scatter_gather():
             GlobalControllerConfig(formulation="path", path_k=5,
                                    path_prune_limit=3, learn_profiles=False,
                                    demand_alpha=1.0),
-            "latency", _reports(deployment.cluster_names, base))
+            "latency", epoch_reports(deployment.cluster_names, base))
 
 
 def _egress_budget():
@@ -146,7 +163,7 @@ def _egress_budget():
     return (app, deployment,
             GlobalControllerConfig(formulation="path", learn_profiles=False,
                                    demand_alpha=1.0, egress_budget=9.0e-5),
-            "latency", _reports(deployment.cluster_names, base))
+            "latency", epoch_reports(deployment.cluster_names, base))
 
 
 def _cost_weight():
@@ -161,29 +178,18 @@ def _cost_weight():
             GlobalControllerConfig(formulation="path", path_k=5,
                                    learn_profiles=False, demand_alpha=0.5,
                                    cost_weight=40.0, demand_quantum=0.5),
-            "latency", _reports(deployment.cluster_names, base))
+            "latency", epoch_reports(deployment.cluster_names, base))
 
 
 def _sparse_mesh():
     """The benchmark's shape in small: partial replication, two ingresses
     per class, pruned candidates; one class gains an ingress at epoch 3
     (a new structure, so a cold build mid-run)."""
-    problem = synthetic_te_problem(8, 3, 6, rps_per_class=400.0,
-                                   replication=0.75, ingresses_per_class=2,
-                                   headroom=1.5, seed=4)
-    app = AppSpec(name="synthetic", classes={
-        name: workload.spec for name, workload in problem.workloads.items()})
-    deployment = DeploymentSpec(
-        [ClusterSpec(cluster, {service: count for (service, where), count
-                               in problem.replicas.items()
-                               if where == cluster})
-         for cluster in problem.clusters],
-        problem.latency, problem.pricing)
-    base = {(name, cluster): rps
-            for name, workload in problem.workloads.items()
-            for cluster, rps in workload.demand.items()}
+    app, deployment, base = mesh_of(synthetic_te_problem(
+        8, 3, 6, rps_per_class=400.0, replication=0.75,
+        ingresses_per_class=2, headroom=1.5, seed=4))
     names = deployment.cluster_names
-    reports = _reports(names, base)
+    reports = epoch_reports(names, base)
     late = next(c for c in names if ("class0", c) not in base)
     for epoch in reports[3:]:
         for report in epoch:
@@ -216,8 +222,8 @@ def run_scenario(name: str) -> list[dict]:
     controller = GlobalController(app, deployment, config)
     controller.epoch_solver.path_objective = objective
     epochs = []
-    for epoch_reports in reports:
-        controller.observe(epoch_reports)
+    for batch in reports:
+        controller.observe(batch)
         result = controller.plan()
         assert result is not None and result.ok
         epochs.append({
