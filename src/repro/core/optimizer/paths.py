@@ -153,8 +153,9 @@ class PlanGeometry:
 
     One cold build enumerates candidates for every (class, ingress) pair,
     and the beam asks the same few questions each time: which clusters
-    run a service, which of them are nearest some anchor, what a cluster
-    pair's RTT and egress price are, what a class's call tree looks like.
+    run a service, which of them are nearest some anchor, what RTT and
+    egress price a call to each of those costs, what a class's call tree
+    looks like.
     The answers depend only on the problem, so they are computed once per
     build; every value is the one the unmemoised call returns. Valid for
     one problem at one latency revision, i.e. for the build that made it.
@@ -164,8 +165,7 @@ class PlanGeometry:
         self.problem = problem
         self._deployed: dict[str, list[str]] = {}
         self._nearest: dict[tuple, list[str]] = {}
-        self._rtt: dict[tuple[str, str], float] = {}
-        self._per_byte: dict[tuple[str, str], float] = {}
+        self._hops: dict[tuple, list[tuple[str, float, float]]] = {}
         self._classes: dict[str, tuple] = {}
 
     def deployed(self, service: str) -> list[str]:
@@ -185,30 +185,22 @@ class PlanGeometry:
                 self.problem.latency, self.deployed(service), anchor, limit)
         return ranked
 
-    def rtt(self, a: str, b: str) -> float:
-        pair = (a, b)
-        value = self._rtt.get(pair)
-        if value is None:
-            value = self._rtt[pair] = self.problem.rtt(a, b)
-        return value
-
-    def per_byte(self, src: str, dst: str) -> float:
-        pair = (src, dst)
-        value = self._per_byte.get(pair)
-        if value is None:
-            value = self._per_byte[pair] = (
-                self.problem.pricing.per_byte(src, dst))
-        return value
-
-    def hop_cost(self, mult: float, edge, caller_cluster: str,
-                 cluster: str) -> tuple[float, float]:
-        """Latency and egress one ingress request adds by serving ``edge``
-        from ``caller_cluster`` in ``cluster``."""
-        return (mult * self.rtt(caller_cluster, cluster),
-                mult * (edge.request_bytes
-                        * self.per_byte(caller_cluster, cluster)
-                        + edge.response_bytes
-                        * self.per_byte(cluster, caller_cluster)))
+    def hops(self, service: str, edge, anchor: str,
+             limit: int | None) -> list[tuple[str, float, float]]:
+        """``(cluster, rtt, egress $ per call)`` of serving ``edge`` from
+        ``anchor`` in each of ``service``'s nearest deployment sites."""
+        key = (service, edge.request_bytes, edge.response_bytes, anchor,
+               limit)
+        hops = self._hops.get(key)
+        if hops is None:
+            problem = self.problem
+            hops = self._hops[key] = [
+                (cluster, problem.rtt(anchor, cluster),
+                 problem.transfer_cost(anchor, cluster, edge.request_bytes)
+                 + problem.transfer_cost(cluster, anchor,
+                                         edge.response_bytes))
+                for cluster in self.nearest(service, anchor, limit)]
+        return hops
 
     def call_tree(self, name: str) -> tuple:
         """``(executions per request, service → incoming edge, services in
@@ -247,10 +239,10 @@ def _penalized_walk(geometry: PlanGeometry, name: str, ingress: str,
             mult = execs[edge.caller] * edge.calls_per_request
             caller_cluster = placed[edge.caller]
         best = None
-        for cluster in geometry.nearest(service, caller_cluster,
-                                        prune_limit):
-            hop_lat, hop_egress = geometry.hop_cost(mult, edge,
-                                                    caller_cluster, cluster)
+        for cluster, rtt, call_egress in geometry.hops(
+                service, edge, caller_cluster, prune_limit):
+            hop_lat = mult * rtt
+            hop_egress = mult * call_egress
             hop_score = hop_lat + cost_weight * hop_egress
             key = (pool_use[(service, cluster)], hop_score, cluster)
             if best is None or key < best[0]:
@@ -304,8 +296,8 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
     if not geometry.deployed(root):
         raise ValueError(
             f"class {name!r}: service {root!r} deployed nowhere")
-    for cluster in geometry.nearest(root, ingress, prune_limit):
-        lat, egress = geometry.hop_cost(1.0, root_edge, ingress, cluster)
+    for cluster, lat, egress in geometry.hops(root, root_edge, ingress,
+                                              prune_limit):
         score = lat + cost_weight * egress
         partials.append((score, lat, egress, ((root, cluster),)))
     partials.sort(key=lambda p: (p[0], p[3]))
@@ -322,10 +314,10 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
         frontier: list[tuple[float, float, float, tuple]] = []
         for score, lat, egress, assign in partials:
             caller_cluster = assign[caller_slot][1]
-            for cluster in geometry.nearest(service, caller_cluster,
-                                            prune_limit):
-                hop_lat, hop_egress = geometry.hop_cost(
-                    mult, edge, caller_cluster, cluster)
+            for cluster, rtt, call_egress in geometry.hops(
+                    service, edge, caller_cluster, prune_limit):
+                hop_lat = mult * rtt
+                hop_egress = mult * call_egress
                 frontier.append((
                     score + hop_lat + cost_weight * hop_egress,
                     lat + hop_lat, egress + hop_egress,

@@ -92,13 +92,12 @@ class OptimizationResult:
                 grouped[key] = {dst: rate}
             else:
                 weights[dst] = weights.get(dst, 0.0) + rate
-        rule_set = RuleSet()
+        rules = []
         for (service, cls, src), weights in sorted(grouped.items()):
-            total = sum(weights.values())
-            if total <= FLOW_EPSILON:
+            if sum(weights.values()) <= FLOW_EPSILON:
                 continue
-            rule_set.add(RoutingRule.make(service, cls, src, weights))
-        return rule_set
+            rules.append(RoutingRule.make(service, cls, src, weights))
+        return RuleSet(rules)
 
     def ingress_local_fraction(self, traffic_class: str,
                                cluster: str) -> float:
