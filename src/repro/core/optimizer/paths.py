@@ -18,7 +18,10 @@ balances queueing against those precomputed path costs.
 Three objectives, selected per build:
 
 * ``"latency"`` — minimize backlog epigraph + Σ y·(rtt + α·egress); the
-  path-space analogue of the arc objective (same units, same pools);
+  path-space analogue of the arc objective (same units, same pools). Each
+  pool's offered work is one *load column* ``L = Σ work·y`` that the
+  capacity cap bounds and every delay chord reads, so the LP's non-zeros
+  grow with the paths' hops, not with hops × chords;
 * ``"min_mlu"`` — minimize the maximum pool utilization subject to
   serving all demand (the classic TE objective; utilization may exceed
   ``rho_max``, which makes overload *visible* rather than infeasible);
@@ -89,8 +92,11 @@ class PathModel:
     path_vars: list[CandidateEmbedding]
     #: columns of the path variables (warm-solve support detection)
     route_columns: list[int]
-    #: (service, cluster) → epigraph column ("latency" objective only)
+    #: (service, cluster) → epigraph column t ("latency" objective only)
     pool_columns: dict[tuple[str, str], int]
+    #: (service, cluster) → load column L, the pool's offered work in
+    #: erlangs ("latency" objective only); columns run paths | t | L
+    load_columns: dict[tuple[str, str], int]
     #: every pool of the problem, for result finalization
     pool_keys: list[tuple[str, str]]
     pool_segments: dict[tuple[str, str], list[Segment]]
@@ -384,6 +390,7 @@ class PathStructure:
     path_vars: list[CandidateEmbedding]
     route_columns: list[int]
     pool_columns: dict[tuple[str, str], int]
+    load_columns: dict[tuple[str, str], int]
     pool_keys: list[tuple[str, str]]
     pool_segments: dict[tuple[str, str], list[Segment]]
     path_objective: str
@@ -410,6 +417,7 @@ class PathStructure:
             path_vars=self.path_vars,
             route_columns=self.route_columns,
             pool_columns=self.pool_columns,
+            load_columns=self.load_columns,
             pool_keys=self.pool_keys,
             pool_segments=self.pool_segments,
             path_objective=self.path_objective,
@@ -463,15 +471,18 @@ def build_path_model(problem: TEProblem, k: int = 4,
 
     n_paths = len(path_vars)
     pools = list(problem.pools())
+    pool_columns: dict[tuple[str, str], int] = {}
+    load_columns: dict[tuple[str, str], int] = {}
     if objective == "latency":
-        pool_columns = {pool: n_paths + i for i, pool in enumerate(pools)}
-        n = n_paths + len(pools)
+        # columns: paths | t (epigraph) per pool | L (load) per pool
+        for i, pool in enumerate(pools):
+            pool_columns[pool] = n_paths + i
+            load_columns[pool] = n_paths + len(pools) + i
+        n = n_paths + 2 * len(pools)
     elif objective == "min_mlu":
-        pool_columns = {}
         mlu_col = n_paths
         n = n_paths + 1
     else:   # max_throughput
-        pool_columns = {}
         n = n_paths
 
     objective_vec = np.zeros(n)
@@ -527,28 +538,33 @@ def build_path_model(problem: TEProblem, k: int = 4,
             cols = np.array([j for j, _ in entries], dtype=np.intp)
             work = np.array([w for _, w in entries])
         if objective == "latency":
+            # the pool's offered work is one quantity with one row:
+            # Σ work·y − L = 0, capped by the column bound L ≤ a_max, and
+            # every delay segment reads it as slope·L − t ≤ −intercept —
+            # two entries a row however many paths cross the pool (a pool
+            # no path reaches has L = 0 and t pinned at the zero-load
+            # backlog by the first chord)
             t_col = pool_columns[pool]
+            load_col = load_columns[pool]
             segments = pool_segments_for(replicas, problem.delay_model,
                                          a_max, knot_fractions)
             pool_segments[pool] = segments
-            if not entries:
-                ub.add_rows(np.zeros(1, dtype=np.intp),
-                            np.array([t_col], dtype=np.intp),
-                            np.full(1, -1.0))
-                ub.finish_rows([0.0])
-                continue
-            m = len(cols)
+            upper[load_col] = a_max
+            if entries:
+                eq.add_rows(np.zeros(len(cols), dtype=np.intp), cols, work)
+            eq.add_rows(np.zeros(1, dtype=np.intp),
+                        np.array([load_col], dtype=np.intp),
+                        np.full(1, -1.0))
+            eq.finish_rows([0.0])
             n_seg = len(segments)
-            slopes = np.array([segment.slope for segment in segments])
-            seg_data = np.empty((n_seg, m + 1))
-            seg_data[:, :m] = slopes[:, None] * work[None, :]
-            seg_data[:, m] = -1.0
-            ub.add_rows(np.zeros(m, dtype=np.intp), cols, work)
-            ub.add_rows(
-                1 + np.repeat(np.arange(n_seg, dtype=np.intp), m + 1),
-                np.tile(np.append(cols, t_col), n_seg), seg_data.ravel())
-            ub.finish_rows(
-                [a_max] + [-segment.intercept for segment in segments])
+            seg_data = np.empty((n_seg, 2))
+            seg_data[:, 0] = [segment.slope for segment in segments]
+            seg_data[:, 1] = -1.0
+            ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
+                        np.tile(np.array([load_col, t_col], dtype=np.intp),
+                                n_seg),
+                        seg_data.ravel())
+            ub.finish_rows([-segment.intercept for segment in segments])
         elif objective == "min_mlu":
             # work − replicas·MLU ≤ 0; no hard cap, overload shows as MLU
             if entries:
@@ -589,6 +605,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
         path_vars=path_vars,
         route_columns=list(range(n_paths)),
         pool_columns=pool_columns,
+        load_columns=load_columns,
         pool_keys=pools,
         pool_segments=pool_segments,
         path_objective=objective,
@@ -614,6 +631,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
             path_vars=path_vars,
             route_columns=model.route_columns,
             pool_columns=pool_columns,
+            load_columns=load_columns,
             pool_keys=pools,
             pool_segments=pool_segments,
             path_objective=objective,

@@ -11,6 +11,10 @@ host:
 * a warm-build epoch (observe → plan → rules → distribute) derives nothing
   from the call trees or the delay models again: it reads the structure's
   tables;
+* the path LP carries one load column per pool, so its non-zeros are
+  bounded by the paths' own hops plus two per delay segment — a dense
+  epigraph (every path in every segment row of its pools) cannot come back
+  unnoticed;
 * ``model_fingerprint`` resumed from the structure's hash prefix is the
   digest of hashing all seven components afresh.
 """
@@ -32,6 +36,8 @@ from repro.core.optimizer import (StructureCache, build_model,
                                   build_path_model, model_fingerprint)
 from repro.core.optimizer import model as arc_model
 from repro.core.optimizer import paths, tables, vectorized
+from repro.core.optimizer.paths import extract_path_result
+from repro.core.optimizer.solve import _solve_lp
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.forecasting import HoltForecaster
 from repro.mesh.routing_table import RoutingTable
@@ -229,6 +235,33 @@ def test_warm_epoch_reads_the_structures_tables(monkeypatch):
     assert [len(calls) for calls in derived] == [0] * len(derived)
     # observe asked each report only about the classes it counted
     assert len(rates) == 3 * len(base)
+
+
+def test_path_lp_has_one_load_column_per_pool():
+    app, deployment, base, config = smoke_mesh()
+    controller = GlobalController(app, deployment, config)
+    controller.observe(epoch_reports(deployment.cluster_names, base)[0])
+    model = build_path_model(controller.build_problem(), k=config.path_k,
+                             prune_limit=config.path_prune_limit)
+    n_paths = len(model.path_vars)
+    pools = len(model.pool_keys)
+    hops = len(app.services())
+    segments = len(next(iter(model.pool_segments.values())))
+    assert model.n_variables == n_paths + 2 * pools       # paths | t | L
+    nnz = model.a_ub.nnz + model.a_eq.nnz
+    assert nnz <= (hops + 1) * n_paths + 2 * segments * pools + pools
+    # every delay-segment row is slope·L − t: two entries, whatever the
+    # number of paths through the pool
+    assert set(np.diff(model.a_ub.indptr)) == {2}
+    # and L is the pool's offered work, capped by its column bound
+    solution, status = _solve_lp(model)
+    result = extract_path_result(model, solution, status, 0.0)
+    problem = model.problem
+    for pool, column in model.load_columns.items():
+        assert model.upper_bounds[column] == (
+            problem.rho_max * problem.replica_count(*pool))
+        assert solution[column] == pytest.approx(result.pool_load[pool],
+                                                 rel=1e-9, abs=1e-9)
 
 
 # ------------------------------------------------------------ fingerprint

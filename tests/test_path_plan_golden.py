@@ -10,17 +10,20 @@ Two strengths of comparison:
 * ``EXACT`` scenarios (``min_mlu`` / ``max_throughput``, whose LP the rework
   does not touch) must reproduce every number float for float — observe,
   build, extraction and pricing evaluate the same expressions in the same
-  order, only from cached tables.
+  order, only from cached tables. (So did every scenario at the commit that
+  reworked everything but the LP.)
 * ``"latency"``-objective scenarios solve the sparse pool epigraph (one load
   column per pool) instead of the dense one the goldens were frozen from:
-  the same polytope projected onto the path columns, so objective,
-  predicted latency and pool loads agree within ``RELATIVE`` (HiGHS walks a
-  different arithmetic route), every rule row sums to one, and — where the
-  optimum is unique — every rule weight agrees within ``RELATIVE`` too.
-  ``TIED`` names the scenarios where it is not unique (several embeddings
-  of one class cost exactly the same and load the same pools, so HiGHS may
-  return another vertex of the optimal face); for those only the pool-level
-  numbers are compared.
+  the same polytope projected onto the path columns, so objective and
+  predicted latency agree within ``RELATIVE`` (HiGHS walks a different
+  arithmetic route) and every rule row sums to one. Where the optimum is
+  unique, every pool load and every rule weight agrees within ``RELATIVE``
+  too. ``TIED`` names the scenarios where it is not, and HiGHS now returns
+  another vertex of the optimal face: ``scatter_gather`` (backends B1 and
+  B2 are interchangeable, so their loads can swap) and ``sparse_mesh``
+  (classes with one spec entering at one cluster are interchangeable, so
+  *which* of them spills is free). For those only the objective, the
+  predicted latency and row-stochasticity are compared.
 
 Regenerate (only when the *model* is meant to change):
 ``PYTHONPATH=src python tests/test_path_plan_golden.py``.
@@ -50,7 +53,7 @@ EPOCH_SECONDS = 10.0
 #: agreement demanded of the sparse-epigraph LP against the dense goldens
 RELATIVE = 1e-9
 #: scenarios with a non-unique optimal vertex (see module docstring)
-TIED: frozenset[str] = frozenset()
+TIED = frozenset({"scatter_gather", "sparse_mesh"})
 
 
 def epoch_reports(names, base: dict[tuple[str, str], float],
@@ -213,8 +216,8 @@ SCENARIOS = {
     "max_throughput": _max_throughput,
 }
 
-#: scenarios compared float for float
-EXACT = frozenset(SCENARIOS)
+#: scenarios whose LP is untouched: float for float
+EXACT = frozenset({"min_mlu", "max_throughput"})
 
 
 def run_scenario(name: str) -> list[dict]:
@@ -265,14 +268,14 @@ def test_plans_match_the_frozen_goldens(name, golden):
         assert _close(g["latency"], w["latency"]), where
         assert [p[:2] for p in g["pool_load"]] == [
             p[:2] for p in w["pool_load"]], where
-        for (*pool, got_load), (*_, want_load) in zip(g["pool_load"],
-                                                      w["pool_load"]):
-            assert _close(got_load, want_load), f"{where} pool {pool}"
         for *key, weights in g["rules"]:
             assert abs(sum(w for _, w in weights) - 1.0) <= RELATIVE, (
                 f"{where} rule {key}")
         if name in TIED:
             continue
+        for (*pool, got_load), (*_, want_load) in zip(g["pool_load"],
+                                                      w["pool_load"]):
+            assert _close(got_load, want_load), f"{where} pool {pool}"
         assert [r[:3] for r in g["rules"]] == [r[:3] for r in w["rules"]], (
             where)
         for (*key, got_w), (*_, want_w) in zip(g["rules"], w["rules"]):
