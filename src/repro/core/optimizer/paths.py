@@ -103,7 +103,8 @@ class PathModel:
     path_objective: str
     problem: TEProblem
     #: per path, the flow keys one unit of it feeds and the call
-    #: multiplier of each: the ingress hop first, then the call-tree edges
+    #: multiplier of each: the ingress hop (× 1.0) first, then the
+    #: call-tree edges
     path_hops: list[tuple[tuple[tuple[str, int, str, str], float], ...]]
     #: demand-independent lookups, shared with the cached structure
     tables: ModelTables
@@ -161,10 +162,10 @@ class PlanGeometry:
     and the beam asks the same few questions each time: which clusters
     run a service, which of them are nearest some anchor, what RTT and
     egress price a call to each of those costs, what a class's call tree
-    looks like.
-    The answers depend only on the problem, so they are computed once per
-    build; every value is the one the unmemoised call returns. Valid for
-    one problem at one latency revision, i.e. for the build that made it.
+    looks like. The answers depend only on the problem, so they are
+    computed once per build; every value is the one the unmemoised call
+    returns. Valid for one problem at one latency revision, i.e. for the
+    build that made it.
     """
 
     def __init__(self, problem: TEProblem) -> None:
@@ -694,9 +695,7 @@ def extract_path_result(model: PathModel, solution, status: str,
     path_hops = model.path_hops
     for j in np.flatnonzero(x[:len(model.route_columns)] > FLOW_EPSILON):
         rate = float(x[j])
-        (key, _), *edges = path_hops[j]
-        flows[key] = flows.get(key, 0.0) + rate
-        for key, mult in edges:
+        for key, mult in path_hops[j]:
             flows[key] = flows.get(key, 0.0) + rate * mult
 
     finalize_result(result, model.tables)

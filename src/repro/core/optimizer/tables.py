@@ -54,12 +54,13 @@ class ModelTables:
             for index, edge in enumerate(spec.edges):
                 self.edge_service[(name, index)] = edge.callee
         #: (pool, replicas, load cap just inside the pole, delay model)
-        self.pools = [
-            (pool, replicas, problem.rho_max * replicas,
-             PoolDelayModel(replicas, mode=problem.delay_model))
-            for pool, replicas in (
-                (pool, problem.replica_count(*pool)) for pool in pools)]
-        self._pool_keys = {entry[0] for entry in self.pools}
+        self.pools = []
+        for pool in pools:
+            replicas = problem.replica_count(*pool)
+            self.pools.append(
+                (pool, replicas, problem.rho_max * replicas,
+                 PoolDelayModel(replicas, mode=problem.delay_model)))
+        self._pool_keys = set(pools)
         self._flow_terms: dict[tuple[str, int, str, str], tuple] = {}
         self._a_ub = a_ub
         self._a_eq = a_eq

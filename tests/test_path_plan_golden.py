@@ -26,7 +26,7 @@ Two strengths of comparison:
   predicted latency and row-stochasticity are compared.
 
 Regenerate (only when the *model* is meant to change):
-``PYTHONPATH=src python tests/test_path_plan_golden.py``.
+``PYTHONPATH=src:. python tests/test_path_plan_golden.py``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from repro.core.controller.global_controller import (GlobalController,
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.mesh.telemetry import ClusterEpochReport
 from repro.sim import DeploymentSpec, linear_chain_app, two_region_latency
-from repro.sim.apps import AppSpec, fanout_app, social_network_app
+from repro.sim.apps import fanout_app, social_network_app
 from repro.sim.network import EgressPricing
 from repro.sim.topology import ClusterSpec, gcp_four_region_latency
+from tests.test_fluid_tick_golden import specs_of
 
 GOLDEN = Path(__file__).parent / "golden" / "path_plans.json"
 
@@ -80,18 +81,9 @@ def epoch_reports(names, base: dict[tuple[str, str], float],
 
 def mesh_of(problem):
     """The app, deployment and base demand behind a synthetic problem."""
-    app = AppSpec(name="synthetic", classes={
-        name: workload.spec for name, workload in problem.workloads.items()})
-    deployment = DeploymentSpec(
-        [ClusterSpec(cluster, {service: count for (service, where), count
-                               in problem.replicas.items()
-                               if where == cluster})
-         for cluster in problem.clusters],
-        problem.latency, problem.pricing)
-    base = {(name, cluster): rps
-            for name, workload in problem.workloads.items()
-            for cluster, rps in workload.demand.items()}
-    return app, deployment, base
+    app, deployment, demand = specs_of(problem)
+    return app, deployment, {(cls, cluster): rps
+                             for cls, cluster, rps in demand.items()}
 
 
 def _chain(objective: str = "latency", **config):
