@@ -19,7 +19,7 @@ from reporting import bench_json_path
 
 from repro.analysis.report import format_table
 from repro.core.optimizer import (EpochSolver, StructureCache, TEProblem,
-                                  build_model, warm_solve)
+                                  build_model, build_model_loop, warm_solve)
 from repro.core.optimizer.solve import _solve_lp
 from repro.experiments.scenarios import (planet_scale_problem,
                                          synthetic_te_problem)
@@ -83,7 +83,7 @@ def test_cold_build_rate(benchmark, bench_json):
 def test_loop_build_rate(benchmark, bench_json):
     """The per-variable reference builder, for the trend line."""
     problem = engine_scenario_problem()
-    model = benchmark(lambda: build_model(problem, backend="loop"))
+    model = benchmark(lambda: build_model_loop(problem))
     assert model.n_variables > 0
     if benchmark.stats is not None:
         bench_json("optimizer", {

@@ -1,22 +1,22 @@
 """Chaos-aware experiment harness: run a scenario under a fault campaign.
 
-:func:`run_chaos` is the fault-injecting sibling of
-:func:`~repro.experiments.harness.run_policy`. It runs the same epoch
-control loop, but:
+:func:`run_chaos` is :func:`~repro.experiments.harness.run_policy` with
+faults: the same :class:`~repro.experiments.harness.ControlLoop`, to which
+it supplies only what chaos alone knows —
 
-* a :class:`~repro.chaos.inject.ChaosRuntime` compiles the
+* a :class:`~repro.chaos.inject.ChaosRuntime` compiling the
   :class:`~repro.chaos.plan.FaultPlan` onto the simulation before it
-  starts;
-* epoch reports pass through the runtime's telemetry gate (drop/delay
-  faults) before they reach the policy;
-* the policy is only consulted while :meth:`controller_available` — a
-  control-plane outage freezes whatever rules the clusters hold;
-* Cluster Controllers can be armed with ``max_rule_age`` + a fallback
-  policy, so the stale-rule guard trips during outages (§5) and
-  reconciles when the controller returns.
+  starts, and ``timeouts`` so blackholed calls can retry;
+* Cluster Controllers armed with ``max_rule_age`` + a fallback policy;
+* three hooks into the loop: the runtime's telemetry gate (drop/delay
+  faults) in front of the Cluster Controllers; controller availability —
+  during a control-plane outage the policy is not consulted, the clusters
+  keep the rules they hold, and the stale-rule guard trips (§5) until the
+  controller returns and reconciles; and the fault timeline, whose edges
+  freeze the provenance flight recorder.
 
-With an empty plan and the guard disarmed every branch above is a no-op
-and the run is byte-identical to :func:`run_policy` on the same seed.
+With an empty plan and the guard disarmed every hook is a no-op and the
+run is byte-identical to :func:`run_policy` on the same seed.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from ..baselines.locality import LocalityFailoverPolicy
 from ..baselines.waterfall import WaterfallConfig, WaterfallPolicy
 from ..core.classes.classifier import AppSpecClassifier
 from ..core.controller.cluster_controller import ClusterController
-from ..experiments.harness import Scenario
-from ..sim.runner import MeshSimulation, TimeoutPolicy
+from ..experiments.harness import ControlLoop, Scenario
+from ..sim.runner import TimeoutPolicy
 from .inject import ChaosRuntime
 from .plan import FaultPlan
 from .report import ResilienceReport, compute_resilience
@@ -114,100 +114,29 @@ def run_chaos(scenario: Scenario, policy, plan: FaultPlan | None = None,
     :class:`~repro.sim.runner.TimeoutPolicy`) gives requests a retry path
     when a partition blackholes their calls.
     """
-    from ..obs.config import Observability
-    plan = plan if plan is not None else FaultPlan.empty()
-    obs = Observability.coerce(observability)
-    simulation = MeshSimulation(
-        scenario.app, scenario.deployment,
-        seed=scenario.seed if seed is None else seed,
-        classifier=classifier or AppSpecClassifier(scenario.app),
-        observability=obs,
-        timeouts=timeouts,
-    )
-    obs = simulation.observability
-    decision_log = obs.decisions if obs is not None else None
-    provenance = obs.provenance if obs is not None else None
-    chaos = ChaosRuntime(simulation, plan)
-    ctx = scenario.context()
     fallback_policy = make_fallback(fallback, scenario)
-    controllers = {
-        name: ClusterController(name, max_rule_age=max_rule_age,
-                                fallback=fallback_policy)
-        for name in scenario.deployment.cluster_names
-    }
+    loop = ControlLoop(
+        scenario, policy, seed=seed, classifier=classifier,
+        observability=observability, timeouts=timeouts,
+        controllers={
+            name: ClusterController(name, max_rule_age=max_rule_age,
+                                    fallback=fallback_policy)
+            for name in scenario.deployment.cluster_names})
+    simulation = loop.simulation
+    chaos = ChaosRuntime(simulation,
+                         plan if plan is not None else FaultPlan.empty())
 
-    rules = policy.compute_rules(ctx)
-    for controller in controllers.values():
-        controller.distribute(rules, simulation.table)
-
-    if decision_log is not None:
-        decision_log.seed_rules(simulation.table.rules())
-    if provenance is not None:
-        provenance.bind_run(scenario.name,
-                            scenario.seed if seed is None else seed,
-                            policy=policy.name)
-        provenance.seed_rules(simulation.table.rules())
-        if hasattr(policy, "attach_provenance"):
-            policy.attach_provenance(provenance)
-
-    def on_epoch(reports, sim) -> None:
-        now = sim.sim.now
-        reports = chaos.gate_reports(now, reports)
-        relayed = []
-        for report in reports:
-            controller = controllers[report.cluster]
-            controller.ingest(report)
-            relayed.extend(controller.relay())
+    def outage(now: float) -> tuple | None:
+        """None while the Global Controller answers; during an outage, the
+        clusters whose stale-rule guard trips at this epoch."""
         if chaos.controller_available(now):
-            update = policy.on_epoch(relayed, ctx)
-            for controller in controllers.values():
-                controller.touch(now)
-            if update is not None:
-                for controller in controllers.values():
-                    controller.distribute(update, sim.table, now=now)
-            if decision_log is not None:
-                global_controller = getattr(policy, "controller", None)
-                if global_controller is not None:
-                    decision_log.record(now, global_controller, update)
-            if provenance is not None:
-                provenance.record_epoch(
-                    now, controller=getattr(policy, "controller", None),
-                    update=update, reports=relayed,
-                    rules=sim.table.rules())
-        else:
-            # reports relayed into a dead controller are lost; clusters
-            # notice only through the age of their rules
-            tripped = [name for name, controller in controllers.items()
-                       if controller.check_staleness(now, sim.table, ctx)]
-            if provenance is not None:
-                # outage epochs still chain: the record captures the
-                # fallback installs the dead controller never saw
-                provenance.record_epoch(
-                    now, controller=getattr(policy, "controller", None),
-                    update=None, reports=relayed, rules=sim.table.rules(),
-                    outcome="outage", fallback=tuple(tripped))
-        if provenance is not None:
-            if obs.alerts is not None:
-                provenance.check_alerts(now, obs.alerts)
-            if obs.anomaly is not None:
-                provenance.check_anomalies(now, obs.anomaly.log)
-            if obs.breach is not None:
-                provenance.check_predictions(now, obs.breach)
-            provenance.check_faults(now, chaos.timeline)
+            return None
+        return tuple(
+            name for name, controller in loop.controllers.items()
+            if controller.check_staleness(now, simulation.table, loop.ctx))
 
-    if timeline is not None:
-        simulation.run_timeline(timeline, epoch=scenario.epoch,
-                                on_epoch=on_epoch if scenario.epoch else None)
-    else:
-        simulation.run(scenario.demand, scenario.duration,
-                       epoch=scenario.epoch,
-                       on_epoch=on_epoch if scenario.epoch else None)
-
-    if provenance is not None:
-        provenance.check_faults(simulation.sim.now, chaos.timeline)
-        provenance.finalize(simulation.sim.now)
-    if obs is not None:
-        obs.collect(simulation, getattr(policy, "controller", None))
+    outcome = loop.run(timeline, gate_reports=chaos.gate_reports,
+                       outage=outage, faults=chaos.timeline)
 
     samples: list[tuple[float, float | None]] = []
     for request in simulation.telemetry.requests:
@@ -217,26 +146,17 @@ def run_chaos(scenario: Scenario, policy, plan: FaultPlan | None = None,
         samples.append((request.arrival_time, None))
     samples.sort(key=lambda item: (item[0], item[1] is None))
 
-    outcome = PolicyOutcome(
-        policy=policy.name,
-        latencies=simulation.telemetry.latencies(after=scenario.warmup),
-        egress_bytes=simulation.network.ledger.total_bytes,
-        egress_cost=simulation.network.ledger.total_cost,
-        latencies_by_class=simulation.telemetry.latencies_by_class(
-            after=scenario.warmup),
-    )
-    hung = sum(gateway.open_requests
-               for gateway in simulation.gateways.values())
+    obs = loop.obs
     return ChaosRunResult(
         scenario=scenario.name,
         policy=policy.name,
         outcome=outcome,
         samples=samples,
         chaos=chaos,
-        controllers=controllers,
-        decisions=decision_log,
-        egress_cost=simulation.network.ledger.total_cost,
-        hung_requests=hung,
-        anomalies=obs.anomaly.log if obs is not None
-        and obs.anomaly is not None else None,
+        controllers=loop.controllers,
+        decisions=obs.decisions,
+        egress_cost=outcome.egress_cost,
+        hung_requests=sum(gateway.open_requests
+                          for gateway in simulation.gateways.values()),
+        anomalies=obs.anomaly.log if obs.anomaly is not None else None,
     )

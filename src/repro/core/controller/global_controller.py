@@ -33,7 +33,6 @@ from ..optimizer.cache import SolverCache
 from ..optimizer.problem import ClassWorkload, TEProblem
 from ..optimizer.result import OptimizationResult
 from ..optimizer.solve import SolverError, solve
-from ..optimizer.vectorized import StructureCache
 from ..optimizer.warm import EpochSolver
 from ..rules import RuleSet
 
@@ -68,9 +67,6 @@ class GlobalControllerConfig:
     #: steady-demand epochs assemble *identical* models and the solver
     #: cache replays them instead of re-solving. 0 disables quantization.
     demand_quantum: float = 0.0
-    #: LRU bound of the per-controller solver memoization cache;
-    #: 0 disables caching entirely
-    solver_cache_size: int = 64
     #: optimizer formulation: "arc" (per-edge flow variables, the exact
     #: §3.3 model) or "path" (k-best candidate embeddings — linear in
     #: demand entries instead of quadratic in clusters; pick it past ~30
@@ -81,12 +77,6 @@ class GlobalControllerConfig:
     #: cap candidate clusters per call-tree hop (path formulation); None
     #: considers every deployed cluster
     path_prune_limit: int | None = None
-    #: attempt warm-started re-solves when only demand values moved since
-    #: the previous epoch (exact: certified by reduced-cost pricing)
-    warm_start: bool = True
-    #: LRU bound of the structure cache behind warm builds; 0 disables
-    #: structure reuse (every epoch reassembles matrices from scratch)
-    structure_cache_size: int = 8
 
 
 class GlobalController:
@@ -113,19 +103,13 @@ class GlobalController:
         #: observe); lets the decision log report how stale the planning
         #: input was — nonzero only when telemetry was delayed or dropped
         self.last_observe_time: float | None = None
-        #: memoizes epoch solves; see GlobalControllerConfig.solver_cache_size
-        self.solver_cache: SolverCache | None = (
-            SolverCache(self.config.solver_cache_size)
-            if self.config.solver_cache_size > 0 else None)
+        #: memoizes epoch solves (LRU of ``DEFAULT_CACHE_SIZE`` entries)
+        self.solver_cache = SolverCache()
         #: the build+solve pipeline with structure reuse and warm starts;
-        #: composes the solver cache (replay) with the structure cache
+        #: composes the solver cache (replay) with its own structure cache
         #: (warm builds) and previous-solution warm re-solves
         self.epoch_solver = EpochSolver(
             cache=self.solver_cache,
-            structure_cache=(StructureCache(self.config.structure_cache_size)
-                             if self.config.structure_cache_size > 0
-                             else None),
-            warm_start=self.config.warm_start,
             max_splits=self.config.max_splits,
             formulation=self.config.formulation,
             path_k=self.config.path_k,

@@ -15,7 +15,8 @@ models with identical matrices but different cluster/service names still
 receive correctly-named results.
 
 The cache is bounded (LRU eviction) and keeps hit/miss counters that
-:func:`~repro.core.optimizer.solve.solve_model` surfaces on each
+:meth:`EpochSolver.solve <repro.core.optimizer.warm.EpochSolver.solve>`
+— the one place that replays it — surfaces on each
 :class:`OptimizationResult`.
 """
 

@@ -151,30 +151,20 @@ def _edge_flow_bound(problem: TEProblem, workload, edge: EdgeRef) -> float:
 
 def build_model(problem: TEProblem, max_splits: int | None = None,
                 knot_fractions=DEFAULT_KNOT_FRACTIONS,
-                backend: str = "vectorized",
                 structure_cache=None) -> LinearModel:
-    """Assemble the (MI)LP for ``problem``.
+    """Assemble the (MI)LP for ``problem`` (numpy block construction).
 
     ``max_splits`` bounds the number of destination clusters per
     (class, edge, source) rule, turning the LP into a MILP.
-
-    ``backend`` selects the assembly path: ``"vectorized"`` (numpy block
-    construction, the default) or ``"loop"`` (the original per-variable
-    reference builder). Both produce byte-identical models — the property
-    tests pin this down — so the choice is purely a build-speed one.
     ``structure_cache`` (a :class:`~repro.core.optimizer.vectorized
-    .StructureCache`) lets repeated vectorized LP builds that differ only
-    in demand values reuse the assembled matrices.
+    .StructureCache`) lets repeated LP builds that differ only in demand
+    values reuse the assembled matrices. :func:`build_model_loop` is the
+    per-variable reference this is tested against, byte for byte.
     """
-    if backend == "vectorized":
-        from .vectorized import build_model_vectorized
-        return build_model_vectorized(problem, max_splits=max_splits,
-                                      knot_fractions=knot_fractions,
-                                      structure_cache=structure_cache)
-    if backend != "loop":
-        raise ValueError(f"unknown build backend {backend!r}")
-    return build_model_loop(problem, max_splits=max_splits,
-                            knot_fractions=knot_fractions)
+    from .vectorized import build_model_vectorized
+    return build_model_vectorized(problem, max_splits=max_splits,
+                                  knot_fractions=knot_fractions,
+                                  structure_cache=structure_cache)
 
 
 def build_model_loop(problem: TEProblem, max_splits: int | None = None,

@@ -1,9 +1,8 @@
 """Solver backend: scipy HiGHS for the LP and MILP variants.
 
-Both entry points accept an optional :class:`SolverCache`; with one, a
-model whose canonical fingerprint was solved before skips HiGHS entirely
-and re-extracts the memoized solution vector against the current model
-(see :mod:`repro.core.optimizer.cache` for why extraction is never cached).
+The one-shot path: build, solve, extract. Epoch-to-epoch reuse — solver
+cache replay, warm builds, warm solves — lives in
+:class:`~repro.core.optimizer.warm.EpochSolver`.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import time
 import numpy as np
 from scipy import optimize
 
-from .cache import SolverCache, model_fingerprint
 from .model import LinearModel, build_model
 from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import TEProblem
@@ -27,52 +25,22 @@ class SolverError(RuntimeError):
 
 
 def solve(problem: TEProblem, max_splits: int | None = None,
-          knot_fractions=DEFAULT_KNOT_FRACTIONS,
-          cache: SolverCache | None = None,
-          backend: str = "vectorized",
-          structure_cache=None) -> OptimizationResult:
+          knot_fractions=DEFAULT_KNOT_FRACTIONS) -> OptimizationResult:
     """Formulate and solve ``problem``; raise :class:`SolverError` on failure.
 
     A failure here means the instance itself is infeasible — most commonly
     total demand beyond global capacity (``rho_max`` × replicas), which the
     paper's framework treats as an admission/provisioning problem outside
     the router's control.
-
-    ``backend`` and ``structure_cache`` pass through to
-    :func:`~repro.core.optimizer.model.build_model`; epoch-to-epoch reuse
-    (warm builds *and* warm solves) lives in
-    :class:`~repro.core.optimizer.warm.EpochSolver`.
     """
-    model = build_model(problem, max_splits=max_splits,
-                        knot_fractions=knot_fractions,
-                        backend=backend, structure_cache=structure_cache)
-    return solve_model(model, cache=cache)
+    return solve_model(build_model(problem, max_splits=max_splits,
+                                   knot_fractions=knot_fractions))
 
 
-def solve_model(model: LinearModel,
-                cache: SolverCache | None = None) -> OptimizationResult:
-    """Solve an assembled model with the appropriate HiGHS backend.
-
-    With ``cache``, identical models (by content fingerprint) are solved
-    once; subsequent calls replay the memoized solution vector. Failed
-    solves are never cached, so transiently infeasible instances are
-    retried at full fidelity.
-    """
+def solve_model(model: LinearModel) -> OptimizationResult:
+    """Solve an assembled model with the appropriate HiGHS backend."""
     # solver wall time is diagnostic output, never simulation input
     started = time.perf_counter()   # lint: ignore[D02]
-    fingerprint = None
-    if cache is not None:
-        fingerprint = model_fingerprint(model)
-        entry = cache.lookup(fingerprint)
-        if entry is not None:
-            solution, status = entry
-            elapsed = time.perf_counter() - started   # lint: ignore[D02]
-            result = extract_result(model, solution, status, elapsed)
-            result.cache_hit = True
-            result.cache_hits = cache.hits
-            result.cache_misses = cache.misses
-            result.fingerprint = fingerprint
-            return result
     if model.is_mip:
         solution, status = _solve_milp(model)
     else:
@@ -80,14 +48,7 @@ def solve_model(model: LinearModel,
     elapsed = time.perf_counter() - started   # lint: ignore[D02]
     if status != "optimal":
         raise SolverError(f"optimization failed: {status}")
-    if cache is not None:
-        cache.store(fingerprint, solution, status)
-    result = extract_result(model, solution, status, elapsed)
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-        result.fingerprint = fingerprint
-    return result
+    return extract_result(model, solution, status, elapsed)
 
 
 def _lp_bounds(upper: np.ndarray) -> np.ndarray:

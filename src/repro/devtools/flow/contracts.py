@@ -65,6 +65,10 @@ class LayerSpec:
             LayerRule("repro.core", ("repro.obs", "repro.chaos")),
             LayerRule("repro.baselines", ("repro.obs", "repro.chaos")),
             LayerRule("repro.obs", ("repro.chaos",)),
+            # the one control loop never learns what a fault is: chaos
+            # plugs into it from above (module-scoped — scenarios.py
+            # defers an import of chaos.plan for chaos_outage_setup)
+            LayerRule("repro.experiments.harness", ("repro.chaos",)),
             LayerRule("repro.devtools", runtime),
         ))
 

@@ -21,12 +21,14 @@ from ..baselines.base import PolicyContext, RoutingPolicy
 from ..core.classes.classifier import AppSpecClassifier
 from ..core.controller.cluster_controller import ClusterController
 from ..devtools.invariants import InvariantViolation
+from ..obs.config import Observability
 from ..sim.apps import AppSpec
 from ..sim.runner import MeshSimulation
 from ..sim.topology import DeploymentSpec
 from ..sim.workload import DemandMatrix
 
-__all__ = ["Scenario", "run_policy", "compare_policies", "predict_policy"]
+__all__ = ["Scenario", "ControlLoop", "run_policy", "compare_policies",
+           "predict_policy"]
 
 
 @dataclass
@@ -54,6 +56,118 @@ class Scenario:
 
     def with_demand(self, demand: DemandMatrix) -> "Scenario":
         return replace(self, demand=demand)
+
+
+def _deliver_all(now: float, reports: list) -> list:
+    """A healthy run's report gate: every report arrives, on time."""
+    return reports
+
+
+def _reachable(now: float) -> None:
+    """A healthy run's outage probe: the Global Controller always answers."""
+    return None
+
+
+class ControlLoop:
+    """One scenario under one policy: the testbed, its Cluster Controllers,
+    and the paper's one control loop (§3.2) — proxies → Cluster Controllers
+    → Global Controller → rules.
+
+    Every simulated run goes through :meth:`run`, healthy or faulted. A
+    faulted run (:func:`repro.chaos.harness.run_chaos`) is this loop with
+    armed ``controllers``, ``timeouts`` on the simulation, and three hooks
+    handed to :meth:`run`; nothing here knows what a fault is.
+    """
+
+    def __init__(self, scenario: Scenario, policy: RoutingPolicy, *,
+                 seed: int | None = None,
+                 classifier: AppSpecClassifier | None = None,
+                 observability=None,
+                 controllers: dict[str, ClusterController] | None = None,
+                 **simulation_kwargs) -> None:
+        self.scenario = scenario
+        self.policy = policy
+        self.seed = scenario.seed if seed is None else seed
+        self.simulation = MeshSimulation(
+            scenario.app, scenario.deployment, seed=self.seed,
+            classifier=classifier or AppSpecClassifier(scenario.app),
+            observability=observability, **simulation_kwargs)
+        #: the run's observability runtime; all-off (every call a no-op)
+        #: when the simulation carries none
+        self.obs = self.simulation.observability or Observability()
+        self.ctx = scenario.context()
+        self.controllers = controllers or {
+            name: ClusterController(name)
+            for name in scenario.deployment.cluster_names}
+
+    def run(self, timeline=None, *, gate_reports=_deliver_all,
+            outage=_reachable, faults=()) -> PolicyOutcome:
+        """Initial plan → distribute → simulate, re-planning every
+        ``scenario.epoch`` seconds.
+
+        ``gate_reports(now, reports)`` returns the epoch reports that reach
+        the Cluster Controllers; ``outage(now)`` returns None while the
+        Global Controller is reachable, else the clusters whose stale-rule
+        guard tripped this epoch (§5: the clusters are on their own);
+        ``faults`` is the fault timeline whose edges freeze the flight
+        recorder.
+        """
+        scenario, policy, simulation = (
+            self.scenario, self.policy, self.simulation)
+        obs, ctx, controllers = self.obs, self.ctx, self.controllers
+        obs.begin_run(scenario.name, self.seed, policy)
+        with obs.section("initial-plan"):
+            rules = policy.compute_rules(ctx)
+        for controller in controllers.values():
+            controller.distribute(rules, simulation.table)
+        obs.seed_rules(simulation.table)
+
+        def on_epoch(reports, sim) -> None:
+            with obs.section("epoch"):
+                now = sim.sim.now
+                relayed = []
+                for report in gate_reports(now, reports):
+                    controller = controllers[report.cluster]
+                    controller.ingest(report)
+                    relayed.extend(controller.relay())
+                # during an outage the relayed reports are lost; clusters
+                # notice only through the age of their rules
+                tripped = outage(now)
+                update = None
+                if tripped is None:
+                    update = policy.on_epoch(relayed, ctx)
+                    for controller in controllers.values():
+                        # every reachable epoch is a successful GC contact,
+                        # even when there was nothing new to ship
+                        controller.touch(now)
+                    if update is not None:
+                        for controller in controllers.values():
+                            controller.distribute(update, sim.table, now=now)
+                obs.record_epoch(now, getattr(policy, "controller", None),
+                                 update, relayed, sim.table,
+                                 outage=tripped, faults=faults)
+
+        hook = on_epoch if scenario.epoch else None
+        try:
+            if timeline is not None:
+                simulation.run_timeline(timeline, epoch=scenario.epoch,
+                                        on_epoch=hook)
+            else:
+                simulation.run(scenario.demand, scenario.duration,
+                               epoch=scenario.epoch, on_epoch=hook)
+        except InvariantViolation as error:
+            obs.record_invariant_failure(simulation.sim.now, error)
+            raise
+        obs.end_run(simulation, getattr(policy, "controller", None), faults)
+
+        return PolicyOutcome(
+            policy=policy.name,
+            latencies=simulation.telemetry.latencies(after=scenario.warmup),
+            egress_bytes=simulation.network.ledger.total_bytes,
+            egress_cost=simulation.network.ledger.total_cost,
+            latencies_by_class=simulation.telemetry.latencies_by_class(
+                after=scenario.warmup),
+        )
 
 
 def run_policy(scenario: Scenario, policy: RoutingPolicy,
@@ -85,120 +199,14 @@ def run_policy(scenario: Scenario, policy: RoutingPolicy,
     whose latencies populate the outcome). ``sample_rate`` and
     ``fluid_tick`` override the simulator defaults when given.
     """
-    from ..obs.config import Observability
-    obs = Observability.coerce(observability)
-    fidelity_kwargs = {}
-    if fidelity != "event":
-        fidelity_kwargs["fidelity"] = fidelity
-        if sample_rate is not None:
-            fidelity_kwargs["sample_rate"] = sample_rate
-        if fluid_tick is not None:
-            fidelity_kwargs["fluid_tick"] = fluid_tick
-    simulation = MeshSimulation(
-        scenario.app, scenario.deployment,
-        seed=scenario.seed if seed is None else seed,
-        classifier=classifier or AppSpecClassifier(scenario.app),
-        observability=obs,
-        **fidelity_kwargs,
-    )
-    obs = simulation.observability   # post-coercion runtime (or None)
-    profiler = obs.profiler if obs is not None else None
-    decision_log = obs.decisions if obs is not None else None
-    provenance = obs.provenance if obs is not None else None
-    ctx = scenario.context()
-    controllers = {name: ClusterController(name)
-                   for name in scenario.deployment.cluster_names}
-
-    # route optimizer build/solve timings into the profiler (policies that
-    # don't expose the hook — baselines — simply aren't profiled per-phase)
-    if profiler is not None and hasattr(policy, "attach_profiler"):
-        policy.attach_profiler(profiler)
-    if provenance is not None:
-        provenance.bind_run(scenario.name,
-                            scenario.seed if seed is None else seed,
-                            policy=policy.name)
-        if hasattr(policy, "attach_provenance"):
-            policy.attach_provenance(provenance)
-
-    if profiler is not None:
-        with profiler.section("initial-plan"):
-            rules = policy.compute_rules(ctx)
-    else:
-        rules = policy.compute_rules(ctx)
-    for controller in controllers.values():
-        controller.distribute(rules, simulation.table)
-    if decision_log is not None:
-        decision_log.seed_rules(simulation.table.rules())
-    if provenance is not None:
-        provenance.seed_rules(simulation.table.rules())
-
-    def epoch_body(reports, sim) -> None:
-        relayed = []
-        for report in reports:
-            controller = controllers[report.cluster]
-            controller.ingest(report)
-            relayed.extend(controller.relay())
-        update = policy.on_epoch(relayed, ctx)
-        now = sim.sim.now
-        for controller in controllers.values():
-            # healthy run: every epoch is a successful GC contact, so the
-            # (optional) staleness guard shares one audit trail with chaos
-            controller.touch(now)
-        if update is not None:
-            for controller in controllers.values():
-                controller.distribute(update, sim.table, now=now)
-        if decision_log is not None:
-            global_controller = getattr(policy, "controller", None)
-            if global_controller is not None:
-                decision_log.record(sim.sim.now, global_controller, update)
-        if provenance is not None:
-            provenance.record_epoch(
-                now, controller=getattr(policy, "controller", None),
-                update=update, reports=relayed, rules=sim.table.rules())
-            if obs.alerts is not None:
-                provenance.check_alerts(now, obs.alerts)
-            if obs.anomaly is not None:
-                provenance.check_anomalies(now, obs.anomaly.log)
-            if obs.breach is not None:
-                provenance.check_predictions(now, obs.breach)
-
-    def on_epoch(reports, sim) -> None:
-        if profiler is not None:
-            with profiler.section("epoch"):
-                epoch_body(reports, sim)
-        else:
-            epoch_body(reports, sim)
-
-    try:
-        if timeline is not None:
-            simulation.run_timeline(
-                timeline, epoch=scenario.epoch,
-                on_epoch=on_epoch if scenario.epoch else None)
-        else:
-            simulation.run(scenario.demand, scenario.duration,
-                           epoch=scenario.epoch,
-                           on_epoch=on_epoch if scenario.epoch else None)
-    except InvariantViolation as error:
-        # a runtime-invariant failure is an anomaly trigger: freeze the
-        # flight recorder before the exception unwinds the run
-        if provenance is not None:
-            provenance.record_anomaly(simulation.sim.now, "invariant",
-                                      {"error": str(error)})
-        raise
-
-    if provenance is not None:
-        provenance.finalize(simulation.sim.now)
-    if obs is not None:
-        obs.collect(simulation, getattr(policy, "controller", None))
-
-    return PolicyOutcome(
-        policy=policy.name,
-        latencies=simulation.telemetry.latencies(after=scenario.warmup),
-        egress_bytes=simulation.network.ledger.total_bytes,
-        egress_cost=simulation.network.ledger.total_cost,
-        latencies_by_class=simulation.telemetry.latencies_by_class(
-            after=scenario.warmup),
-    )
+    fidelity_kwargs = {"fidelity": fidelity}
+    if sample_rate is not None:
+        fidelity_kwargs["sample_rate"] = sample_rate
+    if fluid_tick is not None:
+        fidelity_kwargs["fluid_tick"] = fluid_tick
+    return ControlLoop(scenario, policy, seed=seed, classifier=classifier,
+                       observability=observability,
+                       **fidelity_kwargs).run(timeline)
 
 
 def compare_policies(scenario: Scenario,

@@ -13,6 +13,7 @@ one registry across runs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .alerts import AlertLog
@@ -212,6 +213,86 @@ class Observability:
         """Take the post-drain terminal sample (runner hook)."""
         if self.scrape is not None:
             self.scrape.finalize()
+
+    # ------------------------------------------------------ the run spine
+    # What the control loop (repro.experiments.harness) calls, in order:
+    # begin_run, seed_rules, record_epoch per epoch, end_run. This class
+    # owns the list of pillars; the loop never names one.
+
+    def section(self, name: str):
+        """Profiler section ``name`` (a no-op with profiling off)."""
+        if self.profiler is None:
+            return nullcontext()
+        return self.profiler.section(name)
+
+    def begin_run(self, scenario: str, seed, policy) -> None:
+        """Stamp the run identity and route the policy's solver timings
+        and reuse-ladder outcomes into the profiler / provenance log.
+
+        Called before the initial plan, so that plan is profiled too.
+        Policies without the hooks — the baselines — simply aren't
+        instrumented per phase.
+        """
+        if self.profiler is not None and hasattr(policy, "attach_profiler"):
+            policy.attach_profiler(self.profiler)
+        if self.provenance is not None:
+            self.provenance.bind_run(scenario, seed, policy=policy.name)
+            if hasattr(policy, "attach_provenance"):
+                policy.attach_provenance(self.provenance)
+
+    def seed_rules(self, table) -> None:
+        """Baseline every rule diff against the initial install."""
+        if self.decisions is not None:
+            self.decisions.seed_rules(table.rules())
+        if self.provenance is not None:
+            self.provenance.seed_rules(table.rules())
+
+    def record_epoch(self, now: float, controller, update, reports, table,
+                     *, outage: tuple | None = None, faults=()) -> None:
+        """Fold one control epoch into every pillar that keeps epoch
+        records, then run the flight recorder's anomaly triggers.
+
+        ``controller`` is the policy's Global Controller (None for the
+        baselines) and ``update`` what it shipped (None: nothing).
+        ``outage`` is None while the controller was reachable; otherwise
+        the clusters whose stale-rule guard installed fallback rules this
+        epoch — the provenance chain still records it, the decision log
+        (one row per Global Controller epoch) does not. ``faults`` is a
+        chaos run's fault timeline.
+        """
+        if (self.decisions is not None and controller is not None
+                and outage is None):
+            self.decisions.record(now, controller, update)
+        provenance = self.provenance
+        if provenance is None:
+            return
+        provenance.record_epoch(
+            now, controller=controller, update=update, reports=reports,
+            rules=table.rules(),
+            outcome=None if outage is None else "outage",
+            fallback=outage or ())
+        if self.alerts is not None:
+            provenance.check_alerts(now, self.alerts)
+        if self.anomaly is not None:
+            provenance.check_anomalies(now, self.anomaly.log)
+        if self.breach is not None:
+            provenance.check_predictions(now, self.breach)
+        provenance.check_faults(now, faults)
+
+    def record_invariant_failure(self, now: float, error) -> None:
+        """A runtime-invariant failure is an anomaly trigger: freeze the
+        flight recorder before the exception unwinds the run."""
+        if self.provenance is not None:
+            self.provenance.record_anomaly(now, "invariant",
+                                           {"error": str(error)})
+
+    def end_run(self, simulation, controller=None, faults=()) -> None:
+        """Close the provenance chain and snapshot end-of-run metrics."""
+        if self.provenance is not None:
+            now = simulation.sim.now
+            self.provenance.check_faults(now, faults)
+            self.provenance.finalize(now)
+        self.collect(simulation, controller)
 
     def collect(self, simulation, controller=None) -> None:
         """Snapshot end-of-run state into the metrics registry."""

@@ -229,8 +229,10 @@ class FlightRecorder:
 class ProvenanceLog:
     """Per-run provenance pipeline: record, join, trigger, explain.
 
-    Fed from three directions: the harness calls :meth:`record_epoch` after
-    each control epoch (and the trigger checks after that), the
+    Fed from three directions: the control loop's one per-epoch call,
+    :meth:`Observability.record_epoch
+    <repro.obs.config.Observability.record_epoch>`, lands in
+    :meth:`record_epoch` (and the trigger checks after that), the
     :class:`~repro.core.optimizer.warm.EpochSolver` pushes its reuse-ladder
     outcome through the duck-typed :meth:`record_solve` hook, and the
     shared :class:`~repro.obs.timeseries.TimeSeriesStore` supplies the

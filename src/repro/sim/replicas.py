@@ -18,6 +18,7 @@ intra-LB benchmark reproduces.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Protocol
 
 from .engine import Simulator
@@ -42,7 +43,8 @@ class Replica:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.name = name
         self._sim = sim
-        self._queue: list[tuple[float, Callable, Callable | None, float]] = []
+        self._queue: deque[tuple[float, Callable, Callable | None,
+                                 float]] = deque()
         self._busy = False
         #: jobs queued or running here (what least-outstanding inspects)
         self.outstanding = 0
@@ -86,7 +88,7 @@ class Replica:
         self.outstanding -= 1
         self.completions += 1
         if self._queue:
-            self._start(*self._queue.pop(0))
+            self._start(*self._queue.popleft())
         on_complete(self._sim.now)
 
     @property
@@ -124,7 +126,10 @@ class ReplicaSet:
         self._window_start = sim.now
         self._stats = PoolStats()
         self._harvested_busy = 0.0
+        #: drained by a shrink, still finishing the work they hold
         self._retired: list[Replica] = []
+        #: lifetime busy seconds of retired replicas already let go
+        self._retired_busy = 0.0
 
     def _add_replica(self) -> None:
         name = f"{self.service}@{self.cluster}#{self._next_index}"
@@ -190,20 +195,29 @@ class ReplicaSet:
                 self._retired.append(replica)
 
     def harvest(self) -> PoolStats:
-        """Aggregate window stats across replicas (per-replica utilization)."""
+        """Aggregate window stats across replicas (per-replica utilization).
+
+        Work finished on a draining replica counts like any other; once a
+        retired replica is idle and harvested it is let go.
+        """
         now = self._sim.now
         stats = self._stats
         stats.window_seconds = now - self._window_start
-        lifetime = (sum(r.lifetime_busy_seconds for r in self._replicas)
-                    + sum(r.lifetime_busy_seconds for r in self._retired))
+        lifetime = self.lifetime_busy_seconds
         window_busy = lifetime - self._harvested_busy
         self._harvested_busy = lifetime
-        stats.completions = sum(r.completions for r in self._replicas)
-        stats.queue_wait_seconds = sum(r.queue_wait_seconds
-                                       for r in self._replicas)
-        for replica in self._replicas:
+        for replica in self._replicas + self._retired:
+            stats.completions += replica.completions
+            stats.queue_wait_seconds += replica.queue_wait_seconds
             replica.completions = 0
             replica.queue_wait_seconds = 0.0
+        draining = []
+        for replica in self._retired:
+            if replica.idle:
+                self._retired_busy += replica.lifetime_busy_seconds
+            else:
+                draining.append(replica)
+        self._retired = draining
         if self._replicas:
             stats.busy_seconds = window_busy / len(self._replicas)
         self._stats = PoolStats()
@@ -213,7 +227,8 @@ class ReplicaSet:
     @property
     def lifetime_busy_seconds(self) -> float:
         return (sum(r.lifetime_busy_seconds for r in self._replicas)
-                + sum(r.lifetime_busy_seconds for r in self._retired))
+                + sum(r.lifetime_busy_seconds for r in self._retired)
+                + self._retired_busy)
 
     def __repr__(self) -> str:
         return (f"ReplicaSet({self.service}@{self.cluster}, "

@@ -37,7 +37,8 @@ from .network import WanNetwork
 from .request import Request, RequestIdAllocator, Span
 from .rng import RngRegistry
 from .topology import DeploymentSpec
-from .workload import DemandMatrix, install_sources
+from .traces import DemandTimeline, install_timeline
+from .workload import DemandMatrix
 
 __all__ = ["MeshSimulation", "EpochHook", "TimeoutPolicy"]
 
@@ -537,34 +538,32 @@ class MeshSimulation:
             epoch: float | None = None,
             on_epoch: EpochHook | None = None,
             deterministic_arrivals: bool = False) -> None:
-        """Drive ``demand`` for ``duration`` seconds, then drain.
-
-        With ``epoch`` set, telemetry is harvested every ``epoch`` seconds
-        and passed to ``on_epoch`` — the control loop. The final partial
-        epoch is harvested after the drain.
-
-        In fluid/hybrid fidelity the constant demand is lowered to a
-        one-keyframe timeline and driven by the fluid substrate; the
-        event-fidelity path below is untouched byte for byte.
+        """Drive constant ``demand`` for ``duration`` seconds, then drain:
+        :meth:`run_timeline` over the one-keyframe timeline, at every
+        fidelity.
         """
         if duration <= 0:
             raise ValueError(f"duration must be > 0, got {duration}")
-        self._check_demand(demand)
-        if self.fidelity != "event":
-            from .traces import DemandTimeline
-            self.run_timeline(
-                DemandTimeline.constant(demand, duration), epoch=epoch,
-                on_epoch=on_epoch,
-                deterministic_arrivals=deterministic_arrivals)
-            return
-        install_sources(
-            self.sim, demand, duration,
-            attributes_for=lambda cls: self.app.traffic_class(cls).attributes,
-            accept_for=lambda cluster: self.gateways[cluster].accept,
-            rng_for=self.rngs.stream,
-            deterministic=deterministic_arrivals,
-            request_ids=self.request_ids,
-        )
+        self.run_timeline(DemandTimeline.constant(demand, duration),
+                          epoch=epoch, on_epoch=on_epoch,
+                          deterministic_arrivals=deterministic_arrivals)
+
+    def run_timeline(self, timeline: DemandTimeline,
+                     epoch: float | None = None,
+                     on_epoch: EpochHook | None = None,
+                     deterministic_arrivals: bool = False) -> None:
+        """Drive a :class:`~repro.sim.traces.DemandTimeline`, then drain.
+
+        One source per (class, cluster) entry follows its piecewise rate
+        profile. With ``epoch`` set, telemetry is harvested every ``epoch``
+        seconds and passed to ``on_epoch`` — the control loop. The final
+        partial epoch is harvested after the drain.
+        """
+        duration = timeline.end
+        if duration <= 0:
+            raise ValueError("timeline must end after t=0")
+        self._check_demand(timeline)
+        self._install_workload(timeline, deterministic_arrivals)
         if epoch is not None:
             if epoch <= 0:
                 raise ValueError(f"epoch must be > 0, got {epoch}")
@@ -575,37 +574,6 @@ class MeshSimulation:
         # scrape ticks are installed after the epoch loop so a tied
         # timestamp orders epoch-first: a scrape at an epoch boundary then
         # sees the freshly planned routing table
-        if self.observability is not None:
-            self.observability.install_scrape(duration)
-        if invariants.invariants_enabled():
-            invariants.check_routing_table(self.table)
-        self.sim.run(until=duration)
-        self.sim.run_until_idle()
-        if epoch is not None:
-            self._epoch_tick(on_epoch)
-        if self.observability is not None:
-            self.observability.finalize_scrape()
-        self._verify_invariants()
-
-    def run_timeline(self, timeline, epoch: float | None = None,
-                     on_epoch: EpochHook | None = None,
-                     deterministic_arrivals: bool = False) -> None:
-        """Drive a :class:`~repro.sim.traces.DemandTimeline`, then drain.
-
-        The time-varying counterpart of :meth:`run`: one source per
-        (class, cluster) entry follows its piecewise rate profile.
-        """
-        duration = timeline.end
-        if duration <= 0:
-            raise ValueError("timeline must end after t=0")
-        self._install_workload(timeline, deterministic_arrivals)
-        if epoch is not None:
-            if epoch <= 0:
-                raise ValueError(f"epoch must be > 0, got {epoch}")
-            boundary = epoch
-            while boundary < duration:
-                self.sim.schedule_at(boundary, self._epoch_tick, on_epoch)
-                boundary += epoch
         if self.observability is not None:
             self.observability.install_scrape(duration)
         if invariants.invariants_enabled():
@@ -630,12 +598,10 @@ class MeshSimulation:
         sampled slice is a deterministic, registry-seeded subpopulation
         that exercises proxies, WAN, tracing, and SLO alerts end to end.
         """
-        from .traces import install_timeline
         if self.fidelity == "event":
             install_timeline(self, timeline, deterministic=deterministic)
             return
         from .fluid.substrate import FluidSubstrate
-        from .traces import DemandTimeline
         bulk = (1.0 if self.fidelity == "fluid"
                 else 1.0 - self._sample_rate)
         self.fluid = FluidSubstrate(self, timeline, tick=self._fluid_tick,
@@ -675,8 +641,8 @@ class MeshSimulation:
             for pool in cluster.pools.values():
                 invariants.check_pool_depths(pool)
 
-    def _check_demand(self, demand: DemandMatrix) -> None:
-        for cls, cluster, _ in demand.items():
+    def _check_demand(self, timeline: DemandTimeline) -> None:
+        for cls, cluster in sorted(timeline.entries()):
             if cls not in self.app.classes:
                 raise ValueError(
                     f"demand references unknown traffic class {cls!r}")

@@ -19,8 +19,7 @@ import numpy as np
 from .engine import Simulator
 from .request import Request, RequestAttributes, new_request_id
 
-__all__ = ["DemandMatrix", "RateSegment", "RateProfile", "TrafficSource",
-           "install_sources"]
+__all__ = ["DemandMatrix", "RateSegment", "RateProfile", "TrafficSource"]
 
 
 class DemandMatrix:
@@ -173,34 +172,3 @@ class TrafficSource:
         self.generated += 1
         self._accept(request)
         self._schedule_next(arrival)
-
-
-def install_sources(sim: Simulator, demand: DemandMatrix, duration: float,
-                    attributes_for: Callable[[str], RequestAttributes],
-                    accept_for: Callable[[str], Callable[[Request], None]],
-                    rng_for: Callable[[str], np.random.Generator],
-                    deterministic: bool = False,
-                    request_ids: Callable[[], int] | None = None,
-                    ) -> list[TrafficSource]:
-    """Create and start one source per (class, cluster) demand entry.
-
-    ``attributes_for(cls)`` supplies the request template for a class,
-    ``accept_for(cluster)`` the gateway sink, ``rng_for(name)`` a named
-    random stream (one per source, so runs are reproducible), and
-    ``request_ids`` the run-scoped id allocator.
-    """
-    sources = []
-    for cls, cluster, rps in demand.items():
-        source = TrafficSource(
-            sim=sim,
-            profile=RateProfile.constant(rps, duration),
-            attributes=attributes_for(cls),
-            ingress_cluster=cluster,
-            accept=accept_for(cluster),
-            rng=rng_for(f"arrivals/{cls}/{cluster}"),
-            deterministic=deterministic,
-            request_ids=request_ids,
-        )
-        source.start()
-        sources.append(source)
-    return sources

@@ -358,15 +358,62 @@ def test_different_seed_differs():
 
 
 def test_empty_plan_matches_chaos_free_run():
-    """A chaos-armed run with no faults is the plain run_policy run."""
+    """A chaos-armed run with no faults is the plain run_policy run — the
+    same outcome and, under full observability, the same records."""
+    from repro.obs import Observability, ObservabilityConfig
+    config = ObservabilityConfig(decisions=True, provenance=True,
+                                 timeseries=True, metrics=True)
+    chaos_obs, plain_obs = Observability(config), Observability(config)
     chaotic = run_chaos(_quick_scenario(), _quick_policy(),
-                        FaultPlan.empty())
-    plain = run_policy(_quick_scenario(), _quick_policy())
+                        observability=chaos_obs)
+    plain = run_policy(_quick_scenario(), _quick_policy(),
+                       observability=plain_obs)
     assert chaotic.outcome.latencies == plain.latencies
     assert chaotic.outcome.egress_bytes == plain.egress_bytes
     assert chaotic.outcome.egress_cost == plain.egress_cost
     assert chaotic.chaos.counters()["faults"] == 0
     assert chaotic.hung_requests == 0
+
+    assert len(plain_obs.provenance.records) == 4
+    assert (chaos_obs.provenance.to_jsonl_lines()
+            == plain_obs.provenance.to_jsonl_lines())
+
+    def rows(obs):
+        wall_clock = ("solve_time", "build_time")
+        return [{key: value for key, value in decision.as_dict().items()
+                 if key not in wall_clock}
+                for decision in obs.decisions]
+    assert len(rows(plain_obs)) == 4
+    assert rows(chaos_obs) == rows(plain_obs)
+
+
+def test_chaos_run_is_profiled_like_a_healthy_one():
+    from repro.obs import Observability, ObservabilityConfig
+    obs = Observability(ObservabilityConfig(profiling=True))
+    run_chaos(_quick_scenario(), _quick_policy(), _quick_plan(),
+              observability=obs)
+    assert obs.profiler.stats("initial-plan").count == 1
+    assert obs.profiler.stats("epoch").count == 4
+    # the outage covers the t=4 epoch; the other three (and the initial
+    # plan) reach the solver, which reports into the same profiler
+    assert obs.profiler.stats("optimizer-build").count == 4
+
+
+def test_invariant_violation_in_chaos_run_freezes_recorder():
+    from repro.devtools.invariants import InvariantViolation
+    from repro.obs import Observability, ObservabilityConfig
+
+    class ExplodingPolicy(SlatePolicy):
+        def on_epoch(self, reports, ctx):
+            raise InvariantViolation("synthetic failure")
+
+    obs = Observability(ObservabilityConfig(provenance=True))
+    with pytest.raises(InvariantViolation):
+        run_chaos(_quick_scenario(), ExplodingPolicy(), _quick_plan(),
+                  observability=obs)
+    reasons = [s["trigger"]["reason"] for s in obs.provenance.snapshots]
+    assert reasons == ["invariant"]
+    assert obs.provenance.snapshots[0]["trigger"]["sim_time"] == 2.0
 
 
 def test_plan_none_equals_empty_plan():

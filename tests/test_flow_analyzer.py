@@ -187,6 +187,28 @@ class TestContractPasses:
         }, layers=layers, select=frozenset({"A04"}))
         assert result.findings == []
 
+    def test_default_spec_keeps_chaos_out_of_the_control_loop(self):
+        """The rule is module-scoped: the shared loop may not import chaos
+        (not even lazily), the scenario catalog next to it may."""
+        result = analyze_sources({
+            "repro/__init__.py": "",
+            "repro/chaos/__init__.py": "",
+            "repro/chaos/plan.py": "__all__ = []\n",
+            "repro/experiments/__init__.py": "",
+            "repro/experiments/harness.py": (
+                "__all__ = ['run']\n"
+                "def run():\n"
+                "    from ..chaos import plan\n"
+                "    return plan\n"),
+            "repro/experiments/scenarios.py": (
+                "__all__ = ['setup']\n"
+                "def setup():\n"
+                "    from ..chaos import plan\n"
+                "    return plan\n"),
+        }, layers=LayerSpec.default(), select=frozenset({"A04"}))
+        assert [(f.rule, Path(f.path).name) for f in result.findings] == [
+            ("A04", "harness.py")]
+
     def test_import_cycle_fires(self):
         result = analyze_sources({
             "app/__init__.py": "",

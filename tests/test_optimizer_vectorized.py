@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.optimizer import (StructureCache, TEProblem, build_model,
-                                  solve)
+                                  build_model_loop, solve, solve_model)
 from repro.core.optimizer.cache import model_fingerprint
 from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
                                          fig6c_multihop,
@@ -45,13 +45,13 @@ def seed_problems():
                          ids=[name for name, _ in seed_problems()])
 class TestVectorizedMatchesLoop:
     def test_same_fingerprint(self, name, problem):
-        fast = build_model(problem, backend="vectorized")
-        slow = build_model(problem, backend="loop")
+        fast = build_model(problem)
+        slow = build_model_loop(problem)
         assert model_fingerprint(fast) == model_fingerprint(slow)
 
     def test_same_result(self, name, problem):
-        fast = solve(problem, backend="vectorized")
-        slow = solve(problem, backend="loop")
+        fast = solve(problem)
+        slow = solve_model(build_model_loop(problem))
         assert fast.ok and slow.ok
         assert abs(fast.objective - slow.objective) <= 1e-9
         assert fast.rules().rules == slow.rules().rules
@@ -59,8 +59,8 @@ class TestVectorizedMatchesLoop:
 
 def test_milp_backends_agree():
     problem = synthetic_te_problem(4, 3, 2, seed=7)
-    fast = build_model(problem, max_splits=1, backend="vectorized")
-    slow = build_model(problem, max_splits=1, backend="loop")
+    fast = build_model(problem, max_splits=1)
+    slow = build_model_loop(problem, max_splits=1)
     assert model_fingerprint(fast) == model_fingerprint(slow)
 
 

@@ -114,6 +114,22 @@ class TestReplicaSet:
         # lifetime accounting still includes the retired replica's work
         assert rs.lifetime_busy_seconds == pytest.approx(2.0)
 
+    def test_harvest_counts_work_finished_on_draining_replicas(self):
+        sim, rs = make_set(replicas=2)
+        for _ in range(4):
+            rs.submit(1.0, lambda t: None)
+        rs.resize(1)
+        sim.run()
+        stats = rs.harvest()
+        assert stats.arrivals == 4
+        assert stats.completions == 4   # two of them on the retired replica
+        assert stats.queue_wait_seconds == pytest.approx(2.0)
+        # idle and harvested: the retired replica is let go, its busy time
+        # is not
+        assert rs._retired == []
+        assert rs.lifetime_busy_seconds == pytest.approx(4.0)
+        assert rs.harvest().completions == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_set(replicas=0)

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
-from repro.core.optimizer import (SolverCache, TEProblem, build_model,
-                                  model_fingerprint, solve, solve_model)
+from repro.core.optimizer import (EpochSolver, SolverCache, TEProblem,
+                                  build_model, model_fingerprint)
 from repro.core.optimizer.solve import SolverError
 from repro.mesh.telemetry import ClusterEpochReport
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
@@ -59,10 +59,16 @@ def test_fingerprint_distinguishes_models():
 # ------------------------------------------------------------ hit semantics
 
 
+def replaying_solver(cache):
+    """An EpochSolver with only the replay rung of its reuse ladder."""
+    return EpochSolver(cache=cache, structure_cache=None, warm_start=False)
+
+
 def test_cache_hit_returns_equal_result():
     cache = SolverCache()
-    cold = solve(make_problem(), cache=cache)
-    warm = solve(make_problem(), cache=cache)
+    solver = replaying_solver(cache)
+    cold = solver.solve(make_problem())
+    warm = solver.solve(make_problem())
 
     assert not cold.cache_hit
     assert warm.cache_hit
@@ -78,24 +84,23 @@ def test_cache_hit_returns_equal_result():
 
 def test_distinct_models_never_collide():
     cache = SolverCache()
-    first = solve(make_problem(west_rps=300.0), cache=cache)
-    second = solve(make_problem(west_rps=420.0), cache=cache)
+    solver = replaying_solver(cache)
+    first = solver.solve(make_problem(west_rps=300.0))
+    second = solver.solve(make_problem(west_rps=420.0))
     assert not second.cache_hit
     assert cache.misses == 2 and cache.hits == 0
     # each re-solve replays its own entry, not the other's
-    assert solve(make_problem(west_rps=300.0), cache=cache).flows == \
-        first.flows
-    assert solve(make_problem(west_rps=420.0), cache=cache).flows == \
-        second.flows
+    assert solver.solve(make_problem(west_rps=300.0)).flows == first.flows
+    assert solver.solve(make_problem(west_rps=420.0)).flows == second.flows
 
 
 def test_cached_vector_is_isolated_from_caller():
     cache = SolverCache()
-    model = build_model(make_problem())
-    solve_model(model, cache=cache)
-    vector, _ = cache.lookup(model_fingerprint(model))
+    solver = replaying_solver(cache)
+    solver.solve(make_problem())
+    vector, _ = cache.lookup(model_fingerprint(build_model(make_problem())))
     vector[:] = -1.0   # corrupting the returned copy must not leak back
-    replay = solve_model(model, cache=cache)
+    replay = solver.solve(make_problem())
     assert replay.cache_hit and replay.ok
     assert all(rate >= 0 for rate in replay.flows.values())
 
@@ -104,7 +109,7 @@ def test_failed_solves_are_not_cached():
     cache = SolverCache()
     infeasible = make_problem(west_rps=50_000.0)   # beyond global capacity
     with pytest.raises(SolverError):
-        solve(infeasible, cache=cache)
+        replaying_solver(cache).solve(infeasible)
     assert len(cache) == 0
 
 
@@ -171,12 +176,3 @@ def test_unquantized_controller_resolves_every_epoch():
     # EWMA jitter makes every instance numerically fresh: no hits
     assert controller.solver_cache.hits == 0
     assert controller.solver_cache.misses == 3
-
-
-def test_cache_disabled_by_config():
-    controller = controller_with(GlobalControllerConfig(
-        learn_profiles=False, solver_cache_size=0))
-    assert controller.solver_cache is None
-    controller.observe([make_report("west", 300.0)])
-    result = controller.plan()
-    assert result.ok and not result.cache_hit

@@ -163,3 +163,27 @@ class TestRunTimeline:
             end=5.0)
         with pytest.raises(ValueError, match="epoch"):
             sim.run_timeline(timeline, epoch=0.0)
+
+    @pytest.mark.parametrize("fidelity", ["event", "fluid"])
+    @pytest.mark.parametrize("entry, message", [
+        (("ghost", "west"), "unknown traffic class 'ghost'"),
+        (("default", "mars"), "unknown cluster 'mars'"),
+    ])
+    def test_run_timeline_rejects_unknown_demand(self, fidelity, entry,
+                                                 message):
+        """A later keyframe naming an unknown class or cluster fails up
+        front, like ``run`` — not with a bare KeyError (event) or a silent
+        zero-traffic run (fluid). Keyframes come from outside
+        (``load_demand_csv``)."""
+        app = linear_chain_app(n_services=2)
+        deployment = DeploymentSpec.uniform(
+            app.services(), ["west", "east"], replicas=5,
+            latency=two_region_latency(25.0))
+        sim = MeshSimulation(app, deployment, seed=9, fidelity=fidelity)
+        timeline = DemandTimeline(
+            keyframes=[(0.0, DemandMatrix({("default", "west"): 10.0})),
+                       (1.0, DemandMatrix({entry: 10.0}))],
+            end=2.0)
+        with pytest.raises(ValueError, match=message):
+            sim.run_timeline(timeline)
+        assert sim.sim.now == 0.0
