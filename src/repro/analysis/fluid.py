@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..core.latency.mm1 import PoolDelayModel
 from ..core.rules import RuleSet
-from ..mesh.routing_table import RouteKey, WILDCARD_CLASS
+from ..mesh.routing_table import effective_weights, matched_weights
 from ..sim.apps import AppSpec
 from ..sim.topology import DeploymentSpec
 from ..sim.workload import DemandMatrix
@@ -71,7 +71,7 @@ class FluidPrediction:
 
 
 class _RuleLookup:
-    """Weights for (service, class, src): rules, wildcard, proxy default."""
+    """Weights for (service, class, src): the split a proxy would apply."""
 
     def __init__(self, rules: RuleSet, deployment: DeploymentSpec) -> None:
         self._rules = rules.by_key()
@@ -82,18 +82,11 @@ class _RuleLookup:
         deployed = self._deployment.clusters_with(service)
         if not deployed:
             raise ValueError(f"service {service!r} deployed nowhere")
-        for cls in (traffic_class, WILDCARD_CLASS):
-            rule = self._rules.get(RouteKey(service, cls, src))
-            if rule:
-                usable = {c: w for c, w in rule.items() if c in deployed}
-                if usable:
-                    total = sum(usable.values())
-                    return {c: w / total for c, w in usable.items()}
-        if src in deployed:
-            return {src: 1.0}
-        nearest = min(deployed, key=lambda c: (
-            self._deployment.latency.one_way(src, c), c))
-        return {nearest: 1.0}
+        usable = effective_weights(
+            matched_weights(self._rules, service, traffic_class, src),
+            src, deployed, self._deployment.latency)
+        total = sum(usable.values())
+        return {c: w / total for c, w in usable.items()}
 
 
 def evaluate_rules(app: AppSpec, deployment: DeploymentSpec,

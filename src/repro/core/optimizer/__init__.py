@@ -5,11 +5,11 @@ from .contraction import (ContractedSolution, contract_problem,
                           group_clusters, solve_contracted)
 from .model import (INGRESS_EDGE, LinearModel, build_model, build_model_loop,
                     class_edges)
-from .paths import PathModel, build_path_model, candidate_paths
+from .paths import build_path_model, candidate_paths
 from .piecewise import Segment, linearize_convex
 from .problem import ClassWorkload, TEProblem
 from .result import OptimizationResult, finalize_result
-from .solve import SolverError, solve, solve_model
+from .solve import SolverError, highs_solve, solve, solve_model
 from .vectorized import StructureCache, build_model_vectorized
 from .warm import EpochSolver, warm_solve
 
@@ -19,11 +19,11 @@ __all__ = [
     "solve_contracted",
     "INGRESS_EDGE", "LinearModel", "build_model", "build_model_loop",
     "class_edges",
-    "PathModel", "build_path_model", "candidate_paths",
+    "build_path_model", "candidate_paths",
     "Segment", "linearize_convex",
     "ClassWorkload", "TEProblem",
     "OptimizationResult", "finalize_result",
-    "SolverError", "solve", "solve_model",
+    "SolverError", "highs_solve", "solve", "solve_model",
     "StructureCache", "build_model_vectorized",
     "EpochSolver", "warm_solve",
 ]

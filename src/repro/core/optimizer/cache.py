@@ -30,7 +30,8 @@ from scipy import sparse
 
 from .model import LinearModel
 
-__all__ = ["SolverCache", "model_fingerprint", "DEFAULT_CACHE_SIZE"]
+__all__ = ["BoundedLRU", "SolverCache", "model_fingerprint",
+           "DEFAULT_CACHE_SIZE"]
 
 #: default LRU bound — an adaptive controller alternating between a handful
 #: of quantized demand levels fits comfortably; the memory cost is one
@@ -90,19 +91,16 @@ def model_fingerprint(model: LinearModel) -> str:
     return hasher.hexdigest()
 
 
-class SolverCache:
-    """Bounded LRU cache of solved model solution vectors.
-
-    >>> cache = SolverCache(maxsize=2)
-    >>> cache.stats()
-    {'hits': 0, 'misses': 0, 'hit_rate': 0.0, 'entries': 0}
+class BoundedLRU:
+    """Bounded least-recently-used map with hit/miss counters: the one
+    store behind :class:`SolverCache` and the builders' ``StructureCache``.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: OrderedDict[str, tuple[np.ndarray, str]] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -115,27 +113,22 @@ class SolverCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def lookup(self, fingerprint: str) -> tuple[np.ndarray, str] | None:
-        """Return ``(solution_vector, status)`` for a known model, else None.
-
-        Counts a hit/miss and refreshes LRU recency. The returned vector is
-        a copy, so callers cannot corrupt the cached entry.
-        """
-        entry = self._entries.get(fingerprint)
-        if entry is None:
+    def _lookup(self, key, usable=None):
+        """The entry under ``key``, counted as a hit and made most recent;
+        None — a miss — when absent or rejected by ``usable(entry)``."""
+        entry = self._entries.get(key)
+        if entry is None or (usable is not None and not usable(entry)):
             self.misses += 1
             return None
         self.hits += 1
-        self._entries.move_to_end(fingerprint)
-        solution, status = entry
-        return solution.copy(), status
+        self._entries.move_to_end(key)
+        return entry
 
-    def store(self, fingerprint: str, solution: np.ndarray,
-              status: str) -> None:
-        """Insert a solved model, evicting the least-recently-used entry
-        once the size bound is exceeded."""
-        self._entries[fingerprint] = (np.array(solution, copy=True), status)
-        self._entries.move_to_end(fingerprint)
+    def _store(self, key, entry) -> None:
+        """Insert ``entry``, evicting the least-recently-used one once the
+        size bound is exceeded."""
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
@@ -149,5 +142,34 @@ class SolverCache:
                 "hit_rate": self.hit_rate, "entries": len(self._entries)}
 
     def __repr__(self) -> str:
-        return (f"SolverCache(entries={len(self._entries)}/{self.maxsize}, "
-                f"hits={self.hits}, misses={self.misses})")
+        return (f"{type(self).__name__}(entries={len(self._entries)}/"
+                f"{self.maxsize}, hits={self.hits}, misses={self.misses})")
+
+
+class SolverCache(BoundedLRU):
+    """Bounded LRU cache of solved model solution vectors.
+
+    >>> cache = SolverCache(maxsize=2)
+    >>> cache.stats()
+    {'hits': 0, 'misses': 0, 'hit_rate': 0.0, 'entries': 0}
+    """
+
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
+        super().__init__(maxsize)
+
+    def lookup(self, fingerprint: str) -> tuple[np.ndarray, str] | None:
+        """Return ``(solution_vector, status)`` for a known model, else None.
+
+        The returned vector is a copy, so callers cannot corrupt the
+        cached entry.
+        """
+        entry = self._lookup(fingerprint)
+        if entry is None:
+            return None
+        solution, status = entry
+        return solution.copy(), status
+
+    def store(self, fingerprint: str, solution: np.ndarray,
+              status: str) -> None:
+        """Insert a copy of a solved model's solution vector."""
+        self._store(fingerprint, (np.array(solution, copy=True), status))

@@ -24,7 +24,8 @@ data plane executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -34,8 +35,9 @@ from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment, linearize_convex
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
 
-__all__ = ["EdgeRef", "RouteVar", "LinearModel", "build_model",
-           "build_model_loop", "class_edges", "pool_segments_for"]
+__all__ = ["EdgeRef", "RouteVar", "LinearModel", "ModelStructure",
+           "build_model", "build_model_loop", "class_edges",
+           "pool_segments_for"]
 
 #: leading fingerprint components an arc model shares with its structure:
 #: objective, a_ub, b_ub, a_eq (demand lives in b_eq and the flow bounds)
@@ -91,7 +93,13 @@ class RouteVar:
 
 @dataclass
 class LinearModel:
-    """Assembled (MI)LP ready for a scipy backend."""
+    """Assembled (MI)LP ready for a scipy backend.
+
+    Both formulations emit this one model. They differ in what a flow
+    column *is*: a :class:`RouteVar` (one arc of one call-tree edge) or a
+    :class:`~repro.core.optimizer.paths.CandidateEmbedding` (one end-to-end
+    embedding of a class's call tree, feeding every edge it crosses).
+    """
 
     objective: np.ndarray
     a_ub: sparse.csr_matrix
@@ -101,8 +109,9 @@ class LinearModel:
     #: per-column 1 for binary route-activation vars, else 0
     integrality: np.ndarray
     upper_bounds: np.ndarray
-    route_vars: list[RouteVar]
-    #: column of each route variable (same order as route_vars)
+    #: identity of each flow column: RouteVar (arc) or CandidateEmbedding
+    route_vars: list
+    #: column of each flow variable (same order as route_vars)
     route_columns: list[int]
     #: (service, cluster) → epigraph column
     pool_columns: dict[tuple[str, str], int]
@@ -111,6 +120,14 @@ class LinearModel:
     problem: TEProblem
     #: demand-independent lookups, shared with the cached structure
     tables: ModelTables
+    #: (service, cluster) → load column L, the pool's offered work in
+    #: erlangs (path "latency" objective; the arc LP has none)
+    load_columns: dict[tuple[str, str], int] = field(default_factory=dict)
+    #: per path column, the flow keys one unit of it feeds and the call
+    #: multiplier of each: the ingress hop (× 1.0) first, then the
+    #: call-tree edges. None for the arc model, whose columns are their
+    #: own single hop (see :meth:`hops`)
+    route_hops: list[tuple] | None = None
 
     @property
     def n_variables(self) -> int:
@@ -119,6 +136,60 @@ class LinearModel:
     @property
     def is_mip(self) -> bool:
         return bool(self.integrality.any())
+
+    def hops(self, index: int) -> tuple:
+        """``(flow key, multiplier)`` of every (class, edge, src, dst) arc
+        one unit of flow column ``route_vars[index]`` feeds."""
+        if self.route_hops is not None:
+            return self.route_hops[index]
+        var = self.route_vars[index]
+        return (((var.edge.traffic_class, var.edge.edge_index,
+                  var.src, var.dst), 1.0),)
+
+
+@dataclass
+class ModelStructure:
+    """Demand-independent snapshot of an assembled LP: the cold-built
+    model itself plus where demand lands in it.
+
+    Across adaptive epochs only demand *values* move; the constraint
+    matrices, objective and column layout depend on demand only through
+    its sparsity pattern (part of the cache key). A warm rebuild
+    (:meth:`instantiate`) is therefore the cold model with a fresh copy of
+    the one right-hand side that carries demand — and, for the arc
+    formulation, of the flow bounds that scale with it. Everything else is
+    *shared* between the snapshot and every model instantiated from it,
+    which is what lets the warm-start solver recognise "same structure,
+    new demand" by the identity of ``tables``.
+    """
+
+    model: LinearModel
+    #: positions of the demand rows in the demand-carrying rhs
+    demand_rows: np.ndarray
+    #: demand fill order: (class, cluster) per demand row
+    demand_slots: list[tuple[str, str]]
+    #: True when the demand rows live in b_ub (path max_throughput),
+    #: else b_eq
+    demand_in_ub: bool = False
+    #: arc only: the (class, edge) column blocks, whose flow upper bounds
+    #: are a multiple of the class's total demand (``start``, ``stop``,
+    #: ``traffic_class``, ``flow_bound(total_demand)``)
+    blocks: Sequence = ()
+
+    def instantiate(self, problem: TEProblem) -> LinearModel:
+        """Warm rebuild: scatter the new demand into the cached model."""
+        model = self.model
+        rhs = (model.b_ub if self.demand_in_ub else model.b_eq).copy()
+        rhs[self.demand_rows] = [problem.workloads[name].demand[cluster]
+                                 for name, cluster in self.demand_slots]
+        moved = {"b_ub" if self.demand_in_ub else "b_eq": rhs}
+        if self.blocks:
+            upper = model.upper_bounds.copy()
+            for block in self.blocks:
+                upper[block.start:block.stop] = block.flow_bound(
+                    problem.workloads[block.traffic_class].total_demand)
+            moved["upper_bounds"] = upper
+        return replace(model, problem=problem, **moved)
 
 
 def class_edges(problem: TEProblem, name: str) -> list[EdgeRef]:

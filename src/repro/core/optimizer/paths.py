@@ -39,24 +39,27 @@ is deterministic: ties break on the assignment tuple.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .contraction import candidate_clusters
-from .model import class_edges, pool_segments_for
+from .model import (LinearModel, ModelStructure, class_edges,
+                    pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem
-from .result import (FLOW_EPSILON, OptimizationResult, finalize_result)
+from .result import extract_result
 from .tables import ModelTables
 from .vectorized import _Coo, structure_key
 
-__all__ = ["CandidateEmbedding", "PathModel", "PathStructure", "PlanGeometry",
-           "candidate_paths", "build_path_model", "extract_path_result",
-           "PATH_OBJECTIVES"]
+__all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_paths",
+           "build_path_model", "extract_path_result", "PATH_OBJECTIVES"]
 
 PATH_OBJECTIVES = ("latency", "min_mlu", "max_throughput")
+
+#: the one extractor, under the name the e2e tracer patches: a path
+#: column's hops are ``LinearModel.route_hops``, nothing else differs
+extract_path_result = extract_result
 
 
 @dataclass(frozen=True)
@@ -75,47 +78,6 @@ class CandidateEmbedding:
     unit_latency: float
     unit_egress: float
     score: float
-
-
-@dataclass
-class PathModel:
-    """Assembled path-formulation LP, fingerprint-compatible with
-    :class:`~repro.core.optimizer.model.LinearModel` consumers."""
-
-    objective: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    integrality: np.ndarray
-    upper_bounds: np.ndarray
-    path_vars: list[CandidateEmbedding]
-    #: columns of the path variables (warm-solve support detection)
-    route_columns: list[int]
-    #: (service, cluster) → epigraph column t ("latency" objective only)
-    pool_columns: dict[tuple[str, str], int]
-    #: (service, cluster) → load column L, the pool's offered work in
-    #: erlangs ("latency" objective only); columns run paths | t | L
-    load_columns: dict[tuple[str, str], int]
-    #: every pool of the problem, for result finalization
-    pool_keys: list[tuple[str, str]]
-    pool_segments: dict[tuple[str, str], list[Segment]]
-    path_objective: str
-    problem: TEProblem
-    #: per path, the flow keys one unit of it feeds and the call
-    #: multiplier of each: the ingress hop (× 1.0) first, then the
-    #: call-tree edges
-    path_hops: list[tuple[tuple[tuple[str, int, str, str], float], ...]]
-    #: demand-independent lookups, shared with the cached structure
-    tables: ModelTables
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.objective)
-
-    @property
-    def is_mip(self) -> bool:
-        return bool(self.integrality.any())
 
 
 # --------------------------------------------------------------------------
@@ -361,80 +323,18 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
 # model assembly
 # --------------------------------------------------------------------------
 
-@dataclass
-class PathStructure:
-    """Demand-independent snapshot of an assembled path LP.
-
-    Path candidates, scores, and constraint matrices depend on demand only
-    through its sparsity (which ingresses are active — part of the cache
-    key); demand *values* live solely in the demand rows' right-hand side.
-    Duck-types the arc :class:`~repro.core.optimizer.vectorized
-    .ModelStructure` protocol so the generic ``StructureCache`` holds both.
-    """
-
-    key: tuple
-    #: demand-independent lookups and the WAN-geometry identity anchors
-    tables: ModelTables
-    objective: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    #: copy of the demand-carrying rhs with demand rows zeroed
-    rhs_template: np.ndarray
-    #: True when demand rows live in b_ub (max_throughput), else b_eq
-    demand_in_ub: bool
-    demand_rows: np.ndarray
-    demand_slots: list[tuple[str, str]]
-    integrality: np.ndarray
-    upper_bounds: np.ndarray
-    path_vars: list[CandidateEmbedding]
-    route_columns: list[int]
-    pool_columns: dict[tuple[str, str], int]
-    load_columns: dict[tuple[str, str], int]
-    pool_keys: list[tuple[str, str]]
-    pool_segments: dict[tuple[str, str], list[Segment]]
-    path_objective: str
-    path_hops: list
-    instantiations: int = field(default=0)
-
-    def matches(self, problem: TEProblem) -> bool:
-        return self.tables.matches(problem)
-
-    def instantiate(self, problem: TEProblem) -> PathModel:
-        values = np.empty(len(self.demand_slots))
-        for i, (name, cluster) in enumerate(self.demand_slots):
-            values[i] = problem.workloads[name].demand[cluster]
-        rhs = self.rhs_template.copy()
-        rhs[self.demand_rows] = values
-        b_ub, b_eq = ((rhs, self.b_eq) if self.demand_in_ub
-                      else (self.b_ub, rhs))
-        self.instantiations += 1
-        return PathModel(
-            objective=self.objective,
-            a_ub=self.a_ub, b_ub=b_ub, a_eq=self.a_eq, b_eq=b_eq,
-            integrality=self.integrality,
-            upper_bounds=self.upper_bounds,
-            path_vars=self.path_vars,
-            route_columns=self.route_columns,
-            pool_columns=self.pool_columns,
-            load_columns=self.load_columns,
-            pool_keys=self.pool_keys,
-            pool_segments=self.pool_segments,
-            path_objective=self.path_objective,
-            problem=problem,
-            path_hops=self.path_hops,
-            tables=self.tables,
-        )
-
-
 def build_path_model(problem: TEProblem, k: int = 4,
                      objective: str = "latency",
                      prune_limit: int | None = None,
                      beam: int | None = None,
                      knot_fractions=DEFAULT_KNOT_FRACTIONS,
-                     structure_cache=None) -> PathModel:
+                     structure_cache=None) -> LinearModel:
     """Assemble the path-formulation LP for ``problem``.
+
+    The flow columns (``route_vars``) are the candidate embeddings; under
+    the ``"latency"`` objective the columns run paths | t | L, with
+    ``pool_columns`` naming each pool's epigraph column ``t`` and
+    ``load_columns`` its load column ``L`` (both empty otherwise).
 
     With ``structure_cache`` (the generic
     :class:`~repro.core.optimizer.vectorized.StructureCache`), rebuilds
@@ -595,49 +495,25 @@ def build_path_model(problem: TEProblem, k: int = 4,
     demand_in_ub = objective == "max_throughput"
     # demand is the only thing later epochs move: it sits in b_ub under
     # max_throughput (after objective, a_ub), else in b_eq (after a_eq too)
-    tables = ModelTables(problem, pools, a_ub, a_eq,
-                         static_components=2 if demand_in_ub else 4)
-    path_hops = _path_hops(geometry, path_vars)
-    model = PathModel(
+    model = LinearModel(
         objective=objective_vec,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
         integrality=integrality,
         upper_bounds=upper,
-        path_vars=path_vars,
+        route_vars=path_vars,
         route_columns=list(range(n_paths)),
         pool_columns=pool_columns,
-        load_columns=load_columns,
-        pool_keys=pools,
         pool_segments=pool_segments,
-        path_objective=objective,
         problem=problem,
-        path_hops=path_hops,
-        tables=tables,
+        tables=ModelTables(problem, pools, a_ub, a_eq,
+                           static_components=2 if demand_in_ub else 4),
+        load_columns=load_columns,
+        route_hops=_path_hops(geometry, path_vars),
     )
     if key is not None:
-        rhs = b_ub if demand_in_ub else b_eq
-        rhs_template = rhs.copy()
-        rhs_template[np.array(demand_rows, dtype=np.intp)] = 0.0
-        structure_cache.store(key, PathStructure(
-            key=key,
-            tables=tables,
-            objective=objective_vec,
-            a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-            rhs_template=rhs_template,
-            demand_in_ub=demand_in_ub,
-            demand_rows=np.array(demand_rows, dtype=np.intp),
-            demand_slots=demand_slots,
-            integrality=integrality,
-            upper_bounds=upper,
-            path_vars=path_vars,
-            route_columns=model.route_columns,
-            pool_columns=pool_columns,
-            load_columns=load_columns,
-            pool_keys=pools,
-            pool_segments=pool_segments,
-            path_objective=objective,
-            path_hops=path_hops,
-        ))
+        structure_cache.store(key, ModelStructure(
+            model, np.array(demand_rows, dtype=np.intp), demand_slots,
+            demand_in_ub=demand_in_ub))
     return model
 
 
@@ -662,41 +538,3 @@ def _path_hops(geometry: PlanGeometry,
                           execs[edge.caller] * edge.calls_per_request))
         hops.append(tuple(entry))
     return hops
-
-
-# --------------------------------------------------------------------------
-# extraction
-# --------------------------------------------------------------------------
-
-def extract_path_result(model: PathModel, solution, status: str,
-                        solve_time: float) -> OptimizationResult:
-    """Expand path flows onto call-tree edges and finalize the result.
-
-    Path flows map exactly onto the arc flow keys (``model.path_hops``),
-    so routing rules, predicted latency, and egress cost come from the
-    same shared machinery as the arc extractor.
-    """
-    result = OptimizationResult(
-        status=status,
-        objective=float("nan"),
-        solve_time=solve_time,
-        total_demand=model.problem.total_demand(),
-        n_variables=model.n_variables,
-        n_constraints=int(model.a_ub.shape[0] + model.a_eq.shape[0]),
-        _edge_service=model.tables.edge_service,
-    )
-    if solution is None:
-        return result
-
-    x = np.asarray(solution)
-    result.objective = float(model.objective @ x)
-
-    flows = result.flows
-    path_hops = model.path_hops
-    for j in np.flatnonzero(x[:len(model.route_columns)] > FLOW_EPSILON):
-        rate = float(x[j])
-        for key, mult in path_hops[j]:
-            flows[key] = flows.get(key, 0.0) + rate * mult
-
-    finalize_result(result, model.tables)
-    return result

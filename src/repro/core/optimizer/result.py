@@ -117,14 +117,21 @@ class OptimizationResult:
         return sum(rate for (cls, e, src, dst), rate in self.flows.items()
                    if cls == traffic_class and e == edge_index and src != dst)
 
-    # (class, edge index) → callee service; the extractors point this at
+    # (class, edge index) → callee service; the extractor points this at
     # the structure's shared table, so it is read-only here
     _edge_service: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
 def extract_result(model: LinearModel, solution, status: str,
                    solve_time: float) -> OptimizationResult:
-    """Build an :class:`OptimizationResult` from a scipy solution vector."""
+    """Build an :class:`OptimizationResult` from a scipy solution vector.
+
+    Every non-zero flow column is expanded onto the (class, edge, src,
+    dst) arcs it feeds (:meth:`LinearModel.hops`): an arc column is its own
+    single arc, a path column every edge of its embedding times the call
+    multiplier. From there routing rules, predicted latency and egress
+    cost are formulation-independent.
+    """
     result = OptimizationResult(
         status=status,
         objective=float("nan"),
@@ -137,18 +144,17 @@ def extract_result(model: LinearModel, solution, status: str,
     if solution is None:
         return result
 
-    x = solution
+    x = np.asarray(solution)
     result.objective = float(model.objective @ x)
 
-    # flows: gather route columns once, then touch only the nonzeros
-    # (solutions are sparse — most route variables sit at zero)
-    route_x = np.asarray(x)[np.asarray(model.route_columns, dtype=np.intp)]
+    # flows: gather the flow columns once, then touch only the nonzeros
+    # (solutions are sparse — most flow variables sit at zero)
+    flows = result.flows
+    route_x = x[np.asarray(model.route_columns, dtype=np.intp)]
     for i in np.flatnonzero(route_x > FLOW_EPSILON):
-        var = model.route_vars[i]
         rate = float(route_x[i])
-        key = (var.edge.traffic_class, var.edge.edge_index,
-               var.src, var.dst)
-        result.flows[key] = result.flows.get(key, 0.0) + rate
+        for key, mult in model.hops(i):
+            flows[key] = flows.get(key, 0.0) + rate * mult
 
     finalize_result(result, model.tables)
     return result
@@ -158,11 +164,10 @@ def finalize_result(result: OptimizationResult,
                     tables: ModelTables) -> OptimizationResult:
     """Fill predicted system state from ``result.flows``.
 
-    Shared by the arc and path extractors: once flows are in the common
-    (class, edge, src, dst) → rate shape, predicted pool loads, backlog,
-    network delay, and egress cost are formulation-independent. Every
-    factor that does not depend on the flow *rates* comes from the
-    structure's ``tables``.
+    Once flows are in the (class, edge, src, dst) → rate shape, predicted
+    pool loads, backlog, network delay, and egress cost are
+    formulation-independent. Every factor that does not depend on the flow
+    *rates* comes from the structure's ``tables``.
     """
     # offered work per pool, network delay and egress cost rates: one pass
     # over the flows, each sum accumulated in flow order

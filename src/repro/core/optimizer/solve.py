@@ -1,8 +1,9 @@
 """Solver backend: scipy HiGHS for the LP and MILP variants.
 
-The one-shot path: build, solve, extract. Epoch-to-epoch reuse — solver
-cache replay, warm builds, warm solves — lives in
-:class:`~repro.core.optimizer.warm.EpochSolver`.
+:func:`highs_solve` is the seam every full solve goes through — the
+one-shot path here (build, solve, extract) and the cold rung of
+:class:`~repro.core.optimizer.warm.EpochSolver`, which adds epoch-to-epoch
+reuse (solver cache replay, warm builds, warm solves) on top.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
 
-__all__ = ["SolverError", "solve", "solve_model"]
+__all__ = ["SolverError", "solve", "solve_model", "highs_solve"]
 
 
 class SolverError(RuntimeError):
@@ -38,17 +39,12 @@ def solve(problem: TEProblem, max_splits: int | None = None,
 
 
 def solve_model(model: LinearModel) -> OptimizationResult:
-    """Solve an assembled model with the appropriate HiGHS backend."""
+    """Solve an assembled model and extract its result."""
     # solver wall time is diagnostic output, never simulation input
     started = time.perf_counter()   # lint: ignore[D02]
-    if model.is_mip:
-        solution, status = _solve_milp(model)
-    else:
-        solution, status = _solve_lp(model)
+    solution = highs_solve(model)
     elapsed = time.perf_counter() - started   # lint: ignore[D02]
-    if status != "optimal":
-        raise SolverError(f"optimization failed: {status}")
-    return extract_result(model, solution, status, elapsed)
+    return extract_result(model, solution, "optimal", elapsed)
 
 
 def _lp_bounds(upper: np.ndarray) -> np.ndarray:
@@ -60,35 +56,41 @@ def _lp_bounds(upper: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _solve_lp(model: LinearModel) -> tuple[np.ndarray | None, str]:
-    outcome = optimize.linprog(
-        c=model.objective,
-        A_ub=model.a_ub, b_ub=model.b_ub,
-        A_eq=model.a_eq, b_eq=model.b_eq,
-        bounds=_lp_bounds(model.upper_bounds),
-        method="highs",
-    )
-    if not outcome.success:
-        return None, f"lp:{outcome.status}:{outcome.message}"
-    return outcome.x, "optimal"
+def highs_solve(model: LinearModel) -> np.ndarray:
+    """The optimal solution vector of an assembled model.
 
-
-def _solve_milp(model: LinearModel) -> tuple[np.ndarray | None, str]:
-    constraints = []
-    if model.a_ub.shape[0]:
-        constraints.append(optimize.LinearConstraint(
-            model.a_ub, -np.inf, model.b_ub))
-    if model.a_eq.shape[0]:
-        constraints.append(optimize.LinearConstraint(
-            model.a_eq, model.b_eq, model.b_eq))
-    upper = np.where(np.isfinite(model.upper_bounds),
-                     model.upper_bounds, np.inf)
-    outcome = optimize.milp(
-        c=model.objective,
-        constraints=constraints,
-        integrality=model.integrality,
-        bounds=optimize.Bounds(np.zeros(model.n_variables), upper),
-    )
+    The one place a full model meets HiGHS — ``linprog`` for the LP,
+    ``milp`` when the model has integer columns — and therefore the one
+    place a solver fault surfaces: anything but an optimal solution
+    raises :class:`SolverError`.
+    """
+    if model.is_mip:
+        constraints = []
+        if model.a_ub.shape[0]:
+            constraints.append(optimize.LinearConstraint(
+                model.a_ub, -np.inf, model.b_ub))
+        if model.a_eq.shape[0]:
+            constraints.append(optimize.LinearConstraint(
+                model.a_eq, model.b_eq, model.b_eq))
+        upper = np.where(np.isfinite(model.upper_bounds),
+                         model.upper_bounds, np.inf)
+        outcome = optimize.milp(
+            c=model.objective,
+            constraints=constraints,
+            integrality=model.integrality,
+            bounds=optimize.Bounds(np.zeros(model.n_variables), upper),
+        )
+        kind = "milp"
+    else:
+        outcome = optimize.linprog(
+            c=model.objective,
+            A_ub=model.a_ub, b_ub=model.b_ub,
+            A_eq=model.a_eq, b_eq=model.b_eq,
+            bounds=_lp_bounds(model.upper_bounds),
+            method="highs",
+        )
+        kind = "lp"
     if not outcome.success or outcome.x is None:
-        return None, f"milp:{outcome.status}:{outcome.message}"
-    return outcome.x, "optimal"
+        raise SolverError(f"optimization failed: "
+                          f"{kind}:{outcome.status}:{outcome.message}")
+    return outcome.x

@@ -20,29 +20,30 @@ deliberately replicate the loop builder's operation order.
 
 **Structure reuse** is the second win: across adaptive epochs only demand
 *values* move — the constraint matrices, objective, and row/column layout
-depend on demand only through its sparsity pattern. A :class:`ModelStructure`
-snapshot turns the next epoch's build into "copy b_eq, scatter new demand,
-refresh per-block flow bounds", which is orders of magnitude cheaper than
-any cold build. :class:`StructureCache` keys snapshots by the structural
-fingerprint of the problem.
+depend on demand only through its sparsity pattern. A
+:class:`~repro.core.optimizer.model.ModelStructure` snapshot turns the next
+epoch's build into "copy b_eq, scatter new demand, refresh per-block flow
+bounds", which is orders of magnitude cheaper than any cold build.
+:class:`StructureCache` keys snapshots — this builder's and the path
+builder's alike — by the structural fingerprint of the problem.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .model import (ARC_STATIC_COMPONENTS, LinearModel, RouteVar,
-                    class_edges, pool_segments_for)
+from .cache import BoundedLRU
+from .model import (ARC_STATIC_COMPONENTS, LinearModel, ModelStructure,
+                    RouteVar, class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
 
-__all__ = ["build_model_vectorized", "ModelStructure", "StructureCache",
-           "structure_key", "DEFAULT_STRUCTURE_CACHE_SIZE"]
+__all__ = ["build_model_vectorized", "StructureCache", "structure_key",
+           "DEFAULT_STRUCTURE_CACHE_SIZE"]
 
 #: adaptive controllers alternate between a handful of demand sparsity
 #: patterns (classes appearing/disappearing); a small LRU covers them
@@ -89,7 +90,7 @@ def structure_key(problem: TEProblem,
     """Everything the model depends on *except* demand values.
 
     Two problems with equal keys (and identical latency/pricing objects —
-    checked separately via :meth:`ModelStructure.matches`) produce models
+    checked separately by :meth:`StructureCache.lookup`) produce models
     that differ only in ``b_eq`` demand entries and flow upper bounds.
     """
     cluster_index = {name: i for i, name in enumerate(problem.clusters)}
@@ -122,126 +123,29 @@ def structure_key(problem: TEProblem,
     )
 
 
-@dataclass
-class ModelStructure:
-    """Demand-independent snapshot of an assembled LP.
-
-    Holds the constraint matrices, objective, and layout metadata; a warm
-    rebuild (:meth:`instantiate`) refreshes only the demand entries of
-    ``b_eq`` and the per-block flow bounds. The big arrays are *shared*
-    between the snapshot and every model instantiated from it — which is
-    what lets the warm-start solver recognise "same structure, new demand"
-    by object identity.
-    """
-
-    key: tuple
-    #: demand-independent lookups; also the identity anchors — structural
-    #: equality of latency/pricing content is too expensive to verify, so a
-    #: snapshot only matches the exact objects at the revision it was
-    #: built on
-    tables: ModelTables
-    objective: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq_template: np.ndarray
-    integrality: np.ndarray
-    blocks: list[_Block]
-    #: b_eq positions of demand rows, in (sorted class, sorted cluster) order
-    demand_rows: np.ndarray
-    #: demand fill order: (class, cluster) per demand row
-    demand_slots: list[tuple[str, str]]
-    n_variables: int
-    route_vars: list[RouteVar]
-    route_columns: list[int]
-    pool_columns: dict[tuple[str, str], int]
-    pool_segments: dict[tuple[str, str], list[Segment]]
-    instantiations: int = field(default=0)
-
-    def matches(self, problem: TEProblem) -> bool:
-        return self.tables.matches(problem)
-
-    def instantiate(self, problem: TEProblem) -> LinearModel:
-        """Warm rebuild: scatter the new demand into the cached structure."""
-        upper = np.empty(self.n_variables)
-        upper[len(self.route_columns):] = np.inf
-        for block in self.blocks:
-            workload = problem.workloads[block.traffic_class]
-            upper[block.start:block.stop] = block.flow_bound(
-                workload.total_demand)
-        b_eq = self.b_eq_template.copy()
-        values = np.empty(len(self.demand_slots))
-        for i, (name, cluster) in enumerate(self.demand_slots):
-            values[i] = problem.workloads[name].demand[cluster]
-        b_eq[self.demand_rows] = values
-        self.instantiations += 1
-        return LinearModel(
-            objective=self.objective,
-            a_ub=self.a_ub, b_ub=self.b_ub,
-            a_eq=self.a_eq, b_eq=b_eq,
-            integrality=self.integrality,
-            upper_bounds=upper,
-            route_vars=self.route_vars,
-            route_columns=self.route_columns,
-            pool_columns=self.pool_columns,
-            pool_segments=self.pool_segments,
-            problem=problem,
-            tables=self.tables,
-        )
-
-
-class StructureCache:
+class StructureCache(BoundedLRU):
     """Bounded LRU cache of demand-independent model structures.
 
-    Generic over structure kinds (arc :class:`ModelStructure`, path
-    structures): entries need ``matches(problem)`` and
-    ``instantiate(problem)``. Composes with — does not replace — the
-    content-addressed :class:`~repro.core.optimizer.cache.SolverCache`:
-    this cache makes *builds* cheap when only demand values moved; the
-    solver cache skips the *solve* when nothing moved at all.
+    One cache holds the snapshots of both formulations (their keys never
+    collide). Composes with — does not replace — the content-addressed
+    :class:`~repro.core.optimizer.cache.SolverCache`: this cache makes
+    *builds* cheap when only demand values moved; the solver cache skips
+    the *solve* when nothing moved at all.
     """
 
     def __init__(self, maxsize: int = DEFAULT_STRUCTURE_CACHE_SIZE) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(maxsize)
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def lookup(self, key: tuple, problem: TEProblem) -> ModelStructure | None:
+        """The snapshot under ``key``, unless the WAN geometry moved since
+        it was built (structural equality of latency/pricing content is too
+        expensive to verify, so a snapshot only serves the exact objects at
+        the revision it was built on) — that is a miss."""
+        return self._lookup(
+            key, lambda entry: entry.model.tables.matches(problem))
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def lookup(self, key: tuple, problem: TEProblem):
-        entry = self._entries.get(key)
-        if entry is None or not entry.matches(problem):
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return entry
-
-    def store(self, key: tuple, structure) -> None:
-        self._entries[key] = structure
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": self.hit_rate, "entries": len(self._entries)}
-
-    def __repr__(self) -> str:
-        return (f"StructureCache(entries={len(self._entries)}/{self.maxsize},"
-                f" hits={self.hits}, misses={self.misses})")
+    def store(self, key: tuple, structure: ModelStructure) -> None:
+        self._store(key, structure)
 
 
 # --------------------------------------------------------------------------
@@ -566,38 +470,21 @@ def build_model_vectorized(problem: TEProblem,
 
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
-    route_columns = list(range(n_routes))
-    tables = ModelTables(problem, pool_columns, a_ub, a_eq,
-                         ARC_STATIC_COMPONENTS)
     model = LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
         integrality=integrality,
         upper_bounds=upper,
         route_vars=route_vars,
-        route_columns=route_columns,
+        route_columns=list(range(n_routes)),
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
-        tables=tables,
+        tables=ModelTables(problem, pool_columns, a_ub, a_eq,
+                           ARC_STATIC_COMPONENTS),
     )
     if key is not None:
-        b_eq_template = b_eq.copy()
-        b_eq_template[np.array(demand_rows, dtype=np.intp)] = 0.0
         structure_cache.store(key, ModelStructure(
-            key=key,
-            tables=tables,
-            objective=objective,
-            a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
-            b_eq_template=b_eq_template,
-            integrality=integrality,
-            blocks=blocks,
-            demand_rows=np.array(demand_rows, dtype=np.intp),
-            demand_slots=demand_slots,
-            n_variables=n,
-            route_vars=route_vars,
-            route_columns=route_columns,
-            pool_columns=pool_columns,
-            pool_segments=pool_segments,
-        ))
+            model, np.array(demand_rows, dtype=np.intp), demand_slots,
+            blocks=blocks))
     return model

@@ -51,11 +51,13 @@ from scipy import optimize
 
 from ...devtools.invariants import InvariantViolation, invariants_enabled
 from .cache import SolverCache, model_fingerprint
-from .model import build_model
+from .model import LinearModel, build_model
+from .paths import build_path_model
 from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
-from .solve import SolverError, _lp_bounds, _solve_lp, _solve_milp
+from .solve import SolverError, _lp_bounds, highs_solve
+from .tables import ModelTables
 from .vectorized import StructureCache
 
 __all__ = ["EpochSolver", "warm_solve"]
@@ -83,7 +85,7 @@ SHADOW_FEASIBILITY = 1e-6
 _DEFAULT = object()
 
 
-def warm_solve(model, previous_solution: np.ndarray,
+def warm_solve(model: LinearModel, previous_solution: np.ndarray,
                profiler=None) -> np.ndarray | None:
     """Re-solve an LP restricted to the previous solution's support.
 
@@ -146,7 +148,7 @@ def warm_solve(model, previous_solution: np.ndarray,
     return None
 
 
-def _infeasibility(model, x: np.ndarray) -> float:
+def _infeasibility(model: LinearModel, x: np.ndarray) -> float:
     """Largest violation of the model's rows and bounds at ``x``, each
     relative to ``1 + |right-hand side|``."""
     worst = float(np.max(-x, initial=0.0))
@@ -209,7 +211,9 @@ class EpochSolver:
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
-        self._previous: tuple[int, np.ndarray] | None = None
+        #: the last LP solved, as (its structure's tables, solution): a
+        #: model sharing those tables differs from it in demand only
+        self._previous: tuple[ModelTables, np.ndarray] | None = None
         # counters surfaced through stats() → repro.obs collectors
         self.builds = 0
         self.warm_builds = 0
@@ -228,38 +232,35 @@ class EpochSolver:
             return nullcontext()
         return profiler.section(name)
 
-    def _build(self, problem: TEProblem):
+    def _build(self, problem: TEProblem) -> LinearModel:
         # "vectorized_build" nests inside the legacy "optimizer-build"
         # section so existing dashboards keep their totals while the PR 7
         # phase gets its own row
-        if self.formulation == "path":
-            from .paths import build_path_model
-            with self._section("vectorized_build"):
+        with self._section("vectorized_build"):
+            if self.formulation == "path":
                 return build_path_model(
                     problem, k=self.path_k, objective=self.path_objective,
                     prune_limit=self.path_prune_limit,
                     knot_fractions=self.knot_fractions,
                     structure_cache=self.structure_cache)
-        with self._section("vectorized_build"):
             return build_model(problem, max_splits=self.max_splits,
                                knot_fractions=self.knot_fractions,
                                structure_cache=self.structure_cache)
 
-    def _candidate_stats(self, model) -> dict | None:
+    def _candidate_stats(self, model: LinearModel) -> dict | None:
         """Candidate-set sizes for a path-formulation model.
 
         Groups are (traffic_class, ingress) pairs — the unit the k-best
         enumeration ran per. None for the arc formulation.
         """
-        path_vars = getattr(model, "path_vars", None)
-        if path_vars is None:
+        if self.formulation != "path":
             return None
         groups: dict[tuple[str, str], int] = {}
-        for var in path_vars:
+        for var in model.route_vars:
             key = (var.traffic_class, var.ingress)
             groups[key] = groups.get(key, 0) + 1
         return {
-            "paths": len(path_vars),
+            "paths": len(model.route_vars),
             "groups": len(groups),
             "k": self.path_k,
             "max_group": max(groups.values(), default=0),
@@ -279,12 +280,6 @@ class EpochSolver:
             "n_variables": model.n_variables,
             "candidates": self.last_candidate_stats,
         })
-
-    def _extract(self, model, solution, status, elapsed):
-        if self.formulation == "path":
-            from .paths import extract_path_result
-            return extract_path_result(model, solution, status, elapsed)
-        return extract_result(model, solution, status, elapsed)
 
     # --------------------------------------------------------------- solve
 
@@ -312,7 +307,7 @@ class EpochSolver:
             if entry is not None:
                 solution, status = entry
                 self.replays += 1
-                result = self._extract(
+                result = extract_result(
                     model, solution, status,
                     time.perf_counter() - started)   # lint: ignore[D02]
                 result.cache_hit = True
@@ -322,42 +317,38 @@ class EpochSolver:
 
         solve_started = time.perf_counter()   # lint: ignore[D02]
         solution = None
-        warm = False
         pricing = None
-        if self.warm_start and self._previous is not None:
-            prev_structure, prev_x = self._previous
-            # object identity of the constraint matrix ⇔ same structure
-            # snapshot ⇔ only b_eq/bounds may differ from last epoch
-            if prev_structure == id(model.a_eq) and not model.is_mip:
+        # taken, not read: a solve that raises leaves nothing to warm-start
+        # the next epoch from
+        previous, self._previous = self._previous, None
+        try:
+            # sharing the previous model's tables ⇔ same structure
+            # snapshot ⇔ only the demand rhs/bounds differ from last epoch
+            if (self.warm_start and previous is not None
+                    and previous[0] is model.tables):
                 with self._section("optimizer-warm-solve"):
-                    solution = warm_solve(model, prev_x,
+                    solution = warm_solve(model, previous[1],
                                           profiler=self.profiler)
                 if solution is not None:
-                    warm = True
                     pricing = "certified"
                     self.warm_solves += 1
-                    status = "optimal"
                     self._check_warm_invariant(model, solution)
                 else:
                     pricing = "rejected"
                     self.warm_rejects += 1
-        if solution is None:
-            with self._section("optimizer-solve"):
-                if model.is_mip:
-                    solution, status = _solve_milp(model)
-                else:
-                    solution, status = _solve_lp(model)
-        elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
-        self.solves += 1
-        self.solve_seconds += elapsed
-        if status != "optimal":
-            self._previous = None
-            raise SolverError(f"optimization failed: {status}")
+            warm = solution is not None
+            if not warm:
+                with self._section("optimizer-solve"):
+                    solution = highs_solve(model)
+        finally:
+            elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
+            self.solves += 1
+            self.solve_seconds += elapsed
         if not model.is_mip:
-            self._previous = (id(model.a_eq), solution)
+            self._previous = (model.tables, solution)
         if self.cache is not None:
-            self.cache.store(fingerprint, solution, status)
-        result = self._extract(model, solution, status, elapsed)
+            self.cache.store(fingerprint, solution, "optimal")
+        result = extract_result(model, solution, "optimal", elapsed)
         self._notify("warm" if warm else "cold", warm_build, pricing, model)
         return self._decorate(result, fingerprint, build_elapsed,
                               warm_build, warm)
@@ -386,10 +377,12 @@ class EpochSolver:
         """
         if not invariants_enabled():
             return
-        cold_x, status = _solve_lp(model)
-        if status != "optimal":
+        try:
+            cold_x = highs_solve(model)
+        except SolverError as error:
             raise InvariantViolation(
-                f"warm solve succeeded but cold solve failed: {status}")
+                f"warm solve succeeded but cold solve failed: {error}"
+            ) from error
         if np.array_equal(warm_x, cold_x):
             return
         delta = np.abs(warm_x - cold_x)

@@ -54,6 +54,11 @@ class LayerSpec:
         runtime = ("repro.sim", "repro.mesh", "repro.core",
                    "repro.baselines", "repro.analysis",
                    "repro.experiments", "repro.obs", "repro.chaos")
+        # the optimizer's two emitters, plus what the repro.core rule
+        # forbids (the most specific prefix wins, so it is repeated)
+        formulations = ("repro.core.optimizer.paths",
+                        "repro.core.optimizer.vectorized",
+                        "repro.obs", "repro.chaos")
         return cls(rules=(
             LayerRule("repro.sim", ("repro.obs", "repro.chaos")),
             # the fluid substrate gets its own (longest-prefix) entry so
@@ -63,6 +68,14 @@ class LayerSpec:
             LayerRule("repro.sim.fluid", ("repro.obs", "repro.chaos")),
             LayerRule("repro.mesh", ("repro.obs", "repro.chaos")),
             LayerRule("repro.core", ("repro.obs", "repro.chaos")),
+            # what surrounds the LP — the model and its structure snapshot,
+            # the extractor, the caches, the HiGHS seam — is written once
+            # and never learns which formulation emitted the model;
+            # model.py's build_model defers its import of the arc emitter
+            *(LayerRule(f"repro.core.optimizer.{module}", formulations)
+              for module in ("result", "cache", "tables", "solve")),
+            LayerRule("repro.core.optimizer.model", formulations,
+                      allow_deferred=True),
             LayerRule("repro.baselines", ("repro.obs", "repro.chaos")),
             LayerRule("repro.obs", ("repro.chaos",)),
             # the one control loop never learns what a fault is: chaos

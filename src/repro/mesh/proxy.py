@@ -20,7 +20,7 @@ from ..sim.network import LatencyMatrix
 from ..sim.topology import DeploymentSpec
 from .affinity import weighted_rendezvous
 from .loadbalancer import WeightedRandomSelector
-from .routing_table import RoutingTable
+from .routing_table import RoutingTable, effective_weights
 from .telemetry import ProxyTelemetry
 
 __all__ = ["SlateProxy", "RoutingError"]
@@ -105,18 +105,12 @@ class SlateProxy:
                 f"service {service!r} is not deployed in any cluster")
         if exclude is not None and len(deployed) > 1:
             deployed = [c for c in deployed if c != exclude]
-        weights = self._table.weights_for(service, traffic_class, self.cluster)
-        usable = {c: w for c, w in (weights or {}).items() if c in deployed}
-        if usable:
-            choice = self._selector.compile(usable)
-            route = ((None, choice, usable) if len(usable) > 1
-                     else (choice[0][0], None, None))
-        elif self.cluster in deployed:
-            route = (self.cluster, None, None)
-        else:
-            nearest = min(deployed, key=lambda c: (
-                self._latency.one_way(self.cluster, c), c))
-            route = (nearest, None, None)
+        usable = effective_weights(
+            self._table.weights_for(service, traffic_class, self.cluster),
+            self.cluster, deployed, self._latency)
+        choice = self._selector.compile(usable)
+        route = ((None, choice, usable) if len(usable) > 1
+                 else (choice[0][0], None, None))
         self.route_compiles += 1
         return route
 

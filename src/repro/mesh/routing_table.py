@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RouteKey", "RoutingTable", "WILDCARD_CLASS"]
+__all__ = ["RouteKey", "RoutingTable", "WILDCARD_CLASS", "matched_weights",
+           "effective_weights"]
 
 WILDCARD_CLASS = "*"
 
@@ -25,6 +26,42 @@ class RouteKey:
     service: str
     traffic_class: str
     src_cluster: str
+
+
+def matched_weights(rules: dict[RouteKey, dict[str, float]], service: str,
+                    traffic_class: str,
+                    src_cluster: str) -> dict[str, float] | None:
+    """The one rule in ``rules`` that governs a call: the exact class's
+    if installed, else the wildcard class's, else None — never both."""
+    rule = rules.get(RouteKey(service, traffic_class, src_cluster))
+    if rule is None and traffic_class != WILDCARD_CLASS:
+        rule = rules.get(RouteKey(service, WILDCARD_CLASS, src_cluster))
+    return rule
+
+
+def effective_weights(weights: dict[str, float] | None, src_cluster: str,
+                      deployed: list[str], latency) -> dict[str, float]:
+    """Where a proxy at ``src_cluster`` sends a call, given the matched
+    rule's ``weights`` (None when no rule matched) and the non-empty list
+    of clusters the callee is ``deployed`` in.
+
+    Order of precedence:
+
+    1. the rule, restricted to clusters where the service is actually
+       deployed (weights as installed, not renormalised) — guarding
+       against rules that outlive a decommission;
+    2. the local cluster, if it runs the service;
+    3. locality failover: the nearest cluster running the service.
+    """
+    usable = {cluster: weight for cluster, weight in (weights or {}).items()
+              if cluster in deployed}
+    if usable:
+        return usable
+    if src_cluster in deployed:
+        return {src_cluster: 1.0}
+    nearest = min(deployed, key=lambda cluster: (
+        latency.one_way(src_cluster, cluster), cluster))
+    return {nearest: 1.0}
 
 
 class RoutingTable:
@@ -79,11 +116,8 @@ class RoutingTable:
         Returns ``None`` when no rule matches — the proxy then applies its
         default (local-first) behaviour.
         """
-        rule = self._rules.get(RouteKey(service, traffic_class, src_cluster))
-        if rule is None and traffic_class != WILDCARD_CLASS:
-            rule = self._rules.get(
-                RouteKey(service, WILDCARD_CLASS, src_cluster))
-        return rule
+        return matched_weights(self._rules, service, traffic_class,
+                               src_cluster)
 
     def rules(self) -> dict[RouteKey, dict[str, float]]:
         """A copy of the installed rules (for inspection/tests)."""

@@ -43,6 +43,7 @@ import numpy as np
 
 from ...core.latency.mm1 import erlang_c
 from ...devtools import invariants
+from ...mesh.routing_table import effective_weights
 
 __all__ = ["UTILIZATION_CAP", "ClassFlowState", "FluidTickSolution",
            "FlowModel", "fast_erlang_c"]
@@ -375,27 +376,15 @@ class FlowModel:
         deployed = self._deployment.clusters_with(service)
         if not deployed:
             raise ValueError(f"service {service!r} is not deployed anywhere")
-        deployed_set = set(deployed)
         n = len(self.clusters)
         matrix = np.zeros((n, n))
         for i, src in enumerate(self.clusters):
-            row: list[tuple[str, float]] | None = None
-            weights = self._table.weights_for(service, traffic_class, src)
-            if weights:
-                usable = {c: w for c, w in weights.items()
-                          if c in deployed_set}
-                total = sum(usable.values())
-                if total > 0:
-                    row = [(c, w / total) for c, w in sorted(usable.items())]
-            if row is None:
-                if src in deployed_set:
-                    row = [(src, 1.0)]
-                else:
-                    nearest = min(deployed, key=lambda c: (
-                        self._latency.one_way(src, c), c))
-                    row = [(nearest, 1.0)]
-            for cluster, weight in row:
-                matrix[i, self._index[cluster]] = weight
+            usable = effective_weights(
+                self._table.weights_for(service, traffic_class, src),
+                src, deployed, self._latency)
+            total = sum(usable.values())
+            for cluster, weight in usable.items():
+                matrix[i, self._index[cluster]] = weight / total
         if self._debug_invariants:
             invariants.check_routing_matrix(service, traffic_class, matrix)
         return matrix

@@ -37,7 +37,7 @@ from repro.core.optimizer import (StructureCache, build_model,
 from repro.core.optimizer import model as arc_model
 from repro.core.optimizer import paths, tables, vectorized
 from repro.core.optimizer.paths import extract_path_result
-from repro.core.optimizer.solve import _solve_lp
+from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.forecasting import HoltForecaster
 from repro.mesh.routing_table import RoutingTable
@@ -241,10 +241,11 @@ def test_path_lp_has_one_load_column_per_pool():
     app, deployment, base, config = smoke_mesh()
     controller = GlobalController(app, deployment, config)
     controller.observe(epoch_reports(deployment.cluster_names, base)[0])
-    model = build_path_model(controller.build_problem(), k=config.path_k,
+    problem = controller.build_problem()
+    model = build_path_model(problem, k=config.path_k,
                              prune_limit=config.path_prune_limit)
-    n_paths = len(model.path_vars)
-    pools = len(model.pool_keys)
+    n_paths = len(model.route_vars)
+    pools = len(problem.pools())
     hops = len(app.services())
     segments = len(next(iter(model.pool_segments.values())))
     assert model.n_variables == n_paths + 2 * pools       # paths | t | L
@@ -254,9 +255,8 @@ def test_path_lp_has_one_load_column_per_pool():
     # number of paths through the pool
     assert set(np.diff(model.a_ub.indptr)) == {2}
     # and L is the pool's offered work, capped by its column bound
-    solution, status = _solve_lp(model)
-    result = extract_path_result(model, solution, status, 0.0)
-    problem = model.problem
+    solution = highs_solve(model)
+    result = extract_path_result(model, solution, "optimal", 0.0)
     for pool, column in model.load_columns.items():
         assert model.upper_bounds[column] == (
             problem.rho_max * problem.replica_count(*pool))

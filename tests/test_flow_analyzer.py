@@ -209,6 +209,38 @@ class TestContractPasses:
         assert [(f.rule, Path(f.path).name) for f in result.findings] == [
             ("A04", "harness.py")]
 
+    def test_default_spec_keeps_formulations_out_of_the_shared_optimizer(
+            self):
+        """What surrounds the LP may not import an emitter; ``model.py``
+        may, deferred (``build_model``); the emitters import freely."""
+        optimizer = "repro/core/optimizer/"
+        result = analyze_sources({
+            "repro/__init__.py": "",
+            "repro/core/__init__.py": "",
+            optimizer + "__init__.py": "",
+            optimizer + "paths.py": "from . import vectorized\n__all__ = []\n",
+            optimizer + "vectorized.py": "__all__ = []\n",
+            optimizer + "solve.py": "from . import paths\n__all__ = []\n",
+            optimizer + "result.py": (
+                "__all__ = ['extract']\n"
+                "def extract():\n"
+                "    from . import paths\n"
+                "    return paths\n"),
+            optimizer + "cache.py": (
+                "from .vectorized import __all__ as names\n"
+                "__all__ = ['names']\n"),
+            optimizer + "model.py": (
+                "__all__ = ['build']\n"
+                "def build():\n"
+                "    from . import vectorized\n"
+                "    return vectorized\n"),
+            optimizer + "warm.py": (
+                "from . import paths, vectorized\n__all__ = []\n"),
+        }, layers=LayerSpec.default(), select=frozenset({"A04"}))
+        assert sorted((f.rule, Path(f.path).name)
+                      for f in result.findings) == [
+            ("A04", "cache.py"), ("A04", "result.py"), ("A04", "solve.py")]
+
     def test_import_cycle_fires(self):
         result = analyze_sources({
             "app/__init__.py": "",

@@ -1,0 +1,185 @@
+"""One model, one structure snapshot, one extractor, one HiGHS seam.
+
+Both formulations emit a :class:`LinearModel`; what surrounds the LP — the
+warm rebuild, the extraction of flows, the call into HiGHS and its failure
+— is written once, so every property here is stated once and run for every
+emitter.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.optimizer import (EpochSolver, LinearModel, SolverError,
+                                  StructureCache, build_model,
+                                  build_path_model, highs_solve, solve)
+from repro.core.optimizer.cache import model_fingerprint
+from repro.core.optimizer.model import ModelStructure
+from repro.core.optimizer.result import FLOW_EPSILON, extract_result
+from repro.experiments.scenarios import synthetic_te_problem
+from tests.test_optimizer import chain_problem
+
+#: every emitter: id → (builder, its keyword arguments)
+EMITTERS = {
+    "arc": (build_model, {}),
+    "path-latency": (build_path_model, {"objective": "latency"}),
+    "path-min_mlu": (build_path_model, {"objective": "min_mlu"}),
+    "path-max_throughput": (build_path_model,
+                            {"objective": "max_throughput"}),
+}
+
+emitters = pytest.mark.parametrize("emitter", EMITTERS)
+
+
+def sparse_problem():
+    return synthetic_te_problem(6, 3, 3, seed=5, replication=0.7,
+                                ingresses_per_class=3)
+
+
+def test_both_formulations_emit_the_one_model():
+    problem = chain_problem()
+    assert type(build_model(problem)) is LinearModel
+    assert type(build_path_model(problem)) is LinearModel
+
+
+# ------------------------------------------------- warm build == cold build
+
+@emitters
+def test_warm_build_equals_cold_build(emitter):
+    build, kwargs = EMITTERS[emitter]
+    problem = sparse_problem()
+    cache = StructureCache()
+    first = build(problem, structure_cache=cache, **kwargs)
+    (structure,) = cache._entries.values()
+    assert type(structure) is ModelStructure and structure.model is first
+
+    # demand values move (unevenly, so class totals and shares both change)
+    for scale, workload in enumerate(problem.workloads.values(), start=2):
+        for cluster in workload.demand:
+            workload.demand[cluster] *= 1.0 + 0.13 * scale
+    warm = structure.instantiate(problem)
+    cold = build(problem, **kwargs)
+
+    assert model_fingerprint(warm) == model_fingerprint(cold)
+    for name in ("upper_bounds", "b_ub", "b_eq"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+    assert warm.problem is problem
+    # everything demand does not touch is shared with the snapshot, which
+    # is what the warm solve's "same structure" test reads
+    assert warm.a_ub is first.a_ub and warm.a_eq is first.a_eq
+    assert warm.tables is first.tables
+    assert warm.route_vars is first.route_vars
+    # and the cold-built model the snapshot holds was not written to
+    assert model_fingerprint(first) != model_fingerprint(warm)
+
+    # through the cache it is the same rescatter, counted as a hit
+    again = build(problem, structure_cache=cache, **kwargs)
+    assert cache.hits == 1
+    assert model_fingerprint(again) == model_fingerprint(cold)
+
+
+@emitters
+def test_demand_pattern_move_is_a_structure_miss(emitter):
+    build, kwargs = EMITTERS[emitter]
+    problem = sparse_problem()
+    cache = StructureCache()
+    first = build(problem, structure_cache=cache, **kwargs)
+    workload = problem.workloads["class0"]
+    new_ingress = next(c for c in problem.clusters
+                       if c not in workload.demand)
+    workload.demand[new_ingress] = 5.0
+    second = build(problem, structure_cache=cache, **kwargs)
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert second.tables is not first.tables
+    assert model_fingerprint(second) == model_fingerprint(
+        build(problem, **kwargs))
+
+
+# ------------------------------------------------------------ one extractor
+
+@settings(max_examples=25, deadline=None)
+@given(n_clusters=st.integers(2, 5), n_services=st.integers(1, 3),
+       n_classes=st.integers(1, 3), seed=st.integers(0, 50),
+       replication=st.sampled_from((0.5, 0.75, 1.0)),
+       sparse_ingress=st.booleans())
+def test_arc_flows_are_the_route_columns_read_straight_off(
+        n_clusters, n_services, n_classes, seed, replication,
+        sparse_ingress):
+    """An arc column is the one-hop × 1.0 case of the merged extractor."""
+    problem = synthetic_te_problem(
+        n_clusters, n_services, n_classes, seed=seed,
+        replication=replication,
+        ingresses_per_class=1 if sparse_ingress else None)
+    model = build_model(problem)
+    x = highs_solve(model)
+    expected = {
+        (var.edge.traffic_class, var.edge.edge_index, var.src, var.dst):
+        float(x[column])
+        for var, column in zip(model.route_vars, model.route_columns)
+        if x[column] > FLOW_EPSILON}
+    assert extract_result(model, x, "optimal", 0.0).flows == expected
+
+
+def test_path_flows_expand_every_hop_of_the_embedding():
+    problem = chain_problem()
+    model = build_path_model(problem, k=4)
+    x = highs_solve(model)
+    expected: dict = {}
+    for j, path in enumerate(model.route_vars):
+        if x[j] <= FLOW_EPSILON:
+            continue
+        assign = dict(path.assignment)
+        hops = [("default", -1, path.ingress, assign["S1"]),
+                ("default", 0, assign["S1"], assign["S2"]),
+                ("default", 1, assign["S2"], assign["S3"])]
+        assert [key for key, _ in model.hops(j)] == hops
+        for key in hops:
+            expected[key] = expected.get(key, 0.0) + float(x[j])
+    assert extract_result(model, x, "optimal", 0.0).flows == expected
+
+
+# ----------------------------------------------------------- one HiGHS seam
+
+OVER_CAPACITY = dict(west_rps=50_000.0)   # beyond rho_max × every replica
+
+
+def failure(call) -> str:
+    with pytest.raises(SolverError, match=r"^optimization failed: ") as info:
+        call()
+    return str(info.value)
+
+
+def test_every_full_solve_fails_the_same_way():
+    one_shot = failure(lambda: solve(chain_problem(**OVER_CAPACITY)))
+    assert one_shot.startswith("optimization failed: lp:2:")
+    assert failure(lambda: EpochSolver().solve(
+        chain_problem(**OVER_CAPACITY))) == one_shot
+    assert failure(lambda: highs_solve(
+        build_model(chain_problem(**OVER_CAPACITY)))) == one_shot
+    path = failure(lambda: EpochSolver(formulation="path").solve(
+        chain_problem(**OVER_CAPACITY)))
+    assert path.startswith("optimization failed: lp:2:")
+    milp = failure(lambda: solve(chain_problem(**OVER_CAPACITY),
+                                 max_splits=1))
+    assert milp.startswith("optimization failed: milp:2:")
+    assert failure(lambda: EpochSolver(max_splits=1).solve(
+        chain_problem(**OVER_CAPACITY))) == milp
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_failed_solve_leaves_nothing_to_warm_start_from(formulation):
+    solver = EpochSolver(formulation=formulation)
+    problem = chain_problem()
+    solver.solve(problem)
+    tables, _ = solver._previous        # held by reference, not by id()
+    problem.workloads["default"].demand["west"] = 50_000.0
+    failure(lambda: solver.solve(problem))
+    assert solver._previous is None
+    assert solver.stats()["solves"] == 2
+    # the structure is still cached: the next feasible epoch is a warm
+    # build and — with no previous solution — a cold solve
+    problem.workloads["default"].demand["west"] = 650.0
+    result = solver.solve(problem)
+    assert result.warm_build and not result.warm_start
+    assert solver._previous[0] is tables

@@ -7,15 +7,14 @@ from repro.core.optimizer import (EpochSolver, StructureCache, build_model,
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.contraction import candidate_clusters
 from repro.core.optimizer.paths import PATH_OBJECTIVES, extract_path_result
-from repro.core.optimizer.solve import _solve_lp
+from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import synthetic_te_problem
 from tests.test_optimizer import chain_problem
 
 
 def path_solve(problem, **kwargs):
     model = build_path_model(problem, **kwargs)
-    solution, status = _solve_lp(model)
-    return extract_path_result(model, solution, status, 0.0)
+    return extract_path_result(model, highs_solve(model), "optimal", 0.0)
 
 
 class TestCandidates:

@@ -13,7 +13,7 @@ import pytest
 from repro.core.optimizer import (EpochSolver, SolverCache, StructureCache,
                                   build_model, build_path_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
-from repro.core.optimizer.solve import _solve_lp
+from repro.core.optimizer.solve import highs_solve
 from repro.core.optimizer.warm import EpochSolver as _EpochSolver
 from repro.devtools.invariants import InvariantViolation
 from repro.experiments.scenarios import synthetic_te_problem
@@ -25,8 +25,7 @@ from tests.test_optimizer import chain_problem
 def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     problem = chain_problem(west_rps=700.0, east_rps=100.0)
     model = build_model(problem)
-    cold_x, status = _solve_lp(model)
-    assert status == "optimal"
+    cold_x = highs_solve(model)
     # demand moves, structure does not: rescatter through a cache
     cache = StructureCache()
     build_model(problem, structure_cache=cache)
@@ -34,7 +33,7 @@ def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     moved = build_model(problem, structure_cache=cache)
     warm_x = warm_solve(moved, cold_x)
     assert warm_x is not None
-    cold_moved_x, _ = _solve_lp(moved)
+    cold_moved_x = highs_solve(moved)
     assert np.array_equal(warm_x, cold_moved_x)
 
 
@@ -139,7 +138,7 @@ def test_warm_reject_falls_back_to_cold(monkeypatch):
 def test_warm_solve_rejects_mip_and_shape_mismatch():
     problem = chain_problem()
     model = build_model(problem)
-    x, _ = _solve_lp(model)
+    x = highs_solve(model)
     assert warm_solve(model, x[:-1]) is None     # stale shape
     milp = build_model(problem, max_splits=1)
     assert warm_solve(milp, np.zeros(milp.n_variables)) is None
@@ -149,7 +148,7 @@ def test_shadow_invariant_catches_divergence(monkeypatch):
     monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
     problem = chain_problem()
     model = build_model(problem)
-    x, _ = _solve_lp(model)
+    x = highs_solve(model)
     corrupted = x.copy()
     corrupted[0] += 1.0
     with pytest.raises(InvariantViolation):
@@ -184,7 +183,7 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
     result = solver.solve(problem)
     assert result.warm_start
     model = build_path_model(problem, objective="max_throughput")
-    cold_x, _ = _solve_lp(model)
+    cold_x = highs_solve(model)
     warm_x = warm_solve(model, cold_x)
     # an infeasible point at the same objective is still a violation
     shifted = warm_x.copy()
