@@ -59,8 +59,6 @@ class GlobalControllerConfig:
     #: plan against Holt-forecast next-epoch demand instead of the EWMA of
     #: observed demand (predictive vs reactive control, §5 fast reaction)
     forecast_demand: bool = False
-    #: MILP split limit per rule; None = pure LP (fractional splits)
-    max_splits: int | None = None
     #: round demand estimates to multiples of this (requests/second) before
     #: planning. Acts as re-plan hysteresis: sub-quantum telemetry jitter no
     #: longer produces a numerically distinct TE instance every epoch, so
@@ -110,7 +108,6 @@ class GlobalController:
         #: (warm builds) and previous-solution warm re-solves
         self.epoch_solver = EpochSolver(
             cache=self.solver_cache,
-            max_splits=self.config.max_splits,
             formulation=self.config.formulation,
             path_k=self.config.path_k,
             path_prune_limit=self.config.path_prune_limit,
@@ -257,8 +254,8 @@ class GlobalController:
         """Plan for known demand and the app spec's own compute times.
 
         The oracle's inputs, but under this controller's whole config and
-        through its :attr:`epoch_solver` — so the formulation, split
-        limit and egress budget are the ones every later epoch uses, and
+        through its :attr:`epoch_solver` — so the formulation and egress
+        budget are the ones every later epoch uses, and
         the structure cache is warm when the first :meth:`plan` arrives.
         Not an epoch: learned state and :attr:`last_result` are untouched.
         Raises :class:`SolverError` when the instance is infeasible.

@@ -74,20 +74,21 @@ def model_fingerprint(model: LinearModel) -> str:
     and integrality pattern are byte-identical — exactly the inputs the
     solver sees, so equal fingerprints imply equal solution vectors.
 
-    The leading components a model shares with its structure are hashed
-    once per structure: their SHA-256 state is kept on ``model.tables``
-    and every later fingerprint resumes from a copy of it, which yields
-    the same digest as hashing all seven components afresh.
+    The leading components a model shares with its structure — objective,
+    ``a_ub``, ``b_ub``, ``a_eq``; demand lives in ``b_eq`` and the flow
+    bounds — are hashed once per structure: their SHA-256 state is kept
+    on ``model.tables`` and every later fingerprint resumes from a copy of
+    it, which yields the same digest as hashing all seven components
+    afresh.
     """
-    components = (model.objective, model.a_ub, model.b_ub, model.a_eq,
-                  model.b_eq, model.integrality, model.upper_bounds)
     tables = model.tables
     if tables.hash_prefix is None:
         tables.hash_prefix = hashlib.sha256()
-        _hash_components(tables.hash_prefix,
-                         components[:tables.static_components])
+        _hash_components(tables.hash_prefix, (
+            model.objective, model.a_ub, model.b_ub, model.a_eq))
     hasher = tables.hash_prefix.copy()
-    _hash_components(hasher, components[tables.static_components:])
+    _hash_components(hasher, (model.b_eq, model.integrality,
+                              model.upper_bounds))
     return hasher.hexdigest()
 
 

@@ -15,18 +15,11 @@ cluster; its unit latency/egress per ingress request are fixed scalars
 on each edge), so path enumeration is pure geometry and the LP only
 balances queueing against those precomputed path costs.
 
-Three objectives, selected per build:
-
-* ``"latency"`` — minimize backlog epigraph + Σ y·(rtt + α·egress); the
-  path-space analogue of the arc objective (same units, same pools). Each
-  pool's offered work is one *load column* ``L = Σ work·y`` that the
-  capacity cap bounds and every delay chord reads, so the LP's non-zeros
-  grow with the paths' hops, not with hops × chords;
-* ``"min_mlu"`` — minimize the maximum pool utilization subject to
-  serving all demand (the classic TE objective; utilization may exceed
-  ``rho_max``, which makes overload *visible* rather than infeasible);
-* ``"max_throughput"`` — serve as much demand as possible under pool
-  capacity caps (admission-control view).
+The objective is the arc model's, in path space: minimize backlog
+epigraph + Σ y·(rtt + α·egress) (same units, same pools). Each pool's
+offered work is one *load column* ``L = Σ work·y`` that the capacity cap
+bounds and every delay chord reads, so the LP's non-zeros grow with the
+paths' hops, not with hops × chords.
 
 Candidate generation is beam search down the call tree (BFS order, so a
 service's caller is always embedded first), with the candidate clusters
@@ -53,9 +46,7 @@ from .tables import ModelTables
 from .vectorized import _Coo, structure_key
 
 __all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_paths",
-           "build_path_model", "extract_path_result", "PATH_OBJECTIVES"]
-
-PATH_OBJECTIVES = ("latency", "min_mlu", "max_throughput")
+           "build_path_model", "extract_path_result"]
 
 #: the one extractor, under the name the e2e tracer patches: a path
 #: column's hops are ``LinearModel.route_hops``, nothing else differs
@@ -227,17 +218,16 @@ def _penalized_walk(geometry: PlanGeometry, name: str, ingress: str,
 
 def candidate_paths(problem: TEProblem, name: str, ingress: str,
                     k: int = 4, prune_limit: int | None = None,
-                    beam: int | None = None,
                     geometry: PlanGeometry | None = None
                     ) -> list[CandidateEmbedding]:
     """k best embeddings of class ``name``'s call tree from ``ingress``.
 
     Beam search over services in BFS order; each hop considers the
     caller's deployed clusters, pruned to the ``prune_limit`` nearest the
-    caller's assigned cluster. ``beam`` (default ``max(4k, 8)``) bounds
-    the partial frontier, so the result is the exact k best only when the
-    beam is wide enough — the LP is correct for *any* candidate set, the
-    beam only trades path quality for enumeration time.
+    caller's assigned cluster. A beam of ``max(4k, 8)`` partials bounds
+    the frontier, so the result is the exact k best only when the beam is
+    wide enough — the LP is correct for *any* candidate set, the beam only
+    trades path quality for enumeration time.
 
     Slot 1 is the beam's best embedding; the remaining slots alternate
     penalized greedy walks (:func:`_penalized_walk`) with ranked beam
@@ -252,8 +242,7 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if beam is None:
-        beam = max(4 * k, 8)
+    beam = max(4 * k, 8)
     if geometry is None:
         geometry = PlanGeometry(problem)
     cost_weight = problem.cost_weight
@@ -324,31 +313,23 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
 # --------------------------------------------------------------------------
 
 def build_path_model(problem: TEProblem, k: int = 4,
-                     objective: str = "latency",
                      prune_limit: int | None = None,
-                     beam: int | None = None,
                      knot_fractions=DEFAULT_KNOT_FRACTIONS,
                      structure_cache=None) -> LinearModel:
     """Assemble the path-formulation LP for ``problem``.
 
-    The flow columns (``route_vars``) are the candidate embeddings; under
-    the ``"latency"`` objective the columns run paths | t | L, with
-    ``pool_columns`` naming each pool's epigraph column ``t`` and
-    ``load_columns`` its load column ``L`` (both empty otherwise).
+    The flow columns (``route_vars``) are the candidate embeddings; the
+    columns run paths | t | L, with ``pool_columns`` naming each pool's
+    epigraph column ``t`` and ``load_columns`` its load column ``L``.
 
     With ``structure_cache`` (the generic
     :class:`~repro.core.optimizer.vectorized.StructureCache`), rebuilds
     that differ only in demand values skip candidate enumeration and
     matrix assembly entirely.
     """
-    if objective not in PATH_OBJECTIVES:
-        raise ValueError(f"unknown path objective {objective!r}; "
-                         f"expected one of {PATH_OBJECTIVES}")
-
     key = None
     if structure_cache is not None:
-        key = ("path", objective, k, prune_limit, beam,
-               structure_key(problem, knot_fractions))
+        key = ("path", k, prune_limit, structure_key(problem, knot_fractions))
         structure = structure_cache.lookup(key, problem)
         if structure is not None:
             return structure.instantiate(problem)
@@ -362,7 +343,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
         for ingress in sorted(c for c in problem.clusters
                               if workload.demand.get(c, 0) > 0):
             paths = candidate_paths(problem, name, ingress, k=k,
-                                    prune_limit=prune_limit, beam=beam,
+                                    prune_limit=prune_limit,
                                     geometry=geometry)
             if not paths:
                 raise ValueError(
@@ -370,35 +351,18 @@ def build_path_model(problem: TEProblem, k: int = 4,
             groups.append((name, ingress, len(path_vars), len(paths)))
             path_vars.extend(paths)
 
+    # columns: paths | t (epigraph) per pool | L (load) per pool
     n_paths = len(path_vars)
     pools = list(problem.pools())
-    pool_columns: dict[tuple[str, str], int] = {}
-    load_columns: dict[tuple[str, str], int] = {}
-    if objective == "latency":
-        # columns: paths | t (epigraph) per pool | L (load) per pool
-        for i, pool in enumerate(pools):
-            pool_columns[pool] = n_paths + i
-            load_columns[pool] = n_paths + len(pools) + i
-        n = n_paths + 2 * len(pools)
-    elif objective == "min_mlu":
-        mlu_col = n_paths
-        n = n_paths + 1
-    else:   # max_throughput
-        n = n_paths
+    pool_columns = {pool: n_paths + i for i, pool in enumerate(pools)}
+    load_columns = {pool: n_paths + len(pools) + i
+                    for i, pool in enumerate(pools)}
+    n = n_paths + 2 * len(pools)
 
-    objective_vec = np.zeros(n)
-    integrality = np.zeros(n)
+    objective = np.zeros(n)
+    objective[:n_paths] = [path.score for path in path_vars]
+    objective[n_paths:n_paths + len(pools)] = 1.0
     upper = np.full(n, np.inf)
-
-    if objective == "latency":
-        for j, path in enumerate(path_vars):
-            objective_vec[j] = path.score
-        for t_col in pool_columns.values():
-            objective_vec[t_col] = 1.0
-    elif objective == "min_mlu":
-        objective_vec[mlu_col] = 1.0
-    else:
-        objective_vec[:n_paths] = -1.0
 
     # per-pool offered work per unit path flow: execs[s] · st[s]
     work_entries: dict[tuple[str, str], list[tuple[int, float]]] = {
@@ -416,67 +380,49 @@ def build_path_model(problem: TEProblem, k: int = 4,
     ub = _Coo()
 
     # ------------------------------------------------ demand satisfaction
-    # equality (latency, min_mlu: serve everything) or ≤ (max_throughput)
-    demand_sink = ub if objective == "max_throughput" else eq
     demand_rows: list[int] = []
     demand_slots: list[tuple[str, str]] = []
     for name, ingress, start, count in groups:
         cols = np.arange(start, start + count, dtype=np.intp)
-        demand_sink.add_rows(np.zeros(count, dtype=np.intp), cols,
-                             np.ones(count))
-        demand_rows.append(demand_sink.n_rows)
+        eq.add_rows(np.zeros(count, dtype=np.intp), cols, np.ones(count))
+        demand_rows.append(eq.n_rows)
         demand_slots.append((name, ingress))
-        demand_sink.finish_rows([problem.workloads[name].demand[ingress]])
+        eq.finish_rows([problem.workloads[name].demand[ingress]])
 
     # ------------------------------------------- per-pool capacity / delay
+    # the pool's offered work is one quantity with one row: Σ work·y − L =
+    # 0, capped by the column bound L ≤ a_max, and every delay segment
+    # reads it as slope·L − t ≤ −intercept — two entries a row however
+    # many paths cross the pool (a pool no path reaches has L = 0 and t
+    # pinned at the zero-load backlog by the first chord)
     pool_segments: dict[tuple[str, str], list[Segment]] = {}
     for pool in pools:
-        service, cluster = pool
         entries = work_entries[pool]
-        replicas = problem.replica_count(service, cluster)
+        replicas = problem.replica_count(*pool)
         a_max = problem.rho_max * replicas
+        t_col = pool_columns[pool]
+        load_col = load_columns[pool]
+        segments = pool_segments_for(replicas, problem.delay_model,
+                                     a_max, knot_fractions)
+        pool_segments[pool] = segments
+        upper[load_col] = a_max
         if entries:
-            cols = np.array([j for j, _ in entries], dtype=np.intp)
-            work = np.array([w for _, w in entries])
-        if objective == "latency":
-            # the pool's offered work is one quantity with one row:
-            # Σ work·y − L = 0, capped by the column bound L ≤ a_max, and
-            # every delay segment reads it as slope·L − t ≤ −intercept —
-            # two entries a row however many paths cross the pool (a pool
-            # no path reaches has L = 0 and t pinned at the zero-load
-            # backlog by the first chord)
-            t_col = pool_columns[pool]
-            load_col = load_columns[pool]
-            segments = pool_segments_for(replicas, problem.delay_model,
-                                         a_max, knot_fractions)
-            pool_segments[pool] = segments
-            upper[load_col] = a_max
-            if entries:
-                eq.add_rows(np.zeros(len(cols), dtype=np.intp), cols, work)
-            eq.add_rows(np.zeros(1, dtype=np.intp),
-                        np.array([load_col], dtype=np.intp),
-                        np.full(1, -1.0))
-            eq.finish_rows([0.0])
-            n_seg = len(segments)
-            seg_data = np.empty((n_seg, 2))
-            seg_data[:, 0] = [segment.slope for segment in segments]
-            seg_data[:, 1] = -1.0
-            ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
-                        np.tile(np.array([load_col, t_col], dtype=np.intp),
-                                n_seg),
-                        seg_data.ravel())
-            ub.finish_rows([-segment.intercept for segment in segments])
-        elif objective == "min_mlu":
-            # work − replicas·MLU ≤ 0; no hard cap, overload shows as MLU
-            if entries:
-                ub.add_rows(np.zeros(len(cols) + 1, dtype=np.intp),
-                            np.append(cols, mlu_col),
-                            np.append(work, -float(replicas)))
-                ub.finish_rows([0.0])
-        else:   # max_throughput: hard capacity cap
-            if entries:
-                ub.add_rows(np.zeros(len(cols), dtype=np.intp), cols, work)
-                ub.finish_rows([a_max])
+            eq.add_rows(np.zeros(len(entries), dtype=np.intp),
+                        np.array([j for j, _ in entries], dtype=np.intp),
+                        np.array([w for _, w in entries]))
+        eq.add_rows(np.zeros(1, dtype=np.intp),
+                    np.array([load_col], dtype=np.intp),
+                    np.full(1, -1.0))
+        eq.finish_rows([0.0])
+        n_seg = len(segments)
+        seg_data = np.empty((n_seg, 2))
+        seg_data[:, 0] = [segment.slope for segment in segments]
+        seg_data[:, 1] = -1.0
+        ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
+                    np.tile(np.array([load_col, t_col], dtype=np.intp),
+                            n_seg),
+                    seg_data.ravel())
+        ub.finish_rows([-segment.intercept for segment in segments])
 
     # ------------------------------------------------ egress budget ($/s)
     if problem.egress_budget is not None:
@@ -492,28 +438,23 @@ def build_path_model(problem: TEProblem, k: int = 4,
 
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
-    demand_in_ub = objective == "max_throughput"
-    # demand is the only thing later epochs move: it sits in b_ub under
-    # max_throughput (after objective, a_ub), else in b_eq (after a_eq too)
     model = LinearModel(
-        objective=objective_vec,
+        objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        integrality=integrality,
+        integrality=np.zeros(n),
         upper_bounds=upper,
         route_vars=path_vars,
         route_columns=list(range(n_paths)),
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pools, a_ub, a_eq,
-                           static_components=2 if demand_in_ub else 4),
+        tables=ModelTables(problem, pools, a_ub, a_eq),
         load_columns=load_columns,
         route_hops=_path_hops(geometry, path_vars),
     )
     if key is not None:
         structure_cache.store(key, ModelStructure(
-            model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            demand_in_ub=demand_in_ub))
+            model, np.array(demand_rows, dtype=np.intp), demand_slots))
     return model
 
 

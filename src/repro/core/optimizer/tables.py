@@ -40,8 +40,7 @@ class ModelTables:
     """Demand-independent lookups shared by every model of one structure."""
 
     def __init__(self, problem: TEProblem, pools,
-                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix,
-                 static_components: int) -> None:
+                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix) -> None:
         self._problem = problem
         self.latency = problem.latency
         self.latency_revision = problem.latency.revision
@@ -65,9 +64,8 @@ class ModelTables:
         self._a_ub = a_ub
         self._a_eq = a_eq
         self._csc: tuple[sparse.csc_matrix, sparse.csc_matrix] | None = None
-        #: how many leading fingerprint components never change, and the
-        #: hash state after them (kept by ``model_fingerprint``)
-        self.static_components = static_components
+        #: hash state after the demand-independent fingerprint prefix
+        #: (kept by ``model_fingerprint``)
         self.hash_prefix = None
 
     def matches(self, problem: TEProblem) -> bool:

@@ -36,8 +36,8 @@ import numpy as np
 from scipy import sparse
 
 from .cache import BoundedLRU
-from .model import (ARC_STATIC_COMPONENTS, LinearModel, ModelStructure,
-                    RouteVar, class_edges, pool_segments_for)
+from .model import (LinearModel, ModelStructure, RouteVar, class_edges,
+                    pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
@@ -480,8 +480,7 @@ def build_model_vectorized(problem: TEProblem,
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pool_columns, a_ub, a_eq,
-                           ARC_STATIC_COMPONENTS),
+        tables=ModelTables(problem, pool_columns, a_ub, a_eq),
     )
     if key is not None:
         structure_cache.store(key, ModelStructure(

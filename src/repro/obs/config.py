@@ -20,12 +20,12 @@ from .alerts import AlertLog
 from .anomaly import AnomalyEngine
 from .decisions import DecisionLog
 from .forecast import FORECAST_MODELS, BreachPredictor, ForecastEngine
-from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 from .profiler import ControlPlaneProfiler
-from .provenance import DEFAULT_FLIGHT_RING, ProvenanceLog
-from .signals import DEFAULT_SIGNAL_CAPACITY, SignalBus
+from .provenance import ProvenanceLog
+from .signals import SignalBus
 from .slo import SloEngine, SloRule
-from .timeseries import DEFAULT_MAX_POINTS, ScrapeLoop, TimeSeriesStore
+from .timeseries import ScrapeLoop, TimeSeriesStore
 from .tracing import Tracer
 
 __all__ = ["Observability", "ObservabilityConfig"]
@@ -53,8 +53,6 @@ class ObservabilityConfig:
     #: the flight recorder (implies the time-series pillar — the observed
     #: data-plane effect is attributed from the scraped series)
     provenance: bool = False
-    #: flight-recorder ring capacity, in epochs
-    flight_ring: int = DEFAULT_FLIGHT_RING
     #: fit online forecast models over scraped series each tick (implies
     #: the time-series pillar; with SLO rules, also predicts breaches)
     forecast: bool = False
@@ -68,16 +66,8 @@ class ObservabilityConfig:
     season_length: float = 0.0
     #: scrape steps ahead the forecast engine records/publishes
     forecast_horizon: int = 5
-    #: scrape steps ahead the breach predictor projects burn rates
-    breach_horizon: int = 30
-    #: per-topic SignalBus ring capacity
-    signal_capacity: int = DEFAULT_SIGNAL_CAPACITY
     #: sim-seconds between scrape samples
     scrape_interval: float = 1.0
-    #: per-series ring-buffer capacity
-    timeseries_max_points: int = DEFAULT_MAX_POINTS
-    #: histogram bucket bounds (seconds) for latency metrics
-    latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
 
     def __post_init__(self) -> None:
         if self.scrape_interval <= 0:
@@ -90,8 +80,8 @@ class ObservabilityConfig:
         if self.season_length < 0:
             raise ValueError(
                 f"season_length must be >= 0, got {self.season_length}")
-        if self.forecast_horizon < 1 or self.breach_horizon < 1:
-            raise ValueError("forecast/breach horizons must be >= 1")
+        if self.forecast_horizon < 1:
+            raise ValueError("forecast_horizon must be >= 1")
         if (self.forecast and self.forecast_model == "holt-winters"
                 and self.season_length <= 0):
             raise ValueError(
@@ -141,20 +131,18 @@ class Observability:
                          or self.config.provenance or self.config.forecast
                          or self.config.anomaly)
         self.timeseries: TimeSeriesStore | None = (
-            TimeSeriesStore(max_points=self.config.timeseries_max_points)
-            if timeseries_on else None)
+            TimeSeriesStore() if timeseries_on else None)
         self.alerts: AlertLog | None = (
             AlertLog() if self.config.slo else None)
         self.slo: SloEngine | None = (
             SloEngine(self.config.slo, self.timeseries, self.alerts)
             if self.config.slo else None)
         self.provenance: ProvenanceLog | None = (
-            ProvenanceLog(store=self.timeseries,
-                          ring=self.config.flight_ring)
+            ProvenanceLog(store=self.timeseries)
             if self.config.provenance else None)
         self.signals: SignalBus | None = (
-            SignalBus(capacity=self.config.signal_capacity)
-            if self.config.forecast or self.config.anomaly else None)
+            SignalBus() if self.config.forecast or self.config.anomaly
+            else None)
         self.forecast: ForecastEngine | None = (
             ForecastEngine(self.timeseries, bus=self.signals,
                            model=self.config.forecast_model,
@@ -167,8 +155,7 @@ class Observability:
         self.breach: BreachPredictor | None = (
             BreachPredictor(self.slo, self.timeseries, self.alerts,
                             bus=self.signals,
-                            interval=self.config.scrape_interval,
-                            horizon=self.config.breach_horizon)
+                            interval=self.config.scrape_interval)
             if self.config.forecast and self.slo is not None else None)
         #: scrape loop, bound to one simulation by :meth:`attach`
         self.scrape: ScrapeLoop | None = None

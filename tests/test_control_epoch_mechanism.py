@@ -297,9 +297,7 @@ def uncached_fingerprint(model) -> str:
 @pytest.mark.parametrize("build", [
     lambda problem, cache: build_model(problem, structure_cache=cache),
     lambda problem, cache: build_path_model(problem, structure_cache=cache),
-    lambda problem, cache: build_path_model(
-        problem, objective="max_throughput", structure_cache=cache),
-], ids=["arc", "path-latency", "path-max-throughput"])
+], ids=["arc", "path-latency"])
 def test_fingerprint_from_the_structure_prefix_is_the_uncached_hash(build):
     problem = synthetic_te_problem(6, 3, 4, seed=5)
     cache = StructureCache()

@@ -11,11 +11,11 @@ from repro.sim.topology import ClusterSpec
 
 
 def chain_problem(west_rps=700.0, east_rps=100.0, replicas=5,
-                  cost_weight=0.0, **kwargs):
+                  cost_weight=0.0, latency_ms=25.0, **kwargs):
     app = linear_chain_app(n_services=3, exec_time=0.010)
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=replicas,
-        latency=two_region_latency(25.0))
+        latency=two_region_latency(latency_ms))
     demand = DemandMatrix({("default", "west"): west_rps,
                            ("default", "east"): east_rps})
     return TEProblem.from_specs(app, deployment, demand,

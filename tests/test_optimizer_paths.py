@@ -1,4 +1,4 @@
-"""Path-based formulation: candidates, objectives, pruning, caching."""
+"""Path-based formulation: candidates, the latency LP, pruning, caching."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.optimizer import (EpochSolver, StructureCache, build_model,
                                   build_path_model, candidate_paths, solve)
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.contraction import candidate_clusters
-from repro.core.optimizer.paths import PATH_OBJECTIVES, extract_path_result
+from repro.core.optimizer.paths import extract_path_result
 from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import synthetic_te_problem
 from tests.test_optimizer import chain_problem
@@ -64,24 +64,6 @@ class TestObjectives:
         path = path_solve(problem, k=4)
         assert abs(arc.objective - path.objective) <= 1e-9
 
-    def test_min_mlu_bounded_when_feasible(self):
-        result = path_solve(chain_problem(west_rps=300.0), k=4,
-                            objective="min_mlu")
-        assert result.ok
-        assert 0.0 < result.objective <= 1.0
-
-    def test_max_throughput_routes_everything_with_headroom(self):
-        problem = chain_problem(west_rps=300.0, east_rps=100.0)
-        result = path_solve(problem, k=4, objective="max_throughput")
-        assert result.ok
-        assert abs(result.objective - (-400.0)) <= 1e-6
-
-    def test_unknown_objective_rejected(self):
-        with pytest.raises(ValueError, match="unknown path objective"):
-            build_path_model(chain_problem(), objective="fastest")
-        assert set(PATH_OBJECTIVES) == {"latency", "min_mlu",
-                                        "max_throughput"}
-
 
 class TestStructureReuse:
     def test_cache_hit_shares_arrays(self):
@@ -96,13 +78,12 @@ class TestStructureReuse:
         # shared structure is what the warm-start identity gate keys on
         assert second.a_eq is first.a_eq
 
-    def test_cache_key_separates_k_and_objective(self):
+    def test_cache_key_separates_k_and_prune_limit(self):
         problem = synthetic_te_problem(6, 3, 2, seed=5)
         cache = StructureCache()
         build_path_model(problem, k=2, structure_cache=cache)
         build_path_model(problem, k=3, structure_cache=cache)
-        build_path_model(problem, k=2, objective="min_mlu",
-                         structure_cache=cache)
+        build_path_model(problem, k=2, prune_limit=3, structure_cache=cache)
         assert cache.hits == 0 and cache.misses == 3
 
     def test_fingerprint_stable_across_builds(self):

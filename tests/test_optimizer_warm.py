@@ -170,21 +170,29 @@ def test_warm_epoch_on_randomized_instance(monkeypatch):
 
 def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
         monkeypatch):
-    """``max_throughput`` with headroom is optimal for *every* split that
-    serves all demand; the restricted and the full solve each return their
-    own vertex of that face, and the shadow must not call that divergence."""
+    """Two identical clusters whose WAN hop costs what a local hop does
+    (the 0.25 ms intra-cluster delay), at a demand that keeps every pool on
+    its first delay chord: every split that serves the demand costs the
+    same. The restricted solve stays on the previous epoch's support while
+    the full solve picks its own vertex of that face, and the shadow must
+    not call that divergence."""
     monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
-    solver = EpochSolver(formulation="path",
-                         path_objective="max_throughput")
-    problem = chain_problem(west_rps=520.0, east_rps=90.0)
+    solver = EpochSolver(formulation="path")
+    problem = chain_problem(latency_ms=0.25)
     solver.solve(problem)
-    problem.workloads["default"].demand["west"] = 610.0
-    problem.workloads["default"].demand["east"] = 97.0
+    _, previous = solver._previous
+    problem.workloads["default"].demand["west"] = 61.0
+    problem.workloads["default"].demand["east"] = 9.7
     result = solver.solve(problem)
     assert result.warm_start
-    model = build_path_model(problem, objective="max_throughput")
+    model = build_path_model(problem)
     cold_x = highs_solve(model)
-    warm_x = warm_solve(model, cold_x)
+    warm_x = warm_solve(model, previous)
+    # another vertex, at the same cost
+    assert float(np.abs(warm_x - cold_x).max()) > 1.0
+    assert model.objective @ warm_x == pytest.approx(
+        model.objective @ cold_x, rel=1e-12)
+    _EpochSolver._check_warm_invariant(model, warm_x)
     # an infeasible point at the same objective is still a violation
     shifted = warm_x.copy()
     shifted[:2] += (1.0, -1.0)

@@ -62,7 +62,7 @@ def test_arc_formulation_emits_exactly_the_oracle_rules(figure):
     oracle = GlobalController.oracle(
         ctx.app, ctx.deployment, ctx.demand, rho_max=config.rho_max,
         cost_weight=config.cost_weight, egress_budget=config.egress_budget,
-        delay_model=config.delay_model, max_splits=config.max_splits)
+        delay_model=config.delay_model)
     # float-for-float: the same model reaches the same HiGHS call
     assert setup.slate.compute_rules(ctx).by_key() == oracle.rules().by_key()
 
