@@ -10,16 +10,18 @@ Every planning cycle it assembles a :class:`TEProblem` — call-tree structure
 comes from the application spec, demands and compute times from the learned
 state — solves it, and emits a :class:`RuleSet` for the Cluster Controllers.
 
-``GlobalController.oracle`` is the one-shot path used by benchmarks: known
-demand, ground-truth compute times, single solve. ``plan_known`` plans the
-same inputs under a controller's own config and solver — what
-:class:`~repro.core.controller.policy.SlatePolicy` installs before the
-first epoch.
+``plan_known`` is the one planner for known demand and ground-truth compute
+times: what :class:`~repro.core.controller.policy.SlatePolicy` installs
+before the first epoch, and — through a fresh controller —
+``GlobalController.oracle``, the one-shot plan the benchmarks and examples
+use. Known demand and learned state both become a problem in ``_problem``
+and are solved by the controller's :class:`EpochSolver`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ...mesh.telemetry import ClusterEpochReport
@@ -32,7 +34,7 @@ from .forecast import HoltForecaster
 from ..optimizer.cache import SolverCache
 from ..optimizer.problem import ClassWorkload, TEProblem
 from ..optimizer.result import OptimizationResult
-from ..optimizer.solve import SolverError, solve
+from ..optimizer.solve import SolverError
 from ..optimizer.warm import EpochSolver
 from ..rules import RuleSet
 
@@ -75,6 +77,15 @@ class GlobalControllerConfig:
     #: cap candidate clusters per call-tree hop (path formulation); None
     #: considers every deployed cluster
     path_prune_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.demand_alpha <= 1:
+            raise ValueError(
+                f"demand_alpha must be in (0, 1], got {self.demand_alpha}")
+        if not (math.isfinite(self.demand_quantum)
+                and self.demand_quantum >= 0):
+            raise ValueError(f"demand_quantum must be finite and >= 0, "
+                             f"got {self.demand_quantum}")
 
 
 class GlobalController:
@@ -253,10 +264,10 @@ class GlobalController:
     def plan_known(self, demand: DemandMatrix) -> OptimizationResult:
         """Plan for known demand and the app spec's own compute times.
 
-        The oracle's inputs, but under this controller's whole config and
-        through its :attr:`epoch_solver` — so the formulation and egress
-        budget are the ones every later epoch uses, and
-        the structure cache is warm when the first :meth:`plan` arrives.
+        Under this controller's whole config and through its
+        :attr:`epoch_solver` — so the formulation and egress budget are the
+        ones every later epoch uses, and the structure cache is warm when
+        the first :meth:`plan` arrives.
         Not an epoch: learned state and :attr:`last_result` are untouched.
         Raises :class:`SolverError` when the instance is infeasible.
         """
@@ -322,11 +333,10 @@ class GlobalController:
                demand: DemandMatrix, rho_max: float = 0.95,
                cost_weight: float = 0.0,
                egress_budget: float | None = None,
-               delay_model: str = "mmc",
-               max_splits: int | None = None) -> OptimizationResult:
-        """One-shot solve with known demand and ground-truth profiles."""
-        problem = TEProblem.from_specs(
-            app, deployment, demand, rho_max=rho_max,
-            cost_weight=cost_weight, egress_budget=egress_budget,
-            delay_model=delay_model)
-        return solve(problem, max_splits=max_splits)
+               delay_model: str = "mmc") -> OptimizationResult:
+        """One-shot plan with known demand and ground-truth profiles:
+        :meth:`plan_known` on a fresh controller with this config."""
+        config = GlobalControllerConfig(
+            rho_max=rho_max, cost_weight=cost_weight,
+            egress_budget=egress_budget, delay_model=delay_model)
+        return GlobalController(app, deployment, config).plan_known(demand)

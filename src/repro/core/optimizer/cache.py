@@ -8,7 +8,7 @@ arguments apply: optimization speed is itself a TE scaling bottleneck.
 
 :class:`SolverCache` memoizes solutions keyed by a canonical SHA-256
 fingerprint of the numeric model content (objective, constraint matrices,
-bounds, integrality). Only the raw solution vector and solver status are
+right-hand sides, bounds). Only the raw solution vector and solver status are
 cached — never the extracted :class:`OptimizationResult` — so a hit is
 re-extracted against the *current* model and its variable identities; two
 models with identical matrices but different cluster/service names still
@@ -70,15 +70,15 @@ def model_fingerprint(model: LinearModel) -> str:
     """Canonical content hash of a model's numeric payload.
 
     Two models share a fingerprint iff their objective, constraint
-    matrices (in canonical CSR form), right-hand sides, variable bounds,
-    and integrality pattern are byte-identical — exactly the inputs the
-    solver sees, so equal fingerprints imply equal solution vectors.
+    matrices (in canonical CSR form), right-hand sides and variable bounds
+    are byte-identical — exactly the inputs the solver sees, so equal
+    fingerprints imply equal solution vectors.
 
     The leading components a model shares with its structure — objective,
     ``a_ub``, ``b_ub``, ``a_eq``; demand lives in ``b_eq`` and the flow
     bounds — are hashed once per structure: their SHA-256 state is kept
     on ``model.tables`` and every later fingerprint resumes from a copy of
-    it, which yields the same digest as hashing all seven components
+    it, which yields the same digest as hashing all six components
     afresh.
     """
     tables = model.tables
@@ -87,8 +87,7 @@ def model_fingerprint(model: LinearModel) -> str:
         _hash_components(tables.hash_prefix, (
             model.objective, model.a_ub, model.b_ub, model.a_eq))
     hasher = tables.hash_prefix.copy()
-    _hash_components(hasher, (model.b_eq, model.integrality,
-                              model.upper_bounds))
+    _hash_components(hasher, (model.b_eq, model.upper_bounds))
     return hasher.hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""LP/MILP formulation of the SLATE request-routing problem (§3.3).
+"""LP formulation of the SLATE request-routing problem (§3.3).
 
 Decision variables are per-class, per-call-tree-edge flow rates between
 cluster pairs: ``x[k, e, i, j]`` = requests/second of class ``k`` on edge
@@ -16,10 +16,10 @@ end-to-end latency):
 
 Constraints: demand satisfaction, per-(class, edge, source) flow
 conservation down the call tree, per-pool utilization caps, and the epigraph
-family. Setting ``max_splits`` adds binary route-activation variables
-(``x ≤ U·z``, ``Σ_j z ≤ max_splits``) — the mixed-integer variant the paper
-names; the default is the LP, whose fractional splits are exactly what the
-data plane executes.
+family. The paper calls its program mixed-integer; this is its LP, whose
+fractional splits are exactly what the data plane executes — a split cap
+earns nothing on the paper's instances (docs/formulation.md, "Why the
+program is an LP").
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class RouteVar:
 
 @dataclass
 class LinearModel:
-    """Assembled (MI)LP ready for a scipy backend.
+    """Assembled LP ready for HiGHS.
 
     Both formulations emit this one model. They differ in what a flow
     column *is*: a :class:`RouteVar` (one arc of one call-tree edge) or a
@@ -102,8 +102,6 @@ class LinearModel:
     b_ub: np.ndarray
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
-    #: per-column 1 for binary route-activation vars, else 0
-    integrality: np.ndarray
     upper_bounds: np.ndarray
     #: identity of each flow column: RouteVar (arc) or CandidateEmbedding
     route_vars: list
@@ -128,10 +126,6 @@ class LinearModel:
     @property
     def n_variables(self) -> int:
         return len(self.objective)
-
-    @property
-    def is_mip(self) -> bool:
-        return bool(self.integrality.any())
 
     def hops(self, index: int) -> tuple:
         """``(flow key, multiplier)`` of every (class, edge, src, dst) arc
@@ -205,7 +199,7 @@ def _edge_sources(problem: TEProblem, workload, edge: EdgeRef) -> list[str]:
 
 
 def _edge_flow_bound(problem: TEProblem, workload, edge: EdgeRef) -> float:
-    """Upper bound on total flow along one class edge (for MILP big-M)."""
+    """Upper bound on total flow along one class edge."""
     if edge.edge_index == INGRESS_EDGE:
         return workload.total_demand
     execs = workload.spec.executions_per_request()
@@ -213,25 +207,21 @@ def _edge_flow_bound(problem: TEProblem, workload, edge: EdgeRef) -> float:
             * edge.calls_per_request)
 
 
-def build_model(problem: TEProblem, max_splits: int | None = None,
-                knot_fractions=DEFAULT_KNOT_FRACTIONS,
+def build_model(problem: TEProblem, knot_fractions=DEFAULT_KNOT_FRACTIONS,
                 structure_cache=None) -> LinearModel:
-    """Assemble the (MI)LP for ``problem`` (numpy block construction).
+    """Assemble the LP for ``problem`` (numpy block construction).
 
-    ``max_splits`` bounds the number of destination clusters per
-    (class, edge, source) rule, turning the LP into a MILP.
     ``structure_cache`` (a :class:`~repro.core.optimizer.vectorized
     .StructureCache`) lets repeated LP builds that differ only in demand
     values reuse the assembled matrices. :func:`build_model_loop` is the
     per-variable reference this is tested against, byte for byte.
     """
     from .vectorized import build_model_vectorized
-    return build_model_vectorized(problem, max_splits=max_splits,
-                                  knot_fractions=knot_fractions,
+    return build_model_vectorized(problem, knot_fractions=knot_fractions,
                                   structure_cache=structure_cache)
 
 
-def build_model_loop(problem: TEProblem, max_splits: int | None = None,
+def build_model_loop(problem: TEProblem,
                      knot_fractions=DEFAULT_KNOT_FRACTIONS) -> LinearModel:
     """Reference per-variable assembly (the pre-vectorization builder).
 
@@ -239,9 +229,6 @@ def build_model_loop(problem: TEProblem, max_splits: int | None = None,
     against: simple enough to audit row by row, far too slow past a few
     dozen clusters.
     """
-    if max_splits is not None and max_splits < 1:
-        raise ValueError(f"max_splits must be >= 1, got {max_splits}")
-
     # ------------------------------------------------------------- columns
     route_vars: list[RouteVar] = []
     route_columns: list[int] = []
@@ -271,19 +258,8 @@ def build_model_loop(problem: TEProblem, max_splits: int | None = None,
         upper.append(np.inf)
         next_col += 1
 
-    # binary route-activation columns (MILP mode)
-    activation_col: dict[int, int] = {}
-    if max_splits is not None:
-        for col in route_columns:
-            activation_col[col] = next_col
-            upper.append(1.0)
-            next_col += 1
-
     n = next_col
     objective = np.zeros(n)
-    integrality = np.zeros(n)
-    for col in activation_col.values():
-        integrality[col] = 1
 
     eq_rows: list[tuple[dict[int, float], float]] = []
     ub_rows: list[tuple[dict[int, float], float]] = []
@@ -381,26 +357,11 @@ def build_model_loop(problem: TEProblem, max_splits: int | None = None,
     if problem.egress_budget is not None and egress_coeffs:
         ub_rows.append((dict(egress_coeffs), problem.egress_budget))
 
-    # --------------------------------------------------- MILP split limits
-    if max_splits is not None:
-        grouped: dict[tuple[str, int, str], list[int]] = {}
-        for var, col in zip(route_vars, route_columns):
-            key = (var.edge.traffic_class, var.edge.edge_index, var.src)
-            grouped.setdefault(key, []).append(col)
-        for key, cols in sorted(grouped.items()):
-            for col in cols:
-                big_m = max(upper[col], 1e-9)
-                ub_rows.append(({col: 1.0, activation_col[col]: -big_m}, 0.0))
-            ub_rows.append((
-                {activation_col[col]: 1.0 for col in cols},
-                float(max_splits)))
-
     a_eq, b_eq = _assemble(eq_rows, n)
     a_ub, b_ub = _assemble(ub_rows, n)
     return LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        integrality=integrality,
         upper_bounds=np.array(upper),
         route_vars=route_vars,
         route_columns=route_columns,

@@ -441,7 +441,6 @@ def build_path_model(problem: TEProblem, k: int = 4,
     model = LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        integrality=np.zeros(n),
         upper_bounds=upper,
         route_vars=path_vars,
         route_columns=list(range(n_paths)),

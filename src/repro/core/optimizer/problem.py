@@ -12,6 +12,7 @@ Controller from telemetry and fitted latency profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ...sim.apps import AppSpec, TrafficClassSpec
@@ -76,10 +77,15 @@ class TEProblem:
             raise ValueError("need at least one cluster")
         if not 0 < self.rho_max < 1:
             raise ValueError(f"rho_max must be in (0, 1), got {self.rho_max}")
-        if self.cost_weight < 0:
-            raise ValueError("cost_weight must be >= 0")
-        if self.egress_budget is not None and self.egress_budget < 0:
-            raise ValueError("egress_budget must be >= 0")
+        # a NaN passes `< 0`; unchecked, a non-finite weight or budget
+        # surfaces only inside HiGHS as an invalid objective or rhs
+        if not (math.isfinite(self.cost_weight) and self.cost_weight >= 0):
+            raise ValueError(f"cost_weight must be finite and >= 0, got "
+                             f"{self.cost_weight}")
+        if self.egress_budget is not None and not (
+                math.isfinite(self.egress_budget) and self.egress_budget >= 0):
+            raise ValueError(f"egress_budget must be finite and >= 0, got "
+                             f"{self.egress_budget}")
         known = set(self.clusters)
         deployed = set()
         for (service, cluster), count in self.replicas.items():

@@ -1,9 +1,11 @@
-"""Solver backend: scipy HiGHS for the LP and MILP variants.
+"""Solver backend: the LP through scipy's HiGHS ``linprog``.
 
 :func:`highs_solve` is the seam every full solve goes through — the
-one-shot path here (build, solve, extract) and the cold rung of
-:class:`~repro.core.optimizer.warm.EpochSolver`, which adds epoch-to-epoch
-reuse (solver cache replay, warm builds, warm solves) on top.
+cacheless arc one-shot here (build, solve, extract: what the benches and
+topology contraction call) and the cold rung of
+:class:`~repro.core.optimizer.warm.EpochSolver`, which every controller
+plan goes through and which adds epoch-to-epoch reuse (solver cache
+replay, warm builds, warm solves) on top.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class SolverError(RuntimeError):
     """The optimizer could not produce a usable solution."""
 
 
-def solve(problem: TEProblem, max_splits: int | None = None,
+def solve(problem: TEProblem,
           knot_fractions=DEFAULT_KNOT_FRACTIONS) -> OptimizationResult:
     """Formulate and solve ``problem``; raise :class:`SolverError` on failure.
 
@@ -34,8 +36,7 @@ def solve(problem: TEProblem, max_splits: int | None = None,
     paper's framework treats as an admission/provisioning problem outside
     the router's control.
     """
-    return solve_model(build_model(problem, max_splits=max_splits,
-                                   knot_fractions=knot_fractions))
+    return solve_model(build_model(problem, knot_fractions=knot_fractions))
 
 
 def solve_model(model: LinearModel) -> OptimizationResult:
@@ -59,38 +60,18 @@ def _lp_bounds(upper: np.ndarray) -> np.ndarray:
 def highs_solve(model: LinearModel) -> np.ndarray:
     """The optimal solution vector of an assembled model.
 
-    The one place a full model meets HiGHS — ``linprog`` for the LP,
-    ``milp`` when the model has integer columns — and therefore the one
-    place a solver fault surfaces: anything but an optimal solution
-    raises :class:`SolverError`.
+    The one place a full model meets HiGHS, and therefore the one place a
+    solver fault surfaces: anything but an optimal solution raises
+    :class:`SolverError`.
     """
-    if model.is_mip:
-        constraints = []
-        if model.a_ub.shape[0]:
-            constraints.append(optimize.LinearConstraint(
-                model.a_ub, -np.inf, model.b_ub))
-        if model.a_eq.shape[0]:
-            constraints.append(optimize.LinearConstraint(
-                model.a_eq, model.b_eq, model.b_eq))
-        upper = np.where(np.isfinite(model.upper_bounds),
-                         model.upper_bounds, np.inf)
-        outcome = optimize.milp(
-            c=model.objective,
-            constraints=constraints,
-            integrality=model.integrality,
-            bounds=optimize.Bounds(np.zeros(model.n_variables), upper),
-        )
-        kind = "milp"
-    else:
-        outcome = optimize.linprog(
-            c=model.objective,
-            A_ub=model.a_ub, b_ub=model.b_ub,
-            A_eq=model.a_eq, b_eq=model.b_eq,
-            bounds=_lp_bounds(model.upper_bounds),
-            method="highs",
-        )
-        kind = "lp"
+    outcome = optimize.linprog(
+        c=model.objective,
+        A_ub=model.a_ub, b_ub=model.b_ub,
+        A_eq=model.a_eq, b_eq=model.b_eq,
+        bounds=_lp_bounds(model.upper_bounds),
+        method="highs",
+    )
     if not outcome.success or outcome.x is None:
         raise SolverError(f"optimization failed: "
-                          f"{kind}:{outcome.status}:{outcome.message}")
+                          f"lp:{outcome.status}:{outcome.message}")
     return outcome.x

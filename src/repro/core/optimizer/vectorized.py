@@ -1,4 +1,4 @@
-"""Vectorized (MI)LP assembly: numpy block construction + structure reuse.
+"""Vectorized arc LP assembly: numpy block construction + structure reuse.
 
 The loop builder in :mod:`repro.core.optimizer.model` emits one python dict
 per constraint row and one list append per variable — fine at two clusters,
@@ -11,8 +11,8 @@ numpy index arithmetic:
   (sorted class → edge order → source order → destination order) layout the
   loop builder produces, so the two builders are byte-compatible;
 * every constraint family (demand, conservation, capacity, epigraph,
-  egress budget, MILP activation) is emitted as stacked COO triplets and
-  converted to canonical CSR once.
+  egress budget) is emitted as stacked COO triplets and converted to
+  canonical CSR once.
 
 Byte-identity with the loop builder is a hard requirement (it is what makes
 the solver cache and the warm-start path safe), so scalar float expressions
@@ -261,23 +261,18 @@ class _Coo:
 
 
 def build_model_vectorized(problem: TEProblem,
-                           max_splits: int | None = None,
                            knot_fractions=DEFAULT_KNOT_FRACTIONS,
                            structure_cache: StructureCache | None = None,
                            ) -> LinearModel:
-    """Assemble the (MI)LP with numpy block operations.
+    """Assemble the LP with numpy block operations.
 
     Produces a model byte-identical (same canonical fingerprint, same
-    solver input) to the loop builder's. With ``structure_cache``, LP
-    builds whose structural key was seen before skip assembly entirely
-    and rescatter demand into the cached matrices; MILP builds are always
-    cold (the big-M activation rows depend on demand values).
+    solver input) to the loop builder's. With ``structure_cache``, builds
+    whose structural key was seen before skip assembly entirely and
+    rescatter demand into the cached matrices.
     """
-    if max_splits is not None and max_splits < 1:
-        raise ValueError(f"max_splits must be >= 1, got {max_splits}")
-
     key = None
-    if structure_cache is not None and max_splits is None:
+    if structure_cache is not None:
         key = structure_key(problem, knot_fractions)
         structure = structure_cache.lookup(key, problem)
         if structure is not None:
@@ -289,24 +284,15 @@ def build_model_vectorized(problem: TEProblem,
 
     pools = problem.pools()
     pool_columns = {pool: n_routes + i for i, pool in enumerate(pools)}
-    n_pools = len(pools)
-
-    activation_base = n_routes + n_pools
-    n = activation_base + (n_routes if max_splits is not None else 0)
+    n = n_routes + len(pools)
 
     objective = np.zeros(n)
-    integrality = np.zeros(n)
-    if max_splits is not None:
-        integrality[activation_base:] = 1
-
     upper = np.empty(n)
     for block in blocks:
         workload = problem.workloads[block.traffic_class]
         upper[block.start:block.stop] = block.flow_bound(
             workload.total_demand)
-    upper[n_routes:activation_base] = np.inf
-    if max_splits is not None:
-        upper[activation_base:] = 1.0
+    upper[n_routes:] = np.inf
 
     rtt, price = _cluster_matrices(problem)
 
@@ -448,32 +434,11 @@ def build_model_vectorized(problem: TEProblem,
                     np.concatenate(egress_vals))
         ub.finish_rows([problem.egress_budget])
 
-    # --------------------------------------------------- MILP split limits
-    if max_splits is not None:
-        # the loop builder sorts groups by (class, edge index, src name);
-        # blocks are already (class, edge index)-ordered
-        for block in blocks:
-            dst_span = np.arange(block.n_dst, dtype=np.intp)
-            for src in sorted(block.src_names):
-                k = block.src_names.index(src)
-                cols = block.start + k * block.n_dst + dst_span
-                big_m = np.maximum(upper[cols], 1e-9)
-                for col, m in zip(cols, big_m):
-                    ub.add_rows(
-                        np.zeros(2, dtype=np.intp),
-                        np.array([col, activation_base + col], dtype=np.intp),
-                        np.array([1.0, -m]))
-                    ub.finish_rows([0.0])
-                ub.add_rows(np.zeros(block.n_dst, dtype=np.intp),
-                            activation_base + cols, np.ones(block.n_dst))
-                ub.finish_rows([float(max_splits)])
-
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
     model = LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        integrality=integrality,
         upper_bounds=upper,
         route_vars=route_vars,
         route_columns=list(range(n_routes)),

@@ -90,14 +90,10 @@ def warm_solve(model: LinearModel, previous_solution: np.ndarray,
 
     Returns the full-length solution vector when optimality of the
     restriction is certified by pricing, else ``None`` (caller solves
-    cold). Only valid for pure LPs. ``profiler`` duck-types the
-    control-plane profiler: the restricted solves are timed under
-    ``warm_solve`` and the reduced-cost pricing under
-    ``pricing_certificate``.
+    cold). ``profiler`` duck-types the control-plane profiler: the
+    restricted solves are timed under ``warm_solve`` and the reduced-cost
+    pricing under ``pricing_certificate``.
     """
-    if model.is_mip:
-        return None
-
     def _section(name):
         return nullcontext() if profiler is None else profiler.section(name)
     n = model.n_variables
@@ -169,12 +165,11 @@ class EpochSolver:
     """Build + solve pipeline with structure reuse and warm starts.
 
     One instance lives inside each :class:`GlobalController` and solves
-    everything it plans — ``plan_known`` (a policy's initial plan) and
-    every epoch's ``plan`` — always the LP; the static oracle/one-shot
-    paths, MILP split limits included, keep using
-    :func:`~repro.core.optimizer.solve.solve`. ``profiler`` duck-types the
-    control-plane profiler's ``section(name)`` context manager, and
-    ``recorder`` duck-types the
+    everything it plans — ``plan_known`` (the oracle and a policy's
+    initial plan) and every epoch's ``plan``; only the cacheless arc
+    one-shot :func:`~repro.core.optimizer.solve.solve` bypasses it.
+    ``profiler`` duck-types the control-plane profiler's
+    ``section(name)`` context manager, and ``recorder`` duck-types the
     provenance log's ``record_solve(info)`` hook (both kept duck-typed so
     ``repro.core`` never imports ``repro.obs``; both None by default, so
     the instrumented path costs one attribute check per epoch).

@@ -16,10 +16,13 @@ import pytest
 
 import repro
 from repro.core.controller.global_controller import GlobalControllerConfig
+from repro.core.controller.rollout import RolloutConfig
 from repro.obs.config import ObservabilityConfig
+from repro.sim.autoscaler import AutoscalerConfig
 
 SOURCE = Path(repro.__file__).parent
-CONFIGS = (GlobalControllerConfig, ObservabilityConfig)
+CONFIGS = (GlobalControllerConfig, ObservabilityConfig, RolloutConfig,
+           AutoscalerConfig)
 
 
 class _ConfigReads(ast.NodeVisitor):

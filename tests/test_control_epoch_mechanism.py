@@ -289,7 +289,6 @@ def uncached_fingerprint(model) -> str:
     hash_array(hasher, model.b_ub)
     hash_sparse(hasher, model.a_eq)
     hash_array(hasher, model.b_eq)
-    hash_array(hasher, model.integrality)
     hash_array(hasher, model.upper_bounds)
     return hasher.hexdigest()
 

@@ -1,5 +1,7 @@
 """Tests for the Global and Cluster controllers."""
 
+import math
+
 import pytest
 
 from repro.core.controller.cluster_controller import ClusterController
@@ -78,6 +80,18 @@ class TestGlobalController:
         assert controller.demand_estimate("default", "west") == pytest.approx(100.0)
         controller.observe([make_report("west", {"default": 200.0})])
         assert controller.demand_estimate("default", "west") == pytest.approx(150.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+    def test_demand_alpha_outside_unit_interval_is_rejected(self, alpha):
+        # 0 froze the EWMA at the first report; above 1 it overshot, and
+        # could store a negative estimate once demand fell
+        with pytest.raises(ValueError, match="demand_alpha"):
+            GlobalControllerConfig(demand_alpha=alpha)
+
+    @pytest.mark.parametrize("quantum", [-25.0, math.nan, math.inf])
+    def test_demand_quantum_negative_or_non_finite_is_rejected(self, quantum):
+        with pytest.raises(ValueError, match="demand_quantum"):
+            GlobalControllerConfig(demand_quantum=quantum)
 
     def test_plan_after_observation(self):
         app = linear_chain_app()

@@ -1,4 +1,6 @@
-"""Tests for the TE problem, LP/MILP model, and solver."""
+"""Tests for the TE problem, LP model, and solver."""
+
+import math
 
 import pytest
 
@@ -10,16 +12,23 @@ from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
 from repro.sim.topology import ClusterSpec
 
 
-def chain_problem(west_rps=700.0, east_rps=100.0, replicas=5,
-                  cost_weight=0.0, latency_ms=25.0, **kwargs):
+def chain_specs(west_rps=700.0, east_rps=100.0, replicas=5,
+                latency_ms=25.0):
+    """(app, deployment, demand) of the two-cluster 3-service chain."""
     app = linear_chain_app(n_services=3, exec_time=0.010)
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=replicas,
         latency=two_region_latency(latency_ms))
     demand = DemandMatrix({("default", "west"): west_rps,
                            ("default", "east"): east_rps})
-    return TEProblem.from_specs(app, deployment, demand,
-                                cost_weight=cost_weight, **kwargs)
+    return app, deployment, demand
+
+
+def chain_problem(west_rps=700.0, east_rps=100.0, replicas=5,
+                  cost_weight=0.0, latency_ms=25.0, **kwargs):
+    return TEProblem.from_specs(
+        *chain_specs(west_rps, east_rps, replicas, latency_ms),
+        cost_weight=cost_weight, **kwargs)
 
 
 class TestProblem:
@@ -50,6 +59,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             chain_problem(rho_max=1.5)
 
+    @pytest.mark.parametrize("field", ["cost_weight", "egress_budget"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_validation_rejects_non_finite_or_negative_prices(self, field,
+                                                              value):
+        # a NaN once passed the `< 0` check and failed only inside linprog
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            chain_problem(**{field: value})
+
     def test_validation_service_deployed_nowhere(self):
         app = linear_chain_app()
         deployment = DeploymentSpec(
@@ -68,14 +85,6 @@ class TestModel:
         route_vars = len(model.route_vars)
         assert route_vars == (2 * 2) * 3   # 3 logical edges incl. ingress
         assert len(model.pool_columns) == 6
-
-    def test_milp_flag(self):
-        assert not build_model(chain_problem()).is_mip
-        assert build_model(chain_problem(), max_splits=1).is_mip
-
-    def test_invalid_max_splits(self):
-        with pytest.raises(ValueError):
-            build_model(chain_problem(), max_splits=0)
 
 
 class TestSolve:
@@ -171,28 +180,6 @@ class TestSolve:
         heavy_local = result.ingress_local_fraction("H", "west")
         assert heavy_local < light_local
         assert light_local == pytest.approx(1.0, abs=0.01)
-
-    def test_milp_single_split_routes_whole_rules(self):
-        # 450 RPS fits in one cluster, so atomic (no-split) routing exists
-        result = solve(chain_problem(west_rps=450.0, east_rps=100.0),
-                       max_splits=1)
-        rules = result.rules()
-        assert len(rules) > 0
-        for rule in rules:
-            assert len(rule.weights) == 1   # no fractional splits allowed
-
-    def test_milp_objective_no_better_than_lp(self):
-        problem = chain_problem(west_rps=450.0, east_rps=100.0)
-        lp = solve(problem)
-        milp = solve(problem, max_splits=1)
-        assert milp.objective >= lp.objective - 1e-6
-
-    def test_milp_infeasible_when_no_atomic_assignment_fits(self):
-        # 560 RPS exceeds any single pool's 475-RPS cap, so forbidding
-        # splits makes the instance infeasible — and the solver says so
-        with pytest.raises(SolverError):
-            solve(chain_problem(west_rps=560.0, east_rps=100.0),
-                  max_splits=1)
 
     def test_solve_time_recorded(self):
         result = solve(chain_problem())

@@ -6,11 +6,16 @@ warm rebuild, the extraction of flows, the call into HiGHS and its failure
 emitter.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.controller.global_controller import GlobalController
 from repro.core.optimizer import (EpochSolver, LinearModel, SolverError,
                                   StructureCache, build_model,
                                   build_path_model, highs_solve, solve)
@@ -18,7 +23,7 @@ from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.model import ModelStructure
 from repro.core.optimizer.result import FLOW_EPSILON, extract_result
 from repro.experiments.scenarios import synthetic_te_problem
-from tests.test_optimizer import chain_problem
+from tests.test_optimizer import chain_problem, chain_specs
 
 #: every emitter: id → (builder, its keyword arguments)
 EMITTERS = {
@@ -154,12 +159,86 @@ def test_every_full_solve_fails_the_same_way():
         chain_problem(**OVER_CAPACITY))) == one_shot
     assert failure(lambda: highs_solve(
         build_model(chain_problem(**OVER_CAPACITY)))) == one_shot
+    assert failure(lambda: GlobalController.oracle(
+        *chain_specs(**OVER_CAPACITY))) == one_shot
     path = failure(lambda: EpochSolver(formulation="path").solve(
         chain_problem(**OVER_CAPACITY)))
     assert path.startswith("optimization failed: lp:2:")
-    milp = failure(lambda: solve(chain_problem(**OVER_CAPACITY),
-                                 max_splits=1))
-    assert milp.startswith("optimization failed: milp:2:")
+
+
+#: scipy.optimize's LP and MILP entry points (both run HiGHS)
+HIGHS_ENTRY_POINTS = {"linprog", "milp"}
+
+
+class _HighsCalls(ast.NodeVisitor):
+    """Collects ``(enclosing function, entry point)`` for every call of a
+    ``HIGHS_ENTRY_POINTS`` name in one module, however it was imported:
+    ``scipy.optimize.linprog``, ``optimize.milp`` after ``from scipy import
+    optimize``, or a bare name from ``from scipy.optimize import ...``."""
+
+    def __init__(self) -> None:
+        self.modules = {"scipy.optimize"}   # spellings of scipy.optimize
+        self.names: dict[str, str] = {}     # local name → entry point
+        self.function: str | None = None
+        self.calls: list[tuple[str | None, str]] = []
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == "scipy.optimize" and alias.asname:
+                self.modules.add(alias.asname)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module == "scipy" and alias.name == "optimize":
+                self.modules.add(local)
+            elif node.module == "scipy.optimize":
+                self.names[local] = alias.name
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = None
+        if isinstance(func, ast.Name):
+            name = self.names.get(func.id)
+        elif (isinstance(func, ast.Attribute)
+              and ast.unparse(func.value) in self.modules):
+            name = func.attr
+        if name in HIGHS_ENTRY_POINTS:
+            self.calls.append((self.function, name))
+        self.generic_visit(node)
+
+
+def highs_calls(source: str) -> list[tuple[str | None, str]]:
+    visitor = _HighsCalls()
+    visitor.visit(ast.parse(source))
+    return visitor.calls
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.optimize\ndef f():\n    scipy.optimize.milp()",
+    "import scipy.optimize as so\ndef f():\n    so.milp()",
+    "from scipy import optimize as opt\ndef f():\n    opt.milp()",
+    "def f():\n    from scipy.optimize import milp as m\n    m()",
+])
+def test_the_highs_call_finder_sees_every_import_spelling(source):
+    assert highs_calls(source) == [("f", "milp")]
+
+
+def test_linprog_in_the_two_seams_is_the_only_call_into_highs():
+    """``highs_solve`` (full models) and ``warm_solve`` (column
+    restrictions) are the program's only HiGHS calls, and both solve an LP:
+    a ``milp`` call or a third ``linprog`` caller fails here."""
+    root = Path(repro.__file__).parent
+    calls = [(path.relative_to(root).as_posix(), *call)
+             for path in sorted(root.rglob("*.py"))
+             for call in highs_calls(path.read_text(encoding="utf-8"))]
+    assert calls == [("core/optimizer/solve.py", "highs_solve", "linprog"),
+                     ("core/optimizer/warm.py", "warm_solve", "linprog")]
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])

@@ -57,13 +57,6 @@ class TestVectorizedMatchesLoop:
         assert fast.rules().rules == slow.rules().rules
 
 
-def test_milp_backends_agree():
-    problem = synthetic_te_problem(4, 3, 2, seed=7)
-    fast = build_model(problem, max_splits=1)
-    slow = build_model_loop(problem, max_splits=1)
-    assert model_fingerprint(fast) == model_fingerprint(slow)
-
-
 def test_structure_cache_rescatter_is_byte_identical():
     """A demand-moved rebuild through the cache == a cold build."""
     problem = synthetic_te_problem(6, 4, 3, seed=5)

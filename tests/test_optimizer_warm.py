@@ -135,13 +135,10 @@ def test_warm_reject_falls_back_to_cold(monkeypatch):
     assert solver.stats()["warm_rejects"] == 1
 
 
-def test_warm_solve_rejects_mip_and_shape_mismatch():
-    problem = chain_problem()
-    model = build_model(problem)
+def test_warm_solve_rejects_shape_mismatch():
+    model = build_model(chain_problem())
     x = highs_solve(model)
     assert warm_solve(model, x[:-1]) is None     # stale shape
-    milp = build_model(problem, max_splits=1)
-    assert warm_solve(milp, np.zeros(milp.n_variables)) is None
 
 
 def test_shadow_invariant_catches_divergence(monkeypatch):

@@ -1,12 +1,13 @@
 """SlatePolicy plans through one controller and one solver (ISSUE 12).
 
-The initial ``compute_rules`` plan used to go to the arc-only oracle with
-four hand-picked config fields; now it builds its problem from the whole
+The initial ``compute_rules`` plan builds its problem from the whole
 ``GlobalControllerConfig`` and solves it with the ``EpochSolver`` the
-adaptive epochs use. Pinned here: the configured formulation is honoured,
-the default arc formulation still emits the oracle's rules exactly, the
-first epoch starts from a warm structure cache, and a static policy still
-exposes no controller.
+adaptive epochs use; ``GlobalController.oracle`` is the same
+``plan_known`` on a fresh controller. Pinned here: the configured
+formulation is honoured, under the default arc formulation both emit
+exactly the rules of the cacheless one-shot ``solve``, the first epoch
+starts from a warm structure cache, and a static policy still exposes no
+controller.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
 from repro.core.controller.policy import SlatePolicy
+from repro.core.optimizer import TEProblem, solve
 from repro.core.optimizer import model as arc_model
 from repro.core.optimizer import warm
 from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
@@ -59,12 +61,18 @@ def test_arc_formulation_emits_exactly_the_oracle_rules(figure):
     ctx = setup.scenario.context()
     config = setup.slate.config
     assert config.formulation == "arc"
-    oracle = GlobalController.oracle(
-        ctx.app, ctx.deployment, ctx.demand, rho_max=config.rho_max,
-        cost_weight=config.cost_weight, egress_budget=config.egress_budget,
-        delay_model=config.delay_model)
+    knobs = dict(rho_max=config.rho_max, cost_weight=config.cost_weight,
+                 egress_budget=config.egress_budget,
+                 delay_model=config.delay_model)
+    one_shot = solve(TEProblem.from_specs(ctx.app, ctx.deployment,
+                                          ctx.demand, **knobs))
+    oracle = GlobalController.oracle(ctx.app, ctx.deployment, ctx.demand,
+                                     **knobs)
     # float-for-float: the same model reaches the same HiGHS call
-    assert setup.slate.compute_rules(ctx).by_key() == oracle.rules().by_key()
+    assert oracle == one_shot
+    assert oracle.rules().by_key() == one_shot.rules().by_key()
+    assert setup.slate.compute_rules(ctx).by_key() == (
+        one_shot.rules().by_key())
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])
