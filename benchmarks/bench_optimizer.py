@@ -1,10 +1,11 @@
 """Optimizer throughput: vectorized builds, warm solves, arc vs path.
 
-The PR-7 perf surface (docs/performance.md "Planet-scale optimizer").
-Three families of numbers land in ``BENCH_optimizer.json``:
+The planet-scale optimizer's perf surface (docs/performance.md
+"Planet-scale optimizer"). Three families of numbers land in
+``BENCH_optimizer.json``:
 
 * build rates on the *same* mid-size instance BENCH_engine.json tracks
-  (``lp_builds_per_sec`` there is the loop-era baseline this PR's
+  (``lp_builds_per_sec`` there is the cold arc build rate, which the
   structured rebuild must beat 10x);
 * warm vs cold solve rates on a mid-size instance;
 * arc vs path formulation wall time as the cluster count grows, ending
@@ -19,7 +20,7 @@ from reporting import bench_json_path
 
 from repro.analysis.report import format_table
 from repro.core.optimizer import (EpochSolver, StructureCache, TEProblem,
-                                  build_model, build_model_loop, warm_solve)
+                                  build_model, warm_solve)
 from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import (planet_scale_problem,
                                          synthetic_te_problem)
@@ -42,7 +43,8 @@ def engine_scenario_problem() -> TEProblem:
 
 
 def baseline_builds_per_sec() -> float:
-    """The committed loop-era build rate this PR must beat 10x."""
+    """The committed cold build rate the structured rebuild must beat
+    10x."""
     path = bench_json_path("engine")
     try:
         return float(json.loads(
@@ -77,17 +79,6 @@ def test_cold_build_rate(benchmark, bench_json):
     if benchmark.stats is not None:
         bench_json("optimizer", {
             "lp_cold_builds_per_sec": 1.0 / benchmark.stats.stats.mean,
-        })
-
-
-def test_loop_build_rate(benchmark, bench_json):
-    """The per-variable reference builder, for the trend line."""
-    problem = engine_scenario_problem()
-    model = benchmark(lambda: build_model_loop(problem))
-    assert model.n_variables > 0
-    if benchmark.stats is not None:
-        bench_json("optimizer", {
-            "lp_loop_builds_per_sec": 1.0 / benchmark.stats.stats.mean,
         })
 
 

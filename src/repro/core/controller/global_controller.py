@@ -86,6 +86,21 @@ class GlobalControllerConfig:
                 and self.demand_quantum >= 0):
             raise ValueError(f"demand_quantum must be finite and >= 0, "
                              f"got {self.demand_quantum}")
+        if self.formulation not in ("arc", "path"):
+            raise ValueError(f"formulation must be 'arc' or 'path', "
+                             f"got {self.formulation!r}")
+        if not _positive_int(self.path_k):
+            raise ValueError(
+                f"path_k must be an int >= 1, got {self.path_k!r}")
+        if not (self.path_prune_limit is None
+                or _positive_int(self.path_prune_limit)):
+            raise ValueError(f"path_prune_limit must be None or an int >= 1, "
+                             f"got {self.path_prune_limit!r}")
+
+
+def _positive_int(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
 
 
 class GlobalController:

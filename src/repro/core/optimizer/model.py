@@ -36,8 +36,7 @@ from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
 
 __all__ = ["EdgeRef", "RouteVar", "LinearModel", "ModelStructure",
-           "build_model", "build_model_loop", "class_edges",
-           "pool_segments_for"]
+           "build_model", "class_edges", "pool_segments_for"]
 
 #: memoized piecewise linearizations — Erlang-C evaluation at the knots
 #: dominates build cost, and uniform fleets share a handful of
@@ -192,202 +191,15 @@ def class_edges(problem: TEProblem, name: str) -> list[EdgeRef]:
     return refs
 
 
-def _edge_sources(problem: TEProblem, workload, edge: EdgeRef) -> list[str]:
-    if edge.edge_index == INGRESS_EDGE:
-        return [c for c in problem.clusters if workload.demand.get(c, 0) > 0]
-    return problem.deployed_in(edge.caller)
-
-
-def _edge_flow_bound(problem: TEProblem, workload, edge: EdgeRef) -> float:
-    """Upper bound on total flow along one class edge."""
-    if edge.edge_index == INGRESS_EDGE:
-        return workload.total_demand
-    execs = workload.spec.executions_per_request()
-    return (workload.total_demand * execs[edge.caller]
-            * edge.calls_per_request)
-
-
 def build_model(problem: TEProblem, knot_fractions=DEFAULT_KNOT_FRACTIONS,
                 structure_cache=None) -> LinearModel:
     """Assemble the LP for ``problem`` (numpy block construction).
 
     ``structure_cache`` (a :class:`~repro.core.optimizer.vectorized
     .StructureCache`) lets repeated LP builds that differ only in demand
-    values reuse the assembled matrices. :func:`build_model_loop` is the
-    per-variable reference this is tested against, byte for byte.
+    values reuse the assembled matrices. ``tests/golden/arc_models.json``
+    holds the models it must emit, byte for byte.
     """
     from .vectorized import build_model_vectorized
     return build_model_vectorized(problem, knot_fractions=knot_fractions,
                                   structure_cache=structure_cache)
-
-
-def build_model_loop(problem: TEProblem,
-                     knot_fractions=DEFAULT_KNOT_FRACTIONS) -> LinearModel:
-    """Reference per-variable assembly (the pre-vectorization builder).
-
-    Kept as the executable specification the vectorized builder is tested
-    against: simple enough to audit row by row, far too slow past a few
-    dozen clusters.
-    """
-    # ------------------------------------------------------------- columns
-    route_vars: list[RouteVar] = []
-    route_columns: list[int] = []
-    var_col: dict[tuple[str, int, str, str], int] = {}
-    upper: list[float] = []
-    next_col = 0
-    for name in sorted(problem.workloads):
-        workload = problem.workloads[name]
-        for edge in class_edges(problem, name):
-            destinations = problem.deployed_in(edge.callee)
-            if not destinations:
-                raise ValueError(
-                    f"class {name!r}: service {edge.callee!r} deployed "
-                    "nowhere")
-            bound = _edge_flow_bound(problem, workload, edge)
-            for src in _edge_sources(problem, workload, edge):
-                for dst in destinations:
-                    var_col[(name, edge.edge_index, src, dst)] = next_col
-                    route_vars.append(RouteVar(edge, src, dst))
-                    route_columns.append(next_col)
-                    upper.append(bound)
-                    next_col += 1
-
-    pool_columns: dict[tuple[str, str], int] = {}
-    for service, cluster in problem.pools():
-        pool_columns[(service, cluster)] = next_col
-        upper.append(np.inf)
-        next_col += 1
-
-    n = next_col
-    objective = np.zeros(n)
-
-    eq_rows: list[tuple[dict[int, float], float]] = []
-    ub_rows: list[tuple[dict[int, float], float]] = []
-
-    # ------------------------------------------------- demand satisfaction
-    for name in sorted(problem.workloads):
-        workload = problem.workloads[name]
-        spec = workload.spec
-        root_dsts = problem.deployed_in(spec.root_service)
-        for cluster, rps in sorted(workload.demand.items()):
-            if rps <= 0:
-                continue
-            row = {var_col[(name, INGRESS_EDGE, cluster, dst)]: 1.0
-                   for dst in root_dsts}
-            eq_rows.append((row, rps))
-
-    # ------------------------------------------------------- conservation
-    # incoming edge of each service in each class (trees: unique)
-    for name in sorted(problem.workloads):
-        workload = problem.workloads[name]
-        edges = class_edges(problem, name)
-        incoming = {edge.callee: edge for edge in edges}
-        for edge in edges:
-            if edge.edge_index == INGRESS_EDGE:
-                continue
-            parent_edge = incoming[edge.caller]
-            parent_sources = _edge_sources(problem, workload, parent_edge)
-            for src in problem.deployed_in(edge.caller):
-                row: dict[int, float] = {}
-                for dst in problem.deployed_in(edge.callee):
-                    col = var_col[(name, edge.edge_index, src, dst)]
-                    row[col] = row.get(col, 0.0) + 1.0
-                for origin in parent_sources:
-                    col = var_col[(name, parent_edge.edge_index, origin, src)]
-                    row[col] = row.get(col, 0.0) - edge.calls_per_request
-                eq_rows.append((row, 0.0))
-
-    # ------------------------------------------- per-pool workload & delay
-    # offered work a[s,c] = Σ_k st[k,s] · exec_rate[k,s,c] (erlangs)
-    work_expr: dict[tuple[str, str], dict[int, float]] = {
-        pool: {} for pool in pool_columns
-    }
-    for name in sorted(problem.workloads):
-        workload = problem.workloads[name]
-        edges = class_edges(problem, name)
-        incoming = {edge.callee: edge for edge in edges}
-        for service in workload.spec.services():
-            st = workload.spec.exec_time_of(service)
-            if st <= 0:
-                continue
-            edge = incoming[service]
-            for src in _edge_sources(problem, workload, edge):
-                for dst in problem.deployed_in(service):
-                    col = var_col[(name, edge.edge_index, src, dst)]
-                    expr = work_expr[(service, dst)]
-                    expr[col] = expr.get(col, 0.0) + st
-
-    pool_segments: dict[tuple[str, str], list[Segment]] = {}
-    for (service, cluster), t_col in pool_columns.items():
-        expr = work_expr[(service, cluster)]
-        replicas = problem.replica_count(service, cluster)
-        a_max = problem.rho_max * replicas
-        # capacity: a <= rho_max * replicas
-        if expr:
-            ub_rows.append((dict(expr), a_max))
-        # epigraph: slope·a - t <= -intercept
-        segments = pool_segments_for(replicas, problem.delay_model, a_max,
-                                     knot_fractions)
-        pool_segments[(service, cluster)] = segments
-        objective[t_col] = 1.0
-        if expr:
-            for segment in segments:
-                row = {col: segment.slope * coeff
-                       for col, coeff in expr.items()}
-                row[t_col] = row.get(t_col, 0.0) - 1.0
-                ub_rows.append((row, -segment.intercept))
-        # with no work expression, t is only pushed by its objective weight
-        # toward max(intercepts); pin it at the zero-load backlog (0)
-        else:
-            ub_rows.append(({t_col: -1.0}, 0.0))
-
-    # ------------------------------------------------- objective for flows
-    egress_coeffs: dict[int, float] = {}
-    for var, col in zip(route_vars, route_columns):
-        edge = var.edge
-        net_delay = problem.rtt(var.src, var.dst)
-        egress = (problem.transfer_cost(var.src, var.dst, edge.request_bytes)
-                  + problem.transfer_cost(var.dst, var.src,
-                                          edge.response_bytes))
-        objective[col] = net_delay + problem.cost_weight * egress
-        if egress > 0:
-            egress_coeffs[col] = egress
-
-    # ------------------------------------------------ egress budget ($/s)
-    if problem.egress_budget is not None and egress_coeffs:
-        ub_rows.append((dict(egress_coeffs), problem.egress_budget))
-
-    a_eq, b_eq = _assemble(eq_rows, n)
-    a_ub, b_ub = _assemble(ub_rows, n)
-    return LinearModel(
-        objective=objective,
-        a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        upper_bounds=np.array(upper),
-        route_vars=route_vars,
-        route_columns=route_columns,
-        pool_columns=pool_columns,
-        pool_segments=pool_segments,
-        problem=problem,
-        tables=ModelTables(problem, pool_columns, a_ub, a_eq),
-    )
-
-
-def _assemble(rows: list[tuple[dict[int, float], float]],
-              n_cols: int) -> tuple[sparse.csr_matrix, np.ndarray]:
-    data: list[float] = []
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    rhs = np.zeros(len(rows))
-    for r, (row, bound) in enumerate(rows):
-        rhs[r] = bound
-        for col, coeff in row.items():
-            row_idx.append(r)
-            col_idx.append(col)
-            data.append(coeff)
-    matrix = sparse.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(len(rows), n_cols))
-    # canonical form (sorted, deduplicated indices) so the solver input —
-    # and therefore the solution — is bitwise independent of assembly order
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return matrix, rhs

@@ -23,10 +23,14 @@ paths' hops, not with hops × chords.
 
 Candidate generation is beam search down the call tree (BFS order, so a
 service's caller is always embedded first), with the candidate clusters
-per hop optionally pruned to the nearest deployed clusters — the
-service-layer analogue of topology contraction, provided by
-:func:`repro.core.optimizer.contraction.candidate_clusters`. Everything
-is deterministic: ties break on the assignment tuple.
+per hop optionally pruned to the ``prune_limit`` nearest deployed
+clusters (:func:`candidate_clusters`). ``k`` and ``prune_limit`` are the
+optimizer's one speed/quality dial: both shrink the LP while every
+candidate stays a real embedding on the real topology, so the plan's
+latency and egress are exact for the routes it keeps
+(docs/formulation.md, "Acceleration: candidate pruning", has the
+measured frontier). Everything is deterministic: ties break on the
+assignment tuple.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import candidate_clusters
+from ...sim.network import LatencyMatrix
 from .model import (LinearModel, ModelStructure, class_edges,
                     pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
@@ -45,8 +49,8 @@ from .result import extract_result
 from .tables import ModelTables
 from .vectorized import _Coo, structure_key
 
-__all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_paths",
-           "build_path_model", "extract_path_result"]
+__all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_clusters",
+           "candidate_paths", "build_path_model", "extract_path_result"]
 
 #: the one extractor, under the name the e2e tracer patches: a path
 #: column's hops are ``LinearModel.route_hops``, nothing else differs
@@ -74,6 +78,24 @@ class CandidateEmbedding:
 # --------------------------------------------------------------------------
 # candidate enumeration
 # --------------------------------------------------------------------------
+
+def candidate_clusters(latency: LatencyMatrix, deployed: list[str],
+                       anchor: str, limit: int | None) -> list[str]:
+    """The ``limit`` deployed clusters nearest ``anchor``, by one-way delay.
+
+    The pruning primitive behind candidate enumeration: it ranks one
+    service's deployment sites around one anchor, so it can run per hop
+    of the beam search. Deterministic: ties break on cluster name.
+    ``limit=None`` disables pruning.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit is None or limit >= len(deployed):
+        return list(deployed)
+    ranked = sorted(deployed,
+                    key=lambda c: (latency.one_way(anchor, c), c))
+    return ranked[:limit]
+
 
 def _stratified_beam(frontier: list, beam: int) -> list:
     """Prune ``frontier`` to ``beam`` entries, round-robin per cluster.

@@ -2,7 +2,7 @@
 
 :func:`highs_solve` is the seam every full solve goes through — the
 cacheless arc one-shot here (build, solve, extract: what the benches and
-topology contraction call) and the cold rung of
+the piecewise-knot ablation call) and the cold rung of
 :class:`~repro.core.optimizer.warm.EpochSolver`, which every controller
 plan goes through and which adds epoch-to-epoch reuse (solver cache
 replay, warm builds, warm solves) on top.

@@ -1,22 +1,22 @@
 """Vectorized arc LP assembly: numpy block construction + structure reuse.
 
-The loop builder in :mod:`repro.core.optimizer.model` emits one python dict
-per constraint row and one list append per variable — fine at two clusters,
-hopeless at a hundred (GATE's observation: TE model *assembly* dominates
-once the solver is fast). This module assembles the identical model with
-numpy index arithmetic:
+A per-variable builder — one python dict per constraint row, one list
+append per variable — is fine at two clusters and hopeless at a hundred
+(GATE's observation: TE model *assembly* dominates once the solver is
+fast). This module assembles the model with numpy index arithmetic:
 
 * columns are laid out in contiguous **blocks**, one per (class, edge),
-  ``column = block.start + src_index * n_dst + dst_index`` — the same
-  (sorted class → edge order → source order → destination order) layout the
-  loop builder produces, so the two builders are byte-compatible;
+  ``column = block.start + src_index * n_dst + dst_index`` — sorted class
+  → edge order → source order → destination order;
 * every constraint family (demand, conservation, capacity, epigraph,
   egress budget) is emitted as stacked COO triplets and converted to
   canonical CSR once.
 
-Byte-identity with the loop builder is a hard requirement (it is what makes
-the solver cache and the warm-start path safe), so scalar float expressions
-deliberately replicate the loop builder's operation order.
+The models it must emit are frozen, byte for byte, in
+``tests/golden/arc_models.json`` (written by the per-variable reference
+builder this module replaced), so scalar float expressions keep that
+builder's operation order: a moved fingerprint breaks solver-cache replay
+and the warm-start path.
 
 **Structure reuse** is the second win: across adaptive epochs only demand
 *values* move — the constraint matrices, objective, and row/column layout
@@ -79,7 +79,7 @@ class _Block:
         return self.start + self.size
 
     def flow_bound(self, total_demand: float) -> float:
-        # replicate the loop builder's _edge_flow_bound op order exactly
+        # this op order is frozen in tests/golden/arc_models.json
         if self.edge_index == INGRESS_EDGE:
             return total_demand
         return total_demand * self.execs * self.calls_per_request
@@ -248,7 +248,7 @@ class _Coo:
             data = np.empty(0)
             counts = np.zeros(self.n_rows, dtype=np.intp)
         # match scipy's COO->CSR index-dtype choice so fingerprints agree
-        # with the loop builder byte for byte
+        # with tests/golden/arc_models.json byte for byte
         maxval = max(self.n_rows, n_cols, len(data))
         idx_dtype = np.int32 if maxval < np.iinfo(np.int32).max else np.int64
         indptr = np.empty(self.n_rows + 1, dtype=idx_dtype)
@@ -266,9 +266,9 @@ def build_model_vectorized(problem: TEProblem,
                            ) -> LinearModel:
     """Assemble the LP with numpy block operations.
 
-    Produces a model byte-identical (same canonical fingerprint, same
-    solver input) to the loop builder's. With ``structure_cache``, builds
-    whose structural key was seen before skip assembly entirely and
+    Produces the models ``tests/golden/arc_models.json`` freezes (same
+    canonical fingerprint, same solver input). With ``structure_cache``,
+    builds whose structural key was seen before skip assembly entirely and
     rescatter demand into the cached matrices.
     """
     key = None
@@ -403,7 +403,8 @@ def build_model_vectorized(problem: TEProblem,
         pool_segments[(service, cluster)] = segments
         entries = pool_entries[(service, cluster)]
         if not entries:
-            # pin t at the zero-load backlog (see loop builder)
+            # no work expression: t is pushed only by its objective weight
+            # toward max(intercepts), so pin it at the zero-load backlog
             ub.add_rows(np.zeros(1, dtype=np.intp),
                         np.array([t_col], dtype=np.intp),
                         np.full(1, -1.0))

@@ -452,7 +452,7 @@ def synthetic_topology(n_clusters: int, seed: int = 0,
     RNG stream; one-way delay between two clusters is ``base_delay_ms``
     plus ``spread_delay_ms`` scaled by their Euclidean distance, which
     yields the triangle-inequality-respecting spread (a few ms regional,
-    tens of ms cross-ocean) the contraction heuristics expect. Cluster
+    tens of ms cross-ocean) that nearest-cluster pruning expects. Cluster
     names are zero-padded (``c000`` ...) so lexical order is index order.
     """
     if n_clusters < 1:
@@ -566,12 +566,15 @@ def synthetic_te_problem(n_clusters: int, n_services: int, n_classes: int,
 def planet_scale_problem(n_clusters: int = 100, n_services: int = 5,
                          n_classes: int = 1000,
                          seed: int = 0, **kwargs) -> TEProblem:
-    """The ISSUE 7 planet-scale target: 100 clusters x 1000 classes.
+    """The planet-scale instance: 100 clusters x 1000 classes.
 
     Sparse by construction — each class enters at 2 seeded ingress
     clusters and each service is deployed in 20% of the fleet — because
     that is the regime the path formulation (`formulation="path"`) is
-    built for: path-variable count tracks demand entries, not clusters.
+    built for: path-variable count tracks demand entries, not clusters,
+    and ``path_prune_limit`` keeps each hop's candidates to the nearest
+    deployment sites. ``bench_optimizer.py::test_planet_scale`` plans it
+    with ``path_k=6, path_prune_limit=8`` inside one control epoch.
     """
     kwargs.setdefault("ingresses_per_class", 2)
     kwargs.setdefault("replication", 0.2)

@@ -93,6 +93,18 @@ class TestGlobalController:
         with pytest.raises(ValueError, match="demand_quantum"):
             GlobalControllerConfig(demand_quantum=quantum)
 
+    @pytest.mark.parametrize("field,value", [
+        ("formulation", "bogus"),
+        ("path_k", 2.5), ("path_k", 0), ("path_k", True),
+        ("path_prune_limit", 0), ("path_prune_limit", 1.5),
+    ])
+    def test_unplannable_path_settings_are_rejected(self, field, value):
+        # each used to construct, then fail only at the first plan (a
+        # float k as a TypeError deep in candidate enumeration) or when
+        # a GlobalController was built
+        with pytest.raises(ValueError, match=field):
+            GlobalControllerConfig(**{"formulation": "path", field: value})
+
     def test_plan_after_observation(self):
         app = linear_chain_app()
         controller = GlobalController(app, make_deployment(app))

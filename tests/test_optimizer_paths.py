@@ -2,19 +2,47 @@
 
 import pytest
 
-from repro.core.optimizer import (EpochSolver, StructureCache, build_model,
-                                  build_path_model, candidate_paths, solve)
+from repro.core.optimizer import (EpochSolver, StructureCache, TEProblem,
+                                  build_model, build_path_model,
+                                  candidate_paths)
 from repro.core.optimizer.cache import model_fingerprint
-from repro.core.optimizer.contraction import candidate_clusters
-from repro.core.optimizer.paths import extract_path_result
-from repro.core.optimizer.solve import highs_solve
+from repro.core.optimizer.paths import candidate_clusters, extract_path_result
+from repro.core.optimizer.solve import highs_solve, solve
 from repro.experiments.scenarios import synthetic_te_problem
+from repro.sim import (DemandMatrix, DeploymentSpec, LatencyMatrix,
+                       linear_chain_app)
 from tests.test_optimizer import chain_problem
 
 
 def path_solve(problem, **kwargs):
     model = build_path_model(problem, **kwargs)
     return extract_path_result(model, highs_solve(model), "optimal", 0.0)
+
+
+def six_cluster_latency():
+    """Two geographic bundles of three clusters each, far apart."""
+    names = ["e0", "e1", "e2", "w0", "w1", "w2"]
+    delays = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            same_coast = a[0] == b[0]
+            delays[(a, b)] = 0.002 if same_coast else 0.040
+    return LatencyMatrix(names, delays)
+
+
+def two_bundle_problem():
+    """A 3-service chain on six clusters; the heavy west bundle must
+    offload."""
+    app = linear_chain_app(n_services=3, exec_time=0.010)
+    latency = six_cluster_latency()
+    deployment = DeploymentSpec.uniform(app.services(),
+                                        list(latency.clusters), replicas=4,
+                                        latency=latency)
+    demand = DemandMatrix()
+    for cluster in latency.clusters:
+        demand.set("default", cluster,
+                   330.0 if cluster.startswith("w") else 80.0)
+    return TEProblem.from_specs(app, deployment, demand)
 
 
 class TestCandidates:
@@ -56,6 +84,14 @@ class TestCandidates:
         with pytest.raises(ValueError, match="limit"):
             candidate_clusters(problem.latency, everyone, "c000", 0)
 
+    def test_limit_checked_before_the_short_circuit(self):
+        """Regression: with nothing deployed, ``limit=0`` used to return
+        ``[]`` instead of raising."""
+        latency = six_cluster_latency()
+        with pytest.raises(ValueError, match="limit"):
+            candidate_clusters(latency, [], "e0", 0)
+        assert candidate_clusters(latency, [], "e0", 1) == []
+
 
 class TestObjectives:
     def test_latency_objective_matches_arc(self):
@@ -63,6 +99,20 @@ class TestObjectives:
         arc = solve(problem)
         path = path_solve(problem, k=4)
         assert abs(arc.objective - path.objective) <= 1e-9
+
+    def test_every_embedding_reaches_the_arc_optimum(self):
+        """At ``k`` = every embedding (6 clusters ^ 3 services), unpruned,
+        the path LP is exact: it matches the arc optimum."""
+        problem = two_bundle_problem()
+        arc = solve(problem)
+        path = path_solve(problem, k=6 ** 3)
+        assert path.n_variables - 2 * len(problem.pools()) == 6 * 6 ** 3
+        assert abs(path.objective - arc.objective) <= 1e-9 * abs(
+            arc.objective)
+        for rule in path.rules():
+            assert rule.src_cluster in problem.clusters
+            assert set(rule.weight_map()) <= set(
+                problem.deployed_in(rule.service))
 
 
 class TestStructureReuse:

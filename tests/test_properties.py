@@ -189,26 +189,6 @@ def test_cache_respects_capacity_and_ttl(operations, capacity, ttl):
                    for key, _ in operations)
 
 
-@given(st.integers(min_value=2, max_value=10),
-       st.integers(min_value=1, max_value=10),
-       st.integers(min_value=0, max_value=2**31))
-def test_cluster_grouping_is_a_partition(n_clusters, n_groups, seed):
-    from repro.core.optimizer.contraction import group_clusters
-    from repro.sim.network import LatencyMatrix
-    import numpy as np
-    if n_groups > n_clusters:
-        n_groups = n_clusters
-    rng = np.random.default_rng(seed)
-    names = [f"c{i}" for i in range(n_clusters)]
-    delays = {(a, b): float(rng.uniform(0.001, 0.1))
-              for i, a in enumerate(names) for b in names[i + 1:]}
-    latency = LatencyMatrix(names, delays)
-    groups = group_clusters(latency, names, n_groups)
-    assert len(groups) == n_groups
-    flattened = sorted(c for group in groups for c in group)
-    assert flattened == sorted(names)   # exact partition
-
-
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1000.0),
                           st.floats(min_value=0.1, max_value=100.0)),
                 min_size=1, max_size=10))
