@@ -2,7 +2,7 @@
 
 from .cdf import EmpiricalCDF
 from .compare import Comparison, PolicyOutcome
-from .fluid import FluidFlow, FluidPrediction, evaluate_rules
+from .fluid import FluidPrediction, evaluate_rules
 from .report import format_cdf_series, format_comparison, format_table
 from .stats import (LatencySummary, mean_confidence_interval,
                     slo_attainment, summarize)
@@ -10,7 +10,7 @@ from .stats import (LatencySummary, mean_confidence_interval,
 __all__ = [
     "EmpiricalCDF",
     "Comparison", "PolicyOutcome",
-    "FluidFlow", "FluidPrediction", "evaluate_rules",
+    "FluidPrediction", "evaluate_rules",
     "format_cdf_series", "format_comparison", "format_table",
     "LatencySummary", "mean_confidence_interval", "slo_attainment",
     "summarize",

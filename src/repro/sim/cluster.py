@@ -2,7 +2,7 @@
 
 A :class:`Cluster` is the live counterpart of a
 :class:`~repro.sim.topology.ClusterSpec`: it owns one
-:class:`~repro.sim.service.ReplicaPool` per deployed service. The mesh layer
+:class:`~repro.sim.service.Pool` per deployed service. The mesh layer
 (:mod:`repro.mesh`) attaches proxies and a gateway on top.
 """
 
@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Callable
 
 from .engine import Simulator
-from .service import PoolStats, ReplicaPool
+from .service import Pool, PoolStats, ReplicaPool
 from .topology import ClusterSpec
 
 __all__ = ["Cluster", "PoolFactory"]
 
-#: builds a service queue: (sim, service, cluster, replicas) -> pool-like
-PoolFactory = Callable[[Simulator, str, str, int], ReplicaPool]
+#: builds a service queue: (sim, service, cluster, replicas) -> pool
+PoolFactory = Callable[[Simulator, str, str, int], Pool]
 
 
 def _default_factory(sim: Simulator, service: str, cluster: str,
@@ -39,12 +39,12 @@ class Cluster:
         self._sim = sim
         self.name = spec.name
         self._factory = pool_factory or _default_factory
-        self.pools: dict[str, ReplicaPool] = {}
+        self.pools: dict[str, Pool] = {}
         for service, count in spec.replicas.items():
             if count > 0:
                 self.deploy(service, count)
 
-    def deploy(self, service: str, replicas: int) -> ReplicaPool:
+    def deploy(self, service: str, replicas: int) -> Pool:
         """Add (or resize) a service in this cluster."""
         pool = self.pools.get(service)
         if pool is None:
@@ -89,7 +89,7 @@ class Cluster:
     def has(self, service: str) -> bool:
         return service in self.pools
 
-    def pool(self, service: str) -> ReplicaPool:
+    def pool(self, service: str) -> Pool:
         try:
             return self.pools[service]
         except KeyError:

@@ -7,8 +7,10 @@ chain :class:`~repro.mesh.proxy.SlateProxy` applies per request (installed
 rule restricted to deployed clusters, else local, else nearest deployed),
 and one tick of propagation pushes demand down every class's call tree.
 The cost of a tick is therefore independent of RPS — the property that
-lets a laptop drive millions of simulated users per second (ROADMAP
-item 1).
+lets a laptop drive millions of simulated users per second. The same
+kernel is the steady-state evaluator:
+:func:`~repro.analysis.fluid.evaluate_rules` is one ``propagate`` on a
+table holding a rule set, with every pool healthy.
 
 Everything a tick needs that only moves when *routing* moves — the call
 trees flattened to hops, one split matrix per hop, RTTs, the partition

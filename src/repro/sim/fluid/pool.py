@@ -1,9 +1,10 @@
 """A replica pool backed by fluid state instead of per-job events.
 
-:class:`FluidPool` satisfies the same interface the runner, scrape loop,
-autoscaler, and chaos layer use on :class:`~repro.sim.service.ReplicaPool`
-(``submit``/``harvest``/``resize``/``degrade`` plus the occupancy
-properties), but its occupancy is *set* each tick by the
+:class:`FluidPool` is a :class:`~repro.sim.service.Pool`: the runner,
+scrape loop, autoscaler, and chaos layer use it through the interface they
+use on the event pools (``submit``/``harvest``/``resize``/``degrade`` plus
+the occupancy properties; ``tests/test_pool_contract.py`` holds all three
+to it), but its occupancy is *set* each tick by the
 :class:`~repro.sim.fluid.substrate.FluidSubstrate` from the M/M/c solution
 rather than integrated per job. That keeps every observer — pool gauges in
 the metrics registry, utilization-driven autoscaling, epoch pool stats —
@@ -23,25 +24,20 @@ from __future__ import annotations
 from typing import Callable
 
 from ...devtools.invariants import check_pool_depths, invariants_enabled
-from ..service import PoolStats
+from ..service import Pool
 from .flows import UTILIZATION_CAP, fast_erlang_c
 
 __all__ = ["FluidPool"]
 
 
-class FluidPool:
-    """One (service, cluster) pool whose occupancy is fluid state."""
+class FluidPool(Pool):
+    """One (service, cluster) pool whose occupancy is fluid state; its
+    slowdown stretches service times from the next tick on."""
 
     def __init__(self, sim, service: str, cluster: str, replicas: int,
                  rng=None) -> None:
-        if replicas < 1:
-            raise ValueError(f"{service}@{cluster}: replicas must be >= 1, "
-                             f"got {replicas}")
-        self._sim = sim
-        self.service = service
-        self.cluster = cluster
+        super().__init__(sim, service, cluster, replicas)
         self._replicas = replicas
-        self._slowdown = 1.0
         self._rng = rng
         # fluid state, written by FluidSubstrate once per tick
         self._offered = 0.0        # erlangs currently offered
@@ -54,8 +50,6 @@ class FluidPool:
         self._wait_law: tuple[float, float] | None = None
         self._last_update = sim.now
         self._lifetime_busy = 0.0
-        self._window_start = sim.now
-        self._stats = PoolStats()
         self._debug_invariants = invariants_enabled()
 
     # ----------------------------------------------------- pool interface
@@ -75,16 +69,6 @@ class FluidPool:
     @property
     def in_flight(self) -> int:
         return self.busy_replicas + self.queue_length
-
-    @property
-    def slowdown(self) -> float:
-        return self._slowdown
-
-    def degrade(self, factor: float) -> None:
-        """Chaos slow-replica fault: service times stretch next tick."""
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be > 0, got {factor}")
-        self._slowdown = factor
 
     def resize(self, replicas: int) -> None:
         """Autoscaler/chaos resize; takes effect on the next tick's solve."""
@@ -130,18 +114,6 @@ class FluidPool:
     def _finish(self, on_complete: Callable[[float], None]) -> None:
         self._stats.completions += 1
         on_complete(self._sim.now)
-
-    def harvest(self) -> PoolStats:
-        """Window stats since the last harvest (busy normalised per replica)."""
-        self._accumulate_busy()
-        now = self._sim.now
-        stats = self._stats
-        stats.window_seconds = now - self._window_start
-        if self._replicas > 0:
-            stats.busy_seconds /= self._replicas
-        self._stats = PoolStats()
-        self._window_start = now
-        return stats
 
     # ------------------------------------------------------- fluid updates
 

@@ -22,7 +22,7 @@ from collections import deque
 from typing import Callable, Protocol
 
 from .engine import Simulator
-from .service import PoolStats
+from .service import Pool, PoolStats
 
 __all__ = ["Replica", "ReplicaBalancer", "ReplicaSet"]
 
@@ -101,30 +101,22 @@ class Replica:
         return self._lifetime_busy + extra
 
 
-class ReplicaSet:
+class ReplicaSet(Pool):
     """A set of independent replicas behind an intra-cluster balancer.
 
-    Interface-compatible with :class:`~repro.sim.service.ReplicaPool`
-    (``submit`` / ``harvest`` / ``resize`` / ``lifetime_busy_seconds``),
-    so the runner, telemetry, and autoscaler work unchanged.
+    A :class:`~repro.sim.service.Pool` (``tests/test_pool_contract.py``), so
+    the runner, telemetry, and autoscaler work unchanged. The slowdown
+    stretches jobs as they are submitted.
     """
 
     def __init__(self, sim: Simulator, service: str, cluster: str,
                  replicas: int, balancer: ReplicaBalancer) -> None:
-        if replicas < 1:
-            raise ValueError(f"{service}@{cluster}: replicas must be >= 1, "
-                             f"got {replicas}")
-        self._sim = sim
-        self.service = service
-        self.cluster = cluster
+        super().__init__(sim, service, cluster, replicas)
         self._balancer = balancer
-        self._slowdown = 1.0
         self._replicas: list[Replica] = []
         self._next_index = 0
         for _ in range(replicas):
             self._add_replica()
-        self._window_start = sim.now
-        self._stats = PoolStats()
         self._harvested_busy = 0.0
         #: drained by a shrink, still finishing the work they hold
         self._retired: list[Replica] = []
@@ -153,21 +145,6 @@ class ReplicaSet:
     @property
     def in_flight(self) -> int:
         return sum(r.outstanding for r in self._replicas)
-
-    @property
-    def slowdown(self) -> float:
-        """Service-time multiplier (chaos slow-replica fault); default 1.0."""
-        return self._slowdown
-
-    def degrade(self, factor: float) -> None:
-        """Set the service-time multiplier, applied to newly submitted jobs.
-
-        Mirrors :meth:`repro.sim.service.ReplicaPool.degrade`; the default
-        1.0 multiplies bit-exactly, so healthy runs are unchanged.
-        """
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be > 0, got {factor}")
-        self._slowdown = factor
 
     def submit(self, work_time: float,
                on_complete: Callable[[float], None],

@@ -38,7 +38,7 @@ from .request import Request, RequestIdAllocator, Span
 from .rng import RngRegistry
 from .topology import DeploymentSpec
 from .traces import DemandTimeline, install_timeline
-from .workload import DemandMatrix
+from .workload import DemandMatrix, check_demand_names
 
 __all__ = ["MeshSimulation", "EpochHook", "TimeoutPolicy"]
 
@@ -562,7 +562,8 @@ class MeshSimulation:
         duration = timeline.end
         if duration <= 0:
             raise ValueError("timeline must end after t=0")
-        self._check_demand(timeline)
+        check_demand_names(timeline.entries(), self.app.classes,
+                           self.clusters)
         self._install_workload(timeline, deterministic_arrivals)
         if epoch is not None:
             if epoch <= 0:
@@ -640,15 +641,6 @@ class MeshSimulation:
         for cluster in self.clusters.values():
             for pool in cluster.pools.values():
                 invariants.check_pool_depths(pool)
-
-    def _check_demand(self, timeline: DemandTimeline) -> None:
-        for cls, cluster in sorted(timeline.entries()):
-            if cls not in self.app.classes:
-                raise ValueError(
-                    f"demand references unknown traffic class {cls!r}")
-            if cluster not in self.clusters:
-                raise ValueError(
-                    f"demand references unknown cluster {cluster!r}")
 
     # ------------------------------------------------------ call execution
 

@@ -22,12 +22,12 @@ from typing import Callable
 from ..devtools.invariants import check_pool_depths, invariants_enabled
 from .engine import Simulator
 
-__all__ = ["ReplicaPool", "PoolStats"]
+__all__ = ["Pool", "ReplicaPool", "PoolStats"]
 
 
 @dataclass
 class PoolStats:
-    """Counters accumulated by a :class:`ReplicaPool` over a window."""
+    """Counters accumulated by a :class:`Pool` over a window."""
 
     arrivals: int = 0
     completions: int = 0
@@ -39,7 +39,7 @@ class PoolStats:
     def utilization(self) -> float:
         """Mean fraction of replica capacity busy over the window.
 
-        Normalised per replica by the caller (see ``ReplicaPool.harvest``).
+        Normalised per replica by the caller (see ``Pool.harvest``).
         """
         if self.window_seconds <= 0:
             return 0.0
@@ -51,6 +51,60 @@ class PoolStats:
         if self.completions == 0:
             return 0.0
         return self.queue_wait_seconds / self.completions
+
+
+class Pool:
+    """What every (service, cluster) pool shares, whatever its queue model.
+
+    :class:`ReplicaPool`, :class:`~repro.sim.replicas.ReplicaSet` and
+    :class:`~repro.sim.fluid.pool.FluidPool` add ``submit``, ``resize``, the
+    occupancy reads and ``lifetime_busy_seconds``;
+    ``tests/test_pool_contract.py`` states the contract for all three.
+    """
+
+    def __init__(self, sim: Simulator, service: str, cluster: str,
+                 replicas: int) -> None:
+        if replicas < 1:
+            raise ValueError(f"{service}@{cluster}: replicas must be >= 1, "
+                             f"got {replicas}")
+        self._sim = sim
+        self.service = service
+        self.cluster = cluster
+        self._slowdown = 1.0
+        self._window_start = sim.now
+        self._stats = PoolStats()
+
+    @property
+    def slowdown(self) -> float:
+        """Service-time multiplier for a degraded ("slow replica") pool.
+
+        1.0 (the default) leaves compute times untouched bit-for-bit; the
+        chaos layer sets a factor > 1 on inject and restores 1.0 on
+        recover. Each pool applies it to jobs it has not started yet.
+        """
+        return self._slowdown
+
+    def degrade(self, factor: float) -> None:
+        """Set the service-time multiplier (chaos slow-replica fault)."""
+        if factor <= 0:
+            raise ValueError(f"slowdown factor must be > 0, got {factor}")
+        self._slowdown = factor
+
+    def harvest(self) -> PoolStats:
+        """Return stats for the window since the last harvest and reset.
+
+        ``busy_seconds`` (integrated up to now by the pool's own
+        ``_accumulate_busy``) is normalised by the replica count so that
+        ``stats.utilization`` is a 0..1 per-replica utilization.
+        """
+        self._accumulate_busy()
+        now = self._sim.now
+        stats = self._stats
+        stats.window_seconds = now - self._window_start
+        stats.busy_seconds /= self.replicas
+        self._stats = PoolStats()
+        self._window_start = now
+        return stats
 
 
 class _Job:
@@ -66,26 +120,22 @@ class _Job:
         self.enqueue_time = enqueue_time
 
 
-class ReplicaPool:
-    """A FIFO multi-server queue for one service in one cluster."""
+class ReplicaPool(Pool):
+    """A FIFO multi-server queue for one service in one cluster.
+
+    The slowdown applies when a replica *starts* a job, so jobs already
+    running keep their original finish times.
+    """
 
     def __init__(self, sim: Simulator, service: str, cluster: str,
                  replicas: int) -> None:
-        if replicas < 1:
-            raise ValueError(f"{service}@{cluster}: replicas must be >= 1, "
-                             f"got {replicas}")
-        self._sim = sim
-        self.service = service
-        self.cluster = cluster
+        super().__init__(sim, service, cluster, replicas)
         self._replicas = replicas
         self._busy = 0
-        self._slowdown = 1.0
         self._queue: deque[_Job] = deque()
         # busy-time integration
         self._lifetime_busy = 0.0
         self._last_change = sim.now
-        self._window_start = sim.now
-        self._stats = PoolStats()
         self._debug_invariants = invariants_enabled()
 
     # ------------------------------------------------------------------ API
@@ -106,23 +156,6 @@ class ReplicaPool:
     def in_flight(self) -> int:
         """Jobs occupying a replica plus jobs queued."""
         return self._busy + len(self._queue)
-
-    @property
-    def slowdown(self) -> float:
-        """Service-time multiplier for a degraded ("slow replica") pool.
-
-        1.0 (the default) leaves compute times untouched bit-for-bit;
-        the chaos layer sets a factor > 1 on inject and restores 1.0 on
-        recover. Applies when a replica *starts* a job, so jobs already
-        running keep their original finish times.
-        """
-        return self._slowdown
-
-    def degrade(self, factor: float) -> None:
-        """Set the service-time multiplier (chaos slow-replica fault)."""
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be > 0, got {factor}")
-        self._slowdown = factor
 
     @property
     def lifetime_busy_seconds(self) -> float:
@@ -164,22 +197,6 @@ class ReplicaPool:
         self._accumulate_busy()
         self._replicas = replicas
         self._drain_queue()
-
-    def harvest(self) -> PoolStats:
-        """Return stats for the window since the last harvest and reset.
-
-        ``busy_seconds`` is normalised by the replica count so that
-        ``stats.utilization`` is a 0..1 per-replica utilization.
-        """
-        self._accumulate_busy()
-        now = self._sim.now
-        stats = self._stats
-        stats.window_seconds = now - self._window_start
-        if self._replicas > 0:
-            stats.busy_seconds /= self._replicas
-        self._stats = PoolStats()
-        self._window_start = now
-        return stats
 
     # ------------------------------------------------------------- internal
 

@@ -19,7 +19,8 @@ import numpy as np
 from .engine import Simulator
 from .request import Request, RequestAttributes, new_request_id
 
-__all__ = ["DemandMatrix", "RateSegment", "RateProfile", "TrafficSource"]
+__all__ = ["DemandMatrix", "RateSegment", "RateProfile", "TrafficSource",
+           "check_demand_names"]
 
 
 class DemandMatrix:
@@ -67,6 +68,21 @@ class DemandMatrix:
 
     def __repr__(self) -> str:
         return f"DemandMatrix({self._entries!r})"
+
+
+def check_demand_names(entries, classes, clusters) -> None:
+    """Reject demand for a traffic class or cluster the mesh does not have.
+
+    ``entries`` are (class, cluster) pairs; the first unknown name in
+    sorted order raises :class:`ValueError`.
+    """
+    for cls, cluster in sorted(entries):
+        if cls not in classes:
+            raise ValueError(
+                f"demand references unknown traffic class {cls!r}")
+        if cluster not in clusters:
+            raise ValueError(
+                f"demand references unknown cluster {cluster!r}")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ import pytest
 from repro.analysis.fluid import evaluate_rules
 from repro.core.rules import RoutingRule, RuleSet
 from repro.mesh.routing_table import WILDCARD_CLASS
-from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
-                       two_region_latency)
+from repro.sim import (DemandMatrix, DeploymentSpec, MeshSimulation,
+                       linear_chain_app, two_region_latency)
 from repro.sim.topology import ClusterSpec
 
 
@@ -131,3 +131,20 @@ def test_network_delay_rate():
     intra = 0.00025 * 2
     expected = 100.0 * (0.050 + 2 * intra)   # ingress WAN + 2 local calls
     assert prediction.network_delay_rate == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("entry,message", [
+    (("ghost", "west"), "unknown traffic class 'ghost'"),
+    (("default", "wset"), "unknown cluster 'wset'"),
+], ids=["class", "cluster"])
+def test_demand_naming_an_unknown_class_or_cluster_is_rejected(entry,
+                                                               message):
+    """Demand the mesh cannot carry must not dilute the mean latency: the
+    evaluator rejects it with the simulator's own messages (it used to skip
+    the entry but count it in ``total_demand``, halving 35.04 ms)."""
+    app, deployment = chain_setup()
+    demand = DemandMatrix({("default", "west"): 300.0, entry: 300.0})
+    with pytest.raises(ValueError, match=message):
+        evaluate_rules(app, deployment, demand, RuleSet())
+    with pytest.raises(ValueError, match=message):
+        MeshSimulation(app, deployment).run(demand, duration=1.0)

@@ -1,15 +1,21 @@
-"""Cross-validation: the simulator converges to the fluid model.
+"""Cross-validation: the simulator, the fluid kernel and the optimizer agree.
 
-These tests tie the two halves of the repo together: the discrete-event
-simulator (with real queueing and sampling noise) and the analytic fluid
-evaluator must agree on means for stable scenarios. Disagreement indicates a
-bug in one of them — this is the strongest correctness check in the suite.
+The discrete-event simulator (with real queueing and sampling noise) and
+the steady-state fluid evaluator — the fluid substrate's propagation
+kernel priced with the queueing models — must agree on means for stable
+scenarios, and the optimizer's own prediction for its plan must equal the
+kernel's evaluation of the rules it emits. Disagreement indicates a bug in
+one of them — this is the strongest correctness check in the suite.
 """
 
 import pytest
 
 from repro.analysis.fluid import evaluate_rules
-from repro.core.controller.global_controller import GlobalController
+from repro.core.controller.global_controller import (GlobalController,
+                                                     GlobalControllerConfig)
+from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
+                                         fig6c_multihop,
+                                         fig6d_traffic_classes)
 from repro.core.rules import RoutingRule, RuleSet
 from repro.mesh.routing_table import WILDCARD_CLASS
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
@@ -87,6 +93,40 @@ def test_fluid_agrees_with_optimizer_on_slate_rules():
     prediction = evaluate_rules(app, deployment, demand, result.rules())
     # two independent evaluations of the same routing plan
     assert prediction.mean_latency == pytest.approx(
-        result.predicted_mean_latency, rel=0.05)
+        result.predicted_mean_latency, rel=1e-9)
     assert prediction.egress_cost_rate == pytest.approx(
-        result.predicted_egress_cost_rate, rel=0.05, abs=1e-12)
+        result.predicted_egress_cost_rate, rel=1e-9, abs=1e-12)
+
+
+FIGURES = {"fig6a": fig6a_how_much, "fig6b": fig6b_which_cluster,
+           "fig6c": fig6c_multihop, "fig6d": fig6d_traffic_classes}
+CONFIGS = {
+    "arc": GlobalControllerConfig(),
+    "path-k4": GlobalControllerConfig(formulation="path", path_k=4),
+    "mm1": GlobalControllerConfig(delay_model="mm1"),
+    "cost": GlobalControllerConfig(cost_weight=1e4),
+}
+
+
+@pytest.mark.parametrize("setting", CONFIGS)
+@pytest.mark.parametrize("figure", FIGURES)
+def test_optimizer_prediction_equals_the_kernel_on_its_own_rules(figure,
+                                                                 setting):
+    """The optimizer prices its plan's flows; the kernel re-derives those
+    flows from the emitted rules. Same queueing model, same numbers."""
+    scenario = FIGURES[figure]().scenario
+    config = CONFIGS[setting]
+    result = GlobalController(scenario.app, scenario.deployment,
+                              config).plan_known(scenario.demand)
+    prediction = evaluate_rules(scenario.app, scenario.deployment,
+                                scenario.demand, result.rules(),
+                                delay_model=config.delay_model)
+    assert prediction.mean_latency == pytest.approx(
+        result.predicted_mean_latency, rel=1e-9)
+    assert prediction.pool_work.keys() <= result.pool_load.keys()
+    for pool, work in prediction.pool_work.items():
+        assert work == pytest.approx(result.pool_load[pool], rel=1e-9), pool
+    for pool in result.pool_load.keys() - prediction.pool_work.keys():
+        assert result.pool_load[pool] == 0.0, pool
+    assert prediction.egress_cost_rate == pytest.approx(
+        result.predicted_egress_cost_rate, rel=1e-9)
