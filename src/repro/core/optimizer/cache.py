@@ -76,10 +76,11 @@ def model_fingerprint(model: LinearModel) -> str:
 
     The leading components a model shares with its structure — objective,
     ``a_ub``, ``b_ub``, ``a_eq``; demand lives in ``b_eq`` and the flow
-    bounds — are hashed once per structure: their SHA-256 state is kept
-    on ``model.tables`` and every later fingerprint resumes from a copy of
-    it, which yields the same digest as hashing all six components
-    afresh.
+    bounds — are hashed once per structure and replica counts: their
+    SHA-256 state is kept on ``model.tables`` (which a count change
+    replaces, so a refreshed model never resumes from a stale prefix) and
+    every later fingerprint resumes from a copy of it, which yields the
+    same digest as hashing all six components afresh.
     """
     tables = model.tables
     if tables.hash_prefix is None:

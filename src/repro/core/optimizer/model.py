@@ -35,8 +35,9 @@ from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment, linearize_convex
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
 
-__all__ = ["EdgeRef", "RouteVar", "LinearModel", "ModelStructure",
-           "build_model", "class_edges", "pool_segments_for"]
+__all__ = ["EdgeRef", "RouteVar", "LinearModel", "CountSlots",
+           "ModelStructure", "build_model", "class_edges",
+           "pool_segments_for"]
 
 #: memoized piecewise linearizations — Erlang-C evaluation at the knots
 #: dominates build cost, and uniform fleets share a handful of
@@ -136,20 +137,56 @@ class LinearModel:
                   var.src, var.dst), 1.0),)
 
 
+@dataclass(frozen=True)
+class CountSlots:
+    """Where one pool's replica count lands in a cold-built model.
+
+    The count sets the pool's load cap ``a_max = rho_max · replicas`` and
+    its delay chords ``slope · work − t ≤ −intercept``; these are the
+    entries :meth:`ModelStructure.instantiate` rewrites when it moves.
+    """
+
+    #: where ``a_max`` goes: ``("b_ub", capacity row)`` (arc) or
+    #: ``("upper_bounds", load column L)`` (path)
+    capacity: tuple[str, int]
+    #: the chord rows in segment order; each one's rhs is −intercept
+    rows: np.ndarray
+    #: per chord row, the positions in ``a_ub.data`` its slope multiplies
+    positions: np.ndarray
+    #: what the slope multiplies at each position: the offered work of one
+    #: unit of each flow column (arc), or 1 for the load column (path)
+    work: np.ndarray
+
+    @classmethod
+    def locate(cls, a_ub: sparse.csr_matrix, capacity: tuple[str, int],
+               rows: np.ndarray, columns: np.ndarray,
+               work: np.ndarray) -> CountSlots:
+        """The slots of a pool whose chord ``rows`` (one sparsity pattern)
+        hold ``slope · work`` in ``columns``."""
+        first = a_ub.indptr[rows[0]]
+        offsets = np.searchsorted(
+            a_ub.indices[first:a_ub.indptr[rows[0] + 1]], columns)
+        return cls(capacity, rows, a_ub.indptr[rows][:, None] + offsets,
+                   work)
+
+
 @dataclass
 class ModelStructure:
-    """Demand-independent snapshot of an assembled LP: the cold-built
-    model itself plus where demand lands in it.
+    """Demand- and count-independent snapshot of an assembled LP: the
+    cold-built model itself plus where demand and replica counts land in it.
 
-    Across adaptive epochs only demand *values* move; the constraint
-    matrices, objective and column layout depend on demand only through
-    its sparsity pattern (part of the cache key). A warm rebuild
+    Across adaptive epochs demand *values* and replica *counts* move; the
+    constraint matrices' sparsity, the objective and the column layout
+    depend on them only through which clusters see demand and which pools
+    are deployed (both part of the cache key). A warm rebuild
     (:meth:`instantiate`) is therefore the cold model with a fresh copy of
     ``b_eq``, which carries demand — and, for the arc formulation, of the
-    flow bounds that scale with it. Everything else is *shared* between
-    the snapshot and every model instantiated from it, which is what lets
-    the warm-start solver recognise "same structure, new demand" by the
-    identity of ``tables``.
+    flow bounds that scale with it — plus, for the pools whose count moved,
+    fresh copies of the arrays their :class:`CountSlots` point into. A
+    count change is warm; a deployment change is a miss. Everything else
+    is *shared* between the snapshot and every model instantiated from it,
+    which is what lets the warm-start solver recognise "same structure" by
+    the identity of ``tables.structure``.
     """
 
     model: LinearModel
@@ -157,13 +194,19 @@ class ModelStructure:
     demand_rows: np.ndarray
     #: demand fill order: (class, cluster) per demand row
     demand_slots: list[tuple[str, str]]
+    #: pool → where its replica count lands (a pool whose count touches
+    #: no coefficient — an arc pool without a work expression — has none)
+    counts: dict[tuple[str, str], CountSlots]
+    #: the chord knots the cold build linearised with
+    knot_fractions: tuple[float, ...]
     #: arc only: the (class, edge) column blocks, whose flow upper bounds
     #: are a multiple of the class's total demand (``start``, ``stop``,
     #: ``traffic_class``, ``flow_bound(total_demand)``)
     blocks: Sequence = ()
 
     def instantiate(self, problem: TEProblem) -> LinearModel:
-        """Warm rebuild: scatter the new demand into the cached model."""
+        """Warm rebuild: scatter the new demand, and rewrite the pools
+        whose replica count moved, into the cached model."""
         model = self.model
         b_eq = model.b_eq.copy()
         b_eq[self.demand_rows] = [problem.workloads[name].demand[cluster]
@@ -175,7 +218,43 @@ class ModelStructure:
                 upper[block.start:block.stop] = block.flow_bound(
                     problem.workloads[block.traffic_class].total_demand)
             moved["upper_bounds"] = upper
+        recounted = [pool for pool, replicas, *_ in model.tables.pools
+                     if problem.replica_count(*pool) != replicas]
+        if recounted:
+            self._recount(problem, recounted, moved)
         return replace(model, problem=problem, **moved)
+
+    def _recount(self, problem: TEProblem, pools: list[tuple[str, str]],
+                 moved: dict) -> None:
+        """Write ``pools``' new counts into fresh ``a_ub.data``, ``b_ub``
+        and bounds (``a_ub`` shares the snapshot's ``indices`` and
+        ``indptr``), with the same expressions the cold build evaluates."""
+        model = self.model
+        data = model.a_ub.data.copy()
+        upper = moved.get("upper_bounds")
+        arrays = {"b_ub": model.b_ub.copy(),
+                  "upper_bounds": (model.upper_bounds.copy() if upper is None
+                                   else upper)}
+        pool_segments = dict(model.pool_segments)
+        for pool in pools:
+            replicas = problem.replica_count(*pool)
+            a_max = problem.rho_max * replicas
+            segments = pool_segments_for(replicas, problem.delay_model,
+                                         a_max, self.knot_fractions)
+            pool_segments[pool] = segments
+            slots = self.counts.get(pool)
+            if slots is None:
+                continue
+            target, index = slots.capacity
+            arrays[target][index] = a_max
+            slopes = np.array([segment.slope for segment in segments])
+            data[slots.positions] = slopes[:, None] * slots.work[None, :]
+            arrays["b_ub"][slots.rows] = [-segment.intercept
+                                          for segment in segments]
+        a_ub = sparse.csr_matrix((data, model.a_ub.indices,
+                                  model.a_ub.indptr), shape=model.a_ub.shape)
+        moved.update(arrays, a_ub=a_ub, pool_segments=pool_segments,
+                     tables=model.tables.recount(problem, a_ub))
 
 
 def class_edges(problem: TEProblem, name: str) -> list[EdgeRef]:

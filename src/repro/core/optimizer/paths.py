@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...sim.network import LatencyMatrix
-from .model import (LinearModel, ModelStructure, class_edges,
+from .model import (CountSlots, LinearModel, ModelStructure, class_edges,
                     pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem
@@ -346,8 +346,8 @@ def build_path_model(problem: TEProblem, k: int = 4,
 
     With ``structure_cache`` (the generic
     :class:`~repro.core.optimizer.vectorized.StructureCache`), rebuilds
-    that differ only in demand values skip candidate enumeration and
-    matrix assembly entirely.
+    that differ only in demand values and replica counts skip candidate
+    enumeration and matrix assembly entirely.
     """
     key = None
     if structure_cache is not None:
@@ -418,6 +418,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
     # many paths cross the pool (a pool no path reaches has L = 0 and t
     # pinned at the zero-load backlog by the first chord)
     pool_segments: dict[tuple[str, str], list[Segment]] = {}
+    chord_rows: dict[tuple[str, str], np.ndarray] = {}
     for pool in pools:
         entries = work_entries[pool]
         replicas = problem.replica_count(*pool)
@@ -440,6 +441,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
         seg_data = np.empty((n_seg, 2))
         seg_data[:, 0] = [segment.slope for segment in segments]
         seg_data[:, 1] = -1.0
+        chord_rows[pool] = np.arange(ub.n_rows, ub.n_rows + n_seg)
         ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
                     np.tile(np.array([load_col, t_col], dtype=np.intp),
                             n_seg),
@@ -474,8 +476,15 @@ def build_path_model(problem: TEProblem, k: int = 4,
         route_hops=_path_hops(geometry, path_vars),
     )
     if key is not None:
+        unit = np.ones(1)
+        counts = {
+            pool: CountSlots.locate(
+                a_ub, ("upper_bounds", load_columns[pool]), rows,
+                np.array([load_columns[pool]]), unit)
+            for pool, rows in chord_rows.items()}
         structure_cache.store(key, ModelStructure(
-            model, np.array(demand_rows, dtype=np.intp), demand_slots))
+            model, np.array(demand_rows, dtype=np.intp), demand_slots,
+            counts, tuple(knot_fractions)))
     return model
 
 

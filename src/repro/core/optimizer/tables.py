@@ -1,46 +1,56 @@
 """What one model structure computes once: the demand-independent tables.
 
 Between two structure changes (topology, placement, classes, latency
-overrides) an adaptive controller re-plans with new demand *values* only.
-Everything the epoch needs besides those values is a function of the
-structure, so it is built when the structure is — by the cold build — and
-dropped when it is: the :class:`ModelTables` hangs on the cached structure
-and on every model instantiated from it, never anywhere longer-lived.
+overrides) an adaptive controller re-plans with new demand *values* and,
+as autoscaling and failures move them, new replica *counts*. Everything
+the epoch needs besides those values is a function of the structure, so
+it is built when the structure is — by the cold build — and dropped when
+it is: the tables hang on the cached structure and on every model
+instantiated from it, never anywhere longer-lived.
 
-It holds
+They come in two parts, split by what a replica count touches.
+:class:`StructureTables` is one per structure snapshot and shared by
+every model instantiated from it, whatever its counts:
 
 * the identity of the WAN geometry the structure was built on: the latency
   and pricing objects *and* the latency matrix's override revision (a chaos
   ``apply_override`` mutates the matrix in place, so object identity alone
   would keep serving RTTs that no longer hold);
 * ``(class, edge) → callee`` for rule extraction;
-* per pool its replica count, load cap and delay model for the predicted
-  backlog;
 * per flow key (class, edge, src, dst), filled on first use: the pool it
   loads, the execution time there, the RTT and the egress price of one
   request — the terms :func:`~repro.core.optimizer.result.finalize_result`
   multiplies each flow by;
-* the CSC forms of the constraint matrices the warm solve slices columns
-  from;
+* the CSC form of ``a_eq``, which the warm solve slices columns from.
+
+:class:`ModelTables` is what a model reads; it adds the count-dependent
+part, rebuilt by :meth:`ModelTables.recount` when a count moves and shared
+as long as none does:
+
+* per pool its replica count, load cap and delay model for the predicted
+  backlog;
+* the CSC form of ``a_ub``, whose delay-chord coefficients carry counts;
 * the SHA-256 state after the model's leading demand-independent
   components, so a warm epoch's fingerprint hashes only what moved.
 """
 
 from __future__ import annotations
 
+import copy
+
 from scipy import sparse
 
 from ..latency.mm1 import PoolDelayModel
 from .problem import INGRESS_EDGE, TEProblem
 
-__all__ = ["ModelTables"]
+__all__ = ["ModelTables", "StructureTables"]
 
 
-class ModelTables:
-    """Demand-independent lookups shared by every model of one structure."""
+class StructureTables:
+    """Lookups no replica count touches: one per structure snapshot."""
 
     def __init__(self, problem: TEProblem, pools,
-                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix) -> None:
+                 a_eq: sparse.csr_matrix) -> None:
         self._problem = problem
         self.latency = problem.latency
         self.latency_revision = problem.latency.revision
@@ -52,21 +62,10 @@ class ModelTables:
             self.edge_service[(name, INGRESS_EDGE)] = spec.root_service
             for index, edge in enumerate(spec.edges):
                 self.edge_service[(name, index)] = edge.callee
-        #: (pool, replicas, load cap just inside the pole, delay model)
-        self.pools = []
-        for pool in pools:
-            replicas = problem.replica_count(*pool)
-            self.pools.append(
-                (pool, replicas, problem.rho_max * replicas,
-                 PoolDelayModel(replicas, mode=problem.delay_model)))
         self._pool_keys = set(pools)
         self._flow_terms: dict[tuple[str, int, str, str], tuple] = {}
-        self._a_ub = a_ub
         self._a_eq = a_eq
-        self._csc: tuple[sparse.csc_matrix, sparse.csc_matrix] | None = None
-        #: hash state after the demand-independent fingerprint prefix
-        #: (kept by ``model_fingerprint``)
-        self.hash_prefix = None
+        self._a_eq_csc: sparse.csc_matrix | None = None
 
     def matches(self, problem: TEProblem) -> bool:
         """Was this structure built on ``problem``'s WAN geometry as it
@@ -100,8 +99,55 @@ class ModelTables:
                 + problem.transfer_cost(dst, src, response))
         return terms
 
+    def a_eq_csc(self) -> sparse.csc_matrix:
+        """``a_eq`` in CSC form, converted once per structure."""
+        if self._a_eq_csc is None:
+            self._a_eq_csc = self._a_eq.tocsc()
+        return self._a_eq_csc
+
+
+class ModelTables:
+    """The lookups of one model: its structure's shared
+    :class:`StructureTables` plus what its replica counts decide."""
+
+    def __init__(self, problem: TEProblem, pools,
+                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix) -> None:
+        #: the count-independent part, shared by identity across recounts
+        self.structure = StructureTables(problem, pools, a_eq)
+        # the structure's lookups, bound here for the extractor's hot loop
+        self.edge_service = self.structure.edge_service
+        self.flow_terms = self.structure.flow_terms
+        #: (pool, replicas, load cap just inside the pole, delay model)
+        self.pools = [_pool_entry(problem, pool) for pool in pools]
+        self._a_ub = a_ub
+        self._a_ub_csc: sparse.csc_matrix | None = None
+        #: hash state after the demand-independent fingerprint prefix
+        #: (kept by ``model_fingerprint``)
+        self.hash_prefix = None
+
+    def recount(self, problem: TEProblem,
+                a_ub: sparse.csr_matrix) -> ModelTables:
+        """These tables at ``problem``'s replica counts, for a model whose
+        refreshed ``a_ub`` carries them: the structure part is shared, a
+        pool entry is rebuilt only where its count moved, and the ``a_ub``
+        CSC form and the fingerprint prefix start afresh."""
+        tables = copy.copy(self)
+        tables.pools = [
+            entry if problem.replica_count(*entry[0]) == entry[1]
+            else _pool_entry(problem, entry[0]) for entry in self.pools]
+        tables._a_ub = a_ub
+        tables._a_ub_csc = None
+        tables.hash_prefix = None
+        return tables
+
     def csc(self) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
-        """``(a_ub, a_eq)`` in CSC form, converted once."""
-        if self._csc is None:
-            self._csc = (self._a_ub.tocsc(), self._a_eq.tocsc())
-        return self._csc
+        """``(a_ub, a_eq)`` in CSC form, each converted once."""
+        if self._a_ub_csc is None:
+            self._a_ub_csc = self._a_ub.tocsc()
+        return self._a_ub_csc, self.structure.a_eq_csc()
+
+
+def _pool_entry(problem: TEProblem, pool: tuple[str, str]) -> tuple:
+    replicas = problem.replica_count(*pool)
+    return (pool, replicas, problem.rho_max * replicas,
+            PoolDelayModel(replicas, mode=problem.delay_model))

@@ -18,12 +18,14 @@ builder this module replaced), so scalar float expressions keep that
 builder's operation order: a moved fingerprint breaks solver-cache replay
 and the warm-start path.
 
-**Structure reuse** is the second win: across adaptive epochs only demand
-*values* move — the constraint matrices, objective, and row/column layout
-depend on demand only through its sparsity pattern. A
+**Structure reuse** is the second win: across adaptive epochs demand
+*values* and replica *counts* move — the row/column layout and the
+objective depend on demand only through its sparsity pattern, and on
+counts only through which pools are deployed. A
 :class:`~repro.core.optimizer.model.ModelStructure` snapshot turns the next
 epoch's build into "copy b_eq, scatter new demand, refresh per-block flow
-bounds", which is orders of magnitude cheaper than any cold build.
+bounds, rewrite the pools whose count moved", which is orders of magnitude
+cheaper than any cold build.
 :class:`StructureCache` keys snapshots — this builder's and the path
 builder's alike — by the structural fingerprint of the problem.
 """
@@ -36,8 +38,8 @@ import numpy as np
 from scipy import sparse
 
 from .cache import BoundedLRU
-from .model import (LinearModel, ModelStructure, RouteVar, class_edges,
-                    pool_segments_for)
+from .model import (CountSlots, LinearModel, ModelStructure, RouteVar,
+                    class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
@@ -87,11 +89,15 @@ class _Block:
 
 def structure_key(problem: TEProblem,
                   knot_fractions=DEFAULT_KNOT_FRACTIONS) -> tuple:
-    """Everything the model depends on *except* demand values.
+    """Everything the model depends on *except* demand values and replica
+    counts.
 
     Two problems with equal keys (and identical latency/pricing objects —
     checked separately by :meth:`StructureCache.lookup`) produce models
-    that differ only in ``b_eq`` demand entries and flow upper bounds.
+    that differ only in ``b_eq`` demand entries, flow upper bounds and the
+    entries each pool's count decides (its load cap and delay chords).
+    Placement keys on *which* pools are deployed — a count above 0 — so a
+    count change is warm and a deployment change is a miss.
     """
     cluster_index = {name: i for i, name in enumerate(problem.clusters)}
     classes = []
@@ -113,7 +119,8 @@ def structure_key(problem: TEProblem,
         ))
     return (
         tuple(problem.clusters),
-        tuple(sorted(problem.replicas.items())),
+        tuple(sorted(pool for pool, count in problem.replicas.items()
+                     if count > 0)),
         problem.rho_max,
         problem.cost_weight,
         problem.egress_budget,
@@ -124,12 +131,13 @@ def structure_key(problem: TEProblem,
 
 
 class StructureCache(BoundedLRU):
-    """Bounded LRU cache of demand-independent model structures.
+    """Bounded LRU cache of demand- and count-independent model structures.
 
     One cache holds the snapshots of both formulations (their keys never
     collide). Composes with — does not replace — the content-addressed
     :class:`~repro.core.optimizer.cache.SolverCache`: this cache makes
-    *builds* cheap when only demand values moved; the solver cache skips
+    *builds* cheap when only demand values or replica counts moved; the
+    solver cache skips
     the *solve* when nothing moved at all.
     """
 
@@ -142,7 +150,7 @@ class StructureCache(BoundedLRU):
         expensive to verify, so a snapshot only serves the exact objects at
         the revision it was built on) — that is a miss."""
         return self._lookup(
-            key, lambda entry: entry.model.tables.matches(problem))
+            key, lambda entry: entry.model.tables.structure.matches(problem))
 
     def store(self, key: tuple, structure: ModelStructure) -> None:
         self._store(key, structure)
@@ -393,6 +401,9 @@ def build_model_vectorized(problem: TEProblem,
 
     ub = _Coo()
     pool_segments: dict[tuple[str, str], list[Segment]] = {}
+    # pool → (capacity row, flow columns, their work), located once a_ub
+    # is canonical
+    count_rows: dict[tuple[str, str], tuple] = {}
     for service, cluster in pools:
         t_col = pool_columns[(service, cluster)]
         objective[t_col] = 1.0
@@ -421,6 +432,7 @@ def build_model_vectorized(problem: TEProblem,
         seg_data[:, :m] = slopes[:, None] * work[None, :]
         seg_data[:, m] = -1.0
         seg_cols = np.tile(np.append(cols, t_col), n_seg)
+        count_rows[(service, cluster)] = (ub.n_rows, cols, work)
         ub.add_rows(np.zeros(m, dtype=np.intp), cols, work)
         ub.add_rows(
             1 + np.repeat(np.arange(n_seg, dtype=np.intp), m + 1),
@@ -449,7 +461,13 @@ def build_model_vectorized(problem: TEProblem,
         tables=ModelTables(problem, pool_columns, a_ub, a_eq),
     )
     if key is not None:
+        counts = {}
+        for pool, (cap_row, cols, work) in count_rows.items():
+            n_seg = len(pool_segments[pool])
+            counts[pool] = CountSlots.locate(
+                a_ub, ("b_ub", cap_row),
+                np.arange(cap_row + 1, cap_row + 1 + n_seg), cols, work)
         structure_cache.store(key, ModelStructure(
             model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            blocks=blocks))
+            counts, tuple(knot_fractions), blocks=blocks))
     return model

@@ -22,9 +22,14 @@ controller gets a strict cost ladder per epoch:
 * demand unchanged (after ``demand_quantum`` rounding) → identical
   fingerprint → :class:`~repro.core.optimizer.cache.SolverCache` replay,
   no solver at all;
-* demand values moved, structure didn't → structure-cache rescatter build
-  + warm restricted solve;
-* structure moved (topology, classes, replicas) → cold build + cold solve.
+* demand values or replica counts moved, structure didn't →
+  structure-cache rescatter build (the moved counts' load caps and delay
+  chords rewritten) + warm restricted solve, priced with the duals of the
+  full model at the new counts;
+* structure moved (topology, classes, which pools are deployed) → cold
+  build + cold solve.
+
+A count change is warm; a deployment change is a miss.
 
 Under ``REPRO_DEBUG_INVARIANTS=1`` every warm solve is shadowed by a full
 cold solve and must land on the same optimal vertex — agreement to a scaled
@@ -56,7 +61,7 @@ from .paths import build_path_model
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
 from .solve import SolverError, _lp_bounds, highs_solve
-from .tables import ModelTables
+from .tables import StructureTables
 from .vectorized import StructureCache
 
 __all__ = ["EpochSolver", "warm_solve"]
@@ -201,9 +206,10 @@ class EpochSolver:
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
-        #: the last LP solved, as (its structure's tables, solution): a
-        #: model sharing those tables differs from it in demand only
-        self._previous: tuple[ModelTables, np.ndarray] | None = None
+        #: the last LP solved, as (its structure's shared tables,
+        #: solution): a model sharing them has its rows and columns and
+        #: differs from it in demand and replica counts only
+        self._previous: tuple[StructureTables, np.ndarray] | None = None
         # counters surfaced through stats() → repro.obs collectors
         self.builds = 0
         self.warm_builds = 0
@@ -309,10 +315,11 @@ class EpochSolver:
         # the next epoch from
         previous, self._previous = self._previous, None
         try:
-            # sharing the previous model's tables ⇔ same structure
-            # snapshot ⇔ only the demand rhs/bounds differ from last epoch
+            # sharing the previous model's structure tables ⇔ same
+            # structure snapshot ⇔ only demand and count entries differ
+            # from last epoch, so its solution is a column restriction
             if (self.warm_start and previous is not None
-                    and previous[0] is model.tables):
+                    and previous[0] is model.tables.structure):
                 with self._section("optimizer-warm-solve"):
                     solution = warm_solve(model, previous[1],
                                           profiler=self.profiler)
@@ -331,7 +338,7 @@ class EpochSolver:
             elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
             self.solves += 1
             self.solve_seconds += elapsed
-        self._previous = (model.tables, solution)
+        self._previous = (model.tables.structure, solution)
         if self.cache is not None:
             self.cache.store(fingerprint, solution, "optimal")
         result = extract_result(model, solution, "optimal", elapsed)

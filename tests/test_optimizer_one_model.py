@@ -7,6 +7,7 @@ emitter.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.controller.global_controller import GlobalController
-from repro.core.optimizer import (EpochSolver, LinearModel, SolverError,
-                                  StructureCache, build_model,
+from repro.core.optimizer import (EpochSolver, LinearModel, SolverCache,
+                                  SolverError, StructureCache, build_model,
                                   build_path_model, highs_solve, solve)
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.model import ModelStructure
@@ -39,6 +40,21 @@ def sparse_problem():
                                 ingresses_per_class=3)
 
 
+#: the service whose compute time ``pinned_problem`` zeroes
+PINNED = "svc2"
+
+
+def pinned_problem():
+    """``sparse_problem()`` with no compute at ``PINNED``: its pools carry
+    no work expression, so the arc LP pins their ``t`` and only their
+    tables and segments depend on the count."""
+    problem = sparse_problem()
+    for workload in problem.workloads.values():
+        workload.spec = dataclasses.replace(
+            workload.spec, exec_time={**workload.spec.exec_time, PINNED: 0.0})
+    return problem
+
+
 def test_both_formulations_emit_the_one_model():
     problem = chain_problem()
     assert type(build_model(problem)) is LinearModel
@@ -47,14 +63,39 @@ def test_both_formulations_emit_the_one_model():
 
 # ------------------------------------------------- warm build == cold build
 
+def pool_table(model) -> list:
+    return [(pool, replicas, cap, delay.servers, delay.mode)
+            for pool, replicas, cap, delay in model.tables.pools]
+
+
+def assert_same_model(warm, cold) -> None:
+    """``warm`` is ``cold`` entry for entry, byte for byte."""
+    assert model_fingerprint(warm) == model_fingerprint(cold)
+    for part in ("data", "indices", "indptr"):
+        assert (getattr(warm.a_ub, part).tobytes()
+                == getattr(cold.a_ub, part).tobytes())
+    for name in ("upper_bounds", "b_ub", "b_eq"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+    assert warm.pool_segments == cold.pool_segments
+    assert pool_table(warm) == pool_table(cold)
+
+
+#: replica counts a move may set: a jump to 40 and a drop to 1 included
+COUNTS = (1, 2, 3, 5, 40)
+
+
 @emitters
-def test_warm_build_equals_cold_build(emitter):
+@settings(max_examples=15, deadline=None)
+@given(moves=st.lists(st.tuples(st.integers(0, 999), st.sampled_from(COUNTS)),
+                      max_size=6))
+def test_warm_build_equals_cold_build(emitter, moves):
     build, kwargs = EMITTERS[emitter]
-    problem = sparse_problem()
+    problem = pinned_problem()
     cache = StructureCache()
     first = build(problem, structure_cache=cache, **kwargs)
     (structure,) = cache._entries.values()
     assert type(structure) is ModelStructure and structure.model is first
+    first_print = model_fingerprint(first)
 
     # demand values move (unevenly, so class totals and shares both change)
     for scale, workload in enumerate(problem.workloads.values(), start=2):
@@ -79,6 +120,54 @@ def test_warm_build_equals_cold_build(emitter):
     again = build(problem, structure_cache=cache, **kwargs)
     assert cache.hits == 1
     assert model_fingerprint(again) == model_fingerprint(cold)
+
+    # replica counts move: drawn moves, then a pinned pool, a 1 → 40
+    # jump, and every count back where the snapshot was built
+    built = dict(problem.replicas)
+    pools = sorted(pool for pool, count in built.items() if count > 0)
+    pinned = next(pool for pool in pools if pool[0] == PINNED)
+    worked = next(pool for pool in pools if pool[0] != PINNED)
+    steps = [(pools[index % len(pools)], count) for index, count in moves]
+    steps += [(pinned, 9), (worked, 1), (worked, 40)]
+    steps += [(pool, built[pool]) for pool, _ in steps]
+    for pool, count in steps:
+        problem.replicas[pool] = count
+        warm = build(problem, structure_cache=cache, **kwargs)
+        assert_same_model(warm, build(problem, **kwargs))
+        # what no count touches is the snapshot's, by identity
+        assert warm.a_eq is first.a_eq and warm.objective is first.objective
+        assert warm.route_vars is first.route_vars
+        # (scipy wraps them in views, so the buffers are what is shared)
+        assert np.shares_memory(warm.a_ub.indices, first.a_ub.indices)
+        assert np.shares_memory(warm.a_ub.indptr, first.a_ub.indptr)
+        assert warm.tables.structure is first.tables.structure
+    assert cache.misses == 1
+    # all counts back: the snapshot's own matrices and tables again
+    assert warm.a_ub is first.a_ub and warm.tables is first.tables
+    assert model_fingerprint(first) == first_print
+
+
+@emitters
+def test_deployment_move_is_a_structure_miss(emitter):
+    """A count change is warm; a pool going 0 ↔ >0 is a new structure."""
+    build, kwargs = EMITTERS[emitter]
+    problem = sparse_problem()
+    cache = StructureCache()
+    first = build(problem, structure_cache=cache, **kwargs)
+    service = "svc1"
+    deployed = problem.deployed_in(service)
+    spare = next(c for c in problem.clusters if c not in deployed)
+    structures = {first.tables.structure}
+    for pool, count in (((service, spare), 4),       # 0 → deployed
+                        ((service, deployed[0]), 0)):   # deployed → 0
+        misses = cache.misses
+        problem.replicas[pool] = count
+        model = build(problem, structure_cache=cache, **kwargs)
+        assert cache.misses == misses + 1
+        assert model.tables.structure not in structures
+        structures.add(model.tables.structure)
+        assert model_fingerprint(model) == model_fingerprint(
+            build(problem, **kwargs))
 
 
 @emitters
@@ -246,14 +335,42 @@ def test_failed_solve_leaves_nothing_to_warm_start_from(formulation):
     solver = EpochSolver(formulation=formulation)
     problem = chain_problem()
     solver.solve(problem)
-    tables, _ = solver._previous        # held by reference, not by id()
+    structure, _ = solver._previous     # held by reference, not by id()
     problem.workloads["default"].demand["west"] = 50_000.0
     failure(lambda: solver.solve(problem))
     assert solver._previous is None
     assert solver.stats()["solves"] == 2
-    # the structure is still cached: the next feasible epoch is a warm
-    # build and — with no previous solution — a cold solve
+    # the structure is still cached: the next feasible epoch — at a new
+    # replica count too — is a warm build and, with no previous solution,
+    # a cold solve
     problem.workloads["default"].demand["west"] = 650.0
+    problem.replicas[("S1", "west")] += 1
     result = solver.solve(problem)
     assert result.warm_build and not result.warm_start
-    assert solver._previous[0] is tables
+    assert solver._previous[0] is structure
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_a_count_toggle_never_replays_the_other_counts_plan(formulation):
+    """Counts A → B → A under unchanged demand. B is warm-built from A's
+    snapshot, and its refreshed tables start a fresh fingerprint prefix:
+    a stale one would let the solver cache serve B the plan solved for
+    A's capacities."""
+    build, kwargs = EMITTERS["arc" if formulation == "arc"
+                             else "path-latency"]
+    solver = EpochSolver(cache=SolverCache(), formulation=formulation)
+    problem = sparse_problem()
+    pool = min(pool for pool, count in problem.replicas.items() if count)
+    count_a = problem.replicas[pool]
+    results = []
+    for count in (count_a, count_a + 3, count_a):
+        problem.replicas[pool] = count
+        result = solver.solve(problem)
+        assert result.fingerprint == model_fingerprint(
+            build(problem, **kwargs))
+        results.append(result)
+    first, toggled, back = results
+    assert toggled.warm_build and not toggled.cache_hit
+    assert toggled.fingerprint != first.fingerprint
+    assert back.cache_hit and back.fingerprint == first.fingerprint
+    assert back.objective == first.objective and back.flows == first.flows

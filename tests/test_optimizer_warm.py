@@ -20,6 +20,7 @@ from repro.experiments.scenarios import synthetic_te_problem
 from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
 from repro.sim.network import LatencyMatrix
 from tests.test_optimizer import chain_problem
+from tests.test_optimizer_one_model import sparse_problem
 
 
 def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
@@ -196,6 +197,60 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
     shifted[np.argmax(shifted)] *= 4.0
     with pytest.raises(InvariantViolation):
         _EpochSolver._check_warm_invariant(model, shifted)
+
+
+#: the arc restricted solve on ``sparse_problem()`` runs out of pricing
+#: rounds (``MAX_WARM_ROUNDS``) even when only demand moves, so arc churns
+#: on the same instance with demand at every cluster
+CHURN_PROBLEMS = {
+    "arc": lambda: synthetic_te_problem(6, 3, 3, seed=5, replication=0.7),
+    "path": sparse_problem,
+}
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_replica_churn_is_a_warm_epoch(monkeypatch, formulation):
+    """One replica count toggled per epoch: after the first epoch every
+    build is warm and every solve warm-started, each shadowed by a cold
+    solve of the full model and matching a cacheless cold solver."""
+    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
+    solver = EpochSolver(formulation=formulation)
+    reference = EpochSolver(cache=None, structure_cache=None,
+                            warm_start=False, formulation=formulation)
+    problem = CHURN_PROBLEMS[formulation]()
+    pools = sorted(pool for pool, count in problem.replicas.items()
+                   if count > 0)
+    base = dict(problem.replicas)
+    for epoch in range(10):
+        pool = pools[epoch % len(pools)]
+        problem.replicas[pool] = (base[pool] + 1
+                                  if problem.replicas[pool] == base[pool]
+                                  else base[pool])
+        result = solver.solve(problem)
+        cold = reference.solve(problem)
+        assert (result.warm_build, result.warm_start) == (epoch > 0,
+                                                          epoch > 0)
+        assert result.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert solver.stats()["warm_rejects"] == 0
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_a_shrink_below_the_previous_support_is_solved_cold(formulation):
+    """``b`` drops to one replica: ``a`` and ``b`` together can no longer
+    carry the demand, so the previous support (which never used ``c``) is
+    infeasible. The warm solve is rejected and the epoch solved cold."""
+    solver = EpochSolver(formulation=formulation)
+    problem = spill_problem()
+    before = solver.solve(problem)
+    assert before.flows.get(("default", INGRESS_EDGE, "a", "c"), 0.0) == 0.0
+    problem.replicas[("S1", "b")] = 1
+    after = solver.solve(problem)
+    assert after.ok and after.warm_build and not after.warm_start
+    assert solver.stats()["warm_rejects"] == 1
+    assert after.flows[("default", INGRESS_EDGE, "a", "c")] > 0.0
+    assert after.objective == EpochSolver(
+        cache=None, structure_cache=None, warm_start=False,
+        formulation=formulation).solve(problem).objective
 
 
 def spill_problem():
