@@ -102,14 +102,15 @@ class ClusterController:
         """Install the rules relevant to this cluster's proxies.
 
         Only rules whose source cluster is this cluster are installed — each
-        region's proxies hold exactly the rules they enforce. Returns the
-        number of rules installed. When ``now`` is given it counts as
-        controller contact; a distribution that lands while the fallback is
-        active reconciles it (optimized rules overwrite fallback rules).
+        region's proxies hold exactly the rules they enforce — as one
+        :meth:`RoutingTable.upsert`, which skips a rule already installed
+        with the same weights. Returns the number of relevant rules. When
+        ``now`` is given it counts as controller contact; a distribution
+        that lands while the fallback is active reconciles it (optimized
+        rules overwrite fallback rules).
         """
         relevant = rules.for_source(self.cluster)
-        for rule in relevant:
-            table.set_weights(rule.key, rule.weight_map())
+        table.upsert((rule.key, rule.weights) for rule in relevant)
         count = len(relevant)
         self.rules_distributed += count
         if now is not None:
@@ -141,9 +142,9 @@ class ClusterController:
         for key in sorted(table.keys_for_cluster(self.cluster),
                           key=lambda k: (k.service, k.traffic_class)):
             table.remove(key)
-        for rule in self.fallback.compute_rules(ctx):
-            if rule.src_cluster == self.cluster:
-                table.set_weights(rule.key, rule.weight_map())
+        table.upsert((rule.key, rule.weights)
+                     for rule in self.fallback.compute_rules(ctx)
+                     if rule.src_cluster == self.cluster)
         self.fallback_active = True
         self.fallback_activations += 1
         self.fallback_tripped_at = now

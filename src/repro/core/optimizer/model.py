@@ -86,6 +86,12 @@ class RouteVar:
     src: str
     dst: str
 
+    @property
+    def flow_key(self) -> tuple[str, int, str, str]:
+        """The (class, edge index, src, dst) arc this column is."""
+        return (self.edge.traffic_class, self.edge.edge_index, self.src,
+                self.dst)
+
 
 @dataclass
 class LinearModel:
@@ -132,9 +138,7 @@ class LinearModel:
         one unit of flow column ``route_vars[index]`` feeds."""
         if self.route_hops is not None:
             return self.route_hops[index]
-        var = self.route_vars[index]
-        return (((var.edge.traffic_class, var.edge.edge_index,
-                  var.src, var.dst), 1.0),)
+        return ((self.route_vars[index].flow_key, 1.0),)
 
 
 @dataclass(frozen=True)

@@ -462,6 +462,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
 
     a_eq, b_eq = eq.matrix(n)
     a_ub, b_ub = ub.matrix(n)
+    route_hops = _path_hops(geometry, path_vars)
     model = LinearModel(
         objective=objective,
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
@@ -471,9 +472,10 @@ def build_path_model(problem: TEProblem, k: int = 4,
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pools, a_ub, a_eq),
+        tables=ModelTables(problem, pools, a_ub, a_eq, path_vars,
+                           route_hops),
         load_columns=load_columns,
-        route_hops=_path_hops(geometry, path_vars),
+        route_hops=route_hops,
     )
     if key is not None:
         unit = np.ones(1)

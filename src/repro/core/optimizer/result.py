@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from ..rules import RoutingRule, RuleSet
 from .model import LinearModel
 from .problem import INGRESS_EDGE
-from .tables import ModelTables
+from .tables import ModelTables, StructureTables
 
 __all__ = ["OptimizationResult", "extract_result", "finalize_result"]
 
@@ -82,22 +83,63 @@ class OptimizationResult:
     # ---------------------------------------------------------------- rules
 
     def rules(self) -> RuleSet:
-        """Convert flows into per-(service, class, source) routing rules."""
-        grouped: dict[tuple[str, str, str], dict[str, float]] = {}
-        edge_service = self._edge_service
-        for (cls, edge_index, src, dst), rate in self.flows.items():
-            key = (edge_service[(cls, edge_index)], cls, src)
-            weights = grouped.get(key)
-            if weights is None:
-                grouped[key] = {dst: rate}
-            else:
-                weights[dst] = weights.get(dst, 0.0) + rate
-        rules = []
-        for (service, cls, src), weights in sorted(grouped.items()):
-            if sum(weights.values()) <= FLOW_EPSILON:
-                continue
-            rules.append(RoutingRule.make(service, cls, src, weights))
+        """Convert flows into per-(service, class, source) routing rules,
+        in rule-key order, skipping rules that carry at most
+        ``FLOW_EPSILON``.
+
+        One vectorised pass through the structure's
+        :class:`~repro.core.optimizer.tables.RulePlan`: ``np.bincount``
+        totals each rule's flows in flow order — for a one-destination rule
+        that is its weight, float for float — and ``np.unique`` counts the
+        destinations of each. A one-destination rule is the plan's shared
+        rule; a rule with several (or a non-finite total) sums its weights
+        per destination in flow order and normalises them with
+        :meth:`RoutingRule.make` (:meth:`RulePlan.split`).
+        """
+        flows = self.flows
+        if not flows:
+            return RuleSet([])
+        plan = self._structure.rule_plan()
+        n = len(flows)
+        codes = np.fromiter(map(plan.code_of.__getitem__, flows),
+                            dtype=np.intp, count=n)
+        rule_of = codes // plan.n_dst
+        totals = np.bincount(rule_of, weights=np.fromiter(
+            flows.values(), dtype=float, count=n))
+        pairs = np.unique(codes)
+        pair_rule = pairs // plan.n_dst
+        pair_total = totals[pair_rule]
+        single = ((np.bincount(pair_rule)[pair_rule] == 1)
+                  & np.isfinite(pair_total))
+        kept = single & (pair_total > FLOW_EPSILON)
+        rules = [plan.single(code) for code in pairs[kept].tolist()]
+        split = np.unique(pair_rule[~single])
+        if split.size:
+            order = pair_rule[kept]
+            for index, rule in reversed(
+                    self._split_rules(plan, rule_of, split)):
+                rules.insert(int(np.searchsorted(order, index)), rule)
         return RuleSet(rules)
+
+    def _split_rules(self, plan, rule_of: np.ndarray,
+                     split: np.ndarray) -> list[tuple[int, RoutingRule]]:
+        """(rule index, rule) of the ``split`` rules that carry more than
+        ``FLOW_EPSILON``, in index order: weights summed per destination in
+        flow order, then normalised by the plan."""
+        grouped: dict[int, dict[str, float]] = {}
+        walk = np.isin(rule_of, split)
+        for ((*_, dst), rate), index in zip(
+                itertools.compress(self.flows.items(), walk),
+                rule_of[walk].tolist()):
+            weights = grouped.setdefault(index, {})
+            weights[dst] = weights[dst] + rate if dst in weights else rate
+        rules = []
+        for index in sorted(grouped):
+            # a NaN total is not skipped: make() rejects it
+            if sum(grouped[index].values()) <= FLOW_EPSILON:
+                continue
+            rules.append((index, plan.split(index, grouped[index])))
+        return rules
 
     def ingress_local_fraction(self, traffic_class: str,
                                cluster: str) -> float:
@@ -117,9 +159,10 @@ class OptimizationResult:
         return sum(rate for (cls, e, src, dst), rate in self.flows.items()
                    if cls == traffic_class and e == edge_index and src != dst)
 
-    # (class, edge index) → callee service; the extractor points this at
-    # the structure's shared table, so it is read-only here
-    _edge_service: dict[tuple[str, int], str] = field(default_factory=dict)
+    #: the structure the flows were extracted from (its rule plan maps
+    #: them to rules); diagnostic plumbing, excluded from equality
+    _structure: StructureTables | None = field(
+        default=None, compare=False, repr=False)
 
 
 def extract_result(model: LinearModel, solution, status: str,
@@ -139,7 +182,7 @@ def extract_result(model: LinearModel, solution, status: str,
         total_demand=model.problem.total_demand(),
         n_variables=model.n_variables,
         n_constraints=int(model.a_ub.shape[0] + model.a_eq.shape[0]),
-        _edge_service=model.tables.edge_service,
+        _structure=model.tables.structure,
     )
     if solution is None:
         return result

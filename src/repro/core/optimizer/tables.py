@@ -17,6 +17,8 @@ every model instantiated from it, whatever its counts:
   ``apply_override`` mutates the matrix in place, so object identity alone
   would keep serving RTTs that no longer hold);
 * ``(class, edge) → callee`` for rule extraction;
+* the :class:`RulePlan`, built on first use from the model's hops: every
+  flow key's routing-rule slot, and the one-destination rules already met;
 * per flow key (class, edge, src, dst), filled on first use: the pool it
   loads, the execution time there, the RTT and the egress price of one
   request — the terms :func:`~repro.core.optimizer.result.finalize_result`
@@ -41,16 +43,69 @@ import copy
 from scipy import sparse
 
 from ..latency.mm1 import PoolDelayModel
+from ..rules import RoutingRule
 from .problem import INGRESS_EDGE, TEProblem
 
-__all__ = ["ModelTables", "StructureTables"]
+__all__ = ["ModelTables", "RulePlan", "StructureTables"]
+
+
+class RulePlan:
+    """Where each flow lands among the routing rules: one per structure.
+
+    A flow (class, edge, src, dst) feeds the rule of (callee, class, src)
+    toward ``dst``. Every flow key the structure's columns can carry gets
+    the code ``rule · n_dst + dst``: rules are numbered in the order
+    :meth:`~repro.core.optimizer.result.OptimizationResult.rules` emits
+    them (by key), destinations by name. A rule that sends everything to
+    one destination is the same rule whatever its rate, so it is built the
+    first time that (rule, destination) pair is met and shared by every
+    later result of the structure; a rule split across destinations is
+    rebuilt only when its weights differ from its last split.
+    """
+
+    def __init__(self, flow_keys, edge_service) -> None:
+        slots = {key: ((edge_service[key[:2]], key[0], key[2]), key[3])
+                 for key in flow_keys}
+        #: (service, class, src) per rule index, sorted
+        self.rule_keys = sorted({rule for rule, _ in slots.values()})
+        #: destination cluster per destination index, sorted
+        self.dst_names = sorted({dst for _, dst in slots.values()})
+        self.n_dst = len(self.dst_names)
+        rule_index = {rule: i for i, rule in enumerate(self.rule_keys)}
+        dst_index = {dst: i for i, dst in enumerate(self.dst_names)}
+        #: flow key → ``rule index · n_dst + destination index``
+        self.code_of = {key: rule_index[rule] * self.n_dst + dst_index[dst]
+                        for key, (rule, dst) in slots.items()}
+        self._single: dict[int, RoutingRule] = {}
+        self._split: dict[int, tuple[tuple, RoutingRule]] = {}
+
+    def single(self, code: int) -> RoutingRule:
+        """The rule sending all of rule ``code // n_dst``'s calls to
+        destination ``code % n_dst``."""
+        rule = self._single.get(code)
+        if rule is None:
+            index, dst = divmod(code, self.n_dst)
+            rule = self._single[code] = RoutingRule(
+                *self.rule_keys[index], ((self.dst_names[dst], 1.0),))
+        return rule
+
+    def split(self, index: int, weights: dict[str, float]) -> RoutingRule:
+        """Rule ``index`` splitting its calls by ``weights``, normalised by
+        :meth:`RoutingRule.make`."""
+        items = tuple(weights.items())
+        last = self._split.get(index)
+        if last is None or last[0] != items:
+            last = self._split[index] = (items, RoutingRule.make(
+                *self.rule_keys[index], weights))
+        return last[1]
 
 
 class StructureTables:
     """Lookups no replica count touches: one per structure snapshot."""
 
     def __init__(self, problem: TEProblem, pools,
-                 a_eq: sparse.csr_matrix) -> None:
+                 a_eq: sparse.csr_matrix, route_vars,
+                 route_hops) -> None:
         self._problem = problem
         self.latency = problem.latency
         self.latency_revision = problem.latency.revision
@@ -66,6 +121,10 @@ class StructureTables:
         self._flow_terms: dict[tuple[str, int, str, str], tuple] = {}
         self._a_eq = a_eq
         self._a_eq_csc: sparse.csc_matrix | None = None
+        # the model's flow columns, for the rule plan (see LinearModel.hops)
+        self._route_vars = route_vars
+        self._route_hops = route_hops
+        self._rule_plan: RulePlan | None = None
 
     def matches(self, problem: TEProblem) -> bool:
         """Was this structure built on ``problem``'s WAN geometry as it
@@ -99,6 +158,17 @@ class StructureTables:
                 + problem.transfer_cost(dst, src, response))
         return terms
 
+    def rule_plan(self) -> RulePlan:
+        """The structure's :class:`RulePlan`, built on first use over the
+        flow keys of every column's hops."""
+        if self._rule_plan is None:
+            if self._route_hops is None:
+                keys = (var.flow_key for var in self._route_vars)
+            else:
+                keys = (key for hops in self._route_hops for key, _ in hops)
+            self._rule_plan = RulePlan(keys, self.edge_service)
+        return self._rule_plan
+
     def a_eq_csc(self) -> sparse.csc_matrix:
         """``a_eq`` in CSC form, converted once per structure."""
         if self._a_eq_csc is None:
@@ -111,11 +181,12 @@ class ModelTables:
     :class:`StructureTables` plus what its replica counts decide."""
 
     def __init__(self, problem: TEProblem, pools,
-                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix) -> None:
+                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix,
+                 route_vars, route_hops=None) -> None:
         #: the count-independent part, shared by identity across recounts
-        self.structure = StructureTables(problem, pools, a_eq)
-        # the structure's lookups, bound here for the extractor's hot loop
-        self.edge_service = self.structure.edge_service
+        self.structure = StructureTables(problem, pools, a_eq, route_vars,
+                                         route_hops)
+        # the structure's lookup, bound here for the extractor's hot loop
         self.flow_terms = self.structure.flow_terms
         #: (pool, replicas, load cap just inside the pole, delay model)
         self.pools = [_pool_entry(problem, pool) for pool in pools]

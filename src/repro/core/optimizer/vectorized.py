@@ -458,7 +458,7 @@ def build_model_vectorized(problem: TEProblem,
         pool_columns=pool_columns,
         pool_segments=pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pool_columns, a_ub, a_eq),
+        tables=ModelTables(problem, pool_columns, a_ub, a_eq, route_vars),
     )
     if key is not None:
         counts = {}

@@ -9,6 +9,7 @@ Cluster Controllers distribute to proxies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,8 +58,9 @@ class RoutingRule:
         """Fraction of calls kept in the source cluster."""
         return self.weight_map().get(self.src_cluster, 0.0)
 
-    @property
+    @functools.cached_property
     def key(self) -> RouteKey:
+        """The routing-table key, built once per rule object."""
         return RouteKey(self.service, self.traffic_class, self.src_cluster)
 
 

@@ -92,6 +92,8 @@ DEFAULT_SINKS: tuple[TaintSink, ...] = (
               "routing-weight installation"),
     TaintSink("repro.mesh.routing_table.RoutingTable.replace_all",
               "routing-weight installation"),
+    TaintSink("repro.mesh.routing_table.RoutingTable.upsert",
+              "routing-weight installation"),
     TaintSink("repro.core.rules.RoutingRule.make",
               "routing-rule construction"),
 )

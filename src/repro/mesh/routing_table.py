@@ -71,25 +71,53 @@ class RoutingTable:
     a copy distributed via its Cluster Controller; sharing one object is
     behaviourally identical in simulation). ``replace_all`` swaps the rule
     set atomically, mirroring a controller push.
+
+    ``version`` moves once per write that changes a rule: installing the
+    weights a rule was last given changes nothing, so nothing compiles.
     """
 
     def __init__(self) -> None:
         self._rules: dict[RouteKey, dict[str, float]] = {}
+        #: per key, the weight items its installed rule was given
+        self._given: dict[RouteKey, tuple] = {}
         self.version = 0
 
     def set_weights(self, key: RouteKey, weights: dict[str, float]) -> None:
         """Install one rule; weights are validated and normalised."""
-        self._rules[key] = _normalise(key, weights)
-        self.version += 1
+        self.upsert(((key, tuple(weights.items())),))
+
+    def upsert(self, entries) -> int:
+        """Install ``(key, weight items)`` entries, one push.
+
+        An entry whose items equal those its key's rule was given is
+        skipped; the others are validated, normalised and installed, and
+        ``version`` moves once if any was. Returns how many were.
+        """
+        given = self._given
+        installed = 0
+        try:
+            for key, items in entries:
+                if given.get(key) == items:
+                    continue
+                self._rules[key] = _normalise(key, items)
+                given[key] = items
+                installed += 1
+        finally:
+            if installed:
+                self.version += 1
+        return installed
 
     def replace_all(self, rules: dict[RouteKey, dict[str, float]]) -> None:
         """Atomically replace the entire rule set (a controller push)."""
-        fresh = {key: _normalise(key, w) for key, w in rules.items()}
+        fresh = {key: _normalise(key, tuple(w.items()))
+                 for key, w in rules.items()}
         self._rules = fresh
+        self._given = {}
         self.version += 1
 
     def clear(self) -> None:
         self._rules.clear()
+        self._given.clear()
         self.version += 1
 
     def remove(self, key: RouteKey) -> bool:
@@ -102,6 +130,7 @@ class RoutingTable:
         """
         if self._rules.pop(key, None) is None:
             return False
+        self._given.pop(key, None)
         self.version += 1
         return True
 
@@ -130,18 +159,18 @@ class RoutingTable:
         return f"RoutingTable(rules={len(self._rules)}, version={self.version})"
 
 
-def _normalise(key: RouteKey, weights: dict[str, float]) -> dict[str, float]:
-    if not weights:
+def _normalise(key: RouteKey, items: tuple) -> dict[str, float]:
+    """The installed weight map of ``(cluster, weight)`` ``items``."""
+    if not items:
         raise ValueError(f"rule {key}: empty weight map")
-    for cluster, weight in weights.items():
+    for cluster, weight in items:
         if not math.isfinite(weight) or weight < 0:
             raise ValueError(
                 f"rule {key}: invalid weight {weight} for {cluster!r}")
-    total = sum(weights.values())
+    total = sum(weight for _, weight in items)
     if total <= 0:
         raise ValueError(f"rule {key}: weights sum to {total}, need > 0")
-    normalised = {cluster: weight / total
-                  for cluster, weight in weights.items()}
+    normalised = {cluster: weight / total for cluster, weight in items}
     # drop zeros *after* dividing: a subnormal weight can underflow to 0.0
     return {cluster: weight
             for cluster, weight in normalised.items() if weight > 0}

@@ -306,6 +306,8 @@ class ScrapeLoop:
         self._completed_cursor = 0
         self._last_sample_time: float | None = None
         self._prev_weights: dict = {}
+        #: ``table.version`` at the last scrape (None before the first)
+        self._prev_version: int | None = None
 
     # -------------------------------------------------------- scheduling
 
@@ -437,21 +439,27 @@ class ScrapeLoop:
         return new_latencies
 
     def _sample_routing(self, now: float) -> None:
-        """Routing-table churn: L1 weight distance since the last scrape."""
+        """Routing-table churn: L1 weight distance since the last scrape.
+
+        ``table.version`` moves only when a rule does, so an unmoved
+        version is zero churn over the rules already copied.
+        """
         table = self.simulation.table
-        rules = table.rules()
         churn = 0.0
-        previous = self._prev_weights
-        for key in sorted(set(rules) | set(previous),
-                          key=lambda k: (k.service, k.traffic_class,
-                                         k.src_cluster)):
-            old = previous.get(key, {})
-            new = rules.get(key, {})
-            churn += sum(
-                abs(new.get(c, 0.0) - old.get(c, 0.0))
-                for c in sorted(set(new) | set(old)))
-        self._prev_weights = rules
-        self.store.record("routing_rules", now, len(rules))
+        if table.version != self._prev_version:
+            rules = table.rules()
+            previous = self._prev_weights
+            for key in sorted(set(rules) | set(previous),
+                              key=lambda k: (k.service, k.traffic_class,
+                                             k.src_cluster)):
+                old = previous.get(key, {})
+                new = rules.get(key, {})
+                churn += sum(
+                    abs(new.get(c, 0.0) - old.get(c, 0.0))
+                    for c in sorted(set(new) | set(old)))
+            self._prev_weights = rules
+            self._prev_version = table.version
+        self.store.record("routing_rules", now, len(self._prev_weights))
         self.store.record("routing_table_version", now, table.version)
         self.store.record("routing_weight_churn", now, churn)
 

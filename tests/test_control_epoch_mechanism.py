@@ -11,6 +11,8 @@ host:
 * a warm-build epoch (observe → plan → rules → distribute) derives nothing
   from the call trees or the delay models again: it reads the structure's
   tables;
+* an epoch builds rule objects only for what it has not met before and
+  normalises into the routing table only the rules whose weights moved;
 * the path LP carries one load column per pool, so its non-zeros are
   bounded by the paths' own hops plus two per delay segment — a dense
   epigraph (every path in every segment row of its pools) cannot come back
@@ -40,6 +42,8 @@ from repro.core.optimizer.paths import extract_path_result
 from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.forecasting import HoltForecaster
+from repro.core.rules import RoutingRule
+from repro.mesh import routing_table
 from repro.mesh.routing_table import RoutingTable
 from repro.mesh.telemetry import ClusterEpochReport
 from repro.sim import DeploymentSpec, linear_chain_app, two_region_latency
@@ -235,6 +239,49 @@ def test_warm_epoch_reads_the_structures_tables(monkeypatch):
     assert [len(calls) for calls in derived] == [0] * len(derived)
     # observe asked each report only about the classes it counted
     assert len(rates) == 3 * len(base)
+
+
+def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
+    """After the first epoch a rule object is built only for a (rule,
+    destination) pair not met before or a rule split across destinations,
+    only the rules whose weights moved are normalised into the table, and
+    a replay epoch builds nothing and leaves ``table.version`` alone."""
+    app, deployment, base, config = smoke_mesh()
+    names = deployment.cluster_names
+    controller = GlobalController(app, deployment, config)
+    table = RoutingTable()
+    distributors = [ClusterController(name) for name in names]
+    seen: set = set()          # (rule key, destination) of one-way rules
+    installed: dict = {}       # rule key → the weights last pushed
+    paths_taken = []
+    for epoch, batch in enumerate(epoch_reports(names, base)):
+        if epoch == 1:
+            built = counting(monkeypatch, RoutingRule, "__init__")
+            normalised = counting(monkeypatch, routing_table, "_normalise")
+        if epoch:
+            built_before, normalised_before = len(built), len(normalised)
+            version = table.version
+        controller.observe(batch)
+        result = controller.plan()
+        rules = result.rules()
+        for distributor in distributors:
+            distributor.distribute(rules, table)
+        one_way = {(rule.key, rule.weights[0][0]) for rule in rules
+                   if len(rule.weights) == 1}
+        split = [rule for rule in rules if len(rule.weights) > 1]
+        moved = [rule for rule in rules
+                 if installed.get(rule.key) != rule.weights]
+        if epoch:
+            paths_taken.append(result.solver_path)
+            assert (len(built) - built_before
+                    <= len(one_way - seen) + len(split))
+            assert len(normalised) - normalised_before == len(moved)
+            if result.solver_path == "replay":
+                assert len(built) == built_before
+                assert table.version == version
+        seen |= one_way
+        installed.update((rule.key, rule.weights) for rule in rules)
+    assert "replay" in paths_taken and "warm" in paths_taken
 
 
 def test_path_lp_has_one_load_column_per_pool():

@@ -6,7 +6,8 @@ Wall time says a run got faster; these say *why*, byte-stable on any host:
   run produces does not grow with the number of requests;
 * a proxy compiles a route at most once per ``(service, class, exclude)``
   per routing change, and always on the very next call after one — however
-  the change was made;
+  the change was made; reinstalling the rule already installed is no
+  change, for the proxies and for the fluid plan alike;
 * the compiled weighted draw is the draw the per-call selection made,
   sample for sample.
 """
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.chaos import ChaosRuntime, FaultPlan, ReplicaFault
 from repro.mesh.loadbalancer import WeightedRandomSelector
 from repro.mesh.routing_table import RouteKey
-from repro.sim import DeploymentSpec, linear_chain_app
+from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
 from repro.sim.network import LatencyMatrix
 from repro.sim.runner import MeshSimulation, TimeoutPolicy
 from repro.sim.topology import ClusterSpec
@@ -129,6 +130,44 @@ def test_every_routing_table_edit_recompiles_on_the_next_call():
     assert probe.after(lambda: table.remove(key), "S2") == ("west", 1)
     table.set_weights(key, {"east": 1.0})
     assert probe.after(table.clear, "S2") == ("west", 1)
+
+
+def test_reinstalling_the_installed_rule_compiles_nothing():
+    sim = three_cluster_sim()
+    probe, table = Probe(sim), sim.table
+    key = RouteKey("S2", "default", "west")
+    table.set_weights(key, {"east": 1.0})
+    version = table.version
+    assert probe.after(lambda: table.set_weights(key, {"east": 1.0}),
+                       "S2") == ("east", 0)
+    assert probe.after(lambda: table.upsert([(key, (("east", 1.0),))]),
+                       "S2") == ("east", 0)
+    assert table.version == version
+    # one push moving two rules is one change: one compile per route
+    other = RouteKey("S3", "default", "west")
+    assert probe.after(lambda: table.upsert([
+        (key, (("mid", 1.0),)), (other, (("east", 1.0),))]),
+        "S2") == ("mid", 1)
+    assert table.version == version + 1
+
+
+def test_reinstalling_the_installed_rule_keeps_the_fluid_plan():
+    app = linear_chain_app(n_services=3, exec_time=0.010)
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=8,
+        latency=LatencyMatrix.from_ms(["west", "east"],
+                                      {("west", "east"): 25.0}))
+    sim = MeshSimulation(app, deployment, seed=7, fidelity="fluid",
+                         fluid_tick=0.1)
+    key = RouteKey("S2", "default", "west")
+    split = {"west": 0.5, "east": 0.5}
+    at = sim.sim.schedule_at
+    at(0.25, sim.table.set_weights, key, split)
+    at(0.45, sim.table.set_weights, key, dict(split))
+    at(0.65, sim.table.upsert, [(key, tuple(split.items()))])
+    sim.run(DemandMatrix({("default", "west"): 400.0}), 1.0)
+    # the first tick's plan and the one after the only change
+    assert sim.fluid.model.compiles == 2
 
 
 def test_every_deployment_change_recompiles_on_the_next_call():

@@ -8,7 +8,9 @@ from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import fig6a_how_much
 from repro.obs import (Observability, ObservabilityConfig, TimeSeries,
                        TimeSeriesStore, percentile)
+from repro.obs.timeseries import ScrapeLoop
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.runner import MeshSimulation
 
 
 # ----------------------------------------------------------- percentile
@@ -233,3 +235,66 @@ def test_reservoir_mode_keeps_counters_drops_percentiles():
     # no per-request retention → no sliding window percentiles
     assert store.series("request_latency_p99",
                         traffic_class="default") is None
+
+
+def walked_routing_sample(self, now: float) -> None:
+    """``ScrapeLoop._sample_routing`` copying and walking the table at every
+    scrape, as it did before it skipped an unmoved ``table.version`` —
+    frozen here as the reference."""
+    table = self.simulation.table
+    rules = table.rules()
+    churn = 0.0
+    previous = self._prev_weights
+    for key in sorted(set(rules) | set(previous),
+                      key=lambda k: (k.service, k.traffic_class,
+                                     k.src_cluster)):
+        old = previous.get(key, {})
+        new = rules.get(key, {})
+        churn += sum(abs(new.get(c, 0.0) - old.get(c, 0.0))
+                     for c in sorted(set(new) | set(old)))
+    self._prev_weights = rules
+    self.store.record("routing_rules", now, len(rules))
+    self.store.record("routing_table_version", now, table.version)
+    self.store.record("routing_weight_churn", now, churn)
+
+
+def routing_series(monkeypatch, walked: bool) -> dict[str, list]:
+    """The routing series of a run whose table is edited mid-run: a split
+    installed, reinstalled unchanged, moved, and removed."""
+    if walked:
+        monkeypatch.setattr(ScrapeLoop, "_sample_routing",
+                            walked_routing_sample)
+    setup = fig6a_how_much(duration=3.0)
+    scenario = setup.scenario
+    obs = Observability(ObservabilityConfig(timeseries=True,
+                                            scrape_interval=0.25))
+    simulation = MeshSimulation(scenario.app, scenario.deployment,
+                                seed=scenario.seed, observability=obs)
+    table = simulation.table
+    setup.slate.compute_rules(scenario.context()).apply(table)
+    key = min(table.rules(), key=lambda k: (k.service, k.traffic_class,
+                                           k.src_cluster))
+    a, b = scenario.deployment.cluster_names[:2]
+    at = simulation.sim.schedule_at
+    at(0.6, table.set_weights, key, table.rules()[key])
+    at(1.1, table.set_weights, key, {a: 0.25, b: 0.75})
+    at(1.35, table.set_weights, key, {a: 0.25, b: 0.75})
+    at(1.6, table.set_weights, key, {a: 0.5, b: 0.5})
+    at(2.1, table.remove, key)
+    simulation.run(scenario.demand, scenario.duration)
+    store = obs.timeseries
+    return {name: store.series(name).items()
+            for name in ("routing_rules", "routing_weight_churn",
+                         "routing_table_version")}
+
+
+def test_an_unmoved_table_version_skips_the_churn_walk(monkeypatch):
+    skipped = routing_series(monkeypatch, walked=False)
+    walked = routing_series(monkeypatch, walked=True)
+    for name in ("routing_rules", "routing_weight_churn"):
+        assert skipped[name] == walked[name], name
+    churn = [value for _, value in skipped["routing_weight_churn"]]
+    assert churn.count(0.0) > 3 and sum(v > 0 for v in churn) >= 3
+    # the version counts only the writes that changed a rule
+    versions = [value for _, value in skipped["routing_table_version"]]
+    assert versions[-1] == versions[0] + 4
