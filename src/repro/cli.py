@@ -347,20 +347,28 @@ def _obs_explain(args: argparse.Namespace) -> int:
     obs = Observability(ObservabilityConfig(provenance=True, decisions=True,
                                             timeseries=True))
     if args.scenario == "chaos":
-        from .chaos import run_chaos
         duration = args.duration if args.duration is not None else 40.0
         setup = sc.chaos_outage_setup(duration=duration, seed=args.seed)
-        run_chaos(setup.scenario, setup.policy, setup.plan,
-                  fallback=setup.fallback, max_rule_age=setup.max_rule_age,
-                  observability=obs)
     else:
-        from .experiments.harness import run_policy
         duration = args.duration if args.duration is not None else 240.0
         # replicas=2 keeps peak diurnal demand above one cluster's
         # capacity, so the optimizer actually shifts weight cross-cluster
         # (the default 5 replicas never offload — nothing to explain)
         setup = sc.diurnal_control_setup(duration=duration, seed=args.seed,
                                          replicas=args.replicas)
+    classes = sorted(setup.scenario.app.classes)
+    if args.traffic_class not in classes:
+        print(f"obs explain: unknown traffic class {args.traffic_class!r}; "
+              f"the {args.scenario} scenario has: {', '.join(classes)}",
+              file=sys.stderr)
+        return 2
+    if args.scenario == "chaos":
+        from .chaos import run_chaos
+        run_chaos(setup.scenario, setup.policy, setup.plan,
+                  fallback=setup.fallback, max_rule_age=setup.max_rule_age,
+                  observability=obs)
+    else:
+        from .experiments.harness import run_policy
         run_policy(setup.scenario, setup.policy, observability=obs,
                    timeline=setup.timeline)
     provenance = obs.provenance

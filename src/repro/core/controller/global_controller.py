@@ -144,11 +144,6 @@ class GlobalController:
         profiler (duck-typed ``section(name)`` context manager)."""
         self.epoch_solver.profiler = profiler
 
-    def attach_provenance(self, recorder) -> None:
-        """Route per-epoch reuse-ladder outcomes into a provenance
-        recorder (duck-typed ``record_solve(info)`` hook)."""
-        self.epoch_solver.recorder = recorder
-
     # ------------------------------------------------------------ learning
 
     def observe(self, reports: list[ClusterEpochReport]) -> None:

@@ -35,7 +35,6 @@ class SlatePolicy:
         self.rollout = rollout
         self._controller: GlobalController | None = None
         self._profiler = None
-        self._provenance = None
 
     def attach_profiler(self, profiler) -> None:
         """Route optimizer timings into a control-plane profiler.
@@ -48,16 +47,6 @@ class SlatePolicy:
         self._profiler = profiler
         if self.adaptive and self._controller is not None:
             self._controller.attach_profiler(profiler)
-
-    def attach_provenance(self, recorder) -> None:
-        """Route per-epoch solver decisions into a provenance recorder.
-
-        Duck-typed (``record_solve(info)``) like :meth:`attach_profiler`,
-        and with the same semantics.
-        """
-        self._provenance = recorder
-        if self.adaptive and self._controller is not None:
-            self._controller.attach_provenance(recorder)
 
     @property
     def controller(self) -> GlobalController | None:
@@ -83,11 +72,8 @@ class SlatePolicy:
                 or controller.deployment is not ctx.deployment):
             controller = GlobalController(ctx.app, ctx.deployment,
                                           self.config)
-            if self.adaptive:
-                if self._profiler is not None:
-                    controller.attach_profiler(self._profiler)
-                if self._provenance is not None:
-                    controller.attach_provenance(self._provenance)
+            if self.adaptive and self._profiler is not None:
+                controller.attach_profiler(self._profiler)
             self._controller = controller
         return controller
 

@@ -59,6 +59,10 @@ class OptimizationResult:
     #: solved by the restricted warm-start path (verified optimal by
     #: pricing) instead of a full cold solve
     warm_start: bool = field(default=False, compare=False)
+    #: the pricing certificate's verdict on this solve's warm attempt:
+    #: "certified", "rejected" (then solved cold), or None when no warm
+    #: solve was attempted
+    pricing: str | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:

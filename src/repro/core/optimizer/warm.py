@@ -174,10 +174,10 @@ class EpochSolver:
     initial plan) and every epoch's ``plan``; only the cacheless arc
     one-shot :func:`~repro.core.optimizer.solve.solve` bypasses it.
     ``profiler`` duck-types the control-plane profiler's
-    ``section(name)`` context manager, and ``recorder`` duck-types the
-    provenance log's ``record_solve(info)`` hook (both kept duck-typed so
-    ``repro.core`` never imports ``repro.obs``; both None by default, so
-    the instrumented path costs one attribute check per epoch).
+    ``section(name)`` context manager (duck-typed so ``repro.core`` never
+    imports ``repro.obs``; None by default, so the uninstrumented path
+    costs one attribute check per section). Each result carries its rung
+    (``solver_path``, ``warm_build``, ``pricing``) for whoever reads it.
     """
 
     def __init__(self, cache: SolverCache | None = None,
@@ -200,9 +200,6 @@ class EpochSolver:
         #: duck-typed control-plane profiler, set by
         #: ``GlobalController.attach_profiler``
         self.profiler = None
-        #: duck-typed provenance sink: ``record_solve(info: dict)`` is
-        #: called once per solve() with the reuse-ladder outcome
-        self.recorder = None
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
@@ -259,21 +256,6 @@ class EpochSolver:
             "max_group": max(groups.values(), default=0),
         }
 
-    def _notify(self, solver_path: str, warm_build: bool,
-                pricing: str | None, model) -> None:
-        """Feed the reuse-ladder outcome to the provenance recorder."""
-        recorder = self.recorder
-        if recorder is None:
-            return
-        recorder.record_solve({
-            "solver_path": solver_path,
-            "warm_build": warm_build,
-            "pricing": pricing,
-            "formulation": self.formulation,
-            "n_variables": model.n_variables,
-            "candidates": self.last_candidate_stats,
-        })
-
     # --------------------------------------------------------------- solve
 
     def solve(self, problem: TEProblem) -> OptimizationResult:
@@ -304,9 +286,9 @@ class EpochSolver:
                     model, solution, status,
                     time.perf_counter() - started)   # lint: ignore[D02]
                 result.cache_hit = True
-                self._notify("replay", warm_build, None, model)
                 return self._decorate(result, fingerprint, build_elapsed,
-                                      warm_build, warm_start=False)
+                                      warm_build, warm_start=False,
+                                      pricing=None)
 
         solve_started = time.perf_counter()   # lint: ignore[D02]
         solution = None
@@ -342,16 +324,17 @@ class EpochSolver:
         if self.cache is not None:
             self.cache.store(fingerprint, solution, "optimal")
         result = extract_result(model, solution, "optimal", elapsed)
-        self._notify("warm" if warm else "cold", warm_build, pricing, model)
         return self._decorate(result, fingerprint, build_elapsed,
-                              warm_build, warm)
+                              warm_build, warm, pricing)
 
     def _decorate(self, result: OptimizationResult, fingerprint,
                   build_elapsed: float, warm_build: bool,
-                  warm_start: bool) -> OptimizationResult:
+                  warm_start: bool, pricing: str | None
+                  ) -> OptimizationResult:
         result.build_time = build_elapsed
         result.warm_build = warm_build
         result.warm_start = warm_start
+        result.pricing = pricing
         if self.cache is not None:
             result.cache_hits = self.cache.hits
             result.cache_misses = self.cache.misses

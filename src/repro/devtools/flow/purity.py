@@ -74,7 +74,8 @@ DEFAULT_PURITY_CONTRACTS: tuple[PurityContract, ...] = (
         entry_modules=("repro.obs.collect", "repro.obs.timeseries",
                        "repro.obs.slo", "repro.obs.alerts",
                        "repro.obs.diff", "repro.obs.analyzer",
-                       "repro.obs.provenance"),
+                       "repro.obs.decisions", "repro.obs.provenance",
+                       "repro.obs.reading"),
         forbidden=("repro.sim", "repro.mesh", "repro.core",
                    "repro.baselines", "repro.experiments", "repro.chaos"),
         description=("observability collection/scrape/SLO/diff code must "

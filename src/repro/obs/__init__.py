@@ -26,6 +26,9 @@ network layer cannot; this package applies the same idea to the simulator:
   → solver reuse-ladder rung → rule delta → observed data-plane shift)
   in a bounded flight-recorder ring with anomaly-triggered dumps and the
   ``repro obs explain`` narrative;
+* :mod:`repro.obs.reading` — each control epoch read once for the
+  decision log and provenance, and the one rule diff they and the scrape
+  loop share;
 * :mod:`repro.obs.diff` — a run-diff regression engine comparing two runs'
   exported artifacts under tolerance bands (``repro obs diff A B``);
 * :mod:`repro.obs.profiler` — wall-clock profiling of the control plane

@@ -11,96 +11,131 @@ zero.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .metrics import MetricsRegistry
 from .profiler import ControlPlaneProfiler
 
-__all__ = ["collect_controller_metrics", "collect_profiler_metrics",
-           "collect_simulation_metrics"]
+__all__ = ["STATE_METRICS", "StateMetric", "collect_controller_metrics",
+           "collect_profiler_metrics", "collect_simulation_metrics",
+           "walk_state"]
 
 
-def collect_simulation_metrics(registry: MetricsRegistry,
-                               simulation) -> None:
-    """Snapshot a :class:`~repro.sim.runner.MeshSimulation` into metrics."""
+class StateMetric(NamedTuple):
+    """One counter or gauge :func:`walk_state` reads off a simulation."""
+
+    name: str
+    #: "counter" or "gauge"
+    kind: str
+    help: str
+    #: sampled into the time-series store at every scrape tick
+    scraped: bool = True
+    #: snapshotted into the metrics registry at the end of a run
+    collected: bool = True
+
+
+ENGINE_EVENTS = StateMetric("engine_events_total", "counter",
+                            "events processed by the discrete-event engine")
+ENGINE_PENDING = StateMetric("engine_pending_events", "gauge",
+                             "heap depth at snapshot time")
+ENGINE_TIME = StateMetric("engine_sim_time_seconds", "gauge",
+                          "simulated clock at snapshot time", scraped=False)
+POOL_QUEUE = StateMetric("pool_queue_depth", "gauge",
+                         "jobs waiting for a replica")
+POOL_BUSY = StateMetric("pool_busy_replicas", "gauge",
+                        "replicas executing a job")
+POOL_REPLICAS = StateMetric("pool_replicas", "gauge",
+                            "provisioned replica count", scraped=False)
+POOL_UTILIZATION = StateMetric("pool_utilization", "gauge",
+                               "lifetime busy fraction per replica")
+GATEWAY_ADMITTED = StateMetric("gateway_admitted_total", "counter",
+                               "requests admitted at the ingress gateway")
+GATEWAY_COMPLETED = StateMetric("gateway_completed_total", "counter",
+                                "requests completed end-to-end")
+GATEWAY_FAILED = StateMetric("gateway_failed_total", "counter",
+                             "requests that exhausted retries")
+GATEWAY_OPEN = StateMetric("gateway_open_requests", "gauge",
+                           "requests admitted but not yet settled")
+WAN_BYTES = StateMetric("wan_egress_bytes_total", "counter",
+                        "bytes crossing the WAN per directed cluster pair")
+#: the registry bills egress per source cluster, the store scrapes the total
+WAN_COST_BY_SRC = StateMetric("wan_egress_cost_dollars_total", "counter",
+                              "egress spend billed to the source cluster",
+                              scraped=False)
+WAN_COST = StateMetric("wan_egress_cost_dollars_total", "counter",
+                       "egress spend across every source cluster",
+                       collected=False)
+CALLS_DROPPED = StateMetric("calls_dropped_total", "counter",
+                            "calls lost to a service that failed in flight")
+CALLS_TIMED_OUT = StateMetric("calls_timed_out_total", "counter",
+                              "call attempts abandoned past their deadline")
+CALLS_HEDGED = StateMetric("calls_hedged_total", "counter",
+                           "duplicate calls launched by the hedging policy")
+
+#: every metric :func:`walk_state` yields, in walk order
+STATE_METRICS = (ENGINE_EVENTS, ENGINE_PENDING, ENGINE_TIME, POOL_QUEUE,
+                 POOL_BUSY, POOL_REPLICAS, POOL_UTILIZATION,
+                 GATEWAY_ADMITTED, GATEWAY_COMPLETED, GATEWAY_FAILED,
+                 GATEWAY_OPEN, WAN_BYTES, WAN_COST_BY_SRC, WAN_COST,
+                 CALLS_DROPPED, CALLS_TIMED_OUT, CALLS_HEDGED)
+
+
+def walk_state(simulation):
+    """One walk of a :class:`~repro.sim.runner.MeshSimulation`'s engine,
+    pool, gateway, WAN-ledger and call counters: yields ``(metric,
+    labels, value)`` for the end-of-run snapshot and each scrape alike."""
     sim = simulation.sim
-    registry.counter(
-        "engine_events_total",
-        "events processed by the discrete-event engine").inc(
-            sim.events_processed)
-    registry.gauge(
-        "engine_pending_events",
-        "heap depth at snapshot time").set(sim.pending_events)
-    registry.gauge(
-        "engine_sim_time_seconds",
-        "simulated clock at snapshot time").set(sim.now)
+    now = sim.now
+    yield ENGINE_EVENTS, {}, sim.events_processed
+    yield ENGINE_PENDING, {}, sim.pending_events
+    yield ENGINE_TIME, {}, now
 
     for cluster_name in sorted(simulation.clusters):
         cluster = simulation.clusters[cluster_name]
         for service in sorted(cluster.pools):
             pool = cluster.pools[service]
             labels = {"service": service, "cluster": cluster_name}
-            registry.gauge(
-                "pool_queue_depth",
-                "jobs waiting for a replica").set(pool.queue_length, **labels)
-            registry.gauge(
-                "pool_busy_replicas",
-                "replicas executing a job").set(pool.busy_replicas, **labels)
-            registry.gauge(
-                "pool_replicas",
-                "provisioned replica count").set(pool.replicas, **labels)
-            if sim.now > 0:
+            yield POOL_QUEUE, labels, pool.queue_length
+            yield POOL_BUSY, labels, pool.busy_replicas
+            yield POOL_REPLICAS, labels, pool.replicas
+            if now > 0 and pool.replicas > 0:
                 utilization = (pool.lifetime_busy_seconds
-                               / (pool.replicas * sim.now))
+                               / (pool.replicas * now))
             else:
                 utilization = 0.0
-            registry.gauge(
-                "pool_utilization",
-                "lifetime busy fraction per replica").set(
-                    utilization, **labels)
+            yield POOL_UTILIZATION, labels, utilization
 
     for cluster_name in sorted(simulation.gateways):
         gateway = simulation.gateways[cluster_name]
         labels = {"cluster": cluster_name}
-        registry.counter(
-            "gateway_admitted_total",
-            "requests admitted at the ingress gateway").inc(
-                gateway.admitted_count, **labels)
-        registry.counter(
-            "gateway_completed_total",
-            "requests completed end-to-end").inc(
-                gateway.completed_count, **labels)
-        registry.counter(
-            "gateway_failed_total",
-            "requests that exhausted retries").inc(
-                gateway.failed_count, **labels)
-        registry.gauge(
-            "gateway_open_requests",
-            "requests admitted but not yet settled").set(
-                gateway.open_requests, **labels)
+        yield GATEWAY_ADMITTED, labels, gateway.admitted_count
+        yield GATEWAY_COMPLETED, labels, gateway.completed_count
+        yield GATEWAY_FAILED, labels, gateway.failed_count
+        yield GATEWAY_OPEN, labels, gateway.open_requests
 
     ledger = simulation.network.ledger
     for (src, dst) in sorted(ledger.bytes_by_pair):
-        registry.counter(
-            "wan_egress_bytes_total",
-            "bytes crossing the WAN per directed cluster pair").inc(
-                ledger.bytes_by_pair[(src, dst)], src=src, dst=dst)
+        yield WAN_BYTES, {"src": src, "dst": dst}, ledger.bytes_by_pair[
+            (src, dst)]
     for src in sorted(ledger.cost_by_src):
-        registry.counter(
-            "wan_egress_cost_dollars_total",
-            "egress spend billed to the source cluster").inc(
-                ledger.cost_by_src[src], src=src)
+        yield WAN_COST_BY_SRC, {"src": src}, ledger.cost_by_src[src]
+    yield WAN_COST, {}, ledger.total_cost
 
-    registry.counter(
-        "calls_dropped_total",
-        "calls lost to a service that failed in flight").inc(
-            simulation.dropped_calls)
-    registry.counter(
-        "calls_timed_out_total",
-        "call attempts abandoned past their deadline").inc(
-            simulation.timed_out_calls)
-    registry.counter(
-        "calls_hedged_total",
-        "duplicate calls launched by the hedging policy").inc(
-            simulation.hedged_calls)
+    yield CALLS_DROPPED, {}, simulation.dropped_calls
+    yield CALLS_TIMED_OUT, {}, simulation.timed_out_calls
+    yield CALLS_HEDGED, {}, simulation.hedged_calls
+
+
+def collect_simulation_metrics(registry: MetricsRegistry,
+                               simulation) -> None:
+    """Snapshot a :class:`~repro.sim.runner.MeshSimulation` into metrics."""
+    for metric, labels, value in walk_state(simulation):
+        if not metric.collected:
+            continue
+        if metric.kind == "counter":
+            registry.counter(metric.name, metric.help).inc(value, **labels)
+        else:
+            registry.gauge(metric.name, metric.help).set(value, **labels)
 
     latency = registry.histogram(
         "request_latency_seconds",

@@ -4,11 +4,10 @@ One frozen :class:`ObservabilityConfig` switches the whole layer; every
 pillar defaults to off so baseline runs stay byte-identical and pay no
 overhead (the runner checks a single ``is None`` per span when disabled).
 
-:class:`Observability` is the live counterpart: it owns the tracer, the
-metrics registry, the decision log, and the control-plane profiler for one
-run, and is what `MeshSimulation`/`run_policy` accept. Pass a config and
-the harness builds the runtime for you; pass a prebuilt runtime to share
-one registry across runs.
+:class:`Observability` is the live counterpart: it owns every pillar of
+one run and is what `MeshSimulation`/`run_policy` accept. Pass a config
+and the harness builds the runtime for you; pass a prebuilt runtime to
+share one registry across runs.
 """
 
 from __future__ import annotations
@@ -18,11 +17,14 @@ from dataclasses import dataclass
 
 from .alerts import AlertLog
 from .anomaly import AnomalyEngine
+from .collect import (collect_controller_metrics, collect_profiler_metrics,
+                      collect_simulation_metrics)
 from .decisions import DecisionLog
 from .forecast import FORECAST_MODELS, BreachPredictor, ForecastEngine
 from .metrics import MetricsRegistry
 from .profiler import ControlPlaneProfiler
 from .provenance import ProvenanceLog
+from .reading import read_epoch
 from .signals import SignalBus
 from .slo import SloEngine, SloRule
 from .timeseries import ScrapeLoop, TimeSeriesStore
@@ -115,7 +117,15 @@ class ObservabilityConfig:
 
 
 class Observability:
-    """Live observability state for one run (or a shared set of runs)."""
+    """Live observability state for one run (or a shared set of runs).
+
+    Holds one of each pillar the config switches on, None for the rest:
+    the tracer, the metrics registry, the decision log, the control-plane
+    profiler, the time-series store and its scrape loop (bound by
+    :meth:`attach`), the SLO engine and its alert log, the provenance log,
+    and the signal bus with the forecast, anomaly and breach-prediction
+    engines that publish on it.
+    """
 
     def __init__(self, config: ObservabilityConfig | None = None) -> None:
         self.config = config or ObservabilityConfig()
@@ -214,30 +224,30 @@ class Observability:
 
     def begin_run(self, scenario: str, seed, policy) -> None:
         """Stamp the run identity and route the policy's solver timings
-        and reuse-ladder outcomes into the profiler / provenance log.
+        into the profiler.
 
         Called before the initial plan, so that plan is profiled too.
-        Policies without the hooks — the baselines — simply aren't
+        Policies without the hook — the baselines — simply aren't
         instrumented per phase.
         """
         if self.profiler is not None and hasattr(policy, "attach_profiler"):
             policy.attach_profiler(self.profiler)
         if self.provenance is not None:
             self.provenance.bind_run(scenario, seed, policy=policy.name)
-            if hasattr(policy, "attach_provenance"):
-                policy.attach_provenance(self.provenance)
 
     def seed_rules(self, table) -> None:
         """Baseline every rule diff against the initial install."""
+        rules = table.rules()
         if self.decisions is not None:
-            self.decisions.seed_rules(table.rules())
+            self.decisions.seed_rules(rules)
         if self.provenance is not None:
-            self.provenance.seed_rules(table.rules())
+            self.provenance.seed_rules(rules)
 
     def record_epoch(self, now: float, controller, update, reports, table,
                      *, outage: tuple | None = None, faults=()) -> None:
-        """Fold one control epoch into every pillar that keeps epoch
-        records, then run the flight recorder's anomaly triggers.
+        """Read one control epoch once and fold the reading into every
+        pillar that keeps epoch records, then run the flight recorder's
+        anomaly triggers.
 
         ``controller`` is the policy's Global Controller (None for the
         baselines) and ``update`` what it shipped (None: nothing).
@@ -247,17 +257,18 @@ class Observability:
         (one row per Global Controller epoch) does not. ``faults`` is a
         chaos run's fault timeline.
         """
+        provenance = self.provenance
+        if self.decisions is None and provenance is None:
+            return
+        reading = read_epoch(now, controller, update,
+                             outage=outage is not None)
         if (self.decisions is not None and controller is not None
                 and outage is None):
-            self.decisions.record(now, controller, update)
-        provenance = self.provenance
+            self.decisions.record(reading)
         if provenance is None:
             return
-        provenance.record_epoch(
-            now, controller=controller, update=update, reports=reports,
-            rules=table.rules(),
-            outcome=None if outage is None else "outage",
-            fallback=outage or ())
+        provenance.record_epoch(reading, reports=reports,
+                                rules=table.rules(), fallback=outage or ())
         if self.alerts is not None:
             provenance.check_alerts(now, self.alerts)
         if self.anomaly is not None:
@@ -285,9 +296,6 @@ class Observability:
         """Snapshot end-of-run state into the metrics registry."""
         if self.metrics is None:
             return
-        from .collect import (collect_controller_metrics,
-                              collect_profiler_metrics,
-                              collect_simulation_metrics)
         collect_simulation_metrics(self.metrics, simulation)
         collect_controller_metrics(self.metrics, controller)
         collect_profiler_metrics(self.metrics, self.profiler)

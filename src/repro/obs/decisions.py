@@ -15,16 +15,13 @@ decisions keeps runs byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from ..core.controller.global_controller import GlobalController
-from ..core.rules import RuleSet
+from .reading import EpochReading, diff_rules
 
 __all__ = ["DecisionLog", "EpochDecision"]
-
-#: weight-change below this is float noise, not a routing change
-_WEIGHT_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,27 +64,7 @@ class EpochDecision:
     solver_path: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "sim_time": self.sim_time,
-            "outcome": self.outcome,
-            "demand_total": self.demand_total,
-            "demand_delta": self.demand_delta,
-            "fingerprint": self.fingerprint,
-            "objective": self.objective,
-            "solve_time": self.solve_time,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "rules_added": self.rules_added,
-            "rules_removed": self.rules_removed,
-            "rules_changed": self.rules_changed,
-            "weight_churn": self.weight_churn,
-            "telemetry_age": self.telemetry_age,
-            "warm": self.warm,
-            "warm_build": self.warm_build,
-            "build_time": self.build_time,
-            "solver_path": self.solver_path,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -115,75 +92,51 @@ class DecisionLog:
         """
         self._prev_rules = dict(rules)
 
-    def record(self, sim_time: float, controller: GlobalController,
-               update: RuleSet | None) -> EpochDecision:
-        """Fold one epoch's controller state into the log.
+    def record(self, reading: EpochReading) -> EpochDecision:
+        """Fold one reachable epoch of a policy with a controller.
 
-        ``update`` is what the policy shipped this epoch (None when it had
-        nothing to plan against). Called by the harness *after* the epoch's
-        plan, so ``controller.last_result`` reflects this epoch.
+        Called by :meth:`Observability.record_epoch
+        <repro.obs.config.Observability.record_epoch>` *after* the epoch's
+        plan, with the epoch read once for every record.
         """
-        demand = {
-            (cls, cluster): controller.demand_estimate(cls, cluster)
-            for cls in sorted(controller.app.classes)
-            for cluster in controller.deployment.cluster_names
-        }
+        demand = {(cls, cluster): value
+                  for cls, per in reading.demand.items()
+                  for cluster, value in per.items()}
         delta = sum(
             abs(demand.get(key, 0.0) - self._prev_demand.get(key, 0.0))
             for key in sorted(set(demand) | set(self._prev_demand)))
-        result = controller.last_result
-        if update is None or result is None:
-            outcome = "no-demand"
-        elif result.cache_hit:
-            outcome = "replayed"
-        else:
-            outcome = "solved"
-        added = removed = changed = 0
+        shipped = {"added": 0, "removed": 0, "changed": 0}
         churn = 0.0
-        if update is not None:
-            new_rules = update.by_key()
-            for key in sorted(set(new_rules) | set(self._prev_rules),
-                              key=lambda k: (k.service, k.traffic_class,
-                                             k.src_cluster)):
-                old_weights = self._prev_rules.get(key)
-                new_weights = new_rules.get(key)
-                if old_weights is None:
-                    added += 1
-                    churn += sum(new_weights.values())
-                elif new_weights is None:
-                    removed += 1
-                    churn += sum(old_weights.values())
-                else:
-                    diff = sum(
-                        abs(new_weights.get(c, 0.0) - old_weights.get(c, 0.0))
-                        for c in sorted(set(new_weights) | set(old_weights)))
-                    if diff > _WEIGHT_EPSILON:
-                        changed += 1
-                        churn += diff
+        if reading.update is not None:
+            new_rules = reading.update.by_key()
+            for change in diff_rules(self._prev_rules, new_rules):
+                if change.moved:
+                    shipped[change.kind] += 1
+                    churn += change.churn
             self._prev_rules = new_rules
+        result = reading.result
+        observed = reading.controller.last_observe_time
         decision = EpochDecision(
             epoch=len(self.decisions),
-            sim_time=sim_time,
-            outcome=outcome,
+            sim_time=reading.sim_time,
+            outcome=reading.outcome,
             demand_total=sum(demand.values()),
             demand_delta=delta,
-            fingerprint=getattr(result, "fingerprint", None),
-            objective=result.objective if result is not None else None,
-            solve_time=result.solve_time if result is not None else None,
-            cache_hits=result.cache_hits if result is not None else 0,
-            cache_misses=result.cache_misses if result is not None else 0,
-            rules_added=added,
-            rules_removed=removed,
-            rules_changed=changed,
+            fingerprint=result.fingerprint if result else None,
+            objective=result.objective if result else None,
+            solve_time=result.solve_time if result else None,
+            cache_hits=result.cache_hits if result else 0,
+            cache_misses=result.cache_misses if result else 0,
+            rules_added=shipped["added"],
+            rules_removed=shipped["removed"],
+            rules_changed=shipped["changed"],
             weight_churn=churn,
-            telemetry_age=(
-                None if getattr(controller, "last_observe_time", None) is None
-                else max(0.0, sim_time - controller.last_observe_time)),
-            warm=bool(getattr(result, "warm_start", False)),
-            warm_build=bool(getattr(result, "warm_build", False)),
-            build_time=getattr(result, "build_time", None),
-            solver_path=(getattr(result, "solver_path", None)
-                         if outcome != "no-demand" else None),
+            telemetry_age=(None if observed is None
+                           else max(0.0, reading.sim_time - observed)),
+            warm=bool(result and result.warm_start),
+            warm_build=bool(result and result.warm_build),
+            build_time=result.build_time if result else None,
+            solver_path=result.solver_path if result else None,
         )
         self._prev_demand = demand
         self.decisions.append(decision)

@@ -32,15 +32,16 @@ fault records are duck-typed through their ``fired_at``/``resolved_at``/
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .reading import EPSILON, EpochReading, diff_rules
+
 if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
-    from ..core.controller.global_controller import GlobalController
-    from ..core.rules import RuleSet
     from .alerts import AlertLog
     from .timeseries import TimeSeriesStore
 
@@ -55,9 +56,6 @@ MAX_SNAPSHOTS = 32
 
 #: per-record cap on itemised rule changes (largest-churn first)
 MAX_RULE_CHANGES = 24
-
-#: weight/rate movement below this is float noise, not a shift
-_EPSILON = 1e-9
 
 
 def telemetry_digest(reports) -> str:
@@ -101,13 +99,7 @@ class EpochEffect:
     latency: dict[str, dict] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "weight_churn": self.weight_churn,
-            "egress": self.egress,
-            "latency": self.latency,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -124,8 +116,8 @@ class ProvenanceRecord:
     demand: dict[str, dict[str, float]]
     #: class → cluster → signed change vs the previous epoch's estimate
     demand_delta: dict[str, dict[str, float]]
-    #: reuse-ladder outcome from the EpochSolver recorder hook:
-    #: solver_path ("replay"/"warm"/"cold"), warm_build, pricing
+    #: the reuse-ladder rung this epoch's plan took: solver_path
+    #: ("replay"/"warm"/"cold"), warm_build, pricing
     #: ("certified"/"rejected"/None), formulation, n_variables, candidates
     solver: dict | None
     objective: float | None
@@ -159,23 +151,7 @@ class ProvenanceRecord:
         return float(entry["churn"]) if entry else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "sim_time": self.sim_time,
-            "outcome": self.outcome,
-            "telemetry_digest": self.telemetry_digest,
-            "report_count": self.report_count,
-            "demand": self.demand,
-            "demand_delta": self.demand_delta,
-            "solver": self.solver,
-            "objective": self.objective,
-            "fingerprint": self.fingerprint,
-            "rule_deltas": self.rule_deltas,
-            "rule_changes": self.rule_changes,
-            "weight_churn": self.weight_churn,
-            "fallback_clusters": list(self.fallback_clusters),
-            "effect": self.effect.as_dict() if self.effect else None,
-        }
+        return dataclasses.asdict(self)
 
 
 class FlightRecorder:
@@ -229,13 +205,12 @@ class FlightRecorder:
 class ProvenanceLog:
     """Per-run provenance pipeline: record, join, trigger, explain.
 
-    Fed from three directions: the control loop's one per-epoch call,
+    Fed from two directions: the control loop's one per-epoch call,
     :meth:`Observability.record_epoch
     <repro.obs.config.Observability.record_epoch>`, lands in
-    :meth:`record_epoch` (and the trigger checks after that), the
-    :class:`~repro.core.optimizer.warm.EpochSolver` pushes its reuse-ladder
-    outcome through the duck-typed :meth:`record_solve` hook, and the
-    shared :class:`~repro.obs.timeseries.TimeSeriesStore` supplies the
+    :meth:`record_epoch` (and the trigger checks after that) with the
+    epoch's :class:`~repro.obs.reading.EpochReading`, and the shared
+    :class:`~repro.obs.timeseries.TimeSeriesStore` supplies the
     next-epoch effect attribution.
     """
 
@@ -250,7 +225,6 @@ class ProvenanceLog:
         self._prev_rules: dict = {}
         self._pending: ProvenanceRecord | None = None
         self._prev_window: tuple[float, float] | None = None
-        self._last_solve: dict | None = None
         self._seen_alerts = 0
         self._seen_faults: set = set()
         self._seen_anomalies = 0
@@ -264,31 +238,19 @@ class ProvenanceLog:
         if policy is not None:
             self.run_info["policy"] = policy
 
-    def record_solve(self, info: dict) -> None:
-        """EpochSolver recorder hook: stash this epoch's ladder outcome."""
-        self._last_solve = dict(info)
-
     def seed_rules(self, rules: dict) -> None:
         """Baseline the rule diff against the pre-epoch initial install.
 
         Without this, epoch 0 would claim the initial plan's rules as its
         own additions; with it, each record shows only what *that* epoch
-        shipped — matching the scraped churn signal exactly. The solve
-        behind the initial install is likewise no epoch's: it is dropped,
-        so an epoch that plans nothing reports no solver path.
+        shipped — matching the scraped churn signal exactly.
         """
         self._prev_rules = dict(rules)
-        self._last_solve = None
 
     # ----------------------------------------------------------- recording
 
-    def record_epoch(self, now: float, *,
-                     controller: "GlobalController | None" = None,
-                     update: "RuleSet | None" = None,
-                     reports=(),
-                     rules: dict | None = None,
-                     outcome: str | None = None,
-                     fallback: tuple = ()) -> ProvenanceRecord:
+    def record_epoch(self, reading: EpochReading, *, rules: dict,
+                     reports=(), fallback: tuple = ()) -> ProvenanceRecord:
         """Fold one control epoch into the chain.
 
         Called by the harness after the epoch's plan + distribute (and in
@@ -300,51 +262,28 @@ class ProvenanceLog:
         *previous* record's effect window happens first, now that its end
         is known.
         """
+        now = reading.sim_time
         self._close_effect(now)
 
         digest = telemetry_digest(reports) if reports else None
-        demand, delta = self._demand_snapshot(controller)
+        demand, delta = self._demand_delta(reading.demand)
+        result = reading.result
 
-        solve_info = self._last_solve
-        self._last_solve = None
-        result = controller.last_result if controller is not None else None
-        if outcome is None:
-            if update is None or result is None:
-                outcome = "no-demand"
-            elif result.cache_hit:
-                outcome = "replayed"
-            else:
-                outcome = "solved"
-        if outcome in ("solved", "replayed"):
-            if solve_info is None and result is not None:
-                # recorder not attached at solve time: derive the rung
-                # from the result (single derivation point, PR 8)
-                solve_info = {"solver_path": result.solver_path,
-                              "warm_build": result.warm_build,
-                              "pricing": None}
-            objective = result.objective if result is not None else None
-            fingerprint = result.fingerprint if result is not None else None
-        else:
-            solve_info = None
-            objective = None
-            fingerprint = None
-
-        if rules is None:
-            rules = dict(self._prev_rules)
         per_class, changes, total_churn = self._rule_deltas(rules)
         self._prev_rules = rules
 
         record = ProvenanceRecord(
             epoch=self._epoch,
             sim_time=now,
-            outcome=outcome,
+            outcome=reading.outcome,
             telemetry_digest=digest,
             report_count=len(reports),
             demand=demand,
             demand_delta=delta,
-            solver=solve_info,
-            objective=objective,
-            fingerprint=fingerprint,
+            solver=(None if result is None
+                    else _solver_rung(reading.controller, result)),
+            objective=result.objective if result else None,
+            fingerprint=result.fingerprint if result else None,
             rule_deltas=per_class,
             rule_changes=changes,
             weight_churn=total_churn,
@@ -481,16 +420,11 @@ class ProvenanceLog:
 
     # ------------------------------------------------------------- helpers
 
-    def _demand_snapshot(self, controller):
-        """Per-(class, cluster) estimates and signed deltas vs last epoch."""
-        if controller is None:
+    def _demand_delta(self, demand):
+        """The epoch's demand and its signed deltas vs the last epoch."""
+        if demand is None:
             return ({cls: dict(per) for cls, per in self._prev_demand.items()},
                     {})
-        demand: dict[str, dict[str, float]] = {}
-        for cls in sorted(controller.app.classes):
-            demand[cls] = {
-                cluster: controller.demand_estimate(cls, cluster)
-                for cluster in controller.deployment.cluster_names}
         delta: dict[str, dict[str, float]] = {}
         for cls in sorted(set(demand) | set(self._prev_demand)):
             new = demand.get(cls, {})
@@ -498,7 +432,7 @@ class ProvenanceLog:
             moves = {
                 cluster: new.get(cluster, 0.0) - old.get(cluster, 0.0)
                 for cluster in sorted(set(new) | set(old))}
-            moves = {c: d for c, d in moves.items() if abs(d) > _EPSILON}
+            moves = {c: d for c, d in moves.items() if abs(d) > EPSILON}
             if moves:
                 delta[cls] = moves
         self._prev_demand = demand
@@ -506,46 +440,30 @@ class ProvenanceLog:
 
     def _rule_deltas(self, rules):
         """Diff the installed table against the previous epoch's snapshot."""
-        prev = self._prev_rules
         per_class: dict[str, dict] = {}
         changes: list[dict] = []
         total_churn = 0.0
-        for key in sorted(set(rules) | set(prev),
-                          key=lambda k: (k.service, k.traffic_class,
-                                         k.src_cluster)):
-            old = prev.get(key)
-            new = rules.get(key)
-            if old is None:
-                diff_map = dict(new)
-                kind = "added"
-            elif new is None:
-                diff_map = {dst: -w for dst, w in old.items()}
-                kind = "removed"
-            else:
-                diff_map = {
-                    dst: new.get(dst, 0.0) - old.get(dst, 0.0)
-                    for dst in sorted(set(new) | set(old))}
-                kind = "changed"
-            churn = sum(abs(d) for d in diff_map.values())
-            if kind == "changed" and churn <= _EPSILON:
+        for change in diff_rules(self._prev_rules, rules):
+            if not change.moved:
                 continue
+            key = change.key
             cls = key.traffic_class
             entry = per_class.setdefault(
                 cls, {"added": 0, "removed": 0, "changed": 0,
                       "churn": 0.0, "shift": {}})
-            entry[kind] += 1
-            entry["churn"] += churn
-            total_churn += churn
-            for dst in sorted(diff_map):
-                if abs(diff_map[dst]) > _EPSILON:
-                    entry["shift"][dst] = (entry["shift"].get(dst, 0.0)
-                                           + diff_map[dst])
+            entry[change.kind] += 1
+            entry["churn"] += change.churn
+            total_churn += change.churn
+            shift = entry["shift"]
+            for dst, moved in change.deltas.items():
+                if abs(moved) > EPSILON:
+                    shift[dst] = shift.get(dst, 0.0) + moved
             changes.append({
                 "service": key.service, "class": cls,
-                "src": key.src_cluster, "kind": kind,
-                "old": dict(old) if old is not None else None,
-                "new": dict(new) if new is not None else None,
-                "churn": churn,
+                "src": key.src_cluster, "kind": change.kind,
+                "old": None if change.old is None else dict(change.old),
+                "new": None if change.new is None else dict(change.new),
+                "churn": change.churn,
             })
         changes.sort(key=lambda c: (-c["churn"], c["service"], c["class"],
                                     c["src"]))
@@ -584,7 +502,7 @@ class ProvenanceLog:
                               src=src, dst=dst)
             before = store.rate("wan_egress_bytes_total", prev[0], prev[1],
                                 src=src, dst=dst)
-            if rate > _EPSILON or abs(rate - before) > _EPSILON:
+            if rate > EPSILON or abs(rate - before) > EPSILON:
                 effect.egress[f"{src}->{dst}"] = {
                     "rate": rate, "delta": rate - before}
 
@@ -746,6 +664,18 @@ class ProvenanceLog:
         if record.fingerprint:
             text += f"; fingerprint {record.fingerprint[:12]}"
         return text
+
+
+def _solver_rung(controller, result) -> dict:
+    """The reuse-ladder rung an epoch's plan took, read off the plan and
+    the controller's epoch solver."""
+    epoch_solver = controller.epoch_solver
+    return {"solver_path": result.solver_path,
+            "warm_build": result.warm_build,
+            "pricing": result.pricing,
+            "formulation": epoch_solver.formulation,
+            "n_variables": result.n_variables,
+            "candidates": epoch_solver.last_candidate_stats}
 
 
 def _weights(weights: dict | None) -> str:

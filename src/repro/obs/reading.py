@@ -1,0 +1,112 @@
+"""One control epoch, read once, and the one rule diff.
+
+:meth:`Observability.record_epoch
+<repro.obs.config.Observability.record_epoch>` reads each epoch into one
+:class:`EpochReading` — its outcome, its plan and the per-(class, cluster)
+demand the plan used — and hands that same reading to the decision log and
+to the provenance chain. :func:`diff_rules` is the one routing diff: the
+decision log diffs a plan against the previous plan, provenance and the
+scrape loop a routing-table snapshot against the previous snapshot.
+
+Both are pure reads of controller and table state (contract A01).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
+    from ..core.controller.global_controller import GlobalController
+    from ..core.optimizer.result import OptimizationResult
+    from ..core.rules import RuleSet
+    from ..mesh.routing_table import RouteKey
+
+__all__ = ["EPSILON", "EpochReading", "RuleChange", "diff_rules",
+           "read_epoch"]
+
+#: a weight, demand or rate movement at or below this is float noise
+EPSILON = 1e-9
+
+
+@dataclass(frozen=True)
+class EpochReading:
+    """What every epoch record reads from one control epoch."""
+
+    sim_time: float
+    #: the policy's Global Controller (None for the baselines)
+    controller: "GlobalController | None"
+    #: the rules the policy shipped this epoch (None: nothing)
+    update: "RuleSet | None"
+    #: "solved", "replayed", "no-demand" or "outage" (controller unreachable)
+    outcome: str
+    #: this epoch's plan on a solved or replayed epoch, else None
+    result: "OptimizationResult | None"
+    #: class → cluster → the demand estimate planned against, classes
+    #: sorted and clusters in deployment order (None without a controller)
+    demand: dict[str, dict[str, float]] | None
+
+
+def read_epoch(sim_time: float, controller: "GlobalController | None",
+               update: "RuleSet | None", outage: bool = False
+               ) -> EpochReading:
+    """Read one epoch, after its plan and distribute."""
+    result = controller.last_result if controller is not None else None
+    if outage:
+        outcome = "outage"
+    elif update is None or result is None:
+        outcome = "no-demand"
+    elif result.cache_hit:
+        outcome = "replayed"
+    else:
+        outcome = "solved"
+    demand = None
+    if controller is not None:
+        clusters = controller.deployment.cluster_names
+        demand = {cls: {cluster: controller.demand_estimate(cls, cluster)
+                        for cluster in clusters}
+                  for cls in sorted(controller.app.classes)}
+    planned = outcome in ("solved", "replayed")
+    return EpochReading(sim_time, controller, update, outcome,
+                        result if planned else None, demand)
+
+
+class RuleChange(NamedTuple):
+    """One rule key whose weights differ between two rule maps."""
+
+    key: "RouteKey"
+    #: "added", "removed" or "changed"
+    kind: str
+    old: dict[str, float] | None
+    new: dict[str, float] | None
+    #: destination → new − old weight, destinations sorted
+    deltas: dict[str, float]
+    #: Σ |delta|, the key's L1 weight churn
+    churn: float
+
+    @property
+    def moved(self) -> bool:
+        """False for a changed key whose churn is only float noise."""
+        return self.kind != "changed" or self.churn > EPSILON
+
+
+def diff_rules(previous: dict, current: dict) -> list[RuleChange]:
+    """Every key whose weights differ from ``previous`` to ``current``
+    (``RouteKey → {destination: weight}`` maps), in rule-key order."""
+    changes = []
+    for key in sorted(previous.keys() | current.keys(),
+                      key=lambda k: (k.service, k.traffic_class,
+                                     k.src_cluster)):
+        old = previous.get(key)
+        new = current.get(key)
+        if old == new:
+            continue
+        before = old or {}
+        after = new or {}
+        deltas = {dst: after.get(dst, 0.0) - before.get(dst, 0.0)
+                  for dst in sorted(before.keys() | after.keys())}
+        kind = ("added" if old is None
+                else "removed" if new is None else "changed")
+        changes.append(RuleChange(key, kind, old, new, deltas,
+                                  sum(abs(d) for d in deltas.values())))
+    return changes

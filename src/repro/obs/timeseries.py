@@ -25,6 +25,9 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
+from .collect import walk_state
+from .reading import diff_rules
+
 if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
     from ..sim.runner import MeshSimulation
     from .anomaly import AnomalyEngine
@@ -269,16 +272,17 @@ class ScrapeLoop:
 
     Each tick records:
 
-    * engine depth and cumulative event count;
-    * per-(service, cluster) pool queue depth / busy replicas / utilization;
-    * per-cluster gateway admitted/completed/failed/open counters;
+    * the scraped metrics of :func:`~repro.obs.collect.walk_state` —
+      engine depth and event count, per-(service, cluster) pool queue
+      depth / busy replicas / utilization, per-cluster gateway counters,
+      per-(src, dst) WAN egress bytes and total egress cost, and
+      dropped/timed-out/hedged call counters — the same walk, names and
+      values the end-of-run metrics registry takes;
     * per-class completion counters, windowed request rate, and sliding
       p50/p95/p99 end-to-end latency (exact-retention mode only — reservoir
       runs keep counters but have no per-request samples to window);
-    * per-(src, dst) WAN egress bytes and total egress cost;
     * routing-table size/version and the L1 weight churn since the
-      previous scrape (the "routing flap" signal);
-    * dropped/timed-out/hedged call counters.
+      previous scrape (the "routing flap" signal).
 
     After sampling, an attached :class:`~repro.obs.slo.SloEngine` is
     evaluated against the fresh samples (burn rates, alert state machine).
@@ -339,52 +343,10 @@ class ScrapeLoop:
         store = self.store
         now = simulation.sim.now
 
-        store.record("engine_events_total", now,
-                     simulation.sim.events_processed)
-        store.record("engine_pending_events", now,
-                     simulation.sim.pending_events)
-
-        for cluster_name in sorted(simulation.clusters):
-            cluster = simulation.clusters[cluster_name]
-            for service in sorted(cluster.pools):
-                pool = cluster.pools[service]
-                labels = {"service": service, "cluster": cluster_name}
-                store.record("pool_queue_depth", now, pool.queue_length,
-                             **labels)
-                store.record("pool_busy_replicas", now, pool.busy_replicas,
-                             **labels)
-                if now > 0 and pool.replicas > 0:
-                    utilization = (pool.lifetime_busy_seconds
-                                   / (pool.replicas * now))
-                else:
-                    utilization = 0.0
-                store.record("pool_utilization", now, utilization, **labels)
-
-        for cluster_name in sorted(simulation.gateways):
-            gateway = simulation.gateways[cluster_name]
-            labels = {"cluster": cluster_name}
-            store.record("gateway_admitted_total", now,
-                         gateway.admitted_count, **labels)
-            store.record("gateway_completed_total", now,
-                         gateway.completed_count, **labels)
-            store.record("gateway_failed_total", now,
-                         gateway.failed_count, **labels)
-            store.record("gateway_open_requests", now,
-                         gateway.open_requests, **labels)
-
+        for metric, labels, value in walk_state(simulation):
+            if metric.scraped:
+                store.record(metric.name, now, value, **labels)
         new_latencies = self._sample_requests(now)
-
-        ledger = simulation.network.ledger
-        for (src, dst) in sorted(ledger.bytes_by_pair):
-            store.record("wan_egress_bytes_total", now,
-                         ledger.bytes_by_pair[(src, dst)], src=src, dst=dst)
-        store.record("wan_egress_cost_dollars_total", now, ledger.total_cost)
-
-        store.record("calls_dropped_total", now, simulation.dropped_calls)
-        store.record("calls_timed_out_total", now,
-                     simulation.timed_out_calls)
-        store.record("calls_hedged_total", now, simulation.hedged_calls)
-
         self._sample_routing(now)
 
         if self.slo_engine is not None:
@@ -448,15 +410,8 @@ class ScrapeLoop:
         churn = 0.0
         if table.version != self._prev_version:
             rules = table.rules()
-            previous = self._prev_weights
-            for key in sorted(set(rules) | set(previous),
-                              key=lambda k: (k.service, k.traffic_class,
-                                             k.src_cluster)):
-                old = previous.get(key, {})
-                new = rules.get(key, {})
-                churn += sum(
-                    abs(new.get(c, 0.0) - old.get(c, 0.0))
-                    for c in sorted(set(new) | set(old)))
+            for change in diff_rules(self._prev_weights, rules):
+                churn += change.churn
             self._prev_weights = rules
             self._prev_version = table.version
         self.store.record("routing_rules", now, len(self._prev_weights))

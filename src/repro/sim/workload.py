@@ -11,6 +11,7 @@ piecewise-constant rate profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,8 +33,9 @@ class DemandMatrix:
             self.set(cls, cluster, rps)
 
     def set(self, traffic_class: str, cluster: str, rps: float) -> None:
-        if rps < 0:
-            raise ValueError(f"demand must be >= 0, got {rps}")
+        # NaN fails both comparisons
+        if not 0 <= rps < math.inf:
+            raise ValueError(f"demand must be finite and >= 0, got {rps}")
         if rps == 0:
             self._entries.pop((traffic_class, cluster), None)
         else:

@@ -121,6 +121,14 @@ def test_obs_explain_chaos_writes_flight_dump(capsys, tmp_path):
     assert "chaos-outage" in text               # run stamp for replay
 
 
+def test_obs_explain_rejects_unknown_class(capsys):
+    assert main(["obs", "explain", "ghost", "--scenario", "chaos"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown traffic class 'ghost'" in captured.err
+    assert "has: default" in captured.err
+    assert "why did traffic" not in captured.out
+
+
 def test_obs_slo_renders_alerts_and_join(capsys):
     # 60 simulated seconds: the surge starts at t=40, so the alert fires
     # but stays active at the end of the run

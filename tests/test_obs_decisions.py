@@ -12,6 +12,7 @@ from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
 from repro.obs import (DecisionLog, EpochDecision, Observability,
                        ObservabilityConfig)
+from repro.obs.reading import read_epoch
 
 
 def fake_controller(demand, result):
@@ -21,7 +22,13 @@ def fake_controller(demand, result):
         deployment=SimpleNamespace(cluster_names=["west", "east"]),
         demand_estimate=lambda cls, cluster: demand.get((cls, cluster), 0.0),
         last_result=result,
+        last_observe_time=None,
     )
+
+
+def record(log, sim_time, controller, update):
+    """One reachable epoch, read the way ``Observability`` reads it."""
+    return log.record(read_epoch(sim_time, controller, update))
 
 
 def fake_result(cache_hit, objective=1.5, fingerprint="fp-1",
@@ -47,7 +54,7 @@ def rules(west_share) -> RuleSet:
 
 def test_record_outcomes_and_demand_delta():
     log = DecisionLog()
-    first = log.record(10.0, fake_controller(
+    first = record(log, 10.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(cache_hit=False)),
         rules(0.8))
     assert first.outcome == "solved"
@@ -56,7 +63,7 @@ def test_record_outcomes_and_demand_delta():
     assert first.demand_delta == 100.0        # vs. the empty previous epoch
     assert first.rules_added == 1 and first.rules_changed == 0
 
-    second = log.record(20.0, fake_controller(
+    second = record(log, 20.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(cache_hit=True)),
         rules(0.8))
     assert second.outcome == "replayed"
@@ -64,7 +71,7 @@ def test_record_outcomes_and_demand_delta():
     assert second.rules_added == 0 and second.rules_changed == 0
     assert second.weight_churn == pytest.approx(0.0)
 
-    third = log.record(30.0, fake_controller(
+    third = record(log, 30.0, fake_controller(
         {("default", "west"): 140.0}, fake_result(cache_hit=False)),
         rules(0.5))
     assert third.outcome == "solved"
@@ -78,14 +85,27 @@ def test_record_outcomes_and_demand_delta():
 
 def test_record_no_demand_epoch():
     log = DecisionLog()
-    decision = log.record(0.0, fake_controller({}, None), None)
+    decision = record(log, 0.0, fake_controller({}, None), None)
     assert decision.outcome == "no-demand"
     assert decision.objective is None and decision.fingerprint is None
 
 
+def test_no_demand_epoch_after_a_plan_reports_no_plan():
+    """The controller still holds the last plan, but this epoch made none:
+    the row, like its provenance record, carries no plan fields."""
+    log = DecisionLog()
+    stale = fake_result(cache_hit=False)
+    decision = record(log, 20.0, fake_controller({}, stale), None)
+    assert decision.outcome == "no-demand"
+    assert decision.objective is None and decision.fingerprint is None
+    assert decision.solve_time is None and decision.build_time is None
+    assert decision.cache_hits == 0 and decision.cache_misses == 0
+    assert not decision.warm and not decision.warm_build
+
+
 def test_jsonl_and_render():
     log = DecisionLog()
-    log.record(10.0, fake_controller(
+    record(log, 10.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(cache_hit=False)),
         rules(0.8))
     lines = log.to_jsonl_lines()
@@ -100,23 +120,23 @@ def test_jsonl_and_render():
 def test_solver_path_reflects_reuse_ladder():
     log = DecisionLog()
     demand = {("default", "west"): 100.0}
-    cold = log.record(10.0, fake_controller(
+    cold = record(log, 10.0, fake_controller(
         demand, fake_result(cache_hit=False)), rules(0.8))
     assert cold.solver_path == "cold"
-    warm = log.record(20.0, fake_controller(
+    warm = record(log, 20.0, fake_controller(
         demand, fake_result(cache_hit=False, warm_start=True)), rules(0.7))
     assert warm.solver_path == "warm" and warm.warm
-    replay = log.record(30.0, fake_controller(
+    replay = record(log, 30.0, fake_controller(
         demand, fake_result(cache_hit=True)), rules(0.7))
     assert replay.solver_path == "replay"
-    empty = log.record(40.0, fake_controller({}, None), None)
+    empty = record(log, 40.0, fake_controller({}, None), None)
     assert empty.solver_path is None
 
 
 def test_as_dict_keeps_legacy_keys_alongside_solver_path():
     """PR 8 compat bar: consumers keyed on warm/warm_build keep working."""
     log = DecisionLog()
-    decision = log.record(10.0, fake_controller(
+    decision = record(log, 10.0, fake_controller(
         {("default", "west"): 100.0},
         fake_result(cache_hit=False, warm_start=True)), rules(0.8))
     payload = decision.as_dict()

@@ -22,6 +22,7 @@ from repro.obs import (Observability, ObservabilityConfig, FlightRecorder,
                        ProvenanceLog, ProvenanceRecord, telemetry_digest,
                        write_flight_dump, write_provenance_jsonl)
 from repro.obs.provenance import EpochEffect
+from repro.obs.reading import read_epoch
 
 
 # ------------------------------------------------------------ unit layer
@@ -103,12 +104,12 @@ def test_seed_rules_baselines_the_first_diff():
     log = ProvenanceLog()
     initial = {RouteKey("S1", "default", "west"): {"west": 1.0}}
     log.seed_rules(initial)
-    record = log.record_epoch(10.0, rules=dict(initial))
+    record = log.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
     assert record.weight_churn == 0.0
     assert record.rule_deltas == {}
     # ...whereas an unseeded log would have claimed the install
     unseeded = ProvenanceLog()
-    claimed = unseeded.record_epoch(10.0, rules=dict(initial))
+    claimed = unseeded.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
     assert claimed.rule_deltas["default"]["added"] == 1
 
 
@@ -116,10 +117,8 @@ def test_record_epoch_diffs_rules_and_closes_effect_windows():
     key = RouteKey("S1", "default", "west")
     log = ProvenanceLog()
     log.seed_rules({key: {"west": 1.0}})
-    first = log.record_epoch(
-        10.0, rules={key: {"west": 0.8, "east": 0.2}})
-    second = log.record_epoch(
-        20.0, rules={key: {"west": 0.8, "east": 0.2}})
+    first = log.record_epoch(read_epoch(10.0, None, None), rules={key: {"west": 0.8, "east": 0.2}})
+    second = log.record_epoch(read_epoch(20.0, None, None), rules={key: {"west": 0.8, "east": 0.2}})
     delta = first.rule_deltas["default"]
     assert delta["changed"] == 1
     assert delta["churn"] == pytest.approx(0.4)   # |Δwest| + |Δeast|
@@ -136,7 +135,7 @@ def test_record_epoch_diffs_rules_and_closes_effect_windows():
 def test_record_anomaly_without_store_snapshots_ring():
     log = ProvenanceLog()
     log.bind_run("unit", 3, policy="slate")
-    log.record_epoch(10.0, rules={})
+    log.record_epoch(read_epoch(10.0, None, None), rules={})
     dump = log.record_anomaly(10.0, "invariant", {"error": "boom"})
     assert dump["trigger"]["reason"] == "invariant"
     assert dump["run"] == {"scenario": "unit", "seed": 3, "policy": "slate"}

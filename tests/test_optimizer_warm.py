@@ -87,30 +87,24 @@ def test_solver_path_derived_from_result_flags():
     assert solver.solve(problem).solver_path == "warm"
 
 
-def test_recorder_hook_sees_every_ladder_rung():
-    """The duck-typed provenance hook: one record_solve per epoch."""
-    seen = []
-
-    class Recorder:
-        def record_solve(self, info):
-            seen.append(info)
-
+def test_result_carries_every_ladder_rung():
+    """Each result names its rung, build reuse and pricing verdict."""
     solver = EpochSolver(cache=SolverCache())
-    solver.recorder = Recorder()
     problem = chain_problem(west_rps=700.0)
-    solver.solve(problem)
-    solver.solve(problem)
+    cold = solver.solve(problem)
+    replay = solver.solve(problem)
     problem.workloads["default"].demand["west"] = 620.0
-    solver.solve(problem)
-    assert [info["solver_path"] for info in seen] == ["cold", "replay",
-                                                      "warm"]
-    assert seen[2]["warm_build"] is True
-    assert seen[0]["pricing"] is None         # cold: no certificate ran
-    assert seen[2]["pricing"] == "certified"
-    assert seen[0]["formulation"] == solver.formulation
-    assert seen[0]["n_variables"] > 0
+    warm = solver.solve(problem)
+    assert [r.solver_path for r in (cold, replay, warm)] == ["cold", "replay",
+                                                            "warm"]
+    assert warm.warm_build is True
+    assert cold.pricing is None           # cold: no certificate ran
+    assert replay.pricing is None         # replay: no solve at all
+    assert warm.pricing == "certified"
+    assert solver.formulation == "arc"
+    assert cold.n_variables > 0
     # arc formulation has no path-candidate census
-    assert all(info["candidates"] is None for info in seen)
+    assert solver.last_candidate_stats is None
 
 
 def test_warm_start_disabled_by_structure_cache_none():
@@ -133,6 +127,7 @@ def test_warm_reject_falls_back_to_cold(monkeypatch):
     problem.workloads["default"].demand["west"] = 620.0
     result = solver.solve(problem)
     assert result.ok and not result.warm_start
+    assert result.solver_path == "cold" and result.pricing == "rejected"
     assert solver.stats()["warm_rejects"] == 1
 
 

@@ -103,6 +103,15 @@ class TestCSV:
         with pytest.raises(ValueError, match="no demand rows"):
             load_demand_csv(path)
 
+    @pytest.mark.parametrize("rps", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_rejected(self, tmp_path, rps):
+        """A nan/inf row used to load, and peak_total_rps() read nan."""
+        path = tmp_path / "trace.csv"
+        path.write_text("time,class,cluster,rps\n0.0,default,west,100\n"
+                        f"5.0,default,west,{rps}\n10.0,,,\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_demand_csv(path)
+
     def test_missing_end_marker_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time,class,cluster,rps\n0.0,default,west,100\n")
