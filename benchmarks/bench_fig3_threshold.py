@@ -14,42 +14,17 @@ cross-validates the fluid model elsewhere).
 
 import math
 
-from repro.analysis.fluid import evaluate_rules
 from repro.analysis.report import format_table
-from repro.core.controller.policy import SlatePolicy
-from repro.experiments.scenarios import (fig3_threshold_scenario,
-                                         waterfall_with_absolute_threshold)
-
-WEST_LOADS = (150.0, 250.0, 350.0, 420.0, 470.0)
-CONSERVATIVE_RPS = 250.0
-AGGRESSIVE_RPS = 480.0
-
-
-def sweep():
-    rows = []
-    for west_rps in WEST_LOADS:
-        scenario = fig3_threshold_scenario(west_rps)
-        ctx = scenario.context()
-        row = [west_rps]
-        for policy in (
-                waterfall_with_absolute_threshold(
-                    scenario.app, scenario.deployment, CONSERVATIVE_RPS),
-                waterfall_with_absolute_threshold(
-                    scenario.app, scenario.deployment, AGGRESSIVE_RPS),
-                SlatePolicy()):
-            rules = policy.compute_rules(ctx)
-            prediction = evaluate_rules(scenario.app, scenario.deployment,
-                                        scenario.demand, rules)
-            row.append(prediction.mean_latency * 1000)
-        rows.append(row)
-    return rows
+from repro.experiments.scenarios import (FIG3_AGGRESSIVE_RPS,
+                                         FIG3_CONSERVATIVE_RPS,
+                                         fig3_threshold_sweep)
 
 
 def test_fig3_static_threshold_pathology(benchmark, report_sink):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(fig3_threshold_sweep, rounds=1, iterations=1)
     text = format_table(
-        ["west load (rps)", f"conservative {CONSERVATIVE_RPS:g} (ms)",
-         f"aggressive {AGGRESSIVE_RPS:g} (ms)", "SLATE (ms)"],
+        ["west load (rps)", f"conservative {FIG3_CONSERVATIVE_RPS:g} (ms)",
+         f"aggressive {FIG3_AGGRESSIVE_RPS:g} (ms)", "SLATE (ms)"],
         rows,
         title="Fig. 3: mean latency vs load under static thresholds")
     report_sink("fig3_threshold", text)

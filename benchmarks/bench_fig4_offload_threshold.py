@@ -8,48 +8,31 @@ lower loads as the network gets faster (cheaper to offload sooner).
 """
 
 from repro.analysis.report import format_table
-from repro.core.controller.global_controller import GlobalController
-from repro.experiments.scenarios import fig4_offload_threshold_problem
-
-NETWORK_LATENCIES_MS = (5.0, 25.0, 50.0)
-WEST_LOADS = tuple(float(rps) for rps in range(100, 1001, 100))
-
-
-def sweep():
-    series = {}
-    for one_way_ms in NETWORK_LATENCIES_MS:
-        local_rps = []
-        for west_rps in WEST_LOADS:
-            scenario = fig4_offload_threshold_problem(one_way_ms, west_rps)
-            result = GlobalController.oracle(
-                scenario.app, scenario.deployment, scenario.demand)
-            local_rps.append(
-                result.ingress_local_fraction("default", "west") * west_rps)
-        series[one_way_ms] = local_rps
-    return series
+from repro.experiments.scenarios import (FIG4_ONE_WAY_MS, FIG4_WEST_LOADS,
+                                         fig4_offload_sweep)
 
 
 def break_point(series_for_latency):
     """First swept load where the optimizer serves < 99.9% locally."""
-    for west_rps, local in zip(WEST_LOADS, series_for_latency):
+    for west_rps, local in zip(FIG4_WEST_LOADS, series_for_latency):
         if local < 0.999 * west_rps:
             return west_rps
     return float("inf")
 
 
 def test_fig4_offload_threshold(benchmark, report_sink):
-    series = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    series = benchmark.pedantic(fig4_offload_sweep, rounds=1, iterations=1)
     headers = (["west load (rps)", "100% local"]
-               + [f"local rps @ {ms:g}ms" for ms in NETWORK_LATENCIES_MS])
+               + [f"local rps @ {ms:g}ms" for ms in FIG4_ONE_WAY_MS])
     rows = []
-    for index, west_rps in enumerate(WEST_LOADS):
+    for index, west_rps in enumerate(FIG4_WEST_LOADS):
         rows.append([west_rps, west_rps]
-                    + [series[ms][index] for ms in NETWORK_LATENCIES_MS])
+                    + [series[ms][index] for ms in FIG4_ONE_WAY_MS])
     text = format_table(
         headers, rows,
         title="Fig. 4: locally served RPS at West vs offered load "
               "(east fixed at 100 RPS; red dotted line = '100% local')")
-    breaks = {ms: break_point(series[ms]) for ms in NETWORK_LATENCIES_MS}
+    breaks = {ms: break_point(series[ms]) for ms in FIG4_ONE_WAY_MS}
     text += "\nbreak points (first load with offloading): " + ", ".join(
         f"{ms:g}ms -> {bp:g} rps" for ms, bp in sorted(breaks.items()))
     report_sink("fig4_offload_threshold", text)
@@ -59,8 +42,8 @@ def test_fig4_offload_threshold(benchmark, report_sink):
     # and offloading does kick in within the swept range for every latency
     assert breaks[50.0] <= 1000.0
     # below the break point the curve lies on y = x
-    for ms in NETWORK_LATENCIES_MS:
-        for west_rps, local in zip(WEST_LOADS, series[ms]):
+    for ms in FIG4_ONE_WAY_MS:
+        for west_rps, local in zip(FIG4_WEST_LOADS, series[ms]):
             if west_rps < breaks[ms]:
                 assert local == __import__("pytest").approx(west_rps,
                                                             rel=1e-3)

@@ -18,7 +18,6 @@ Two headline measurements, both exported to ``BENCH_fluid.json``:
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
 from repro.obs.timeseries import percentile
 
@@ -38,9 +37,7 @@ TWIN_SAMPLE_RATE = 0.05            # twin-scale sampled slice
 def _run(setup, fidelity, **kwargs):
     import time
     started = time.perf_counter()
-    outcome = run_policy(setup.scenario, setup.policy,
-                         timeline=setup.timeline, fidelity=fidelity,
-                         **kwargs)
+    outcome = setup.run(fidelity=fidelity, **kwargs)
     return outcome, time.perf_counter() - started
 
 

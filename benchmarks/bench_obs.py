@@ -103,14 +103,12 @@ def test_breach_prediction_quality(benchmark, bench_json):
     lead row headroom if the scenario itself is retuned.
     """
     from repro.experiments import scenarios as sc
-    from repro.experiments.harness import run_policy
 
     def run():
         setup = sc.slo_burnrate_setup(duration=80.0, seed=42)
         obs = Observability(setup.observability(forecast=True,
                                                 anomaly=True))
-        run_policy(setup.scenario, setup.policy, observability=obs,
-                   timeline=setup.timeline)
+        setup.run(obs)
         return obs.breach.score(), obs.anomaly.summary()
 
     score, anomalies = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -17,8 +17,9 @@ Run:  python examples/controller_outage.py
 """
 
 import os
+from dataclasses import replace
 
-from repro.chaos import ControlPlaneOutage, FaultPlan, WanFault, run_chaos
+from repro.chaos import ControlPlaneOutage, FaultPlan, WanFault
 from repro.experiments.scenarios import chaos_outage_setup
 
 #: CI smoke knob: scale every sim duration down (tests/test_examples.py)
@@ -46,13 +47,9 @@ def main() -> None:
 
     fault = setup.plan.faults[0]
     lo, hi = fault.start, fault.start + fault.duration
-    runs = {}
-    for label, kwargs in (
-            ("frozen stale rules", {}),
-            ("stale-rule guard", dict(fallback=setup.fallback,
-                                      max_rule_age=setup.max_rule_age))):
-        runs[label] = run_chaos(setup.scenario, setup.policy, setup.plan,
-                                **kwargs)
+    frozen = replace(setup, fallback=None, max_rule_age=None)
+    runs = {"frozen stale rules": frozen.run(),
+            "stale-rule guard": setup.run()}
 
     guarded = runs["stale-rule guard"]
     trip = guarded.fallback_trips[0] if guarded.fallback_trips else hi
@@ -69,7 +66,7 @@ def main() -> None:
                   f"reconciliations: "
                   f"{sum(c.reconciliations for c in result.controllers.values())}")
 
-    baseline = run_chaos(setup.scenario, setup.policy, FaultPlan.empty())
+    baseline = replace(frozen, plan=FaultPlan.empty()).run()
     report = runs["stale-rule guard"].resilience(
         baseline, window=2.0 * SCALE)
     print("\nresilience report (guarded run vs unfaulted twin):")

@@ -17,9 +17,8 @@ CLI:  python -m repro obs explain default --scenario diurnal --table
 
 import os
 
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
-from repro.obs import Observability, ObservabilityConfig
+from repro.obs import Observability
 
 #: CI smoke knob: scale sim durations down (tests/test_examples.py)
 SCALE = float(os.environ.get("REPRO_EXAMPLE_TIME_SCALE", "1.0"))
@@ -34,10 +33,9 @@ def main() -> None:
     # the weight shifts this example exists to explain
     setup = diurnal_control_setup(duration=DURATION, epoch=EPOCH,
                                   replicas=2)
-    obs = Observability(ObservabilityConfig(
-        provenance=True, decisions=True, timeseries=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    obs = Observability(setup.observability(provenance=True,
+                                            timeseries=True))
+    setup.run(obs)
 
     log = obs.provenance
     print("=== flight-recorder ring ===")

@@ -20,7 +20,6 @@ Run:  python examples/fluid_scale.py
 import os
 import time
 
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
 from repro.obs.timeseries import percentile
 
@@ -48,8 +47,7 @@ def main() -> None:
     print(f"=== Part 1: pure fluid fidelity at {total_rps:,.0f} RPS ===")
     setup = build()
     started = time.perf_counter()
-    outcome = run_policy(setup.scenario, setup.policy,
-                         timeline=setup.timeline, fidelity="fluid")
+    outcome = setup.run(fidelity="fluid")
     wall = time.perf_counter() - started
     offered = simulated_requests(DURATION)
     print(f"simulated {DURATION:g}s of a {total_rps:,.0f}-RPS diurnal day "
@@ -62,9 +60,7 @@ def main() -> None:
     print(f"=== Part 2: hybrid fidelity (sample_rate={SAMPLE_RATE}) ===")
     setup = build()
     started = time.perf_counter()
-    outcome = run_policy(setup.scenario, setup.policy,
-                         timeline=setup.timeline, fidelity="hybrid",
-                         sample_rate=SAMPLE_RATE)
+    outcome = setup.run(fidelity="hybrid", sample_rate=SAMPLE_RATE)
     wall = time.perf_counter() - started
     lat = outcome.latencies
     print(f"same day in {wall:.2f}s wall; {len(lat):,} requests ran "

@@ -20,13 +20,10 @@ timeline in simulated time.
 Run:  python examples/observe_headline.py
 """
 
-import dataclasses
 import os
 from pathlib import Path
 
-from repro import GlobalControllerConfig, SlatePolicy
-from repro.experiments.harness import run_policy
-from repro.experiments.scenarios import fig6a_how_much
+from repro.experiments.scenarios import fig6a_adaptive_setup
 from repro.obs import (Observability, ObservabilityConfig, hop_breakdown,
                        critical_path, write_chrome_trace)
 
@@ -37,20 +34,15 @@ SCALE = float(os.environ.get("REPRO_EXAMPLE_TIME_SCALE", "1.0"))
 
 
 def main() -> None:
-    setup = fig6a_how_much(duration=30.0 * SCALE)
-    # re-plan every 5 s so the decision log has epochs to show; pair the
-    # demand quantum with learn_profiles=False so plateaus replay from the
-    # solver cache instead of re-solving (docs/performance.md)
-    scenario = dataclasses.replace(setup.scenario, epoch=5.0 * SCALE)
-    policy = SlatePolicy(GlobalControllerConfig(
-        rho_max=0.95, demand_quantum=25.0, learn_profiles=False),
-        adaptive=True)
+    # re-plan every 5 s so the decision log has epochs to show
+    setup = fig6a_adaptive_setup(duration=30.0 * SCALE, epoch=5.0 * SCALE,
+                                 seed=42)
     obs = Observability(ObservabilityConfig.full())
 
     print("=" * 72)
     print("Fig. 6a (west overloaded at 700 RPS) under SLATE, fully observed")
     print("=" * 72)
-    outcome = run_policy(scenario, policy, observability=obs)
+    outcome = setup.run(obs)
     print(f"requests traced: {len(obs.tracer)}   "
           f"spans: {obs.tracer.span_count}   "
           f"post-warmup completions: {len(outcome.latencies)}")

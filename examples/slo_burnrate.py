@@ -21,7 +21,6 @@ Run:  python examples/slo_burnrate.py
 
 import os
 
-from repro.experiments import run_policy
 from repro.experiments.scenarios import slo_burnrate_setup
 from repro.obs import Observability, join_alerts_decisions
 
@@ -46,8 +45,7 @@ def main() -> None:
           f"{rule.fast_window:g}/{rule.slow_window:g}s at burn "
           f">={rule.fast_burn:g}/{rule.slow_burn:g}\n")
 
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
 
     print(f"scrapes: {obs.timeseries.scrape_count}, "
           f"series: {obs.timeseries.series_count()}\n")

@@ -23,6 +23,7 @@ Controller decision log (see docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 __all__ = ["APPS", "FIGURES", "build_parser", "cmd_chaos", "cmd_figure",
@@ -43,6 +44,13 @@ APPS = {
     "anomaly": anomaly_detection_app,
     "two-class": two_class_app,
     "social": social_network_app,
+}
+#: the adaptive experiments the ``obs`` subcommands run, by ``--scenario``
+CONTROL_SETUPS = {
+    "diurnal": sc.diurnal_control_setup,
+    "slo": sc.slo_burnrate_setup,
+    "chaos": sc.chaos_outage_setup,
+    "fig6a": sc.fig6a_adaptive_setup,
 }
 
 
@@ -90,68 +98,40 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _run_fig3() -> int:
-    from .analysis.fluid import evaluate_rules
-    from .core.controller.policy import SlatePolicy
-    rows = []
-    for west in (150.0, 250.0, 350.0, 420.0, 470.0):
-        scenario = sc.fig3_threshold_scenario(west)
-        ctx = scenario.context()
-        row = [west]
-        for policy in (
-                sc.waterfall_with_absolute_threshold(
-                    scenario.app, scenario.deployment, 250.0),
-                sc.waterfall_with_absolute_threshold(
-                    scenario.app, scenario.deployment, 480.0),
-                SlatePolicy()):
-            rules = policy.compute_rules(ctx)
-            prediction = evaluate_rules(scenario.app, scenario.deployment,
-                                        scenario.demand, rules)
-            row.append(prediction.mean_latency * 1000)
-        rows.append(row)
     print(format_table(
-        ["west load (rps)", "conservative 250 (ms)", "aggressive 480 (ms)",
-         "SLATE (ms)"], rows,
+        ["west load (rps)", f"conservative {sc.FIG3_CONSERVATIVE_RPS:g} (ms)",
+         f"aggressive {sc.FIG3_AGGRESSIVE_RPS:g} (ms)", "SLATE (ms)"],
+        sc.fig3_threshold_sweep(),
         title="Fig. 3: static-threshold pathology"))
     return 0
 
 
 def _run_fig4() -> int:
-    rows = []
-    for west in range(100, 1001, 100):
-        row = [float(west)]
-        for one_way_ms in (5.0, 25.0, 50.0):
-            scenario = sc.fig4_offload_threshold_problem(one_way_ms,
-                                                         float(west))
-            result = GlobalController.oracle(
-                scenario.app, scenario.deployment, scenario.demand)
-            row.append(result.ingress_local_fraction("default", "west")
-                       * west)
-        rows.append(row)
+    series = sc.fig4_offload_sweep()
+    rows = [[west] + [series[ms][index] for ms in sc.FIG4_ONE_WAY_MS]
+            for index, west in enumerate(sc.FIG4_WEST_LOADS)]
     print(format_table(
-        ["west load (rps)", "local @ 5ms", "local @ 25ms", "local @ 50ms"],
+        ["west load (rps)"]
+        + [f"local @ {ms:g}ms" for ms in sc.FIG4_ONE_WAY_MS],
         rows, title="Fig. 4: locally served RPS at West"))
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    import math as math_module
     import time
     from .core.controller.policy import SlatePolicy
-    from .experiments.harness import Scenario, run_policy
+    from .experiments.harness import Scenario
     from .obs.timeseries import percentile
 
     rps = args.rps if args.rps is not None else 150.0
     # size pools for the diurnal peak (base * (1 + amplitude)) at ~70%
     # utilization so every fidelity runs the same stable deployment
     replicas = args.replicas if args.replicas is not None else max(
-        5, math_module.ceil(rps * 0.010 * 1.5 / 0.7))
-    timeline = None
+        5, math.ceil(rps * 0.010 * 1.5 / 0.7))
     if args.scenario == "diurnal":
         setup = sc.diurnal_control_setup(
             base_rps=rps, duration=args.duration, epoch=args.epoch,
             replicas=replicas, seed=args.seed)
-        scenario, policy, timeline = setup.scenario, setup.policy, \
-            setup.timeline
     else:
         app = linear_chain_app(n_services=3, exec_time=0.010)
         deployment = DeploymentSpec.uniform(
@@ -160,15 +140,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         demand = DemandMatrix()
         demand.set("default", "west", rps)
         demand.set("default", "east", rps)
-        scenario = Scenario("constant", app, deployment, demand,
-                            duration=args.duration, warmup=0.0,
-                            seed=args.seed, epoch=args.epoch)
-        policy = SlatePolicy()
+        setup = sc.ControlSetup(
+            Scenario("constant", app, deployment, demand,
+                     duration=args.duration, warmup=0.0, seed=args.seed,
+                     epoch=args.epoch), SlatePolicy())
     started = time.perf_counter()
-    outcome = run_policy(scenario, policy, timeline=timeline,
-                         fidelity=args.fidelity,
-                         sample_rate=args.sample_rate,
-                         fluid_tick=args.tick)
+    outcome = setup.run(fidelity=args.fidelity, sample_rate=args.sample_rate,
+                        fluid_tick=args.tick)
     wall = time.perf_counter() - started
     offered = rps * 2 * args.duration
     latencies = outcome.latencies
@@ -248,14 +226,19 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return handlers[args.obs_command](args)
 
 
+def _observe_figure(args: argparse.Namespace, config):
+    """Run ``--figure``'s scenario under SLATE, observed per ``config``."""
+    from .obs import Observability
+    figure = _figure_setup(args.figure, args.duration, args.seed)
+    obs = Observability(config)
+    sc.ControlSetup(figure.scenario, figure.slate).run(obs)
+    return obs
+
+
 def _obs_trace(args: argparse.Namespace) -> int:
-    from .experiments.harness import run_policy
-    from .obs import (Observability, ObservabilityConfig, trace_summary,
+    from .obs import (ObservabilityConfig, trace_summary,
                       write_chrome_trace, write_trace_jsonl)
-    setup = _figure_setup(args.figure, args.duration, args.seed)
-    obs = Observability(ObservabilityConfig(tracing=True))
-    run_policy(setup.scenario, setup.slate, observability=obs)
-    tracer = obs.tracer
+    tracer = _observe_figure(args, ObservabilityConfig(tracing=True)).tracer
     print(f"{args.figure} (slate, {args.duration:g}s sim): "
           f"{len(tracer)} requests, {tracer.span_count} spans traced")
     if args.format == "chrome":
@@ -292,11 +275,9 @@ def _obs_trace(args: argparse.Namespace) -> int:
 
 def _obs_metrics(args: argparse.Namespace) -> int:
     import json as json_module
-    from .experiments.harness import run_policy
-    from .obs import Observability, ObservabilityConfig
-    setup = _figure_setup(args.figure, args.duration, args.seed)
-    obs = Observability(ObservabilityConfig(metrics=True, profiling=True))
-    run_policy(setup.scenario, setup.slate, observability=obs)
+    from .obs import ObservabilityConfig
+    obs = _observe_figure(args, ObservabilityConfig(metrics=True,
+                                                    profiling=True))
     if args.format == "prom":
         text = obs.metrics.to_prometheus()
     else:
@@ -311,26 +292,20 @@ def _obs_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _control_setup(args: argparse.Namespace, **options):
+    """Build ``--scenario``'s setup; an omitted ``--duration`` falls to the
+    builder's default."""
+    if args.duration is not None:
+        options["duration"] = args.duration
+    return CONTROL_SETUPS[args.scenario](seed=args.seed, **options)
+
+
 def _obs_decisions(args: argparse.Namespace) -> int:
-    import dataclasses
-    from .core.controller.global_controller import GlobalControllerConfig
-    from .core.controller.policy import SlatePolicy
-    from .experiments.harness import run_policy
-    from .obs import Observability, ObservabilityConfig, write_decisions_jsonl
-    obs = Observability(ObservabilityConfig(decisions=True))
-    if args.scenario == "diurnal":
-        setup = sc.diurnal_control_setup(
-            duration=args.duration, seed=args.seed)
-        run_policy(setup.scenario, setup.policy, observability=obs,
-                   timeline=setup.timeline)
-    else:   # fig6a under an adaptive controller
-        figure = sc.fig6a_how_much(duration=args.duration, seed=args.seed)
-        scenario = dataclasses.replace(figure.scenario, epoch=args.epoch)
-        policy = SlatePolicy(
-            GlobalControllerConfig(rho_max=0.95, demand_quantum=25.0,
-                                   learn_profiles=False),
-            adaptive=True)
-        run_policy(scenario, policy, observability=obs)
+    from .obs import Observability, write_decisions_jsonl
+    options = {"epoch": args.epoch} if args.scenario == "fig6a" else {}
+    setup = _control_setup(args, **options)
+    obs = Observability(setup.observability())
+    setup.run(obs)
     log = obs.decisions
     if args.format == "jsonl":
         out = args.output or f"{args.scenario}_decisions.jsonl"
@@ -342,35 +317,23 @@ def _obs_decisions(args: argparse.Namespace) -> int:
 
 
 def _obs_explain(args: argparse.Namespace) -> int:
-    from .obs import (Observability, ObservabilityConfig,
-                      write_flight_dump, write_provenance_jsonl)
-    obs = Observability(ObservabilityConfig(provenance=True, decisions=True,
-                                            timeseries=True))
-    if args.scenario == "chaos":
-        duration = args.duration if args.duration is not None else 40.0
-        setup = sc.chaos_outage_setup(duration=duration, seed=args.seed)
-    else:
-        duration = args.duration if args.duration is not None else 240.0
+    from .obs import Observability, write_flight_dump, write_provenance_jsonl
+    options = {}
+    if args.scenario == "diurnal":
         # replicas=2 keeps peak diurnal demand above one cluster's
         # capacity, so the optimizer actually shifts weight cross-cluster
         # (the default 5 replicas never offload — nothing to explain)
-        setup = sc.diurnal_control_setup(duration=duration, seed=args.seed,
-                                         replicas=args.replicas)
+        options["replicas"] = args.replicas
+    setup = _control_setup(args, **options)
     classes = sorted(setup.scenario.app.classes)
     if args.traffic_class not in classes:
         print(f"obs explain: unknown traffic class {args.traffic_class!r}; "
               f"the {args.scenario} scenario has: {', '.join(classes)}",
               file=sys.stderr)
         return 2
-    if args.scenario == "chaos":
-        from .chaos import run_chaos
-        run_chaos(setup.scenario, setup.policy, setup.plan,
-                  fallback=setup.fallback, max_rule_age=setup.max_rule_age,
-                  observability=obs)
-    else:
-        from .experiments.harness import run_policy
-        run_policy(setup.scenario, setup.policy, observability=obs,
-                   timeline=setup.timeline)
+    obs = Observability(setup.observability(provenance=True,
+                                            timeseries=True))
+    setup.run(obs)
     provenance = obs.provenance
     print(provenance.explain(args.traffic_class, at=args.at))
     if args.table:
@@ -386,14 +349,9 @@ def _obs_explain(args: argparse.Namespace) -> int:
 
 
 def _obs_timeseries(args: argparse.Namespace) -> int:
-    from .experiments.harness import run_policy
-    from .obs import (Observability, ObservabilityConfig,
-                      write_timeseries_json)
-    setup = _figure_setup(args.figure, args.duration, args.seed)
-    obs = Observability(ObservabilityConfig(
-        timeseries=True, scrape_interval=args.interval))
-    run_policy(setup.scenario, setup.slate, observability=obs)
-    store = obs.timeseries
+    from .obs import ObservabilityConfig, write_timeseries_json
+    store = _observe_figure(args, ObservabilityConfig(
+        timeseries=True, scrape_interval=args.interval)).timeseries
     if args.output:
         count = write_timeseries_json(store, args.output)
         print(f"wrote {count} series ({store.scrape_count} scrapes) "
@@ -412,17 +370,15 @@ def _obs_timeseries(args: argparse.Namespace) -> int:
 
 
 def _obs_slo(args: argparse.Namespace) -> int:
-    from .experiments.harness import run_policy
     from .obs import (Observability, join_alerts_decisions,
                       write_alerts_jsonl, write_decisions_jsonl,
                       write_timeseries_json)
     setup = sc.slo_burnrate_setup(duration=args.duration, seed=args.seed)
     obs = Observability(setup.observability(scrape_interval=args.interval))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     if args.json:
         document = {"command": "slo", "scenario": "slo_burnrate",
-                    "duration": args.duration, "seed": args.seed,
+                    "duration": setup.scenario.duration, "seed": args.seed,
                     "interval": args.interval,
                     "alerts": [alert.as_dict() for alert in obs.alerts]}
         _emit_json(document, args.output, "alert report")
@@ -449,10 +405,6 @@ def _obs_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-#: per-scenario default simulated duration for the predictive subcommands
-_PREDICTIVE_DURATIONS = {"slo": 180.0, "chaos": 40.0, "diurnal": 240.0}
-
-
 def _predictive_season(args: argparse.Namespace,
                        default_period: float | None) -> float:
     """Resolve the holt-winters seasonal period (simulated seconds)."""
@@ -468,46 +420,24 @@ def _predictive_season(args: argparse.Namespace,
 
 def _run_predictive(args: argparse.Namespace, *, forecast: bool,
                     anomaly: bool):
-    """Run the chosen scenario with the predictive pillar on; return obs."""
-    from .experiments.harness import run_policy
-    from .obs import Observability, ObservabilityConfig
-    if args.duration is None:
-        args.duration = _PREDICTIVE_DURATIONS[args.scenario]
-    model = getattr(args, "model", "holt")
-    horizon = getattr(args, "horizon", 5)
-    if args.scenario == "slo":
+    """Run the chosen scenario with the predictive pillar on; return the
+    setup and its observability runtime."""
+    from .obs import Observability
+    if args.scenario == "diurnal":
+        period = getattr(args, "period", None)
+        setup = _control_setup(args, period=period)
+        # holt-winters' season defaults to the demand period (the
+        # builder's default period is the whole run)
+        season = _predictive_season(args, period or setup.scenario.duration)
+    else:
+        setup = _control_setup(args)
         season = _predictive_season(args, None)
-        setup = sc.slo_burnrate_setup(duration=args.duration, seed=args.seed)
-        obs = Observability(setup.observability(
-            scrape_interval=args.interval, forecast=forecast,
-            anomaly=anomaly, forecast_model=model, season_length=season,
-            forecast_horizon=horizon))
-        run_policy(setup.scenario, setup.policy, observability=obs,
-                   timeline=setup.timeline)
-        return obs
-    if args.scenario == "chaos":
-        from .chaos import run_chaos
-        setup = sc.chaos_outage_setup(duration=args.duration, seed=args.seed)
-        obs = Observability(setup.observability(
-            timeseries=True, scrape_interval=args.interval,
-            forecast=forecast, anomaly=anomaly, forecast_model=model,
-            forecast_horizon=horizon))
-        run_chaos(setup.scenario, setup.policy, setup.plan,
-                  fallback=setup.fallback, max_rule_age=setup.max_rule_age,
-                  observability=obs)
-        return obs
-    period = args.period if getattr(args, "period", None) is not None \
-        else args.duration
-    season = _predictive_season(args, period)
-    setup = sc.diurnal_control_setup(duration=args.duration, seed=args.seed,
-                                     period=period)
-    obs = Observability(ObservabilityConfig(
-        decisions=True, timeseries=True, forecast=forecast, anomaly=anomaly,
-        scrape_interval=args.interval, forecast_model=model,
-        season_length=season, forecast_horizon=horizon))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
-    return obs
+    obs = Observability(setup.observability(
+        timeseries=True, scrape_interval=args.interval, forecast=forecast,
+        anomaly=anomaly, forecast_model=getattr(args, "model", "holt"),
+        season_length=season, forecast_horizon=getattr(args, "horizon", 5)))
+    setup.run(obs)
+    return setup, obs
 
 
 def _emit_json(document: dict, output: str | None, what: str) -> None:
@@ -523,10 +453,11 @@ def _emit_json(document: dict, output: str | None, what: str) -> None:
 
 def _obs_forecast(args: argparse.Namespace) -> int:
     from .obs import write_signals_jsonl
-    obs = _run_predictive(args, forecast=True, anomaly=False)
+    setup, obs = _run_predictive(args, forecast=True, anomaly=False)
+    duration = setup.scenario.duration
     engine = obs.forecast
     document = {"command": "forecast", "scenario": args.scenario,
-                "duration": args.duration, "seed": args.seed,
+                "duration": duration, "seed": args.seed,
                 "interval": args.interval, "forecast": engine.summary()}
     if obs.breach is not None:
         document["predictions"] = [p.as_dict()
@@ -536,7 +467,7 @@ def _obs_forecast(args: argparse.Namespace) -> int:
         _emit_json(document, args.output, "forecast report")
     else:
         backtests = engine.backtests()
-        print(f"{args.scenario} ({args.duration:g}s sim, interval "
+        print(f"{args.scenario} ({duration:g}s sim, interval "
               f"{args.interval:g}s): model={engine.model_name} "
               f"horizon={engine.horizon} ticks, {engine.samples} ticks "
               f"sampled, {len(backtests)} series backtested")
@@ -569,19 +500,20 @@ def _obs_forecast(args: argparse.Namespace) -> int:
 
 def _obs_anomalies(args: argparse.Namespace) -> int:
     from .obs import write_anomalies_jsonl, write_signals_jsonl
-    obs = _run_predictive(args, forecast=False, anomaly=True)
+    setup, obs = _run_predictive(args, forecast=False, anomaly=True)
+    duration = setup.scenario.duration
     engine = obs.anomaly
     summary = engine.summary()
     if args.json:
         document = {"command": "anomalies", "scenario": args.scenario,
-                    "duration": args.duration, "seed": args.seed,
+                    "duration": duration, "seed": args.seed,
                     "interval": args.interval, "summary": summary,
                     "events": [event.as_dict() for event in engine.log]}
         _emit_json(document, None, "anomaly report")
     else:
         detectors = ", ".join(f"{name}={count}" for name, count
                               in summary["by_detector"].items()) or "none"
-        print(f"{args.scenario} ({args.duration:g}s sim, interval "
+        print(f"{args.scenario} ({duration:g}s sim, interval "
               f"{args.interval:g}s): {summary['events']} anomaly events "
               f"over {summary['followed_series']} series ({detectors})")
         if args.table:
@@ -628,16 +560,20 @@ def _obs_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    handlers = {"run": _chaos_run, "report": _chaos_report}
-    return handlers[args.chaos_command](args)
-
-
-def _chaos_setup(args: argparse.Namespace):
-    return sc.chaos_outage_setup(
-        duration=args.duration, seed=args.seed,
-        fault_start=args.fault_start, fault_duration=args.fault_duration,
-        wan_multiplier=args.wan_multiplier,
-        max_rule_age=args.max_rule_age, fallback=args.fallback)
+    from dataclasses import replace
+    from .chaos import FaultPlan
+    options = dict(duration=args.duration, seed=args.seed,
+                   fault_start=args.fault_start,
+                   fault_duration=args.fault_duration,
+                   wan_multiplier=args.wan_multiplier,
+                   max_rule_age=args.max_rule_age)
+    setup = sc.chaos_outage_setup(fallback=args.fallback, **options)
+    if args.chaos_command == "run":
+        return _chaos_run(args, setup)
+    # the unfaulted twin gets a fresh policy: the faulted one holds
+    # learned state
+    twin = sc.chaos_outage_setup(fallback="none", **options)
+    return _chaos_report(args, setup, replace(twin, plan=FaultPlan.empty()))
 
 
 def _chaos_percentile(values: list[float], q: float) -> float:
@@ -645,19 +581,14 @@ def _chaos_percentile(values: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def _chaos_run(args: argparse.Namespace) -> int:
-    from .chaos import run_chaos
-    setup = _chaos_setup(args)
-    fallback = None if args.fallback == "none" else args.fallback
-    max_age = None if fallback is None else setup.max_rule_age
+def _chaos_run(args: argparse.Namespace, setup: sc.ControlSetup) -> int:
     print("fault campaign:")
     for line in setup.plan.describe():
         print(f"  {line}")
-    result = run_chaos(setup.scenario, setup.policy, setup.plan,
-                       fallback=fallback, max_rule_age=max_age)
+    result = setup.run()
     latencies = result.outcome.latencies
-    print(f"\n{setup.scenario.name} (slate, {args.duration:g}s sim, "
-          f"fallback={args.fallback}): {len(latencies)} requests "
+    print(f"\n{setup.scenario.name} (slate, {setup.scenario.duration:g}s "
+          f"sim, fallback={args.fallback}): {len(latencies)} requests "
           f"after warm-up")
     if latencies:
         print(f"p50 {_chaos_percentile(latencies, 0.50) * 1000:.1f} ms   "
@@ -676,18 +607,11 @@ def _chaos_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_report(args: argparse.Namespace) -> int:
+def _chaos_report(args: argparse.Namespace, setup: sc.ControlSetup,
+                  twin: sc.ControlSetup) -> int:
     import json as json_module
-    from .chaos import FaultPlan, run_chaos
-    setup = _chaos_setup(args)
-    fallback = None if args.fallback == "none" else args.fallback
-    max_age = None if fallback is None else setup.max_rule_age
-    result = run_chaos(setup.scenario, setup.policy, setup.plan,
-                       fallback=fallback, max_rule_age=max_age)
-    # fresh setup for the twin: the faulted policy holds learned state
-    twin = _chaos_setup(args)
-    baseline = run_chaos(twin.scenario, twin.policy, FaultPlan.empty())
-    report = result.resilience(baseline, band=args.band,
+    result = setup.run()
+    report = result.resilience(twin.run(), band=args.band,
                                window=args.window)
     print(report.render())
     if args.output:
@@ -703,6 +627,30 @@ def _chaos_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer > 0."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -714,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
     figure.add_argument("name", choices=FIGURES)
-    figure.add_argument("--duration", type=float, default=40.0,
+    figure.add_argument("--duration", type=_positive, default=40.0,
                         help="simulated seconds (fig6x only)")
     figure.add_argument("--seed", type=int, default=42)
 
@@ -738,16 +686,16 @@ def build_parser() -> argparse.ArgumentParser:
                      default="diurnal")
     run.add_argument("--fidelity", choices=("event", "fluid", "hybrid"),
                      default="hybrid")
-    run.add_argument("--rps", type=float, default=None,
+    run.add_argument("--rps", type=_non_negative, default=None,
                      help="ingress RPS per cluster (default 150)")
-    run.add_argument("--duration", type=float, default=60.0,
+    run.add_argument("--duration", type=_positive, default=60.0,
                      help="simulated seconds")
-    run.add_argument("--epoch", type=float, default=10.0,
+    run.add_argument("--epoch", type=_positive, default=10.0,
                      help="adaptive re-plan period (simulated seconds)")
     run.add_argument("--sample-rate", type=float, default=None,
                      help="hybrid: fraction of demand run event-level "
                           "(default 0.05)")
-    run.add_argument("--tick", type=float, default=None,
+    run.add_argument("--tick", type=_positive, default=None,
                      help="fluid substrate tick (simulated seconds, "
                           "default 0.1)")
     run.add_argument("--replicas", type=int, default=None,
@@ -772,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="summary")
     trace.add_argument("-o", "--output", default=None,
                        help="output path (default: <figure>_trace_*.json)")
-    trace.add_argument("--duration", type=float, default=5.0,
+    trace.add_argument("--duration", type=_positive, default=5.0,
                        help="simulated seconds")
     trace.add_argument("--seed", type=int, default=42)
     trace.add_argument("--max-requests", type=int, default=200,
@@ -790,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="json")
     metrics.add_argument("-o", "--output", default=None,
                          help="output path (default: stdout)")
-    metrics.add_argument("--duration", type=float, default=10.0)
+    metrics.add_argument("--duration", type=_positive, default=10.0)
     metrics.add_argument("--seed", type=int, default=42)
 
     decisions = obs_sub.add_parser(
@@ -800,9 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
     decisions.add_argument("--format", choices=("text", "jsonl"),
                            default="text")
     decisions.add_argument("-o", "--output", default=None)
-    decisions.add_argument("--duration", type=float, default=240.0,
+    decisions.add_argument("--duration", type=_positive, default=240.0,
                            help="simulated seconds")
-    decisions.add_argument("--epoch", type=float, default=10.0,
+    decisions.add_argument("--epoch", type=_positive, default=10.0,
                            help="re-plan period (fig6a scenario)")
     decisions.add_argument("--seed", type=int, default=42)
 
@@ -810,12 +758,12 @@ def build_parser() -> argparse.ArgumentParser:
         "timeseries", help="scrape a figure scenario into sim-time series")
     timeseries.add_argument("--figure", choices=("fig6a", "fig6b", "fig6c",
                                                  "fig6d"), default="fig6a")
-    timeseries.add_argument("--interval", type=float, default=1.0,
+    timeseries.add_argument("--interval", type=_positive, default=1.0,
                             help="scrape interval (simulated seconds)")
     timeseries.add_argument("-o", "--output", default=None,
                             help="write the snapshot JSON here "
                                  "(default: print a summary)")
-    timeseries.add_argument("--duration", type=float, default=40.0)
+    timeseries.add_argument("--duration", type=_positive, default=40.0)
     timeseries.add_argument("--seed", type=int, default=42)
 
     slo = obs_sub.add_parser(
@@ -823,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--format", choices=("text", "jsonl"), default="text")
     slo.add_argument("-o", "--output", default=None,
                      help="jsonl format: alert log path")
-    slo.add_argument("--interval", type=float, default=1.0,
+    slo.add_argument("--interval", type=_positive, default=1.0,
                      help="scrape interval (simulated seconds)")
-    slo.add_argument("--duration", type=float, default=180.0)
+    slo.add_argument("--duration", type=_positive, default=180.0)
     slo.add_argument("--seed", type=int, default=42)
     slo.add_argument("--timeseries-out", default=None,
                      help="also write the time-series snapshot here")
@@ -842,18 +790,18 @@ def build_parser() -> argparse.ArgumentParser:
     forecast.add_argument("--model",
                           choices=("ewma", "holt", "holt-winters"),
                           default="holt")
-    forecast.add_argument("--horizon", type=int, default=5,
+    forecast.add_argument("--horizon", type=_positive_int, default=5,
                           help="forecast horizon (scrape ticks)")
     forecast.add_argument("--season", type=float, default=None,
                           help="holt-winters seasonal period (simulated "
                                "seconds; diurnal defaults to its period)")
-    forecast.add_argument("--period", type=float, default=None,
+    forecast.add_argument("--period", type=_positive, default=None,
                           help="diurnal scenario: demand period (simulated "
                                "seconds; default: the full duration, i.e. "
                                "one cycle)")
-    forecast.add_argument("--interval", type=float, default=1.0,
+    forecast.add_argument("--interval", type=_positive, default=1.0,
                           help="scrape interval (simulated seconds)")
-    forecast.add_argument("--duration", type=float, default=None,
+    forecast.add_argument("--duration", type=_positive, default=None,
                           help="simulated seconds (default: 180 slo, "
                                "240 diurnal)")
     forecast.add_argument("--seed", type=int, default=42)
@@ -871,9 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "CUSUM changepoints) over a scenario's series")
     anomalies.add_argument("--scenario", choices=("slo", "chaos", "diurnal"),
                            default="chaos")
-    anomalies.add_argument("--interval", type=float, default=0.5,
+    anomalies.add_argument("--interval", type=_positive, default=0.5,
                            help="scrape interval (simulated seconds)")
-    anomalies.add_argument("--duration", type=float, default=None,
+    anomalies.add_argument("--duration", type=_positive, default=None,
                            help="simulated seconds (default: 180 slo, "
                                 "40 chaos, 240 diurnal)")
     anomalies.add_argument("--seed", type=int, default=42)
@@ -896,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "sim time (default: largest shift)")
     explain.add_argument("--scenario", choices=("diurnal", "chaos"),
                          default="diurnal")
-    explain.add_argument("--duration", type=float, default=None,
+    explain.add_argument("--duration", type=_positive, default=None,
                          help="simulated seconds (default: 240 diurnal, "
                               "40 chaos)")
     explain.add_argument("--seed", type=int, default=42)
@@ -936,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
 
     def _chaos_common(p) -> None:
-        p.add_argument("--duration", type=float, default=40.0,
+        p.add_argument("--duration", type=_positive, default=40.0,
                        help="simulated seconds")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--fault-start", type=float, default=10.0)

@@ -1,7 +1,7 @@
 """SLATE control plane: Global Controller, Cluster Controller, rollout."""
 
+from ...forecasting import HoltForecaster
 from .cluster_controller import ClusterController, FallbackPolicy
-from .forecast import HoltForecaster
 from .global_controller import GlobalController, GlobalControllerConfig
 from .policy import SlatePolicy
 from .rollout import IncrementalRollout, RolloutConfig

@@ -24,13 +24,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from ...forecasting import HoltForecaster
 from ...mesh.telemetry import ClusterEpochReport
 from ...sim.apps import AppSpec
 from ...sim.topology import DeploymentSpec
 from ...sim.workload import DemandMatrix
 from ..classes.callgraph import CallGraphLearner
 from ..latency.profiles import ProfileRegistry
-from .forecast import HoltForecaster
 from ..optimizer.cache import SolverCache
 from ..optimizer.problem import ClassWorkload, TEProblem
 from ..optimizer.result import OptimizationResult

@@ -80,7 +80,8 @@ class LayerSpec:
             LayerRule("repro.obs", ("repro.chaos",)),
             # the one control loop never learns what a fault is: chaos
             # plugs into it from above (module-scoped — scenarios.py
-            # defers an import of chaos.plan for chaos_outage_setup)
+            # defers its chaos imports for chaos_outage_setup and
+            # ControlSetup.run)
             LayerRule("repro.experiments.harness", ("repro.chaos",)),
             LayerRule("repro.devtools", runtime),
         ))

@@ -10,11 +10,13 @@ where behaviour changes — are reproduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..analysis.fluid import evaluate_rules
 from ..baselines.locality import LocalityFailoverPolicy
 from ..baselines.waterfall import WaterfallConfig, WaterfallPolicy
-from ..core.controller.global_controller import GlobalControllerConfig
+from ..core.controller.global_controller import (GlobalController,
+                                                 GlobalControllerConfig)
 from ..core.controller.policy import SlatePolicy
 from ..core.optimizer.problem import TEProblem
 from ..sim.apps import (AppSpec, CallEdge, TrafficClassSpec,
@@ -27,14 +29,14 @@ from ..sim.topology import (ClusterSpec, DeploymentSpec,
                             gcp_four_region_latency, two_region_latency)
 from ..sim.traces import DemandTimeline, diurnal_timeline
 from ..sim.workload import DemandMatrix
-from .harness import Scenario
+from .harness import Scenario, run_policy
 
-__all__ = ["ChaosOutageSetup", "DiurnalControlSetup", "FigureSetup",
-           "SloBurnrateSetup",
+__all__ = ["ControlSetup", "FigureSetup",
            "chaos_outage_setup", "diurnal_control_setup",
-           "slo_burnrate_setup",
+           "fig6a_adaptive_setup", "slo_burnrate_setup",
            "fig6a_how_much", "fig6b_which_cluster",
            "fig6c_multihop", "fig6d_traffic_classes",
+           "fig3_threshold_sweep", "fig4_offload_sweep",
            "fig4_offload_threshold_problem", "fig3_threshold_scenario",
            "locality_failover_policy", "waterfall_with_absolute_threshold",
            "planet_scale_problem", "synthetic_te_problem",
@@ -52,6 +54,55 @@ class FigureSetup:
     @property
     def policies(self) -> list:
         return [self.slate, self.waterfall]
+
+
+@dataclass
+class ControlSetup:
+    """An experiment ready to run: a scenario, the SLATE policy driving it,
+    and whatever else its harness call needs.
+
+    That is a demand ``timeline`` for time-varying load, the ``slo_rules``
+    its alerts burn against, or a fault ``plan`` with the stale-rule guard
+    (``max_rule_age`` + ``fallback``) that rides it out. Callers build one
+    (the ``*_setup`` builders below name the paper's adaptive experiments)
+    and call :meth:`run`; which harness runs it is this class's business.
+    """
+
+    scenario: Scenario
+    policy: SlatePolicy
+    timeline: DemandTimeline | None = None
+    slo_rules: tuple = ()
+    plan: object = None     # a repro.chaos.FaultPlan
+    max_rule_age: float | None = None
+    fallback: str | None = None
+
+    def observability(self, **overrides):
+        """The config a run of this setup wants: the decision log, plus
+        scrapes and the SLO engine when the setup carries SLO rules."""
+        from ..obs.config import ObservabilityConfig
+        settings = dict(decisions=True)
+        if self.slo_rules:
+            settings.update(timeseries=True, slo=self.slo_rules,
+                            scrape_interval=1.0)
+        settings.update(overrides)
+        return ObservabilityConfig(**settings)
+
+    def run(self, observability=None, **options):
+        """Simulate the setup; ``options`` (e.g. ``fidelity``) go to the
+        harness. Returns a :class:`~repro.chaos.ChaosRunResult` when the
+        setup has a fault plan, else a
+        :class:`~repro.analysis.compare.PolicyOutcome`."""
+        if self.plan is None:
+            return run_policy(self.scenario, self.policy,
+                              observability=observability,
+                              timeline=self.timeline, **options)
+        # deferred: chaos plugs into the harness from above
+        from ..chaos.harness import run_chaos
+        return run_chaos(self.scenario, self.policy, self.plan,
+                         fallback=self.fallback,
+                         max_rule_age=self.max_rule_age,
+                         observability=observability,
+                         timeline=self.timeline, **options)
 
 
 def fig6a_how_much(west_rps: float = 700.0, east_rps: float = 100.0,
@@ -79,6 +130,23 @@ def fig6a_how_much(west_rps: float = 700.0, east_rps: float = 100.0,
         app, deployment, threshold_rho=threshold_rho))
     slate = SlatePolicy(GlobalControllerConfig(rho_max=0.95))
     return FigureSetup(scenario, slate, waterfall)
+
+
+def fig6a_adaptive_setup(duration: float, epoch: float,
+                         seed: int) -> ControlSetup:
+    """Fig. 6a's overload under an adaptive controller re-planning every
+    ``epoch`` seconds, so the decision log has epochs to show.
+
+    The demand quantum paired with ``learn_profiles=False`` lets the
+    constant demand replay from the solver cache instead of re-solving
+    (docs/performance.md).
+    """
+    figure = fig6a_how_much(duration=duration, seed=seed)
+    policy = SlatePolicy(
+        GlobalControllerConfig(rho_max=0.95, demand_quantum=25.0,
+                               learn_profiles=False),
+        adaptive=True)
+    return ControlSetup(replace(figure.scenario, epoch=epoch), policy)
 
 
 def fig6b_which_cluster(overload_rps: float = 590.0,
@@ -182,15 +250,6 @@ def fig6d_traffic_classes(west_light_rps: float = 450.0,
     return FigureSetup(scenario, slate, waterfall)
 
 
-@dataclass
-class DiurnalControlSetup:
-    """A time-varying scenario plus the adaptive policy driving it."""
-
-    scenario: Scenario
-    policy: SlatePolicy
-    timeline: DemandTimeline
-
-
 def diurnal_control_setup(base_rps: float = 150.0,
                           amplitude: float = 0.5,
                           duration: float = 240.0,
@@ -199,7 +258,7 @@ def diurnal_control_setup(base_rps: float = 150.0,
                           replicas: int = 5,
                           seed: int = 42,
                           period: float | None = None
-                          ) -> DiurnalControlSetup:
+                          ) -> ControlSetup:
     """Adaptive SLATE under follow-the-sun diurnal demand (§2, §5).
 
     Two clusters carry opposite-phase sinusoidal demand over one full
@@ -213,8 +272,6 @@ def diurnal_control_setup(base_rps: float = 150.0,
     force a fresh **re-plan** — the exact mix the decision log
     (``repro obs decisions``) exists to make visible.
     """
-    import math
-
     app = linear_chain_app(n_services=3, exec_time=0.010)
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=replicas,
@@ -239,25 +296,7 @@ def diurnal_control_setup(base_rps: float = 150.0,
                                demand_quantum=demand_quantum,
                                learn_profiles=False),
         adaptive=True)
-    return DiurnalControlSetup(scenario, policy, timeline)
-
-
-@dataclass
-class SloBurnrateSetup:
-    """A surge scenario plus the SLO rules that should burn through it."""
-
-    scenario: Scenario
-    policy: SlatePolicy
-    timeline: DemandTimeline
-    slo_rules: tuple
-
-    def observability(self, **overrides):
-        """The config a run of this setup wants: decisions + scrapes + SLO."""
-        from ..obs.config import ObservabilityConfig
-        settings = dict(decisions=True, timeseries=True, slo=self.slo_rules,
-                        scrape_interval=1.0)
-        settings.update(overrides)
-        return ObservabilityConfig(**settings)
+    return ControlSetup(scenario, policy, timeline=timeline)
 
 
 def slo_burnrate_setup(base_rps: float = 250.0,
@@ -269,7 +308,7 @@ def slo_burnrate_setup(base_rps: float = 250.0,
                        epoch: float = 10.0,
                        latency_target: float = 0.25,
                        replicas: int = 5,
-                       seed: int = 42) -> SloBurnrateSetup:
+                       seed: int = 42) -> ControlSetup:
     """A demand surge that burns a latency SLO until the controller reacts.
 
     Linear 3-service chain in two clusters (per-service capacity ≈
@@ -312,25 +351,8 @@ def slo_burnrate_setup(base_rps: float = 250.0,
     rules = (default_latency_slo(latency_target, budget=0.02,
                                  fast_window=10.0, slow_window=30.0,
                                  fast_burn=4.0, slow_burn=1.0),)
-    return SloBurnrateSetup(scenario, policy, timeline, rules)
-
-
-@dataclass
-class ChaosOutageSetup:
-    """A fault campaign plus everything needed to run and score it."""
-
-    scenario: Scenario
-    policy: SlatePolicy
-    plan: object       # a repro.chaos.FaultPlan
-    max_rule_age: float
-    fallback: str
-
-    def observability(self, **overrides):
-        """Decision log on, so re-plans can be attributed to faults."""
-        from ..obs.config import ObservabilityConfig
-        settings = dict(decisions=True)
-        settings.update(overrides)
-        return ObservabilityConfig(**settings)
+    return ControlSetup(scenario, policy, timeline=timeline,
+                        slo_rules=rules)
 
 
 def chaos_outage_setup(west_rps: float = 480.0,
@@ -344,7 +366,7 @@ def chaos_outage_setup(west_rps: float = 480.0,
                        max_rule_age: float = 5.0,
                        fallback: str = "locality",
                        replicas: int = 5,
-                       seed: int = 42) -> ChaosOutageSetup:
+                       seed: int = 42) -> ControlSetup:
     """§5 challenge campaign: Global Controller outage + WAN degradation.
 
     West runs hot (default 480 RPS against a 500 RPS per-service
@@ -357,8 +379,9 @@ def chaos_outage_setup(west_rps: float = 480.0,
     few epochs and fails over to local-first routing (p95 drops back to
     local queueing, ~3× better than frozen rules); when the controller
     returns it re-plans against the healed matrix and reconciles the
-    fallback. Scored by :func:`repro.chaos.run_chaos` +
-    :meth:`~repro.chaos.ChaosRunResult.resilience`.
+    fallback. ``fallback="none"`` disarms the guard: the stale rules stay
+    frozen. :meth:`ControlSetup.run` runs the campaign;
+    :meth:`~repro.chaos.ChaosRunResult.resilience` scores it.
     """
     from ..chaos.plan import ControlPlaneOutage, FaultPlan, WanFault
 
@@ -380,8 +403,10 @@ def chaos_outage_setup(west_rps: float = 480.0,
         WanFault(start=fault_start, duration=fault_duration,
                  src="west", dst="east", multiplier=wan_multiplier),
     ))
-    return ChaosOutageSetup(scenario, policy, plan,
-                            max_rule_age=max_rule_age, fallback=fallback)
+    if fallback == "none":      # frozen stale rules: the guard stays disarmed
+        fallback, max_rule_age = None, None
+    return ControlSetup(scenario, policy, plan=plan,
+                        max_rule_age=max_rule_age, fallback=fallback)
 
 
 def fig4_offload_threshold_problem(one_way_ms: float, west_rps: float,
@@ -436,6 +461,61 @@ def waterfall_with_absolute_threshold(app: AppSpec,
         for service, count in cluster.replicas.items() if count > 0
     }
     return WaterfallPolicy(WaterfallConfig(capacities))
+
+
+#: Fig. 3's West loads (RPS) and its two static Waterfall thresholds (RPS)
+FIG3_WEST_LOADS = (150.0, 250.0, 350.0, 420.0, 470.0)
+FIG3_CONSERVATIVE_RPS = 250.0
+FIG3_AGGRESSIVE_RPS = 480.0
+
+
+def fig3_threshold_sweep() -> list[list[float]]:
+    """Fig. 3's table, one row per West load: the load, then the mean
+    latency (ms) under the conservative threshold, the aggressive one, and
+    SLATE.
+
+    Evaluated with the fluid model (the sweep needs many points; the
+    simulator cross-validates the fluid model elsewhere).
+    """
+    rows = []
+    for west_rps in FIG3_WEST_LOADS:
+        scenario = fig3_threshold_scenario(west_rps)
+        ctx = scenario.context()
+        row = [west_rps]
+        for policy in (
+                waterfall_with_absolute_threshold(
+                    scenario.app, scenario.deployment, FIG3_CONSERVATIVE_RPS),
+                waterfall_with_absolute_threshold(
+                    scenario.app, scenario.deployment, FIG3_AGGRESSIVE_RPS),
+                SlatePolicy()):
+            rules = policy.compute_rules(ctx)
+            prediction = evaluate_rules(scenario.app, scenario.deployment,
+                                        scenario.demand, rules)
+            row.append(prediction.mean_latency * 1000)
+        rows.append(row)
+    return rows
+
+
+#: Fig. 4's WAN one-way latencies (ms) and West loads (RPS)
+FIG4_ONE_WAY_MS = (5.0, 25.0, 50.0)
+FIG4_WEST_LOADS = tuple(float(rps) for rps in range(100, 1001, 100))
+
+
+def fig4_offload_sweep() -> dict[float, list[float]]:
+    """Fig. 4's curves: for each one-way latency in ``FIG4_ONE_WAY_MS``, the
+    RPS SLATE's optimizer serves locally at West for each load in
+    ``FIG4_WEST_LOADS``."""
+    series = {}
+    for one_way_ms in FIG4_ONE_WAY_MS:
+        local_rps = []
+        for west_rps in FIG4_WEST_LOADS:
+            scenario = fig4_offload_threshold_problem(one_way_ms, west_rps)
+            result = GlobalController.oracle(
+                scenario.app, scenario.deployment, scenario.demand)
+            local_rps.append(
+                result.ingress_local_fraction("default", "west") * west_rps)
+        series[one_way_ms] = local_rps
+    return series
 
 
 # --------------------------------------------------------------- synthetic

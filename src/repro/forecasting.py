@@ -6,7 +6,7 @@ acting on predicted demand beats reacting to observed demand. This module
 is the single home for the incremental models both consumers share:
 
 - the Global Controller's ``forecast_demand`` mode
-  (:mod:`repro.core.controller.forecast` re-exports
+  (:mod:`repro.core.controller.global_controller` imports
   :class:`HoltForecaster` from here), and
 - the predictive observability pillar (:mod:`repro.obs.forecast`), which
   fits the same models over scraped time series and backtests them.

@@ -99,6 +99,12 @@ def diurnal_timeline(base: DemandMatrix, duration: float,
     """
     if not 0 <= amplitude < 1:
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
+    # a non-positive period never advances the keyframe clock, and an
+    # infinite duration is never reached
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and > 0, got {period}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     if steps_per_period < 2:
         raise ValueError("need at least 2 steps per period")
     phases = phase_by_cluster or {}

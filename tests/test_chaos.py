@@ -7,6 +7,8 @@ resilience scoring, and the determinism contract (empty plan == no chaos;
 same seed + same plan == byte-identical run).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (ChaosRuntime, ControlPlaneOutage, FaultPlan,
@@ -232,16 +234,13 @@ def test_touch_is_monotonic():
 @pytest.fixture(scope="module")
 def outage_runs():
     """Frozen vs guarded vs unfaulted runs of the chaos-outage scenario."""
-    setup = chaos_outage_setup()
-    frozen = run_chaos(setup.scenario, setup.policy, setup.plan,
-                       observability=setup.observability())
-    setup_b = chaos_outage_setup()
-    guarded = run_chaos(setup_b.scenario, setup_b.policy, setup_b.plan,
-                        fallback=setup_b.fallback,
-                        max_rule_age=setup_b.max_rule_age,
-                        observability=setup_b.observability())
-    setup_c = chaos_outage_setup()
-    baseline = run_chaos(setup_c.scenario, setup_c.policy, FaultPlan.empty())
+    setup = chaos_outage_setup(fallback="none")
+    frozen = setup.run(setup.observability())
+    guarded_setup = chaos_outage_setup()
+    guarded = guarded_setup.run(guarded_setup.observability())
+    twin = replace(chaos_outage_setup(fallback="none"),
+                   plan=FaultPlan.empty())
+    baseline = twin.run()
     return setup, frozen, guarded, baseline
 
 

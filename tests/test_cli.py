@@ -208,3 +208,83 @@ def test_obs_diff_invalid_artifact_exits_2(capsys, tmp_path):
     ok.write_text("{}", encoding="utf-8")
     assert main(["obs", "diff", str(bad), str(ok)]) == 2
     assert "invalid artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, suffix, marker, content", [
+    ("chrome", "json", "trace events to", '"traceEvents"'),
+    ("jsonl", "jsonl", "spans to", '"request_id"'),
+])
+def test_obs_trace_writes_file(capsys, tmp_path, fmt, suffix, marker,
+                               content):
+    out_path = tmp_path / f"trace.{suffix}"
+    assert main(["obs", "trace", "--duration", "2", "--format", fmt,
+                 "-o", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fig6a (slate, 2s sim):" in out and "spans traced" in out
+    assert marker in out and str(out_path) in out
+    assert content in out_path.read_text()
+
+
+def test_obs_trace_summary_breaks_down_slowest(capsys):
+    assert main(["obs", "trace", "--duration", "2", "--top", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "spans traced" in out
+    assert out.count("ms e2e") == 1
+    assert "critical path: queue" in out and "wan-rtt" in out
+
+
+def test_obs_metrics_prom_file_and_json_stdout(capsys, tmp_path):
+    import json
+    prom = tmp_path / "m.prom"
+    assert main(["obs", "metrics", "--duration", "2", "--format", "prom",
+                 "-o", str(prom)]) == 0
+    assert f"metrics to {prom}" in capsys.readouterr().out
+    text = prom.read_text()
+    assert "# TYPE calls_dropped_total counter" in text
+    assert "pool_utilization" in text
+    assert main(["obs", "metrics", "--duration", "2"]) == 0
+    snapshot = json.loads(capsys.readouterr().out)
+    assert snapshot["calls_dropped_total"]["kind"] == "counter"
+
+
+def test_obs_decisions_fig6a_text(capsys):
+    assert main(["obs", "decisions", "--scenario", "fig6a",
+                 "--duration", "20", "--epoch", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "epoch   t(sim) outcome" in out
+    assert "epochs=4 solved=0 replayed=4 no-demand=0" in out
+
+
+def test_obs_decisions_diurnal_jsonl(capsys, tmp_path):
+    import json
+    log = tmp_path / "decisions.jsonl"
+    assert main(["obs", "decisions", "--scenario", "diurnal",
+                 "--duration", "30", "--format", "jsonl",
+                 "-o", str(log)]) == 0
+    assert f"wrote 3 decisions to {log}" in capsys.readouterr().out
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [row["epoch"] for row in rows] == [0, 1, 2]
+    assert rows[0]["outcome"] == "solved"
+    assert rows[0]["demand_total"] == 300.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["obs", "slo", "--duration", "0"],
+    ["obs", "timeseries", "--interval", "0"],
+    ["obs", "decisions", "--epoch", "0"],
+    ["obs", "forecast", "--horizon", "0"],
+    ["obs", "forecast", "--scenario", "diurnal", "--period", "-10"],
+    ["obs", "anomalies", "--duration", "nan"],
+    ["obs", "explain", "--duration", "-1"],
+    ["run", "--rps", "-5"],
+    ["run", "--tick", "0"],
+    ["run", "--duration", "inf"],
+    ["figure", "fig6a", "--duration", "0"],
+    ["chaos", "run", "--duration", "-40"],
+])
+def test_invalid_numeric_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be" in err

@@ -15,14 +15,17 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.baselines.waterfall import WaterfallConfig
 from repro.core.controller.global_controller import GlobalControllerConfig
 from repro.core.controller.rollout import RolloutConfig
+from repro.experiments.scenarios import ControlSetup
 from repro.obs.config import ObservabilityConfig
+from repro.obs.diff import DiffConfig
 from repro.sim.autoscaler import AutoscalerConfig
 
 SOURCE = Path(repro.__file__).parent
 CONFIGS = (GlobalControllerConfig, ObservabilityConfig, RolloutConfig,
-           AutoscalerConfig)
+           AutoscalerConfig, WaterfallConfig, DiffConfig, ControlSetup)
 
 
 class _ConfigReads(ast.NodeVisitor):

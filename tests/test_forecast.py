@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.controller.forecast import HoltForecaster
 from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
+from repro.forecasting import HoltForecaster
 from repro.mesh.telemetry import ClusterEpochReport
 from repro.sim import (DeploymentSpec, linear_chain_app, two_region_latency)
 

@@ -61,10 +61,6 @@ class _ReferenceHolt:
 
 
 class TestHoltDampingAndEquivalence:
-    def test_controller_module_reexports_shared_class(self):
-        from repro.core.controller.forecast import HoltForecaster as Exported
-        assert Exported is HoltForecaster
-
     def test_default_phi_bit_identical_to_reference(self):
         """phi=1 must run the exact historical arithmetic, not merely an
         approximation of it — forecast_demand runs stay byte-identical."""

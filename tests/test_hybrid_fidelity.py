@@ -145,13 +145,10 @@ def test_overload_sheds_as_failures_not_negative_flow():
 def test_hybrid_p95_tracks_event_level_truth():
     setup = diurnal_control_setup(base_rps=150.0, duration=30.0,
                                   replicas=5)
-    event = run_policy(setup.scenario, setup.policy,
-                       timeline=setup.timeline)
+    event = setup.run()
     setup = diurnal_control_setup(base_rps=150.0, duration=30.0,
                                   replicas=5)
-    hybrid = run_policy(setup.scenario, setup.policy,
-                        timeline=setup.timeline, fidelity="hybrid",
-                        sample_rate=0.25)
+    hybrid = setup.run(fidelity="hybrid", sample_rate=0.25)
     event_p95 = percentile(event.latencies, 0.95)
     hybrid_p95 = percentile(hybrid.latencies, 0.95)
     assert event_p95 > 0 and hybrid.latencies

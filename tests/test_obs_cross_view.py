@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
 from repro.obs import Observability, ObservabilityConfig
 from repro.obs.collect import STATE_METRICS
@@ -25,8 +24,7 @@ def obs():
     runtime = Observability(ObservabilityConfig(
         decisions=True, provenance=True, timeseries=True, metrics=True,
         scrape_interval=SCRAPE))
-    run_policy(setup.scenario, setup.policy, observability=runtime,
-               timeline=setup.timeline)
+    setup.run(runtime)
     return runtime
 
 

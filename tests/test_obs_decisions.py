@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.rules import RoutingRule, RuleSet
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup
 from repro.obs import (DecisionLog, EpochDecision, Observability,
                        ObservabilityConfig)
@@ -152,8 +151,7 @@ def test_diurnal_run_shows_replays_and_replans():
     """The ISSUE acceptance: >=1 hysteresis skip AND >=1 re-plan."""
     setup = diurnal_control_setup(duration=120.0, epoch=10.0)
     obs = Observability(ObservabilityConfig(decisions=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     log = obs.decisions
     counts = log.counts()
     assert counts["replayed"] >= 1, counts

@@ -210,12 +210,10 @@ def test_breach_predicted_before_real_alert_e2e():
     """ISSUE acceptance: on slo_burnrate a PredictedBreach precedes the
     actual alert, with a measured positive lead time."""
     from repro.experiments import scenarios as sc
-    from repro.experiments.harness import run_policy
     from repro.obs import Observability
     setup = sc.slo_burnrate_setup(duration=80.0, seed=42)
     obs = Observability(setup.observability(forecast=True, anomaly=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     alerts = list(obs.alerts)
     assert alerts, "scenario must fire at least one real alert"
     hits = [p for p in obs.breach.predictions if p.outcome == "hit"]

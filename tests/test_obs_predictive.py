@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
-from repro.chaos import FaultPlan, run_chaos
+from dataclasses import replace
+
+from repro.chaos import FaultPlan
 from repro.experiments import scenarios as sc
-from repro.experiments.harness import run_policy
 from repro.obs import Observability
 
 
 DURATION = 60.0
 
 
+def _unfaulted_twin(duration):
+    """The chaos-outage scenario with no faults and the guard disarmed."""
+    setup = sc.chaos_outage_setup(duration=duration, seed=42,
+                                  fallback="none")
+    return replace(setup, plan=FaultPlan.empty())
+
+
 def _slo_run(observability=None):
     setup = sc.slo_burnrate_setup(duration=DURATION, seed=42)
     obs = (Observability(setup.observability(**observability))
            if observability is not None else None)
-    outcome = run_policy(setup.scenario, setup.policy, observability=obs,
-                         timeline=setup.timeline)
+    outcome = setup.run(obs)
     return outcome, obs
 
 
@@ -63,12 +70,9 @@ def test_chaos_anomaly_lead_time_scored_in_resilience_report():
     setup = sc.chaos_outage_setup(duration=40.0, seed=42)
     obs = Observability(setup.observability(
         timeseries=True, anomaly=True, scrape_interval=0.5))
-    result = run_chaos(setup.scenario, setup.policy, setup.plan,
-                       fallback=setup.fallback,
-                       max_rule_age=setup.max_rule_age, observability=obs)
+    result = setup.run(obs)
     assert result.anomaly_signals(), "the outage must register anomalies"
-    twin = sc.chaos_outage_setup(duration=40.0, seed=42)
-    baseline = run_chaos(twin.scenario, twin.policy, FaultPlan.empty())
+    baseline = _unfaulted_twin(duration=40.0).run()
     report = result.resilience(baseline)
     scored = [e for e in report.episodes
               if e.anomaly_detection_seconds is not None]
@@ -87,12 +91,9 @@ def test_chaos_anomaly_lead_time_scored_in_resilience_report():
 
 def test_chaos_without_anomaly_pillar_reports_dashes():
     setup = sc.chaos_outage_setup(duration=30.0, seed=42)
-    result = run_chaos(setup.scenario, setup.policy, setup.plan,
-                       fallback=setup.fallback,
-                       max_rule_age=setup.max_rule_age)
+    result = setup.run()
     assert result.anomaly_signals() == []
-    twin = sc.chaos_outage_setup(duration=30.0, seed=42)
-    baseline = run_chaos(twin.scenario, twin.policy, FaultPlan.empty())
+    baseline = _unfaulted_twin(duration=30.0).run()
     report = result.resilience(baseline)
     assert all(e.anomaly_detection_seconds is None for e in report.episodes)
     assert all(e.anomaly_lead_seconds is None for e in report.episodes)

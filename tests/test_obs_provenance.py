@@ -10,12 +10,12 @@ perturbation-free guarantee when the pillar is off.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.devtools.invariants import InvariantViolation
 from repro.mesh.routing_table import RouteKey
-from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import (chaos_outage_setup,
                                          diurnal_control_setup)
 from repro.obs import (Observability, ObservabilityConfig, FlightRecorder,
@@ -152,8 +152,7 @@ def diurnal_log():
     setup = diurnal_control_setup(duration=120.0, replicas=2)
     obs = Observability(ObservabilityConfig(
         provenance=True, decisions=True, timeseries=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     return obs
 
 
@@ -235,14 +234,10 @@ def test_empty_log_explains_gracefully():
 def test_chaos_fault_triggers_flight_dump(tmp_path):
     """The injected FaultRecord freezes a ring that reaches the fallback
     rule install — the §5 outage story end to end."""
-    from repro.chaos import run_chaos
-
     setup = chaos_outage_setup(duration=40.0)
     obs = Observability(ObservabilityConfig(
         provenance=True, decisions=True, timeseries=True))
-    run_chaos(setup.scenario, setup.policy, setup.plan,
-              fallback=setup.fallback, max_rule_age=setup.max_rule_age,
-              observability=obs)
+    setup.run(obs)
     log = obs.provenance
     snapshots = log.snapshots
     reasons = [s["trigger"]["reason"] for s in snapshots]
@@ -277,8 +272,7 @@ def test_slo_alert_triggers_snapshot():
 
     setup = slo_burnrate_setup()
     obs = Observability(setup.observability(provenance=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     alerts = [s for s in obs.provenance.snapshots
               if s["trigger"]["reason"] == "slo_alert"]
     assert alerts, "the surge scenario must fire at least one alert"
@@ -302,8 +296,7 @@ def test_invariant_violation_freezes_recorder():
     obs = Observability(ObservabilityConfig(provenance=True,
                                             timeseries=True))
     with pytest.raises(InvariantViolation):
-        run_policy(setup.scenario, ExplodingPolicy(), observability=obs,
-                   timeline=setup.timeline)
+        replace(setup, policy=ExplodingPolicy()).run(obs)
     snapshots = obs.provenance.snapshots
     assert len(snapshots) == 1
     assert snapshots[0]["trigger"]["reason"] == "invariant"
@@ -315,13 +308,11 @@ def test_invariant_violation_freezes_recorder():
 def test_disabled_provenance_is_byte_identical():
     """Provenance off (the default) must not perturb a run at all."""
     base = diurnal_control_setup(duration=60.0, replicas=2)
-    baseline = run_policy(base.scenario, base.policy,
-                          timeline=base.timeline)
+    baseline = base.run()
     prov = diurnal_control_setup(duration=60.0, replicas=2)
     obs = Observability(ObservabilityConfig(
         provenance=True, decisions=True, timeseries=True))
-    observed = run_policy(prov.scenario, prov.policy, observability=obs,
-                          timeline=prov.timeline)
+    observed = prov.run(obs)
     assert observed.latencies == baseline.latencies
     assert observed.egress_bytes == baseline.egress_bytes
     assert observed.egress_cost == baseline.egress_cost
@@ -343,8 +334,7 @@ def test_optimizer_profiler_sections_present():
     """The fine-grained sections land inside the legacy build/solve ones."""
     setup = diurnal_control_setup(duration=60.0, replicas=2)
     obs = Observability(ObservabilityConfig(profiling=True))
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     sections = set(obs.profiler.section_names())
     assert {"vectorized_build", "warm_solve",
             "pricing_certificate"} <= sections

@@ -186,12 +186,10 @@ def test_join_alerts_decisions_counts_replans():
 
 @pytest.fixture(scope="module")
 def burnrate_run():
-    from repro.experiments.harness import run_policy
     from repro.experiments.scenarios import slo_burnrate_setup
     setup = slo_burnrate_setup(duration=130.0)
     obs = Observability(setup.observability())
-    run_policy(setup.scenario, setup.policy, observability=obs,
-               timeline=setup.timeline)
+    setup.run(obs)
     return setup, obs
 
 

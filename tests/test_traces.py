@@ -85,6 +85,18 @@ class TestDiurnal:
         with pytest.raises(ValueError):
             diurnal_timeline(dm(), duration=10.0, steps_per_period=1)
 
+    @pytest.mark.parametrize("period, duration", [
+        (0.0, 10.0),            # the step would divide by zero
+        (-10.0, 10.0),          # a negative step never reaches duration
+        (math.nan, 10.0),
+        (math.inf, 10.0),
+        (10.0, math.inf),       # the keyframe loop would never end
+        (10.0, math.nan),
+    ])
+    def test_rejects_degenerate_period_and_duration(self, period, duration):
+        with pytest.raises(ValueError, match="period|duration"):
+            diurnal_timeline(dm(), duration=duration, period=period)
+
 
 class TestCSV:
     def test_round_trip(self, tmp_path):
