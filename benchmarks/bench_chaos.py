@@ -13,6 +13,7 @@ out and retries — excluding the dead cluster — rather than hanging.
 """
 
 from repro.analysis.report import format_table
+from repro.analysis.stats import nearest_rank
 from repro.baselines.locality import LocalityFailoverPolicy
 from repro.baselines.waterfall import WaterfallConfig, WaterfallPolicy
 from repro.chaos import (ControlPlaneOutage, FaultPlan, WanFault, run_chaos)
@@ -60,17 +61,11 @@ def _policies(scenario: Scenario) -> dict:
     }
 
 
-def _p95(values) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-
-
 def _fault_window_p95(result) -> float:
-    return _p95([lat for t, lat in result.samples
-                 if lat is not None
-                 and _FAULT_START <= t < _FAULT_START + _FAULT_DURATION])
+    end = _FAULT_START + _FAULT_DURATION
+    p95 = nearest_rank([lat for t, lat in result.samples
+                        if lat is not None and _FAULT_START <= t < end], 0.95)
+    return 0.0 if p95 is None else p95
 
 
 def test_chaos_campaign(benchmark, report_sink, bench_json):

@@ -19,16 +19,12 @@ Run:  python examples/controller_outage.py
 import os
 from dataclasses import replace
 
+from repro.analysis.stats import nearest_rank
 from repro.chaos import ControlPlaneOutage, FaultPlan, WanFault
 from repro.experiments.scenarios import chaos_outage_setup
 
 #: CI smoke knob: scale every sim duration down (tests/test_examples.py)
 SCALE = float(os.environ.get("REPRO_EXAMPLE_TIME_SCALE", "1.0"))
-
-
-def p95(values):
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))] if ordered else 0.0
 
 
 def main() -> None:
@@ -42,8 +38,9 @@ def main() -> None:
         print(f"  {line}")
 
     def window_p95(result, lo, hi):
-        return p95([lat for t, lat in result.samples
-                    if lat is not None and lo <= t < hi]) * 1000
+        p95 = nearest_rank([lat for t, lat in result.samples
+                            if lat is not None and lo <= t < hi], 0.95)
+        return (0.0 if p95 is None else p95) * 1000
 
     fault = setup.plan.faults[0]
     lo, hi = fault.start, fault.start + fault.duration

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 __all__ = ["LatencySummary", "summarize", "slo_attainment",
-           "mean_confidence_interval"]
+           "mean_confidence_interval", "nearest_rank"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,15 @@ def summarize(values) -> LatencySummary:
         p99=float(np.quantile(array, 0.99)),
         max=float(array.max()),
     )
+
+
+def nearest_rank(values, q: float) -> float | None:
+    """The ``q`` quantile of ``values`` as one of the samples: the sorted
+    sample at index ``int(q * n)``, capped at the last; None when empty."""
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def slo_attainment(values, threshold: float) -> float:

@@ -17,17 +17,28 @@ using chaos at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["FaultPlan", "WanFault", "ReplicaFault", "TelemetryFault",
            "ControlPlaneOutage"]
 
 
+# NaN fails every comparison, so both bounds are written to reject it
+
+def _check_non_negative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _check_window(start: float, duration: float) -> None:
-    if start < 0:
-        raise ValueError(f"fault start must be >= 0, got {start}")
-    if duration <= 0:
-        raise ValueError(f"fault duration must be > 0, got {duration}")
+    _check_non_negative("fault start", start)
+    _check_positive("fault duration", duration)
 
 
 @dataclass(frozen=True)
@@ -53,12 +64,9 @@ class WanFault:
         _check_window(self.start, self.duration)
         if self.src == self.dst:
             raise ValueError(f"WAN fault needs two clusters, got {self.src!r}")
-        if self.extra_delay < 0:
-            raise ValueError(f"extra_delay must be >= 0, got {self.extra_delay}")
-        if self.multiplier < 0:
-            raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        _check_non_negative("extra_delay", self.extra_delay)
+        _check_non_negative("multiplier", self.multiplier)
+        _check_non_negative("jitter", self.jitter)
 
     @property
     def label(self) -> str:
@@ -88,8 +96,7 @@ class ReplicaFault:
         _check_window(self.start, self.duration)
         if self.crash < 0:
             raise ValueError(f"crash must be >= 0, got {self.crash}")
-        if self.slowdown <= 0:
-            raise ValueError(f"slowdown must be > 0, got {self.slowdown}")
+        _check_positive("slowdown", self.slowdown)
         if self.crash == 0 and not self.slowdown > 1.0:
             raise ValueError(
                 "replica fault must crash replicas and/or slow them down")
@@ -119,8 +126,8 @@ class TelemetryFault:
         _check_window(self.start, self.duration)
         if self.mode not in ("drop", "delay"):
             raise ValueError(f"mode must be 'drop' or 'delay', got {self.mode!r}")
-        if self.mode == "delay" and self.delay <= 0:
-            raise ValueError("delay mode needs delay > 0")
+        if self.mode == "delay":
+            _check_positive("delay", self.delay)
         if self.mode == "drop" and self.delay:
             raise ValueError("drop mode takes no delay")
 

@@ -23,20 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.stats import nearest_rank
 from .inject import FaultRecord
 
 __all__ = ["FaultEpisode", "ResilienceReport", "compute_resilience"]
 
 #: latency samples needed before a window p95 is trusted
 _MIN_WINDOW_SAMPLES = 5
-
-
-def _p95(values: list[float]) -> float | None:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(0.95 * len(ordered)))
-    return ordered[index]
 
 
 @dataclass(frozen=True)
@@ -169,8 +162,8 @@ def compute_resilience(timeline: list[FaultRecord],
     completed = [(t, lat) for t, lat in samples if lat is not None]
     if horizon is None:
         horizon = max((t for t, _ in samples), default=0.0)
-    baseline_all = _p95([lat for _, lat in baseline_samples
-                         if lat is not None])
+    baseline_all = nearest_rank([lat for _, lat in baseline_samples
+                                 if lat is not None], 0.95)
     report = ResilienceReport(band=band, window=window,
                               faulted_egress_cost=faulted_egress_cost,
                               baseline_egress_cost=baseline_egress_cost)
@@ -179,8 +172,8 @@ def compute_resilience(timeline: list[FaultRecord],
         # falling back to the twin's whole-run p95 early in the run
         pre = [lat for t, lat in completed
                if record.fired_at - window <= t < record.fired_at]
-        baseline_p95 = (_p95(pre) if len(pre) >= _MIN_WINDOW_SAMPLES
-                        else baseline_all)
+        baseline_p95 = (nearest_rank(pre, 0.95)
+                        if len(pre) >= _MIN_WINDOW_SAMPLES else baseline_all)
         detection = None
         for signal in signals:
             if signal >= record.fired_at:
@@ -203,7 +196,7 @@ def compute_resilience(timeline: list[FaultRecord],
                 window_lat = [lat for t, lat in completed
                               if start <= t < start + window]
                 if (len(window_lat) >= _MIN_WINDOW_SAMPLES
-                        and _p95(window_lat) <= threshold):
+                        and nearest_rank(window_lat, 0.95) <= threshold):
                     recovery = start + window - record.fired_at
                     recovered_until = start + window
                     break

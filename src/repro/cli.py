@@ -31,6 +31,7 @@ __all__ = ["APPS", "FIGURES", "build_parser", "cmd_chaos", "cmd_figure",
            "main"]
 
 from .analysis.report import format_cdf_series, format_comparison, format_table
+from .analysis.stats import nearest_rank
 from .core.controller.global_controller import GlobalController
 from .experiments.harness import compare_policies
 from .experiments import scenarios as sc
@@ -559,14 +560,21 @@ def _obs_diff(args: argparse.Namespace) -> int:
     return 1 if report.has_regressions else 0
 
 
+def _given(**options) -> dict:
+    """The options whose flag was given; an omitted one (None) falls to the
+    callee's default."""
+    return {name: value for name, value in options.items()
+            if value is not None}
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
     from .chaos import FaultPlan
-    options = dict(duration=args.duration, seed=args.seed,
-                   fault_start=args.fault_start,
-                   fault_duration=args.fault_duration,
-                   wan_multiplier=args.wan_multiplier,
-                   max_rule_age=args.max_rule_age)
+    options = _given(duration=args.duration, seed=args.seed,
+                     fault_start=args.fault_start,
+                     fault_duration=args.fault_duration,
+                     wan_multiplier=args.wan_multiplier,
+                     max_rule_age=args.max_rule_age)
     setup = sc.chaos_outage_setup(fallback=args.fallback, **options)
     if args.chaos_command == "run":
         return _chaos_run(args, setup)
@@ -574,11 +582,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # learned state
     twin = sc.chaos_outage_setup(fallback="none", **options)
     return _chaos_report(args, setup, replace(twin, plan=FaultPlan.empty()))
-
-
-def _chaos_percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def _chaos_run(args: argparse.Namespace, setup: sc.ControlSetup) -> int:
@@ -591,9 +594,9 @@ def _chaos_run(args: argparse.Namespace, setup: sc.ControlSetup) -> int:
           f"sim, fallback={args.fallback}): {len(latencies)} requests "
           f"after warm-up")
     if latencies:
-        print(f"p50 {_chaos_percentile(latencies, 0.50) * 1000:.1f} ms   "
-              f"p95 {_chaos_percentile(latencies, 0.95) * 1000:.1f} ms   "
-              f"p99 {_chaos_percentile(latencies, 0.99) * 1000:.1f} ms")
+        print(f"p50 {nearest_rank(latencies, 0.50) * 1000:.1f} ms   "
+              f"p95 {nearest_rank(latencies, 0.95) * 1000:.1f} ms   "
+              f"p99 {nearest_rank(latencies, 0.99) * 1000:.1f} ms")
     trips = result.fallback_trips
     reconciled = sum(c.reconciliations for c in result.controllers.values())
     print(f"stale-rule guard trips: {len(trips)}"
@@ -611,8 +614,8 @@ def _chaos_report(args: argparse.Namespace, setup: sc.ControlSetup,
                   twin: sc.ControlSetup) -> int:
     import json as json_module
     result = setup.run()
-    report = result.resilience(twin.run(), band=args.band,
-                               window=args.window)
+    report = result.resilience(
+        twin.run(), **_given(band=args.band, window=args.window))
     print(report.render())
     if args.output:
         from pathlib import Path
@@ -640,6 +643,14 @@ def _non_negative(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _at_least_one(text: str) -> float:
+    """argparse type: a finite number >= 1."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 1):
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -884,15 +895,19 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
 
     def _chaos_common(p) -> None:
-        p.add_argument("--duration", type=_positive, default=40.0,
-                       help="simulated seconds")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--fault-start", type=float, default=10.0)
-        p.add_argument("--fault-duration", type=float, default=14.0)
-        p.add_argument("--wan-multiplier", type=float, default=20.0,
-                       help="west<->east delay inflation during the fault")
-        p.add_argument("--max-rule-age", type=float, default=5.0,
-                       help="stale-rule guard threshold (simulated seconds)")
+        p.add_argument("--duration", type=_positive, default=None,
+                       help="simulated seconds (default 40)")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--fault-start", type=_non_negative, default=None,
+                       help="simulated seconds (default 10)")
+        p.add_argument("--fault-duration", type=_positive, default=None,
+                       help="simulated seconds (default 14)")
+        p.add_argument("--wan-multiplier", type=_non_negative, default=None,
+                       help="west<->east delay inflation during the fault "
+                            "(default 20)")
+        p.add_argument("--max-rule-age", type=_positive, default=None,
+                       help="stale-rule guard threshold (simulated "
+                            "seconds, default 5)")
         p.add_argument("--fallback",
                        choices=("locality", "waterfall", "none"),
                        default="locality",
@@ -906,11 +921,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_report = chaos_sub.add_parser(
         "report", help="score the campaign against an unfaulted twin run")
     _chaos_common(chaos_report)
-    chaos_report.add_argument("--band", type=float, default=1.5,
+    chaos_report.add_argument("--band", type=_at_least_one, default=None,
                               help="recovered when window p95 <= band x "
-                                   "pre-fault p95")
-    chaos_report.add_argument("--window", type=float, default=2.0,
-                              help="sliding p95 window (simulated seconds)")
+                                   "pre-fault p95 (default 1.5)")
+    chaos_report.add_argument("--window", type=_positive, default=None,
+                              help="sliding p95 window (simulated seconds, "
+                                   "default 2)")
     chaos_report.add_argument("-o", "--output", default=None,
                               help="write the resilience report JSON here")
     return parser

@@ -23,6 +23,7 @@ and the flag clears.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol
 
 from ...mesh.routing_table import RoutingTable
@@ -54,8 +55,10 @@ class ClusterController:
 
     def __init__(self, cluster: str, *, max_rule_age: float | None = None,
                  fallback: FallbackPolicy | None = None) -> None:
-        if max_rule_age is not None and max_rule_age <= 0:
-            raise ValueError(f"max_rule_age must be > 0, got {max_rule_age}")
+        # NaN fails both comparisons
+        if max_rule_age is not None and not 0 < max_rule_age < math.inf:
+            raise ValueError(
+                f"max_rule_age must be finite and > 0, got {max_rule_age}")
         self.cluster = cluster
         self.max_rule_age = max_rule_age
         self.fallback = fallback

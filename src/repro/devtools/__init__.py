@@ -15,22 +15,21 @@ routing decision must obey the optimizer's conservation constraints):
   observability layer, determinism taint tracking across call edges, and
   architecture contracts (layering, import cycles, dead public API).
 * :mod:`repro.devtools.invariants` — runtime checks the engine, pools,
-  gateways, and runner perform when ``REPRO_DEBUG_INVARIANTS=1``:
-  event-time monotonicity, request conservation, routing rows summing
-  to one, non-negative queue depths.
+  fluid flow model, and runner perform in every run: event-time
+  monotonicity, request conservation, routing rows summing to one,
+  non-negative queue depths, finite non-negative fluid rates.
 """
 
 from __future__ import annotations
 
 from .config import LintConfig
 from .findings import Finding, Severity
-from .invariants import (INVARIANTS_ENV, InvariantViolation,
-                         invariants_enabled)
+from .invariants import InvariantViolation
 from .rules import ALL_RULES, Rule
 
-__all__ = ["ALL_RULES", "Finding", "FlowAnalyzer", "INVARIANTS_ENV",
-           "InvariantViolation", "LintConfig", "Linter", "Rule", "Severity",
-           "invariants_enabled", "lint_paths", "run_analysis"]
+__all__ = ["ALL_RULES", "Finding", "FlowAnalyzer", "InvariantViolation",
+           "LintConfig", "Linter", "Rule", "Severity", "lint_paths",
+           "run_analysis"]
 
 #: lazy exports: runner modules must not be pre-imported in sys.modules
 #: (`python -m` runpy warning), and the flow package stays import-free

@@ -1,12 +1,13 @@
 """Runtime invariant checks for the simulator and control plane.
 
-Enabled by setting ``REPRO_DEBUG_INVARIANTS=1`` in the environment; all
-checks are no-ops otherwise, so production runs pay nothing. The engine,
-replica pools, gateways, and :class:`~repro.sim.runner.MeshSimulation`
-call in at the natural checkpoints:
+Every run checks these; each check sits at the point that establishes its
+invariant and costs O(1) or one numpy reduction there, so a healthy run
+pays a comparison, not a walk. The engine, replica pools, fluid flow
+model, and :class:`~repro.sim.runner.MeshSimulation` call in:
 
 * **event-time monotonicity** — the heap loop never executes an event
-  before the current virtual time;
+  before the current virtual time (fluid ticks are engine events, so
+  this covers the tick loop too);
 * **request conservation** — at quiesce, every admitted request is
   accounted for: ``admitted == completed + failed + in_flight`` per
   gateway, with ``in_flight >= 0``;
@@ -14,8 +15,6 @@ call in at the natural checkpoints:
   non-negative and sum to 1 ± 1e-9 per (service, class, source cluster);
 * **non-negative queue depths** — a pool never records negative busy
   replicas or queue length;
-* **fluid tick monotonicity** — the fluid substrate's tick loop never
-  observes virtual time moving backwards between ticks;
 * **fluid flow sanity** — bulk flow rates are finite and non-negative,
   and every routing matrix row applied as a matrix product sums to
   1 ± 1e-9 (the same stochasticity bound as installed rules).
@@ -27,29 +26,18 @@ offending stream/service/cluster so the report is actionable.
 from __future__ import annotations
 
 import math
-import os
 
-__all__ = ["INVARIANTS_ENV", "InvariantViolation", "ROW_SUM_TOLERANCE",
+__all__ = ["InvariantViolation", "ROW_SUM_TOLERANCE",
            "check_event_monotonic", "check_fluid_rates",
-           "check_fluid_tick", "check_pool_depths",
-           "check_request_conservation", "check_routing_matrix",
-           "check_routing_table", "invariants_enabled"]
-
-INVARIANTS_ENV = "REPRO_DEBUG_INVARIANTS"
+           "check_pool_depths", "check_request_conservation",
+           "check_routing_matrices", "check_routing_table"]
 
 #: allowed deviation of a routing row's weight sum from 1.0
 ROW_SUM_TOLERANCE = 1e-9
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 
 class InvariantViolation(AssertionError):
-    """A debug-mode invariant failed; the message names the culprit."""
-
-
-def invariants_enabled() -> bool:
-    """Whether ``REPRO_DEBUG_INVARIANTS`` is set to a truthy value."""
-    return os.environ.get(INVARIANTS_ENV, "").strip().lower() in _TRUTHY
+    """A runtime invariant failed; the message names the culprit."""
 
 
 def check_event_monotonic(now: float, event_time: float,
@@ -113,49 +101,51 @@ def check_request_conservation(gateways) -> None:
                 f"{gateway.open_requests} are tracked open")
 
 
-def check_fluid_tick(last_tick: float, now: float) -> None:
-    """The fluid tick loop must see monotone non-decreasing virtual time."""
-    if now < last_tick:
-        raise InvariantViolation(
-            f"fluid tick monotonicity violated: tick fired at t={now!r} "
-            f"after a tick at t={last_tick!r}")
+def check_routing_matrices(labels, matrices) -> None:
+    """Each row of every fluid routing matrix must be a probability row.
 
-
-def check_routing_matrix(service, traffic_class, matrix) -> None:
-    """Each row of a fluid routing matrix must be a probability row.
-
-    ``matrix`` is the n x n numpy split matrix the fluid substrate applies
-    as ``demand @ matrix``; rows index source clusters. Same tolerance as
-    :func:`check_routing_table` — the matrix is the vectorized form of the
-    same rules.
+    ``matrices`` is a (k x n x n) numpy stack of split matrices, the form
+    the fluid substrate applies as ``demand @ matrix``; rows index source
+    clusters and ``labels[k]`` is the (service, class) of ``matrices[k]``.
+    Same tolerance as :func:`check_routing_table` — a matrix is the
+    vectorized form of the same rules. A healthy stack costs one
+    elementwise pass and one row sum.
     """
-    for i, row in enumerate(matrix):
-        total = 0.0
-        for weight in row:
-            value = float(weight)
-            if not math.isfinite(value) or value < 0:
-                raise InvariantViolation(
-                    f"fluid routing matrix for service={service!r} "
-                    f"class={traffic_class!r} has invalid weight {value!r} "
-                    f"in row {i}")
-            total += value
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise InvariantViolation(
-                f"fluid routing matrix for service={service!r} "
-                f"class={traffic_class!r} row {i} sums to {total!r}, "
-                f"expected 1 ± {ROW_SUM_TOLERANCE}")
+    # NaN fails both comparisons
+    valid = (matrices >= 0) & (matrices < math.inf)
+    totals = matrices.sum(axis=-1)
+    off = abs(totals - 1.0) > ROW_SUM_TOLERANCE
+    if valid.all() and not off.any():
+        return
+    k, i = (int(index[0])
+            for index in (off | ~valid.all(axis=-1)).nonzero())
+    service, traffic_class = labels[k]
+    invalid = (~valid[k, i]).nonzero()[0]
+    if invalid.size:
+        raise InvariantViolation(
+            f"fluid routing matrix for service={service!r} "
+            f"class={traffic_class!r} has invalid weight "
+            f"{float(matrices[k, i, invalid[0]])!r} in row {i}")
+    raise InvariantViolation(
+        f"fluid routing matrix for service={service!r} "
+        f"class={traffic_class!r} row {i} sums to {float(totals[k, i])!r}, "
+        f"expected 1 ± {ROW_SUM_TOLERANCE}")
 
 
-def check_fluid_rates(traffic_class, rates) -> None:
-    """Bulk flow rates must be finite and non-negative."""
-    values = rates.flat if hasattr(rates, "flat") else rates
-    for rate in values:
-        value = float(rate)
-        if not math.isfinite(value) or value < 0:
-            raise InvariantViolation(
-                f"fluid flow conservation violated for "
-                f"class={traffic_class!r}: rate {value!r} is negative or "
-                f"non-finite")
+def check_fluid_rates(labels, rates) -> None:
+    """Bulk flow rates must be finite and non-negative.
+
+    ``rates`` is a (rows x clusters) numpy array and ``labels[row]`` names what
+    a row carries (a traffic class, or a (class, service) hop). A healthy
+    array costs one elementwise pass and one reduction.
+    """
+    valid = (rates >= 0) & (rates < math.inf)
+    if valid.all():
+        return
+    row, column = (int(index[0]) for index in (~valid).nonzero())
+    raise InvariantViolation(
+        f"fluid flow conservation violated for {labels[row]!r}: rate "
+        f"{float(rates[row, column])!r} is negative or non-finite")
 
 
 def check_pool_depths(pool) -> None:

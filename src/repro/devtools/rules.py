@@ -169,8 +169,8 @@ class WallClockInSimulatedCode(Rule):
     couples results to host speed and makes reruns diverge. Benchmarks and
     offline analysis may time themselves. The fluid substrate
     (``sim/fluid``) is covered by the same directory match: its tick loop
-    advances virtual time only, and the runtime invariant checker
-    (``check_fluid_tick``) enforces monotonicity when debug mode is on.
+    advances virtual time only, and its ticks are engine events, whose
+    time the engine checks for monotonicity in every run.
     """
 
     rule_id = "D02"

@@ -19,7 +19,7 @@ import heapq
 import itertools
 from typing import Any, Callable
 
-from ..devtools.invariants import check_event_monotonic, invariants_enabled
+from ..devtools.invariants import check_event_monotonic
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
 
@@ -81,7 +81,6 @@ class Simulator:
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-        self._debug_invariants = invariants_enabled()
 
     @property
     def now(self) -> float:
@@ -170,81 +169,58 @@ class Simulator:
         """Run events in time order.
 
         Args:
-            until: stop once virtual time would exceed this (the clock is
-                advanced to ``until`` on exit so back-to-back runs compose).
+            until: stop once virtual time would exceed this. On exit the
+                clock advances to ``until`` unless an event due at or
+                before it is still queued (``max_events`` stopped the run
+                first), so back-to-back runs compose and never go back.
             max_events: stop after executing this many events (safety valve
                 for runaway feedback loops).
+
+        Raises:
+            InvariantViolation: an event due before the current time was
+                popped (heap state corrupted behind the scheduler's back).
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         executed = 0
-        # locals shave attribute lookups off the per-event cost; the
-        # invariant-check branch is hoisted into its own loop so the
-        # common path pays nothing for it
+        # locals shave attribute lookups off the per-event cost; ``now``
+        # mirrors ``self._now``, which only this loop writes
         heap = self._heap
         pop = heapq.heappop
+        now = self._now
         try:
-            if self._debug_invariants:
-                executed = self._run_checked(until, max_events)
-            else:
-                while heap:
-                    head = heap[0]
-                    callback = head[2]
-                    if callback is None:
-                        handle = head[3]
-                        if handle.cancelled:
-                            pop(heap)
-                            continue
-                        callback = handle.callback
-                        args = handle.args
-                    else:
-                        args = head[3]
-                    time = head[0]
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop(heap)
-                    self._now = time
-                    callback(*args)
-                    executed += 1
+            while heap:
+                head = heap[0]
+                callback = head[2]
+                if callback is None:
+                    handle = head[3]
+                    if handle.cancelled:
+                        pop(heap)
+                        continue
+                    callback = handle.callback
+                    args = handle.args
+                else:
+                    args = head[3]
+                time = head[0]
+                if until is not None and time > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                pop(heap)
+                if time < now:
+                    check_event_monotonic(now, time, callback)
+                self._now = now = time
+                callback(*args)
+                executed += 1
         finally:
             self._running = False
             self._events_processed += executed
-        if until is not None and self._now < until:
+        # a live head at or before ``until`` means max_events stopped the
+        # loop (cancelled heads were popped above): the clock waits for it
+        if (until is not None and now < until
+                and not (heap and heap[0][0] <= until)):
             self._now = until
-
-    def _run_checked(self, until: float | None,
-                     max_events: int | None) -> int:
-        """The :meth:`run` loop with per-event monotonicity checks
-        (``REPRO_DEBUG_INVARIANTS=1``); returns the executed count."""
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        while heap:
-            head = heap[0]
-            callback = head[2]
-            if callback is None:
-                handle = head[3]
-                if handle.cancelled:
-                    pop(heap)
-                    continue
-                callback = handle.callback
-                args = handle.args
-            else:
-                args = head[3]
-            time = head[0]
-            if until is not None and time > until:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            pop(heap)
-            check_event_monotonic(self._now, time, callback)
-            self._now = time
-            callback(*args)
-            executed += 1
-        return executed
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         """Drain all pending events (used to let in-flight requests finish)."""

@@ -290,7 +290,6 @@ class FlowModel:
         #: one per tick that found the routing table, the latency matrix
         #: or the deployment changed since the previous tick
         self.compiles = 0
-        self._debug_invariants = invariants.invariants_enabled()
 
     # ------------------------------------------------------------ compiling
 
@@ -327,6 +326,11 @@ class FlowModel:
             self.routing_matrix(hop.service, hop.traffic_class)
             if deployed[hop.service] else np.zeros((n, n))
             for hop in hops]).reshape(-1, n, n)
+        routed = [row for row, hop in enumerate(hops)
+                  if deployed[hop.service]]
+        invariants.check_routing_matrices(
+            [(hops[row].service, hops[row].traffic_class) for row in routed],
+            matrices[routed])
         bills = ((matrices * self._off_diagonal).any(axis=(1, 2))
                  & ((request_bytes > 0) | (response_bytes > 0)))
         # egress terms are summed in hop order, whatever the depth
@@ -371,9 +375,9 @@ class FlowModel:
         Row ``i`` is the probability split a proxy at cluster ``i`` applies
         to a call of ``service`` — the exact fallback chain of
         :meth:`~repro.mesh.proxy.SlateProxy.choose_cluster`. Every row sums
-        to 1 (checked under ``REPRO_DEBUG_INVARIANTS``). Built from the
-        live table on every call; the tick reads the copies its routing
-        plan stacked when it was compiled.
+        to 1 (checked over the whole stack when a plan is compiled). Built
+        from the live table on every call; the tick reads the copies its
+        routing plan stacked when it was compiled.
         """
         deployed = self._deployment.clusters_with(service)
         if not deployed:
@@ -387,8 +391,6 @@ class FlowModel:
             total = sum(usable.values())
             for cluster, weight in usable.items():
                 matrix[i, self._index[cluster]] = weight / total
-        if self._debug_invariants:
-            invariants.check_routing_matrix(service, traffic_class, matrix)
         return matrix
 
     # ---------------------------------------------------------- propagation
@@ -464,6 +466,9 @@ class FlowModel:
             exec_rates[level.hops] = arrivals
             remote_rates[level.hops] = (
                 arrivals - flows.diagonal(axis1=1, axis2=2))
+        # a cached tick reuses these checked rates
+        invariants.check_fluid_rates(plan.classes, rates)
+        invariants.check_fluid_rates(plan.hops, exec_rates)
         if live[plan.stranded].any():
             hop = int(plan.stranded[np.argmax(live[plan.stranded])])
             raise ValueError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ...devtools.invariants import check_pool_depths, invariants_enabled
+from ...devtools.invariants import check_pool_depths
 from ..service import Pool
 from .flows import UTILIZATION_CAP, fast_erlang_c
 
@@ -50,7 +50,6 @@ class FluidPool(Pool):
         self._wait_law: tuple[float, float] | None = None
         self._last_update = sim.now
         self._lifetime_busy = 0.0
-        self._debug_invariants = invariants_enabled()
 
     # ----------------------------------------------------- pool interface
 
@@ -136,7 +135,8 @@ class FluidPool(Pool):
             self._stats.arrivals += jobs
             self._stats.completions += jobs
             self._stats.queue_wait_seconds += jobs * mean_wait
-        if self._debug_invariants:
+        # the rounded depths go negative only when these do
+        if offered < 0 or self._queue_estimate < 0:
             check_pool_depths(self)
 
     def _accumulate_busy(self) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...devtools import invariants
 from .flows import FlowModel, FluidTickSolution
 
 __all__ = ["FluidSubstrate"]
@@ -68,7 +67,6 @@ class FluidSubstrate:
         self._hops: tuple[tuple[str, str], ...] | None = None
         self._window_order = np.zeros(0, dtype=np.intp)
         self._hop_exec_time: list[float] = []
-        self._debug_invariants = invariants.invariants_enabled()
 
     def install(self, duration: float) -> None:
         """Pre-schedule the tick train plus a final flush at ``duration``."""
@@ -79,8 +77,6 @@ class FluidSubstrate:
 
     def _on_tick(self) -> None:
         now = self._sim.now
-        if self._debug_invariants:
-            invariants.check_fluid_tick(self._last_tick, now)
         dt = now - self._last_tick
         if dt <= 0:
             return
@@ -94,12 +90,6 @@ class FluidSubstrate:
                                                        pool.slowdown)
         solution = self.model.propagate(demand, pool_state)
         self.last_solution = solution
-        if self._debug_invariants:
-            for state in solution.per_class.values():
-                invariants.check_fluid_rates(state.traffic_class,
-                                             state.demand)
-                for rates in state.exec_rates.values():
-                    invariants.check_fluid_rates(state.traffic_class, rates)
         self._apply_pools(solution, pool_state, dt)
         self._apply_admissions(solution, dt)
         self._apply_windows(solution, pool_state, dt)

@@ -401,6 +401,8 @@ class MeshSimulation:
         self.network = WanNetwork(self.sim, deployment.latency,
                                   deployment.pricing)
         self.table = RoutingTable()
+        #: the table version the last routing-table check passed
+        self._checked_version = self.table.version
         # the reservoir rng is a named stream, so enabling sampling cannot
         # perturb routing/exec/arrival draws of an otherwise-identical run
         self.telemetry = RunTelemetry(
@@ -577,8 +579,8 @@ class MeshSimulation:
         # sees the freshly planned routing table
         if self.observability is not None:
             self.observability.install_scrape(duration)
-        if invariants.invariants_enabled():
-            invariants.check_routing_table(self.table)
+        invariants.check_routing_table(self.table)
+        self._checked_version = self.table.version
         self.sim.run(until=duration)
         self.sim.run_until_idle()
         if epoch is not None:
@@ -628,14 +630,13 @@ class MeshSimulation:
         reports = self.harvest_reports()
         if on_epoch is not None:
             on_epoch(reports, self)
-            if invariants.invariants_enabled():
-                # the hook may have pushed new rules; re-verify the table
+            # the hook may have pushed new rules; re-verify what moved
+            if self.table.version != self._checked_version:
                 invariants.check_routing_table(self.table)
+                self._checked_version = self.table.version
 
     def _verify_invariants(self) -> None:
-        """Debug-mode end-of-run checks (``REPRO_DEBUG_INVARIANTS=1``)."""
-        if not invariants.invariants_enabled():
-            return
+        """End-of-run checks: the table, conservation, pool depths."""
         invariants.check_routing_table(self.table)
         invariants.check_request_conservation(self.gateways)
         for cluster in self.clusters.values():

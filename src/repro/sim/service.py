@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from ..devtools.invariants import check_pool_depths, invariants_enabled
+from ..devtools.invariants import check_pool_depths
 from .engine import Simulator
 
 __all__ = ["Pool", "ReplicaPool", "PoolStats"]
@@ -136,7 +136,6 @@ class ReplicaPool(Pool):
         # busy-time integration
         self._lifetime_busy = 0.0
         self._last_change = sim.now
-        self._debug_invariants = invariants_enabled()
 
     # ------------------------------------------------------------------ API
 
@@ -222,7 +221,7 @@ class ReplicaPool(Pool):
         self._accumulate_busy()
         self._busy -= 1
         self._stats.completions += 1
-        if self._debug_invariants:
+        if self._busy < 0:
             check_pool_depths(self)
         self._drain_queue()
         job.on_complete(self._sim.now)

@@ -7,6 +7,7 @@ resilience scoring, and the determinism contract (empty plan == no chaos;
 same seed + same plan == byte-identical run).
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -68,6 +69,12 @@ def test_fault_window_validation():
         ControlPlaneOutage(start=-1.0, duration=5.0)
     with pytest.raises(ValueError):
         ControlPlaneOutage(start=0.0, duration=0.0)
+    # NaN passes a plain `< 0` test: a NaN start would never inject
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="start must be finite"):
+            ControlPlaneOutage(start=bad, duration=5.0)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            ControlPlaneOutage(start=1.0, duration=bad)
 
 
 def test_wan_fault_validation():
@@ -78,6 +85,11 @@ def test_wan_fault_validation():
                  extra_delay=-0.1)
     with pytest.raises(ValueError):
         WanFault(start=0.0, duration=1.0, src="a", dst="b", jitter=-0.1)
+    for name in ("extra_delay", "multiplier", "jitter"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                WanFault(start=0.0, duration=1.0, src="a", dst="b",
+                         **{name: bad})
     assert WanFault(start=0.0, duration=1.0, src="b", dst="a",
                     partition=True).label == "partition:a<->b"
 
@@ -91,6 +103,9 @@ def test_replica_fault_validation():
     with pytest.raises(ValueError):
         ReplicaFault(start=0.0, duration=1.0, cluster="a", service="S1",
                      slowdown=0.0)
+    with pytest.raises(ValueError, match="slowdown must be finite"):
+        ReplicaFault(start=0.0, duration=1.0, cluster="a", service="S1",
+                     crash=1, slowdown=math.nan)
 
 
 def test_telemetry_fault_validation():
@@ -98,6 +113,9 @@ def test_telemetry_fault_validation():
         TelemetryFault(start=0.0, duration=1.0, cluster="a", mode="mangle")
     with pytest.raises(ValueError):
         TelemetryFault(start=0.0, duration=1.0, cluster="a", mode="delay")
+    with pytest.raises(ValueError, match="delay must be finite"):
+        TelemetryFault(start=0.0, duration=1.0, cluster="a", mode="delay",
+                       delay=math.nan)
     with pytest.raises(ValueError):
         TelemetryFault(start=0.0, duration=1.0, cluster="a", mode="drop",
                        delay=1.0)
@@ -216,8 +234,11 @@ def test_guard_requires_arming():
 
 
 def test_guard_validates_max_rule_age():
-    with pytest.raises(ValueError):
-        ClusterController("west", max_rule_age=0.0)
+    # a NaN age compares false against every rule age: the guard would be
+    # armed but could never trip
+    for bad in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_rule_age must be finite"):
+            ClusterController("west", max_rule_age=bad)
 
 
 def test_touch_is_monotonic():

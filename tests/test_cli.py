@@ -281,6 +281,14 @@ def test_obs_decisions_diurnal_jsonl(capsys, tmp_path):
     ["run", "--duration", "inf"],
     ["figure", "fig6a", "--duration", "0"],
     ["chaos", "run", "--duration", "-40"],
+    ["chaos", "run", "--max-rule-age", "-5"],
+    ["chaos", "run", "--max-rule-age", "nan"],
+    ["chaos", "run", "--fault-start", "nan"],
+    ["chaos", "run", "--fault-duration", "-1"],
+    ["chaos", "run", "--wan-multiplier", "inf"],
+    ["chaos", "report", "--band", "-1"],
+    ["chaos", "report", "--band", "0.5"],
+    ["chaos", "report", "--window", "0"],
 ])
 def test_invalid_numeric_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -43,6 +45,31 @@ def test_run_until_stops_and_advances_clock():
     assert sim.now == 3.0   # clock advanced to the horizon
     sim.run()
     assert seen == ["early", "late"]
+
+
+def test_max_events_stop_leaves_the_clock_at_the_last_event():
+    """A run cut short by ``max_events`` must not jump the clock past
+    events still due before ``until``: the next run would execute them in
+    the past."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    sim.schedule(2.0, lambda: seen.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    assert seen == [1.0] and sim.now == 1.0
+    sim.run()
+    assert seen == [1.0, 2.0] and sim.now == 2.0
+
+
+def test_max_events_stop_with_nothing_due_advances_to_until():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(12.0, lambda: None)
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 10.0          # the 12.0 event is past the horizon
+    sim.schedule(0.0, lambda: None)
+    sim.run(until=11.0, max_events=1)
+    assert sim.now == 11.0          # the heap drained exactly at the cap
 
 
 def test_events_scheduled_during_run_execute():
@@ -153,3 +180,75 @@ def test_events_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+#: delays/offsets on a half-second grid, so ties are common
+_STEPS = st.integers(0, 8).map(lambda k: k / 2)
+
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _STEPS),
+    st.tuples(st.just("schedule_at"), _STEPS),
+    st.tuples(st.just("schedule_cancellable"), _STEPS),
+    st.tuples(st.just("schedule_at_cancellable"), _STEPS),
+    st.tuples(st.just("chain"), _STEPS),
+    st.tuples(st.just("cancel"), st.integers(0, 15)),
+    st.tuples(st.just("run"), st.none() | _STEPS,
+              st.none() | st.integers(0, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_clock_never_goes_back_under_any_interleaving(ops):
+    """Random interleavings of every scheduling call, cancellation and
+    ``run(until, max_events)``: the clock, read after every call and inside
+    every event, never decreases; each event fires at its own time, once;
+    a cancelled event never fires."""
+    sim = Simulator()
+    clock = []              # every reading of sim.now, in order
+    fired = []              # event ids, in firing order
+    due = {}                # event id -> scheduled time
+    handles = []            # (event id, handle)
+    cancelled = set()       # ids cancelled before they fired
+
+    def fire(event_id):
+        assert sim.now == due[event_id]
+        clock.append(sim.now)
+        fired.append(event_id)
+
+    def fire_and_chain(event_id, delay):
+        fire(event_id)
+        follow_up = len(due)
+        due[follow_up] = sim.now + delay
+        sim.schedule(delay, fire, follow_up)
+
+    for op in ops:
+        kind = op[0]
+        event_id = len(due)
+        if kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            sim.run(until=until, max_events=op[2])
+        elif kind == "cancel":
+            if handles:
+                cancel_id, handle = handles[op[1] % len(handles)]
+                handle.cancel()
+                if cancel_id not in fired:
+                    cancelled.add(cancel_id)
+        else:
+            due[event_id] = sim.now + op[1]
+            if kind == "schedule":
+                sim.schedule(op[1], fire, event_id)
+            elif kind == "schedule_at":
+                sim.schedule_at(due[event_id], fire, event_id)
+            elif kind == "chain":
+                sim.schedule(op[1], fire_and_chain, event_id, op[1])
+            else:
+                handles.append((event_id, getattr(sim, kind)(
+                    *((op[1],) if kind == "schedule_cancellable"
+                      else (due[event_id],)), fire, event_id)))
+        clock.append(sim.now)
+    sim.run()
+    clock.append(sim.now)
+
+    assert clock == sorted(clock)
+    assert sorted(fired) == sorted(set(due) - cancelled)

@@ -22,15 +22,16 @@ Covers the tentpole acceptance surface:
 
 from __future__ import annotations
 
+import heapq
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.fluid import evaluate_rules
 from repro.core import RuleSet
 from repro.devtools.invariants import (InvariantViolation, check_fluid_rates,
-                                       check_fluid_tick,
-                                       check_routing_matrix)
+                                       check_routing_matrices)
 from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup, fig6a_how_much
 from repro.obs.timeseries import percentile
@@ -216,27 +217,38 @@ def test_fluid_pool_work_matches_analytic_fluid_model():
 # --------------------------------------------------- devtools integration
 
 
-def test_check_fluid_tick_rejects_backwards_time():
-    check_fluid_tick(1.0, 1.0)
-    check_fluid_tick(1.0, 2.0)
-    with pytest.raises(InvariantViolation, match="monotonicity"):
-        check_fluid_tick(2.0, 1.0)
+def test_fluid_tick_before_now_is_caught_by_the_engine():
+    """Ticks are engine events: the engine's per-event monotonicity check
+    covers the tick loop."""
+    sim = run_sim("fluid", duration=1.0)
+    heapq.heappush(sim.sim._heap,
+                   (sim.sim.now - 0.5, -1, sim.fluid._on_tick, ()))
+    with pytest.raises(InvariantViolation, match="_on_tick"):
+        sim.sim.run()
 
 
 def test_check_routing_matrix_rejects_bad_rows():
-    check_routing_matrix("svc", "default", [[0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(InvariantViolation, match="sums to"):
-        check_routing_matrix("svc", "default", [[0.5, 0.4]])
-    with pytest.raises(InvariantViolation, match="invalid weight"):
-        check_routing_matrix("svc", "default", [[1.5, -0.5]])
+    labels = [("svc", "default")]
+    check_routing_matrices(labels, np.array([[[0.5, 0.5], [0.0, 1.0]]]))
+    with pytest.raises(InvariantViolation, match="row 0 sums to"):
+        check_routing_matrices(labels, np.array([[[0.5, 0.4]]]))
+    with pytest.raises(InvariantViolation, match="invalid weight -0.5"):
+        check_routing_matrices(labels, np.array([[[1.5, -0.5]]]))
+    # the offending matrix of a stack is named
+    with pytest.raises(InvariantViolation, match="'other'.*invalid weight"):
+        check_routing_matrices(
+            labels + [("other", "default")],
+            np.array([[[1.0, 0.0]], [[np.nan, 1.0]]]))
 
 
 def test_check_fluid_rates_rejects_negative_and_nan():
-    check_fluid_rates("default", [0.0, 1.5])
-    with pytest.raises(InvariantViolation):
-        check_fluid_rates("default", [1.0, -0.1])
-    with pytest.raises(InvariantViolation):
-        check_fluid_rates("default", [float("nan")])
+    check_fluid_rates(("default",), np.array([[0.0, 1.5]]))
+    with pytest.raises(InvariantViolation, match="-0.1"):
+        check_fluid_rates(("default",), np.array([[1.0, -0.1]]))
+    with pytest.raises(InvariantViolation, match="'default'.*nan"):
+        check_fluid_rates(("default",), np.array([[float("nan")]]))
+    with pytest.raises(InvariantViolation, match="inf"):
+        check_fluid_rates(("default",), np.array([[np.inf]]))
 
 
 def test_d02_wall_clock_lint_covers_fluid_tick_loop():

@@ -1,54 +1,39 @@
-"""Tests for the debug-mode runtime invariant checker.
+"""Tests for the runtime invariant checker.
 
-The checker must stay silent on healthy runs (the whole suite runs under
-``REPRO_DEBUG_INVARIANTS=1`` in ``make check``) and fire with an
-actionable message — naming the service/cluster/stream — when state is
-corrupted behind the simulator's back.
+Every run checks its invariants, so the checker must stay silent on
+healthy runs (the whole suite exercises it) and fire with an actionable
+message — naming the service/cluster/stream — when state is corrupted
+behind the simulator's back. No environment switch is involved.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.devtools.invariants import (INVARIANTS_ENV, InvariantViolation,
+from repro.devtools.invariants import (InvariantViolation,
                                        check_event_monotonic,
                                        check_pool_depths,
                                        check_request_conservation,
-                                       check_routing_table,
-                                       invariants_enabled)
+                                       check_routing_table)
 from repro.mesh.routing_table import RouteKey, RoutingTable
 from repro.sim import (DemandMatrix, DeploymentSpec, ReplicaPool, Simulator,
                        linear_chain_app, two_region_latency)
 from repro.sim.runner import MeshSimulation
 
 
-@pytest.fixture
-def debug_invariants(monkeypatch):
-    monkeypatch.setenv(INVARIANTS_ENV, "1")
-
-
-def small_sim(seed: int = 0) -> MeshSimulation:
+def small_sim(seed: int = 0, **options) -> MeshSimulation:
     app = linear_chain_app(n_services=2, exec_time=0.005)
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=3,
         latency=two_region_latency(20.0))
-    return MeshSimulation(app, deployment, seed=seed)
-
-
-def test_env_flag_parsing(monkeypatch):
-    for value in ("1", "true", "YES", " on "):
-        monkeypatch.setenv(INVARIANTS_ENV, value)
-        assert invariants_enabled()
-    for value in ("", "0", "false", "off"):
-        monkeypatch.setenv(INVARIANTS_ENV, value)
-        assert not invariants_enabled()
-    monkeypatch.delenv(INVARIANTS_ENV)
-    assert not invariants_enabled()
+    return MeshSimulation(app, deployment, seed=seed, **options)
 
 
 # ------------------------------------------------------------- engine loop
 
-def test_engine_detects_time_travel(debug_invariants):
+def test_engine_detects_time_travel():
     import heapq
 
     sim = Simulator()
@@ -72,7 +57,7 @@ def test_check_event_monotonic_names_the_callback():
 
 # ---------------------------------------------------------- routing matrix
 
-def test_corrupted_routing_table_fires_with_context(debug_invariants):
+def test_corrupted_routing_table_fires_with_context():
     sim = small_sim()
     key = RouteKey("s0", "default", "west")
     sim.table.set_weights(key, {"west": 0.6, "east": 0.4})
@@ -86,15 +71,45 @@ def test_corrupted_routing_table_fires_with_context(debug_invariants):
     assert "sums to" in message
 
 
-def test_corrupted_table_ignored_without_flag(monkeypatch):
-    monkeypatch.delenv(INVARIANTS_ENV, raising=False)
+def test_rule_corrupted_by_an_epoch_hook_fires():
     sim = small_sim()
-    key = RouteKey("s0", "default", "west")
-    sim.table.set_weights(key, {"west": 0.6, "east": 0.4})
-    sim.table._rules[key]["west"] = 5.0
-    # weights no longer sum to 1 but checks are off: the run completes
-    sim.run(DemandMatrix({("default", "west"): 20.0}), duration=0.2)
-    assert sim.telemetry.requests
+    key = RouteKey("S2", "default", "east")
+
+    def push_bad_rule(reports, mesh):
+        mesh.table.set_weights(key, {"west": 0.5, "east": 0.5})
+        mesh.table._rules[key]["east"] = float("nan")
+
+    with pytest.raises(InvariantViolation, match="'S2'.*invalid weight nan"):
+        sim.run(DemandMatrix({("default", "west"): 50.0}), duration=0.5,
+                epoch=0.25, on_epoch=push_bad_rule)
+
+
+def test_bad_fluid_matrix_row_fires():
+    sim = small_sim(fidelity="fluid")
+    key = RouteKey("S2", "default", "west")
+
+    def corrupt():
+        # a write that moves the version, behind the normaliser's back: the
+        # next tick recompiles its routing plan from this row
+        sim.table.set_weights(key, {"west": 0.5, "east": 0.5})
+        sim.table._rules[key] = {"west": 1.5, "east": -0.5}
+
+    sim.sim.schedule_at(0.25, corrupt)
+    with pytest.raises(InvariantViolation) as excinfo:
+        sim.run(DemandMatrix({("default", "west"): 50.0}), duration=1.0)
+    message = str(excinfo.value)
+    assert "fluid routing matrix" in message and "'S2'" in message
+    assert "invalid weight -0.5" in message
+
+
+def test_nan_fluid_rate_fires():
+    sim = small_sim(fidelity="fluid")
+    demand = DemandMatrix({("default", "west"): 50.0})
+    # behind DemandMatrix.set's validation
+    demand._entries[("default", "east")] = math.nan
+    with pytest.raises(InvariantViolation,
+                       match="'default'.*rate nan is negative or non-finite"):
+        sim.run(demand, duration=0.5)
 
 
 def test_check_routing_table_rejects_bad_rows():
@@ -112,7 +127,7 @@ def test_check_routing_table_rejects_bad_rows():
 
 # ----------------------------------------------------- request conservation
 
-def test_conservation_violation_names_the_cluster(debug_invariants):
+def test_conservation_violation_names_the_cluster():
     sim = small_sim()
     sim.run(DemandMatrix({("default", "west"): 50.0}), duration=0.5)
     gateway = sim.gateways["west"]
@@ -121,7 +136,19 @@ def test_conservation_violation_names_the_cluster(debug_invariants):
         check_request_conservation(sim.gateways)
 
 
-def test_conservation_detects_untracked_open_requests(debug_invariants):
+def test_run_checks_conservation_at_quiesce():
+    sim = small_sim()
+    gateway = sim.gateways["west"]
+
+    def settle_twice():
+        gateway.completed_count += 5
+
+    sim.sim.schedule_at(0.25, settle_twice)
+    with pytest.raises(InvariantViolation, match="conservation.*'west'"):
+        sim.run(DemandMatrix({("default", "west"): 50.0}), duration=0.5)
+
+
+def test_conservation_detects_untracked_open_requests():
     sim = small_sim()
     sim.run(DemandMatrix({("default", "west"): 50.0}), duration=0.5)
     gateway = sim.gateways["east"]
@@ -140,7 +167,7 @@ def test_negative_pool_depth_fires_with_context():
         check_pool_depths(pool)
 
 
-def test_pool_detects_double_finish(debug_invariants):
+def test_pool_detects_double_finish():
     sim = Simulator()
     pool = ReplicaPool(sim, "auth", "west", replicas=1)
     finished = []
@@ -155,7 +182,7 @@ def test_pool_detects_double_finish(debug_invariants):
 
 # -------------------------------------------------------------- clean runs
 
-def test_healthy_run_with_invariants_enabled(debug_invariants):
+def test_healthy_run_passes_every_invariant():
     sim = small_sim(seed=3)
     epochs = []
     sim.run(DemandMatrix({("default", "west"): 80.0,

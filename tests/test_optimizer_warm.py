@@ -3,8 +3,8 @@
 The warm path must be invisible in the output: on the seed scenarios
 (round demand, exactly representable vertices) a warm-started epoch's
 solution is *byte-identical* to a cold solve of the same model, and the
-``REPRO_DEBUG_INVARIANTS`` shadow check enforces at least tolerance-level
-agreement on every instance.
+shadow in ``tests/conftest.py`` enforces at least tolerance-level
+agreement on every warm solve the suite drives.
 """
 
 import numpy as np
@@ -14,11 +14,12 @@ from repro.core.optimizer import (EpochSolver, SolverCache, StructureCache,
                                   build_model, build_path_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.solve import highs_solve
-from repro.core.optimizer.warm import EpochSolver as _EpochSolver
 from repro.devtools.invariants import InvariantViolation
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
 from repro.sim.network import LatencyMatrix
+from tests import conftest
+from tests.conftest import check_warm_against_cold
 from tests.test_optimizer import chain_problem
 from tests.test_optimizer_one_model import sparse_problem
 
@@ -38,8 +39,7 @@ def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     assert np.array_equal(warm_x, cold_moved_x)
 
 
-def test_epoch_solver_warm_epoch_byte_identical_rules(monkeypatch):
-    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
+def test_epoch_solver_warm_epoch_byte_identical_rules():
     warm_solver = EpochSolver()
     cold_solver = EpochSolver(warm_start=False, structure_cache=None)
 
@@ -137,20 +137,36 @@ def test_warm_solve_rejects_shape_mismatch():
     assert warm_solve(model, x[:-1]) is None     # stale shape
 
 
-def test_shadow_invariant_catches_divergence(monkeypatch):
-    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
+def test_shadow_invariant_catches_divergence():
     problem = chain_problem()
     model = build_model(problem)
     x = highs_solve(model)
     corrupted = x.copy()
     corrupted[0] += 1.0
     with pytest.raises(InvariantViolation):
-        _EpochSolver._check_warm_invariant(model, corrupted)
+        check_warm_against_cold(model, corrupted)
 
 
-def test_warm_epoch_on_randomized_instance(monkeypatch):
+def test_shadow_hook_checks_every_epoch_solver_warm_solve(monkeypatch):
+    """The conftest shadow sits on the solver's warm path: a warm solution
+    perturbed before the solver sees it is caught."""
+    def perturbed(model, previous_solution, profiler=None):
+        solution = warm_solve(model, previous_solution, profiler=profiler)
+        if solution is not None:
+            solution[np.argmax(solution)] += 1.0
+        return solution
+
+    monkeypatch.setattr(conftest, "_warm_solve", perturbed)
+    solver = EpochSolver()
+    problem = chain_problem(west_rps=700.0)
+    solver.solve(problem)
+    problem.workloads["default"].demand["west"] = 650.0
+    with pytest.raises(InvariantViolation, match="diverges from cold"):
+        solver.solve(problem)
+
+
+def test_warm_epoch_on_randomized_instance():
     """Shadow-checked warm solve on a non-round synthetic instance."""
-    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
     solver = EpochSolver()
     problem = synthetic_te_problem(6, 4, 3, seed=9)
     solver.solve(problem)
@@ -161,15 +177,13 @@ def test_warm_epoch_on_randomized_instance(monkeypatch):
     assert result.ok and result.warm_build
 
 
-def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
-        monkeypatch):
+def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum():
     """Two identical clusters whose WAN hop costs what a local hop does
     (the 0.25 ms intra-cluster delay), at a demand that keeps every pool on
     its first delay chord: every split that serves the demand costs the
     same. The restricted solve stays on the previous epoch's support while
     the full solve picks its own vertex of that face, and the shadow must
     not call that divergence."""
-    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
     solver = EpochSolver(formulation="path")
     problem = chain_problem(latency_ms=0.25)
     solver.solve(problem)
@@ -185,13 +199,13 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum(
     assert float(np.abs(warm_x - cold_x).max()) > 1.0
     assert model.objective @ warm_x == pytest.approx(
         model.objective @ cold_x, rel=1e-12)
-    _EpochSolver._check_warm_invariant(model, warm_x)
+    check_warm_against_cold(model, warm_x)
     # an infeasible point at the same objective is still a violation
     shifted = warm_x.copy()
     shifted[:2] += (1.0, -1.0)
     shifted[np.argmax(shifted)] *= 4.0
     with pytest.raises(InvariantViolation):
-        _EpochSolver._check_warm_invariant(model, shifted)
+        check_warm_against_cold(model, shifted)
 
 
 #: the arc restricted solve on ``sparse_problem()`` runs out of pricing
@@ -204,11 +218,10 @@ CHURN_PROBLEMS = {
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])
-def test_replica_churn_is_a_warm_epoch(monkeypatch, formulation):
+def test_replica_churn_is_a_warm_epoch(formulation):
     """One replica count toggled per epoch: after the first epoch every
     build is warm and every solve warm-started, each shadowed by a cold
     solve of the full model and matching a cacheless cold solver."""
-    monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
     solver = EpochSolver(formulation=formulation)
     reference = EpochSolver(cache=None, structure_cache=None,
                             warm_start=False, formulation=formulation)
