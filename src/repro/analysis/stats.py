@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 __all__ = ["LatencySummary", "summarize", "slo_attainment",
            "mean_confidence_interval", "nearest_rank"]
@@ -37,9 +37,18 @@ class LatencySummary:
         }
 
 
+def _sample(values) -> np.ndarray:
+    """``values`` as a float array; a NaN would turn every statistic
+    computed from it into NaN, so it is rejected here."""
+    array = np.asarray(list(values), dtype=float)
+    if np.isnan(array).any():
+        raise ValueError("sample contains NaN")
+    return array
+
+
 def summarize(values) -> LatencySummary:
     """Compute a :class:`LatencySummary` from raw latencies."""
-    array = np.asarray(list(values), dtype=float)
+    array = _sample(values)
     if array.size == 0:
         raise ValueError("cannot summarize an empty sample")
     return LatencySummary(
@@ -56,6 +65,8 @@ def summarize(values) -> LatencySummary:
 def nearest_rank(values, q: float) -> float | None:
     """The ``q`` quantile of ``values`` as one of the samples: the sorted
     sample at index ``int(q * n)``, capped at the last; None when empty."""
+    if not 0 <= q <= 1:    # also rejects NaN
+        raise ValueError(f"q must be in [0, 1], got {q}")
     ordered = sorted(values)
     if not ordered:
         return None
@@ -64,9 +75,9 @@ def nearest_rank(values, q: float) -> float | None:
 
 def slo_attainment(values, threshold: float) -> float:
     """Fraction of requests meeting a latency SLO (latency <= threshold)."""
-    if threshold <= 0:
+    if not threshold > 0:    # also rejects NaN
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    array = np.asarray(list(values), dtype=float)
+    array = _sample(values)
     if array.size == 0:
         raise ValueError("cannot compute attainment of an empty sample")
     return float((array <= threshold).mean())
@@ -77,13 +88,14 @@ def mean_confidence_interval(values, confidence: float = 0.95,
     """(mean, low, high) Student-t CI for the sample mean."""
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    array = np.asarray(list(values), dtype=float)
+    array = _sample(values)
     if array.size < 2:
         raise ValueError("need at least two samples for an interval")
     mean = float(array.mean())
     sem = float(array.std(ddof=1)) / math.sqrt(array.size)
     if sem == 0:
         return mean, mean, mean
-    margin = float(scipy_stats.t.ppf((1 + confidence) / 2, array.size - 1)
-                   * sem)
+    # Student-t quantile, the very call behind scipy.stats.t.ppf (which
+    # would import all of scipy.stats for this one number)
+    margin = float(stdtrit(array.size - 1, (1 + confidence) / 2) * sem)
     return mean, mean - margin, mean + margin

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..core.rules import RoutingRule, RuleSet
 from ..mesh.routing_table import WILDCARD_CLASS
 from ..mesh.telemetry import ClusterEpochReport
@@ -155,17 +153,34 @@ def waterfall_split(loads: dict[str, float],
     return split
 
 
-def _union_call_graph(app: AppSpec) -> nx.DiGraph:
-    graph = nx.DiGraph()
+def _topological_order(app: AppSpec) -> list[str]:
+    """The services of the union call graph, every caller before its callees.
+
+    Kahn's algorithm with nodes and successors in first-insertion order, one
+    generation after another — networkx's ``topological_sort`` order, which
+    fixes the order :func:`cascade_loads` adds child loads in.
+    """
+    callees: dict[str, dict[str, None]] = {}
     for spec in app.classes.values():
-        graph.add_node(spec.root_service)
+        callees.setdefault(spec.root_service, {})
         for edge in spec.edges:
-            graph.add_edge(edge.caller, edge.callee)
-    if not nx.is_directed_acyclic_graph(graph):
+            callees.setdefault(edge.caller, {})[edge.callee] = None
+            callees.setdefault(edge.callee, {})
+    indegree = dict.fromkeys(callees, 0)
+    for children in callees.values():
+        for child in children:
+            indegree[child] += 1
+    order = [service for service, degree in indegree.items() if degree == 0]
+    for service in order:   # grows while iterated: the next generation
+        for child in callees[service]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(child)
+    if len(order) < len(callees):
         raise ValueError(
             f"app {app.name!r}: union call graph has a cycle; waterfall "
             "cascade requires a DAG")
-    return graph
+    return order
 
 
 def cascade_loads(app: AppSpec, deployment: DeploymentSpec,
@@ -179,8 +194,7 @@ def cascade_loads(app: AppSpec, deployment: DeploymentSpec,
     fractions, and the per-service per-cluster offered load (RPS) that
     produced them.
     """
-    graph = _union_call_graph(app)
-    order = list(nx.topological_sort(graph))
+    order = _topological_order(app)
     clusters = deployment.cluster_names
 
     # per-class offered load at each service/cluster

@@ -1,5 +1,7 @@
 """Tests for CDFs, summaries, comparisons, and report rendering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.compare import Comparison, PolicyOutcome
 from repro.analysis.report import (format_cdf_series, format_comparison,
                                    format_table)
-from repro.analysis.stats import (mean_confidence_interval,
+from repro.analysis.stats import (mean_confidence_interval, nearest_rank,
                                   slo_attainment, summarize)
+
+NAN = float("nan")
 
 
 class TestCDF:
@@ -85,6 +89,45 @@ class TestSummary:
             slo_attainment(values, 0.0)
         with pytest.raises(ValueError):
             slo_attainment([], 0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            slo_attainment([0.01, 0.02], NAN)
+        with pytest.raises(ValueError, match="NaN"):
+            slo_attainment([0.01, NAN], 0.05)
+        with pytest.raises(ValueError, match="NaN"):
+            summarize([0.010, NAN, 0.020])
+        with pytest.raises(ValueError, match="NaN"):
+            mean_confidence_interval([1.0, NAN, 2.0])
+
+    def test_nearest_rank(self):
+        assert nearest_rank([3, 1, 2], 0.0) == 1
+        assert nearest_rank([3, 1, 2], 0.5) == 2
+        assert nearest_rank([3, 1, 2], 1.0) == 3
+        assert nearest_rank([], 0.95) is None
+
+    @pytest.mark.parametrize("q", [-0.5, -1e-9, 1.5, NAN])
+    def test_nearest_rank_out_of_range_q(self, q):
+        # -0.5 used to index the last sample and return the maximum
+        with pytest.raises(ValueError, match="q must be in"):
+            nearest_rank([3, 1, 2], q)
+        with pytest.raises(ValueError, match="q must be in"):
+            nearest_rank([], q)
+
+    def test_confidence_interval_matches_scipy_stats_t(self):
+        # the library computes the t quantile with scipy.special.stdtrit so
+        # it need not import scipy.stats; the reference here may
+        from scipy import stats
+        rng = np.random.default_rng(3)
+        for size in (2, 3, 5, 10, 31, 100, 200):
+            sample = rng.normal(50.0, 7.0, size)
+            mean = float(sample.mean())
+            sem = float(sample.std(ddof=1)) / math.sqrt(size)
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                margin = float(stats.t.ppf((1 + confidence) / 2, size - 1)
+                               * sem)
+                assert mean_confidence_interval(sample, confidence) == (
+                    mean, mean - margin, mean + margin), (size, confidence)
 
 
 class TestComparison:
