@@ -153,7 +153,28 @@ class GlobalController:
         state at that cluster or were counted in this window, not to the
         app's class list: a class neither counted nor holding a non-zero
         estimate keeps its estimate of exactly 0.0 whatever ``alpha`` is.
+
+        A negative or non-finite observation raises ``ValueError`` before
+        anything is learned from the batch.
         """
+        classes = self.app.classes
+        # per report, the rates of the classes its cluster holds an
+        # estimate for and of every class counted there so far this batch
+        observations = []
+        reading: dict[str, dict[str, None]] = {}
+        for report in reports:
+            read = reading.setdefault(report.cluster, dict.fromkeys(
+                self._demand_estimate.get(report.cluster, ())))
+            read.update((cls, None) for cls, count
+                        in report.ingress_counts.items()
+                        if count and cls in classes)
+            observed = {cls: report.ingress_rps(cls) for cls in read}
+            for cls, rps in observed.items():
+                if not 0 <= rps < math.inf:
+                    kind = "negative" if rps < 0 else "non-finite"
+                    raise ValueError(f"{kind} observation {rps} for "
+                                     f"{(cls, report.cluster)!r}")
+            observations.append(observed)
         if self.config.learn_profiles:
             self.profiles.ingest(reports)
         if self.config.learn_structure:
@@ -162,8 +183,7 @@ class GlobalController:
         alpha = self.config.demand_alpha
         forecaster = (self.forecaster if self.config.forecast_demand
                       else None)
-        classes = self.app.classes
-        for report in reports:
+        for report, observed_rps in zip(reports, observations):
             window_end = report.start_time + report.duration
             if (self.last_observe_time is None
                     or window_end > self.last_observe_time):
@@ -178,10 +198,7 @@ class GlobalController:
             counted = [cls for cls, count in report.ingress_counts.items()
                        if count and cls in classes and cls not in estimates]
             for cls in [*estimates, *counted]:
-                observed = report.ingress_rps(cls)
-                if observed < 0:
-                    raise ValueError(f"negative observation {observed} for "
-                                     f"{(cls, cluster)!r}")
+                observed = observed_rps[cls]
                 current = estimates.get(cls, absent)
                 if forecaster is not None:
                     key = (cls, cluster)

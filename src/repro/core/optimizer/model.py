@@ -3,8 +3,9 @@
 Decision variables are per-class, per-call-tree-edge flow rates between
 cluster pairs: ``x[k, e, i, j]`` = requests/second of class ``k`` on edge
 ``e`` issued from cluster ``i`` and served in cluster ``j``. A pseudo-edge
-represents ingress (user → root service). Per-pool epigraph variables
-``t[s, c]`` linearise the convex queueing backlog.
+represents ingress (user → root service). Per pool, a load column
+``L[s, c]`` carries the offered work in erlangs and an epigraph column
+``t[s, c]`` linearises the convex queueing backlog.
 
 Objective (all terms in latency-seconds per second, i.e. mean outstanding
 requests — by Little's law, with fixed demand, minimizing it minimizes mean
@@ -15,17 +16,18 @@ end-to-end latency):
 * ``α · Σ x · (bytes · price)`` — egress cost, converted by ``cost_weight``.
 
 Constraints: demand satisfaction, per-(class, edge, source) flow
-conservation down the call tree, per-pool utilization caps, and the epigraph
-family. The paper calls its program mixed-integer; this is its LP, whose
-fractional splits are exactly what the data plane executes — a split cap
-earns nothing on the paper's instances (docs/formulation.md, "Why the
-program is an LP").
+conservation down the call tree, per pool ``Σ work · x − L = 0`` with the
+utilization cap as ``L``'s upper bound, and the epigraph family
+``slope · L − t ≤ −intercept``. The paper calls its program
+mixed-integer; this is its LP, whose fractional splits are exactly what
+the data plane executes — a split cap earns nothing on the paper's
+instances (docs/formulation.md, "Why the program is an LP").
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -121,8 +123,8 @@ class LinearModel:
     #: demand-independent lookups, shared with the cached structure
     tables: ModelTables
     #: (service, cluster) → load column L, the pool's offered work in
-    #: erlangs (path "latency" objective; the arc LP has none)
-    load_columns: dict[tuple[str, str], int] = field(default_factory=dict)
+    #: erlangs
+    load_columns: dict[tuple[str, str], int]
     #: per path column, the flow keys one unit of it feeds and the call
     #: multiplier of each: the ingress hop (× 1.0) first, then the
     #: call-tree edges. None for the arc model, whose columns are their
@@ -145,33 +147,28 @@ class LinearModel:
 class CountSlots:
     """Where one pool's replica count lands in a cold-built model.
 
-    The count sets the pool's load cap ``a_max = rho_max · replicas`` and
-    its delay chords ``slope · work − t ≤ −intercept``; these are the
-    entries :meth:`ModelStructure.instantiate` rewrites when it moves.
+    The count sets the pool's load cap ``a_max = rho_max · replicas`` (the
+    upper bound of its load column ``L``) and its delay chords
+    ``slope · L − t ≤ −intercept``; these are the entries
+    :meth:`ModelStructure.instantiate` rewrites when it moves.
     """
 
-    #: where ``a_max`` goes: ``("b_ub", capacity row)`` (arc) or
-    #: ``("upper_bounds", load column L)`` (path)
-    capacity: tuple[str, int]
+    #: the pool's load column ``L``, bounded above by ``a_max``
+    load_column: int
     #: the chord rows in segment order; each one's rhs is −intercept
     rows: np.ndarray
-    #: per chord row, the positions in ``a_ub.data`` its slope multiplies
+    #: per chord row, the position in ``a_ub.data`` of its slope on ``L``
     positions: np.ndarray
-    #: what the slope multiplies at each position: the offered work of one
-    #: unit of each flow column (arc), or 1 for the load column (path)
-    work: np.ndarray
 
     @classmethod
-    def locate(cls, a_ub: sparse.csr_matrix, capacity: tuple[str, int],
-               rows: np.ndarray, columns: np.ndarray,
-               work: np.ndarray) -> CountSlots:
+    def locate(cls, a_ub: sparse.csr_matrix, load_column: int,
+               rows: np.ndarray) -> CountSlots:
         """The slots of a pool whose chord ``rows`` (one sparsity pattern)
-        hold ``slope · work`` in ``columns``."""
+        hold their slopes in ``load_column``."""
         first = a_ub.indptr[rows[0]]
-        offsets = np.searchsorted(
-            a_ub.indices[first:a_ub.indptr[rows[0] + 1]], columns)
-        return cls(capacity, rows, a_ub.indptr[rows][:, None] + offsets,
-                   work)
+        offset = np.searchsorted(
+            a_ub.indices[first:a_ub.indptr[rows[0] + 1]], load_column)
+        return cls(load_column, rows, a_ub.indptr[rows] + offset)
 
 
 @dataclass
@@ -198,8 +195,7 @@ class ModelStructure:
     demand_rows: np.ndarray
     #: demand fill order: (class, cluster) per demand row
     demand_slots: list[tuple[str, str]]
-    #: pool → where its replica count lands (a pool whose count touches
-    #: no coefficient — an arc pool without a work expression — has none)
+    #: pool → where its replica count lands
     counts: dict[tuple[str, str], CountSlots]
     #: the chord knots the cold build linearised with
     knot_fractions: tuple[float, ...]
@@ -235,10 +231,10 @@ class ModelStructure:
         ``indptr``), with the same expressions the cold build evaluates."""
         model = self.model
         data = model.a_ub.data.copy()
+        b_ub = model.b_ub.copy()
         upper = moved.get("upper_bounds")
-        arrays = {"b_ub": model.b_ub.copy(),
-                  "upper_bounds": (model.upper_bounds.copy() if upper is None
-                                   else upper)}
+        if upper is None:
+            upper = model.upper_bounds.copy()
         pool_segments = dict(model.pool_segments)
         for pool in pools:
             replicas = problem.replica_count(*pool)
@@ -246,18 +242,14 @@ class ModelStructure:
             segments = pool_segments_for(replicas, problem.delay_model,
                                          a_max, self.knot_fractions)
             pool_segments[pool] = segments
-            slots = self.counts.get(pool)
-            if slots is None:
-                continue
-            target, index = slots.capacity
-            arrays[target][index] = a_max
-            slopes = np.array([segment.slope for segment in segments])
-            data[slots.positions] = slopes[:, None] * slots.work[None, :]
-            arrays["b_ub"][slots.rows] = [-segment.intercept
-                                          for segment in segments]
+            slots = self.counts[pool]
+            upper[slots.load_column] = a_max
+            data[slots.positions] = [segment.slope for segment in segments]
+            b_ub[slots.rows] = [-segment.intercept for segment in segments]
         a_ub = sparse.csr_matrix((data, model.a_ub.indices,
                                   model.a_ub.indptr), shape=model.a_ub.shape)
-        moved.update(arrays, a_ub=a_ub, pool_segments=pool_segments,
+        moved.update(a_ub=a_ub, b_ub=b_ub, upper_bounds=upper,
+                     pool_segments=pool_segments,
                      tables=model.tables.recount(problem, a_ub))
 
 
@@ -281,7 +273,8 @@ def build_model(problem: TEProblem, knot_fractions=DEFAULT_KNOT_FRACTIONS,
     ``structure_cache`` (a :class:`~repro.core.optimizer.vectorized
     .StructureCache`) lets repeated LP builds that differ only in demand
     values reuse the assembled matrices. ``tests/golden/arc_models.json``
-    holds the models it must emit, byte for byte.
+    holds, byte for byte, the models it must emit once each pool's load
+    column is substituted back into its rows.
     """
     from .vectorized import build_model_vectorized
     return build_model_vectorized(problem, knot_fractions=knot_fractions,

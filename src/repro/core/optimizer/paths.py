@@ -16,10 +16,11 @@ on each edge), so path enumeration is pure geometry and the LP only
 balances queueing against those precomputed path costs.
 
 The objective is the arc model's, in path space: minimize backlog
-epigraph + Σ y·(rtt + α·egress) (same units, same pools). Each pool's
-offered work is one *load column* ``L = Σ work·y`` that the capacity cap
-bounds and every delay chord reads, so the LP's non-zeros grow with the
-paths' hops, not with hops × chords.
+epigraph + Σ y·(rtt + α·egress) (same units, same pools, and the same
+pool block: each pool's offered work is one *load column*
+``L = Σ work·y`` that the capacity cap bounds and every delay chord
+reads, so the LP's non-zeros grow with the paths' hops, not with
+hops × chords).
 
 Candidate generation is beam search down the call tree (BFS order, so a
 service's caller is always embedded first), with the candidate clusters
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...sim.network import LatencyMatrix
-from .model import (CountSlots, LinearModel, ModelStructure, class_edges,
-                    pool_segments_for)
-from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
+from .model import LinearModel, ModelStructure, class_edges
+from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import INGRESS_EDGE, TEProblem
 from .result import extract_result
 from .tables import ModelTables
-from .vectorized import _Coo, structure_key
+from .vectorized import _Coo, _pool_block, structure_key
 
 __all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_clusters",
            "candidate_paths", "build_path_model", "extract_path_result"]
@@ -376,27 +376,26 @@ def build_path_model(problem: TEProblem, k: int = 4,
     # columns: paths | t (epigraph) per pool | L (load) per pool
     n_paths = len(path_vars)
     pools = list(problem.pools())
-    pool_columns = {pool: n_paths + i for i, pool in enumerate(pools)}
-    load_columns = {pool: n_paths + len(pools) + i
-                    for i, pool in enumerate(pools)}
     n = n_paths + 2 * len(pools)
 
     objective = np.zeros(n)
     objective[:n_paths] = [path.score for path in path_vars]
-    objective[n_paths:n_paths + len(pools)] = 1.0
     upper = np.full(n, np.inf)
 
     # per-pool offered work per unit path flow: execs[s] · st[s]
-    work_entries: dict[tuple[str, str], list[tuple[int, float]]] = {
-        pool: [] for pool in pools}
+    pool_index = {pool: i for i, pool in enumerate(pools)}
+    work_pools: list[int] = []
+    work_cols: list[int] = []
+    work_vals: list[float] = []
     for j, path in enumerate(path_vars):
         spec = problem.workloads[path.traffic_class].spec
         execs = geometry.call_tree(path.traffic_class)[0]
         for service, cluster in path.assignment:
             st = spec.exec_time_of(service)
             if st > 0:
-                work_entries[(service, cluster)].append(
-                    (j, execs[service] * st))
+                work_pools.append(pool_index[(service, cluster)])
+                work_cols.append(j)
+                work_vals.append(execs[service] * st)
 
     eq = _Coo()
     ub = _Coo()
@@ -412,41 +411,11 @@ def build_path_model(problem: TEProblem, k: int = 4,
         eq.finish_rows([problem.workloads[name].demand[ingress]])
 
     # ------------------------------------------- per-pool capacity / delay
-    # the pool's offered work is one quantity with one row: Σ work·y − L =
-    # 0, capped by the column bound L ≤ a_max, and every delay segment
-    # reads it as slope·L − t ≤ −intercept — two entries a row however
-    # many paths cross the pool (a pool no path reaches has L = 0 and t
-    # pinned at the zero-load backlog by the first chord)
-    pool_segments: dict[tuple[str, str], list[Segment]] = {}
-    chord_rows: dict[tuple[str, str], np.ndarray] = {}
-    for pool in pools:
-        entries = work_entries[pool]
-        replicas = problem.replica_count(*pool)
-        a_max = problem.rho_max * replicas
-        t_col = pool_columns[pool]
-        load_col = load_columns[pool]
-        segments = pool_segments_for(replicas, problem.delay_model,
-                                     a_max, knot_fractions)
-        pool_segments[pool] = segments
-        upper[load_col] = a_max
-        if entries:
-            eq.add_rows(np.zeros(len(entries), dtype=np.intp),
-                        np.array([j for j, _ in entries], dtype=np.intp),
-                        np.array([w for _, w in entries]))
-        eq.add_rows(np.zeros(1, dtype=np.intp),
-                    np.array([load_col], dtype=np.intp),
-                    np.full(1, -1.0))
-        eq.finish_rows([0.0])
-        n_seg = len(segments)
-        seg_data = np.empty((n_seg, 2))
-        seg_data[:, 0] = [segment.slope for segment in segments]
-        seg_data[:, 1] = -1.0
-        chord_rows[pool] = np.arange(ub.n_rows, ub.n_rows + n_seg)
-        ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
-                    np.tile(np.array([load_col, t_col], dtype=np.intp),
-                            n_seg),
-                    seg_data.ravel())
-        ub.finish_rows([-segment.intercept for segment in segments])
+    pool_block = _pool_block(
+        problem, pools, n_paths,
+        [(np.array(work_pools, dtype=np.intp),
+          np.array(work_cols, dtype=np.intp), np.array(work_vals))],
+        knot_fractions, objective, upper, eq, ub)
 
     # ------------------------------------------------ egress budget ($/s)
     if problem.egress_budget is not None:
@@ -469,24 +438,18 @@ def build_path_model(problem: TEProblem, k: int = 4,
         upper_bounds=upper,
         route_vars=path_vars,
         route_columns=list(range(n_paths)),
-        pool_columns=pool_columns,
-        pool_segments=pool_segments,
+        pool_columns=pool_block.pool_columns,
+        pool_segments=pool_block.pool_segments,
         problem=problem,
         tables=ModelTables(problem, pools, a_ub, a_eq, path_vars,
                            route_hops),
-        load_columns=load_columns,
+        load_columns=pool_block.load_columns,
         route_hops=route_hops,
     )
     if key is not None:
-        unit = np.ones(1)
-        counts = {
-            pool: CountSlots.locate(
-                a_ub, ("upper_bounds", load_columns[pool]), rows,
-                np.array([load_columns[pool]]), unit)
-            for pool, rows in chord_rows.items()}
         structure_cache.store(key, ModelStructure(
             model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            counts, tuple(knot_fractions)))
+            pool_block.count_slots(a_ub), tuple(knot_fractions)))
     return model
 
 

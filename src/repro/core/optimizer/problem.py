@@ -36,9 +36,10 @@ class ClassWorkload:
 
     def __post_init__(self) -> None:
         for cluster, rps in self.demand.items():
-            if rps < 0:
+            if not 0 <= rps < math.inf:
+                kind = "negative" if rps < 0 else "non-finite"
                 raise ValueError(
-                    f"class {self.spec.name!r}: negative demand at "
+                    f"class {self.spec.name!r}: {kind} demand {rps} at "
                     f"{cluster!r}")
 
     @property

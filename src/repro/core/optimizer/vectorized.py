@@ -8,15 +8,18 @@ fast). This module assembles the model with numpy index arithmetic:
 * columns are laid out in contiguous **blocks**, one per (class, edge),
   ``column = block.start + src_index * n_dst + dst_index`` — sorted class
   → edge order → source order → destination order;
-* every constraint family (demand, conservation, capacity, epigraph,
+* every constraint family (demand, conservation, the pool block,
   egress budget) is emitted as stacked COO triplets and converted to
-  canonical CSR once.
+  canonical CSR once;
+* the pool block — one load column per pool, its capacity as a column
+  bound, two-entry delay chords — is :func:`_pool_block`, the one the
+  path emitter calls too.
 
-The models it must emit are frozen, byte for byte, in
-``tests/golden/arc_models.json`` (written by the per-variable reference
-builder this module replaced), so scalar float expressions keep that
-builder's operation order: a moved fingerprint breaks solver-cache replay
-and the warm-start path.
+``tests/golden/arc_models.json`` freezes, byte for byte, the dense models
+of the per-variable reference builder this module replaced; with each
+load column substituted back into its rows this builder's models must
+match them, so scalar float expressions keep that builder's operation
+order.
 
 **Structure reuse** is the second win: across adaptive epochs demand
 *values* and replica *counts* move — the row/column layout and the
@@ -268,14 +271,85 @@ class _Coo:
         return matrix, np.array(self.rhs, dtype=float)
 
 
+@dataclass(frozen=True)
+class _PoolBlock:
+    """Where :func:`_pool_block` put each pool."""
+
+    #: (service, cluster) → epigraph column t
+    pool_columns: dict[tuple[str, str], int]
+    #: (service, cluster) → load column L
+    load_columns: dict[tuple[str, str], int]
+    pool_segments: dict[tuple[str, str], list[Segment]]
+    #: (service, cluster) → its delay-chord rows in ``a_ub``
+    chord_rows: dict[tuple[str, str], np.ndarray]
+
+    def count_slots(self, a_ub: sparse.csr_matrix) -> dict:
+        """Each pool's :class:`CountSlots` in the canonical ``a_ub``."""
+        return {pool: CountSlots.locate(a_ub, self.load_columns[pool], rows)
+                for pool, rows in self.chord_rows.items()}
+
+
+def _pool_block(problem: TEProblem, pools: list, n_flows: int, work,
+                knot_fractions, objective: np.ndarray, upper: np.ndarray,
+                eq: _Coo, ub: _Coo) -> _PoolBlock:
+    """Emit every pool's capacity and delay block — the one both
+    formulations share.
+
+    The columns after the ``n_flows`` flow columns run t | L: per pool an
+    epigraph column ``t`` (objective weight 1) and a load column ``L``,
+    the pool's offered work in erlangs. ``L`` has one ``a_eq`` row
+    ``Σ work·x − L = 0`` and the load cap ``rho_max · replicas`` as its
+    upper bound, and every delay segment reads it as the two-entry row
+    ``slope·L − t ≤ −intercept`` — so the non-zeros grow with the flow
+    columns' hops, not with hops × segments. A pool no flow reaches has
+    ``L = 0`` and ``t`` pinned at the zero-load backlog by its chords.
+
+    ``work`` holds the load rows' flow entries as (pool index, flow
+    column, work per unit flow) array triplets.
+    """
+    n_pools = len(pools)
+    pool_columns = {pool: n_flows + i for i, pool in enumerate(pools)}
+    load_columns = {pool: n_flows + n_pools + i
+                    for i, pool in enumerate(pools)}
+    objective[n_flows:n_flows + n_pools] = 1.0
+    for pool_ids, cols, coefs in work:
+        eq.add_rows(pool_ids, cols, coefs)
+    span = np.arange(n_pools, dtype=np.intp)
+    eq.add_rows(span, n_flows + n_pools + span, np.full(n_pools, -1.0))
+    eq.finish_rows(np.zeros(n_pools))
+
+    pool_segments: dict[tuple[str, str], list[Segment]] = {}
+    chord_rows: dict[tuple[str, str], np.ndarray] = {}
+    for pool in pools:
+        replicas = problem.replica_count(*pool)
+        a_max = problem.rho_max * replicas
+        segments = pool_segments_for(replicas, problem.delay_model, a_max,
+                                     knot_fractions)
+        pool_segments[pool] = segments
+        upper[load_columns[pool]] = a_max
+        n_seg = len(segments)
+        seg_data = np.empty((n_seg, 2))
+        seg_data[:, 0] = [segment.slope for segment in segments]
+        seg_data[:, 1] = -1.0
+        chord_rows[pool] = np.arange(ub.n_rows, ub.n_rows + n_seg)
+        ub.add_rows(np.repeat(np.arange(n_seg, dtype=np.intp), 2),
+                    np.tile(np.array([load_columns[pool],
+                                      pool_columns[pool]], dtype=np.intp),
+                            n_seg),
+                    seg_data.ravel())
+        ub.finish_rows([-segment.intercept for segment in segments])
+    return _PoolBlock(pool_columns, load_columns, pool_segments, chord_rows)
+
+
 def build_model_vectorized(problem: TEProblem,
                            knot_fractions=DEFAULT_KNOT_FRACTIONS,
                            structure_cache: StructureCache | None = None,
                            ) -> LinearModel:
     """Assemble the LP with numpy block operations.
 
-    Produces the models ``tests/golden/arc_models.json`` freezes (same
-    canonical fingerprint, same solver input). With ``structure_cache``,
+    Produces the models ``tests/golden/arc_models.json`` freezes, once
+    each pool's load column is substituted back into its rows (same
+    canonical fingerprint). With ``structure_cache``,
     builds whose structural key was seen before skip assembly entirely and
     rescatter demand into the cached matrices.
     """
@@ -290,17 +364,16 @@ def build_model_vectorized(problem: TEProblem,
     block_of = {(b.traffic_class, b.edge_index): b for b in blocks}
     n_routes = sum(b.size for b in blocks)
 
+    # columns: routes | t (epigraph) per pool | L (load) per pool
     pools = problem.pools()
-    pool_columns = {pool: n_routes + i for i, pool in enumerate(pools)}
-    n = n_routes + len(pools)
+    n = n_routes + 2 * len(pools)
 
     objective = np.zeros(n)
-    upper = np.empty(n)
+    upper = np.full(n, np.inf)
     for block in blocks:
         workload = problem.workloads[block.traffic_class]
         upper[block.start:block.stop] = block.flow_bound(
             workload.total_demand)
-    upper[n_routes:] = np.inf
 
     rtt, price = _cluster_matrices(problem)
 
@@ -377,10 +450,10 @@ def build_model_vectorized(problem: TEProblem,
             eq.finish_rows(np.zeros(n_src))
 
     # ------------------------------------------- per-pool workload & delay
-    # offered work a[s,c] = Σ_k st[k,s] · exec_rate[k,s,c] (erlangs)
-    pool_entries: dict[tuple[str, str], list[tuple[np.ndarray, float]]] = {
-        pool: [] for pool in pool_columns
-    }
+    # offered work a[s,c] = Σ_k st[k,s] · exec_rate[k,s,c] (erlangs): every
+    # flow column into (s, c) carries st[k,s] of it per unit
+    pool_index = {pool: i for i, pool in enumerate(pools)}
+    work = []
     for name in sorted(problem.workloads):
         workload = problem.workloads[name]
         edges = class_edges(problem, name)
@@ -392,53 +465,15 @@ def build_model_vectorized(problem: TEProblem,
             block = block_of[(name, incoming[service].edge_index)]
             if not block.n_src:
                 continue
-            src_strides = (block.start
-                           + np.arange(block.n_src, dtype=np.intp)
-                           * block.n_dst)
-            for dst_pos, dst in enumerate(block.dst_names):
-                pool_entries[(service, dst)].append(
-                    (src_strides + dst_pos, st))
+            dst_pools = np.array([pool_index[(service, dst)]
+                                  for dst in block.dst_names], dtype=np.intp)
+            work.append((np.tile(dst_pools, block.n_src),
+                         block.start + np.arange(block.size, dtype=np.intp),
+                         np.full(block.size, st)))
 
     ub = _Coo()
-    pool_segments: dict[tuple[str, str], list[Segment]] = {}
-    # pool → (capacity row, flow columns, their work), located once a_ub
-    # is canonical
-    count_rows: dict[tuple[str, str], tuple] = {}
-    for service, cluster in pools:
-        t_col = pool_columns[(service, cluster)]
-        objective[t_col] = 1.0
-        replicas = problem.replica_count(service, cluster)
-        a_max = problem.rho_max * replicas
-        segments = pool_segments_for(replicas, problem.delay_model, a_max,
-                                     knot_fractions)
-        pool_segments[(service, cluster)] = segments
-        entries = pool_entries[(service, cluster)]
-        if not entries:
-            # no work expression: t is pushed only by its objective weight
-            # toward max(intercepts), so pin it at the zero-load backlog
-            ub.add_rows(np.zeros(1, dtype=np.intp),
-                        np.array([t_col], dtype=np.intp),
-                        np.full(1, -1.0))
-            ub.finish_rows([0.0])
-            continue
-        cols = np.concatenate([c for c, _ in entries])
-        work = np.concatenate([np.full(len(c), st) for c, st in entries])
-        m = len(cols)
-        n_seg = len(segments)
-        # one batched emit per pool: the capacity row (work <= a_max)
-        # followed by every epigraph row (slope·work - t <= -intercept)
-        slopes = np.array([segment.slope for segment in segments])
-        seg_data = np.empty((n_seg, m + 1))
-        seg_data[:, :m] = slopes[:, None] * work[None, :]
-        seg_data[:, m] = -1.0
-        seg_cols = np.tile(np.append(cols, t_col), n_seg)
-        count_rows[(service, cluster)] = (ub.n_rows, cols, work)
-        ub.add_rows(np.zeros(m, dtype=np.intp), cols, work)
-        ub.add_rows(
-            1 + np.repeat(np.arange(n_seg, dtype=np.intp), m + 1),
-            seg_cols, seg_data.ravel())
-        ub.finish_rows(
-            [a_max] + [-segment.intercept for segment in segments])
+    pool_block = _pool_block(problem, pools, n_routes, work, knot_fractions,
+                             objective, upper, eq, ub)
 
     # ------------------------------------------------ egress budget ($/s)
     if problem.egress_budget is not None and egress_cols:
@@ -455,19 +490,15 @@ def build_model_vectorized(problem: TEProblem,
         upper_bounds=upper,
         route_vars=route_vars,
         route_columns=list(range(n_routes)),
-        pool_columns=pool_columns,
-        pool_segments=pool_segments,
+        pool_columns=pool_block.pool_columns,
+        pool_segments=pool_block.pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pool_columns, a_ub, a_eq, route_vars),
+        tables=ModelTables(problem, pools, a_ub, a_eq, route_vars),
+        load_columns=pool_block.load_columns,
     )
     if key is not None:
-        counts = {}
-        for pool, (cap_row, cols, work) in count_rows.items():
-            n_seg = len(pool_segments[pool])
-            counts[pool] = CountSlots.locate(
-                a_ub, ("b_ub", cap_row),
-                np.arange(cap_row + 1, cap_row + 1 + n_seg), cols, work)
         structure_cache.store(key, ModelStructure(
             model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            counts, tuple(knot_fractions), blocks=blocks))
+            pool_block.count_slots(a_ub), tuple(knot_fractions),
+            blocks=blocks))
     return model

@@ -5,7 +5,7 @@ are unavailable. What *is* available — and exact — is column restriction
 with a pricing certificate:
 
 1. keep the columns the previous epoch's solution actually used (its
-   support) plus every pool epigraph column;
+   support) plus every pool column (epigraph ``t`` and load ``L``);
 2. solve the LP restricted to those columns (tiny compared to the full
    model);
 3. price every excluded column with the restricted solve's duals:
@@ -90,10 +90,11 @@ def warm_solve(model: LinearModel, previous_solution: np.ndarray,
     n_routes = len(model.route_columns)
     if len(previous_solution) != n:
         return None
-    support = np.flatnonzero(previous_solution > SUPPORT_EPSILON)
-    # epigraph/pool columns are always kept: they are few, always basic,
-    # and keeping them preserves feasibility of every pin/epigraph row
-    keep = np.union1d(support, np.arange(n_routes, n, dtype=np.intp))
+    kept = previous_solution > SUPPORT_EPSILON
+    # the pool columns (t | L) are always kept: they are few, and keeping
+    # them preserves feasibility of every load and chord row
+    kept[n_routes:] = True
+    keep = np.flatnonzero(kept)
     if len(keep) >= n:
         return None   # nothing restricted, a "warm" solve would be cold
 
@@ -120,14 +121,13 @@ def warm_solve(model: LinearModel, previous_solution: np.ndarray,
         # price the full column set with the restricted duals
         with _section("pricing_certificate"):
             reduced = c - model.a_ub.T @ y_ub - model.a_eq.T @ y_eq
-            excluded = np.setdiff1d(np.arange(n, dtype=np.intp), keep,
-                                    assume_unique=False)
-            violated = excluded[reduced[excluded] < -tolerance]
+            violated = np.flatnonzero(~kept & (reduced < -tolerance))
         if not violated.size:
             x = np.zeros(n)
             x[keep] = outcome.x
             return x
-        keep = np.union1d(keep, violated)
+        kept[violated] = True
+        keep = np.flatnonzero(kept)
         if len(keep) >= n:
             return None
     return None

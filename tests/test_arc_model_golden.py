@@ -7,8 +7,15 @@ digest of the routing rules. The fingerprints were written by the
 per-variable reference builder the vectorized emitter replaced, which
 was then deleted: this file is that reference now.
 
+That builder emitted the *dense* epigraph: every flow column in its
+pool's capacity row and in every delay-chord row. ``build_model`` emits
+one load column ``L`` per pool instead, so :func:`densify` substitutes
+each ``L`` back into its rows and the frozen records are compared with
+the densified model; the sparse model itself must solve to the same plan
+within 1e-12.
+
 The instances are chosen so that, together, they reach every row family
-the arc emitter has: remote flow, an egress objective term, a binding
+the dense reference has: remote flow, an egress objective term, a binding
 egress-budget row, the M/M/1 chords, a class with no demand and a pool
 with no work expression (its epigraph column pinned by a one-entry row).
 
@@ -18,15 +25,19 @@ Regenerate (only when the *model* is meant to change):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.optimizer import TEProblem, build_model
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.solve import solve_model
+from repro.core.optimizer.tables import ModelTables
 from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
                                          fig6c_multihop,
                                          fig6d_traffic_classes,
@@ -97,12 +108,70 @@ INSTANCES = {
 }
 
 
+def densify(model):
+    """``model`` with each pool's load column ``L`` substituted back into
+    its rows: the dense arc LP the frozen fingerprints were taken of.
+
+    ``Σ work·x − L = 0`` under ``L ≤ a_max`` becomes the capacity row
+    ``Σ work·x ≤ a_max``, and every chord ``slope·L − t ≤ −intercept``
+    becomes ``Σ slope·work·x − t ≤ −intercept``; a pool without work gets
+    the pinned row ``−t ≤ 0`` instead of its chords. The columns run
+    routes | t, rows run pool by pool, then the egress budget.
+    """
+    n_cols = len(model.route_columns) + len(model.pool_columns)
+    a_eq, a_ub = model.a_eq.tocsc(), model.a_ub.tocsc()
+    rows, cols, data, rhs = [], [], [], []
+
+    def add_row(row_cols, row_data, row_rhs) -> None:
+        rows.append(np.full(len(row_cols), len(rhs)))
+        cols.append(np.asarray(row_cols))
+        data.append(np.asarray(row_data, dtype=float))
+        rhs.append(row_rhs)
+
+    load_rows, chord_rows = [], []
+    for pool, t_col in model.pool_columns.items():
+        load_col = model.load_columns[pool]
+        (load_row,) = a_eq.indices[a_eq.indptr[load_col]:
+                                   a_eq.indptr[load_col + 1]]
+        load_rows.append(load_row)
+        span = slice(model.a_eq.indptr[load_row],
+                     model.a_eq.indptr[load_row + 1])
+        flows = model.a_eq.indices[span] != load_col
+        work_cols = model.a_eq.indices[span][flows]
+        work = model.a_eq.data[span][flows]
+        span = slice(a_ub.indptr[load_col], a_ub.indptr[load_col + 1])
+        chords = a_ub.indices[span]
+        chord_rows.extend(chords)
+        if not len(work_cols):
+            add_row([t_col], [-1.0], 0.0)
+            continue
+        add_row(work_cols, work, model.upper_bounds[load_col])
+        for row, slope in zip(chords, a_ub.data[span]):
+            add_row(np.append(work_cols, t_col),
+                    np.append(slope * work, -1.0), model.b_ub[row])
+    for row in np.setdiff1d(np.arange(model.a_ub.shape[0]), chord_rows):
+        span = slice(model.a_ub.indptr[row], model.a_ub.indptr[row + 1])
+        add_row(model.a_ub.indices[span], model.a_ub.data[span],
+                model.b_ub[row])
+
+    dense_ub = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(rhs), n_cols))
+    dense_ub.sort_indices()
+    kept = np.setdiff1d(np.arange(model.a_eq.shape[0]), load_rows)
+    dense_eq = model.a_eq[kept][:, :n_cols]
+    return dataclasses.replace(
+        model, objective=model.objective[:n_cols], a_ub=dense_ub,
+        b_ub=np.array(rhs, dtype=float), a_eq=dense_eq,
+        b_eq=model.b_eq[kept], upper_bounds=model.upper_bounds[:n_cols],
+        load_columns={},
+        tables=ModelTables(model.problem, model.pool_columns, dense_ub,
+                           dense_eq, model.route_vars))
+
+
 def freeze(model) -> dict:
     """The golden record of one assembled arc model."""
     result = solve_model(model)
-    rules = [[rule.service, rule.traffic_class, rule.src_cluster,
-              [list(pair) for pair in rule.weights]]
-             for rule in result.rules()]
     return {
         "fingerprint": model_fingerprint(model),
         "rows": int(model.a_ub.shape[0] + model.a_eq.shape[0]),
@@ -110,8 +179,14 @@ def freeze(model) -> dict:
         "nnz": int(model.a_ub.nnz + model.a_eq.nnz),
         "objective": repr(result.objective),
         "rules_sha256": hashlib.sha256(
-            json.dumps(rules).encode()).hexdigest(),
+            json.dumps(rule_rows(result)).encode()).hexdigest(),
     }
+
+
+def rule_rows(result) -> list:
+    return [[rule.service, rule.traffic_class, rule.src_cluster,
+             [list(pair) for pair in rule.weights]]
+            for rule in result.rules()]
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +200,26 @@ def test_golden_covers_every_instance(golden):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_build_model_matches_the_frozen_model(name, golden):
-    assert freeze(build_model(INSTANCES[name]())) == golden[name]
+    assert freeze(densify(build_model(INSTANCES[name]()))) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_sparse_model_solves_to_the_frozen_plan(name):
+    """The load-column model and its densified twin are one LP: the same
+    objective and the same rules, to rounding."""
+    model = build_model(INSTANCES[name]())
+    sparse_result = solve_model(model)
+    dense_result = solve_model(densify(model))
+    assert sparse_result.objective == pytest.approx(dense_result.objective,
+                                                    rel=1e-12, abs=0.0)
+    sparse_rules, dense_rules = (rule_rows(sparse_result),
+                                 rule_rows(dense_result))
+    assert len(sparse_rules) == len(dense_rules)
+    for got, want in zip(sparse_rules, dense_rules):
+        assert got[:3] == want[:3]
+        assert [dst for dst, _ in got[3]] == [dst for dst, _ in want[3]]
+        assert [weight for _, weight in got[3]] == pytest.approx(
+            [weight for _, weight in want[3]], rel=0.0, abs=1e-12)
 
 
 def _has_pinned_t_row(model) -> bool:
@@ -143,7 +237,7 @@ def test_frozen_set_reaches_every_row_family():
     remote = egress = budget = pinned = False
     for make in INSTANCES.values():
         problem = make()
-        model = build_model(problem)
+        model = densify(build_model(problem))
         result = solve_model(model)
         remote |= any(src != dst for _, _, src, dst in result.flows)
         egress |= (problem.cost_weight > 0
@@ -160,6 +254,6 @@ def test_frozen_set_reaches_every_row_family():
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {name: freeze(build_model(INSTANCES[name]()))
+        {name: freeze(densify(build_model(INSTANCES[name]())))
          for name in sorted(INSTANCES)}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -13,10 +13,10 @@ host:
   tables;
 * an epoch builds rule objects only for what it has not met before and
   normalises into the routing table only the rules whose weights moved;
-* the path LP carries one load column per pool, so its non-zeros are
-  bounded by the paths' own hops plus two per delay segment — a dense
-  epigraph (every path in every segment row of its pools) cannot come back
-  unnoticed;
+* both LPs (arc and path) carry one load column per pool, so their
+  non-zeros are bounded by the flow columns' own hops plus two per delay
+  segment — a dense epigraph (every flow column in every segment row of
+  its pools) cannot come back unnoticed;
 * ``model_fingerprint`` resumed from the structure's hash prefix is the
   digest of hashing all seven components afresh.
 """
@@ -38,7 +38,7 @@ from repro.core.optimizer import (StructureCache, build_model,
                                   build_path_model, model_fingerprint)
 from repro.core.optimizer import model as arc_model
 from repro.core.optimizer import paths, tables, vectorized
-from repro.core.optimizer.paths import extract_path_result
+from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
 from repro.experiments.scenarios import synthetic_te_problem
 from repro.forecasting import HoltForecaster
@@ -284,26 +284,37 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
     assert "replay" in paths_taken and "warm" in paths_taken
 
 
-def test_path_lp_has_one_load_column_per_pool():
+#: the two LP emitters, as the smoke mesh's controller would call them
+LOAD_COLUMN_EMITTERS = {
+    "arc": lambda problem, config: build_model(problem),
+    "path": lambda problem, config: build_path_model(
+        problem, k=config.path_k, prune_limit=config.path_prune_limit),
+}
+
+
+@pytest.mark.parametrize("emitter", sorted(LOAD_COLUMN_EMITTERS))
+def test_lp_has_one_load_column_per_pool(emitter):
     app, deployment, base, config = smoke_mesh()
     controller = GlobalController(app, deployment, config)
     controller.observe(epoch_reports(deployment.cluster_names, base)[0])
     problem = controller.build_problem()
-    model = build_path_model(problem, k=config.path_k,
-                             prune_limit=config.path_prune_limit)
-    n_paths = len(model.route_vars)
+    model = LOAD_COLUMN_EMITTERS[emitter](problem, config)
+    n_flows = len(model.route_vars)
     pools = len(problem.pools())
     hops = len(app.services())
     segments = len(next(iter(model.pool_segments.values())))
-    assert model.n_variables == n_paths + 2 * pools       # paths | t | L
+    assert model.n_variables == n_flows + 2 * pools       # flows | t | L
+    # a flow column sits in its demand or conservation row, in one load row
+    # per pool it feeds (path) or in its children's conservation rows and
+    # its pool's load row (arc): at most hops + 1 entries either way
     nnz = model.a_ub.nnz + model.a_eq.nnz
-    assert nnz <= (hops + 1) * n_paths + 2 * segments * pools + pools
+    assert nnz <= (hops + 1) * n_flows + 2 * segments * pools + pools
     # every delay-segment row is slope·L − t: two entries, whatever the
-    # number of paths through the pool
+    # number of flow columns through the pool
     assert set(np.diff(model.a_ub.indptr)) == {2}
     # and L is the pool's offered work, capped by its column bound
     solution = highs_solve(model)
-    result = extract_path_result(model, solution, "optimal", 0.0)
+    result = extract_result(model, solution, "optimal", 0.0)
     for pool, column in model.load_columns.items():
         assert model.upper_bounds[column] == (
             problem.rho_max * problem.replica_count(*pool))

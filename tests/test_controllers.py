@@ -105,6 +105,35 @@ class TestGlobalController:
         with pytest.raises(ValueError, match=field):
             GlobalControllerConfig(**{"formulation": "path", field: value})
 
+    @pytest.mark.parametrize("report", [
+        ClusterEpochReport(cluster="west", start_time=0.0,
+                           duration=math.nan,
+                           ingress_counts={"default": 500}),
+        ClusterEpochReport(cluster="west", start_time=0.0, duration=5.0,
+                           ingress_counts={"default": math.nan}),
+        ClusterEpochReport(cluster="west", start_time=0.0, duration=5.0,
+                           ingress_counts={"default": math.inf}),
+    ], ids=["nan-duration", "nan-count", "inf-count"])
+    def test_non_finite_observation_is_rejected_before_any_write(
+            self, report):
+        # a NaN rate once entered the EWMA and stayed there: every later
+        # estimate was NaN and plan() returned None as if no demand was seen
+        app = linear_chain_app()
+        controller = GlobalController(
+            app, make_deployment(app),
+            GlobalControllerConfig(demand_alpha=0.5))
+        controller.observe([make_report("west", {"default": 100.0})])
+        with pytest.raises(ValueError, match="non-finite observation"):
+            controller.observe([make_report("east", {"default": 40.0}),
+                                report])
+        # nothing of the rejected batch was learned, east's report included
+        assert controller.demand_estimate("default", "west") == 100.0
+        assert controller.demand_estimate("default", "east") == 0.0
+        assert controller.epochs_observed == 1
+        controller.observe([make_report("west", {"default": 200.0})])
+        assert controller.demand_estimate("default", "west") == 150.0
+        assert controller.plan().ok
+
     def test_plan_after_observation(self):
         app = linear_chain_app()
         controller = GlobalController(app, make_deployment(app))

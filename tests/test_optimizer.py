@@ -55,6 +55,16 @@ class TestProblem:
                     spec=problem.workloads["default"].spec,
                     demand={"mars": 1.0})})
 
+    @pytest.mark.parametrize("rps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_validation_rejects_non_finite_or_negative_demand(self, rps):
+        # a NaN ingress was once dropped from the demand rows (the solve
+        # reported "optimal" with zero latency), an inf one raised scipy's
+        # ValueError from inside linprog
+        spec = chain_problem().workloads["default"].spec
+        with pytest.raises(ValueError,
+                           match="class 'default': .*demand.* at 'east'"):
+            ClassWorkload(spec=spec, demand={"west": 10.0, "east": rps})
+
     def test_validation_rho_max(self):
         with pytest.raises(ValueError):
             chain_problem(rho_max=1.5)
