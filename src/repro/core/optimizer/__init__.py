@@ -6,7 +6,7 @@ from .paths import build_path_model, candidate_paths
 from .piecewise import Segment, linearize_convex
 from .problem import ClassWorkload, TEProblem
 from .result import OptimizationResult, finalize_result
-from .solve import SolverError, highs_solve, solve, solve_model
+from .solve import HighsLP, SolverError, highs_solve, solve, solve_model
 from .vectorized import StructureCache
 from .warm import EpochSolver, warm_solve
 
@@ -17,7 +17,7 @@ __all__ = [
     "Segment", "linearize_convex",
     "ClassWorkload", "TEProblem",
     "OptimizationResult", "finalize_result",
-    "SolverError", "highs_solve", "solve", "solve_model",
+    "HighsLP", "SolverError", "highs_solve", "solve", "solve_model",
     "StructureCache",
     "EpochSolver", "warm_solve",
 ]

@@ -250,7 +250,7 @@ class ModelStructure:
                                   model.a_ub.indptr), shape=model.a_ub.shape)
         moved.update(a_ub=a_ub, b_ub=b_ub, upper_bounds=upper,
                      pool_segments=pool_segments,
-                     tables=model.tables.recount(problem, a_ub))
+                     tables=model.tables.recount(problem))
 
 
 def class_edges(problem: TEProblem, name: str) -> list[EdgeRef]:

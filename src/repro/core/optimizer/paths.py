@@ -441,8 +441,7 @@ def build_path_model(problem: TEProblem, k: int = 4,
         pool_columns=pool_block.pool_columns,
         pool_segments=pool_block.pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pools, a_ub, a_eq, path_vars,
-                           route_hops),
+        tables=ModelTables(problem, pools, path_vars, route_hops),
         load_columns=pool_block.load_columns,
         route_hops=route_hops,
     )

@@ -12,10 +12,22 @@ from .model import LinearModel
 from .problem import INGRESS_EDGE
 from .tables import ModelTables, StructureTables
 
-__all__ = ["OptimizationResult", "extract_result", "finalize_result"]
+__all__ = ["Certificate", "OptimizationResult", "extract_result",
+           "finalize_result"]
 
 #: flows below this rate (requests/second) are treated as numerical zeros
 FLOW_EPSILON = 1e-7
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """HiGHS's readings on an optimal solve, held to tolerance by
+    :func:`~repro.devtools.invariants.check_solver_certificate`."""
+
+    simplex_iteration_count: int
+    max_primal_infeasibility: float
+    max_dual_infeasibility: float
+    primal_dual_objective_error: float
 
 
 @dataclass
@@ -56,13 +68,14 @@ class OptimizationResult:
     #: the assembled matrices came from a structure-cache rescatter rather
     #: than a cold build (see repro.core.optimizer.vectorized)
     warm_build: bool = field(default=False, compare=False)
-    #: solved by the restricted warm-start path (verified optimal by
-    #: pricing) instead of a full cold solve
+    #: solved by a hot start from the previous epoch's basis instead of
+    #: a cold solve
     warm_start: bool = field(default=False, compare=False)
-    #: the pricing certificate's verdict on this solve's warm attempt:
-    #: "certified", "rejected" (then solved cold), or None when no warm
-    #: solve was attempted
-    pricing: str | None = field(default=None, compare=False)
+    #: how this solve's hot start ended: "optimal", "rejected" (then
+    #: solved cold), or None when none was attempted
+    hot_start: str | None = field(default=None, compare=False)
+    #: HiGHS's readings on the solve (None for a replay)
+    certificate: Certificate | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -72,10 +85,10 @@ class OptimizationResult:
     def solver_path(self) -> str:
         """Which rung of the reuse ladder produced this result.
 
-        ``"replay"`` (solver-cache hit, no solver run), ``"warm"``
-        (restricted solve certified optimal by pricing), or ``"cold"``
-        (full solve). The single derivation point for consumers that
-        previously re-derived it from the ``cache_hit``/``warm_start``
+        ``"replay"`` (solver-cache hit, no solver run), ``"warm"`` (hot
+        start from the previous epoch's basis), or ``"cold"`` (solve of a
+        freshly loaded model). The single derivation point for consumers
+        that previously re-derived it from the ``cache_hit``/``warm_start``
         boolean pair.
         """
         if self.cache_hit:

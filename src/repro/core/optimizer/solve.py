@@ -1,30 +1,150 @@
-"""Solver backend: the LP through scipy's HiGHS ``linprog``.
-
-:func:`highs_solve` is the seam every full solve goes through — the
-cacheless arc one-shot here (build, solve, extract: what the benches and
-the piecewise-knot ablation call) and the cold rung of
-:class:`~repro.core.optimizer.warm.EpochSolver`, which every controller
-plan goes through and which adds epoch-to-epoch reuse (solver cache
-replay, warm builds, warm solves) on top.
-"""
+"""Solver backend: :class:`HighsLP`, one HiGHS instance per model
+structure, the seam every solve goes through; :func:`highs_solve` and the
+cacheless arc one-shot :func:`solve` (what the benches and the
+piecewise-knot ablation call) solve cold."""
 
 from __future__ import annotations
 
 import time
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse
+from scipy.optimize._highspy import _core as highspy
 
+from ...devtools.invariants import check_solver_certificate
 from .model import LinearModel, build_model
 from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import TEProblem
-from .result import OptimizationResult, extract_result
+from .result import Certificate, OptimizationResult, extract_result
 
-__all__ = ["SolverError", "solve", "solve_model", "highs_solve"]
+__all__ = ["SolverError", "HighsLP", "solve", "solve_model", "highs_solve"]
+
+_STATUS = highspy.HighsModelStatus
+
+#: HiGHS model status → ``linprog``'s status code (else 4)
+LINPROG_STATUS = {_STATUS.kOptimal: 0, _STATUS.kTimeLimit: 1,
+                  _STATUS.kIterationLimit: 1, _STATUS.kInfeasible: 2,
+                  _STATUS.kModelError: 2, _STATUS.kUnbounded: 3}
 
 
 class SolverError(RuntimeError):
     """The optimizer could not produce a usable solution."""
+
+
+def _load(model: LinearModel) -> highspy._Highs:
+    """HiGHS holding ``model`` column-wise (``a_ub`` over ``a_eq``), with
+    ``linprog``'s options — dual simplex, presolve on, no output — so a
+    cold solve lands on ``linprog``'s vertex bit for bit. The one place a
+    ``_Highs`` is constructed."""
+    matrix = sparse.vstack((model.a_ub, model.a_eq), format="csc")
+    lp = highspy.HighsLp()
+    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_ = model.objective
+    lp.col_lower_ = np.zeros(model.n_variables)
+    lp.col_upper_ = model.upper_bounds
+    lp.row_lower_ = np.concatenate((np.full(len(model.b_ub), -np.inf),
+                                    model.b_eq))
+    lp.row_upper_ = np.concatenate((model.b_ub, model.b_eq))
+    options = highspy.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = (
+        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    highs = highspy._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    return highs
+
+
+def _moved(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Where ``new`` differs from ``old`` (nowhere if it *is* ``old``)."""
+    if new is old:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(new != old)
+
+
+class HighsLP:
+    """One model structure held in HiGHS across epochs.
+
+    Models of one structure share its sparsity, objective and ``a_eq``;
+    :meth:`push` writes the demand rows, flow bounds, load caps, chord
+    intercepts and chord slopes that differ from the model HiGHS holds
+    (what :meth:`~repro.core.optimizer.model.ModelStructure.instantiate`
+    rewrites), and :meth:`run` solves from the basis HiGHS holds.
+    """
+
+    def __init__(self, model: LinearModel) -> None:
+        self._highs = _load(model)
+        #: the model HiGHS holds
+        self.model = model
+        #: HiGHS's readings on the last optimal solve
+        self.certificate: Certificate | None = None
+
+    def push(self, model: LinearModel) -> None:
+        """Make HiGHS hold ``model``, a model of the same structure."""
+        held, highs = self.model, self._highs
+        n_ub = len(model.b_ub)
+        for row in _moved(held.b_ub, model.b_ub).tolist():
+            highs.changeRowBounds(row, -np.inf, model.b_ub[row])
+        for row in _moved(held.b_eq, model.b_eq).tolist():
+            value = model.b_eq[row]
+            highs.changeRowBounds(n_ub + row, value, value)
+        columns = _moved(held.upper_bounds, model.upper_bounds)
+        highs.changeColsBounds(columns.size, columns.astype(np.int32),
+                               np.zeros(columns.size),
+                               model.upper_bounds[columns])
+        a_ub = model.a_ub
+        positions = _moved(held.a_ub.data, a_ub.data)
+        rows = np.searchsorted(a_ub.indptr, positions, side="right") - 1
+        for entry in zip(rows.tolist(), a_ub.indices[positions].tolist(),
+                         a_ub.data[positions].tolist()):
+            highs.changeCoeff(*entry)
+        self.model = model
+
+    def run(self) -> np.ndarray:
+        """The held model's optimal solution vector; anything but optimal
+        raises :class:`SolverError`, and :attr:`certificate` must pass
+        :func:`~repro.devtools.invariants.check_solver_certificate`."""
+        highs, hot = self._highs, self.certificate is not None
+        self.certificate = None
+        highs.run()
+        iterations = highs.getInfo().simplex_iteration_count
+        status = highs.getModelStatus()
+        if hot and iterations and status == _STATUS.kOptimal:
+            # pivots leave the basis in pivot order; re-factor the optimal
+            # basis in HiGHS's own order, as a cold solve's last step does,
+            # so a hot start ending on the cold basis has the cold bits
+            highs.setBasis(highs.getBasis())
+            highs.run()
+            status = highs.getModelStatus()
+        if status != _STATUS.kOptimal:
+            raise SolverError(f"optimization failed: "
+                              f"lp:{LINPROG_STATUS.get(status, 4)}:"
+                              f"{highs.modelStatusToString(status)}")
+        info = highs.getInfo()
+        self.certificate = Certificate(
+            iterations, info.max_primal_infeasibility,
+            info.max_dual_infeasibility, info.primal_dual_objective_error)
+        check_solver_certificate(self.certificate)
+        x = highs.getSolution().col_value   # a list, converted on access
+        return np.fromiter(x, dtype=float, count=len(x))
+
+    def duals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The last solve's row duals (``a_ub`` rows, then ``a_eq`` rows)
+        and reduced costs."""
+        solution = self._highs.getSolution()
+        return (np.array(solution.row_dual, dtype=float),
+                np.array(solution.col_dual, dtype=float))
+
+
+def highs_solve(model: LinearModel) -> np.ndarray:
+    """The optimal solution vector of an assembled model, solved cold."""
+    return HighsLP(model).run()
 
 
 def solve(problem: TEProblem,
@@ -40,38 +160,12 @@ def solve(problem: TEProblem,
 
 
 def solve_model(model: LinearModel) -> OptimizationResult:
-    """Solve an assembled model and extract its result."""
+    """Solve an assembled model cold and extract its result."""
     # solver wall time is diagnostic output, never simulation input
     started = time.perf_counter()   # lint: ignore[D02]
-    solution = highs_solve(model)
+    lp = HighsLP(model)
+    solution = lp.run()
     elapsed = time.perf_counter() - started   # lint: ignore[D02]
-    return extract_result(model, solution, "optimal", elapsed)
-
-
-def _lp_bounds(upper: np.ndarray) -> np.ndarray:
-    """``linprog``'s (n, 2) bounds array for columns in ``[0, upper]``
-    (``inf`` = unbounded above): the LP a list of ``(0, ub or None)``
-    tuples describes, without a Python tuple per column."""
-    bounds = np.zeros((len(upper), 2))
-    bounds[:, 1] = upper
-    return bounds
-
-
-def highs_solve(model: LinearModel) -> np.ndarray:
-    """The optimal solution vector of an assembled model.
-
-    The one place a full model meets HiGHS, and therefore the one place a
-    solver fault surfaces: anything but an optimal solution raises
-    :class:`SolverError`.
-    """
-    outcome = optimize.linprog(
-        c=model.objective,
-        A_ub=model.a_ub, b_ub=model.b_ub,
-        A_eq=model.a_eq, b_eq=model.b_eq,
-        bounds=_lp_bounds(model.upper_bounds),
-        method="highs",
-    )
-    if not outcome.success or outcome.x is None:
-        raise SolverError(f"optimization failed: "
-                          f"lp:{outcome.status}:{outcome.message}")
-    return outcome.x
+    result = extract_result(model, solution, "optimal", elapsed)
+    result.certificate = lp.certificate
+    return result

@@ -22,8 +22,7 @@ every model instantiated from it, whatever its counts:
 * per flow key (class, edge, src, dst), filled on first use: the pool it
   loads, the execution time there, the RTT and the egress price of one
   request — the terms :func:`~repro.core.optimizer.result.finalize_result`
-  multiplies each flow by;
-* the CSC form of ``a_eq``, which the warm solve slices columns from.
+  multiplies each flow by.
 
 :class:`ModelTables` is what a model reads; it adds the count-dependent
 part, rebuilt by :meth:`ModelTables.recount` when a count moves and shared
@@ -31,7 +30,6 @@ as long as none does:
 
 * per pool its replica count, load cap and delay model for the predicted
   backlog;
-* the CSC form of ``a_ub``, whose delay-chord coefficients carry counts;
 * the SHA-256 state after the model's leading demand-independent
   components, so a warm epoch's fingerprint hashes only what moved.
 """
@@ -39,8 +37,6 @@ as long as none does:
 from __future__ import annotations
 
 import copy
-
-from scipy import sparse
 
 from ..latency.mm1 import PoolDelayModel
 from ..rules import RoutingRule
@@ -103,8 +99,7 @@ class RulePlan:
 class StructureTables:
     """Lookups no replica count touches: one per structure snapshot."""
 
-    def __init__(self, problem: TEProblem, pools,
-                 a_eq: sparse.csr_matrix, route_vars,
+    def __init__(self, problem: TEProblem, pools, route_vars,
                  route_hops) -> None:
         self._problem = problem
         self.latency = problem.latency
@@ -119,8 +114,6 @@ class StructureTables:
                 self.edge_service[(name, index)] = edge.callee
         self._pool_keys = set(pools)
         self._flow_terms: dict[tuple[str, int, str, str], tuple] = {}
-        self._a_eq = a_eq
-        self._a_eq_csc: sparse.csc_matrix | None = None
         # the model's flow columns, for the rule plan (see LinearModel.hops)
         self._route_vars = route_vars
         self._route_hops = route_hops
@@ -169,53 +162,40 @@ class StructureTables:
             self._rule_plan = RulePlan(keys, self.edge_service)
         return self._rule_plan
 
-    def a_eq_csc(self) -> sparse.csc_matrix:
-        """``a_eq`` in CSC form, converted once per structure."""
-        if self._a_eq_csc is None:
-            self._a_eq_csc = self._a_eq.tocsc()
-        return self._a_eq_csc
-
 
 class ModelTables:
     """The lookups of one model: its structure's shared
     :class:`StructureTables` plus what its replica counts decide."""
 
-    def __init__(self, problem: TEProblem, pools,
-                 a_ub: sparse.csr_matrix, a_eq: sparse.csr_matrix,
-                 route_vars, route_hops=None) -> None:
+    def __init__(self, problem: TEProblem, pools, route_vars,
+                 route_hops=None) -> None:
         #: the count-independent part, shared by identity across recounts
-        self.structure = StructureTables(problem, pools, a_eq, route_vars,
+        self.structure = StructureTables(problem, pools, route_vars,
                                          route_hops)
         # the structure's lookup, bound here for the extractor's hot loop
         self.flow_terms = self.structure.flow_terms
         #: (pool, replicas, load cap just inside the pole, delay model)
         self.pools = [_pool_entry(problem, pool) for pool in pools]
-        self._a_ub = a_ub
-        self._a_ub_csc: sparse.csc_matrix | None = None
         #: hash state after the demand-independent fingerprint prefix
         #: (kept by ``model_fingerprint``)
         self.hash_prefix = None
 
-    def recount(self, problem: TEProblem,
-                a_ub: sparse.csr_matrix) -> ModelTables:
-        """These tables at ``problem``'s replica counts, for a model whose
-        refreshed ``a_ub`` carries them: the structure part is shared, a
-        pool entry is rebuilt only where its count moved, and the ``a_ub``
-        CSC form and the fingerprint prefix start afresh."""
+    def recount(self, problem: TEProblem) -> ModelTables:
+        """These tables at ``problem``'s replica counts: the structure part
+        is shared, a pool entry is rebuilt only where its count moved, and
+        the fingerprint prefix starts afresh."""
         tables = copy.copy(self)
         tables.pools = [
             entry if problem.replica_count(*entry[0]) == entry[1]
             else _pool_entry(problem, entry[0]) for entry in self.pools]
-        tables._a_ub = a_ub
-        tables._a_ub_csc = None
         tables.hash_prefix = None
         return tables
 
-    def csc(self) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
-        """``(a_ub, a_eq)`` in CSC form, each converted once."""
-        if self._a_ub_csc is None:
-            self._a_ub_csc = self._a_ub.tocsc()
-        return self._a_ub_csc, self.structure.a_eq_csc()
+    def __getstate__(self) -> dict:
+        # a hash state does not pickle; the next fingerprint rebuilds it
+        state = self.__dict__.copy()
+        state["hash_prefix"] = None
+        return state
 
 
 def _pool_entry(problem: TEProblem, pool: tuple[str, str]) -> tuple:

@@ -493,7 +493,7 @@ def build_model_vectorized(problem: TEProblem,
         pool_columns=pool_block.pool_columns,
         pool_segments=pool_block.pool_segments,
         problem=problem,
-        tables=ModelTables(problem, pools, a_ub, a_eq, route_vars),
+        tables=ModelTables(problem, pools, route_vars),
         load_columns=pool_block.load_columns,
     )
     if key is not None:

@@ -1,43 +1,27 @@
-"""Warm-started epoch solving: previous-solution reuse across re-plans.
+"""Hot-started epoch solving: the previous epoch's basis reused.
 
-scipy's HiGHS bindings expose no basis I/O, so classic simplex warm starts
-are unavailable. What *is* available — and exact — is column restriction
-with a pricing certificate:
-
-1. keep the columns the previous epoch's solution actually used (its
-   support) plus every pool column (epigraph ``t`` and load ``L``);
-2. solve the LP restricted to those columns (tiny compared to the full
-   model);
-3. price every excluded column with the restricted solve's duals:
-   ``r = c − A_ubᵀ·y_ub − A_eqᵀ·y_eq``. If every excluded reduced cost is
-   nonnegative, the restricted optimum is optimal for the **full** LP —
-   this is exactly delayed column generation's termination test, so the
-   warm result is not an approximation;
-4. columns that price negative are admitted and the restriction re-solved;
-   if optimality still cannot be certified, fall back to a cold solve.
-
-:class:`EpochSolver` packages this with the other two reuse layers so the
-controller gets a strict cost ladder per epoch:
+:class:`EpochSolver` gives the controller a strict cost ladder per epoch:
 
 * demand unchanged (after ``demand_quantum`` rounding) → identical
   fingerprint → :class:`~repro.core.optimizer.cache.SolverCache` replay,
   no solver at all;
 * demand values or replica counts moved, structure didn't →
   structure-cache rescatter build (the moved counts' load caps and delay
-  chords rewritten) + warm restricted solve, priced with the duals of the
-  full model at the new counts;
+  chords rewritten) + hot start (:func:`warm_solve`): the previous
+  epoch's :class:`~repro.core.optimizer.solve.HighsLP` takes what moved
+  and re-runs dual simplex from its optimal basis;
 * structure moved (topology, classes, which pools are deployed) → cold
-  build + cold solve.
+  build + cold solve on a freshly loaded instance.
 
 A count change is warm; a deployment change is a miss.
 
-A warm solve is exact, not an approximation: the pricing certificate
-proves the restricted optimum optimal for the full LP. It need not be the
-same vertex bit for bit — the restricted problem takes a different
-arithmetic route through HiGHS presolve, and a tied optimum has a whole
-face of optimal vertices. ``tests/conftest.py`` shadows every warm solve
-the test suite drives with a cold one and holds the two to the same
-vertex, or to a feasible point of a tied optimum at the cold objective.
+A hot start solves the full model under the same certificate as a cold
+solve, and where it ends on the cold solve's basis it returns the cold
+bits; but a tied optimum has a face of optimal vertices, and two pivot
+paths may end on different ones. ``tests/conftest.py`` shadows every hot
+start the test suite drives with a cold solve and holds the two to the
+same vertex, or to a feasible point of a tied optimum at the cold
+objective.
 """
 
 from __future__ import annotations
@@ -46,95 +30,48 @@ import time
 from contextlib import nullcontext
 
 import numpy as np
-from scipy import optimize
 
 from .cache import SolverCache, model_fingerprint
 from .model import LinearModel, build_model
 from .paths import build_path_model
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
-from .solve import _lp_bounds, highs_solve
+from .solve import HighsLP, SolverError
 from .tables import StructureTables
 from .vectorized import StructureCache
 
 __all__ = ["EpochSolver", "warm_solve"]
-
-#: solution entries below this are not part of the support
-SUPPORT_EPSILON = 1e-9
-
-#: pricing slack: an excluded column is admissible at zero when its reduced
-#: cost is above -tol (scaled by objective magnitude)
-PRICING_TOLERANCE = 1e-9
-
-#: rounds of admit-and-re-solve before giving up and solving cold
-MAX_WARM_ROUNDS = 2
 
 #: "caller did not choose" marker for EpochSolver's structure_cache param
 #: (None is a real value there: it disables structure reuse)
 _DEFAULT = object()
 
 
-def warm_solve(model: LinearModel, previous_solution: np.ndarray,
+def warm_solve(lp: HighsLP, model: LinearModel,
                profiler=None) -> np.ndarray | None:
-    """Re-solve an LP restricted to the previous solution's support.
+    """Re-solve ``lp`` as ``model`` from the basis HiGHS holds.
 
-    Returns the full-length solution vector when optimality of the
-    restriction is certified by pricing, else ``None`` (caller solves
-    cold). ``profiler`` duck-types the control-plane profiler: the
-    restricted solves are timed under ``warm_solve`` and the reduced-cost
-    pricing under ``pricing_certificate``.
+    Returns the optimal solution vector, or ``None`` when ``model`` is not
+    of ``lp``'s structure or the hot start does not end optimal (the
+    caller then solves cold). ``profiler`` duck-types the control-plane
+    profiler: the pushes are timed under ``highs_push`` and the run under
+    ``hot_start``.
     """
     def _section(name):
         return nullcontext() if profiler is None else profiler.section(name)
-    n = model.n_variables
-    n_routes = len(model.route_columns)
-    if len(previous_solution) != n:
+    if model.tables.structure is not lp.model.tables.structure:
         return None
-    kept = previous_solution > SUPPORT_EPSILON
-    # the pool columns (t | L) are always kept: they are few, and keeping
-    # them preserves feasibility of every load and chord row
-    kept[n_routes:] = True
-    keep = np.flatnonzero(kept)
-    if len(keep) >= n:
-        return None   # nothing restricted, a "warm" solve would be cold
-
-    c = model.objective
-    a_ub, a_eq = model.tables.csc()
-    upper = model.upper_bounds
-    tolerance = PRICING_TOLERANCE * (1.0 + float(np.abs(c).max(initial=0.0)))
-
-    for _ in range(MAX_WARM_ROUNDS):
-        with _section("warm_solve"):
-            outcome = optimize.linprog(
-                c=c[keep],
-                A_ub=a_ub[:, keep], b_ub=model.b_ub,
-                A_eq=a_eq[:, keep], b_eq=model.b_eq,
-                bounds=_lp_bounds(upper[keep]),
-                method="highs",
-            )
-        if not outcome.success:
+    with _section("highs_push"):
+        lp.push(model)
+    with _section("hot_start"):
+        try:
+            return lp.run()
+        except SolverError:
             return None
-        y_ub = outcome.ineqlin.marginals
-        y_eq = outcome.eqlin.marginals
-        if y_ub is None or y_eq is None:
-            return None
-        # price the full column set with the restricted duals
-        with _section("pricing_certificate"):
-            reduced = c - model.a_ub.T @ y_ub - model.a_eq.T @ y_eq
-            violated = np.flatnonzero(~kept & (reduced < -tolerance))
-        if not violated.size:
-            x = np.zeros(n)
-            x[keep] = outcome.x
-            return x
-        kept[violated] = True
-        keep = np.flatnonzero(kept)
-        if len(keep) >= n:
-            return None
-    return None
 
 
 class EpochSolver:
-    """Build + solve pipeline with structure reuse and warm starts.
+    """Build + solve pipeline with structure reuse and hot starts.
 
     One instance lives inside each :class:`GlobalController` and solves
     everything it plans — ``plan_known`` (the oracle and a policy's
@@ -144,7 +81,8 @@ class EpochSolver:
     ``section(name)`` context manager (duck-typed so ``repro.core`` never
     imports ``repro.obs``; None by default, so the uninstrumented path
     costs one attribute check per section). Each result carries its rung
-    (``solver_path``, ``warm_build``, ``pricing``) for whoever reads it.
+    (``solver_path``, ``warm_build``, ``hot_start``) and HiGHS's
+    certificate for whoever reads it.
     """
 
     def __init__(self, cache: SolverCache | None = None,
@@ -170,10 +108,10 @@ class EpochSolver:
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
-        #: the last LP solved, as (its structure's shared tables,
-        #: solution): a model sharing them has its rows and columns and
-        #: differs from it in demand and replica counts only
-        self._previous: tuple[StructureTables, np.ndarray] | None = None
+        #: the last LP solved, as (its structure's shared tables, the
+        #: HiGHS instance holding it at its optimal basis) — the one live
+        #: HiGHS instance, dropped by pickling
+        self._previous: tuple[StructureTables, HighsLP] | None = None
         # counters surfaced through stats() → repro.obs collectors
         self.builds = 0
         self.warm_builds = 0
@@ -254,58 +192,64 @@ class EpochSolver:
                     time.perf_counter() - started)   # lint: ignore[D02]
                 result.cache_hit = True
                 return self._decorate(result, fingerprint, build_elapsed,
-                                      warm_build, warm_start=False,
-                                      pricing=None)
+                                      warm_build, hot_start=None)
 
         solve_started = time.perf_counter()   # lint: ignore[D02]
         solution = None
-        pricing = None
-        # taken, not read: a solve that raises leaves nothing to warm-start
+        hot_start = None
+        # taken, not read: a solve that raises leaves nothing to hot-start
         # the next epoch from
         previous, self._previous = self._previous, None
         try:
             # sharing the previous model's structure tables ⇔ same
             # structure snapshot ⇔ only demand and count entries differ
-            # from last epoch, so its solution is a column restriction
-            if (self.warm_start and previous is not None
+            # from last epoch, so HiGHS holds a basis of this very LP
+            if (previous is not None
                     and previous[0] is model.tables.structure):
+                lp = previous[1]
                 with self._section("optimizer-warm-solve"):
-                    solution = warm_solve(model, previous[1],
-                                          profiler=self.profiler)
+                    solution = warm_solve(lp, model, profiler=self.profiler)
                 if solution is not None:
-                    pricing = "certified"
+                    hot_start = "optimal"
                     self.warm_solves += 1
                 else:
-                    pricing = "rejected"
+                    hot_start = "rejected"
                     self.warm_rejects += 1
-            warm = solution is not None
-            if not warm:
+            if solution is None:
                 with self._section("optimizer-solve"):
-                    solution = highs_solve(model)
+                    lp = HighsLP(model)
+                    solution = lp.run()
         finally:
             elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
             self.solves += 1
             self.solve_seconds += elapsed
-        self._previous = (model.tables.structure, solution)
+        if self.warm_start:   # else nothing will hot-start from it
+            self._previous = (model.tables.structure, lp)
         if self.cache is not None:
             self.cache.store(fingerprint, solution, "optimal")
         result = extract_result(model, solution, "optimal", elapsed)
+        result.certificate = lp.certificate
         return self._decorate(result, fingerprint, build_elapsed,
-                              warm_build, warm, pricing)
+                              warm_build, hot_start)
 
     def _decorate(self, result: OptimizationResult, fingerprint,
                   build_elapsed: float, warm_build: bool,
-                  warm_start: bool, pricing: str | None
-                  ) -> OptimizationResult:
+                  hot_start: str | None) -> OptimizationResult:
         result.build_time = build_elapsed
         result.warm_build = warm_build
-        result.warm_start = warm_start
-        result.pricing = pricing
+        result.warm_start = hot_start == "optimal"
+        result.hot_start = hot_start
         if self.cache is not None:
             result.cache_hits = self.cache.hits
             result.cache_misses = self.cache.misses
             result.fingerprint = fingerprint
         return result
+
+    def __getstate__(self) -> dict:
+        # a live HiGHS instance does not pickle: the next solve is cold
+        state = self.__dict__.copy()
+        state["_previous"] = None
+        return state
 
     # --------------------------------------------------------------- stats
 

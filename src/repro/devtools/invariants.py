@@ -17,7 +17,11 @@ model, and :class:`~repro.sim.runner.MeshSimulation` call in:
   replicas or queue length;
 * **fluid flow sanity** — bulk flow rates are finite and non-negative,
   and every routing matrix row applied as a matrix product sums to
-  1 ± 1e-9 (the same stochasticity bound as installed rules).
+  1 ± 1e-9 (the same stochasticity bound as installed rules);
+* **LP optimality certificate** — every optimal HiGHS solve reports
+  primal and dual infeasibilities and a relative primal–dual objective
+  gap within stated tolerances (the optimizer's HiGHS seam reads them
+  off ``getInfo()``, so the check costs three comparisons).
 
 Violations raise :class:`InvariantViolation` with a message naming the
 offending stream/service/cluster so the report is actionable.
@@ -30,10 +34,21 @@ import math
 __all__ = ["InvariantViolation", "ROW_SUM_TOLERANCE",
            "check_event_monotonic", "check_fluid_rates",
            "check_pool_depths", "check_request_conservation",
-           "check_routing_matrices", "check_routing_table"]
+           "check_routing_matrices", "check_routing_table",
+           "check_solver_certificate", "FEASIBILITY_TOLERANCE",
+           "OBJECTIVE_GAP_TOLERANCE"]
 
 #: allowed deviation of a routing row's weight sum from 1.0
 ROW_SUM_TOLERANCE = 1e-9
+
+#: largest primal or dual infeasibility an optimal LP solve may carry:
+#: HiGHS's own feasibility tolerances (1e-7) with 10x headroom for
+#: postsolve rounding
+FEASIBILITY_TOLERANCE = 1e-6
+
+#: largest relative gap between an optimal solve's primal and dual
+#: objective values
+OBJECTIVE_GAP_TOLERANCE = 1e-9
 
 
 class InvariantViolation(AssertionError):
@@ -155,3 +170,26 @@ def check_pool_depths(pool) -> None:
             f"negative queue depth at service={pool.service!r} "
             f"cluster={pool.cluster!r}: busy={pool.busy_replicas}, "
             f"queued={pool.queue_length}")
+
+
+def check_solver_certificate(certificate) -> None:
+    """An optimal LP solve must be primal and dual feasible with no
+    duality gap, to the stated tolerances.
+
+    ``certificate`` is a :class:`~repro.core.optimizer.result.Certificate`:
+    ``max_primal_infeasibility``, ``max_dual_infeasibility`` and
+    ``primal_dual_objective_error`` as HiGHS reports them (NaN fails).
+    """
+    for name, value, bound in (
+            ("primal infeasibility", certificate.max_primal_infeasibility,
+             FEASIBILITY_TOLERANCE),
+            ("dual infeasibility", certificate.max_dual_infeasibility,
+             FEASIBILITY_TOLERANCE),
+            ("primal-dual objective gap",
+             certificate.primal_dual_objective_error,
+             OBJECTIVE_GAP_TOLERANCE)):
+        if not value <= bound:
+            raise InvariantViolation(
+                f"LP solve reported optimal with {name} {value!r} > "
+                f"{bound} after {certificate.simplex_iteration_count} "
+                f"simplex iterations")

@@ -51,7 +51,7 @@ class EpochDecision:
     #: and the moment this plan was applied — ~0 for healthy runs, > 0 when
     #: chaos delayed/dropped reports, None before the first observe
     telemetry_age: float | None = None
-    #: a "solved" epoch that went through the warm-start restricted solve
+    #: a "solved" epoch hot-started from the previous epoch's basis
     #: (additive refinement of ``outcome``, which stays "solved")
     warm: bool = False
     #: the model assembly reused cached structure (demand rescatter)

@@ -6,9 +6,9 @@ epoch; this module records *why*, as one joinable chain per epoch:
 (a) what the controller **observed** — a digest of the telemetry snapshot
     it folded in plus signed per-(class, cluster) demand deltas;
 (b) which rung of the optimizer's reuse ladder the epoch took — solver-cache
-    **replay**, **warm** restricted solve (with the pricing-certificate
-    outcome), or **cold** solve — plus structure-cache rescatter vs rebuild
-    and path-candidate stats for the path formulation;
+    **replay**, **warm** hot start from the previous epoch's basis (with
+    its outcome), or **cold** solve — plus structure-cache rescatter vs
+    rebuild and path-candidate stats for the path formulation;
 (c) the per-class **rule deltas** actually installed in the routing table
     (including chaos-mode fallback installs the controller never saw);
 (d) the **observed data-plane shift** attributed from ``obs.timeseries``
@@ -117,8 +117,8 @@ class ProvenanceRecord:
     #: class → cluster → signed change vs the previous epoch's estimate
     demand_delta: dict[str, dict[str, float]]
     #: the reuse-ladder rung this epoch's plan took: solver_path
-    #: ("replay"/"warm"/"cold"), warm_build, pricing
-    #: ("certified"/"rejected"/None), formulation, n_variables, candidates
+    #: ("replay"/"warm"/"cold"), warm_build, hot_start
+    #: ("optimal"/"rejected"/None), formulation, n_variables, candidates
     solver: dict | None
     objective: float | None
     fingerprint: str | None
@@ -646,12 +646,12 @@ class ProvenanceLog:
             text = ("demand fingerprint unchanged → solver-cache replay "
                     f"(no LP run, {build})")
         elif path == "warm":
-            text = (f"{build} + warm restricted solve; pricing certificate "
-                    "certified optimality")
+            text = (f"{build} + hot start from the previous epoch's basis; "
+                    "HiGHS certified optimality")
         elif path == "cold":
             text = f"{build} + full cold solve"
-            if solver.get("pricing") == "rejected":
-                text += " (warm attempt rejected by pricing)"
+            if solver.get("hot_start") == "rejected":
+                text += " (hot start did not end optimal)"
         else:
             text = "solved (reuse ladder not instrumented)"
         candidates = solver.get("candidates")
@@ -672,7 +672,7 @@ def _solver_rung(controller, result) -> dict:
     epoch_solver = controller.epoch_solver
     return {"solver_path": result.solver_path,
             "warm_build": result.warm_build,
-            "pricing": result.pricing,
+            "hot_start": result.hot_start,
             "formulation": epoch_solver.formulation,
             "n_variables": result.n_variables,
             "candidates": epoch_solver.last_candidate_stats}

@@ -1,5 +1,6 @@
 """Shared fixtures: small apps and deployments used across the suite, and
-the cold-solve shadow every warm solve the suite drives is held to."""
+the cold-solve shadow every hot-started solve the suite drives is held
+to."""
 
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def lh_app():
     return two_class_app(light_exec=0.003, heavy_exec=0.045, n_services=2)
 
 
-# ------------------------------------------------------- warm-solve shadow
+# ------------------------------------------------------- hot-start shadow
 
 #: shadow tolerance (relative, scaled by the cold solution's magnitude)
 #: for solver-arithmetic last-bit noise
@@ -87,14 +88,14 @@ def check_warm_against_cold(model, warm_x: np.ndarray) -> None:
     """A warm solution must land on the cold solve's optimal vertex, or on
     another vertex of a tied optimum.
 
-    Bitwise equality usually holds — always on the seed scenarios, whose
-    round demand values produce exactly representable vertices — but it
-    is not a structural guarantee: the restricted problem takes a
-    different arithmetic route through HiGHS presolve, so agreement to a
-    scaled ``WARM_SHADOW_TOLERANCE`` is accepted. Where the optimum is
-    tied the two solves may pick different vertices of the optimal face;
-    then the warm point must be feasible for the full model and cost no
-    more than the cold one.
+    Bitwise equality usually holds on the seed scenarios, whose round
+    demand values produce exactly representable vertices, but it is not a
+    structural guarantee: a hot start reaches the optimum along a
+    different pivot path than a cold solve (which runs presolve), so
+    agreement to a scaled ``WARM_SHADOW_TOLERANCE`` is accepted. Where the
+    optimum is tied the two solves may pick different vertices of the
+    optimal face; then the warm point must be feasible for the full model
+    and cost no more than the cold one.
     """
     try:
         cold_x = highs_solve(model)
@@ -122,8 +123,8 @@ def check_warm_against_cold(model, warm_x: np.ndarray) -> None:
         f"objective gap {gap:.3e}")
 
 
-def _shadowed_warm_solve(model, previous_solution, profiler=None):
-    solution = _warm_solve(model, previous_solution, profiler=profiler)
+def _shadowed_warm_solve(lp, model, profiler=None):
+    solution = _warm_solve(lp, model, profiler=profiler)
     if solution is not None:
         check_warm_against_cold(model, solution)
     return solution
@@ -131,6 +132,6 @@ def _shadowed_warm_solve(model, previous_solution, profiler=None):
 
 @pytest.fixture(autouse=True)
 def shadow_warm_solves(monkeypatch):
-    """Every warm solve an :class:`EpochSolver` makes in a test is checked
+    """Every hot start an :class:`EpochSolver` makes in a test is checked
     against a cold solve of the same model."""
     monkeypatch.setattr(warm_module, "warm_solve", _shadowed_warm_solve)

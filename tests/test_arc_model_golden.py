@@ -165,8 +165,8 @@ def densify(model):
         b_ub=np.array(rhs, dtype=float), a_eq=dense_eq,
         b_eq=model.b_eq[kept], upper_bounds=model.upper_bounds[:n_cols],
         load_columns={},
-        tables=ModelTables(model.problem, model.pool_columns, dense_ub,
-                           dense_eq, model.route_vars))
+        tables=ModelTables(model.problem, model.pool_columns,
+                           model.route_vars))
 
 
 def freeze(model) -> dict:

@@ -34,7 +34,7 @@ def make_record(epoch=0, sim_time=10.0, outcome="solved", **overrides):
         demand={"default": {"west": 200.0, "east": 100.0}},
         demand_delta={"default": {"west": 25.0, "east": -25.0}},
         solver={"solver_path": "warm", "warm_build": True,
-                "pricing": "certified"},
+                "hot_start": "optimal"},
         objective=1.5, fingerprint="f00",
         rule_deltas={"default": {"added": 0, "removed": 0, "changed": 1,
                                  "churn": 0.2,
@@ -167,10 +167,10 @@ def test_diurnal_records_cover_reuse_ladder(diurnal_log):
     solved = [r for r in records if r.outcome == "solved"]
     assert solved and all(r.objective is not None and r.fingerprint
                           for r in solved)
-    # the recorder hook fed the warm epochs their certificate outcome
+    # every warm epoch records the hot start that produced it
     warm = [r for r in records
             if r.solver and r.solver["solver_path"] == "warm"]
-    assert warm and all(r.solver["pricing"] == "certified" for r in warm)
+    assert warm and all(r.solver["hot_start"] == "optimal" for r in warm)
     assert all(r.solver["candidates"] is None or
                r.solver["candidates"]["paths"] > 0 for r in warm)
 
@@ -336,12 +336,11 @@ def test_optimizer_profiler_sections_present():
     obs = Observability(ObservabilityConfig(profiling=True))
     setup.run(obs)
     sections = set(obs.profiler.section_names())
-    assert {"vectorized_build", "warm_solve",
-            "pricing_certificate"} <= sections
-    stats = obs.profiler.stats("pricing_certificate")
+    assert {"vectorized_build", "highs_push", "hot_start"} <= sections
+    stats = obs.profiler.stats("hot_start")
     assert stats.count >= 1
-    # every warm solve ran exactly one certificate check
-    assert obs.profiler.stats("warm_solve").count == stats.count
+    # every hot start ran on exactly one push of what moved
+    assert obs.profiler.stats("highs_push").count == stats.count
 
 
 def test_epoch_effect_dict_shape():

@@ -8,6 +8,7 @@ emitter.
 
 import ast
 import dataclasses
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.core.optimizer.model import ModelStructure
 from repro.core.optimizer.result import FLOW_EPSILON, extract_result
 from repro.experiments.scenarios import synthetic_te_problem
 from tests.test_optimizer import chain_problem, chain_specs
+
+#: the module (the package re-exports its ``solve`` function by that name)
+solve_module = import_module("repro.core.optimizer.solve")
 
 #: every emitter: id → (builder, its keyword arguments)
 EMITTERS = {
@@ -258,12 +262,16 @@ def test_every_full_solve_fails_the_same_way():
 #: scipy.optimize's LP and MILP entry points (both run HiGHS)
 HIGHS_ENTRY_POINTS = {"linprog", "milp"}
 
+#: the HiGHS class of scipy's bindings, however it is reached
+HIGHS_CLASS = "_Highs"
+
 
 class _HighsCalls(ast.NodeVisitor):
     """Collects ``(enclosing function, entry point)`` for every call of a
     ``HIGHS_ENTRY_POINTS`` name in one module, however it was imported:
     ``scipy.optimize.linprog``, ``optimize.milp`` after ``from scipy import
-    optimize``, or a bare name from ``from scipy.optimize import ...``."""
+    optimize``, or a bare name from ``from scipy.optimize import ...``; and
+    for every construction of ``HIGHS_CLASS``, through any module."""
 
     def __init__(self) -> None:
         self.modules = {"scipy.optimize"}   # spellings of scipy.optimize
@@ -297,7 +305,10 @@ class _HighsCalls(ast.NodeVisitor):
         elif (isinstance(func, ast.Attribute)
               and ast.unparse(func.value) in self.modules):
             name = func.attr
-        if name in HIGHS_ENTRY_POINTS:
+        if HIGHS_CLASS in (getattr(func, "attr", None),
+                           getattr(func, "id", None)):
+            name = HIGHS_CLASS
+        if name in HIGHS_ENTRY_POINTS or name == HIGHS_CLASS:
             self.calls.append((self.function, name))
         self.generic_visit(node)
 
@@ -318,16 +329,53 @@ def test_the_highs_call_finder_sees_every_import_spelling(source):
     assert highs_calls(source) == [("f", "milp")]
 
 
-def test_linprog_in_the_two_seams_is_the_only_call_into_highs():
-    """``highs_solve`` (full models) and ``warm_solve`` (column
-    restrictions) are the program's only HiGHS calls, and both solve an LP:
-    a ``milp`` call or a third ``linprog`` caller fails here."""
+@pytest.mark.parametrize("source", [
+    "from scipy.optimize._highspy import _core\ndef f():\n    _core._Highs()",
+    "from scipy.optimize._highspy._core import _Highs\ndef f():\n"
+    "    _Highs()",
+])
+def test_the_highs_call_finder_sees_the_highs_class(source):
+    assert highs_calls(source) == [("f", HIGHS_CLASS)]
+
+
+def test_one_function_constructs_highs_and_nothing_calls_linprog():
+    """``solve._load`` constructs the program's only HiGHS instances, and
+    no module calls ``linprog`` or ``milp``: every solve goes through
+    :class:`~repro.core.optimizer.solve.HighsLP`."""
     root = Path(repro.__file__).parent
     calls = [(path.relative_to(root).as_posix(), *call)
              for path in sorted(root.rglob("*.py"))
              for call in highs_calls(path.read_text(encoding="utf-8"))]
-    assert calls == [("core/optimizer/solve.py", "highs_solve", "linprog"),
-                     ("core/optimizer/warm.py", "warm_solve", "linprog")]
+    assert calls == [("core/optimizer/solve.py", "_load", HIGHS_CLASS)]
+
+
+def test_every_highs_method_the_seam_calls_exists():
+    """Start-up guard for the private binding the seam drives: a scipy
+    that moves ``scipy.optimize._highspy._core`` or drops one of the
+    ``_Highs`` methods, ``HighsInfo`` readings or options the seam uses
+    fails here rather than mid-run."""
+    from scipy.optimize._highspy import _core
+
+    tree = ast.parse(Path(solve_module.__file__).read_text(encoding="utf-8"))
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and ast.unparse(node.func.value) in ("highs", "self._highs")}
+    assert {"passOptions", "passModel", "run", "changeRowBounds",
+            "changeColsBounds", "changeCoeff", "getBasis",
+            "setBasis"} <= called
+    assert [name for name in sorted(called)
+            if not hasattr(_core._Highs, name)] == []
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) in ("info", "options",
+                                            "highs.getInfo()")}
+    assert [name for name in sorted(read)
+            if not (hasattr(_core.HighsInfo(), name)
+                    or hasattr(_core.HighsOptions(), name))] == []
+    assert _core.MatrixFormat.kColwise is not None
+    assert (_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+            is not None)
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])

@@ -1,18 +1,19 @@
-"""Warm-started epoch solves: exactness, the reuse ladder, fallbacks.
+"""Hot-started epoch solves: exactness, the reuse ladder, fallbacks.
 
-The warm path must be invisible in the output: on the seed scenarios
-(round demand, exactly representable vertices) a warm-started epoch's
+The hot path must be invisible in the output: on the seed scenarios
+(round demand, exactly representable vertices) a hot-started epoch's
 flow columns and rules are *byte-identical* to a cold solve of the same
 model (its auxiliary pool columns agree to the shadow's tolerance), and the
 shadow in ``tests/conftest.py`` enforces at least tolerance-level
-agreement on every warm solve the suite drives.
+agreement on every hot start the suite drives.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.optimizer import (EpochSolver, SolverCache, StructureCache,
-                                  build_model, build_path_model, warm_solve)
+from repro.core.optimizer import (EpochSolver, HighsLP, SolverCache,
+                                  StructureCache, build_model,
+                                  build_path_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
@@ -28,14 +29,13 @@ from tests.test_optimizer_one_model import sparse_problem
 
 def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     problem = chain_problem(west_rps=700.0, east_rps=100.0)
-    model = build_model(problem)
-    cold_x = highs_solve(model)
     # demand moves, structure does not: rescatter through a cache
     cache = StructureCache()
-    build_model(problem, structure_cache=cache)
+    lp = HighsLP(build_model(problem, structure_cache=cache))
+    lp.run()
     problem.workloads["default"].demand["west"] = 650.0
     moved = build_model(problem, structure_cache=cache)
-    warm_x = warm_solve(moved, cold_x)
+    warm_x = warm_solve(lp, moved)
     assert warm_x is not None
     cold_moved_x = highs_solve(moved)
     routes = len(moved.route_columns)
@@ -43,8 +43,8 @@ def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     warm_rules = extract_result(moved, warm_x, "optimal", 0.0).rules()
     cold_rules = extract_result(moved, cold_moved_x, "optimal", 0.0).rules()
     assert warm_rules.rules == cold_rules.rules
-    # the pool columns (t | L) are auxiliary: the restricted solve may round
-    # them differently in the last place
+    # the pool columns (t | L) are auxiliary: the hot start may round them
+    # differently in the last place
     assert warm_x[routes:] == pytest.approx(
         cold_moved_x[routes:], rel=conftest.WARM_SHADOW_TOLERANCE)
 
@@ -61,7 +61,9 @@ def test_epoch_solver_warm_epoch_byte_identical_rules():
     assert warm_result.warm_build and warm_result.warm_start
 
     cold_result = cold_solver.solve(chain_problem(west_rps=650.0))
-    assert warm_result.objective == cold_result.objective
+    # the hot start sums the objective along another pivot path
+    assert warm_result.objective == pytest.approx(cold_result.objective,
+                                                  rel=1e-12)
     assert warm_result.rules().rules == cold_result.rules().rules
 
 
@@ -98,7 +100,7 @@ def test_solver_path_derived_from_result_flags():
 
 
 def test_result_carries_every_ladder_rung():
-    """Each result names its rung, build reuse and pricing verdict."""
+    """Each result names its rung, build reuse and hot-start outcome."""
     solver = EpochSolver(cache=SolverCache())
     problem = chain_problem(west_rps=700.0)
     cold = solver.solve(problem)
@@ -108,9 +110,9 @@ def test_result_carries_every_ladder_rung():
     assert [r.solver_path for r in (cold, replay, warm)] == ["cold", "replay",
                                                             "warm"]
     assert warm.warm_build is True
-    assert cold.pricing is None           # cold: no certificate ran
-    assert replay.pricing is None         # replay: no solve at all
-    assert warm.pricing == "certified"
+    assert cold.hot_start is None         # cold: no hot start tried
+    assert replay.hot_start is None       # replay: no solve at all
+    assert warm.hot_start == "optimal"
     assert solver.formulation == "arc"
     assert cold.n_variables > 0
     # arc formulation has no path-candidate census
@@ -128,23 +130,34 @@ def test_warm_start_disabled_by_structure_cache_none():
     assert solver.stats()["warm_solves"] == 0
 
 
-def test_warm_reject_falls_back_to_cold(monkeypatch):
-    monkeypatch.setattr("repro.core.optimizer.warm.warm_solve",
-                        lambda model, prev, profiler=None: None)
+def test_warm_reject_falls_back_to_cold():
+    """A hot start that does not end optimal — here HiGHS may not pivot
+    at all — is re-run once on a freshly loaded instance."""
     solver = EpochSolver()
     problem = chain_problem()
     solver.solve(problem)
-    problem.workloads["default"].demand["west"] = 620.0
+    _, lp = solver._previous
+    lp._highs.setOptionValue("simplex_iteration_limit", 0)
+    problem.workloads["default"].demand["west"] = 450.0
     result = solver.solve(problem)
     assert result.ok and not result.warm_start
-    assert result.solver_path == "cold" and result.pricing == "rejected"
+    assert result.solver_path == "cold" and result.hot_start == "rejected"
     assert solver.stats()["warm_rejects"] == 1
+    assert solver._previous[1] is not lp
+    assert result.objective == EpochSolver(
+        cache=None, structure_cache=None,
+        warm_start=False).solve(problem).objective
 
 
 def test_warm_solve_rejects_shape_mismatch():
+    """An instance only takes models of the structure it was loaded
+    with."""
     model = build_model(chain_problem())
-    x = highs_solve(model)
-    assert warm_solve(model, x[:-1]) is None     # stale shape
+    lp = HighsLP(model)
+    lp.run()
+    other = build_model(chain_problem(cost_weight=1.0, egress_budget=1.0))
+    assert other.a_ub.shape != model.a_ub.shape      # one more budget row
+    assert warm_solve(lp, other) is None
 
 
 def test_shadow_invariant_catches_divergence():
@@ -160,8 +173,8 @@ def test_shadow_invariant_catches_divergence():
 def test_shadow_hook_checks_every_epoch_solver_warm_solve(monkeypatch):
     """The conftest shadow sits on the solver's warm path: a warm solution
     perturbed before the solver sees it is caught."""
-    def perturbed(model, previous_solution, profiler=None):
-        solution = warm_solve(model, previous_solution, profiler=profiler)
+    def perturbed(lp, model, profiler=None):
+        solution = warm_solve(lp, model, profiler=profiler)
         if solution is not None:
             solution[np.argmax(solution)] += 1.0
         return solution
@@ -191,20 +204,18 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum():
     """Two identical clusters whose WAN hop costs what a local hop does
     (the 0.25 ms intra-cluster delay), at a demand that keeps every pool on
     its first delay chord: every split that serves the demand costs the
-    same. The restricted solve stays on the previous epoch's support while
-    the full solve picks its own vertex of that face, and the shadow must
-    not call that divergence."""
+    same. The hot start stays near the previous epoch's basis while the
+    cold solve picks its own vertex of that face, and the shadow must not
+    call that divergence."""
     solver = EpochSolver(formulation="path")
     problem = chain_problem(latency_ms=0.25)
     solver.solve(problem)
-    _, previous = solver._previous
+    _, lp = solver._previous
     problem.workloads["default"].demand["west"] = 61.0
     problem.workloads["default"].demand["east"] = 9.7
-    result = solver.solve(problem)
-    assert result.warm_start
-    model = build_path_model(problem)
+    model = build_path_model(problem, structure_cache=solver.structure_cache)
     cold_x = highs_solve(model)
-    warm_x = warm_solve(model, previous)
+    warm_x = warm_solve(lp, model)
     # another vertex, at the same cost
     assert float(np.abs(warm_x - cold_x).max()) > 1.0
     assert model.objective @ warm_x == pytest.approx(
@@ -218,9 +229,8 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum():
         check_warm_against_cold(model, shifted)
 
 
-#: the arc restricted solve on ``sparse_problem()`` runs out of pricing
-#: rounds (``MAX_WARM_ROUNDS``) even when only demand moves, so arc churns
-#: on the same instance with demand at every cluster
+#: arc churns on ``sparse_problem()``'s instance with demand at every
+#: cluster
 CHURN_PROBLEMS = {
     "arc": lambda: synthetic_te_problem(6, 3, 3, seed=5, replication=0.7),
     "path": sparse_problem,
@@ -253,22 +263,23 @@ def test_replica_churn_is_a_warm_epoch(formulation):
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])
-def test_a_shrink_below_the_previous_support_is_solved_cold(formulation):
+def test_a_shrink_below_the_previous_support_is_hot_started(formulation):
     """``b`` drops to one replica: ``a`` and ``b`` together can no longer
-    carry the demand, so the previous support (which never used ``c``) is
-    infeasible. The warm solve is rejected and the epoch solved cold."""
+    carry the demand, so the previous optimal basis (which never used
+    ``c``) turns primal infeasible. Dual simplex repairs it from there: the
+    epoch is a hot start that spills onto ``c``, at the cold objective."""
     solver = EpochSolver(formulation=formulation)
     problem = spill_problem()
     before = solver.solve(problem)
     assert before.flows.get(("default", INGRESS_EDGE, "a", "c"), 0.0) == 0.0
     problem.replicas[("S1", "b")] = 1
     after = solver.solve(problem)
-    assert after.ok and after.warm_build and not after.warm_start
-    assert solver.stats()["warm_rejects"] == 1
+    assert after.ok and after.warm_build and after.warm_start
+    assert solver.stats()["warm_rejects"] == 0
     assert after.flows[("default", INGRESS_EDGE, "a", "c")] > 0.0
-    assert after.objective == EpochSolver(
+    assert after.objective == pytest.approx(EpochSolver(
         cache=None, structure_cache=None, warm_start=False,
-        formulation=formulation).solve(problem).objective
+        formulation=formulation).solve(problem).objective, rel=1e-12)
 
 
 def spill_problem():

@@ -203,7 +203,9 @@ def test_golden_covers_every_scenario(golden):
     assert all(len(epochs) == EPOCHS for epochs in golden.values())
 
 
-# scatter_gather and sparse_mesh have tied optima: this pins HiGHS's vertex
+# scatter_gather and sparse_mesh have tied optima: this pins the vertex the
+# hot-started ladder reaches (epochs 2+ are hot starts from the previous
+# epoch's basis) until plans are made unique (ROADMAP item 1)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_plans_match_the_frozen_goldens(name, golden):
     assert run_scenario(name) == golden[name]
