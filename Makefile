@@ -1,7 +1,7 @@
 # SLATE reproduction — convenience targets
 PYTHON ?= python3
 
-.PHONY: install test lint analyze check bench bench-smoke bench-diff \
+.PHONY: install test lint check bench bench-smoke bench-diff \
 	examples figures clean
 
 install:
@@ -10,22 +10,19 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# the static check: determinism lint (D01-D08) and whole-program flow
+# analyzer (A01-A06) over one parse of src plus tests, examples and
+# benchmarks (docs/devtools.md); report lands in check-report.json for
+# the CI artifact
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src tests benchmarks \
-		examples --audit-suppressions
+	PYTHONPATH=src $(PYTHON) -m repro.devtools.check src \
+		--report check-report.json
 
-# whole-program flow analyzer: purity proofs, determinism taint,
-# architecture contracts (docs/devtools.md); report lands in
-# analyze-report.json for the CI artifact
-analyze:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.analyze src \
-		--report analyze-report.json
-
-# lint + analyzer + tier-1 tests (every run checks the runtime
+# static check + tier-1 tests (every run checks the runtime
 # invariants; the slowest 20 are printed so CI logs where tier-1's time
 # goes; the table is budgeted in docs/performance.md), then the
 # performance ledger's own tests (benchmarks/e2e, <20 s)
-check: lint analyze
+check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ --durations=20
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 

@@ -1,51 +1,37 @@
-"""Devtools wall-time: the lint pass and the whole-program analyzer.
+"""Devtools wall-time: the one static check over the real tree.
 
-Both run in `make check` on every CI build, so their cost is part of the
-edit-test loop budget. The headline keys in ``BENCH_devtools.json`` are
-wall-clock seconds over the real ``src`` tree (``lint_seconds``,
-``analyze_seconds``) — tracked across PRs with a wide diff band, since
-analysis time grows with the tree.
+The check runs in `make check` on every CI build, so its cost is part of
+the edit-test loop budget. The headline key in ``BENCH_devtools.json`` is
+``check_seconds``: wall-clock seconds for one parse of ``src`` plus its
+``tests``/``examples``/``benchmarks`` consumers, the D-rules over every
+file, the A-passes over the package, and the suppression audit —
+tracked across PRs with a wide diff band, since check time grows with
+the tree.
 
-The analyzer parses everything once and runs fixpoints over ~900
-functions, so it is benchmarked with a single round to keep the smoke
-subset under budget.
+The flow passes run fixpoints over ~1,100 functions, so the check is
+benchmarked with a single round to keep the smoke subset under budget.
 """
 
 from pathlib import Path
 
-from repro.devtools import run_analysis
-from repro.devtools.lint import lint_paths
+from repro.devtools import load_project, run_check
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
 
 
-def _lint_tree():
-    return lint_paths([SRC])
+def _check_tree():
+    return run_check(load_project([SRC]))
 
 
-def _analyze_tree():
-    _, result = run_analysis([SRC])
-    return result
-
-
-def test_lint_wall_time(benchmark, bench_json):
-    """File-local AST lint over src (the `make lint` hot path)."""
-    findings = benchmark.pedantic(_lint_tree, rounds=3, iterations=1)
-    assert not findings   # the tree lints clean
+def test_check_wall_time(benchmark, bench_json):
+    """The `make lint` static check over src and its consumers."""
+    result = benchmark.pedantic(_check_tree, rounds=1, iterations=1)
+    assert not result.failed               # the tree checks clean
+    assert result.stats["modules"] > 50    # really analyzed the tree
     if benchmark.stats is not None:
         bench_json("devtools", {
-            "lint_seconds": benchmark.stats.stats.mean,
-        })
-
-
-def test_analyze_wall_time(benchmark, bench_json):
-    """Whole-program flow analysis over src (parse + 3 passes)."""
-    result = benchmark.pedantic(_analyze_tree, rounds=1, iterations=1)
-    assert result.stats["modules"] > 50   # really analyzed the tree
-    if benchmark.stats is not None:
-        bench_json("devtools", {
-            "analyze_seconds": benchmark.stats.stats.mean,
-            "analyze_modules": result.stats["modules"],
-            "analyze_functions": result.stats["functions"],
+            "check_seconds": benchmark.stats.stats.mean,
+            "check_modules": result.stats["modules"],
+            "check_functions": result.stats["functions"],
         })

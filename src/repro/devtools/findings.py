@@ -1,6 +1,7 @@
-"""Lint findings and per-line suppressions.
+"""Findings and per-line suppressions, shared by both rule families.
 
-A :class:`Finding` is one rule violation at one source location. Findings
+A :class:`Finding` is one rule violation at one source location — a
+file-local lint rule (Dxx) or a whole-program flow pass (Axx). Findings
 can be silenced in the source with a trailing comment::
 
     t = time.perf_counter()   # lint: ignore[D02]
@@ -48,9 +49,8 @@ def _comments(source: str) -> list[tuple[int, str]]:
 class Severity(enum.Enum):
     """How a finding is treated by the CLI exit code."""
 
-    ERROR = "error"       # fails the lint run
-    WARNING = "warning"   # reported, does not fail the run
-    OFF = "off"           # rule disabled entirely
+    ERROR = "error"       # fails the check
+    WARNING = "warning"   # reported, does not fail the check
 
     def __str__(self) -> str:
         return self.value
@@ -83,6 +83,8 @@ class Suppressions:
     def __init__(self, source: str) -> None:
         self._by_line: dict[int, set[str]] = {}
         self._fired: set[int] = set()
+        if "lint:" not in source:   # no marker possible: skip tokenizing
+            return
         for lineno, text in _comments(source):
             match = _IGNORE_RE.search(text)
             if match is None:
@@ -104,12 +106,12 @@ class Suppressions:
             return True
         return False
 
-    def unused(self, running: set[str]) -> list[tuple[int, frozenset[str]]]:
+    def unused(self, running: frozenset[str]
+               ) -> list[tuple[int, frozenset[str]]]:
         """Marker lines that silenced nothing this run.
 
         Markers naming only rule ids that are not running are skipped — a
-        ``--select D01`` run must not flag every unrelated marker (nor the
-        flow analyzer's ``ignore[Axx]`` markers when the lint audits).
+        ``--select D01`` run must not flag every unrelated marker.
         Blanket markers (no id list) are always audited.
         """
         out: list[tuple[int, frozenset[str]]] = []

@@ -18,24 +18,23 @@ passes over them:
 3. **Architecture contracts** (:mod:`~repro.devtools.flow.contracts`,
    A04–A06) — declarative layering, import cycles, dead public API.
 
-Drive it with ``python -m repro.devtools.analyze src`` (see
-:mod:`repro.devtools.analyze` and docs/devtools.md).
+Drive it with ``python -m repro.devtools.check src``, which runs these
+passes and the file-local lint over the same parse (see
+:mod:`repro.devtools.check` and docs/devtools.md).
 """
 
 from __future__ import annotations
 
-from .analyzer import ANALYZER_RULES, AnalysisResult, FlowAnalyzer
-from .baseline import Baseline, BaselineEntry
+from .analyzer import ANALYZER_RULES, FlowAnalyzer
 from .contracts import LayerRule, LayerSpec
-from .project import ImportEdge, Project, ProjectModule, SourceFile
+from .project import ImportEdge, Project, ProjectModule
 from .purity import (DEFAULT_PURITY_CONTRACTS, PurityContract, WriteEffect,
                      WriteSets)
 from .symbols import ClassInfo, FunctionInfo, SymbolTable
 from .taint import DEFAULT_SINKS, TaintAnalysis, TaintSink
 
-__all__ = ["ANALYZER_RULES", "AnalysisResult", "Baseline", "BaselineEntry",
-           "ClassInfo", "DEFAULT_PURITY_CONTRACTS", "DEFAULT_SINKS",
-           "FlowAnalyzer", "FunctionInfo", "ImportEdge", "LayerRule",
-           "LayerSpec", "Project", "ProjectModule", "PurityContract",
-           "SourceFile", "SymbolTable", "TaintAnalysis", "TaintSink",
+__all__ = ["ANALYZER_RULES", "ClassInfo", "DEFAULT_PURITY_CONTRACTS",
+           "DEFAULT_SINKS", "FlowAnalyzer", "FunctionInfo", "ImportEdge",
+           "LayerRule", "LayerSpec", "Project", "ProjectModule",
+           "PurityContract", "SymbolTable", "TaintAnalysis", "TaintSink",
            "WriteEffect", "WriteSets"]

@@ -1,19 +1,17 @@
-"""Orchestration: parse once, run the three passes, apply suppressions.
+"""Orchestration: run the three whole-program passes over one parse.
 
-:class:`FlowAnalyzer` is the façade the CLI (and tests) drive. It owns
-the pass configuration — purity contracts, taint sinks, the layer spec —
-so fixture projects can swap any of them out, and applies the same
-per-line ``# lint: ignore[Axx]`` suppression machinery the AST linter
-uses, plus the committed baseline.
+:class:`FlowAnalyzer` owns the pass configuration — purity contracts,
+taint sinks, the layer spec — so fixture projects can swap any of them
+out. It returns raw findings; :mod:`repro.devtools.check` applies the
+per-line ``# lint: ignore[Axx]`` suppressions together with the
+file-local lint's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..findings import Finding
-from .baseline import Baseline, BaselineEntry
 from .contracts import (LayerSpec, check_cycles, check_dead_api,
                         check_layering)
 from .project import Project
@@ -22,9 +20,9 @@ from .purity import (DEFAULT_PURITY_CONTRACTS, PurityContract, WriteSets,
 from .symbols import SymbolTable
 from .taint import DEFAULT_SINKS, TaintSink, check_taint
 
-__all__ = ["ANALYZER_RULES", "AnalysisResult", "FlowAnalyzer"]
+__all__ = ["ANALYZER_RULES", "FlowAnalyzer"]
 
-#: rule catalogue for --list-rules / --select validation
+#: pass catalogue for --list-rules / --select validation
 ANALYZER_RULES: dict[str, str] = {
     "A01": "obs entrypoint may write simulator/mesh/controller state",
     "A02": "chaos harness may mutate the shared scenario object",
@@ -33,25 +31,6 @@ ANALYZER_RULES: dict[str, str] = {
     "A05": "import cycle among eager imports",
     "A06": "dead public API: __all__ name never referenced",
 }
-
-
-@dataclass
-class AnalysisResult:
-    """Everything one analyzer run produced."""
-
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
-    parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: module/function counts for reporting
-    stats: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        from ..findings import Severity
-        return bool(self.parse_errors) or any(
-            f.severity is Severity.ERROR for f in self.findings)
 
 
 class FlowAnalyzer:
@@ -68,15 +47,8 @@ class FlowAnalyzer:
         self.layer_spec = layer_spec or LayerSpec.default()
         self.symbols = SymbolTable(project)
 
-    def run(self, select: frozenset[str] | None = None,
-            baseline: Baseline | None = None,
-            changed_paths: set[str] | None = None) -> AnalysisResult:
-        """All selected passes; suppressions, baseline, change scoping.
-
-        ``changed_paths`` (normalized path strings) limits *reported*
-        findings to those files — the analysis itself is always whole
-        program, because that is the point.
-        """
+    def run(self, select: frozenset[str] | None = None) -> list[Finding]:
+        """Findings of every selected pass, before suppression."""
 
         def runs(rule: str) -> bool:
             return select is None or rule in select
@@ -96,35 +68,4 @@ class FlowAnalyzer:
             raw.extend(check_cycles(self.project))
         if runs("A06"):
             raw.extend(check_dead_api(self.symbols))
-
-        result = AnalysisResult(parse_errors=list(self.project.parse_errors))
-        result.stats = {
-            "modules": len(self.project.modules),
-            "functions": len(self.symbols.functions),
-            "classes": len(self.symbols.classes),
-            "import_edges": len(self.project.import_edges),
-            "consumer_files": len(self.project.consumers),
-        }
-
-        visible: list[Finding] = []
-        for finding in sorted(set(raw), key=lambda f: (
-                f.path, f.line, f.col, f.rule, f.message)):
-            module = self.project.module_for_path(finding.path)
-            if module is not None and module.suppressions.silences(
-                    finding.line, finding.rule):
-                result.suppressed += 1
-                continue
-            visible.append(finding)
-
-        if baseline is not None:
-            fresh, known, stale = baseline.split(visible)
-            result.baselined = known
-            result.stale_baseline = stale
-            visible = fresh
-
-        if changed_paths is not None:
-            visible = [f for f in visible
-                       if f.path.replace("\\", "/") in changed_paths]
-
-        result.findings = visible
-        return result
+        return raw

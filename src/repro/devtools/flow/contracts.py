@@ -5,7 +5,7 @@ substrate must not know about observability or fault injection, the
 observability layer must not know about fault injection, and the dev
 tooling must not import the runtime at module scope (the runtime imports
 *it* for the invariant hooks). :class:`LayerSpec` states those rules as
-data — checkable, diffable, overridable from a JSON file — and the pass
+data — checkable, diffable, substitutable by tests — and the pass
 enforces them over the parsed import graph:
 
 * **A04** — a module imports a package its layer forbids (findings land
@@ -21,12 +21,11 @@ enforces them over the parsed import graph:
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..findings import Finding, Severity
-from .project import Project, ProjectModule, SourceFile, import_cycles
+from ..rules import ModuleSource
+from .project import Project, ProjectModule, import_cycles
 from .symbols import SymbolTable
 
 __all__ = ["LayerRule", "LayerSpec", "check_cycles", "check_dead_api",
@@ -85,29 +84,6 @@ class LayerSpec:
             LayerRule("repro.experiments.harness", ("repro.chaos",)),
             LayerRule("repro.devtools", runtime),
         ))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "LayerSpec":
-        """Load a spec from JSON::
-
-            {"rules": [{"package": "repro.sim",
-                        "forbid": ["repro.obs", "repro.chaos"],
-                        "allow_deferred": false}]}
-        """
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or not isinstance(
-                raw.get("rules"), list):
-            raise ValueError(f"{path}: spec root must be an object with "
-                             f"a 'rules' list")
-        rules = []
-        for entry in raw["rules"]:
-            if not isinstance(entry, dict) or "package" not in entry:
-                raise ValueError(f"{path}: each rule needs a 'package'")
-            rules.append(LayerRule(
-                package=str(entry["package"]),
-                forbid=tuple(str(f) for f in entry.get("forbid", [])),
-                allow_deferred=bool(entry.get("allow_deferred", False))))
-        return cls(rules=tuple(rules))
 
     def rule_for(self, module: str) -> LayerRule | None:
         """The most specific rule whose package prefix covers ``module``."""
@@ -237,7 +213,7 @@ class _UsageIndex:
                     ("symbol", f"{module.name}:{stmt.target.id}"))
         self._scan_tree(module.tree, bindings)
 
-    def scan_consumer(self, consumer: SourceFile) -> None:
+    def scan_consumer(self, consumer: ModuleSource) -> None:
         bindings = self._import_bindings(consumer.tree, None)
         self._scan_tree(consumer.tree, bindings)
 

@@ -2,13 +2,14 @@
 
 A :class:`Project` parses every ``*.py`` under one or more roots exactly
 once and derives, for each module, its dotted name (``repro.sim.engine``),
-its AST, its per-line lint suppressions, and its imports of *other project
-modules*. Import edges distinguish eager (module/class body) from
-deferred (function body) imports, because the layering contracts treat
-them differently and only eager edges can participate in import cycles.
+its AST, and its imports of *other project modules*. Import edges
+distinguish eager (module/class body) from deferred (function body)
+imports, because the layering contracts treat them differently and only
+eager edges can participate in import cycles.
 
-Everything downstream — the call graph, the purity and taint passes, the
-architecture contracts — works off this one parse.
+Everything downstream — the file-local lint rules, the call graph, the
+purity and taint passes, the architecture contracts — works off this one
+parse.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator
 
-from ..findings import Suppressions
+from ..rules import ModuleSource
 
-__all__ = ["ImportEdge", "Project", "ProjectModule", "SourceFile",
-           "import_cycles"]
+__all__ = ["ImportEdge", "Project", "ProjectModule", "import_cycles"]
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".pytest_cache",
                         ".hypothesis", "build", "dist"})
@@ -37,28 +37,17 @@ class ImportEdge:
     deferred: bool  # inside a function body (lazy import)
 
 
-@dataclass
-class SourceFile:
-    """One parsed file that is *not* part of the analyzed package.
+@dataclass(frozen=True)
+class ProjectModule(ModuleSource):
+    """One parsed module of the analyzed package.
 
-    Tests, examples, and benchmarks are parsed as consumers: their
-    references keep public API alive, but no findings are raised on them.
+    Files that are *not* part of the package — tests, examples,
+    benchmarks — stay plain :class:`~repro.devtools.rules.ModuleSource`
+    consumers: their references keep public API alive, but the flow
+    passes raise no findings on them.
     """
 
-    path: str
-    tree: ast.Module
-    source: str
-
-
-@dataclass
-class ProjectModule:
-    """One parsed module of the analyzed package."""
-
-    name: str       # dotted module name, e.g. "repro.sim.engine"
-    path: str       # path as given on the command line
-    tree: ast.Module
-    source: str
-    suppressions: Suppressions
+    name: str         # dotted module name, e.g. "repro.sim.engine"
     is_package: bool  # True for __init__.py
 
 
@@ -81,24 +70,30 @@ def _module_name(path: str, is_package_dir: Callable[[str], bool]) -> str:
     return ".".join(reversed(parts))
 
 
-def _parse(source: str, path: str) -> ast.Module | None:
+def _parse(source: str, path: str,
+           parse_errors: list[tuple[str, str]]) -> ast.Module | None:
     try:
         return ast.parse(source, filename=path)
-    except SyntaxError:
+    except SyntaxError as exc:
+        parse_errors.append((path, str(exc)))
         return None
+
+
+def _python_files(root: Path) -> list[Path]:
+    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
+    return [f for f in files if not _SKIP_DIRS.intersection(f.parts)]
 
 
 class Project:
     """The parsed module set of one package tree plus its consumer files."""
 
     def __init__(self, modules: dict[str, ProjectModule],
-                 consumers: list[SourceFile] | None = None,
+                 consumers: list[ModuleSource] | None = None,
                  parse_errors: list[tuple[str, str]] | None = None) -> None:
         self.modules = modules
         self.consumers = consumers or []
         #: files that failed to parse: (path, message)
         self.parse_errors = parse_errors or []
-        self._by_path = {_norm(m.path): m for m in modules.values()}
         self._edges: list[ImportEdge] | None = None
 
     # ------------------------------------------------------------ loading
@@ -106,55 +101,28 @@ class Project:
     @classmethod
     def load(cls, roots: Iterable[str | Path],
              consumer_roots: Iterable[str | Path] = ()) -> "Project":
-        """Parse every ``*.py`` under ``roots`` into project modules.
+        """Read and parse every ``*.py`` under ``roots`` into project modules.
 
-        ``consumer_roots`` (tests, examples, benchmarks) are parsed too,
-        but only to record references for dead-public-API detection.
+        ``consumer_roots`` (tests, examples, benchmarks) are parsed too;
+        the flow passes only record their references (dead-public-API
+        detection), the file-local lint rules check them like any file.
         """
-        modules: dict[str, ProjectModule] = {}
-        consumers: list[SourceFile] = []
-        parse_errors: list[tuple[str, str]] = []
-
-        def is_package_dir(directory: str) -> bool:
-            return (Path(directory) / "__init__.py").exists()
-
+        sources: dict[str, str] = {}
         for root in roots:
             root_path = Path(root)
             if not root_path.exists():
                 raise FileNotFoundError(
                     f"no such file or directory: {root}")
-            files = ([root_path] if root_path.is_file()
-                     else sorted(root_path.rglob("*.py")))
-            for candidate in files:
-                if _SKIP_DIRS.intersection(candidate.parts):
-                    continue
-                source = candidate.read_text(encoding="utf-8")
-                tree = _parse(source, str(candidate))
-                if tree is None:
-                    parse_errors.append((str(candidate), "syntax error"))
-                    continue
-                name = _module_name(str(candidate), is_package_dir)
-                modules[name] = ProjectModule(
-                    name=name, path=str(candidate), tree=tree, source=source,
-                    suppressions=Suppressions(source),
-                    is_package=candidate.name == "__init__.py")
+            for candidate in _python_files(root_path):
+                sources[str(candidate)] = candidate.read_text(
+                    encoding="utf-8")
+        consumer_sources: dict[str, str] = {}
         for root in consumer_roots:
-            root_path = Path(root)
-            if not root_path.exists():
-                continue
-            files = ([root_path] if root_path.is_file()
-                     else sorted(root_path.rglob("*.py")))
-            for candidate in files:
-                if _SKIP_DIRS.intersection(candidate.parts):
-                    continue
-                source = candidate.read_text(encoding="utf-8")
-                tree = _parse(source, str(candidate))
-                if tree is None:
-                    parse_errors.append((str(candidate), "syntax error"))
-                    continue
-                consumers.append(SourceFile(path=str(candidate), tree=tree,
-                                            source=source))
-        return cls(modules, consumers, parse_errors)
+            for candidate in _python_files(Path(root)):
+                consumer_sources[str(candidate)] = candidate.read_text(
+                    encoding="utf-8")
+        return cls._parse_all(sources, consumer_sources, lambda directory: (
+            Path(directory) / "__init__.py").exists())
 
     @classmethod
     def from_sources(cls, sources: dict[str, str],
@@ -162,35 +130,37 @@ class Project:
                      ) -> "Project":
         """Build a project from in-memory ``{path: source}`` (fixtures)."""
         paths = {_norm(p) for p in sources}
+        return cls._parse_all(
+            sources, consumer_sources or {},
+            lambda directory: f"{_norm(directory)}/__init__.py" in paths)
 
-        def is_package_dir(directory: str) -> bool:
-            return f"{_norm(directory)}/__init__.py" in paths
-
+    @classmethod
+    def _parse_all(cls, sources: dict[str, str],
+                   consumer_sources: dict[str, str],
+                   is_package_dir: Callable[[str], bool]) -> "Project":
         modules: dict[str, ProjectModule] = {}
+        consumers: list[ModuleSource] = []
         parse_errors: list[tuple[str, str]] = []
         for path in sorted(sources):
-            source = sources[path]
-            tree = _parse(source, path)
-            if tree is None:
-                parse_errors.append((path, "syntax error"))
-                continue
-            name = _module_name(path, is_package_dir)
-            modules[name] = ProjectModule(
-                name=name, path=path, tree=tree, source=source,
-                suppressions=Suppressions(source),
-                is_package=_norm(path).endswith("/__init__.py"))
-        consumers = []
-        for path in sorted(consumer_sources or {}):
-            tree = _parse(consumer_sources[path], path)
+            tree = _parse(sources[path], path, parse_errors)
             if tree is not None:
-                consumers.append(SourceFile(
+                name = _module_name(path, is_package_dir)
+                modules[name] = ProjectModule(
+                    path=path, tree=tree, source=sources[path], name=name,
+                    is_package=PurePosixPath(_norm(path)).name
+                    == "__init__.py")
+        for path in sorted(consumer_sources):
+            tree = _parse(consumer_sources[path], path, parse_errors)
+            if tree is not None:
+                consumers.append(ModuleSource(
                     path=path, tree=tree, source=consumer_sources[path]))
         return cls(modules, consumers, parse_errors)
 
-    # ----------------------------------------------------------- accessors
+    def files(self) -> list[ModuleSource]:
+        """Every parsed file: the package modules, then the consumers."""
+        return [*self.modules.values(), *self.consumers]
 
-    def module_for_path(self, path: str | Path) -> ProjectModule | None:
-        return self._by_path.get(_norm(path))
+    # ----------------------------------------------------------- accessors
 
     def sorted_modules(self) -> list[ProjectModule]:
         return [self.modules[name] for name in sorted(self.modules)]

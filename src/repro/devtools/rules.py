@@ -25,7 +25,8 @@ __all__ = ["ALL_RULES", "DunderAllConsistency", "FloatTimestampEquality",
 
 @dataclass(frozen=True)
 class ModuleSource:
-    """One parsed source file handed to every rule."""
+    """One parsed source file: what every rule checks, and what
+    :class:`~repro.devtools.flow.project.Project` keeps per file."""
 
     path: str            # path as given on the command line
     tree: ast.Module
@@ -81,10 +82,9 @@ def _walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFun
 
 
 class Rule:
-    """Base class: one lint rule with an id, severity, and AST check."""
+    """Base class: one lint rule with an id and an AST check."""
 
     rule_id: str = "D00"
-    default_severity: Severity = Severity.ERROR
     summary: str = ""
 
     def applies_to(self, module: ModuleSource) -> bool:
@@ -99,7 +99,7 @@ class Rule:
                        line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0),
                        rule=self.rule_id,
-                       severity=self.default_severity,
+                       severity=Severity.ERROR,
                        message=message)
 
 
@@ -585,7 +585,7 @@ class PrintInLibraryCode(Rule):
         return bool(self._WRITE_MODE_CHARS.intersection(mode.value))
 
 
-#: registry in rule-id order; the linter instantiates from this list
+#: registry in rule-id order; the check instantiates from this list
 ALL_RULES: tuple[type[Rule], ...] = (
     RandomnessOutsideRegistry,
     WallClockInSimulatedCode,

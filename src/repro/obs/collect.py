@@ -186,24 +186,16 @@ def collect_controller_metrics(registry: MetricsRegistry,
                 epoch_solver.solves)
         registry.counter(
             "optimizer_warm_solves_total",
-            "solves served by the warm-start restricted path").inc(
-                epoch_solver.warm_solves)
+            "hot starts from the previous epoch's HiGHS basis that ended "
+            "optimal").inc(epoch_solver.warm_solves)
         registry.counter(
             "optimizer_warm_rejects_total",
-            "warm-start attempts that fell back to a cold solve").inc(
-                epoch_solver.warm_rejects)
+            "hot starts that did not end optimal and were re-run "
+            "cold").inc(epoch_solver.warm_rejects)
         registry.counter(
             "optimizer_cold_solves_total",
             "solves that assembled and solved the full model").inc(
                 epoch_solver.solves - epoch_solver.warm_solves)
-        registry.counter(
-            "optimizer_certificate_accepted_total",
-            "pricing certificates that proved the restricted solve "
-            "optimal").inc(epoch_solver.warm_solves)
-        registry.counter(
-            "optimizer_certificate_rejected_total",
-            "pricing certificates that forced a cold re-solve").inc(
-                epoch_solver.warm_rejects)
         registry.counter(
             "optimizer_replays_total",
             "epoch plans replayed from the solver cache").inc(

@@ -105,7 +105,7 @@ class Simulator:
         the event cannot be cancelled. Use :meth:`schedule_cancellable`
         when the caller may need to revoke the event.
         """
-        if delay < 0:
+        if not delay >= 0:   # NaN fails every comparison
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         heapq.heappush(self._heap, (self._now + delay, next(self._seq),
                                     callback, args))
@@ -113,7 +113,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
         heapq.heappush(self._heap, (time, next(self._seq), callback, args))
@@ -129,10 +129,10 @@ class Simulator:
         :meth:`run_until_idle` able to drain — a self-perpetuating event
         would never let the heap empty.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(
                 f"periodic interval must be > 0, got {interval}")
-        if until < self._now:
+        if not until >= self._now:
             raise SimulationError(
                 f"cannot schedule until t={until} before now={self._now}")
         count = 0
@@ -148,7 +148,7 @@ class Simulator:
                              callback: Callable[..., None],
                              *args: Any) -> EventHandle:
         """Like :meth:`schedule`, but returns a cancellable handle."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         return self.schedule_at_cancellable(self._now + delay, callback,
                                             *args)
@@ -157,7 +157,7 @@ class Simulator:
                                 callback: Callable[..., None],
                                 *args: Any) -> EventHandle:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
         handle = EventHandle(time, callback, args)

@@ -69,14 +69,14 @@ class TimeoutPolicy:
     hedge_delay: float | None = None
 
     def __post_init__(self) -> None:
-        if self.call_timeout <= 0:
+        if not self.call_timeout > 0:   # NaN fails every comparison
             raise ValueError("call_timeout must be > 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.hedge_delay is not None:
-            if self.hedge_delay <= 0:
+            if not self.hedge_delay > 0:
                 raise ValueError("hedge_delay must be > 0")
-            if self.hedge_delay >= self.call_timeout:
+            if not self.hedge_delay < self.call_timeout:
                 raise ValueError("hedge_delay must precede the deadline")
 
 

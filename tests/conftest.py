@@ -52,6 +52,17 @@ def lh_app():
     return two_class_app(light_exec=0.003, heavy_exec=0.045, n_services=2)
 
 
+@pytest.fixture(scope="session")
+def real_tree_check():
+    """One static check of the committed tree (``src`` plus its tests,
+    examples and benchmarks), shared by the lint and analyzer tests."""
+    from pathlib import Path
+
+    from repro.devtools import load_project, run_check
+    return run_check(load_project([Path(__file__).resolve().parent.parent
+                                   / "src"]))
+
+
 # ------------------------------------------------------- hot-start shadow
 
 #: shadow tolerance (relative, scaled by the cold solution's magnitude)

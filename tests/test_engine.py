@@ -101,6 +101,36 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.schedule(NAN, lambda: None),
+    lambda sim: sim.schedule_cancellable(NAN, lambda: None),
+    lambda sim: sim.schedule_at(NAN, lambda: None),
+    lambda sim: sim.schedule_at_cancellable(NAN, lambda: None),
+    lambda sim: sim.schedule_periodic(NAN, lambda: None, 10.0),
+    lambda sim: sim.schedule_periodic(1.0, lambda: None, NAN),
+], ids=["schedule", "schedule_cancellable", "schedule_at",
+        "schedule_at_cancellable", "periodic_interval", "periodic_until"])
+def test_nan_time_rejected(schedule):
+    # NaN fails every comparison, so a guard written as `delay < 0` let it
+    # through; the event then fired out of order with sim.now == nan
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    assert sim.pending_events == 0
+
+
+def test_infinite_delay_still_accepted():
+    sim = Simulator()
+    sim.schedule(float("inf"), lambda: None)
+    sim.schedule_cancellable(float("inf"), lambda: None)
+    assert sim.pending_events == 2
+    sim.run(until=5.0)
+    assert sim.events_processed == 0
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     seen = []

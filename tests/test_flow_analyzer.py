@@ -1,4 +1,5 @@
-"""Tests for the whole-program flow analyzer (``repro.devtools.flow``).
+"""Tests for the whole-program flow analyzer (``repro.devtools.flow``),
+driven through the one static check (``repro.devtools.check``).
 
 Each pass gets a seeded fixture project (must fire) and a clean
 counterpart (must stay silent), mirroring ``test_lint.py``; on top of
@@ -14,15 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import FlowAnalyzer
-from repro.devtools.analyze import main, run_analysis
+from repro.devtools import Severity, run_check
+from repro.devtools.check import main
 from repro.devtools.flow import Project
-from repro.devtools.flow.baseline import Baseline
 from repro.devtools.flow.contracts import LayerRule, LayerSpec
 from repro.devtools.flow.purity import PurityContract
 from repro.devtools.flow.taint import TaintSink
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 OBS_CONTRACT = PurityContract(
     name="obsish-read-only", rule="A01",
@@ -32,10 +30,9 @@ OBS_CONTRACT = PurityContract(
 
 def analyze_sources(sources, *, contracts=(), sinks=(), layers=None,
                     consumers=None, select=None):
-    project = Project.from_sources(sources, consumers)
-    analyzer = FlowAnalyzer(project, purity_contracts=tuple(contracts),
-                            taint_sinks=tuple(sinks), layer_spec=layers)
-    return analyzer.run(select=select)
+    return run_check(Project.from_sources(sources, consumers), select,
+                     purity_contracts=tuple(contracts),
+                     taint_sinks=tuple(sinks), layer_spec=layers)
 
 
 def rule_ids(result):
@@ -295,42 +292,29 @@ class TestSuppressionAndBaseline:
                 "    engine.bump()\n"),
         }, contracts=(OBS_CONTRACT,), select=frozenset({"A01"}))
         assert result.findings == []
-        assert result.suppressed == 1
+        assert len(result.suppressed) == 1
 
-    def test_baseline_grandfathers_and_detects_stale(self):
+    def test_stale_analyzer_marker_is_flagged(self):
+        """A ``# lint: ignore[A04]`` that silences nothing is a SUP warning,
+        audited like any lint marker."""
         sources = {
             "app/__init__.py": "",
-            "app/engine.py": ENGINE,
-            "app/obsish.py": (
-                "from .engine import Engine\n"
-                "__all__ = ['collect']\n"
-                "def collect(engine: Engine):\n"
-                "    engine.bump()\n"),
+            "app/high.py": "__all__ = []\n",
+            "app/low.py": ("import app.high   # lint: ignore[A04]\n"
+                           "__all__ = []\n"),
         }
-        project = Project.from_sources(sources)
-        analyzer = FlowAnalyzer(project, purity_contracts=(OBS_CONTRACT,),
-                                taint_sinks=(), layer_spec=None)
-        first = analyzer.run(select=frozenset({"A01"}))
-        baseline = Baseline.from_findings(first.findings)
+        used = analyze_sources(sources, layers=TestContractPasses.LAYERS,
+                               select=frozenset({"A04"}))
+        assert used.findings == []
+        assert [f.rule for f in used.suppressed] == ["A04"]
 
-        second = analyzer.run(select=frozenset({"A01"}),
-                              baseline=baseline)
-        assert second.findings == []
-        assert len(second.baselined) == 1
-
-        fixed = dict(sources)
-        fixed["app/obsish.py"] = (
-            "from .engine import Engine\n"
-            "__all__ = ['collect']\n"
-            "def collect(engine: Engine):\n"
-            "    return engine.read()\n")
-        clean_analyzer = FlowAnalyzer(
-            Project.from_sources(fixed), purity_contracts=(OBS_CONTRACT,),
-            taint_sinks=(), layer_spec=None)
-        third = clean_analyzer.run(select=frozenset({"A01"}),
-                                   baseline=baseline)
-        assert third.findings == []
-        assert len(third.stale_baseline) == 1
+        stale = analyze_sources(sources, layers=LayerSpec(rules=()),
+                                select=frozenset({"A04"}))
+        assert [(f.rule, f.path, f.line, f.severity)
+                for f in stale.findings] == [
+            ("SUP", "app/low.py", 1, Severity.WARNING)]
+        assert "A04" in stale.findings[0].message
+        assert not stale.failed
 
 
 def _write_fixture_tree(root: Path) -> Path:
@@ -353,21 +337,11 @@ class TestCli:
         assert main(["--select", "A99"]) == 2
         assert "A99" in capsys.readouterr().err
 
-    def test_findings_exit_nonzero_and_baseline_adoption(
-            self, tmp_path, capsys, monkeypatch):
+    def test_findings_exit_nonzero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         src = _write_fixture_tree(tmp_path)
         assert main([str(src), "--select", "A05"]) == 1
         assert "import cycle" in capsys.readouterr().out
-
-        baseline = tmp_path / "analyze-baseline.json"
-        assert main([str(src), "--select", "A05",
-                     "--write-baseline"]) == 0
-        assert baseline.exists()
-        # the default baseline is picked up and grandfathers the cycle
-        assert main([str(src), "--select", "A05"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
 
     def test_json_report_artifact(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -384,31 +358,13 @@ class TestCli:
 
 
 class TestRealTree:
-    def test_src_analyzes_clean(self):
+    def test_src_analyzes_clean(self, real_tree_check):
         """The committed tree holds every contract the analyzer checks."""
-        _, result = run_analysis([str(REPO_ROOT / "src")])
+        result = real_tree_check
         assert result.parse_errors == []
         messages = [f.render() for f in result.findings]
         assert messages == []
         assert result.stats["modules"] > 50
-
-    def test_changed_only_scoping_drops_unchanged_findings(self):
-        result = analyze_sources({
-            "app/__init__.py": "",
-            "app/alpha.py": "from . import beta\n__all__ = []\n",
-            "app/beta.py": "from . import alpha\n__all__ = []\n",
-        }, select=frozenset({"A05"}))
-        assert rule_ids(result) == {"A05"}
-        project = Project.from_sources({
-            "app/__init__.py": "",
-            "app/alpha.py": "from . import beta\n__all__ = []\n",
-            "app/beta.py": "from . import alpha\n__all__ = []\n",
-        })
-        analyzer = FlowAnalyzer(project, purity_contracts=(),
-                                taint_sinks=())
-        scoped = analyzer.run(select=frozenset({"A05"}),
-                              changed_paths={"app/other.py"})
-        assert scoped.findings == []
 
 
 if __name__ == "__main__":

@@ -252,12 +252,13 @@ def test_check_fluid_rates_rejects_negative_and_nan():
 
 
 def test_d02_wall_clock_lint_covers_fluid_tick_loop():
-    from repro.devtools.lint import Linter
+    from repro.devtools import run_check
+    from repro.devtools.flow import Project
     source = ("import time\n"
               "def tick():\n"
               "    return time.time()\n")
-    findings = Linter().lint_source(
-        source, "src/repro/sim/fluid/substrate.py")
+    findings = run_check(Project.from_sources(
+        {"src/repro/sim/fluid/substrate.py": source})).findings
     assert any(f.rule == "D02" for f in findings)
 
 

@@ -1,25 +1,31 @@
-"""Tests for the determinism lint pass (``repro.devtools.lint``).
+"""Tests for the determinism lint rules, driven through the one static
+check (``repro.devtools.check``).
 
 Each rule gets a seeded violation fixture (must fire) and a clean
-counterpart (must stay silent); on top of that the whole ``src/repro``
-tree must lint clean — the suite is the enforcement mechanism for the
-determinism discipline described in docs/devtools.md.
+counterpart (must stay silent); on top of that the whole tree must check
+clean — the suite is the enforcement mechanism for the determinism
+discipline described in docs/devtools.md.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.devtools import LintConfig, Linter, Severity, lint_paths
-from repro.devtools.lint import main
+from repro.devtools import Severity, load_project, run_check
+from repro.devtools.check import main
+from repro.devtools.flow import Project
+from repro.devtools.rules import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+LINT_RULES = frozenset(cls.rule_id for cls in ALL_RULES)
 
 #: virtual paths that put a fixture inside each enforcement scope
 SIM_PATH = "src/repro/sim/fixture.py"
@@ -28,9 +34,18 @@ ANALYSIS_PATH = "src/repro/analysis/fixture.py"
 TEST_PATH = "tests/fixture.py"
 
 
+def check_source(source: str, path: str = SIM_PATH,
+                 select: frozenset[str] | None = None):
+    return run_check(Project.from_sources({path: source}), select).findings
+
+
 def rule_ids(source: str, path: str = SIM_PATH) -> set[str]:
-    findings = Linter().lint_source(source, path)
-    return {f.rule for f in findings}
+    return {f.rule for f in check_source(source, path)}
+
+
+def findings_under(result, *roots: Path) -> list[str]:
+    return [f.render() for f in result.findings
+            if any(Path(f.path).is_relative_to(root) for root in roots)]
 
 
 # ------------------------------------------------------- per-rule fixtures
@@ -227,11 +242,12 @@ def test_obs_package_lints_clean():
     else (tracer, analyzer, metrics, decisions, profiler) must be clean
     with no suppressions needed.
     """
-    findings = lint_paths([REPO_ROOT / "src" / "repro" / "obs"])
+    findings = run_check(load_project([REPO_ROOT / "src" / "repro" / "obs"]),
+                         LINT_RULES).findings
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-# ------------------------------------------------- suppressions & severity
+# ------------------------------------------------------------ suppressions
 
 def test_inline_suppression_silences_one_rule():
     source = ("import time\n"
@@ -257,39 +273,12 @@ def test_suppression_is_per_line():
     assert "D02" in rule_ids(source)
 
 
-def test_severity_config_downgrades_and_disables(tmp_path):
-    source = ("import time\n"
-              "__all__ = []\n"
-              "def _stamp():\n"
-              "    return time.time()\n")
-    config = LintConfig(severities={"D02": Severity.WARNING})
-    findings = Linter(config).lint_source(source, SIM_PATH)
-    d02 = [f for f in findings if f.rule == "D02"]
-    assert d02 and all(f.severity is Severity.WARNING for f in d02)
-
-    config = LintConfig(severities={"D02": Severity.OFF})
-    findings = Linter(config).lint_source(source, SIM_PATH)
-    assert not [f for f in findings if f.rule == "D02"]
-
-
-def test_severity_config_loads_from_json(tmp_path):
-    path = tmp_path / "lint.json"
-    path.write_text(json.dumps({"severities": {"D04": "warning"}}))
-    config = LintConfig.from_file(path)
-    assert config.severity_for("D04", Severity.ERROR) is Severity.WARNING
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"severities": {"D04": "loud"}}))
-    with pytest.raises(ValueError, match="invalid severity"):
-        LintConfig.from_file(bad)
-
-
 def test_select_restricts_rules():
     source = ("import time\n"
               "__all__ = []\n"
               "def _both(out=[]):\n"
               "    return time.time()\n")
-    config = LintConfig(select=frozenset({"D05"}))
-    findings = Linter(config).lint_source(source, SIM_PATH)
+    findings = check_source(source, select=frozenset({"D05"}))
     assert {f.rule for f in findings} == {"D05"}
 
 
@@ -335,20 +324,12 @@ def test_cli_rejects_unknown_select_id(capsys):
     assert "unknown rule id(s)" in capsys.readouterr().err
 
 
-def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys):
-    cfg = tmp_path / "lint.json"
-    cfg.write_text('{"severities": {"D01": "loud"}}')
-    assert main(["--config", str(cfg), str(REPO_ROOT / "src")]) == 2
-    err = capsys.readouterr().err
-    assert "invalid severity" in err and "Traceback" not in err
-
-
 def test_module_entry_point_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.devtools.lint", "--list-rules"],
+        [sys.executable, "-m", "repro.devtools.check", "--list-rules"],
         capture_output=True, text=True, cwd=REPO_ROOT, env=env)
     assert proc.returncode == 0
     assert "D01" in proc.stdout
@@ -356,124 +337,102 @@ def test_module_entry_point_runs():
 
 # ---------------------------------------------------- the tree stays clean
 
-def test_src_repro_lints_clean():
-    findings = lint_paths([REPO_ROOT / "src" / "repro"])
-    assert findings == [], "\n".join(f.render() for f in findings)
+def test_src_repro_lints_clean(real_tree_check):
+    findings = findings_under(real_tree_check, REPO_ROOT / "src" / "repro")
+    assert findings == [], "\n".join(findings)
 
 
-def test_tests_and_benchmarks_lint_clean():
-    findings = lint_paths([REPO_ROOT / "tests", REPO_ROOT / "benchmarks"])
-    assert findings == [], "\n".join(f.render() for f in findings)
+def test_tests_and_benchmarks_lint_clean(real_tree_check):
+    findings = findings_under(real_tree_check, REPO_ROOT / "tests",
+                              REPO_ROOT / "benchmarks")
+    assert findings == [], "\n".join(findings)
 
 
 # ------------------------------------------------- suppression audit (SUP)
 
 def test_audit_flags_unused_suppression():
-    findings = Linter(audit_suppressions=True).lint_source(
+    findings = check_source(
         "__all__ = []\n"
         "def _f(x):\n"
-        "    return x + 1   # lint: ignore[D05]\n", SIM_PATH)
+        "    return x + 1   # lint: ignore[D05]\n")
     assert [f.rule for f in findings] == ["SUP"]
     assert findings[0].severity is Severity.WARNING
     assert "D05" in findings[0].message
 
 
 def test_audit_keeps_quiet_about_used_suppression():
-    findings = Linter(audit_suppressions=True).lint_source(
+    findings = check_source(
         "__all__ = []\n"
         "def _collect(out=[]):   # lint: ignore[D05]\n"
-        "    return out\n", SIM_PATH)
+        "    return out\n")
     assert findings == []
 
 
 def test_audit_ignores_markers_for_rules_not_running():
-    # an analyzer suppression (Axx) must not be flagged by the lint audit,
-    # nor a Dxx marker when --select excludes that rule
-    config = LintConfig()
-    config.select = frozenset({"D01"})
-    findings = Linter(config, audit_suppressions=True).lint_source(
+    # neither an analyzer (Axx) nor a lint (Dxx) marker is flagged when
+    # --select excludes the rule it names
+    findings = check_source(
         "__all__ = []\n"
         "from x import y   # lint: ignore[A04]\n"
         "def _f(out=[]):   # lint: ignore[D05]\n"
-        "    return out\n", SIM_PATH)
+        "    return out\n", select=frozenset({"D01"}))
     assert findings == []
 
 
 def test_audit_flags_unused_blanket_marker():
-    findings = Linter(audit_suppressions=True).lint_source(
+    findings = check_source(
         "__all__ = []\n"
-        "X = 1   # lint: ignore\n", SIM_PATH)
+        "X = 1   # lint: ignore\n")
     assert [f.rule for f in findings] == ["SUP"]
     assert "all rules" in findings[0].message
 
 
-def test_cli_audit_suppressions_flag(tmp_path, capsys):
+def test_cli_warns_about_unused_suppression(tmp_path, capsys):
     victim = tmp_path / "src" / "repro" / "sim" / "mod.py"
     victim.parent.mkdir(parents=True)
     victim.write_text("__all__ = []\n"
                       "X = 1   # lint: ignore[D05]\n")
-    assert main([str(victim)]) == 0                      # audit off: silent
-    capsys.readouterr()
-    assert main([str(victim), "--audit-suppressions"]) == 0   # warning only
+    assert main([str(victim)]) == 0                      # warning only
     out = capsys.readouterr().out
     assert "SUP" in out and "unused suppression" in out
 
 
-def test_repo_tree_has_no_unused_suppressions():
-    linter = Linter(audit_suppressions=True)
-    findings = linter.lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks",
-         REPO_ROOT / "examples"])
-    assert findings == [], "\n".join(f.render() for f in findings)
+def test_repo_tree_has_no_unused_suppressions(real_tree_check):
+    findings = [f.render() for f in real_tree_check.findings
+                if f.rule == "SUP"]
+    assert findings == [], "\n".join(findings)
 
 
-# --------------------------------------------------------- --changed-only
+# ------------------------------------------------------------ one parse
 
-def _git(tmp_path, *argv):
-    subprocess.run(
-        ["git", "-c", "user.email=t@example.com", "-c", "user.name=t",
-         *argv], cwd=tmp_path, check=True, capture_output=True)
-
-
-def test_cli_changed_only_scopes_to_dirty_files(tmp_path, capsys):
-    pkg = tmp_path / "src" / "repro" / "sim"
+def test_check_parses_each_file_once(tmp_path, monkeypatch, capsys):
+    """Lint rules and flow passes share one parse of every file, package
+    and consumers alike."""
+    pkg = tmp_path / "src" / "app"
     pkg.mkdir(parents=True)
-    clean = pkg / "clean.py"
-    dirty = pkg / "dirty.py"
-    clean.write_text("__all__ = []\n"
-                     "def _bad(out=[]):\n"
-                     "    return out\n")
-    dirty.write_text("__all__ = []\n")
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "seed")
-    dirty.write_text("__all__ = []\n"
-                     "def _worse(out=[]):\n"
-                     "    return out\n")
+    (pkg / "__init__.py").write_text("__all__ = []\n")
+    (pkg / "core.py").write_text("__all__ = ['run']\n"
+                                 "def run(x: 'int') -> int:\n"
+                                 "    return x\n")
+    for sibling in ("tests", "examples", "benchmarks"):
+        (tmp_path / sibling).mkdir()
+        (tmp_path / sibling / f"use_{sibling}.py").write_text(
+            "from app.core import run\n"
+            "run(1)   # lint: ignore[D05]\n")
+    parses: Counter[str] = Counter()
+    real_parse = ast.parse
 
-    cwd = os.getcwd()
-    os.chdir(tmp_path)
-    try:
-        # full run sees both files' findings; scoped run only dirty.py
-        assert main([str(tmp_path / "src")]) == 1
-        full = capsys.readouterr().out
-        assert "clean.py" in full and "dirty.py" in full
-        assert main([str(tmp_path / "src"), "--changed-only"]) == 1
-        scoped = capsys.readouterr().out
-        assert "dirty.py" in scoped and "clean.py" not in scoped
-    finally:
-        os.chdir(cwd)
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parses[str(filename)] += 1
+        return real_parse(source, filename, *args, **kwargs)
 
-
-def test_cli_changed_only_bad_base_is_usage_error(tmp_path, capsys):
-    pkg = tmp_path / "src"
-    pkg.mkdir()
-    (pkg / "m.py").write_text("__all__ = []\n")
-    _git(tmp_path, "init", "-q")
-    cwd = os.getcwd()
-    os.chdir(tmp_path)
-    try:
-        assert main([str(pkg), "--changed-only", "no-such-ref"]) == 2
-        assert "no-such-ref" in capsys.readouterr().err
-    finally:
-        os.chdir(cwd)
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["src"]) == 0       # the stale markers are warnings
+    assert capsys.readouterr().out.count("SUP") == 3
+    # string annotations parse as "<unknown>" expressions, not files
+    parses.pop("<unknown>", None)
+    files = sorted(str(p.relative_to(tmp_path))
+                   for p in tmp_path.rglob("*.py"))
+    assert len(files) == 5
+    assert parses == Counter(dict.fromkeys(files, 1))

@@ -142,10 +142,7 @@ def test_optimizer_counters_cover_reuse_ladder():
     assert registry.counter("optimizer_replays_total").value() == 2.0
     assert registry.counter("optimizer_warm_solves_total").value() == 3.0
     assert registry.counter("optimizer_cold_solves_total").value() == 1.0
-    assert registry.counter(
-        "optimizer_certificate_accepted_total").value() == 3.0
-    assert registry.counter(
-        "optimizer_certificate_rejected_total").value() == 1.0
+    assert registry.counter("optimizer_warm_rejects_total").value() == 1.0
     assert registry.gauge("optimizer_path_candidates").value() == 12.0
     assert registry.gauge("optimizer_path_candidate_groups").value() == 4.0
 

@@ -33,6 +33,10 @@ def test_import_leaves_heavy_modules_unloaded() -> None:
         env=env, capture_output=True, text=True, timeout=120, check=True)
     loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert not [name for name in HEAVY if name in loaded]
+    # a run needs only the runtime invariants, not the static check
+    devtools = {name for name in loaded
+                if name.startswith("repro.devtools.")}
+    assert devtools == {"repro.devtools.invariants"}
 
 
 def _declared_dependencies() -> set[str]:

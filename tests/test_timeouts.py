@@ -26,6 +26,17 @@ def test_policy_validation():
         TimeoutPolicy(call_timeout=1.0, max_attempts=0)
 
 
+def test_policy_rejects_nan_durations():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="call_timeout"):
+        TimeoutPolicy(call_timeout=nan)
+    with pytest.raises(ValueError, match="hedge_delay"):
+        TimeoutPolicy(call_timeout=1.0, hedge_delay=nan)
+    # infinity keeps its meaning: no deadline
+    assert TimeoutPolicy(call_timeout=float("inf"),
+                         hedge_delay=1.0).hedge_delay == 1.0
+
+
 def test_no_timeouts_under_healthy_load():
     _, sim = make_sim(TimeoutPolicy(call_timeout=2.0, max_attempts=2))
     sim.run(DemandMatrix({("default", "west"): 100.0}), duration=10.0)
