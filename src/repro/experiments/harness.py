@@ -46,10 +46,12 @@ class Scenario:
     epoch: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be > 0")
         if not 0 <= self.warmup < self.duration:
             raise ValueError("warmup must be in [0, duration)")
+        if self.epoch is not None and not self.epoch > 0:
+            raise ValueError(f"epoch must be > 0, got {self.epoch}")
 
     def context(self) -> PolicyContext:
         return PolicyContext(self.app, self.deployment, self.demand)

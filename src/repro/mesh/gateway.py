@@ -10,12 +10,14 @@ latency the paper's CDFs plot.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
+
+import numpy as np
 
 from ..sim.request import Request, RequestAttributes
 from .telemetry import ProxyTelemetry, RunTelemetry
 
-__all__ = ["Classifier", "IngressGateway"]
+__all__ = ["Classifier", "IngressGateway", "settle_cohort"]
 
 
 class Classifier(Protocol):
@@ -76,31 +78,32 @@ class IngressGateway:
         self._telemetry.record_ingress(request)
         self._dispatch(request)
 
-    def admit_bulk(self, traffic_class: str, count: int) -> None:
-        """Admit ``count`` fluid-mode requests as counters, no dispatch.
+    def admit_bulk(self, classes: tuple[str, ...],
+                   counts: np.ndarray) -> None:
+        """Admit a tick's fluid-mode requests as counters, no dispatch.
 
-        The fluid substrate's bulk counterpart of :meth:`accept`: demand
-        arrives pre-classified (bulk flow is per traffic class by
-        construction) and no per-request call tree is started — the
-        substrate settles the cohort later via :meth:`settle_bulk`, keeping
-        the conservation identity ``admitted == completed + failed + open``
-        intact at every instant.
+        The fluid substrate's bulk counterpart of :meth:`accept`:
+        ``counts[i]`` requests of ``classes[i]`` arrive pre-classified
+        (bulk flow is per traffic class by construction) and no
+        per-request call tree is started — :func:`settle_cohort` settles
+        each class's cohort later, keeping the conservation identity
+        ``admitted == completed + failed + open`` intact at every instant.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.admitted_count += count
-        self.open_requests += count
-        self._telemetry.record_ingress_bulk(traffic_class, count)
+        self._telemetry.record_ingress_bulk(classes, counts)
+        total = int(counts.sum())
+        self.admitted_count += total
+        self.open_requests += total
 
     def settle_bulk(self, traffic_class: str, completed: int,
                     failed: int) -> None:
-        """Settle a bulk cohort admitted earlier via :meth:`admit_bulk`."""
+        """Settle this gateway's share of a bulk cohort admitted earlier
+        via :meth:`admit_bulk` (the run-wide counters are
+        :func:`settle_cohort`'s to book)."""
         if completed < 0 or failed < 0:
             raise ValueError("bulk counts must be >= 0")
         self.completed_count += completed
         self.failed_count += failed
         self.open_requests -= completed + failed
-        self._run_telemetry.record_bulk(traffic_class, completed, failed)
 
     def complete(self, request: Request, now: float) -> None:
         """Record the response leaving the gateway."""
@@ -117,3 +120,19 @@ class IngressGateway:
         self.failed_count += 1
         self.open_requests -= 1
         self._run_telemetry.record_failure(request)
+
+
+def settle_cohort(gateways: Sequence[IngressGateway],
+                  run_telemetry: RunTelemetry, traffic_class: str,
+                  completed: Sequence[int], failed: Sequence[int]) -> None:
+    """Settle one traffic class's bulk cohort at every gateway at once.
+
+    The fluid substrate's credit event: every cluster's share of a tick's
+    cohort of one class settles at the same predicted latency, so one
+    event books ``completed[i]`` / ``failed[i]`` at ``gateways[i]`` and
+    the cohort's totals into ``run_telemetry``.
+    """
+    for gateway, done, lost in zip(gateways, completed, failed):
+        if done or lost:
+            gateway.settle_bulk(traffic_class, done, lost)
+    run_telemetry.record_bulk(traffic_class, sum(completed), sum(failed))

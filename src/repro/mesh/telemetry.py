@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..sim.request import Request, Span
 from ..sim.service import PoolStats
 
@@ -114,6 +116,13 @@ class ProxyTelemetry:
         self.cluster = cluster
         self._windows: dict[tuple[str, str], ServiceClassWindow] = {}
         self._ingress: dict[str, int] = {}
+        # bulk blocks: the (service, class) keys and traffic classes the
+        # held columns are indexed by, and the columns themselves —
+        # completions, latency, exec and queue-wait sums, remote arrivals
+        self._bulk_keys: tuple[tuple[str, str], ...] = ()
+        self._bulk: tuple[np.ndarray, ...] = _bulk_block(0)
+        self._ingress_classes: tuple[str, ...] = ()
+        self._ingress_block = np.zeros(0, dtype=np.int64)
         self._latencies: list[float] = []
         self._window_start = 0.0
         self._span_samples: list[Span] = []
@@ -139,41 +148,85 @@ class ProxyTelemetry:
         cls = request.traffic_class
         self._ingress[cls] = self._ingress.get(cls, 0) + 1
 
-    def record_ingress_bulk(self, traffic_class: str, count: int) -> None:
-        """Meter ``count`` fluid-mode admissions without Request objects.
+    def record_ingress_bulk(self, classes: tuple[str, ...],
+                            counts: np.ndarray) -> None:
+        """Meter a block of fluid-mode admissions without Request objects.
 
-        Keeps :meth:`ClusterEpochReport.ingress_rps` — the signal adaptive
+        ``counts[i]`` requests of ``classes[i]`` entered here. Keeps
+        :meth:`ClusterEpochReport.ingress_rps` — the signal adaptive
         policies re-plan on — meaningful when demand arrives as bulk flow.
+        Blocks for the same ``classes`` add up in place; :meth:`harvest`
+        (or a block for other classes) folds them into ``ingress_counts``.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self._ingress[traffic_class] = (
-            self._ingress.get(traffic_class, 0) + count)
+        _check_block(classes, counts)
+        if (classes is not self._ingress_classes
+                and classes != self._ingress_classes):
+            self._fold_ingress()
+            self._ingress_classes = classes
+            self._ingress_block = np.zeros(len(classes), dtype=np.int64)
+        self._ingress_block += counts
 
-    def observe_bulk(self, service: str, traffic_class: str,
-                     completions: int, latency_sum: float = 0.0,
-                     exec_sum: float = 0.0, queue_wait_sum: float = 0.0,
-                     remote_arrivals: int = 0) -> None:
-        """Fold a tick's bulk flow through one (service, class) window.
+    def observe_bulk(self, keys: tuple[tuple[str, str], ...],
+                     completions: np.ndarray, latency_sum: np.ndarray,
+                     exec_sum: np.ndarray, queue_wait_sum: np.ndarray,
+                     remote_arrivals: np.ndarray) -> None:
+        """Fold a tick's bulk flow through a block of windows.
 
-        The fluid substrate's counterpart of :meth:`record_span`: the
-        aggregate sums come from the M/M/c solution (wait + compute per
-        request) rather than individual spans, so
+        The fluid substrate's counterpart of :meth:`record_span`: entry
+        ``i`` of each column is the tick's total for the (service, class)
+        window ``keys[i]``, its sums coming from the M/M/c solution (wait +
+        compute per request) rather than from individual spans, so
         :meth:`ClusterEpochReport.service_rps` and the window means read
-        the same under either fidelity. Bulk windows never contribute span
-        samples — structure learning sees only the sampled event slice.
+        the same under either fidelity. Blocks for the same ``keys`` add
+        up in place; :meth:`harvest` (or a block for other keys) folds
+        them into the windows. Bulk windows never contribute span samples
+        — structure learning sees only the sampled event slice.
         """
-        if completions < 0 or remote_arrivals < 0:
-            raise ValueError("bulk window counts must be >= 0")
-        key = (service, traffic_class)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = ServiceClassWindow()
-        window.completions += completions
-        window.latency_sum += latency_sum
-        window.exec_sum += exec_sum
-        window.queue_wait_sum += queue_wait_sum
-        window.remote_arrivals += remote_arrivals
+        _check_block(keys, completions, remote_arrivals)
+        if keys is not self._bulk_keys and keys != self._bulk_keys:
+            self._fold_bulk()
+            self._bulk_keys = keys
+            self._bulk = _bulk_block(len(keys))
+        held_completions, held_latency, held_exec, held_wait, held_remote = (
+            self._bulk)
+        held_completions += completions
+        held_latency += latency_sum
+        held_exec += exec_sum
+        held_wait += queue_wait_sum
+        held_remote += remote_arrivals
+
+    def _fold_bulk(self) -> None:
+        """Add the held window block into the windows and zero it."""
+        keys = self._bulk_keys
+        columns = self._bulk
+        touched = np.flatnonzero(np.logical_or.reduce(
+            [column != 0 for column in columns]))
+        windows = self._windows
+        for index, completions, latency, exec_sum, wait, remote in zip(
+                touched.tolist(), *(column[touched].tolist()
+                                    for column in columns)):
+            key = keys[index]
+            window = windows.get(key)
+            if window is None:
+                window = windows[key] = ServiceClassWindow()
+            window.completions += completions
+            window.latency_sum += latency
+            window.exec_sum += exec_sum
+            window.queue_wait_sum += wait
+            window.remote_arrivals += remote
+        for column in columns:
+            column[touched] = 0
+
+    def _fold_ingress(self) -> None:
+        """Add the held ingress block into the counts and zero it."""
+        classes = self._ingress_classes
+        block = self._ingress_block
+        touched = np.flatnonzero(block)
+        ingress = self._ingress
+        for index, count in zip(touched.tolist(), block[touched].tolist()):
+            cls = classes[index]
+            ingress[cls] = ingress.get(cls, 0) + count
+        block[touched] = 0
 
     def record_completion(self, request: Request) -> None:
         self._latencies.append(request.latency)
@@ -181,6 +234,8 @@ class ProxyTelemetry:
     def harvest(self, now: float,
                 pool_stats: dict[str, PoolStats]) -> ClusterEpochReport:
         """Produce this epoch's report and reset the accumulators."""
+        self._fold_bulk()
+        self._fold_ingress()
         report = ClusterEpochReport(
             cluster=self.cluster,
             start_time=self._window_start,
@@ -197,6 +252,23 @@ class ProxyTelemetry:
         self._span_samples = []
         self._window_start = now
         return report
+
+
+def _bulk_block(size: int) -> tuple[np.ndarray, ...]:
+    """Zeroed window columns: completions, latency, exec and queue-wait
+    sums, remote arrivals."""
+    return (np.zeros(size, dtype=np.int64), np.zeros(size), np.zeros(size),
+            np.zeros(size), np.zeros(size, dtype=np.int64))
+
+
+def _check_block(keys: tuple, *counts: np.ndarray) -> None:
+    """Reject a bulk block whose counts are negative or mis-sized."""
+    for column in counts:
+        if len(column) != len(keys):
+            raise ValueError(f"bulk block of {len(column)} entries for "
+                             f"{len(keys)} keys")
+        if column.min(initial=0) < 0:
+            raise ValueError("bulk counts must be >= 0")
 
 
 class RunTelemetry:

@@ -163,13 +163,19 @@ class FluidTickSolution:
     #: the array form of ``per_class``, for consumers that integrate every
     #: flow each tick: traffic classes (sorted) indexing ``demand`` rows,
     #: and one (class, service) hop per row of ``hop_exec_rates`` /
-    #: ``hop_remote_rates`` — classes sorted, services in call-tree order;
-    #: the ``per_class`` rate vectors are views of these rows
+    #: ``hop_remote_rates`` / ``hop_wait`` / ``hop_exec`` — classes sorted,
+    #: services in call-tree order; the ``per_class`` rate vectors are views
+    #: of these rows
     classes: tuple[str, ...]
     demand: np.ndarray
     hops: tuple[tuple[str, str], ...]
     hop_exec_rates: np.ndarray
     hop_remote_rates: np.ndarray
+    #: per hop and cluster: the M/M/c wait of the pool serving the hop
+    #: (0.0 where no work is offered) and its compute time, slowdown
+    #: included — a request's sojourn there is their sum
+    hop_wait: np.ndarray
+    hop_exec: np.ndarray
 
 
 class _Hop(NamedTuple):
@@ -498,7 +504,9 @@ class FlowModel:
                                  arrival, offered, failed)
 
         # mean e2e latency per class: pool sojourns plus WAN round trips
-        sojourn = wait[plan.hop_service] + plan.exec_time * hop_slowdown
+        hop_wait = wait[plan.hop_service]
+        hop_exec = plan.exec_time * hop_slowdown
+        sojourn = hop_wait + hop_exec
         latency_rate = np.zeros(n_classes)
         np.add.at(latency_rate, plan.cell_class,
                   (exec_rates * sojourn).ravel())
@@ -529,7 +537,8 @@ class FlowModel:
             egress_bytes=egress_bytes,
             egress_cost_rate=float((egress_bytes * self._price).sum()),
             classes=plan.classes, demand=rates, hops=plan.hops,
-            hop_exec_rates=exec_rates, hop_remote_rates=remote_rates)
+            hop_exec_rates=exec_rates, hop_remote_rates=remote_rates,
+            hop_wait=hop_wait, hop_exec=hop_exec)
 
     def _pool_dict(self, plan: _RoutingPlan, values: np.ndarray,
                    mask: np.ndarray) -> dict[tuple[str, str], float]:

@@ -11,10 +11,16 @@ counters, the egress ledger, and the pools. Downstream consumers (scrape
 loop, SLO alerts, epoch control loop, decision log) are untouched: they
 keep reading the interfaces they read today.
 
+Bookings are array-shaped end to end: per tick each gateway admits one
+block of per-class counts, each cluster's telemetry takes one column block
+of window sums, and each traffic class with admissions gets one credit
+event.
+
 Conservation is exact, not approximate: every fractional rate is
-integerized through a deterministic carry accumulator, every admitted bulk
-request is settled (completion or failure) by a credit event scheduled at
-``now + predicted mean latency``, so at quiesce each gateway satisfies
+integerized through a deterministic carry accumulator, and every admitted
+bulk request is settled (completion or failure) by its class's credit
+event, scheduled at ``now + predicted mean latency`` and settling the
+cohort at every gateway at once, so at quiesce each gateway satisfies
 ``admitted == completed + failed`` and the drain/conservation invariants
 run unchanged.
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...mesh.gateway import settle_cohort
 from .flows import FlowModel, FluidTickSolution
 
 __all__ = ["FluidSubstrate"]
@@ -37,7 +44,7 @@ class FluidSubstrate:
 
     def __init__(self, simulation, timeline, tick: float = 0.1,
                  bulk_fraction: float = 1.0) -> None:
-        if tick <= 0:
+        if not tick > 0:
             raise ValueError(f"tick must be > 0, got {tick}")
         if not 0.0 <= bulk_fraction <= 1.0:
             raise ValueError(
@@ -63,10 +70,15 @@ class FluidSubstrate:
         # by the app for the life of the run)
         self._carry_pool: dict[tuple[str, str], float] = {}
         self._carry: dict[str, np.ndarray] = {}
+        # bulk bookings go to these, one per cluster in the model's order
+        clusters = self.model.clusters
+        self._gateways = [simulation.gateways[name] for name in clusters]
+        self._telemetry = [simulation.proxies[name].telemetry
+                           for name in clusters]
         #: the hop list the window bookkeeping below was derived from
         self._hops: tuple[tuple[str, str], ...] | None = None
         self._window_order = np.zeros(0, dtype=np.intp)
-        self._hop_exec_time: list[float] = []
+        self._window_keys: tuple[tuple[str, str], ...] = ()
 
     def install(self, duration: float) -> None:
         """Pre-schedule the tick train plus a final flush at ``duration``."""
@@ -92,7 +104,7 @@ class FluidSubstrate:
         self.last_solution = solution
         self._apply_pools(solution, pool_state, dt)
         self._apply_admissions(solution, dt)
-        self._apply_windows(solution, pool_state, dt)
+        self._apply_windows(solution, dt)
         self._apply_egress(solution, dt)
         self._last_tick = now
         self.ticks += 1
@@ -135,55 +147,44 @@ class FluidSubstrate:
             [state.failure_fraction for state in states])[:, None]
         failures = np.minimum(counts, fail_carry.astype(np.int64))
         fail_carry -= failures
-        rows, columns = np.nonzero(counts)
-        for row, column, count, failed in zip(
-                rows.tolist(), columns.tolist(),
-                counts[rows, columns].tolist(),
-                failures[rows, columns].tolist()):
-            cls_name = solution.classes[row]
-            gateway = self._mesh.gateways[solution.clusters[column]]
-            gateway.admit_bulk(cls_name, count)
-            # the credit event settles this tick's cohort after its
-            # predicted latency, so open_requests drains to zero and
-            # request conservation holds exactly at quiesce
-            self._sim.schedule(states[row].mean_latency,
-                               gateway.settle_bulk, cls_name,
-                               count - failed, failed)
+        classes = solution.classes
+        for gateway, column in zip(self._gateways, counts.T):
+            gateway.admit_bulk(classes, column)
+        completions = counts - failures
+        run_telemetry = self._mesh.telemetry
+        for row in np.flatnonzero(counts.any(axis=1)).tolist():
+            # the credit event settles this tick's cohort of the class at
+            # every gateway after its predicted latency, so open_requests
+            # drains to zero and request conservation holds exactly at
+            # quiesce
+            self._sim.schedule(states[row].mean_latency, settle_cohort,
+                               self._gateways, run_telemetry, classes[row],
+                               completions[row].tolist(),
+                               failures[row].tolist())
 
-    def _apply_windows(self, solution: FluidTickSolution, pool_state,
+    def _apply_windows(self, solution: FluidTickSolution,
                        dt: float) -> None:
         hops = solution.hops
         if hops is not self._hops:
             # telemetry windows fill in (class, service) order
             self._hops = hops
-            self._window_order = np.array(
-                sorted(range(len(hops)), key=hops.__getitem__),
-                dtype=np.intp)
-            self._hop_exec_time = [
-                self._mesh.app.traffic_class(cls_name).exec_time_of(service)
-                for cls_name, service in hops]
+            order = sorted(range(len(hops)), key=hops.__getitem__)
+            self._window_order = np.array(order, dtype=np.intp)
+            self._window_keys = tuple((hops[hop][1], hops[hop][0])
+                                      for hop in order)
         order = self._window_order
         counts = self._spill("window", solution.hop_exec_rates[order], dt)
         remote_counts = self._spill("remote",
                                     solution.hop_remote_rates[order], dt)
-        rows, columns = np.nonzero(counts | remote_counts)
-        for hop, column, count, remote_count in zip(
-                order[rows].tolist(), columns.tolist(),
-                counts[rows, columns].tolist(),
-                remote_counts[rows, columns].tolist()):
-            cls_name, service = hops[hop]
-            cluster_name = solution.clusters[column]
-            pool_key = (service, cluster_name)
-            wait = solution.pool_wait.get(pool_key, 0.0)
-            entry = pool_state.get(pool_key)
-            slowdown = entry[1] if entry is not None else 1.0
-            effective_exec = self._hop_exec_time[hop] * slowdown
-            self._mesh.proxies[cluster_name].telemetry.observe_bulk(
-                service, cls_name, completions=count,
-                latency_sum=count * (wait + effective_exec),
-                exec_sum=count * effective_exec,
-                queue_wait_sum=count * wait,
-                remote_arrivals=remote_count)
+        wait = solution.hop_wait[order]
+        exec_time = solution.hop_exec[order]
+        # per cell: count x (wait + compute), count x compute, count x wait
+        columns = zip(counts.T, (counts * (wait + exec_time)).T,
+                      (counts * exec_time).T, (counts * wait).T,
+                      remote_counts.T)
+        keys = self._window_keys
+        for telemetry, block in zip(self._telemetry, columns):
+            telemetry.observe_bulk(keys, *block)
 
     def _apply_egress(self, solution: FluidTickSolution, dt: float) -> None:
         network = self._mesh.network

@@ -451,7 +451,7 @@ class MeshSimulation:
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError(
                 f"sample_rate must be in (0, 1], got {sample_rate}")
-        if fluid_tick <= 0:
+        if not fluid_tick > 0:
             raise ValueError(f"fluid_tick must be > 0, got {fluid_tick}")
         self.fidelity = fidelity
         self._sample_rate = sample_rate
@@ -544,7 +544,7 @@ class MeshSimulation:
         :meth:`run_timeline` over the one-keyframe timeline, at every
         fidelity.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"duration must be > 0, got {duration}")
         self.run_timeline(DemandTimeline.constant(demand, duration),
                           epoch=epoch, on_epoch=on_epoch,
@@ -562,13 +562,13 @@ class MeshSimulation:
         partial epoch is harvested after the drain.
         """
         duration = timeline.end
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("timeline must end after t=0")
         check_demand_names(timeline.entries(), self.app.classes,
                            self.clusters)
         self._install_workload(timeline, deterministic_arrivals)
         if epoch is not None:
-            if epoch <= 0:
+            if not epoch > 0:
                 raise ValueError(f"epoch must be > 0, got {epoch}")
             boundary = epoch
             while boundary < duration:

@@ -84,6 +84,12 @@ def test_scenario_validation():
                  duration=5.0, warmup=5.0)
 
 
+@pytest.mark.parametrize("epoch", [float("nan"), 0.0, -1.0])
+def test_scenario_rejects_non_positive_epoch(epoch):
+    with pytest.raises(ValueError, match="epoch must be > 0"):
+        small_scenario(epoch=epoch)
+
+
 def test_with_demand_replaces_only_demand():
     scenario = small_scenario()
     heavier = scenario.with_demand(scenario.demand.scaled(2.0))

@@ -30,13 +30,18 @@ import pytest
 
 from repro.analysis.fluid import evaluate_rules
 from repro.core import RuleSet
+from repro.core.classes import AppSpecClassifier
 from repro.devtools.invariants import (InvariantViolation, check_fluid_rates,
                                        check_routing_matrices)
 from repro.experiments.harness import run_policy
 from repro.experiments.scenarios import diurnal_control_setup, fig6a_how_much
+from repro.mesh import gateway as gateway_module
 from repro.obs.timeseries import percentile
 from repro.sim import (DemandMatrix, DeploymentSpec, MeshSimulation,
                        linear_chain_app, two_region_latency)
+from repro.sim.apps import two_class_app
+from repro.sim.fluid.substrate import FluidSubstrate
+from repro.sim.traces import DemandTimeline
 
 
 def small_world(replicas: int = 5):
@@ -313,3 +318,54 @@ def test_cli_run_hybrid_reports_percentiles(capsys):
     assert document["fidelity"] == "hybrid"
     assert document["sampled_latency"]["count"] > 0
     assert document["sampled_latency"]["p95"] > 0
+
+
+def test_substrate_rejects_nan_tick():
+    app, deployment = small_world()
+    sim = MeshSimulation(app, deployment, seed=1, fidelity="fluid")
+    timeline = DemandTimeline.constant(west_heavy_demand(), 1.0)
+    with pytest.raises(ValueError, match="tick must be > 0"):
+        FluidSubstrate(sim, timeline, tick=float("nan"))
+
+
+def test_one_credit_event_per_tick_and_admitting_class(monkeypatch):
+    """Each tick schedules one credit event per class that admitted bulk
+    requests at any gateway — not one per (class, cluster) cell — and it
+    settles that cohort at every gateway."""
+    app = two_class_app(n_services=2)
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=6,
+        latency=two_region_latency(25.0))
+    sim = MeshSimulation(app, deployment, seed=3, fidelity="fluid",
+                         fluid_tick=0.1, classifier=AppSpecClassifier(app))
+    admitted: set[tuple[float, str]] = set()
+    credits: list[tuple[float, str]] = []
+    admit_bulk = gateway_module.IngressGateway.admit_bulk
+
+    def spy_admit(gateway, classes, counts):
+        admitted.update((sim.sim.now, cls)
+                        for cls, count in zip(classes, counts.tolist())
+                        if count)
+        admit_bulk(gateway, classes, counts)
+
+    schedule = sim.sim.schedule
+
+    def spy_schedule(delay, callback, *args):
+        if callback is gateway_module.settle_cohort:
+            credits.append((sim.sim.now, args[2]))
+        return schedule(delay, callback, *args)
+
+    monkeypatch.setattr(gateway_module.IngressGateway, "admit_bulk",
+                        spy_admit)
+    monkeypatch.setattr(sim.sim, "schedule", spy_schedule)
+    # east admits only L, west both classes
+    sim.run(DemandMatrix({("L", "west"): 300.0, ("H", "west"): 15.0,
+                          ("L", "east"): 40.0}), duration=1.0)
+    assert len(credits) == len(set(credits))
+    assert set(credits) == admitted
+    assert {cls for _, cls in credits} == {"H", "L"}
+    assert sim.fluid.ticks == 10
+    admitted_total = sum(g.admitted_count for g in sim.gateways.values())
+    assert admitted_total == (sim.telemetry.completed_count
+                              + sim.telemetry.failed_count) > 0
+

@@ -2,9 +2,10 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.mesh.gateway import IngressGateway
+from repro.mesh.gateway import IngressGateway, settle_cohort
 from repro.mesh.proxy import RoutingError, SlateProxy
 from repro.mesh.routing_table import RouteKey, RoutingTable, WILDCARD_CLASS
 from repro.mesh.telemetry import ProxyTelemetry, RunTelemetry
@@ -146,3 +147,43 @@ def test_default_classifier_single_class():
     gateway.bind(seen.append)
     gateway.accept(make_request())
     assert seen[0].traffic_class == "default"
+
+
+def conserved(gateway) -> bool:
+    return gateway.admitted_count == (gateway.completed_count
+                                      + gateway.failed_count
+                                      + gateway.open_requests)
+
+
+def test_bulk_admission_and_cohort_settle_conserve():
+    run = RunTelemetry()
+    gateways = [IngressGateway(name, ProxyTelemetry(name), run)
+                for name in ("east", "west")]
+    classes = ("H", "L")
+    gateways[0].admit_bulk(classes, np.array([2, 5]))
+    gateways[1].admit_bulk(classes, np.array([0, 7]))
+    assert [g.open_requests for g in gateways] == [7, 7]
+    assert all(conserved(g) for g in gateways)
+    settle_cohort(gateways, run, "L", [4, 6], [1, 1])
+    assert [g.open_requests for g in gateways] == [2, 0]
+    assert all(conserved(g) for g in gateways)
+    settle_cohort(gateways, run, "H", [2, 0], [0, 0])
+    assert [g.open_requests for g in gateways] == [0, 0]
+    assert all(conserved(g) for g in gateways)
+    assert run.completed_by_class == {"L": 10, "H": 2}
+    assert run.failed_by_class == {"L": 2}
+    assert (run.completed_count, run.failed_count) == (12, 2)
+    report = gateways[1]._telemetry.harvest(1.0, pool_stats={})
+    assert report.ingress_counts == {"L": 7}
+
+
+def test_bulk_admission_rejects_negative_counts_untouched():
+    gateway, telemetry, _ = make_gateway()
+    with pytest.raises(ValueError, match=">= 0"):
+        gateway.admit_bulk(("H", "L"), np.array([3, -1]))
+    assert (gateway.admitted_count, gateway.open_requests) == (0, 0)
+    assert telemetry.harvest(1.0, pool_stats={}).ingress_counts == {}
+    with pytest.raises(ValueError, match=">= 0"):
+        gateway.settle_bulk("L", 1, -1)
+    assert conserved(gateway)
+

@@ -8,6 +8,7 @@ from repro.sim import (CallEdge, DemandMatrix, DeploymentSpec, TrafficClassSpec,
                        two_region_latency)
 from repro.sim.request import RequestAttributes
 from repro.sim.runner import MeshSimulation
+from repro.sim.traces import DemandTimeline
 
 
 def chain_sim(replicas=5, one_way_ms=25.0, **sim_kwargs):
@@ -152,3 +153,27 @@ def test_queueing_latency_grows_with_load():
         return sum(lats) / len(lats)
 
     assert mean_latency(450.0) > 1.5 * mean_latency(100.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("start", [
+    lambda sim, demand: sim.run(demand, duration=NAN),
+    lambda sim, demand: sim.run(demand, duration=2.0, epoch=NAN),
+    lambda sim, demand: sim.run_timeline(
+        DemandTimeline.constant(demand, 2.0), epoch=NAN),
+], ids=["run-duration", "run-epoch", "run_timeline-epoch"])
+def test_nan_run_arguments_rejected(start):
+    """A NaN duration or epoch fails every ``> 0`` comparison; the guards
+    reject it instead of simulating nothing or running with no epochs."""
+    _, sim = chain_sim()
+    with pytest.raises(ValueError, match="must be > 0"):
+        start(sim, DemandMatrix({("default", "west"): 50.0}))
+    assert sim.sim.events_processed == 0
+
+
+def test_nan_fluid_tick_rejected_at_construction():
+    with pytest.raises(ValueError, match="fluid_tick must be > 0"):
+        chain_sim(fidelity="fluid", fluid_tick=NAN)
+
