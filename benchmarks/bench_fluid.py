@@ -14,8 +14,12 @@ Two headline measurements, both exported to ``BENCH_fluid.json``:
   utilization (~0.66) at 1/100 the demand and replicas, run event-level.
   The stated band: hybrid sampled p95 within **20%** of event truth,
   asserted here and regression-gated by ``make bench-diff`` via the
-  ``*_rel_error`` tolerance.
+  ``*_rel_error`` tolerance. ``fluid_event_speedup`` is the median, over
+  ``SPEEDUP_PAIRS`` alternating event/hybrid twin runs, of each pair's
+  wall-time ratio: one ratio of two single runs swings with host noise.
 """
+
+import statistics
 
 from repro.analysis.report import format_table
 from repro.experiments.scenarios import diurnal_control_setup
@@ -32,6 +36,8 @@ P95_BAND = 0.20
 DURATION = 6.0                     # one compressed diurnal period
 SAMPLE_RATE = 2e-4                 # million-scale sampled slice
 TWIN_SAMPLE_RATE = 0.05            # twin-scale sampled slice
+#: alternating event/hybrid twin pairs behind ``fluid_event_speedup``
+SPEEDUP_PAIRS = 5
 
 
 def _run(setup, fidelity, **kwargs):
@@ -90,23 +96,28 @@ def test_hybrid_p95_matches_event_truth(benchmark, report_sink,
     replicas = round(MILLION_REPLICAS / TWIN_SCALE)
 
     def run_all():
-        setup = diurnal_control_setup(base_rps=base, duration=DURATION,
-                                      replicas=replicas)
-        event_outcome, event_wall = _run(setup, "event")
-        setup = diurnal_control_setup(base_rps=base, duration=DURATION,
-                                      replicas=replicas)
-        hybrid_outcome, hybrid_wall = _run(setup, "hybrid",
-                                           sample_rate=TWIN_SAMPLE_RATE)
+        # every pair runs the same seeded twins, so the outcomes of any
+        # pair are the outcomes of all of them; only the walls differ
+        ratios = []
+        for _ in range(SPEEDUP_PAIRS):
+            setup = diurnal_control_setup(base_rps=base, duration=DURATION,
+                                          replicas=replicas)
+            event_outcome, event_wall = _run(setup, "event")
+            setup = diurnal_control_setup(base_rps=base, duration=DURATION,
+                                          replicas=replicas)
+            hybrid_outcome, hybrid_wall = _run(setup, "hybrid",
+                                               sample_rate=TWIN_SAMPLE_RATE)
+            ratios.append(event_wall / hybrid_wall)
         setup = diurnal_control_setup(base_rps=MILLION_BASE_RPS,
                                       duration=DURATION,
                                       replicas=MILLION_REPLICAS)
         million_outcome, _ = _run(setup, "hybrid",
                                   sample_rate=SAMPLE_RATE)
-        return (event_outcome, event_wall, hybrid_outcome, hybrid_wall,
-                million_outcome)
+        return (event_outcome, hybrid_outcome, million_outcome,
+                statistics.median(ratios))
 
-    (event_outcome, event_wall, hybrid_outcome, hybrid_wall,
-     million_outcome) = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    (event_outcome, hybrid_outcome, million_outcome,
+     speedup) = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     event_p95 = percentile(event_outcome.latencies, 0.95)
     hybrid_p95 = percentile(hybrid_outcome.latencies, 0.95)
@@ -122,7 +133,6 @@ def test_hybrid_p95_matches_event_truth(benchmark, report_sink,
         f"million-scale hybrid p95 {million_p95:.4f}s vs event truth "
         f"{event_p95:.4f}s: {million_error:.1%} > {P95_BAND:.0%} band")
 
-    speedup = event_wall / hybrid_wall if hybrid_wall else 0.0
     rows = [["event", len(event_outcome.latencies), event_p95 * 1000],
             ["hybrid twin", len(hybrid_outcome.latencies),
              hybrid_p95 * 1000],
@@ -131,7 +141,8 @@ def test_hybrid_p95_matches_event_truth(benchmark, report_sink,
     report_sink("fluid_p95_parity", format_table(
         ["run", "latencies n", "p95 (ms)"], rows,
         title=f"Sampled-slice p95 vs event truth (band {P95_BAND:.0%}, "
-              f"twin speedup {speedup:.1f}x)"))
+              f"median twin speedup {speedup:.1f}x over {SPEEDUP_PAIRS} "
+              f"pairs)"))
     bench_json("fluid", {
         "event_twin_p95_seconds": event_p95,
         "hybrid_twin_p95_seconds": hybrid_p95,

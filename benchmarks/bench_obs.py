@@ -52,7 +52,7 @@ def test_observability_disabled(benchmark, bench_json):
 
 
 def test_observability_tracing(benchmark, bench_json):
-    """Every span and request envelope recorded into the tracer."""
+    """Every span kept in the run's telemetry (what the tracer reads)."""
     events = benchmark(_simulate, ObservabilityConfig(tracing=True))
     assert events > 0
     _record(benchmark, bench_json, "events_per_sec_tracing", events)

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from ..mesh.telemetry import RunTelemetry
-from ..sim.request import Span
+from ..sim.request import Span, span_to_dict
 from .compare import Comparison
 
 __all__ = ["write_latencies_csv", "write_spans_jsonl",
@@ -50,20 +50,7 @@ def write_spans_jsonl(spans: list[Span], path: str | Path) -> int:
     # exporter module: JSONL artifacts are its declared purpose (D08)
     with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
         for span in spans:
-            handle.write(json.dumps({
-                "request_id": span.request_id,
-                "traffic_class": span.traffic_class,
-                "service": span.service,
-                "cluster": span.cluster,
-                "caller_service": span.caller_service,
-                "caller_cluster": span.caller_cluster,
-                "enqueue_time": span.enqueue_time,
-                "start_time": span.start_time,
-                "end_time": span.end_time,
-                "exec_time": span.exec_time,
-                "request_bytes": span.request_bytes,
-                "response_bytes": span.response_bytes,
-            }) + "\n")
+            handle.write(json.dumps(span_to_dict(span)) + "\n")
             count += 1
     return count
 

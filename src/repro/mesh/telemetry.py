@@ -5,8 +5,9 @@ information, latency, trace information, and request traffic classes". Here
 a :class:`ProxyTelemetry` per cluster accumulates span- and request-level
 counters over an epoch; ``harvest`` produces a :class:`ClusterEpochReport`
 (what a Cluster Controller relays upward, already tagged with the cluster
-id, §3.2). :class:`RunTelemetry` additionally keeps raw end-to-end latencies
-for offline analysis (CDFs — Fig. 6).
+id, §3.2). :class:`RunTelemetry` is the whole-run store: every finished
+request (end-to-end latencies for the CDFs of Fig. 6) and, in a traced run,
+every span.
 """
 
 from __future__ import annotations
@@ -272,87 +273,47 @@ def _check_block(keys: tuple, *counts: np.ndarray) -> None:
 
 
 class RunTelemetry:
-    """Whole-run collection for offline analysis (latency CDFs, warm-up cut).
+    """The whole-run store of finished requests and spans: what offline
+    analysis (latency CDFs, warm-up cut, exports) and the tracer read.
 
-    ``keep_spans`` retains every span — useful for call-graph inference and
-    debugging, off by default to bound memory on long runs.
-
-    ``reservoir_size`` bounds memory on *long* runs: instead of retaining
-    every completed request, a per-class reservoir sample (Algorithm R) of
-    at most that many ``(arrival_time, latency)`` pairs is kept, each
-    completion equally likely to survive. Sampling draws come from the
-    supplied generator (a named :class:`~repro.sim.rng.RngRegistry` stream)
-    so runs stay reproducible. Exact retention remains the default — figure
-    reproduction wants every point — and exact completion/failure *counts*
-    are maintained in both modes.
+    Every completed and failed request is kept. With ``tracing`` every
+    finished span is kept too, in finish order; an untraced run keeps no
+    span list (``spans`` is None), so it pays nothing per span.
     """
 
-    def __init__(self, keep_spans: bool = False,
-                 reservoir_size: int | None = None, rng=None) -> None:
-        if reservoir_size is not None:
-            if reservoir_size < 1:
-                raise ValueError(
-                    f"reservoir_size must be >= 1, got {reservoir_size}")
-            if rng is None:
-                raise ValueError(
-                    "reservoir sampling requires an rng for "
-                    "reproducible draws")
+    def __init__(self, tracing: bool = False) -> None:
         self.requests: list[Request] = []
         self.failed_requests: list[Request] = []
-        self.spans: list[Span] = []
-        self._keep_spans = keep_spans
-        self._reservoir_size = reservoir_size
-        self._rng = rng
-        #: exact lifetime counters, maintained in both retention modes
+        self.spans: list[Span] | None = [] if tracing else None
+        #: lifetime counters, covering bulk (fluid) outcomes too
         self.completed_count = 0
         self.failed_count = 0
-        #: per-traffic-class lifetime counters, also retention-independent
-        #: (the scrape loop and SLO error-rate rules read these)
+        #: per-traffic-class lifetime counters (the scrape loop and SLO
+        #: error-rate rules read these)
         self.completed_by_class: dict[str, int] = {}
         self.failed_by_class: dict[str, int] = {}
-        #: class → (arrival_time, latency) sample (reservoir mode only)
-        self._reservoirs: dict[str, list[tuple[float, float]]] = {}
-        self._seen_by_class: dict[str, int] = {}
-
-    @property
-    def reservoir_mode(self) -> bool:
-        return self._reservoir_size is not None
 
     def record_completion(self, request: Request) -> None:
         self.completed_count += 1
         cls = request.traffic_class
         self.completed_by_class[cls] = self.completed_by_class.get(cls, 0) + 1
-        if self._reservoir_size is None:
-            self.requests.append(request)
-            return
-        seen = self._seen_by_class.get(cls, 0)
-        bucket = self._reservoirs.get(cls)
-        if bucket is None:
-            bucket = self._reservoirs[cls] = []
-        if seen < self._reservoir_size:
-            bucket.append((request.arrival_time, request.latency))
-        else:
-            slot = int(self._rng.integers(seen + 1))
-            if slot < self._reservoir_size:
-                bucket[slot] = (request.arrival_time, request.latency)
-        self._seen_by_class[cls] = seen + 1
+        self.requests.append(request)
 
     def record_failure(self, request: Request) -> None:
         self.failed_count += 1
         cls = request.traffic_class
         self.failed_by_class[cls] = self.failed_by_class.get(cls, 0) + 1
-        if self._reservoir_size is None:
-            self.failed_requests.append(request)
+        self.failed_requests.append(request)
 
     def record_bulk(self, traffic_class: str, completed: int,
                     failed: int = 0) -> None:
         """Account a batch of fluid-mode outcomes (counters only).
 
         Bulk traffic never materialises :class:`Request` objects, so the
-        retained-request lists and reservoirs are untouched —
-        :meth:`latencies` keeps returning only the sampled event-level
-        slice, while the lifetime counters (what the scrape loop and SLO
-        error-rate rules read) cover the full simulated load.
+        retained-request lists are untouched — :meth:`latencies` keeps
+        returning only the sampled event-level slice, while the lifetime
+        counters (what the scrape loop and SLO error-rate rules read)
+        cover the full simulated load.
         """
         if completed < 0 or failed < 0:
             raise ValueError("bulk counts must be >= 0")
@@ -366,50 +327,17 @@ class RunTelemetry:
                 self.failed_by_class.get(traffic_class, 0) + failed)
 
     def record_span(self, span: Span) -> None:
-        if self._keep_spans:
-            self.spans.append(span)
+        """Keep one finished span (traced runs only)."""
+        self.spans.append(span)
 
     def latencies(self, after: float = 0.0) -> list[float]:
-        """E2E latencies of requests arriving at/after ``after`` (warm-up cut).
-
-        In reservoir mode these are the sampled latencies (recording order
-        within each class, classes in sorted order).
-        """
-        if self._reservoir_size is not None:
-            return [latency
-                    for cls in sorted(self._reservoirs)
-                    for arrival, latency in self._reservoirs[cls]
-                    if arrival >= after]
+        """E2E latencies of requests arriving at/after ``after`` (warm-up cut)."""
         return [r.latency for r in self.requests
                 if r.done and r.arrival_time >= after]
 
     def latencies_by_class(self, after: float = 0.0) -> dict[str, list[float]]:
-        if self._reservoir_size is not None:
-            return {cls: [latency for arrival, latency in samples
-                          if arrival >= after]
-                    for cls, samples in sorted(self._reservoirs.items())}
         out: dict[str, list[float]] = {}
         for request in self.requests:
             if request.done and request.arrival_time >= after:
                 out.setdefault(request.traffic_class, []).append(request.latency)
-        return out
-
-    def sample_counts(self) -> dict[str, tuple[int, int]]:
-        """Per class: (completions seen, samples retained). Reservoir mode."""
-        return {cls: (self._seen_by_class[cls], len(self._reservoirs[cls]))
-                for cls in sorted(self._reservoirs)}
-
-    def traces(self) -> dict[int, "Trace"]:
-        """Assemble per-request traces from retained spans.
-
-        Requires ``keep_spans=True``; returns request id → trace. Spans of
-        failed/hedged/orphaned work are included — that work really ran.
-        """
-        from ..sim.request import Trace
-        out: dict[int, Trace] = {}
-        for span in self.spans:
-            trace = out.get(span.request_id)
-            if trace is None:
-                trace = out[span.request_id] = Trace(span.request_id)
-            trace.add(span)
         return out

@@ -2,7 +2,8 @@
 
 One frozen :class:`ObservabilityConfig` switches the whole layer; every
 pillar defaults to off so baseline runs stay byte-identical and pay no
-overhead (the runner checks a single ``is None`` per span when disabled).
+overhead (an untraced run keeps no span list; the runner checks a single
+``is None`` per span).
 
 :class:`Observability` is the live counterpart: it owns every pillar of
 one run and is what `MeshSimulation`/`run_policy` accept. Pass a config
@@ -12,6 +13,7 @@ share one registry across runs.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -37,7 +39,8 @@ __all__ = ["Observability", "ObservabilityConfig"]
 class ObservabilityConfig:
     """Which observability pillars to enable for a run."""
 
-    #: collect every span into a :class:`Tracer` (trace trees, exports)
+    #: keep every span in the run's telemetry, read through a
+    #: :class:`Tracer` (trace trees, exports)
     tracing: bool = False
     #: snapshot engine/pool/gateway/solver state into a metrics registry
     metrics: bool = False
@@ -72,16 +75,16 @@ class ObservabilityConfig:
     scrape_interval: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scrape_interval <= 0:
+        if not self.scrape_interval > 0:   # NaN fails every comparison
             raise ValueError(
                 f"scrape_interval must be > 0, got {self.scrape_interval}")
         if self.forecast_model not in FORECAST_MODELS:
             raise ValueError(
                 f"forecast_model must be one of {FORECAST_MODELS}, "
                 f"got {self.forecast_model!r}")
-        if self.season_length < 0:
-            raise ValueError(
-                f"season_length must be >= 0, got {self.season_length}")
+        if not 0 <= self.season_length < math.inf:
+            raise ValueError(f"season_length must be finite and >= 0, "
+                             f"got {self.season_length}")
         if self.forecast_horizon < 1:
             raise ValueError("forecast_horizon must be >= 1")
         if (self.forecast and self.forecast_model == "holt-winters"
@@ -120,11 +123,11 @@ class Observability:
     """Live observability state for one run (or a shared set of runs).
 
     Holds one of each pillar the config switches on, None for the rest:
-    the tracer, the metrics registry, the decision log, the control-plane
-    profiler, the time-series store and its scrape loop (bound by
-    :meth:`attach`), the SLO engine and its alert log, the provenance log,
-    and the signal bus with the forecast, anomaly and breach-prediction
-    engines that publish on it.
+    the tracer (a view over the attached run's spans), the metrics
+    registry, the decision log, the control-plane profiler, the time-series
+    store and its scrape loop (bound by :meth:`attach`), the SLO engine and
+    its alert log, the provenance log, and the signal bus with the
+    forecast, anomaly and breach-prediction engines that publish on it.
     """
 
     def __init__(self, config: ObservabilityConfig | None = None) -> None:
@@ -192,7 +195,8 @@ class Observability:
     def attach(self, simulation) -> None:
         """Bind run-scoped context (called by ``MeshSimulation``)."""
         if self.tracer is not None:
-            self.tracer.latency = simulation.deployment.latency
+            self.tracer = Tracer(simulation.telemetry,
+                                 latency=simulation.deployment.latency)
         if self.timeseries is not None:
             self.scrape = ScrapeLoop(self.timeseries, simulation,
                                      self.config.scrape_interval,

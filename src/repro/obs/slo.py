@@ -129,8 +129,8 @@ class SloEngine:
         """Fold one scrape window's observations in, then evaluate.
 
         ``new_latencies_by_class`` holds the end-to-end latencies completed
-        since the previous scrape (empty in reservoir-retention runs —
-        latency rules then see no events and stay quiet rather than guess).
+        since the previous scrape (empty when none did — latency rules then
+        see no events and stay quiet rather than guess).
         """
         for rule in self.rules:
             state = self._states[rule.name]

@@ -279,8 +279,7 @@ class ScrapeLoop:
       dropped/timed-out/hedged call counters — the same walk, names and
       values the end-of-run metrics registry takes;
     * per-class completion counters, windowed request rate, and sliding
-      p50/p95/p99 end-to-end latency (exact-retention mode only — reservoir
-      runs keep counters but have no per-request samples to window);
+      p50/p95/p99 end-to-end latency;
     * routing-table size/version and the L1 weight churn since the
       previous scrape (the "routing flap" signal).
 
@@ -297,7 +296,7 @@ class ScrapeLoop:
                  forecast_engine: "ForecastEngine | None" = None,
                  anomaly_engine: "AnomalyEngine | None" = None,
                  breach_predictor: "BreachPredictor | None" = None) -> None:
-        if interval <= 0:
+        if not interval > 0:   # NaN fails every comparison
             raise ValueError(f"scrape_interval must be > 0, got {interval}")
         self.store = store
         self.simulation = simulation
@@ -384,20 +383,19 @@ class ScrapeLoop:
                          telemetry.failed_by_class[cls], traffic_class=cls)
 
         new_latencies: dict[str, list[float]] = {}
-        if not telemetry.reservoir_mode:
-            fresh = telemetry.requests[self._completed_cursor:]
-            self._completed_cursor = len(telemetry.requests)
-            for request in fresh:
-                new_latencies.setdefault(request.traffic_class,
-                                         []).append(request.latency)
-            for cls in sorted(new_latencies):
-                values = new_latencies[cls]
-                if window > 0:
-                    store.record("request_rate_rps", now,
-                                 len(values) / window, traffic_class=cls)
-                for suffix, q in self.PERCENTILES:
-                    store.record(f"request_latency_{suffix}", now,
-                                 percentile(values, q), traffic_class=cls)
+        fresh = telemetry.requests[self._completed_cursor:]
+        self._completed_cursor = len(telemetry.requests)
+        for request in fresh:
+            new_latencies.setdefault(request.traffic_class,
+                                     []).append(request.latency)
+        for cls in sorted(new_latencies):
+            values = new_latencies[cls]
+            if window > 0:
+                store.record("request_rate_rps", now,
+                             len(values) / window, traffic_class=cls)
+            for suffix, q in self.PERCENTILES:
+                store.record(f"request_latency_{suffix}", now,
+                             percentile(values, q), traffic_class=cls)
         return new_latencies
 
     def _sample_routing(self, now: float) -> None:

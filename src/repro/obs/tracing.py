@@ -1,11 +1,12 @@
 """Distributed tracing over simulated requests.
 
-The first observability pillar: a :class:`Tracer` collects every
-:class:`~repro.sim.request.Span` the mesh emits (the telemetry SLATE-proxies
-already report, §3.1) and stitches each request's spans into a parent/child
-:class:`TraceNode` tree spanning services and clusters. All timestamps are
-virtual seconds from the simulation clock — a tracer never reads a wall
-clock, so traces are byte-reproducible from the seed.
+The first observability pillar: a :class:`Tracer` is a read-only view over
+the spans and finished requests a traced run's
+:class:`~repro.mesh.telemetry.RunTelemetry` already holds (the telemetry
+SLATE-proxies report, §3.1), and stitches each request's spans into a
+parent/child :class:`TraceNode` tree spanning services and clusters. All
+timestamps are virtual seconds from the simulation clock — a tracer never
+reads a wall clock, so traces are byte-reproducible from the seed.
 
 Stitching uses the span data itself: a span's parent is the span of
 ``caller_service`` in ``caller_cluster`` whose active window contains the
@@ -25,35 +26,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..mesh.telemetry import RunTelemetry
 from ..sim.network import LatencyMatrix
-from ..sim.request import Request, Span, Trace
+from ..sim.request import Request, Span, Trace, span_from_dict, span_to_dict
 
-__all__ = ["RequestRecord", "TraceNode", "Tracer", "build_trace_tree",
-           "chrome_trace", "span_from_dict", "span_to_dict"]
+__all__ = ["TraceNode", "Tracer", "build_trace_tree", "chrome_trace"]
 
 #: slack when matching a child's enqueue time against a parent's window
 _STITCH_EPSILON = 1e-9
 
 #: seconds → microseconds (the unit Chrome trace_event expects in ``ts``)
 _MICROS = 1_000_000.0
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """Request-level envelope a tracer keeps next to the span tree."""
-
-    request_id: int
-    traffic_class: str
-    ingress_cluster: str
-    arrival_time: float
-    completion_time: float | None
-    failed: bool
-
-    @property
-    def latency(self) -> float | None:
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
 
 
 @dataclass
@@ -79,42 +62,6 @@ class TraceNode:
         if not self.children:
             return 1
         return 1 + max(child.depth() for child in self.children)
-
-
-def span_to_dict(span: Span) -> dict:
-    """Flat JSON-friendly view of one span (the JSONL line payload)."""
-    return {
-        "request_id": span.request_id,
-        "traffic_class": span.traffic_class,
-        "service": span.service,
-        "cluster": span.cluster,
-        "caller_service": span.caller_service,
-        "caller_cluster": span.caller_cluster,
-        "enqueue_time": span.enqueue_time,
-        "start_time": span.start_time,
-        "end_time": span.end_time,
-        "exec_time": span.exec_time,
-        "request_bytes": span.request_bytes,
-        "response_bytes": span.response_bytes,
-    }
-
-
-def span_from_dict(payload: dict) -> Span:
-    """Inverse of :func:`span_to_dict`."""
-    return Span(
-        request_id=int(payload["request_id"]),
-        traffic_class=payload["traffic_class"],
-        service=payload["service"],
-        cluster=payload["cluster"],
-        caller_service=payload["caller_service"],
-        caller_cluster=payload["caller_cluster"],
-        enqueue_time=float(payload["enqueue_time"]),
-        start_time=float(payload["start_time"]),
-        end_time=float(payload["end_time"]),
-        exec_time=float(payload["exec_time"]),
-        request_bytes=int(payload["request_bytes"]),
-        response_bytes=int(payload["response_bytes"]),
-    )
 
 
 def build_trace_tree(trace: Trace,
@@ -156,89 +103,101 @@ def build_trace_tree(trace: Trace,
 
 
 class Tracer:
-    """Collects spans and request envelopes for a whole run.
+    """Read-only view of one run's traces.
 
-    Construction is cheap; recording is an append per span. The latency
-    matrix (attached by :class:`~repro.obs.config.Observability` when the
-    simulation is built) lets trees annotate WAN round-trips per hop.
+    Reads the spans and finished requests of a traced
+    :class:`~repro.mesh.telemetry.RunTelemetry` — a live run's (attached
+    by :class:`~repro.obs.config.Observability`) or one rebuilt by
+    :meth:`from_jsonl_lines` — and records nothing itself. Spans are
+    grouped by request as they are first read, so a view taken before or
+    during a run stays current. The latency matrix lets trees annotate
+    WAN round-trips per hop.
     """
 
-    def __init__(self, latency: LatencyMatrix | None = None) -> None:
+    def __init__(self, telemetry: RunTelemetry | None = None,
+                 latency: LatencyMatrix | None = None) -> None:
+        if telemetry is None:
+            telemetry = RunTelemetry(tracing=True)
+        if telemetry.spans is None:
+            raise ValueError("a Tracer reads a RunTelemetry that keeps "
+                             "spans (tracing=True)")
+        self.telemetry = telemetry
         self.latency = latency
-        self._spans: dict[int, list[Span]] = {}
-        self._requests: dict[int, RequestRecord] = {}
-        self.span_count = 0
+        #: request id → trace, grouped from the store's first
+        #: ``_grouped`` spans
+        self._traces: dict[int, Trace] = {}
+        self._grouped = 0
+        #: request id → finished request, rebuilt when the store grows
+        self._requests: dict[int, Request] = {}
 
-    # ----------------------------------------------------------- recording
-
-    def record_span(self, span: Span) -> None:
-        bucket = self._spans.get(span.request_id)
-        if bucket is None:
-            bucket = self._spans[span.request_id] = []
-        bucket.append(span)
-        self.span_count += 1
-
-    def record_request(self, request: Request) -> None:
-        self._requests[request.request_id] = RequestRecord(
-            request_id=request.request_id,
-            traffic_class=request.traffic_class,
-            ingress_cluster=request.ingress_cluster,
-            arrival_time=request.arrival_time,
-            completion_time=request.completion_time,
-            failed=request.failed,
-        )
+    def _by_request(self) -> dict[int, Trace]:
+        """Group the spans the store gained since the last read."""
+        spans = self.telemetry.spans
+        traces = self._traces
+        for span in spans[self._grouped:]:
+            trace = traces.get(span.request_id)
+            if trace is None:
+                trace = traces[span.request_id] = Trace(span.request_id)
+            trace.spans.append(span)
+        self._grouped = len(spans)
+        return traces
 
     # ------------------------------------------------------------- queries
 
+    @property
+    def span_count(self) -> int:
+        return len(self.telemetry.spans)
+
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._by_request())
 
     def request_ids(self) -> list[int]:
-        return sorted(self._spans)
-
-    def request(self, request_id: int) -> RequestRecord | None:
-        return self._requests.get(request_id)
-
-    def trace(self, request_id: int) -> Trace:
-        trace = Trace(request_id)
-        for span in self._spans.get(request_id, []):
-            trace.add(span)
-        return trace
+        return sorted(self._by_request())
 
     def traces(self) -> dict[int, Trace]:
-        return {rid: self.trace(rid) for rid in self.request_ids()}
+        """Request id → its trace, ids ascending; each trace keeps its
+        spans in finish order. Spans of failed/hedged/orphaned work are
+        included — that work really ran."""
+        traces = self._by_request()
+        return {rid: traces[rid] for rid in sorted(traces)}
+
+    def trace(self, request_id: int) -> Trace:
+        trace = self._by_request().get(request_id)
+        return trace if trace is not None else Trace(request_id)
+
+    def request(self, request_id: int) -> Request | None:
+        """The finished (completed or failed) request with this id."""
+        done, failed = self.telemetry.requests, self.telemetry.failed_requests
+        if len(self._requests) != len(done) + len(failed):
+            self._requests = {r.request_id: r for r in done + failed}
+        return self._requests.get(request_id)
 
     def tree(self, request_id: int) -> list[TraceNode]:
         """The stitched parent/child trees for one request."""
         return build_trace_tree(self.trace(request_id), latency=self.latency)
 
-    def slowest_requests(self, count: int = 10) -> list[RequestRecord]:
+    def slowest_requests(self, count: int = 10) -> list[Request]:
         """Completed requests by descending end-to-end latency."""
-        done = [r for r in self._requests.values()
-                if r.latency is not None and not r.failed]
-        done.sort(key=lambda r: (-r.latency, r.request_id))
-        return done[:count]
+        return sorted(self.telemetry.requests,
+                      key=lambda r: (-r.latency, r.request_id))[:count]
 
     # ------------------------------------------------------------- exports
 
     def to_jsonl_lines(self) -> list[str]:
         """One JSON document per span, in (request, record) order."""
-        lines = []
-        for request_id in self.request_ids():
-            for span in self._spans[request_id]:
-                lines.append(json.dumps(span_to_dict(span), sort_keys=True))
-        return lines
+        return [json.dumps(span_to_dict(span), sort_keys=True)
+                for trace in self.traces().values() for span in trace.spans]
 
     @classmethod
     def from_jsonl_lines(cls, lines,
                          latency: LatencyMatrix | None = None) -> "Tracer":
-        """Rebuild a tracer from :meth:`to_jsonl_lines` output."""
-        tracer = cls(latency=latency)
+        """A view over the spans of :meth:`to_jsonl_lines` output."""
+        telemetry = RunTelemetry(tracing=True)
         for line in lines:
             line = line.strip()
             if line:
-                tracer.record_span(span_from_dict(json.loads(line)))
-        return tracer
+                telemetry.record_span(span_from_dict(json.loads(line)))
+        return cls(telemetry, latency=latency)
 
 
 def chrome_trace(tracer: Tracer,

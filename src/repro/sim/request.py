@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 __all__ = ["RequestAttributes", "Request", "RequestIdAllocator", "Span",
-           "Trace", "new_request_id"]
+           "Trace", "new_request_id", "span_from_dict", "span_to_dict"]
 
 
 class RequestIdAllocator:
@@ -172,3 +172,40 @@ class Trace:
     def cross_cluster_hops(self) -> int:
         """Number of calls in the tree that crossed clusters."""
         return sum(1 for s in self.spans if s.remote)
+
+
+def span_to_dict(span: Span) -> dict:
+    """Flat JSON-friendly view of one span: the payload of every span
+    export (``write_spans_jsonl`` and the tracer's JSONL)."""
+    return {
+        "request_id": span.request_id,
+        "traffic_class": span.traffic_class,
+        "service": span.service,
+        "cluster": span.cluster,
+        "caller_service": span.caller_service,
+        "caller_cluster": span.caller_cluster,
+        "enqueue_time": span.enqueue_time,
+        "start_time": span.start_time,
+        "end_time": span.end_time,
+        "exec_time": span.exec_time,
+        "request_bytes": span.request_bytes,
+        "response_bytes": span.response_bytes,
+    }
+
+
+def span_from_dict(payload: dict) -> Span:
+    """Inverse of :func:`span_to_dict`."""
+    return Span(
+        request_id=int(payload["request_id"]),
+        traffic_class=payload["traffic_class"],
+        service=payload["service"],
+        cluster=payload["cluster"],
+        caller_service=payload["caller_service"],
+        caller_cluster=payload["caller_cluster"],
+        enqueue_time=float(payload["enqueue_time"]),
+        start_time=float(payload["start_time"]),
+        end_time=float(payload["end_time"]),
+        exec_time=float(payload["exec_time"]),
+        request_bytes=int(payload["request_bytes"]),
+        response_bytes=int(payload["response_bytes"]),
+    )

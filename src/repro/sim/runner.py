@@ -249,9 +249,8 @@ class _Call:
         span = self.span
         span.end_time = mesh.sim.now
         mesh.proxies[self.cluster].telemetry.record_span(span)
-        mesh.telemetry.record_span(span)
-        if mesh._obs_tracer is not None:
-            mesh._obs_tracer.record_span(span)
+        if mesh.telemetry.spans is not None:   # a traced run
+            mesh.telemetry.record_span(span)
         if not ok:
             # a child subtree failed: surface the error immediately
             # (error responses are small; no payload transfer)
@@ -380,14 +379,12 @@ class MeshSimulation:
 
     def __init__(self, app: AppSpec, deployment: DeploymentSpec,
                  seed: int = 0, classifier: Classifier | None = None,
-                 keep_spans: bool = False,
                  deterministic_exec: bool = False,
                  trace_sample_rate: float = 0.0,
                  service_model: str = "pool",
                  intra_lb: str = "least-outstanding",
                  timeouts: TimeoutPolicy | None = None,
                  observability=None,
-                 latency_reservoir: int | None = None,
                  fidelity: str = "event",
                  sample_rate: float = 0.05,
                  fluid_tick: float = 0.1) -> None:
@@ -403,13 +400,6 @@ class MeshSimulation:
         self.table = RoutingTable()
         #: the table version the last routing-table check passed
         self._checked_version = self.table.version
-        # the reservoir rng is a named stream, so enabling sampling cannot
-        # perturb routing/exec/arrival draws of an otherwise-identical run
-        self.telemetry = RunTelemetry(
-            keep_spans=keep_spans,
-            reservoir_size=latency_reservoir,
-            rng=(self.rngs.stream("telemetry/reservoir")
-                 if latency_reservoir is not None else None))
         # observability (repro.obs) accepts a config or a prebuilt runtime;
         # None/all-off coerces to None so the hot path pays one `is None`.
         # This deferred import is the one sanctioned sim->obs edge: the
@@ -418,8 +408,11 @@ class MeshSimulation:
         # time (no eager edge, no cycle — only this call-time one).
         from ..obs.config import Observability   # lint: ignore[A04]
         self.observability = Observability.coerce(observability)
-        self._obs_tracer = (self.observability.tracer
-                            if self.observability is not None else None)
+        # tracing is the one switch that keeps spans: the run's telemetry
+        # is their only store, and the tracer a view over it
+        self.telemetry = RunTelemetry(
+            tracing=(self.observability is not None
+                     and self.observability.config.tracing))
         if self.observability is not None:
             self.observability.attach(self)
         self._deterministic_exec = deterministic_exec
@@ -712,8 +705,6 @@ class MeshSimulation:
             gateway.complete(request, self.sim.now)
         else:
             gateway.fail(request, self.sim.now)
-        if self._obs_tracer is not None:
-            self._obs_tracer.record_request(request)
 
     def _issue_call(self, request: Request, plan: _ClassPlan,
                     caller_service: str | None, caller_cluster: str,

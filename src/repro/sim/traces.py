@@ -42,6 +42,11 @@ class DemandTimeline:
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.keyframes]
+        # NaN fails every comparison, so the order checks below pass it
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"keyframe times must be finite, got {times}")
+        if not math.isfinite(self.end):
+            raise ValueError(f"end must be finite, got {self.end}")
         if times != sorted(times):
             raise ValueError("keyframes must be time-ordered")
         if len(set(times)) != len(times):

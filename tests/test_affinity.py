@@ -7,6 +7,7 @@ import pytest
 
 from repro.mesh.affinity import weighted_rendezvous
 from repro.mesh.routing_table import RouteKey
+from repro.obs import ObservabilityConfig
 from repro.sim import (DemandMatrix, DeploymentSpec, anomaly_detection_app,
                        two_region_latency)
 from repro.sim.apps import AppSpec
@@ -64,7 +65,8 @@ def run_split(sticky, seed=19):
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=8,
         latency=two_region_latency(25.0))
-    sim = MeshSimulation(app, deployment, seed=seed, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=seed,
+                         observability=ObservabilityConfig(tracing=True))
     sim.table.set_weights(RouteKey("MP", "default", "west"),
                           {"west": 0.5, "east": 0.5})
     sim.run(DemandMatrix({("default", "west"): 200.0}), duration=20.0)

@@ -38,6 +38,7 @@ from repro.chaos import ChaosRuntime, FaultPlan, ReplicaFault, WanFault
 from repro.core.classes import AppSpecClassifier
 from repro.experiments.scenarios import fig6b_which_cluster
 from repro.mesh.routing_table import RouteKey
+from repro.obs import ObservabilityConfig
 from repro.sim import (DemandMatrix, DeploymentSpec, anomaly_detection_app,
                        linear_chain_app, two_region_latency)
 from repro.sim.apps import AppSpec, fanout_app, social_network_app
@@ -47,6 +48,9 @@ from repro.sim.runner import MeshSimulation, TimeoutPolicy
 from repro.sim.topology import ClusterSpec, gcp_four_region_latency
 
 GOLDEN = Path(__file__).parent / "golden" / "event_paths.json"
+
+#: every scenario keeps its spans (the tracing switch) for the span digest
+TRACING = ObservabilityConfig(tracing=True)
 
 
 def install(sim: MeshSimulation, rules) -> None:
@@ -87,7 +91,7 @@ def fig6b_sim(seed: int = 1, **kwargs) -> tuple[MeshSimulation, DemandMatrix]:
 
 
 def fig6b_static():
-    sim, demand = fig6b_sim(keep_spans=True)
+    sim, demand = fig6b_sim(observability=TRACING)
     sim.run(demand, duration=2.0)
     return sim
 
@@ -103,7 +107,7 @@ def fanout_parallel_fractional():
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=6,
         latency=two_region_latency(12.5))
-    sim = MeshSimulation(app, deployment, seed=3, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=3, observability=TRACING)
     install(sim, {("B2", "default", "west"): {"west": 0.5, "east": 0.5},
                   ("B3", "*", "west"): {"west": 0.8, "east": 0.2}})
     sim.run(DemandMatrix({("default", "west"): 220.0,
@@ -116,7 +120,7 @@ def social_network_sampled_spans():
     deployment = DeploymentSpec.uniform(
         app.services(), ["OR", "UT", "IOW", "SC"], replicas=8,
         latency=gcp_four_region_latency())
-    sim = MeshSimulation(app, deployment, seed=5, keep_spans=True,
+    sim = MeshSimulation(app, deployment, seed=5, observability=TRACING,
                          classifier=AppSpecClassifier(app),
                          trace_sample_rate=0.3)
     install(sim, {
@@ -143,7 +147,7 @@ def caching_sticky_affinity():
         clusters=[ClusterSpec("west", {"FR": 4, "MP": 8}),      # no DB
                   ClusterSpec("east", {"FR": 4, "MP": 8, "DB": 8})],
         latency=two_region_latency(25.0))
-    sim = MeshSimulation(app, deployment, seed=29, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=29, observability=TRACING)
     install(sim, {("MP", "default", "west"): {"west": 0.6, "east": 0.4}})
     sim.run(DemandMatrix({("default", "west"): 300.0,
                           ("default", "east"): 60.0}), duration=6.0)
@@ -153,7 +157,7 @@ def caching_sticky_affinity():
 def timeout_retry_fail_restore():
     app, deployment = chain_world(replicas=4)
     sim = MeshSimulation(
-        app, deployment, seed=11, keep_spans=True,
+        app, deployment, seed=11, observability=TRACING,
         timeouts=TimeoutPolicy(call_timeout=0.3, max_attempts=3,
                                exclude_failed_cluster=True))
     install(sim, {("S2", "default", "west"): {"west": 0.5, "east": 0.5},
@@ -174,7 +178,7 @@ def hedging_with_failing_branches():
                   ClusterSpec("east", {"S1": 10, "S2": 10})],
         latency=two_region_latency(20.0))
     sim = MeshSimulation(
-        app, deployment, seed=41, keep_spans=True,
+        app, deployment, seed=41, observability=TRACING,
         timeouts=TimeoutPolicy(call_timeout=0.085, max_attempts=1,
                                hedge_delay=0.03))
     sim.sim.schedule(4.0, sim.fail_service, "east", "S2")
@@ -185,7 +189,7 @@ def hedging_with_failing_branches():
 def chaos_partition_and_crash():
     app, deployment = chain_world(replicas=5)
     sim = MeshSimulation(
-        app, deployment, seed=7, keep_spans=True,
+        app, deployment, seed=7, observability=TRACING,
         timeouts=TimeoutPolicy(call_timeout=0.25, max_attempts=2))
     install(sim, {("S2", "default", "west"): {"west": 0.6, "east": 0.4}})
     ChaosRuntime(sim, FaultPlan((
@@ -202,7 +206,7 @@ def chaos_partition_and_crash():
 
 def per_replica_queues():
     app, deployment = chain_world(replicas=4)
-    sim = MeshSimulation(app, deployment, seed=13, keep_spans=True,
+    sim = MeshSimulation(app, deployment, seed=13, observability=TRACING,
                          service_model="replicas", intra_lb="round-robin",
                          deterministic_exec=True)
     install(sim, {("S1", "default", "west"): {"west": 0.75, "east": 0.25}})
@@ -214,7 +218,7 @@ def per_replica_queues():
 
 def hybrid_sampled_slice():
     app, deployment = chain_world(replicas=40)
-    sim = MeshSimulation(app, deployment, seed=17, keep_spans=True,
+    sim = MeshSimulation(app, deployment, seed=17, observability=TRACING,
                          fidelity="hybrid", sample_rate=0.1,
                          fluid_tick=0.1)
     install(sim, {("S2", "default", "west"): {"west": 0.55, "east": 0.45},

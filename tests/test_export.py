@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.compare import Comparison, PolicyOutcome
 from repro.analysis.export import (write_comparison_csv, write_latencies_csv,
                                    write_spans_jsonl)
+from repro.obs import ObservabilityConfig
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
                        two_region_latency)
 from repro.sim.runner import MeshSimulation
@@ -19,14 +20,15 @@ def small_run():
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=5,
         latency=two_region_latency(25.0))
-    sim = MeshSimulation(app, deployment, seed=12, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=12,
+                         observability=ObservabilityConfig(tracing=True))
     sim.run(DemandMatrix({("default", "west"): 100.0}), duration=5.0)
     return sim
 
 
 class TestTraces:
     def test_traces_assembled_per_request(self, small_run):
-        traces = small_run.telemetry.traces()
+        traces = small_run.observability.tracer.traces()
         assert len(traces) == len(small_run.telemetry.requests)
         sample = next(iter(traces.values()))
         # 2-service chain: two spans per request
@@ -34,7 +36,7 @@ class TestTraces:
         assert {s.service for s in sample.spans} == {"S1", "S2"}
 
     def test_trace_ids_match_requests(self, small_run):
-        traces = small_run.telemetry.traces()
+        traces = small_run.observability.tracer.traces()
         request_ids = {r.request_id for r in small_run.telemetry.requests}
         assert set(traces) == request_ids
 

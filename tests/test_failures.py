@@ -10,6 +10,7 @@ from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
                        two_region_latency)
+from repro.obs import ObservabilityConfig
 from repro.sim.runner import MeshSimulation
 
 
@@ -49,7 +50,8 @@ def test_in_flight_requests_at_failed_service_are_lost():
     deployment = DeploymentSpec.uniform(
         app.services(), ["west", "east"], replicas=1,
         latency=two_region_latency(25.0))
-    sim = MeshSimulation(app, deployment, seed=9, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=9,
+                         observability=ObservabilityConfig(tracing=True))
     at_kill = {}
 
     def kill():

@@ -66,7 +66,7 @@ def test_latency_burn_rate_empty_window_is_zero():
     rule = SloRule("lat", kind="latency", threshold=0.1, budget=0.1)
     engine = make_engine(rule)
     assert engine.burn_rate(rule, 100.0, 15.0) == 0.0
-    engine.observe(1.0, {})                  # reservoir runs: no samples
+    engine.observe(1.0, {})                  # no completions: no samples
     assert engine.burn_rate(rule, 1.0, 15.0) == 0.0
 
 

@@ -219,22 +219,25 @@ def test_disabled_timeseries_builds_nothing():
     assert obs.slo is None and obs.alerts is None
 
 
-def test_reservoir_mode_keeps_counters_drops_percentiles():
-    from repro.sim.runner import MeshSimulation
-    setup = fig6a_how_much(duration=4.0)
-    scenario = setup.scenario
-    obs = Observability(ObservabilityConfig(timeseries=True))
-    simulation = MeshSimulation(scenario.app, scenario.deployment,
-                                seed=scenario.seed, observability=obs,
-                                latency_reservoir=32)
-    setup.slate.compute_rules(scenario.context()).apply(simulation.table)
-    simulation.run(scenario.demand, scenario.duration)
-    store = obs.timeseries
-    assert store.series("requests_completed_total",
-                        traffic_class="default").last[1] > 0
-    # no per-request retention → no sliding window percentiles
-    assert store.series("request_latency_p99",
-                        traffic_class="default") is None
+@pytest.mark.parametrize("interval", [float("nan"), 0.0, -1.0])
+def test_scrape_interval_must_be_positive(interval):
+    """NaN fails ``<= 0`` too, so each guard is written ``not > 0``."""
+    with pytest.raises(ValueError, match="scrape_interval must be > 0"):
+        ObservabilityConfig(timeseries=True, scrape_interval=interval)
+    with pytest.raises(ValueError, match="scrape_interval must be > 0"):
+        ScrapeLoop(TimeSeriesStore(), None, interval)
+
+
+@pytest.mark.parametrize("season", [float("nan"), float("inf"), -1.0])
+def test_season_length_must_be_finite_and_non_negative(season):
+    """A NaN season used to pass construction and then fail in
+    ``season_ticks`` with "cannot convert float NaN to integer"."""
+    with pytest.raises(ValueError, match="season_length must be finite"):
+        ObservabilityConfig(season_length=season)
+
+
+def test_zero_season_length_disables_seasonality():
+    assert ObservabilityConfig(season_length=0.0).season_ticks == 0
 
 
 def walked_routing_sample(self, now: float) -> None:

@@ -1,4 +1,5 @@
-"""Tracer: span collection, tree stitching, JSONL round-trip, Chrome export."""
+"""Tracer: a view over the run's spans, tree stitching, JSONL round-trip,
+Chrome export."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 
 import pytest
 
+from repro.mesh.telemetry import RunTelemetry
 from repro.obs import Tracer, build_trace_tree, chrome_trace
 from repro.obs.tracing import span_from_dict, span_to_dict
 from repro.sim.request import Request, RequestAttributes, Span, Trace
@@ -24,6 +26,14 @@ def make_span(request_id=1, service="A", cluster="west",
                 caller_cluster=caller_cluster,
                 enqueue_time=enqueue, start_time=start, end_time=end,
                 exec_time=exec_time, request_bytes=100, response_bytes=200)
+
+
+def tracer_of(*spans: Span) -> Tracer:
+    """A tracer over a traced run store holding ``spans``."""
+    telemetry = RunTelemetry(tracing=True)
+    for span in spans:
+        telemetry.record_span(span)
+    return Tracer(telemetry)
 
 
 def three_hop_spans() -> list[Span]:
@@ -94,10 +104,8 @@ def test_tree_picks_latest_containing_parent():
 # ------------------------------------------------------------ the tracer
 
 def test_tracer_records_and_queries():
-    tracer = Tracer()
-    for span in three_hop_spans():
-        tracer.record_span(span)
-    tracer.record_span(make_span(request_id=2, service="A"))
+    tracer = tracer_of(*three_hop_spans(),
+                       make_span(request_id=2, service="A"))
     assert len(tracer) == 2
     assert tracer.request_ids() == [1, 2]
     assert tracer.span_count == 4
@@ -106,11 +114,11 @@ def test_tracer_records_and_queries():
 
 
 def test_tracer_request_records():
-    tracer = Tracer()
+    tracer = tracer_of()
     request = Request(request_id=7, attributes=RequestAttributes("A"),
                       ingress_cluster="west", arrival_time=1.0,
                       completion_time=1.25)
-    tracer.record_request(request)
+    tracer.telemetry.record_completion(request)
     record = tracer.request(7)
     assert record.latency == pytest.approx(0.25)
     assert not record.failed
@@ -125,10 +133,8 @@ def test_span_dict_round_trip():
 
 
 def test_jsonl_round_trip_in_memory():
-    tracer = Tracer()
-    for span in three_hop_spans():
-        tracer.record_span(span)
-    tracer.record_span(make_span(request_id=2, service="Z", cluster="east",
+    tracer = tracer_of(*three_hop_spans(),
+                       make_span(request_id=2, service="Z", cluster="east",
                                  caller_cluster="east"))
     lines = tracer.to_jsonl_lines()
     rebuilt = Tracer.from_jsonl_lines(lines)
@@ -141,9 +147,7 @@ def test_jsonl_round_trip_in_memory():
 
 def test_jsonl_files_round_trip(tmp_path):
     from repro.obs import load_trace_jsonl, write_trace_jsonl
-    tracer = Tracer()
-    for span in three_hop_spans():
-        tracer.record_span(span)
+    tracer = tracer_of(*three_hop_spans())
     path = tmp_path / "trace.jsonl"
     count = write_trace_jsonl(tracer, path)
     assert count == 3
@@ -154,9 +158,7 @@ def test_jsonl_files_round_trip(tmp_path):
 # ---------------------------------------------------------- chrome export
 
 def test_chrome_trace_schema():
-    tracer = Tracer()
-    for span in three_hop_spans():
-        tracer.record_span(span)
+    tracer = tracer_of(*three_hop_spans())
     document = chrome_trace(tracer)
     assert set(document) == {"traceEvents", "displayTimeUnit"}
     events = document["traceEvents"]
@@ -185,10 +187,8 @@ def test_chrome_trace_schema():
 def test_chrome_trace_round_trips_through_jsonl():
     """The Chrome document is a pure function of the span set: rebuilding
     the tracer from its JSONL export reproduces it event-for-event."""
-    tracer = Tracer()
-    for span in three_hop_spans():
-        tracer.record_span(span)
-    tracer.record_span(make_span(request_id=2, service="Z", cluster="east",
+    tracer = tracer_of(*three_hop_spans(),
+                       make_span(request_id=2, service="Z", cluster="east",
                                  caller_cluster="east"))
     document = chrome_trace(tracer)
     reparsed = json.loads(json.dumps(document))
@@ -301,11 +301,120 @@ def test_stitching_across_a_wan_retry():
 
 def test_chrome_trace_max_requests_caps_output(tmp_path):
     from repro.obs import write_chrome_trace
-    tracer = Tracer()
-    for rid in range(1, 6):
-        tracer.record_span(make_span(request_id=rid))
+    tracer = tracer_of(*(make_span(request_id=rid) for rid in range(1, 6)))
     events = write_chrome_trace(tracer, tmp_path / "t.json", max_requests=2)
     document = json.loads((tmp_path / "t.json").read_text())
     spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
     assert len(spans) == 2
     assert events == len(document["traceEvents"])
+
+
+# ------------------------------------------------- the run is the one store
+
+def _chain_sim(observability):
+    from repro.sim import DeploymentSpec, linear_chain_app
+    from repro.sim.runner import MeshSimulation, TimeoutPolicy
+
+    app = linear_chain_app(n_services=3, exec_time=0.010)
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=3,
+        latency=two_region_latency(25.0))
+    # hedges and deadlines leave orphaned and losing spans in the run
+    return MeshSimulation(app, deployment, seed=4,
+                          observability=observability,
+                          timeouts=TimeoutPolicy(call_timeout=0.12,
+                                                 max_attempts=2,
+                                                 hedge_delay=0.05))
+
+
+def _run(sim):
+    from repro.mesh.routing_table import RouteKey
+    from repro.sim import DemandMatrix
+
+    sim.table.set_weights(RouteKey("S2", "default", "west"),
+                          {"west": 0.5, "east": 0.5})
+    sim.run(DemandMatrix({("default", "west"): 220.0,
+                          ("default", "east"): 40.0}), duration=3.0)
+    return sim
+
+
+def _spy_span_sinks(monkeypatch):
+    """Count, per span object, every call into a span sink."""
+    from repro.mesh.telemetry import ProxyTelemetry
+
+    seen = {"proxy": {}, "run": {}}
+
+    def spy(sink, original):
+        def record_span(self, span):
+            seen[sink][id(span)] = seen[sink].get(id(span), 0) + 1
+            return original(self, span)
+        return record_span
+
+    monkeypatch.setattr(ProxyTelemetry, "record_span",
+                        spy("proxy", ProxyTelemetry.record_span))
+    monkeypatch.setattr(RunTelemetry, "record_span",
+                        spy("run", RunTelemetry.record_span))
+    return seen
+
+
+@pytest.mark.parametrize("prebuilt", [False, True])
+def test_each_span_reaches_the_proxy_window_and_the_run_store_once(
+        monkeypatch, prebuilt):
+    from repro.obs import Observability, ObservabilityConfig
+
+    seen = _spy_span_sinks(monkeypatch)
+    config = ObservabilityConfig(tracing=True)
+    obs = Observability(config) if prebuilt else config
+    sim = _run(_chain_sim(obs))
+    spans = sim.telemetry.spans
+    assert sim.hedged_calls > 0 and sim.timed_out_calls > 0
+    assert spans and len({id(span) for span in spans}) == len(spans)
+    assert seen["proxy"] == seen["run"] == {id(span): 1 for span in spans}
+    # the tracer is a view over that one store, not a copy of it
+    tracer = sim.observability.tracer
+    if prebuilt:
+        assert tracer is obs.tracer
+    assert tracer.telemetry is sim.telemetry
+    assert tracer.span_count == len(spans)
+    assert sorted(id(span) for trace in tracer.traces().values()
+                  for span in trace.spans) == sorted(seen["run"])
+    finished = sim.telemetry.requests + sim.telemetry.failed_requests
+    assert all(tracer.request(r.request_id) is r for r in finished)
+
+
+def test_an_untraced_run_keeps_no_span_list(monkeypatch):
+    from repro.obs import ObservabilityConfig
+
+    seen = _spy_span_sinks(monkeypatch)
+    sim = _run(_chain_sim(ObservabilityConfig(metrics=True)))
+    assert sim.telemetry.spans is None
+    assert sim.observability.tracer is None
+    assert seen["proxy"] and not seen["run"]
+    with pytest.raises(ValueError, match="keeps spans"):
+        Tracer(sim.telemetry)
+
+
+def _shape(nodes):
+    return [(node.span, node.wan_rtt, _shape(node.children))
+            for node in nodes]
+
+
+def test_jsonl_rebuild_reproduces_a_run_tracer():
+    """Trees, the slowest requests' breakdowns and the chrome document all
+    come back from the JSONL export of a real run."""
+    from repro.obs import ObservabilityConfig, trace_summary
+
+    tracer = _run(_chain_sim(ObservabilityConfig(tracing=True))) \
+        .observability.tracer
+    rebuilt = Tracer.from_jsonl_lines(tracer.to_jsonl_lines(),
+                                      latency=tracer.latency)
+    assert rebuilt.request_ids() == tracer.request_ids()
+    for request_id in tracer.request_ids():
+        assert (_shape(rebuilt.tree(request_id))
+                == _shape(tracer.tree(request_id)))
+    slowest = [r.request_id for r in tracer.slowest_requests(5)]
+    assert len(slowest) == 5
+    assert ([trace_summary(rebuilt.tree(rid)) for rid in slowest]
+            == [trace_summary(tracer.tree(rid)) for rid in slowest])
+    assert chrome_trace(rebuilt) == chrome_trace(tracer)
+    assert rebuilt.to_jsonl_lines() == tracer.to_jsonl_lines()

@@ -1,4 +1,4 @@
-"""Harness/simulation wiring: off-by-default purity, coerce, reservoirs."""
+"""Harness/simulation wiring: off-by-default purity, coerce, retention."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.experiments.scenarios import fig6a_how_much
 from repro.mesh.telemetry import RunTelemetry
 from repro.obs import Observability, ObservabilityConfig
 from repro.sim.request import Request, RequestAttributes
-from repro.sim.rng import RngRegistry
 
 
 # ---------------------------------------------------------------- coerce
@@ -67,7 +66,7 @@ def test_enabled_tracing_captures_every_span():
     assert obs.tracer.latency is not None
 
 
-# ------------------------------------------------------------- reservoirs
+# ------------------------------------------------------------- retention
 
 def completed(request_id, latency, traffic_class="default",
               arrival=None) -> Request:
@@ -79,63 +78,8 @@ def completed(request_id, latency, traffic_class="default",
                    completion_time=arrival + latency)
 
 
-def latency_of(request_id, latency) -> float:
-    """The float the ``latency`` property really yields (rounding included)."""
-    arrival = float(request_id)
-    return (arrival + latency) - arrival
-
-
-def test_reservoir_requires_rng_and_valid_size():
-    with pytest.raises(ValueError):
-        RunTelemetry(reservoir_size=8)
-    with pytest.raises(ValueError):
-        RunTelemetry(reservoir_size=0,
-                     rng=RngRegistry(0).stream("telemetry/reservoir"))
-
-
-def test_reservoir_bounds_retention_and_keeps_exact_counts():
-    rng = RngRegistry(7).stream("telemetry/reservoir")
-    telemetry = RunTelemetry(reservoir_size=16, rng=rng)
-    assert telemetry.reservoir_mode
-    for rid in range(200):
-        telemetry.record_completion(completed(rid, latency=rid * 1e-3))
-    telemetry.record_failure(completed(999, latency=0.5))
-    assert telemetry.completed_count == 200
-    assert telemetry.failed_count == 1
-    assert len(telemetry.latencies()) == 16
-    assert telemetry.requests == []            # nothing retained per-request
-    assert telemetry.failed_requests == []
-    assert telemetry.sample_counts() == {"default": (200, 16)}
-    # every sampled latency really was observed
-    assert (set(telemetry.latencies())
-            <= {latency_of(rid, rid * 1e-3) for rid in range(200)})
-
-
-def test_reservoir_below_capacity_is_exact():
-    rng = RngRegistry(7).stream("telemetry/reservoir")
-    telemetry = RunTelemetry(reservoir_size=100, rng=rng)
-    for rid in range(10):
-        telemetry.record_completion(completed(rid, latency=rid * 1e-3))
-    assert (telemetry.latencies()
-            == [latency_of(rid, rid * 1e-3) for rid in range(10)])
-
-
-def test_reservoir_is_deterministic_per_seed():
-    def sample(seed):
-        telemetry = RunTelemetry(
-            reservoir_size=8,
-            rng=RngRegistry(seed).stream("telemetry/reservoir"))
-        for rid in range(500):
-            telemetry.record_completion(completed(rid, latency=rid * 1e-3))
-        return telemetry.latencies()
-
-    assert sample(3) == sample(3)
-    assert sample(3) != sample(4)
-
-
-def test_reservoir_per_class_and_warmup_cut():
-    rng = RngRegistry(1).stream("telemetry/reservoir")
-    telemetry = RunTelemetry(reservoir_size=50, rng=rng)
+def test_per_class_latencies_and_warmup_cut():
+    telemetry = RunTelemetry()
     for rid in range(20):
         telemetry.record_completion(
             completed(rid, latency=0.010, traffic_class="gold"))
@@ -145,36 +89,13 @@ def test_reservoir_per_class_and_warmup_cut():
     by_class = telemetry.latencies_by_class()
     assert sorted(by_class) == ["bronze", "gold"]
     assert len(by_class["gold"]) == 20 and len(by_class["bronze"]) == 10
-    # warm-up cut filters on the *arrival* timestamp kept with each sample
+    # warm-up cut filters on each request's *arrival* timestamp
     assert len(telemetry.latencies(after=25.0)) == 5
 
 
 def test_exact_mode_unchanged_by_default():
     telemetry = RunTelemetry()
-    assert not telemetry.reservoir_mode
     for rid in range(5):
         telemetry.record_completion(completed(rid, latency=0.01))
     assert len(telemetry.requests) == 5
     assert telemetry.completed_count == 5
-
-
-def test_simulation_accepts_latency_reservoir():
-    from repro.sim.runner import MeshSimulation
-
-    def simulate(reservoir):
-        setup = fig6a_how_much(duration=4.0)
-        scenario = setup.scenario
-        simulation = MeshSimulation(scenario.app, scenario.deployment,
-                                    seed=scenario.seed,
-                                    latency_reservoir=reservoir)
-        setup.slate.compute_rules(scenario.context()).apply(simulation.table)
-        simulation.run(scenario.demand, scenario.duration)
-        return simulation.telemetry
-
-    exact = simulate(None)
-    sampled = simulate(64)
-    assert sampled.reservoir_mode and not exact.reservoir_mode
-    # the named reservoir stream must not perturb the simulation itself
-    assert sampled.completed_count == exact.completed_count
-    assert len(sampled.latencies()) == 64
-    assert set(sampled.latencies()) <= set(exact.latencies())

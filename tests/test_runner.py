@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mesh.routing_table import RouteKey
+from repro.obs import ObservabilityConfig
 from repro.sim import (CallEdge, DemandMatrix, DeploymentSpec, TrafficClassSpec,
                        AppSpec, linear_chain_app, fanout_app,
                        two_region_latency)
@@ -138,7 +139,8 @@ def test_fractional_calls_per_request_realised_probabilistically():
     deployment = DeploymentSpec.uniform(
         ["P", "Q"], ["west", "east"], replicas=20,
         latency=two_region_latency(10.0))
-    sim = MeshSimulation(app, deployment, seed=3, keep_spans=True)
+    sim = MeshSimulation(app, deployment, seed=3,
+                         observability=ObservabilityConfig(tracing=True))
     sim.run(DemandMatrix({("default", "west"): 200.0}), duration=10.0)
     q_spans = sum(1 for s in sim.telemetry.spans if s.service == "Q")
     p_spans = sum(1 for s in sim.telemetry.spans if s.service == "P")

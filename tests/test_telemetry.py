@@ -111,12 +111,10 @@ def test_run_telemetry_by_class():
 
 
 def test_run_telemetry_span_retention_flag():
-    keeping = RunTelemetry(keep_spans=True)
-    dropping = RunTelemetry(keep_spans=False)
+    keeping = RunTelemetry(tracing=True)
     keeping.record_span(make_span())
-    dropping.record_span(make_span())
     assert len(keeping.spans) == 1
-    assert len(dropping.spans) == 0
+    assert RunTelemetry().spans is None   # untraced: no span list at all
 
 
 KEYS = (("S1", "L"), ("S2", "L"), ("S1", "H"))

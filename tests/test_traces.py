@@ -52,6 +52,19 @@ class TestTimeline:
         with pytest.raises(ValueError, match="end"):
             DemandTimeline(keyframes=[(5.0, dm())], end=5.0)
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_keyframe_time(self, time):
+        """A NaN keyframe passed the order checks (NaN compares false), and
+        ``demand_at(1.0)`` then returned its demand."""
+        with pytest.raises(ValueError, match="keyframe times must be finite"):
+            DemandTimeline(keyframes=[(0.0, dm(1.0)), (time, dm(5.0))],
+                           end=10.0)
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf])
+    def test_rejects_non_finite_end(self, end):
+        with pytest.raises(ValueError, match="end must be finite"):
+            DemandTimeline(keyframes=[(0.0, dm(1.0))], end=end)
+
     def test_peak_total(self):
         timeline = DemandTimeline(
             keyframes=[(0.0, dm(100.0, 50.0)), (10.0, dm(400.0, 50.0))],
