@@ -1,6 +1,7 @@
 """The Global Controller's request-routing optimizer (§3.3)."""
 
 from .cache import DEFAULT_CACHE_SIZE, SolverCache, model_fingerprint
+from .groups import ClassGroups
 from .model import INGRESS_EDGE, LinearModel, build_model, class_edges
 from .paths import build_path_model, candidate_paths
 from .piecewise import Segment, linearize_convex
@@ -12,6 +13,7 @@ from .warm import EpochSolver, warm_solve
 
 __all__ = [
     "DEFAULT_CACHE_SIZE", "SolverCache", "model_fingerprint",
+    "ClassGroups",
     "INGRESS_EDGE", "LinearModel", "build_model", "class_edges",
     "build_path_model", "candidate_paths",
     "Segment", "linearize_convex",

@@ -20,10 +20,25 @@ from ...sim.network import EgressPricing, LatencyMatrix
 from ...sim.topology import DeploymentSpec
 from ...sim.workload import DemandMatrix
 
-__all__ = ["ClassWorkload", "TEProblem", "INGRESS_EDGE"]
+__all__ = ["ClassWorkload", "TEProblem", "INGRESS_EDGE", "class_signature"]
 
 #: edge index of the user → root pseudo-edge in flow keys and edge refs
 INGRESS_EDGE = -1
+
+
+def class_signature(spec: TrafficClassSpec) -> tuple:
+    """Everything either LP builder reads of a class besides its name and
+    its demand: the root, the ingress bytes, the call-tree edges and the
+    compute times. Two classes with equal signatures get identical column
+    blocks, so they can be planned as one (:mod:`.groups`)."""
+    return (
+        spec.root_service,
+        spec.ingress_request_bytes,
+        spec.ingress_response_bytes,
+        tuple((e.caller, e.callee, e.calls_per_request,
+               e.request_bytes, e.response_bytes) for e in spec.edges),
+        tuple(sorted(spec.exec_time.items())),
+    )
 
 
 @dataclass

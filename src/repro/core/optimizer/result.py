@@ -183,7 +183,7 @@ class OptimizationResult:
 
 
 def extract_result(model: LinearModel, solution, status: str,
-                   solve_time: float) -> OptimizationResult:
+                   solve_time: float, split=None) -> OptimizationResult:
     """Build an :class:`OptimizationResult` from a scipy solution vector.
 
     Every non-zero flow column is expanded onto the (class, edge, src,
@@ -191,15 +191,24 @@ def extract_result(model: LinearModel, solution, status: str,
     single arc, a path column every edge of its embedding times the call
     multiplier. From there routing rules, predicted latency and egress
     cost are formulation-independent.
+
+    With ``split`` (a :class:`~repro.core.optimizer.groups.ClassSplit`),
+    ``model`` was built for groups of interchangeable classes. The
+    predicted state still comes from the model's own flows — the members'
+    flows sum to them — while :attr:`OptimizationResult.flows` and the
+    rules are the split's, keyed by member class, and the result totals
+    the members' demand.
     """
     result = OptimizationResult(
         status=status,
         objective=float("nan"),
         solve_time=solve_time,
-        total_demand=model.problem.total_demand(),
+        total_demand=(model.problem if split is None
+                      else split.problem).total_demand(),
         n_variables=model.n_variables,
         n_constraints=int(model.a_ub.shape[0] + model.a_eq.shape[0]),
-        _structure=model.tables.structure,
+        _structure=(model.tables.structure if split is None
+                    else split.structure),
     )
     if solution is None:
         return result
@@ -217,6 +226,8 @@ def extract_result(model: LinearModel, solution, status: str,
             flows[key] = flows.get(key, 0.0) + rate * mult
 
     finalize_result(result, model.tables)
+    if split is not None:
+        result.flows = split.flows(x)
     return result
 
 

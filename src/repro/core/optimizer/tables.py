@@ -118,6 +118,10 @@ class StructureTables:
         self._route_vars = route_vars
         self._route_hops = route_hops
         self._rule_plan: RulePlan | None = None
+        #: membership key → the :class:`~repro.core.optimizer.groups
+        #: .SplitPlan` of a model built for class groups (see
+        #: :meth:`~repro.core.optimizer.groups.ClassGroups.split`)
+        self.splits: dict = {}
 
     def matches(self, problem: TEProblem) -> bool:
         """Was this structure built on ``problem``'s WAN geometry as it

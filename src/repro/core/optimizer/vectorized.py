@@ -44,7 +44,7 @@ from .cache import BoundedLRU
 from .model import (CountSlots, LinearModel, ModelStructure, RouteVar,
                     class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
-from .problem import INGRESS_EDGE, TEProblem
+from .problem import INGRESS_EDGE, TEProblem, class_signature
 from .tables import ModelTables
 
 __all__ = ["build_model_vectorized", "StructureCache", "structure_key",
@@ -106,15 +106,9 @@ def structure_key(problem: TEProblem,
     classes = []
     for name in sorted(problem.workloads):
         workload = problem.workloads[name]
-        spec = workload.spec
         classes.append((
             name,
-            spec.root_service,
-            spec.ingress_request_bytes,
-            spec.ingress_response_bytes,
-            tuple((e.caller, e.callee, e.calls_per_request,
-                   e.request_bytes, e.response_bytes) for e in spec.edges),
-            tuple(sorted(spec.exec_time.items())),
+            class_signature(workload.spec),
             # demand *pattern*: which clusters have positive ingress, in
             # problem cluster order
             tuple(sorted((c for c, rps in workload.demand.items()

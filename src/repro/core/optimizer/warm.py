@@ -15,6 +15,12 @@
 
 A count change is warm; a deployment change is a miss.
 
+Every rung works on the model of the problem's class groups
+(:class:`~repro.core.optimizer.groups.ClassGroups`): interchangeable
+classes are built and solved as one, and the solution is split back per
+member class at this epoch's demands — after a replay too, whose cached
+vector is the group model's.
+
 A hot start solves the full model under the same certificate as a cold
 solve, and where it ends on the cold solve's basis it returns the cold
 bits; but a tied optimum has a face of optimal vertices, and two pivot
@@ -32,6 +38,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .cache import SolverCache, model_fingerprint
+from .groups import ClassGroups
 from .model import LinearModel, build_model
 from .paths import build_path_model
 from .problem import TEProblem
@@ -142,23 +149,29 @@ class EpochSolver:
                     structure_cache=self.structure_cache)
             return build_model(problem, structure_cache=self.structure_cache)
 
-    def _candidate_stats(self, model: LinearModel) -> dict | None:
+    def _candidate_stats(self, model: LinearModel,
+                         groups: ClassGroups) -> dict | None:
         """Candidate-set sizes for a path-formulation model.
 
-        Groups are (traffic_class, ingress) pairs — the unit the k-best
-        enumeration ran per. None for the arc formulation.
+        ``groups`` counts the (class group, ingress) pairs — the unit the
+        k-best enumeration ran per; ``class_groups`` the groups of
+        interchangeable classes the model was built for and
+        ``member_classes`` the classes in them. None for the arc
+        formulation.
         """
         if self.formulation != "path":
             return None
-        groups: dict[tuple[str, str], int] = {}
+        sizes: dict[tuple[str, str], int] = {}
         for var in model.route_vars:
             key = (var.traffic_class, var.ingress)
-            groups[key] = groups.get(key, 0) + 1
+            sizes[key] = sizes.get(key, 0) + 1
         return {
             "paths": len(model.route_vars),
-            "groups": len(groups),
+            "groups": len(sizes),
             "k": self.path_k,
-            "max_group": max(groups.values(), default=0),
+            "max_group": max(sizes.values(), default=0),
+            "class_groups": len(groups.members),
+            "member_classes": len(groups.problem.workloads),
         }
 
     # --------------------------------------------------------------- solve
@@ -169,8 +182,9 @@ class EpochSolver:
         started = time.perf_counter()   # lint: ignore[D02]
         structure_hits = (self.structure_cache.hits
                           if self.structure_cache is not None else 0)
+        groups = ClassGroups(problem)
         with self._section("optimizer-build"):
-            model = self._build(problem)
+            model = self._build(groups.planned)
         build_elapsed = time.perf_counter() - started   # lint: ignore[D02]
         self.builds += 1
         self.build_seconds += build_elapsed
@@ -178,7 +192,8 @@ class EpochSolver:
                       and self.structure_cache.hits > structure_hits)
         if warm_build:
             self.warm_builds += 1
-        self.last_candidate_stats = self._candidate_stats(model)
+        self.last_candidate_stats = self._candidate_stats(model, groups)
+        split = groups.split(model)
 
         fingerprint = None
         if self.cache is not None:
@@ -189,7 +204,8 @@ class EpochSolver:
                 self.replays += 1
                 result = extract_result(
                     model, solution, status,
-                    time.perf_counter() - started)   # lint: ignore[D02]
+                    time.perf_counter() - started,   # lint: ignore[D02]
+                    split)
                 result.cache_hit = True
                 return self._decorate(result, fingerprint, build_elapsed,
                                       warm_build, hot_start=None)
@@ -227,7 +243,7 @@ class EpochSolver:
             self._previous = (model.tables.structure, lp)
         if self.cache is not None:
             self.cache.store(fingerprint, solution, "optimal")
-        result = extract_result(model, solution, "optimal", elapsed)
+        result = extract_result(model, solution, "optimal", elapsed, split)
         result.certificate = lp.certificate
         return self._decorate(result, fingerprint, build_elapsed,
                               warm_build, hot_start)

@@ -37,6 +37,7 @@ from repro.core.controller.global_controller import (GlobalController,
 from repro.core.optimizer import (StructureCache, build_model,
                                   build_path_model, model_fingerprint)
 from repro.core.optimizer import model as arc_model
+from repro.core.optimizer.groups import ClassGroups
 from repro.core.optimizer import paths, tables, vectorized
 from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
@@ -213,7 +214,12 @@ def test_cold_build_ranks_each_neighbourhood_once(monkeypatch):
     controller = GlobalController(app, deployment, config)
     controller.observe(epoch_reports(names, base)[0])
     assert controller.plan().ok
-    assert len(enumerations) == len(base)       # once per (class, ingress)
+    # once per (class group, ingress): the smoke mesh's classes are
+    # interchangeable, so far fewer than once per (class, ingress)
+    planned = ClassGroups(controller.build_problem()).planned
+    assert len(enumerations) == sum(
+        len(workload.demand) for workload in planned.workloads.values())
+    assert len(enumerations) < len(base)
     assert 0 < len(sorts) <= len(app.services()) * len(names)
 
 
