@@ -23,8 +23,8 @@ from reporting import bench_json_path
 
 from repro.analysis.report import format_table
 from repro.core.optimizer import (ClassGroups, EpochSolver, HighsLP,
-                                  StructureCache, TEProblem, build_model,
-                                  highs_solve, warm_solve)
+                                  TEProblem, build_model, highs_solve,
+                                  warm_solve)
 from repro.experiments.scenarios import (planet_scale_problem,
                                          synthetic_te_problem)
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
@@ -67,14 +67,14 @@ def test_warm_build_rate(benchmark, bench_json):
     """Headline: structured rebuild (demand rescatter) rate.
 
     Epoch N+1's build when only demand values moved — the steady-state
-    cost of the adaptive control loop.
+    cost of the adaptive control loop: the previous epoch's snapshot
+    instantiated, as :class:`EpochSolver` does.
     """
     problem = engine_scenario_problem()
-    cache = StructureCache()
-    build_model(problem, structure_cache=cache)   # populate
-    model = benchmark(lambda: build_model(problem, structure_cache=cache))
+    snapshot = build_model(problem).snapshot
+    model = benchmark(lambda: snapshot.instantiate(problem))
     assert model.n_variables > 0
-    assert cache.hits > 0
+    assert model.snapshot is snapshot
     if benchmark.stats is not None:
         rate = 1.0 / benchmark.stats.stats.mean
         assert rate > 10.0 * baseline_builds_per_sec()
@@ -82,7 +82,7 @@ def test_warm_build_rate(benchmark, bench_json):
 
 
 def test_cold_build_rate(benchmark, bench_json):
-    """Vectorized assembly from scratch (structure-cache miss)."""
+    """Vectorized assembly from scratch (a new structure)."""
     problem = engine_scenario_problem()
     model = benchmark(lambda: build_model(problem))
     assert model.n_variables > 0
@@ -95,16 +95,15 @@ def test_cold_build_rate(benchmark, bench_json):
 def test_warm_vs_cold_solve(benchmark, bench_json):
     """Hot-started re-solve vs cold solve on a mid-size instance."""
     problem = synthetic_te_problem(8, 10, 4)
-    cache = StructureCache()
-    model = build_model(problem, structure_cache=cache)
+    model = build_model(problem)
     lp = HighsLP(model)
     lp.run()
     # nudge demand the way one control epoch would, rescatter, re-solve
     for workload in problem.workloads.values():
         for cluster in workload.demand:
             workload.demand[cluster] *= 1.05
-    moved = build_model(problem, structure_cache=cache)
-    assert cache.hits > 0
+    moved = model.snapshot.instantiate(problem)
+    assert moved.tables.structure is model.tables.structure
 
     # each call hot-starts one epoch from the other one's optimum
     epochs = itertools.cycle((moved, model))
@@ -221,8 +220,8 @@ def test_planet_scale(benchmark, bench_json):
     Its classes are interchangeable, so the cold epoch (candidate
     enumeration + assembly + solve + the split back per class) plans one
     class group and must fit ``PLANET_COLD_BUDGET_SECONDS``, as the median
-    of ``PLANET_COLD_EPOCHS``; the steady-state epoch (structure-cache
-    rescatter + hot start) should be cheaper still.
+    of ``PLANET_COLD_EPOCHS``; the steady-state epoch (the previous
+    epoch's snapshot rescattered + hot start) should be cheaper still.
     """
     problem = planet_scale_problem()
     solver, result, cold_total = benchmark.pedantic(

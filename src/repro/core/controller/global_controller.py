@@ -130,8 +130,8 @@ class GlobalController:
         #: memoizes epoch solves (LRU of ``DEFAULT_CACHE_SIZE`` entries)
         self.solver_cache = SolverCache()
         #: the build+solve pipeline with structure reuse and warm starts;
-        #: composes the solver cache (replay) with its own structure cache
-        #: (warm builds) and previous-solution warm re-solves
+        #: composes the solver cache (replay) with the previous epoch's
+        #: structure (warm builds) and basis (hot starts)
         self.epoch_solver = EpochSolver(
             cache=self.solver_cache,
             formulation=self.config.formulation,
@@ -293,8 +293,8 @@ class GlobalController:
 
         Under this controller's whole config and through its
         :attr:`epoch_solver` — so the formulation and egress budget are the
-        ones every later epoch uses, and the structure cache is warm when
-        the first :meth:`plan` arrives.
+        ones every later epoch uses, and the first :meth:`plan` of the
+        same structure is a warm build.
         Not an epoch: learned state and :attr:`last_result` are untouched.
         Raises :class:`SolverError` when the instance is infeasible.
         """

@@ -63,9 +63,9 @@ class SlatePolicy:
         """The controller every plan of this policy goes through.
 
         One per policy, so the initial plan and the adaptive epochs share
-        one config-to-problem path and one epoch solver (structure cache,
-        solver cache, warm starts). Rebuilt only if the policy is handed a
-        different app or deployment.
+        one config-to-problem path and one epoch solver (the previous
+        epoch's structure and basis, the solver cache). Rebuilt only if the
+        policy is handed a different app or deployment.
         """
         controller = self._controller
         if (controller is None or controller.app is not ctx.app

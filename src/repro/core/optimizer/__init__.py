@@ -8,7 +8,6 @@ from .piecewise import Segment, linearize_convex
 from .problem import ClassWorkload, TEProblem
 from .result import OptimizationResult, finalize_result
 from .solve import HighsLP, SolverError, highs_solve, solve, solve_model
-from .vectorized import StructureCache
 from .warm import EpochSolver, warm_solve
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "ClassWorkload", "TEProblem",
     "OptimizationResult", "finalize_result",
     "HighsLP", "SolverError", "highs_solve", "solve", "solve_model",
-    "StructureCache",
     "EpochSolver", "warm_solve",
 ]

@@ -30,8 +30,7 @@ from scipy import sparse
 
 from .model import LinearModel
 
-__all__ = ["BoundedLRU", "SolverCache", "model_fingerprint",
-           "DEFAULT_CACHE_SIZE"]
+__all__ = ["SolverCache", "model_fingerprint", "DEFAULT_CACHE_SIZE"]
 
 #: default LRU bound — an adaptive controller alternating between a handful
 #: of quantized demand levels fits comfortably; the memory cost is one
@@ -92,12 +91,20 @@ def model_fingerprint(model: LinearModel) -> str:
     return hasher.hexdigest()
 
 
-class BoundedLRU:
-    """Bounded least-recently-used map with hit/miss counters: the one
-    store behind :class:`SolverCache` and the builders' ``StructureCache``.
+class SolverCache:
+    """Bounded LRU cache of solved model solution vectors, with hit/miss
+    counters.
+
+    An LRU rather than one slot: a controller alternating between a
+    handful of quantized demand levels comes back to a plan solved some
+    epochs ago, not only to the newest one.
+
+    >>> cache = SolverCache(maxsize=2)
+    >>> cache.stats()
+    {'hits': 0, 'misses': 0, 'hit_rate': 0.0, 'entries': 0}
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
@@ -114,28 +121,29 @@ class BoundedLRU:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def _lookup(self, key, usable=None):
-        """The entry under ``key``, counted as a hit and made most recent;
-        None — a miss — when absent or rejected by ``usable(entry)``."""
-        entry = self._entries.get(key)
-        if entry is None or (usable is not None and not usable(entry)):
+    def lookup(self, fingerprint: str) -> tuple[np.ndarray, str] | None:
+        """Return ``(solution_vector, status)`` for a known model, else None.
+
+        A hit makes the entry the most recent. The returned vector is a
+        copy, so callers cannot corrupt the cached entry.
+        """
+        entry = self._entries.get(fingerprint)
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        self._entries.move_to_end(key)
-        return entry
+        self._entries.move_to_end(fingerprint)
+        solution, status = entry
+        return solution.copy(), status
 
-    def _store(self, key, entry) -> None:
-        """Insert ``entry``, evicting the least-recently-used one once the
-        size bound is exceeded."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+    def store(self, fingerprint: str, solution: np.ndarray,
+              status: str) -> None:
+        """Insert a copy of a solved model's solution vector, evicting the
+        least-recently-used entry once the size bound is exceeded."""
+        self._entries[fingerprint] = (np.array(solution, copy=True), status)
+        self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._entries.clear()
 
     def stats(self) -> dict:
         """Counters in a JSON-friendly shape (for BENCH_*.json exports)."""
@@ -145,32 +153,3 @@ class BoundedLRU:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(entries={len(self._entries)}/"
                 f"{self.maxsize}, hits={self.hits}, misses={self.misses})")
-
-
-class SolverCache(BoundedLRU):
-    """Bounded LRU cache of solved model solution vectors.
-
-    >>> cache = SolverCache(maxsize=2)
-    >>> cache.stats()
-    {'hits': 0, 'misses': 0, 'hit_rate': 0.0, 'entries': 0}
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
-        super().__init__(maxsize)
-
-    def lookup(self, fingerprint: str) -> tuple[np.ndarray, str] | None:
-        """Return ``(solution_vector, status)`` for a known model, else None.
-
-        The returned vector is a copy, so callers cannot corrupt the
-        cached entry.
-        """
-        entry = self._lookup(fingerprint)
-        if entry is None:
-            return None
-        solution, status = entry
-        return solution.copy(), status
-
-    def store(self, fingerprint: str, solution: np.ndarray,
-              status: str) -> None:
-        """Insert a copy of a solved model's solution vector."""
-        self._store(fingerprint, (np.array(solution, copy=True), status))

@@ -41,9 +41,6 @@ from .tables import StructureTables
 
 __all__ = ["ClassGroups", "ClassSplit", "SplitPlan"]
 
-#: split plans kept per group structure (memberships seen lately)
-_SPLITS_PER_STRUCTURE = 8
-
 
 class ClassGroups:
     """A problem's classes partitioned by :func:`class_signature`."""
@@ -77,29 +74,26 @@ class ClassGroups:
         planned.workloads = merged
         return planned
 
-    def split(self, model: LinearModel) -> ClassSplit | None:
+    def split(self, model: LinearModel,
+              plan: SplitPlan | None = None) -> ClassSplit | None:
         """How ``model``, built from :attr:`planned`, splits back over the
         member classes; None when :attr:`planned` is the problem itself.
 
-        The :class:`SplitPlan` depends on the model's structure and on who
-        is in which group with which demand pattern, so it is kept on the
-        structure's tables under that membership and reused by every
-        epoch that shares both.
+        ``plan`` is the :class:`SplitPlan` of an earlier epoch of
+        ``model``'s structure. It is reused when it was made for this
+        epoch's membership — who is in which group with which demand
+        pattern — and replaced otherwise.
         """
         if self.planned is self.problem:
             return None
         workloads = self.problem.workloads
-        key = tuple(
+        membership = tuple(
             (group, tuple((name, tuple(
                 cluster for cluster, rps in workloads[name].demand.items()
                 if rps > 0)) for name in members))
             for group, members in self.members.items())
-        splits = model.tables.structure.splits
-        plan = splits.get(key)
-        if plan is None:
-            if len(splits) >= _SPLITS_PER_STRUCTURE:
-                splits.clear()
-            plan = splits[key] = SplitPlan(self, model)
+        if plan is None or plan.membership != membership:
+            plan = SplitPlan(self, model, membership)
         return ClassSplit(plan, self)
 
 
@@ -125,7 +119,7 @@ class ClassSplit:
 
 class SplitPlan:
     """Where each member column of a grouped model comes from: one per
-    (group structure, membership).
+    (group structure, :attr:`membership`).
 
     A member column is one flow column of the un-grouped model — a
     candidate embedding of one member at one of its ingresses (path), or
@@ -134,8 +128,12 @@ class SplitPlan:
     multiplier) pairs, and :attr:`structure` the member-level rule plan.
     """
 
-    def __init__(self, groups: ClassGroups, model: LinearModel) -> None:
+    def __init__(self, groups: ClassGroups, model: LinearModel,
+                 membership: tuple) -> None:
         problem = groups.problem
+        #: (group, ((member, its demand pattern), ...)) per group: what
+        #: the plan depends on besides the model's structure
+        self.membership = membership
         self._group_of = {name: group for group, members
                           in groups.members.items() for name in members}
         self.formulation = "arc" if model.route_hops is None else "path"

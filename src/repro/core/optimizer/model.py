@@ -120,7 +120,7 @@ class LinearModel:
     #: (service, cluster) → piecewise segments used
     pool_segments: dict[tuple[str, str], list[Segment]]
     problem: TEProblem
-    #: demand-independent lookups, shared with the cached structure
+    #: demand-independent lookups, shared with the structure snapshot
     tables: ModelTables
     #: (service, cluster) → load column L, the pool's offered work in
     #: erlangs
@@ -130,6 +130,9 @@ class LinearModel:
     #: call-tree edges. None for the arc model, whose columns are their
     #: own single hop (see :meth:`hops`)
     route_hops: list[tuple] | None = None
+    #: the :class:`ModelStructure` of the cold build this model is, or was
+    #: instantiated from (its own ``model`` carries none)
+    snapshot: ModelStructure | None = None
 
     @property
     def n_variables(self) -> int:
@@ -176,18 +179,20 @@ class ModelStructure:
     """Demand- and count-independent snapshot of an assembled LP: the
     cold-built model itself plus where demand and replica counts land in it.
 
-    Across adaptive epochs demand *values* and replica *counts* move; the
+    Every cold build exposes its snapshot as ``model.snapshot``. Across
+    adaptive epochs demand *values* and replica *counts* move; the
     constraint matrices' sparsity, the objective and the column layout
     depend on them only through which clusters see demand and which pools
-    are deployed (both part of the cache key). A warm rebuild
+    are deployed (both part of
+    :func:`~repro.core.optimizer.vectorized.structure_key`). A warm rebuild
     (:meth:`instantiate`) is therefore the cold model with a fresh copy of
     ``b_eq``, which carries demand — and, for the arc formulation, of the
     flow bounds that scale with it — plus, for the pools whose count moved,
     fresh copies of the arrays their :class:`CountSlots` point into. A
-    count change is warm; a deployment change is a miss. Everything else
-    is *shared* between the snapshot and every model instantiated from it,
-    which is what lets the warm-start solver recognise "same structure" by
-    the identity of ``tables.structure``.
+    count change is warm; a deployment change is a new structure.
+    Everything else is *shared* between the snapshot and every model
+    instantiated from it, which is what lets the warm-start solver
+    recognise "same structure" by the identity of ``tables.structure``.
     """
 
     model: LinearModel
@@ -206,7 +211,7 @@ class ModelStructure:
 
     def instantiate(self, problem: TEProblem) -> LinearModel:
         """Warm rebuild: scatter the new demand, and rewrite the pools
-        whose replica count moved, into the cached model."""
+        whose replica count moved, into the snapshot's model."""
         model = self.model
         b_eq = model.b_eq.copy()
         b_eq[self.demand_rows] = [problem.workloads[name].demand[cluster]
@@ -222,7 +227,7 @@ class ModelStructure:
                      if problem.replica_count(*pool) != replicas]
         if recounted:
             self._recount(problem, recounted, moved)
-        return replace(model, problem=problem, **moved)
+        return replace(model, problem=problem, snapshot=self, **moved)
 
     def _recount(self, problem: TEProblem, pools: list[tuple[str, str]],
                  moved: dict) -> None:
@@ -266,16 +271,15 @@ def class_edges(problem: TEProblem, name: str) -> list[EdgeRef]:
     return refs
 
 
-def build_model(problem: TEProblem, knot_fractions=DEFAULT_KNOT_FRACTIONS,
-                structure_cache=None) -> LinearModel:
-    """Assemble the LP for ``problem`` (numpy block construction).
+def build_model(problem: TEProblem,
+                knot_fractions=DEFAULT_KNOT_FRACTIONS) -> LinearModel:
+    """Assemble the LP for ``problem`` (numpy block construction), cold.
 
-    ``structure_cache`` (a :class:`~repro.core.optimizer.vectorized
-    .StructureCache`) lets repeated LP builds that differ only in demand
-    values reuse the assembled matrices. ``tests/golden/arc_models.json``
-    holds, byte for byte, the models it must emit once each pool's load
-    column is substituted back into its rows.
+    The model carries its :class:`ModelStructure` as ``model.snapshot``,
+    which later epochs of the same structure instantiate instead of
+    building. ``tests/golden/arc_models.json`` holds, byte for byte, the
+    models it must emit once each pool's load column is substituted back
+    into its rows.
     """
     from .vectorized import build_model_vectorized
-    return build_model_vectorized(problem, knot_fractions=knot_fractions,
-                                  structure_cache=structure_cache)
+    return build_model_vectorized(problem, knot_fractions=knot_fractions)

@@ -37,7 +37,7 @@ assignment tuple.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .piecewise import DEFAULT_KNOT_FRACTIONS
 from .problem import INGRESS_EDGE, TEProblem
 from .result import extract_result
 from .tables import ModelTables
-from .vectorized import _Coo, _pool_block, structure_key
+from .vectorized import _Coo, _pool_block
 
 __all__ = ["CandidateEmbedding", "PlanGeometry", "candidate_clusters",
            "candidate_paths", "build_path_model", "extract_path_result"]
@@ -336,26 +336,17 @@ def candidate_paths(problem: TEProblem, name: str, ingress: str,
 
 def build_path_model(problem: TEProblem, k: int = 4,
                      prune_limit: int | None = None,
-                     knot_fractions=DEFAULT_KNOT_FRACTIONS,
-                     structure_cache=None) -> LinearModel:
-    """Assemble the path-formulation LP for ``problem``.
+                     knot_fractions=DEFAULT_KNOT_FRACTIONS) -> LinearModel:
+    """Assemble the path-formulation LP for ``problem``, cold.
 
     The flow columns (``route_vars``) are the candidate embeddings; the
     columns run paths | t | L, with ``pool_columns`` naming each pool's
     epigraph column ``t`` and ``load_columns`` its load column ``L``.
 
-    With ``structure_cache`` (the generic
-    :class:`~repro.core.optimizer.vectorized.StructureCache`), rebuilds
-    that differ only in demand values and replica counts skip candidate
-    enumeration and matrix assembly entirely.
+    The model carries its snapshot as ``model.snapshot``: instantiating it
+    for a problem that differs only in demand values and replica counts
+    skips candidate enumeration and matrix assembly entirely.
     """
-    key = None
-    if structure_cache is not None:
-        key = ("path", k, prune_limit, structure_key(problem, knot_fractions))
-        structure = structure_cache.lookup(key, problem)
-        if structure is not None:
-            return structure.instantiate(problem)
-
     # -------------------------------------------------- candidate paths
     geometry = PlanGeometry(problem)
     path_vars: list[CandidateEmbedding] = []
@@ -445,11 +436,9 @@ def build_path_model(problem: TEProblem, k: int = 4,
         load_columns=pool_block.load_columns,
         route_hops=route_hops,
     )
-    if key is not None:
-        structure_cache.store(key, ModelStructure(
-            model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            pool_block.count_slots(a_ub), tuple(knot_fractions)))
-    return model
+    return replace(model, snapshot=ModelStructure(
+        model, np.array(demand_rows, dtype=np.intp), demand_slots,
+        pool_block.count_slots(a_ub), tuple(knot_fractions)))
 
 
 def _path_hops(geometry: PlanGeometry,

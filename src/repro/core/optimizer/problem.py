@@ -26,6 +26,14 @@ __all__ = ["ClassWorkload", "TEProblem", "INGRESS_EDGE", "class_signature"]
 INGRESS_EDGE = -1
 
 
+def _services(spec: TrafficClassSpec) -> tuple[str, ...]:
+    """The services ``spec`` touches, root first, then each edge's callee:
+    what :meth:`TrafficClassSpec.services` returns for a validated tree
+    (every service but the root is the callee of exactly one edge),
+    without its walk of the tree."""
+    return (spec.root_service, *(edge.callee for edge in spec.edges))
+
+
 def class_signature(spec: TrafficClassSpec) -> tuple:
     """Everything either LP builder reads of a class besides its name and
     its demand: the root, the ingress bytes, the call-tree edges and the
@@ -123,7 +131,7 @@ class TEProblem:
                     raise ValueError(
                         f"class {name!r} demand references unknown cluster "
                         f"{cluster!r}")
-            for service in workload.spec.services():
+            for service in _services(workload.spec):
                 if service not in deployed:
                     raise ValueError(
                         f"class {name!r} uses service {service!r} which is "
@@ -142,7 +150,7 @@ class TEProblem:
     def pools(self) -> list[tuple[str, str]]:
         """All deployed (service, cluster) pools touched by some workload."""
         used_services = {s for w in self.workloads.values()
-                         for s in w.spec.services()}
+                         for s in _services(w.spec)}
         return [(service, cluster)
                 for (service, cluster), count in sorted(self.replicas.items())
                 if count > 0 and service in used_services]

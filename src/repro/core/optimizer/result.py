@@ -65,8 +65,9 @@ class OptimizationResult:
     fingerprint: str | None = field(default=None, compare=False)
     #: wall-clock cost of model assembly (0 when the caller did not build)
     build_time: float = field(default=0.0, compare=False)
-    #: the assembled matrices came from a structure-cache rescatter rather
-    #: than a cold build (see repro.core.optimizer.vectorized)
+    #: the model is the previous epoch's structure snapshot with this
+    #: epoch's demand and counts rescattered, not a cold build (see
+    #: repro.core.optimizer.warm)
     warm_build: bool = field(default=False, compare=False)
     #: solved by a hot start from the previous epoch's basis instead of
     #: a cold solve

@@ -5,7 +5,7 @@ overrides) an adaptive controller re-plans with new demand *values* and,
 as autoscaling and failures move them, new replica *counts*. Everything
 the epoch needs besides those values is a function of the structure, so
 it is built when the structure is — by the cold build — and dropped when
-it is: the tables hang on the cached structure and on every model
+it is: the tables hang on the structure snapshot and on every model
 instantiated from it, never anywhere longer-lived.
 
 They come in two parts, split by what a replica count touches.
@@ -118,10 +118,6 @@ class StructureTables:
         self._route_vars = route_vars
         self._route_hops = route_hops
         self._rule_plan: RulePlan | None = None
-        #: membership key → the :class:`~repro.core.optimizer.groups
-        #: .SplitPlan` of a model built for class groups (see
-        #: :meth:`~repro.core.optimizer.groups.ClassGroups.split`)
-        self.splits: dict = {}
 
     def matches(self, problem: TEProblem) -> bool:
         """Was this structure built on ``problem``'s WAN geometry as it

@@ -24,35 +24,30 @@ order.
 **Structure reuse** is the second win: across adaptive epochs demand
 *values* and replica *counts* move — the row/column layout and the
 objective depend on demand only through its sparsity pattern, and on
-counts only through which pools are deployed. A
-:class:`~repro.core.optimizer.model.ModelStructure` snapshot turns the next
-epoch's build into "copy b_eq, scatter new demand, refresh per-block flow
-bounds, rewrite the pools whose count moved", which is orders of magnitude
-cheaper than any cold build.
-:class:`StructureCache` keys snapshots — this builder's and the path
-builder's alike — by the structural fingerprint of the problem.
+counts only through which pools are deployed. Every cold build exposes
+its :class:`~repro.core.optimizer.model.ModelStructure` snapshot as
+``model.snapshot``, which turns the next epoch's build into "copy b_eq,
+scatter new demand, refresh per-block flow bounds, rewrite the pools
+whose count moved", orders of magnitude cheaper than any cold build.
+:func:`structure_key` names what a snapshot depends on; the
+:class:`~repro.core.optimizer.warm.EpochSolver` keeps the previous
+epoch's snapshot, of this builder or the path builder, under it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
-from .cache import BoundedLRU
 from .model import (CountSlots, LinearModel, ModelStructure, RouteVar,
                     class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem, class_signature
 from .tables import ModelTables
 
-__all__ = ["build_model_vectorized", "StructureCache", "structure_key",
-           "DEFAULT_STRUCTURE_CACHE_SIZE"]
-
-#: adaptive controllers alternate between a handful of demand sparsity
-#: patterns (classes appearing/disappearing); a small LRU covers them
-DEFAULT_STRUCTURE_CACHE_SIZE = 8
+__all__ = ["build_model_vectorized", "structure_key"]
 
 
 @dataclass(frozen=True)
@@ -95,8 +90,10 @@ def structure_key(problem: TEProblem,
     """Everything the model depends on *except* demand values and replica
     counts.
 
-    Two problems with equal keys (and identical latency/pricing objects —
-    checked separately by :meth:`StructureCache.lookup`) produce models
+    Two problems with equal keys (and the same latency/pricing objects at
+    the same revision — checked separately by
+    :meth:`~repro.core.optimizer.tables.StructureTables.matches`, since
+    comparing their content is too expensive) produce models
     that differ only in ``b_eq`` demand entries, flow upper bounds and the
     entries each pool's count decides (its load cap and delay chords).
     Placement keys on *which* pools are deployed — a count above 0 — so a
@@ -125,32 +122,6 @@ def structure_key(problem: TEProblem,
         tuple(knot_fractions),
         tuple(classes),
     )
-
-
-class StructureCache(BoundedLRU):
-    """Bounded LRU cache of demand- and count-independent model structures.
-
-    One cache holds the snapshots of both formulations (their keys never
-    collide). Composes with — does not replace — the content-addressed
-    :class:`~repro.core.optimizer.cache.SolverCache`: this cache makes
-    *builds* cheap when only demand values or replica counts moved; the
-    solver cache skips
-    the *solve* when nothing moved at all.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_STRUCTURE_CACHE_SIZE) -> None:
-        super().__init__(maxsize)
-
-    def lookup(self, key: tuple, problem: TEProblem) -> ModelStructure | None:
-        """The snapshot under ``key``, unless the WAN geometry moved since
-        it was built (structural equality of latency/pricing content is too
-        expensive to verify, so a snapshot only serves the exact objects at
-        the revision it was built on) — that is a miss."""
-        return self._lookup(
-            key, lambda entry: entry.model.tables.structure.matches(problem))
-
-    def store(self, key: tuple, structure: ModelStructure) -> None:
-        self._store(key, structure)
 
 
 # --------------------------------------------------------------------------
@@ -337,23 +308,13 @@ def _pool_block(problem: TEProblem, pools: list, n_flows: int, work,
 
 def build_model_vectorized(problem: TEProblem,
                            knot_fractions=DEFAULT_KNOT_FRACTIONS,
-                           structure_cache: StructureCache | None = None,
                            ) -> LinearModel:
-    """Assemble the LP with numpy block operations.
+    """Assemble the LP with numpy block operations, with its snapshot.
 
     Produces the models ``tests/golden/arc_models.json`` freezes, once
     each pool's load column is substituted back into its rows (same
-    canonical fingerprint). With ``structure_cache``,
-    builds whose structural key was seen before skip assembly entirely and
-    rescatter demand into the cached matrices.
+    canonical fingerprint).
     """
-    key = None
-    if structure_cache is not None:
-        key = structure_key(problem, knot_fractions)
-        structure = structure_cache.lookup(key, problem)
-        if structure is not None:
-            return structure.instantiate(problem)
-
     blocks, route_vars = _layout_blocks(problem)
     block_of = {(b.traffic_class, b.edge_index): b for b in blocks}
     n_routes = sum(b.size for b in blocks)
@@ -490,9 +451,6 @@ def build_model_vectorized(problem: TEProblem,
         tables=ModelTables(problem, pools, route_vars),
         load_columns=pool_block.load_columns,
     )
-    if key is not None:
-        structure_cache.store(key, ModelStructure(
-            model, np.array(demand_rows, dtype=np.intp), demand_slots,
-            pool_block.count_slots(a_ub), tuple(knot_fractions),
-            blocks=blocks))
-    return model
+    return replace(model, snapshot=ModelStructure(
+        model, np.array(demand_rows, dtype=np.intp), demand_slots,
+        pool_block.count_slots(a_ub), tuple(knot_fractions), blocks=blocks))

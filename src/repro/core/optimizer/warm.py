@@ -1,19 +1,23 @@
-"""Hot-started epoch solving: the previous epoch's basis reused.
+"""Hot-started epoch solving: the previous epoch's structure and basis reused.
 
 :class:`EpochSolver` gives the controller a strict cost ladder per epoch:
 
 * demand unchanged (after ``demand_quantum`` rounding) → identical
   fingerprint → :class:`~repro.core.optimizer.cache.SolverCache` replay,
   no solver at all;
-* demand values or replica counts moved, structure didn't →
-  structure-cache rescatter build (the moved counts' load caps and delay
-  chords rewritten) + hot start (:func:`warm_solve`): the previous
-  epoch's :class:`~repro.core.optimizer.solve.HighsLP` takes what moved
-  and re-runs dual simplex from its optimal basis;
+* demand values or replica counts moved, structure didn't → warm build
+  (the previous epoch's
+  :meth:`~repro.core.optimizer.model.ModelStructure.instantiate`: demand
+  rescattered, the moved counts' load caps and delay chords rewritten) +
+  hot start (:func:`warm_solve`): the previous epoch's
+  :class:`~repro.core.optimizer.solve.HighsLP` takes what moved and
+  re-runs dual simplex from its optimal basis;
 * structure moved (topology, classes, which pools are deployed) → cold
   build + cold solve on a freshly loaded instance.
 
-A count change is warm; a deployment change is a miss.
+A count change is warm; a deployment change is a cold build. Only the
+previous epoch's structure is kept — one slot, not a cache: a structure
+last seen two epochs ago is built cold again.
 
 Every rung works on the model of the problem's class groups
 (:class:`~repro.core.optimizer.groups.ClassGroups`): interchangeable
@@ -34,24 +38,20 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import SolverCache, model_fingerprint
-from .groups import ClassGroups
-from .model import LinearModel, build_model
+from .groups import ClassGroups, SplitPlan
+from .model import LinearModel, ModelStructure, build_model
 from .paths import build_path_model
 from .problem import TEProblem
 from .result import OptimizationResult, extract_result
 from .solve import HighsLP, SolverError
-from .tables import StructureTables
-from .vectorized import StructureCache
+from .vectorized import structure_key
 
 __all__ = ["EpochSolver", "warm_solve"]
-
-#: "caller did not choose" marker for EpochSolver's structure_cache param
-#: (None is a real value there: it disables structure reuse)
-_DEFAULT = object()
 
 
 def warm_solve(lp: HighsLP, model: LinearModel,
@@ -77,6 +77,23 @@ def warm_solve(lp: HighsLP, model: LinearModel,
             return None
 
 
+@dataclass
+class _Previous:
+    """The previous epoch's structure: what an epoch of the same
+    structure reuses instead of building and solving cold."""
+
+    #: (formulation, k, prune limit, :func:`structure_key`) it was built
+    #: under
+    key: tuple
+    #: the cold build's snapshot, which a warm build instantiates
+    snapshot: ModelStructure
+    #: the class-group split plan last used (None: no class groups)
+    split_plan: SplitPlan | None = None
+    #: HiGHS at the optimal basis of the last solve (None: none to
+    #: hot-start from)
+    lp: HighsLP | None = None
+
+
 class EpochSolver:
     """Build + solve pipeline with structure reuse and hot starts.
 
@@ -84,7 +101,8 @@ class EpochSolver:
     everything it plans — ``plan_known`` (the oracle and a policy's
     initial plan) and every epoch's ``plan``; only the cacheless arc
     one-shot :func:`~repro.core.optimizer.solve.solve` bypasses it.
-    ``profiler`` duck-types the control-plane profiler's
+    ``warm_start=False`` keeps no previous epoch: every build and solve
+    is cold. ``profiler`` duck-types the control-plane profiler's
     ``section(name)`` context manager (duck-typed so ``repro.core`` never
     imports ``repro.obs``; None by default, so the uninstrumented path
     costs one attribute check per section). Each result carries its rung
@@ -93,7 +111,6 @@ class EpochSolver:
     """
 
     def __init__(self, cache: SolverCache | None = None,
-                 structure_cache: StructureCache | None = _DEFAULT,
                  warm_start: bool = True,
                  formulation: str = "arc",
                  path_k: int = 4,
@@ -101,10 +118,6 @@ class EpochSolver:
         if formulation not in ("arc", "path"):
             raise ValueError(f"unknown formulation {formulation!r}")
         self.cache = cache
-        #: None disables structure reuse (every build is cold)
-        self.structure_cache = (StructureCache()
-                                if structure_cache is _DEFAULT
-                                else structure_cache)
         self.warm_start = warm_start
         self.formulation = formulation
         self.path_k = path_k
@@ -115,10 +128,9 @@ class EpochSolver:
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
-        #: the last LP solved, as (its structure's shared tables, the
-        #: HiGHS instance holding it at its optimal basis) — the one live
-        #: HiGHS instance, dropped by pickling
-        self._previous: tuple[StructureTables, HighsLP] | None = None
+        #: the previous epoch's structure, split plan and HiGHS instance —
+        #: the one live HiGHS instance, dropped by pickling
+        self._previous: _Previous | None = None
         # counters surfaced through stats() → repro.obs collectors
         self.builds = 0
         self.warm_builds = 0
@@ -137,17 +149,31 @@ class EpochSolver:
             return nullcontext()
         return profiler.section(name)
 
-    def _build(self, problem: TEProblem) -> LinearModel:
+    def _build(self, problem: TEProblem) -> tuple[LinearModel, bool]:
+        """``problem``'s model and whether it was a warm build: the
+        previous epoch's snapshot instantiated when the structure is the
+        same, else a cold build, which then becomes the previous epoch."""
+        previous = self._previous
         # "vectorized_build" nests inside the legacy "optimizer-build"
         # section so existing dashboards keep their totals while the PR 7
         # phase gets its own row
         with self._section("vectorized_build"):
+            key = None
+            if self.warm_start:
+                key = (self.formulation, self.path_k, self.path_prune_limit,
+                       structure_key(problem))
+                if (previous is not None and previous.key == key
+                        and previous.snapshot.model.tables.structure
+                        .matches(problem)):
+                    return previous.snapshot.instantiate(problem), True
             if self.formulation == "path":
-                return build_path_model(
-                    problem, k=self.path_k,
-                    prune_limit=self.path_prune_limit,
-                    structure_cache=self.structure_cache)
-            return build_model(problem, structure_cache=self.structure_cache)
+                model = build_path_model(problem, k=self.path_k,
+                                         prune_limit=self.path_prune_limit)
+            else:
+                model = build_model(problem)
+        self._previous = (None if key is None
+                          else _Previous(key, model.snapshot))
+        return model, False
 
     def _candidate_stats(self, model: LinearModel,
                          groups: ClassGroups) -> dict | None:
@@ -180,20 +206,20 @@ class EpochSolver:
         """Solve one epoch's instance through the reuse ladder."""
         # solver wall time is diagnostic output, never simulation input
         started = time.perf_counter()   # lint: ignore[D02]
-        structure_hits = (self.structure_cache.hits
-                          if self.structure_cache is not None else 0)
         groups = ClassGroups(problem)
         with self._section("optimizer-build"):
-            model = self._build(groups.planned)
+            model, warm_build = self._build(groups.planned)
         build_elapsed = time.perf_counter() - started   # lint: ignore[D02]
         self.builds += 1
         self.build_seconds += build_elapsed
-        warm_build = (self.structure_cache is not None
-                      and self.structure_cache.hits > structure_hits)
         if warm_build:
             self.warm_builds += 1
         self.last_candidate_stats = self._candidate_stats(model, groups)
-        split = groups.split(model)
+        previous = self._previous
+        split = groups.split(
+            model, None if previous is None else previous.split_plan)
+        if previous is not None:
+            previous.split_plan = None if split is None else split.plan
 
         fingerprint = None
         if self.cache is not None:
@@ -213,16 +239,16 @@ class EpochSolver:
         solve_started = time.perf_counter()   # lint: ignore[D02]
         solution = None
         hot_start = None
-        # taken, not read: a solve that raises leaves nothing to hot-start
-        # the next epoch from
-        previous, self._previous = self._previous, None
+        lp = None
+        if previous is not None:
+            # taken, not read: a solve that raises leaves no basis to
+            # hot-start the next epoch from (its structure stays)
+            lp, previous.lp = previous.lp, None
         try:
-            # sharing the previous model's structure tables ⇔ same
+            # a previous basis exists only after a warm build: same
             # structure snapshot ⇔ only demand and count entries differ
             # from last epoch, so HiGHS holds a basis of this very LP
-            if (previous is not None
-                    and previous[0] is model.tables.structure):
-                lp = previous[1]
+            if lp is not None:
                 with self._section("optimizer-warm-solve"):
                     solution = warm_solve(lp, model, profiler=self.profiler)
                 if solution is not None:
@@ -239,8 +265,8 @@ class EpochSolver:
             elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
             self.solves += 1
             self.solve_seconds += elapsed
-        if self.warm_start:   # else nothing will hot-start from it
-            self._previous = (model.tables.structure, lp)
+        if previous is not None:
+            previous.lp = lp
         if self.cache is not None:
             self.cache.store(fingerprint, solution, "optimal")
         result = extract_result(model, solution, "optimal", elapsed, split)
@@ -262,7 +288,7 @@ class EpochSolver:
         return result
 
     def __getstate__(self) -> dict:
-        # a live HiGHS instance does not pickle: the next solve is cold
+        # a live HiGHS instance does not pickle: the next epoch is cold
         state = self.__dict__.copy()
         state["_previous"] = None
         return state
@@ -281,8 +307,6 @@ class EpochSolver:
             "replays": self.replays,
             "solve_seconds": self.solve_seconds,
             "candidates": self.last_candidate_stats,
-            "structure_cache": (self.structure_cache.stats()
-                                if self.structure_cache is not None else None),
             "solver_cache": (self.cache.stats()
                              if self.cache is not None else None),
         }

@@ -214,20 +214,20 @@ def collect_controller_metrics(registry: MetricsRegistry,
                 "optimizer_path_candidate_groups",
                 "(class, ingress) groups in the most recent model").set(
                     candidates["groups"])
-        structure_cache = epoch_solver.structure_cache
-        if structure_cache is not None:
-            registry.counter(
-                "structure_cache_hits_total",
-                "builds that reused a cached model structure").inc(
-                    structure_cache.hits)
-            registry.counter(
-                "structure_cache_misses_total",
-                "builds that assembled structure from scratch").inc(
-                    structure_cache.misses)
-            registry.gauge(
-                "structure_cache_hit_rate",
-                "structure-cache hits / lookups over the run").set(
-                    structure_cache.hit_rate)
+        # every build looks the previous epoch's structure up once: a warm
+        # build is a hit, a cold one a miss
+        builds, warm_builds = epoch_solver.builds, epoch_solver.warm_builds
+        registry.counter(
+            "structure_cache_hits_total",
+            "builds that reused a cached model structure").inc(warm_builds)
+        registry.counter(
+            "structure_cache_misses_total",
+            "builds that assembled structure from scratch").inc(
+                builds - warm_builds)
+        registry.gauge(
+            "structure_cache_hit_rate",
+            "structure-cache hits / lookups over the run").set(
+                warm_builds / builds if builds else 0.0)
     result = controller.last_result
     if result is not None:
         registry.gauge(

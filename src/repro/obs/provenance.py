@@ -7,8 +7,8 @@ epoch; this module records *why*, as one joinable chain per epoch:
     it folded in plus signed per-(class, cluster) demand deltas;
 (b) which rung of the optimizer's reuse ladder the epoch took — solver-cache
     **replay**, **warm** hot start from the previous epoch's basis (with
-    its outcome), or **cold** solve — plus structure-cache rescatter vs
-    rebuild and path-candidate stats for the path formulation;
+    its outcome), or **cold** solve — plus warm (rescatter) vs cold
+    build and path-candidate stats for the path formulation;
 (c) the per-class **rule deltas** actually installed in the routing table
     (including chaos-mode fallback installs the controller never saw);
 (d) the **observed data-plane shift** attributed from ``obs.timeseries``

@@ -161,7 +161,7 @@ def test_a_problem_without_interchangeable_classes_builds_the_ungrouped_lp(
         return built[-1]
 
     monkeypatch.setattr(warm_module, "build_model", spy)
-    result = EpochSolver(structure_cache=None).solve(problem)
+    result = EpochSolver(warm_start=False).solve(problem)
     reference = build_model(problem)
     assert model_fingerprint(built[0]) == model_fingerprint(reference)
     assert built[0].route_vars == reference.route_vars
@@ -227,7 +227,7 @@ def test_warm_and_cold_solves_install_the_same_rules_every_epoch():
     app, deployment, base, config = smoke_mesh()
     controller = GlobalController(app, deployment, config)
     solver = controller.epoch_solver
-    cold = EpochSolver(cache=None, structure_cache=None, warm_start=False,
+    cold = EpochSolver(cache=None, warm_start=False,
                        formulation=solver.formulation, path_k=solver.path_k,
                        path_prune_limit=solver.path_prune_limit)
     rungs = []

@@ -120,7 +120,6 @@ def build_optimizer_registry() -> MetricsRegistry:
         builds=6, warm_builds=4, build_seconds=0.25,
         solves=4, warm_solves=3, warm_rejects=1, replays=2,
         solve_seconds=0.5,
-        structure_cache=SimpleNamespace(hits=4, misses=2, hit_rate=2 / 3),
         last_candidate_stats={"paths": 12, "groups": 4,
                               "k": 3, "max_group": 3},
     )
@@ -163,7 +162,7 @@ def test_arc_formulation_skips_candidate_gauges():
         epoch_solver=SimpleNamespace(
             builds=1, warm_builds=0, build_seconds=0.0, solves=1,
             warm_solves=0, warm_rejects=0, replays=0, solve_seconds=0.0,
-            structure_cache=None, last_candidate_stats=None),
+            last_candidate_stats=None),
         last_result=None)
     registry = MetricsRegistry()
     collect_controller_metrics(registry, controller)

@@ -7,8 +7,8 @@ import pytest
 from repro.core.optimizer import (INGRESS_EDGE, SolverError, TEProblem,
                                   build_model, solve)
 from repro.core.optimizer.problem import ClassWorkload
-from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
-                       two_class_app, two_region_latency)
+from repro.sim import (DemandMatrix, DeploymentSpec, fanout_app,
+                       linear_chain_app, two_class_app, two_region_latency)
 from repro.sim.topology import ClusterSpec
 
 
@@ -84,6 +84,23 @@ class TestProblem:
             latency=two_region_latency(10.0, west="west", east="unused"))
         demand = DemandMatrix({("default", "west"): 10.0})
         with pytest.raises(ValueError, match="deployed nowhere"):
+            TEProblem.from_specs(app, deployment, demand)
+
+    @pytest.mark.parametrize("missing", ["B2", "FE"])
+    def test_validation_names_the_fanout_service_deployed_nowhere(
+            self, missing):
+        """An undeployed leaf callee off a fan-out (or its root) is named
+        in the message."""
+        app = fanout_app(width=3)
+        deployment = DeploymentSpec(
+            clusters=[ClusterSpec("west", {service: 1 for service
+                                           in app.services()
+                                           if service != missing})],
+            latency=two_region_latency(10.0, west="west", east="unused"))
+        demand = DemandMatrix({("default", "west"): 10.0})
+        with pytest.raises(ValueError, match=(
+                f"class 'default' uses service {missing!r} which is "
+                "deployed nowhere")):
             TEProblem.from_specs(app, deployment, demand)
 
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import repro
 from repro.core.controller.global_controller import GlobalController
 from repro.core.optimizer import (EpochSolver, LinearModel, SolverCache,
-                                  SolverError, StructureCache, build_model,
-                                  build_path_model, highs_solve, solve)
+                                  SolverError, build_model, build_path_model,
+                                  highs_solve, solve)
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.groups import ClassGroups
 from repro.core.optimizer.model import ModelStructure
@@ -38,6 +38,9 @@ EMITTERS = {
 }
 
 emitters = pytest.mark.parametrize("emitter", EMITTERS)
+
+#: the EpochSolver formulation of each emitter
+FORMULATIONS = {"arc": "arc", "path-latency": "path"}
 
 
 def sparse_problem():
@@ -96,10 +99,12 @@ COUNTS = (1, 2, 3, 5, 40)
 def test_warm_build_equals_cold_build(emitter, moves):
     build, kwargs = EMITTERS[emitter]
     problem = pinned_problem()
-    cache = StructureCache()
-    first = build(problem, structure_cache=cache, **kwargs)
-    (structure,) = cache._entries.values()
-    assert type(structure) is ModelStructure and structure.model is first
+    first = build(problem, **kwargs)
+    structure = first.snapshot
+    assert type(structure) is ModelStructure
+    # the snapshot's own model holds no snapshot: no reference cycle
+    assert structure.model.snapshot is None
+    assert structure.model.a_ub is first.a_ub
     first_print = model_fingerprint(first)
 
     # demand values move (unevenly, so class totals and shares both change)
@@ -112,7 +117,7 @@ def test_warm_build_equals_cold_build(emitter, moves):
     assert model_fingerprint(warm) == model_fingerprint(cold)
     for name in ("upper_bounds", "b_ub", "b_eq"):
         assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
-    assert warm.problem is problem
+    assert warm.problem is problem and warm.snapshot is structure
     # everything demand does not touch is shared with the snapshot, which
     # is what the warm solve's "same structure" test reads
     assert warm.a_ub is first.a_ub and warm.a_eq is first.a_eq
@@ -120,11 +125,6 @@ def test_warm_build_equals_cold_build(emitter, moves):
     assert warm.route_vars is first.route_vars
     # and the cold-built model the snapshot holds was not written to
     assert model_fingerprint(first) != model_fingerprint(warm)
-
-    # through the cache it is the same rescatter, counted as a hit
-    again = build(problem, structure_cache=cache, **kwargs)
-    assert cache.hits == 1
-    assert model_fingerprint(again) == model_fingerprint(cold)
 
     # replica counts move: drawn moves, then a pinned pool, a 1 → 40
     # jump, and every count back where the snapshot was built
@@ -137,7 +137,7 @@ def test_warm_build_equals_cold_build(emitter, moves):
     steps += [(pool, built[pool]) for pool, _ in steps]
     for pool, count in steps:
         problem.replicas[pool] = count
-        warm = build(problem, structure_cache=cache, **kwargs)
+        warm = structure.instantiate(problem)
         assert_same_model(warm, build(problem, **kwargs))
         # what no count touches is the snapshot's, by identity
         assert warm.a_eq is first.a_eq and warm.objective is first.objective
@@ -146,50 +146,55 @@ def test_warm_build_equals_cold_build(emitter, moves):
         assert np.shares_memory(warm.a_ub.indices, first.a_ub.indices)
         assert np.shares_memory(warm.a_ub.indptr, first.a_ub.indptr)
         assert warm.tables.structure is first.tables.structure
-    assert cache.misses == 1
     # all counts back: the snapshot's own matrices and tables again
     assert warm.a_ub is first.a_ub and warm.tables is first.tables
     assert model_fingerprint(first) == first_print
 
 
+def grouped_print(problem, emitter) -> str:
+    """Fingerprint of the model the solver plans for ``problem``: its
+    interchangeable classes built as one."""
+    build, kwargs = EMITTERS[emitter]
+    return model_fingerprint(build(ClassGroups(problem).planned, **kwargs))
+
+
 @emitters
 def test_deployment_move_is_a_structure_miss(emitter):
     """A count change is warm; a pool going 0 ↔ >0 is a new structure."""
-    build, kwargs = EMITTERS[emitter]
+    solver = EpochSolver(cache=SolverCache(), formulation=FORMULATIONS[
+        emitter])
     problem = sparse_problem()
-    cache = StructureCache()
-    first = build(problem, structure_cache=cache, **kwargs)
+    solver.solve(problem)
+    snapshots = [solver._previous.snapshot]
     service = "svc1"
     deployed = problem.deployed_in(service)
     spare = next(c for c in problem.clusters if c not in deployed)
-    structures = {first.tables.structure}
     for pool, count in (((service, spare), 4),       # 0 → deployed
                         ((service, deployed[0]), 0)):   # deployed → 0
-        misses = cache.misses
         problem.replicas[pool] = count
-        model = build(problem, structure_cache=cache, **kwargs)
-        assert cache.misses == misses + 1
-        assert model.tables.structure not in structures
-        structures.add(model.tables.structure)
-        assert model_fingerprint(model) == model_fingerprint(
-            build(problem, **kwargs))
+        result = solver.solve(problem)
+        assert not result.warm_build and not result.warm_start
+        snapshot = solver._previous.snapshot
+        assert all(snapshot is not seen for seen in snapshots)
+        snapshots.append(snapshot)
+        assert result.fingerprint == grouped_print(problem, emitter)
 
 
 @emitters
 def test_demand_pattern_move_is_a_structure_miss(emitter):
-    build, kwargs = EMITTERS[emitter]
+    solver = EpochSolver(cache=SolverCache(), formulation=FORMULATIONS[
+        emitter])
     problem = sparse_problem()
-    cache = StructureCache()
-    first = build(problem, structure_cache=cache, **kwargs)
-    workload = problem.workloads["class0"]
-    new_ingress = next(c for c in problem.clusters
-                       if c not in workload.demand)
-    workload.demand[new_ingress] = 5.0
-    second = build(problem, structure_cache=cache, **kwargs)
-    assert (cache.hits, cache.misses) == (0, 2)
-    assert second.tables is not first.tables
-    assert model_fingerprint(second) == model_fingerprint(
-        build(problem, **kwargs))
+    solver.solve(problem)
+    first = solver._previous.snapshot
+    # an ingress no class enters at yet: the group's pattern moves too
+    new_ingress = next(c for c in problem.clusters if all(
+        c not in workload.demand for workload in problem.workloads.values()))
+    problem.workloads["class0"].demand[new_ingress] = 5.0
+    second = solver.solve(problem)
+    assert not second.warm_build
+    assert solver._previous.snapshot.model.tables is not first.model.tables
+    assert second.fingerprint == grouped_print(problem, emitter)
 
 
 # ------------------------------------------------------------ one extractor
@@ -384,19 +389,20 @@ def test_failed_solve_leaves_nothing_to_warm_start_from(formulation):
     solver = EpochSolver(formulation=formulation)
     problem = chain_problem()
     solver.solve(problem)
-    structure, _ = solver._previous     # held by reference, not by id()
+    snapshot = solver._previous.snapshot  # held by reference, not by id()
     problem.workloads["default"].demand["west"] = 50_000.0
     failure(lambda: solver.solve(problem))
-    assert solver._previous is None
+    assert solver._previous.lp is None
     assert solver.stats()["solves"] == 2
-    # the structure is still cached: the next feasible epoch — at a new
+    # the structure is still kept: the next feasible epoch — at a new
     # replica count too — is a warm build and, with no previous solution,
     # a cold solve
     problem.workloads["default"].demand["west"] = 650.0
     problem.replicas[("S1", "west")] += 1
     result = solver.solve(problem)
     assert result.warm_build and not result.warm_start
-    assert solver._previous[0] is structure
+    assert solver._previous.snapshot is snapshot
+    assert solver._previous.lp is not None
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.optimizer import (EpochSolver, StructureCache, TEProblem,
-                                  build_model, build_path_model,
-                                  candidate_paths)
+from repro.core.optimizer import (EpochSolver, TEProblem, build_model,
+                                  build_path_model, candidate_paths)
 from repro.core.optimizer.cache import model_fingerprint
 from repro.core.optimizer.paths import candidate_clusters, extract_path_result
 from repro.core.optimizer.solve import highs_solve, solve
@@ -118,23 +117,24 @@ class TestObjectives:
 class TestStructureReuse:
     def test_cache_hit_shares_arrays(self):
         problem = synthetic_te_problem(6, 3, 2, seed=5)
-        cache = StructureCache()
-        first = build_path_model(problem, structure_cache=cache)
+        first = build_path_model(problem)
         for workload in problem.workloads.values():
             for cluster in workload.demand:
                 workload.demand[cluster] *= 1.2
-        second = build_path_model(problem, structure_cache=cache)
-        assert cache.hits == 1
+        second = first.snapshot.instantiate(problem)
         # shared structure is what the warm-start identity gate keys on
         assert second.a_eq is first.a_eq
+        assert second.tables.structure is first.tables.structure
 
     def test_cache_key_separates_k_and_prune_limit(self):
         problem = synthetic_te_problem(6, 3, 2, seed=5)
-        cache = StructureCache()
-        build_path_model(problem, k=2, structure_cache=cache)
-        build_path_model(problem, k=3, structure_cache=cache)
-        build_path_model(problem, k=2, prune_limit=3, structure_cache=cache)
-        assert cache.hits == 0 and cache.misses == 3
+        solver = EpochSolver(formulation="path", path_k=2)
+        solver.solve(problem)
+        assert solver.solve(problem).warm_build
+        for k, prune_limit in ((3, None), (2, 3)):
+            solver.path_k, solver.path_prune_limit = k, prune_limit
+            assert not solver.solve(problem).warm_build
+        assert solver.stats()["warm_builds"] == 1
 
     def test_fingerprint_stable_across_builds(self):
         problem = chain_problem()

@@ -8,33 +8,38 @@ shadow in ``tests/conftest.py`` enforces at least tolerance-level
 agreement on every hot start the suite drives.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.controller.global_controller import (GlobalController,
+                                                     GlobalControllerConfig)
 from repro.core.optimizer import (EpochSolver, HighsLP, SolverCache,
-                                  StructureCache, build_model,
-                                  build_path_model, warm_solve)
+                                  build_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
 from repro.devtools.invariants import InvariantViolation
 from repro.experiments.scenarios import synthetic_te_problem
-from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
+from repro.mesh.telemetry import ClusterEpochReport
+from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
+                       two_region_latency)
 from repro.sim.network import LatencyMatrix
 from tests import conftest
 from tests.conftest import check_warm_against_cold
 from tests.test_optimizer import chain_problem
-from tests.test_optimizer_one_model import sparse_problem
+from tests.test_optimizer_one_model import assert_same_model, sparse_problem
 
 
 def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
     problem = chain_problem(west_rps=700.0, east_rps=100.0)
-    # demand moves, structure does not: rescatter through a cache
-    cache = StructureCache()
-    lp = HighsLP(build_model(problem, structure_cache=cache))
+    # demand moves, structure does not: rescatter the snapshot
+    model = build_model(problem)
+    lp = HighsLP(model)
     lp.run()
     problem.workloads["default"].demand["west"] = 650.0
-    moved = build_model(problem, structure_cache=cache)
+    moved = model.snapshot.instantiate(problem)
     warm_x = warm_solve(lp, moved)
     assert warm_x is not None
     cold_moved_x = highs_solve(moved)
@@ -51,7 +56,7 @@ def test_warm_solve_matches_cold_bitwise_on_seed_scenario():
 
 def test_epoch_solver_warm_epoch_byte_identical_rules():
     warm_solver = EpochSolver()
-    cold_solver = EpochSolver(warm_start=False, structure_cache=None)
+    cold_solver = EpochSolver(warm_start=False)
 
     problem = chain_problem(west_rps=700.0)
     warm_solver.solve(problem)
@@ -119,15 +124,88 @@ def test_result_carries_every_ladder_rung():
     assert solver.last_candidate_stats is None
 
 
-def test_warm_start_disabled_by_structure_cache_none():
-    solver = EpochSolver(structure_cache=None)
+def test_warm_start_disabled_keeps_no_previous_epoch():
+    solver = EpochSolver(warm_start=False)
     problem = chain_problem()
     solver.solve(problem)
+    assert solver._previous is None
     problem.workloads["default"].demand["west"] = 620.0
     result = solver.solve(problem)
     # fresh arrays every build: the structure-identity gate never opens
     assert not result.warm_build and not result.warm_start
     assert solver.stats()["warm_solves"] == 0
+
+
+@pytest.mark.parametrize("formulation", ["arc", "path"])
+def test_a_structure_seen_two_epochs_ago_is_built_cold(formulation):
+    """Structures A → B → A: only the previous epoch is kept, so the second
+    A is a cold build and a cold solve — of the model the first A built,
+    byte for byte."""
+    solver = EpochSolver(formulation=formulation)
+    problem = sparse_problem()
+    service = "svc1"
+    spare = next(c for c in problem.clusters
+                 if c not in problem.deployed_in(service))
+    snapshots = []
+    for count in (0, 4, 0):      # B deploys a spare pool
+        problem.replicas[(service, spare)] = count
+        result = solver.solve(problem)
+        assert not result.warm_build and result.solver_path == "cold"
+        snapshots.append(solver._previous.snapshot)
+    first, _, again = snapshots
+    assert again is not first
+    assert again.model.tables is not first.model.tables
+    assert_same_model(again.model, first.model)
+    assert solver.stats()["warm_builds"] == 0
+
+
+def test_a_raising_solve_keeps_the_structure_and_drops_the_basis():
+    """Demand above the fleet's capacity: ``plan`` solves, HiGHS finds the
+    LP infeasible, and the controller retries at scaled-down demand. The
+    retry is of the same structure: a warm build and a cold solve; the
+    epoch after it hot-starts from the retry's basis."""
+    app = linear_chain_app()
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=5,
+        latency=two_region_latency(25.0))
+    controller = GlobalController(app, deployment, GlobalControllerConfig(
+        learn_profiles=False, demand_alpha=1.0))
+    solver = controller.epoch_solver
+
+    def epoch(rps):
+        controller.observe([ClusterEpochReport(
+            cluster="west", start_time=0.0, duration=2.0,
+            ingress_counts={"default": int(rps * 2.0)})])
+        return controller.plan()
+
+    epoch(400.0)
+    snapshot = solver._previous.snapshot
+    retried = epoch(2_000.0)      # global capacity is 950 rps
+    assert retried.ok and retried.warm_build
+    # the infeasible solve's hot start was rejected and its cold solve
+    # raised: no basis was left for the retry to start from
+    assert retried.solver_path == "cold" and retried.hot_start is None
+    assert solver._previous.snapshot is snapshot
+    assert (solver.builds, solver.warm_builds, solver.solves,
+            solver.warm_rejects) == (3, 2, 3, 1)
+    assert epoch(500.0).solver_path == "warm"
+
+
+def test_a_pickled_solvers_next_epoch_is_cold():
+    """Pickling drops the previous epoch whole — structure, split plan and
+    the HiGHS instance — so the copy's next epoch of the same structure
+    is a cold build and a cold solve; the original's is warm."""
+    solver = EpochSolver()
+    problem = chain_problem(west_rps=700.0)
+    solver.solve(problem)
+    clone = pickle.loads(pickle.dumps(solver))
+    assert clone._previous is None
+    problem.workloads["default"].demand["west"] = 650.0
+    cold = clone.solve(problem)
+    assert not cold.warm_build and cold.solver_path == "cold"
+    warm = solver.solve(problem)
+    assert warm.warm_build and warm.solver_path == "warm"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
 def test_warm_reject_falls_back_to_cold():
@@ -136,17 +214,16 @@ def test_warm_reject_falls_back_to_cold():
     solver = EpochSolver()
     problem = chain_problem()
     solver.solve(problem)
-    _, lp = solver._previous
+    lp = solver._previous.lp
     lp._highs.setOptionValue("simplex_iteration_limit", 0)
     problem.workloads["default"].demand["west"] = 450.0
     result = solver.solve(problem)
     assert result.ok and not result.warm_start
     assert result.solver_path == "cold" and result.hot_start == "rejected"
     assert solver.stats()["warm_rejects"] == 1
-    assert solver._previous[1] is not lp
+    assert solver._previous.lp is not lp
     assert result.objective == EpochSolver(
-        cache=None, structure_cache=None,
-        warm_start=False).solve(problem).objective
+        cache=None, warm_start=False).solve(problem).objective
 
 
 def test_warm_solve_rejects_shape_mismatch():
@@ -210,10 +287,11 @@ def test_shadow_invariant_accepts_another_vertex_of_a_tied_optimum():
     solver = EpochSolver(formulation="path")
     problem = chain_problem(latency_ms=0.25)
     solver.solve(problem)
-    _, lp = solver._previous
+    previous = solver._previous
+    lp = previous.lp
     problem.workloads["default"].demand["west"] = 61.0
     problem.workloads["default"].demand["east"] = 9.7
-    model = build_path_model(problem, structure_cache=solver.structure_cache)
+    model = previous.snapshot.instantiate(problem)
     cold_x = highs_solve(model)
     warm_x = warm_solve(lp, model)
     # another vertex, at the same cost
@@ -243,8 +321,8 @@ def test_replica_churn_is_a_warm_epoch(formulation):
     build is warm and every solve warm-started, each shadowed by a cold
     solve of the full model and matching a cacheless cold solver."""
     solver = EpochSolver(formulation=formulation)
-    reference = EpochSolver(cache=None, structure_cache=None,
-                            warm_start=False, formulation=formulation)
+    reference = EpochSolver(cache=None, warm_start=False,
+                            formulation=formulation)
     problem = CHURN_PROBLEMS[formulation]()
     pools = sorted(pool for pool, count in problem.replicas.items()
                    if count > 0)
@@ -278,7 +356,7 @@ def test_a_shrink_below_the_previous_support_is_hot_started(formulation):
     assert solver.stats()["warm_rejects"] == 0
     assert after.flows[("default", INGRESS_EDGE, "a", "c")] > 0.0
     assert after.objective == pytest.approx(EpochSolver(
-        cache=None, structure_cache=None, warm_start=False,
+        cache=None, warm_start=False,
         formulation=formulation).solve(problem).objective, rel=1e-12)
 
 

@@ -61,7 +61,7 @@ def test_fingerprint_distinguishes_models():
 
 def replaying_solver(cache):
     """An EpochSolver with only the replay rung of its reuse ladder."""
-    return EpochSolver(cache=cache, structure_cache=None, warm_start=False)
+    return EpochSolver(cache=cache, warm_start=False)
 
 
 def test_cache_hit_returns_equal_result():
