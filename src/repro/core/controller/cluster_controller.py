@@ -17,8 +17,8 @@ a cluster holds silently go stale. Configured with a ``max_rule_age`` and a
 rules for its own cluster (locality failover or waterfall — "fall back to
 routing rules that prioritize local routing first") and flags itself
 ``fallback_active``. The next successful distribution from the returned
-Global Controller reconciles: optimized rules overwrite the fallback ones
-and the flag clears.
+Global Controller reconciles: its rules replace the fallback ones and the
+flag clears.
 """
 
 from __future__ import annotations
@@ -106,19 +106,21 @@ class ClusterController:
 
         Only rules whose source cluster is this cluster are installed — each
         region's proxies hold exactly the rules they enforce — as one
-        :meth:`RoutingTable.upsert`, which skips a rule already installed
+        :meth:`RoutingTable.install` for this cluster, which retires the
+        cluster's rules the push omits and skips a rule already installed
         with the same weights. Returns the number of relevant rules. When
         ``now`` is given it counts as controller contact; a distribution
-        that lands while the fallback is active reconciles it (optimized
-        rules overwrite fallback rules).
+        that lands while the fallback is active reconciles it (the push
+        replaces the fallback rules).
         """
         relevant = rules.for_source(self.cluster)
-        table.upsert((rule.key, rule.weights) for rule in relevant)
+        table.install([(rule.key, rule.weights) for rule in relevant],
+                      sources=(self.cluster,))
         count = len(relevant)
         self.rules_distributed += count
         if now is not None:
             self.touch(now)
-        if self.fallback_active and count:
+        if self.fallback_active:
             self.fallback_active = False
             self.reconciliations += 1
         return count
@@ -139,15 +141,13 @@ class ClusterController:
             return False
         if self.rule_age(now) <= self.max_rule_age:
             return False
-        # purge the dead controller's per-class rules for this cluster so
-        # the fallback's wildcard rules actually take effect (exact-class
-        # lookups would otherwise keep hitting the stale entries)
-        for key in sorted(table.keys_for_cluster(self.cluster),
-                          key=lambda k: (k.service, k.traffic_class)):
-            table.remove(key)
-        table.upsert((rule.key, rule.weights)
-                     for rule in self.fallback.compute_rules(ctx)
-                     if rule.src_cluster == self.cluster)
+        # the fallback's rules replace the dead controller's for this
+        # cluster, so its wildcard rules take effect (exact-class lookups
+        # would otherwise keep hitting the stale entries)
+        table.install(((rule.key, rule.weights)
+                       for rule in self.fallback.compute_rules(ctx)
+                       if rule.src_cluster == self.cluster),
+                      sources=(self.cluster,))
         self.fallback_active = True
         self.fallback_activations += 1
         self.fallback_tripped_at = now

@@ -76,17 +76,10 @@ class IncrementalRollout:
                          > self._last_objective
                          * self.config.regression_tolerance)
             if regressed and self._previous is not None:
-                # restore every installed key to its previous weights; keys
-                # that had none revert to an explicit local rule so the
-                # rollback actually overwrites what the proxies hold
-                restored = {
-                    key: self._previous.get(key, {key.src_cluster: 1.0})
-                    for key in sorted(
-                        set(self._current) | set(self._previous),
-                        key=lambda k: (k.service, k.traffic_class,
-                                       k.src_cluster))
-                }
-                self._current = restored
+                # restore the previous rules as they were: a push retires
+                # the keys it omits, and a key without a rule routes like
+                # an explicit local one
+                self._current = self._previous
                 self._previous = None
                 self._step = max(self._step * self.config.backoff, 0.01)
                 self.rollbacks += 1

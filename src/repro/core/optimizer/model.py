@@ -163,16 +163,6 @@ class CountSlots:
     #: per chord row, the position in ``a_ub.data`` of its slope on ``L``
     positions: np.ndarray
 
-    @classmethod
-    def locate(cls, a_ub: sparse.csr_matrix, load_column: int,
-               rows: np.ndarray) -> CountSlots:
-        """The slots of a pool whose chord ``rows`` (one sparsity pattern)
-        hold their slopes in ``load_column``."""
-        first = a_ub.indptr[rows[0]]
-        offset = np.searchsorted(
-            a_ub.indices[first:a_ub.indptr[rows[0] + 1]], load_column)
-        return cls(load_column, rows, a_ub.indptr[rows] + offset)
-
 
 @dataclass
 class ModelStructure:

@@ -249,9 +249,24 @@ class _PoolBlock:
     chord_rows: dict[tuple[str, str], np.ndarray]
 
     def count_slots(self, a_ub: sparse.csr_matrix) -> dict:
-        """Each pool's :class:`CountSlots` in the canonical ``a_ub``."""
-        return {pool: CountSlots.locate(a_ub, self.load_columns[pool], rows)
-                for pool, rows in self.chord_rows.items()}
+        """Each pool's :class:`CountSlots` in the canonical ``a_ub``.
+
+        Every chord row is exactly ``(t, L)`` with ``t``'s column below
+        ``L``'s, so each slope on ``L`` sits one past its row's start.
+        """
+        pools = list(self.chord_rows)
+        if not pools:
+            return {}
+        rows = np.concatenate([self.chord_rows[pool] for pool in pools])
+        sizes = [len(self.chord_rows[pool]) for pool in pools]
+        starts = a_ub.indptr[rows]
+        loads = np.repeat([self.load_columns[pool] for pool in pools], sizes)
+        assert (a_ub.indptr[rows + 1] - starts == 2).all() and (
+            a_ub.indices[starts + 1] == loads).all(), "chord row not (t, L)"
+        positions = np.split(starts + 1, np.cumsum(sizes[:-1]))
+        return {pool: CountSlots(self.load_columns[pool],
+                                 self.chord_rows[pool], at)
+                for pool, at in zip(pools, positions)}
 
 
 def _pool_block(problem: TEProblem, pools: list, n_flows: int, work,

@@ -89,9 +89,6 @@ class RuleSet:
             self._by_source = (len(self.rules), index)
         return self._by_source[1].get(src_cluster, [])
 
-    def merge(self, other: "RuleSet") -> "RuleSet":
-        return RuleSet(self.rules + other.rules)
-
     def by_key(self) -> dict[RouteKey, dict[str, float]]:
         out: dict[RouteKey, dict[str, float]] = {}
         for rule in self.rules:
@@ -101,13 +98,9 @@ class RuleSet:
         return out
 
     def apply(self, table: RoutingTable) -> None:
-        """Replace the table's contents with this rule set."""
-        table.replace_all(self.by_key())
-
-    def apply_incremental(self, table: RoutingTable) -> None:
-        """Upsert these rules without clearing unrelated entries."""
-        for key, weights in self.by_key().items():
-            table.set_weights(key, weights)
+        """Replace the table's contents with this rule set: one push for
+        every source."""
+        table.install((rule.key, rule.weights) for rule in self.rules)
 
     def rule_for(self, service: str, traffic_class: str,
                  src_cluster: str) -> RoutingRule | None:

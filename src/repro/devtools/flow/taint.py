@@ -90,9 +90,7 @@ DEFAULT_SINKS: tuple[TaintSink, ...] = (
               "RNG stream selection"),
     TaintSink("repro.mesh.routing_table.RoutingTable.set_weights",
               "routing-weight installation"),
-    TaintSink("repro.mesh.routing_table.RoutingTable.replace_all",
-              "routing-weight installation"),
-    TaintSink("repro.mesh.routing_table.RoutingTable.upsert",
+    TaintSink("repro.mesh.routing_table.RoutingTable.install",
               "routing-weight installation"),
     TaintSink("repro.core.rules.RoutingRule.make",
               "routing-rule construction"),

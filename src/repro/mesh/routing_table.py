@@ -11,7 +11,9 @@ the exact class to the wildcard class ``"*"`` so class-agnostic policies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 __all__ = ["RouteKey", "RoutingTable", "WILDCARD_CLASS", "matched_weights",
            "effective_weights"]
@@ -19,13 +21,16 @@ __all__ = ["RouteKey", "RoutingTable", "WILDCARD_CLASS", "matched_weights",
 WILDCARD_CLASS = "*"
 
 
-@dataclass(frozen=True)
-class RouteKey:
+class RouteKey(NamedTuple):
     """Identifies one routing rule."""
 
     service: str
     traffic_class: str
     src_cluster: str
+
+
+#: a key's source cluster
+_SOURCE = itemgetter(2)
 
 
 def matched_weights(rules: dict[RouteKey, dict[str, float]], service: str,
@@ -69,8 +74,9 @@ class RoutingTable:
 
     The table is shared by all proxies (in the real system each proxy holds
     a copy distributed via its Cluster Controller; sharing one object is
-    behaviourally identical in simulation). ``replace_all`` swaps the rule
-    set atomically, mirroring a controller push.
+    behaviourally identical in simulation). A push (:meth:`install`) is
+    the whole rule set of each source cluster it is for: what it omits is
+    retired, and nothing moves unless the whole push is valid.
 
     ``version`` moves once per write that changes a rule: installing the
     weights a rule was last given changes nothing, so nothing compiles.
@@ -80,63 +86,56 @@ class RoutingTable:
         self._rules: dict[RouteKey, dict[str, float]] = {}
         #: per key, the weight items its installed rule was given
         self._given: dict[RouteKey, tuple] = {}
+        #: source cluster → the keys of its installed rules
+        self._keys: dict[str, set[RouteKey]] = {}
         self.version = 0
 
     def set_weights(self, key: RouteKey, weights: dict[str, float]) -> None:
-        """Install one rule; weights are validated and normalised."""
-        self.upsert(((key, tuple(weights.items())),))
+        """Hand-edit one rule; weights are validated and normalised, and
+        every other rule stays as it is."""
+        items = tuple(weights.items())
+        if self._given.get(key) == items:
+            return
+        self._rules[key] = _normalise(key, items)
+        self._given[key] = items
+        self._keys.setdefault(key.src_cluster, set()).add(key)
+        self.version += 1
 
-    def upsert(self, entries) -> int:
-        """Install ``(key, weight items)`` entries, one push.
+    def install(self, entries, sources=None) -> None:
+        """Push ``(key, weight items)`` entries: for each source cluster in
+        the collection ``sources`` (by default every source in the table
+        or the push), that source's rules become exactly the push's.
 
-        An entry whose items equal those its key's rule was given is
-        skipped; the others are validated, normalised and installed, and
-        ``version`` moves once if any was. Returns how many were.
+        The whole push is validated before anything is swapped. An entry
+        whose items equal those its key was last given is not normalised
+        again, and ``version`` moves once if any rule was installed or
+        retired.
         """
+        entries = list(entries)
+        pushed = dict(entries)
+        if len(pushed) != len(entries):
+            raise ValueError("a push holds two rules for one key")
         given = self._given
-        installed = 0
-        try:
-            for key, items in entries:
-                if given.get(key) == items:
-                    continue
-                self._rules[key] = _normalise(key, items)
-                given[key] = items
-                installed += 1
-        finally:
-            if installed:
-                self.version += 1
-        return installed
-
-    def replace_all(self, rules: dict[RouteKey, dict[str, float]]) -> None:
-        """Atomically replace the entire rule set (a controller push)."""
-        fresh = {key: _normalise(key, tuple(w.items()))
-                 for key, w in rules.items()}
-        self._rules = fresh
-        self._given = {}
-        self.version += 1
-
-    def clear(self) -> None:
-        self._rules.clear()
-        self._given.clear()
-        self.version += 1
-
-    def remove(self, key: RouteKey) -> bool:
-        """Drop one rule (True if it existed).
-
-        Lookups for its class then fall back to the wildcard rule or the
-        proxy default — how a Cluster Controller retires rules it no
-        longer trusts (e.g. the stale-rule guard purging a dead Global
-        Controller's per-class rules so its fallback wildcards apply).
-        """
-        if self._rules.pop(key, None) is None:
-            return False
-        self._given.pop(key, None)
-        self.version += 1
-        return True
-
-    def keys_for_cluster(self, src_cluster: str) -> list[RouteKey]:
-        """All installed rule keys whose source is ``src_cluster``."""
-        return [key for key in self._rules if key.src_cluster == src_cluster]
+        fresh = {key: _normalise(key, items) for key, items in entries
+                 if given.get(key) != items}
+        kept = {source: set(keys) for source, keys in
+                groupby(sorted(pushed, key=_SOURCE), _SOURCE)}
+        if sources is None:
+            sources = self._keys.keys() | kept.keys()
+        elif stray := kept.keys() - set(sources):
+            raise ValueError(f"a push for {sorted(sources)} holds rules "
+                             f"of {sorted(stray)}")
+        retired = [key for source in sources
+                   for key in self._keys.get(source, set()) - pushed.keys()]
+        for key in retired:
+            del self._rules[key], given[key]
+        self._rules.update(fresh)
+        given.update((key, pushed[key]) for key in fresh)
+        for source in sources:
+            self._keys.pop(source, None)
+        self._keys.update(kept)
+        if fresh or retired:
+            self.version += 1
 
     def weights_for(self, service: str, traffic_class: str,
                     src_cluster: str) -> dict[str, float] | None:

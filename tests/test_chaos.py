@@ -21,6 +21,7 @@ from repro.core.controller.global_controller import GlobalControllerConfig
 from repro.core.controller.policy import SlatePolicy
 from repro.experiments.harness import Scenario, run_policy
 from repro.experiments.scenarios import chaos_outage_setup
+from repro.mesh.routing_table import WILDCARD_CLASS
 from repro.obs import join_alerts_decisions
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
                        two_region_latency)
@@ -287,6 +288,10 @@ def test_guard_trips_once_per_cluster_and_reconciles(outage_runs):
     assert all(c.reconciliations >= 1
                for c in guarded.controllers.values())
     assert not any(c.fallback_active for c in guarded.controllers.values())
+    # each reconciling push replaced its cluster's fallback rules whole
+    rules = guarded.chaos.simulation.table.rules()
+    assert rules
+    assert not any(key.traffic_class == WILDCARD_CLASS for key in rules)
 
 
 def test_fallback_beats_frozen_stale_rules(outage_runs):

@@ -125,11 +125,11 @@ def test_every_routing_table_edit_recompiles_on_the_next_call():
     assert probe.after(lambda: None, "S2") == ("west", 0)
     assert probe.after(lambda: table.set_weights(key, {"east": 1.0}),
                        "S2") == ("east", 1)
-    assert probe.after(lambda: table.replace_all({key: {"mid": 1.0}}),
+    assert probe.after(lambda: table.install([(key, (("mid", 1.0),))]),
                        "S2") == ("mid", 1)
-    assert probe.after(lambda: table.remove(key), "S2") == ("west", 1)
-    table.set_weights(key, {"east": 1.0})
-    assert probe.after(table.clear, "S2") == ("west", 1)
+    # a push for west that omits the rule retires it
+    assert probe.after(lambda: table.install([], sources=("west",)),
+                       "S2") == ("west", 1)
 
 
 def test_reinstalling_the_installed_rule_compiles_nothing():
@@ -140,12 +140,12 @@ def test_reinstalling_the_installed_rule_compiles_nothing():
     version = table.version
     assert probe.after(lambda: table.set_weights(key, {"east": 1.0}),
                        "S2") == ("east", 0)
-    assert probe.after(lambda: table.upsert([(key, (("east", 1.0),))]),
+    assert probe.after(lambda: table.install([(key, (("east", 1.0),))]),
                        "S2") == ("east", 0)
     assert table.version == version
     # one push moving two rules is one change: one compile per route
     other = RouteKey("S3", "default", "west")
-    assert probe.after(lambda: table.upsert([
+    assert probe.after(lambda: table.install([
         (key, (("mid", 1.0),)), (other, (("east", 1.0),))]),
         "S2") == ("mid", 1)
     assert table.version == version + 1
@@ -164,7 +164,7 @@ def test_reinstalling_the_installed_rule_keeps_the_fluid_plan():
     at = sim.sim.schedule_at
     at(0.25, sim.table.set_weights, key, split)
     at(0.45, sim.table.set_weights, key, dict(split))
-    at(0.65, sim.table.upsert, [(key, tuple(split.items()))])
+    at(0.65, sim.table.install, [(key, tuple(split.items()))])
     sim.run(DemandMatrix({("default", "west"): 400.0}), 1.0)
     # the first tick's plan and the one after the only change
     assert sim.fluid.model.compiles == 2

@@ -16,7 +16,7 @@ import pytest
 from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
 from repro.core.optimizer import (EpochSolver, HighsLP, SolverCache,
-                                  build_model, warm_solve)
+                                  build_model, build_path_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
@@ -25,7 +25,7 @@ from repro.experiments.scenarios import synthetic_te_problem
 from repro.mesh.telemetry import ClusterEpochReport
 from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
                        two_region_latency)
-from repro.sim.network import LatencyMatrix
+from repro.sim.network import EgressPricing, LatencyMatrix
 from tests import conftest
 from tests.conftest import check_warm_against_cold
 from tests.test_optimizer import chain_problem
@@ -338,6 +338,14 @@ def test_replica_churn_is_a_warm_epoch(formulation):
                                                           epoch > 0)
         assert result.objective == pytest.approx(cold.objective, rel=1e-9)
     assert solver.stats()["warm_rejects"] == 0
+
+
+@pytest.mark.parametrize("build", [build_model, build_path_model])
+def test_a_problem_without_pools_has_no_count_slots(build):
+    problem = TEProblem(clusters=["west", "east"],
+                        latency=two_region_latency(25.0),
+                        pricing=EgressPricing(), replicas={}, workloads={})
+    assert build(problem).snapshot.counts == {}
 
 
 @pytest.mark.parametrize("formulation", ["arc", "path"])

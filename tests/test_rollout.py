@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.controller.cluster_controller import ClusterController
 from repro.core.controller.rollout import IncrementalRollout, RolloutConfig
 from repro.core.rules import RoutingRule, RuleSet
+from repro.mesh.routing_table import RoutingTable, effective_weights
 
 
 def target(weights):
@@ -12,6 +14,12 @@ def target(weights):
 
 def weights_of(rule_set):
     return rule_set.rule_for("S", "c", "west").weight_map()
+
+
+def routed(table):
+    """Where west's proxy sends a call to S (deployed in west and east)."""
+    return effective_weights(table.weights_for("S", "c", "west"), "west",
+                             ["west", "east"], latency=None)
 
 
 def test_first_step_moves_partially_from_local():
@@ -39,10 +47,15 @@ def test_regression_triggers_rollback():
     # second epoch: objective much worse -> revert to `first` weights
     second = rollout.advance(target({"east": 1.0}), observed_objective=5.0)
     assert rollout.rollbacks == 1
-    # rollback restores the pre-advance state: fully local again
-    assert weights_of(second).get("east", 0.0) == pytest.approx(0.0)
-    assert weights_of(second)["west"] == pytest.approx(1.0)
     assert weights_of(first)["east"] == pytest.approx(0.5)
+    # rollback restores the pre-advance state, which held no rule: once
+    # pushed it routes west's calls fully local again
+    table = RoutingTable()
+    controller = ClusterController("west")
+    controller.distribute(first, table)
+    assert routed(table) == pytest.approx({"west": 0.5, "east": 0.5})
+    controller.distribute(second, table)
+    assert routed(table) == {"west": 1.0}
 
 
 def test_rollback_backs_off_step():

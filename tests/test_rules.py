@@ -52,24 +52,7 @@ def test_apply_replaces_table():
     assert table.weights_for("S", "c", "west") == {"east": 1.0}
 
 
-def test_apply_incremental_preserves_unrelated():
-    table = RoutingTable()
-    table.set_weights(RouteKey("OTHER", "c", "west"), {"west": 1.0})
-    rules = RuleSet([RoutingRule.make("S", "c", "west", {"east": 1.0})])
-    rules.apply_incremental(table)
-    assert table.weights_for("OTHER", "c", "west") == {"west": 1.0}
-    assert table.weights_for("S", "c", "west") == {"east": 1.0}
-
-
 def test_rule_for_lookup():
     rules = RuleSet([RoutingRule.make("S", "c", "west", {"west": 1.0})])
     assert rules.rule_for("S", "c", "west") is not None
     assert rules.rule_for("S", "c", "east") is None
-
-
-def test_merge():
-    a = RuleSet([RoutingRule.make("S", "c", "west", {"west": 1.0})])
-    b = RuleSet([RoutingRule.make("T", "c", "west", {"west": 1.0})])
-    merged = a.merge(b)
-    assert len(merged) == 2
-    assert len(a) == 1
