@@ -72,10 +72,18 @@ def main() -> None:
     print("\ndecision log (one row per Global Controller epoch):")
     print(obs.decisions.render())
 
+    # the profiler times the harness's sections; the optimizer inside them
+    # keeps its own build/solve totals on the epoch solver
     print("\ncontrol-plane wall time:")
     for name, stats in obs.profiler.summary().items():
         print(f"  {name:<14} runs={stats['count']:<3} "
               f"total={stats['total_s'] * 1000:.1f} ms")
+    solver = setup.policy.controller.epoch_solver.stats()
+    print(f"  {'optimizer':<14} builds={solver['builds']:<3} "
+          f"build={solver['build_seconds'] * 1000:.1f} ms  "
+          f"solves={solver['solves']:<3} "
+          f"solve={solver['solve_seconds'] * 1000:.1f} ms  "
+          f"replays={solver['replays']}")
 
     # -- Perfetto export --------------------------------------------------
     events = write_chrome_trace(obs.tracer, TRACE_PATH, max_requests=200)

@@ -139,11 +139,6 @@ class GlobalController:
             path_prune_limit=self.config.path_prune_limit,
         )
 
-    def attach_profiler(self, profiler) -> None:
-        """Route optimizer build/solve timings into a control-plane
-        profiler (duck-typed ``section(name)`` context manager)."""
-        self.epoch_solver.profiler = profiler
-
     # ------------------------------------------------------------ learning
 
     def observe(self, reports: list[ClusterEpochReport]) -> None:

@@ -34,19 +34,6 @@ class SlatePolicy:
         self.adaptive = adaptive
         self.rollout = rollout
         self._controller: GlobalController | None = None
-        self._profiler = None
-
-    def attach_profiler(self, profiler) -> None:
-        """Route optimizer timings into a control-plane profiler.
-
-        Duck-typed (``section(name)`` context manager) so the harness can
-        pass the obs-layer profiler without core importing it. Adaptive
-        policies only: takes effect immediately if the controller exists,
-        else on its creation.
-        """
-        self._profiler = profiler
-        if self.adaptive and self._controller is not None:
-            self._controller.attach_profiler(profiler)
 
     @property
     def controller(self) -> GlobalController | None:
@@ -72,8 +59,6 @@ class SlatePolicy:
                 or controller.deployment is not ctx.deployment):
             controller = GlobalController(ctx.app, ctx.deployment,
                                           self.config)
-            if self.adaptive and self._profiler is not None:
-                controller.attach_profiler(self._profiler)
             self._controller = controller
         return controller
 

@@ -94,11 +94,15 @@ class IncrementalRollout:
         for key, target_weights in target.by_key().items():
             current = self._current.get(key, {key.src_cluster: 1.0})
             blended[key] = _blend(current, target_weights, self._step)
-        # keys no longer in the target decay toward the local default
+        # keys no longer in the target decay toward the local default and
+        # are dropped once they reach it: a push retires the keys it
+        # omits, and a key without a rule routes like an explicit local one
         for key, current in self._current.items():
             if key not in blended:
-                blended[key] = _blend(current, {key.src_cluster: 1.0},
-                                      self._step)
+                decayed = _blend(current, {key.src_cluster: 1.0},
+                                 self._step)
+                if decayed.keys() != {key.src_cluster}:
+                    blended[key] = decayed
         self._previous = self._current
         self._current = blended
         return self._as_rule_set(blended)

@@ -54,10 +54,6 @@ class OptimizationResult:
     total_demand: float = 0.0
     #: served from a SolverCache instead of a fresh HiGHS solve
     cache_hit: bool = field(default=False, compare=False)
-    #: cumulative counters of the cache that served this solve (0/0 when
-    #: solved uncached); diagnostic only, excluded from equality
-    cache_hits: int = field(default=0, compare=False)
-    cache_misses: int = field(default=0, compare=False)
     #: model dimensions, for solver-scaling observability; diagnostic only
     n_variables: int = field(default=0, compare=False)
     n_constraints: int = field(default=0, compare=False)

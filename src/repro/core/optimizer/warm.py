@@ -37,7 +37,6 @@ objective.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,27 +53,20 @@ from .vectorized import structure_key
 __all__ = ["EpochSolver", "warm_solve"]
 
 
-def warm_solve(lp: HighsLP, model: LinearModel,
-               profiler=None) -> np.ndarray | None:
+def warm_solve(lp: HighsLP, model: LinearModel) -> np.ndarray | None:
     """Re-solve ``lp`` as ``model`` from the basis HiGHS holds.
 
     Returns the optimal solution vector, or ``None`` when ``model`` is not
     of ``lp``'s structure or the hot start does not end optimal (the
-    caller then solves cold). ``profiler`` duck-types the control-plane
-    profiler: the pushes are timed under ``highs_push`` and the run under
-    ``hot_start``.
+    caller then solves cold).
     """
-    def _section(name):
-        return nullcontext() if profiler is None else profiler.section(name)
     if model.tables.structure is not lp.model.tables.structure:
         return None
-    with _section("highs_push"):
-        lp.push(model)
-    with _section("hot_start"):
-        try:
-            return lp.run()
-        except SolverError:
-            return None
+    lp.push(model)
+    try:
+        return lp.run()
+    except SolverError:
+        return None
 
 
 @dataclass
@@ -102,12 +94,9 @@ class EpochSolver:
     initial plan) and every epoch's ``plan``; only the cacheless arc
     one-shot :func:`~repro.core.optimizer.solve.solve` bypasses it.
     ``warm_start=False`` keeps no previous epoch: every build and solve
-    is cold. ``profiler`` duck-types the control-plane profiler's
-    ``section(name)`` context manager (duck-typed so ``repro.core`` never
-    imports ``repro.obs``; None by default, so the uninstrumented path
-    costs one attribute check per section). Each result carries its rung
-    (``solver_path``, ``warm_build``, ``hot_start``) and HiGHS's
-    certificate for whoever reads it.
+    is cold. Each result carries its rung (``solver_path``,
+    ``warm_build``, ``hot_start``), its build and solve wall time and
+    HiGHS's certificate for whoever reads it; the counters sum them.
     """
 
     def __init__(self, cache: SolverCache | None = None,
@@ -122,9 +111,6 @@ class EpochSolver:
         self.formulation = formulation
         self.path_k = path_k
         self.path_prune_limit = path_prune_limit
-        #: duck-typed control-plane profiler, set by
-        #: ``GlobalController.attach_profiler``
-        self.profiler = None
         #: path-formulation candidate stats of the most recent build
         #: (None for the arc formulation) — surfaced via stats()/collect
         self.last_candidate_stats: dict | None = None
@@ -143,34 +129,24 @@ class EpochSolver:
 
     # ------------------------------------------------------------- helpers
 
-    def _section(self, name: str):
-        profiler = self.profiler
-        if profiler is None:
-            return nullcontext()
-        return profiler.section(name)
-
     def _build(self, problem: TEProblem) -> tuple[LinearModel, bool]:
         """``problem``'s model and whether it was a warm build: the
         previous epoch's snapshot instantiated when the structure is the
         same, else a cold build, which then becomes the previous epoch."""
         previous = self._previous
-        # "vectorized_build" nests inside the legacy "optimizer-build"
-        # section so existing dashboards keep their totals while the PR 7
-        # phase gets its own row
-        with self._section("vectorized_build"):
-            key = None
-            if self.warm_start:
-                key = (self.formulation, self.path_k, self.path_prune_limit,
-                       structure_key(problem))
-                if (previous is not None and previous.key == key
-                        and previous.snapshot.model.tables.structure
-                        .matches(problem)):
-                    return previous.snapshot.instantiate(problem), True
-            if self.formulation == "path":
-                model = build_path_model(problem, k=self.path_k,
-                                         prune_limit=self.path_prune_limit)
-            else:
-                model = build_model(problem)
+        key = None
+        if self.warm_start:
+            key = (self.formulation, self.path_k, self.path_prune_limit,
+                   structure_key(problem))
+            if (previous is not None and previous.key == key
+                    and previous.snapshot.model.tables.structure
+                    .matches(problem)):
+                return previous.snapshot.instantiate(problem), True
+        if self.formulation == "path":
+            model = build_path_model(problem, k=self.path_k,
+                                     prune_limit=self.path_prune_limit)
+        else:
+            model = build_model(problem)
         self._previous = (None if key is None
                           else _Previous(key, model.snapshot))
         return model, False
@@ -207,8 +183,7 @@ class EpochSolver:
         # solver wall time is diagnostic output, never simulation input
         started = time.perf_counter()   # lint: ignore[D02]
         groups = ClassGroups(problem)
-        with self._section("optimizer-build"):
-            model, warm_build = self._build(groups.planned)
+        model, warm_build = self._build(groups.planned)
         build_elapsed = time.perf_counter() - started   # lint: ignore[D02]
         self.builds += 1
         self.build_seconds += build_elapsed
@@ -249,8 +224,7 @@ class EpochSolver:
             # structure snapshot ⇔ only demand and count entries differ
             # from last epoch, so HiGHS holds a basis of this very LP
             if lp is not None:
-                with self._section("optimizer-warm-solve"):
-                    solution = warm_solve(lp, model, profiler=self.profiler)
+                solution = warm_solve(lp, model)
                 if solution is not None:
                     hot_start = "optimal"
                     self.warm_solves += 1
@@ -258,9 +232,8 @@ class EpochSolver:
                     hot_start = "rejected"
                     self.warm_rejects += 1
             if solution is None:
-                with self._section("optimizer-solve"):
-                    lp = HighsLP(model)
-                    solution = lp.run()
+                lp = HighsLP(model)
+                solution = lp.run()
         finally:
             elapsed = time.perf_counter() - solve_started  # lint: ignore[D02]
             self.solves += 1
@@ -281,10 +254,7 @@ class EpochSolver:
         result.warm_build = warm_build
         result.warm_start = hot_start == "optimal"
         result.hot_start = hot_start
-        if self.cache is not None:
-            result.cache_hits = self.cache.hits
-            result.cache_misses = self.cache.misses
-            result.fingerprint = fingerprint
+        result.fingerprint = fingerprint
         return result
 
     def __getstate__(self) -> dict:

@@ -227,15 +227,7 @@ class Observability:
         return self.profiler.section(name)
 
     def begin_run(self, scenario: str, seed, policy) -> None:
-        """Stamp the run identity and route the policy's solver timings
-        into the profiler.
-
-        Called before the initial plan, so that plan is profiled too.
-        Policies without the hook — the baselines — simply aren't
-        instrumented per phase.
-        """
-        if self.profiler is not None and hasattr(policy, "attach_profiler"):
-            policy.attach_profiler(self.profiler)
+        """Stamp the run identity on the provenance chain."""
         if self.provenance is not None:
             self.provenance.bind_run(scenario, seed, policy=policy.name)
 

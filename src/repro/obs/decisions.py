@@ -115,7 +115,8 @@ class DecisionLog:
                     churn += change.churn
             self._prev_rules = new_rules
         result = reading.result
-        observed = reading.controller.last_observe_time
+        controller = reading.controller
+        observed = controller.last_observe_time
         decision = EpochDecision(
             epoch=len(self.decisions),
             sim_time=reading.sim_time,
@@ -125,8 +126,9 @@ class DecisionLog:
             fingerprint=result.fingerprint if result else None,
             objective=result.objective if result else None,
             solve_time=result.solve_time if result else None,
-            cache_hits=result.cache_hits if result else 0,
-            cache_misses=result.cache_misses if result else 0,
+            # the solver cache's running totals as of this epoch's plan
+            cache_hits=controller.solver_cache.hits if result else 0,
+            cache_misses=controller.solver_cache.misses if result else 0,
             rules_added=shipped["added"],
             rules_removed=shipped["removed"],
             rules_changed=shipped["changed"],

@@ -2,14 +2,16 @@
 
 This is the sanctioned IO boundary of ``repro.obs``: the tracer, metrics
 registry, and decision log build everything in memory; only these functions
-touch the filesystem. Lint rule D08 (no print/file-writes in library code)
-is suppressed per line below — writing artifact files is this module's
-entire job, and every writer takes an explicit caller-chosen path.
+touch the filesystem, all through :func:`_write`. Lint rule D08 (no
+print/file-writes in library code) is suppressed on its one ``open`` —
+writing artifact files is this module's entire job, and every writer takes
+an explicit caller-chosen path.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 from .alerts import AlertLog
@@ -29,14 +31,21 @@ __all__ = ["load_trace_jsonl", "write_alerts_jsonl", "write_anomalies_jsonl",
            "write_trace_jsonl"]
 
 
-def write_trace_jsonl(tracer: Tracer, path: str | Path) -> int:
-    """One span per line; round-trips via :func:`load_trace_jsonl`."""
-    lines = tracer.to_jsonl_lines()
+def _write(path: str | Path, chunks: Iterable[str]) -> None:
     # exporter module: artifact writes are its declared purpose
     with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
+        handle.writelines(chunks)
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> int:
+    """``lines`` one per line, streamed; returns how many."""
+    _write(path, (line + "\n" for line in lines))
     return len(lines)
+
+
+def write_trace_jsonl(tracer: Tracer, path: str | Path) -> int:
+    """One span per line; round-trips via :func:`load_trace_jsonl`."""
+    return _write_lines(path, tracer.to_jsonl_lines())
 
 
 def load_trace_jsonl(path: str | Path) -> Tracer:
@@ -49,19 +58,14 @@ def write_chrome_trace(tracer: Tracer, path: str | Path,
                        max_requests: int | None = None) -> int:
     """Chrome ``trace_event`` JSON (Perfetto-loadable); returns event count."""
     document = chrome_trace(tracer, max_requests=max_requests)
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        json.dump(document, handle)
+    _write(path, (json.dumps(document),))
     return len(document["traceEvents"])
 
 
 def write_metrics_json(registry: MetricsRegistry, path: str | Path) -> int:
     """Full registry snapshot as JSON; returns the metric count."""
     snapshot = registry.snapshot()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write(path, (json.dumps(snapshot, indent=2, sort_keys=True), "\n"))
     return len(snapshot)
 
 
@@ -69,9 +73,7 @@ def write_metrics_prometheus(registry: MetricsRegistry,
                              path: str | Path) -> int:
     """Prometheus text exposition dump; returns the line count."""
     text = registry.to_prometheus()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        handle.write(text)
+    _write(path, (text,))
     return text.count("\n")
 
 
@@ -82,61 +84,33 @@ def write_timeseries_json(store: TimeSeriesStore, path: str | Path) -> int:
     run-diff engine (:mod:`repro.obs.diff`).
     """
     snapshot = store.snapshot()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write(path, (json.dumps(snapshot, indent=2, sort_keys=True), "\n"))
     return len(snapshot["series"])
 
 
 def write_alerts_jsonl(log: AlertLog, path: str | Path) -> int:
     """One alert per line; returns the alert count."""
-    lines = log.to_jsonl_lines()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, log.to_jsonl_lines())
 
 
 def write_anomalies_jsonl(log: AnomalyLog, path: str | Path) -> int:
     """One anomaly event per line; returns the event count."""
-    lines = log.to_jsonl_lines()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, log.to_jsonl_lines())
 
 
 def write_signals_jsonl(bus: SignalBus, path: str | Path) -> int:
     """Every retained bus signal, one JSON per line, in publish order."""
-    lines = bus.to_jsonl_lines()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, bus.to_jsonl_lines())
 
 
 def write_decisions_jsonl(log: DecisionLog, path: str | Path) -> int:
     """One decision per line; returns the decision count."""
-    lines = log.to_jsonl_lines()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, log.to_jsonl_lines())
 
 
 def write_provenance_jsonl(log: ProvenanceLog, path: str | Path) -> int:
     """One provenance record per line; returns the record count."""
-    lines = log.to_jsonl_lines()
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, log.to_jsonl_lines())
 
 
 def write_flight_dump(log: ProvenanceLog, path: str | Path) -> int:
@@ -149,8 +123,4 @@ def write_flight_dump(log: ProvenanceLog, path: str | Path) -> int:
     """
     lines = [json.dumps(snapshot, sort_keys=True)
              for snapshot in log.snapshots]
-    # exporter module: artifact writes are its declared purpose
-    with open(path, "w", encoding="utf-8") as handle:   # lint: ignore[D08]
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
+    return _write_lines(path, lines)

@@ -2,9 +2,10 @@
 
 The one observability component that intentionally reads a wall clock.
 Simulated components must never do that (lint rule D02), but the control
-plane's own compute cost — LP assembly, HiGHS solves, epoch handling — is
-real wall time and is exactly what the ROADMAP's production-scale push needs
-measured (GATE's evaluation hinges on the same solver hot-path profiling).
+plane's own compute cost is real wall time. The harness wraps its
+``initial-plan`` and each ``epoch`` in a section; the optimizer inside
+them is not timed again here — ``EpochSolver`` keeps its own build and
+solve totals, which :mod:`repro.obs.collect` reads.
 
 This module lives in ``repro.obs`` (outside the deterministic dirs) and
 never feeds results back into simulated behaviour, so profiling a run
@@ -49,7 +50,6 @@ class ControlPlaneProfiler:
 
     def __init__(self) -> None:
         self._sections: dict[str, SectionStats] = {}
-        self.epoch_durations: list[float] = []
 
     @contextmanager
     def section(self, name: str):
@@ -62,8 +62,6 @@ class ControlPlaneProfiler:
             if stats is None:
                 stats = self._sections[name] = SectionStats()
             stats.add(elapsed)
-            if name == "epoch":
-                self.epoch_durations.append(elapsed)
 
     def stats(self, name: str) -> SectionStats | None:
         return self._sections.get(name)

@@ -134,8 +134,8 @@ def check_warm_against_cold(model, warm_x: np.ndarray) -> None:
         f"objective gap {gap:.3e}")
 
 
-def _shadowed_warm_solve(lp, model, profiler=None):
-    solution = _warm_solve(lp, model, profiler=profiler)
+def _shadowed_warm_solve(lp, model):
+    solution = _warm_solve(lp, model)
     if solution is not None:
         check_warm_against_cold(model, solution)
     return solution

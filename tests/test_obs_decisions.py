@@ -14,9 +14,10 @@ from repro.obs import (DecisionLog, EpochDecision, Observability,
 from repro.obs.reading import read_epoch
 
 
-def fake_controller(demand, result):
+def fake_controller(demand, result, hits=0, misses=1):
     """Duck-typed stand-in: DecisionLog only reads these attributes."""
     return SimpleNamespace(
+        solver_cache=SimpleNamespace(hits=hits, misses=misses),
         app=SimpleNamespace(classes={"default": None}),
         deployment=SimpleNamespace(cluster_names=["west", "east"]),
         demand_estimate=lambda cls, cluster: demand.get((cls, cluster), 0.0),
@@ -33,9 +34,7 @@ def record(log, sim_time, controller, update):
 def fake_result(cache_hit, objective=1.5, fingerprint="fp-1",
                 warm_start=False):
     return SimpleNamespace(cache_hit=cache_hit, objective=objective,
-                           solve_time=0.001, cache_hits=1 if cache_hit else 0,
-                           cache_misses=0 if cache_hit else 1,
-                           fingerprint=fingerprint,
+                           solve_time=0.001, fingerprint=fingerprint,
                            warm_start=warm_start, warm_build=False,
                            build_time=0.0005,
                            solver_path=("replay" if cache_hit
@@ -63,9 +62,12 @@ def test_record_outcomes_and_demand_delta():
     assert first.rules_added == 1 and first.rules_changed == 0
 
     second = record(log, 20.0, fake_controller(
-        {("default", "west"): 100.0}, fake_result(cache_hit=True)),
+        {("default", "west"): 100.0}, fake_result(cache_hit=True),
+        hits=1, misses=1),
         rules(0.8))
     assert second.outcome == "replayed"
+    # the controller's solver-cache counters, read at record time
+    assert second.cache_hits == 1 and second.cache_misses == 1
     assert second.demand_delta == 0.0         # plateau
     assert second.rules_added == 0 and second.rules_changed == 0
     assert second.weight_churn == pytest.approx(0.0)

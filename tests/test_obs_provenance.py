@@ -328,21 +328,6 @@ def test_provenance_config_implies_timeseries():
     assert Observability.coerce(ObservabilityConfig()) is None
 
 
-# ------------------------------------------------ profiler satellites
-
-def test_optimizer_profiler_sections_present():
-    """The fine-grained sections land inside the legacy build/solve ones."""
-    setup = diurnal_control_setup(duration=60.0, replicas=2)
-    obs = Observability(ObservabilityConfig(profiling=True))
-    setup.run(obs)
-    sections = set(obs.profiler.section_names())
-    assert {"vectorized_build", "highs_push", "hot_start"} <= sections
-    stats = obs.profiler.stats("hot_start")
-    assert stats.count >= 1
-    # every hot start ran on exactly one push of what moved
-    assert obs.profiler.stats("highs_push").count == stats.count
-
-
 def test_epoch_effect_dict_shape():
     effect = EpochEffect(start=1.0, end=2.0, weight_churn=0.5,
                          egress={"a->b": {"rate": 1.0, "delta": 0.5}},

@@ -250,8 +250,8 @@ def test_shadow_invariant_catches_divergence():
 def test_shadow_hook_checks_every_epoch_solver_warm_solve(monkeypatch):
     """The conftest shadow sits on the solver's warm path: a warm solution
     perturbed before the solver sees it is caught."""
-    def perturbed(lp, model, profiler=None):
-        solution = warm_solve(lp, model, profiler=profiler)
+    def perturbed(lp, model):
+        solution = warm_solve(lp, model)
         if solution is not None:
             solution[np.argmax(solution)] += 1.0
         return solution

@@ -94,6 +94,28 @@ def test_dropped_target_keys_decay_to_local():
     assert w["west"] > 0.7
 
 
+def test_a_key_that_left_the_target_is_dropped_once_fully_local():
+    """A decayed key is dropped, not pushed as an explicit local rule for
+    ever: the push that omits it routes the same way."""
+    rollout = IncrementalRollout(RolloutConfig(step=0.5))
+    for _ in range(3):
+        rollout.advance(target({"east": 1.0}), observed_objective=1.0)
+    table = RoutingTable()
+    controller = ClusterController("west")
+    pushes = [rollout.advance(RuleSet(), observed_objective=1.0)
+              for _ in range(60)]
+    shares = [weights_of(push).get("east", 0.0) for push in pushes
+              if len(push)]
+    # the key decays monotonically while it is carried...
+    assert shares and all(0.0 < share < 1.0 for share in shares)
+    assert shares == sorted(shares, reverse=True)
+    # ...and is gone once only the source cluster is left
+    assert len(shares) < 60
+    assert all(len(push) == 0 for push in pushes[len(shares):])
+    controller.distribute(pushes[-1], table)
+    assert routed(table) == {"west": 1.0}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RolloutConfig(step=0.0)

@@ -97,7 +97,6 @@ def test_static_policy_exposes_no_controller():
     ``policy.controller``: a static policy must keep exporting neither."""
     ctx = fig6a_how_much().scenario.context()
     policy = SlatePolicy()
-    policy.attach_profiler(object())    # never consulted by a static policy
     assert policy.controller is None
     policy.compute_rules(ctx)
     assert policy.controller is None
