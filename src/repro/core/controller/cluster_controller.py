@@ -104,19 +104,19 @@ class ClusterController:
                    now: float | None = None) -> int:
         """Install the rules relevant to this cluster's proxies.
 
-        Only rules whose source cluster is this cluster are installed — each
-        region's proxies hold exactly the rules they enforce — as one
-        :meth:`RoutingTable.install` for this cluster, which retires the
-        cluster's rules the push omits and skips a rule already installed
-        with the same weights. Returns the number of relevant rules. When
-        ``now`` is given it counts as controller contact; a distribution
-        that lands while the fallback is active reconciles it (the push
-        replaces the fallback rules).
+        The push is :meth:`RuleSet.for_source` of this cluster — its rules
+        that depart from local-first, so each region's proxies hold exactly
+        the exceptions they enforce — as one :meth:`RoutingTable.install`
+        for this cluster, which retires the cluster's rules the push omits
+        and skips a rule already installed with the same weights. Returns
+        the number of rules pushed. When ``now`` is given it counts as
+        controller contact; a distribution that lands while the fallback is
+        active reconciles it (the push replaces the fallback rules).
         """
-        relevant = rules.for_source(self.cluster)
-        table.install([(rule.key, rule.weights) for rule in relevant],
+        pushed = rules.for_source(self.cluster)
+        table.install([(rule.key, rule.weights) for rule in pushed],
                       sources=(self.cluster,))
-        count = len(relevant)
+        count = len(pushed)
         self.rules_distributed += count
         if now is not None:
             self.touch(now)
@@ -144,9 +144,8 @@ class ClusterController:
         # the fallback's rules replace the dead controller's for this
         # cluster, so its wildcard rules take effect (exact-class lookups
         # would otherwise keep hitting the stale entries)
-        table.install(((rule.key, rule.weights)
-                       for rule in self.fallback.compute_rules(ctx)
-                       if rule.src_cluster == self.cluster),
+        fallback = self.fallback.compute_rules(ctx).for_source(self.cluster)
+        table.install([(rule.key, rule.weights) for rule in fallback],
                       sources=(self.cluster,))
         self.fallback_active = True
         self.fallback_activations += 1

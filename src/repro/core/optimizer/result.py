@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -102,58 +103,69 @@ class OptimizationResult:
         ``FLOW_EPSILON``.
 
         One vectorised pass through the structure's
-        :class:`~repro.core.optimizer.tables.RulePlan`: ``np.bincount``
-        totals each rule's flows in flow order — for a one-destination rule
-        that is its weight, float for float — and ``np.unique`` counts the
-        destinations of each. A one-destination rule is the plan's shared
-        rule; a rule with several (or a non-finite total) sums its weights
-        per destination in flow order and normalises them with
-        :meth:`RoutingRule.make` (:meth:`RulePlan.split`).
+        :class:`~repro.core.optimizer.tables.RulePlan`: one stable sort of
+        the flows' (rule, destination) codes finds the pairs, and
+        ``np.bincount`` sums each pair's flows in flow order — for a
+        one-destination rule that is its weight, float for float. A
+        one-destination rule is the plan's shared rule
+        (:meth:`RulePlan.singles`); a rule with several, or with a
+        non-finite total, is normalised by :func:`_split_rules`.
+
+        The returned set also carries its push index: per source cluster,
+        the rules that depart from local-first (see
+        :meth:`RuleSet.for_source`), told apart by the plan's own-source
+        codes rather than by a walk over every rule.
         """
         flows = self.flows
         if not flows:
             return RuleSet([])
         plan = self._structure.rule_plan()
         n = len(flows)
-        codes = np.fromiter(map(plan.code_of.__getitem__, flows),
-                            dtype=np.intp, count=n)
-        rule_of = codes // plan.n_dst
-        totals = np.bincount(rule_of, weights=np.fromiter(
-            flows.values(), dtype=float, count=n))
-        pairs = np.unique(codes)
+        codes = self._flow_codes(plan)
+        rates = np.fromiter(flows.values(), dtype=float, count=n)
+        # the (rule, destination) pairs in code order, each with the
+        # index of its first flow and its flows summed in flow order
+        order = np.argsort(codes, kind="stable")
+        opens = _run_starts(codes[order])
+        pairs, first = codes[order][opens], order[opens]
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = np.cumsum(opens) - 1
+        sums = np.bincount(inverse, weights=rates)
         pair_rule = pairs // plan.n_dst
-        pair_total = totals[pair_rule]
-        single = ((np.bincount(pair_rule)[pair_rule] == 1)
-                  & np.isfinite(pair_total))
-        kept = single & (pair_total > FLOW_EPSILON)
-        rules = [plan.single(code) for code in pairs[kept].tolist()]
-        split = np.unique(pair_rule[~single])
-        if split.size:
-            order = pair_rule[kept]
-            for index, rule in reversed(
-                    self._split_rules(plan, rule_of, split)):
-                rules.insert(int(np.searchsorted(order, index)), rule)
-        return RuleSet(rules)
+        rule_opens = _run_starts(pair_rule)
+        single = (rule_opens & np.append(rule_opens[1:], True)
+                  & np.isfinite(sums))
+        kept = single & (sums > FLOW_EPSILON)
+        index, kept_codes = pair_rule[kept], pairs[kept]
+        rules = plan.singles(index, kept_codes)
+        departs = (kept_codes != plan.own_code[index]).tolist()
+        departures = list(zip(itertools.compress(index.tolist(), departs),
+                              itertools.compress(rules, departs)))
+        split = [] if single.all() else _split_rules(
+            plan, pairs[~single], first[~single], sums[~single])
+        if split:
+            departures += [(i, rule) for i, rule in split if rule.departs]
+            at = np.argsort(np.concatenate(
+                (index, np.array([i for i, _ in split], dtype=np.intp))))
+            rules += [rule for _, rule in split]
+            rules = list(map(rules.__getitem__, at.tolist()))
+        pushed: dict[str, list[RoutingRule]] = {}
+        for _, rule in sorted(departures, key=itemgetter(0)):
+            pushed.setdefault(rule.src_cluster, []).append(rule)
+        return RuleSet(rules, _pushed=(len(rules), pushed))
 
-    def _split_rules(self, plan, rule_of: np.ndarray,
-                     split: np.ndarray) -> list[tuple[int, RoutingRule]]:
-        """(rule index, rule) of the ``split`` rules that carry more than
-        ``FLOW_EPSILON``, in index order: weights summed per destination in
-        flow order, then normalised by the plan."""
-        grouped: dict[int, dict[str, float]] = {}
-        walk = np.isin(rule_of, split)
-        for ((*_, dst), rate), index in zip(
-                itertools.compress(self.flows.items(), walk),
-                rule_of[walk].tolist()):
-            weights = grouped.setdefault(index, {})
-            weights[dst] = weights[dst] + rate if dst in weights else rate
-        rules = []
-        for index in sorted(grouped):
-            # a NaN total is not skipped: make() rejects it
-            if sum(grouped[index].values()) <= FLOW_EPSILON:
-                continue
-            rules.append((index, plan.split(index, grouped[index])))
-        return rules
+    def _flow_codes(self, plan) -> np.ndarray:
+        """The rule code of each flow, in flow order: gathered from the
+        class split's per-key codes while the flows still hold exactly
+        the keys it extracted, else looked up key by key."""
+        keys = list(self.flows)
+        if self._flow_keys is not None:
+            split, order = self._flow_keys
+            # the split's own key objects: compared by identity
+            if keys == list(map(split.keys.__getitem__, order.tolist())):
+                return split.key_codes()[order]
+        return np.fromiter(map(plan.code_of.__getitem__, keys),
+                           dtype=np.intp, count=len(keys))
 
     def ingress_local_fraction(self, traffic_class: str,
                                cluster: str) -> float:
@@ -177,6 +189,60 @@ class OptimizationResult:
     #: them to rules); diagnostic plumbing, excluded from equality
     _structure: StructureTables | None = field(
         default=None, compare=False, repr=False)
+    #: (split plan, index of each flow key among its keys) when the flows
+    #: are a class split's: their rule codes without hashing every key
+    _flow_keys: tuple | None = field(default=None, compare=False,
+                                     repr=False)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``values`` starts."""
+    opens = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=opens[1:])
+    return opens
+
+
+def _split_rules(plan, pairs: np.ndarray, first: np.ndarray,
+                 sums: np.ndarray) -> list[tuple[int, RoutingRule]]:
+    """(rule index, rule) of the rules whose (rule, destination) ``pairs``
+    these are — in code order, with each pair's ``first`` flow and its
+    flows' ``sums`` — for those that carry more than ``FLOW_EPSILON``, in
+    index order, normalised as :meth:`RoutingRule.make` would, float for
+    float.
+
+    A rule's total adds its pair sums in order of each destination's first
+    appearance among the flows, the order ``make`` totals the weight dict
+    a walk over the flows builds. Dividing by the total, keeping the
+    positive shares and ordering them by destination name (the plan's
+    destination order) is ``make``'s normalisation.
+    """
+    pair_rule = pairs // plan.n_dst
+    opens = _run_starts(pair_rule)
+    starts = np.flatnonzero(opens)
+    run_of = np.cumsum(opens) - 1
+    order = np.lexsort((first, run_of))
+    total = np.bincount(run_of[order], weights=sums[order])
+    # make() rejects a non-finite or negative weight, and a NaN total is
+    # not skipped
+    valid = np.isfinite(total) & np.logical_and.reduceat(
+        np.isfinite(sums) & (sums >= 0), starts)
+    shares = (sums / total[run_of]).tolist()
+    names = [plan.dst_names[dst] for dst in (pairs % plan.n_dst).tolist()]
+    bounds = [*starts.tolist(), len(pairs)]
+    rules = []
+    for run in np.flatnonzero(~(total <= FLOW_EPSILON)).tolist():
+        lo, hi = bounds[run], bounds[run + 1]
+        index = int(pair_rule[lo])
+        if valid[run]:
+            rule = plan.split(index, tuple(
+                (names[i], shares[i]) for i in range(lo, hi)
+                if shares[i] > 0))
+        else:
+            rule = RoutingRule.make(*plan.rule_keys[index], {
+                names[i]: float(sums[i])
+                for i in sorted(range(lo, hi), key=first.__getitem__)})
+        rules.append((index, rule))
+    return rules
 
 
 def extract_result(model: LinearModel, solution, status: str,
@@ -224,7 +290,8 @@ def extract_result(model: LinearModel, solution, status: str,
 
     finalize_result(result, model.tables)
     if split is not None:
-        result.flows = split.flows(x)
+        result.flows, order = split.flows(x)
+        result._flow_keys = (split.plan, order)
     return result
 
 

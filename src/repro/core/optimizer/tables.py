@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
+
 from ..latency.mm1 import PoolDelayModel
 from ..rules import RoutingRule
 from .problem import INGRESS_EDGE, TEProblem
@@ -56,7 +58,8 @@ class RulePlan:
     one destination is the same rule whatever its rate, so it is built the
     first time that (rule, destination) pair is met and shared by every
     later result of the structure; a rule split across destinations is
-    rebuilt only when its weights differ from its last split.
+    rebuilt only when its weights differ from the rule its index last
+    emitted.
     """
 
     def __init__(self, flow_keys, edge_service) -> None:
@@ -72,28 +75,47 @@ class RulePlan:
         #: flow key → ``rule index · n_dst + destination index``
         self.code_of = {key: rule_index[rule] * self.n_dst + dst_index[dst]
                         for key, (rule, dst) in slots.items()}
+        #: per rule index, the code of the rule's own source cluster as its
+        #: destination (-1 when no flow can land there): a one-destination
+        #: rule with that code is local-first
+        self.own_code = np.array(
+            [i * self.n_dst + dst_index[src] if src in dst_index else -1
+             for i, (_, _, src) in enumerate(self.rule_keys)],
+            dtype=np.intp)
+        #: one-destination rules by code, each built the first time met
         self._single: dict[int, RoutingRule] = {}
-        self._split: dict[int, tuple[tuple, RoutingRule]] = {}
+        #: per rule index, the code and the rule it last emitted
+        self._last_code = np.full(len(self.rule_keys), -1, dtype=np.intp)
+        self._last_rule = np.empty(len(self.rule_keys), dtype=object)
 
-    def single(self, code: int) -> RoutingRule:
-        """The rule sending all of rule ``code // n_dst``'s calls to
-        destination ``code % n_dst``."""
-        rule = self._single.get(code)
-        if rule is None:
-            index, dst = divmod(code, self.n_dst)
-            rule = self._single[code] = RoutingRule(
-                *self.rule_keys[index], ((self.dst_names[dst], 1.0),))
+    def singles(self, index: np.ndarray, codes: np.ndarray) -> list:
+        """Per rule ``index``, the rule sending all its calls to the
+        destination of ``codes``: gathered from the rules each index last
+        emitted, looked up (or built, on first use) only where the
+        destination moved."""
+        moved = self._last_code[index] != codes
+        if moved.any():
+            cache = self._single
+            for i, code in zip(index[moved].tolist(),
+                               codes[moved].tolist()):
+                rule = cache.get(code)
+                if rule is None:
+                    rule = cache[code] = RoutingRule(
+                        *self.rule_keys[i],
+                        ((self.dst_names[code % self.n_dst], 1.0),))
+                self._last_rule[i] = rule
+            self._last_code[index[moved]] = codes[moved]
+        return self._last_rule[index].tolist()
+
+    def split(self, index: int, weights: tuple) -> RoutingRule:
+        """Rule ``index`` with the normalised ``weights``: the rule the
+        index last emitted while its weights are unchanged."""
+        rule = self._last_rule[index]
+        if rule is None or rule.weights != weights:
+            rule = self._last_rule[index] = RoutingRule(
+                *self.rule_keys[index], weights)
+            self._last_code[index] = -1
         return rule
-
-    def split(self, index: int, weights: dict[str, float]) -> RoutingRule:
-        """Rule ``index`` splitting its calls by ``weights``, normalised by
-        :meth:`RoutingRule.make`."""
-        items = tuple(weights.items())
-        last = self._split.get(index)
-        if last is None or last[0] != items:
-            last = self._split[index] = (items, RoutingRule.make(
-                *self.rule_keys[index], weights))
-        return last[1]
 
 
 class StructureTables:

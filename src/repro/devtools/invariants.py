@@ -13,6 +13,10 @@ model, and :class:`~repro.sim.runner.MeshSimulation` call in:
   gateway, with ``in_flight >= 0``;
 * **routing-matrix stochasticity** — every installed rule's weights are
   non-negative and sum to 1 ± 1e-9 per (service, class, source cluster);
+* **departures only** — no pushed exact-class rule sends every call to
+  its own source cluster unless a wildcard rule for its (service, source)
+  is live: a push omits local-first rules, which a missing key already
+  routes as (a hand edit may still spell one out);
 * **non-negative queue depths** — a pool never records negative busy
   replicas or queue length;
 * **fluid flow sanity** — bulk flow rates are finite and non-negative,
@@ -37,6 +41,10 @@ __all__ = ["InvariantViolation", "ROW_SUM_TOLERANCE",
            "check_routing_matrices", "check_routing_table",
            "check_solver_certificate", "FEASIBILITY_TOLERANCE",
            "OBJECTIVE_GAP_TOLERANCE"]
+
+#: the routing table's class-agnostic rule class (``repro.mesh`` sits
+#: above this layer, so the value is restated here)
+_WILDCARD_CLASS = "*"
 
 #: allowed deviation of a routing row's weight sum from 1.0
 ROW_SUM_TOLERANCE = 1e-9
@@ -66,12 +74,25 @@ def check_event_monotonic(now: float, event_time: float,
 
 
 def check_routing_table(table) -> None:
-    """Every installed rule must be a proper probability row.
+    """Every installed rule must be a proper probability row, and a pushed
+    one a departure from local-first unless a wildcard would otherwise
+    match (a :meth:`set_weights` hand edit may spell a local rule out).
 
     ``table`` is a :class:`~repro.mesh.routing_table.RoutingTable`; its
     ``rules()`` accessor returns (key → cluster → weight) mappings.
     """
-    for key, weights in table.rules().items():
+    rules = table.rules()
+    edited = table.hand_edits()
+    for key, weights in rules.items():
+        if (weights == {key.src_cluster: 1.0}
+                and key.traffic_class != _WILDCARD_CLASS
+                and (key.service, _WILDCARD_CLASS, key.src_cluster)
+                not in rules and key not in edited):
+            raise InvariantViolation(
+                f"routing rule for service={key.service!r} "
+                f"class={key.traffic_class!r} src={key.src_cluster!r} "
+                f"keeps every call local with no wildcard rule to "
+                f"override: a push carries only departures")
         if not weights:
             raise InvariantViolation(
                 f"routing rule for service={key.service!r} "

@@ -76,7 +76,10 @@ class RoutingTable:
     a copy distributed via its Cluster Controller; sharing one object is
     behaviourally identical in simulation). A push (:meth:`install`) is
     the whole rule set of each source cluster it is for: what it omits is
-    retired, and nothing moves unless the whole push is valid.
+    retired, and nothing moves unless the whole push is valid. A missing
+    key routes local-first (:func:`effective_weights`), so the control
+    plane pushes only the rules that depart from it
+    (:meth:`~repro.core.rules.RuleSet.for_source`).
 
     ``version`` moves once per write that changes a rule: installing the
     weights a rule was last given changes nothing, so nothing compiles.
@@ -88,6 +91,8 @@ class RoutingTable:
         self._given: dict[RouteKey, tuple] = {}
         #: source cluster → the keys of its installed rules
         self._keys: dict[str, set[RouteKey]] = {}
+        #: keys whose rule is a hand edit no push has replaced since
+        self._edited: set[RouteKey] = set()
         self.version = 0
 
     def set_weights(self, key: RouteKey, weights: dict[str, float]) -> None:
@@ -99,6 +104,7 @@ class RoutingTable:
         self._rules[key] = _normalise(key, items)
         self._given[key] = items
         self._keys.setdefault(key.src_cluster, set()).add(key)
+        self._edited.add(key)
         self.version += 1
 
     def install(self, entries, sources=None) -> None:
@@ -129,6 +135,8 @@ class RoutingTable:
                    for key in self._keys.get(source, set()) - pushed.keys()]
         for key in retired:
             del self._rules[key], given[key]
+        if self._edited:
+            self._edited.difference_update(pushed.keys(), retired)
         self._rules.update(fresh)
         given.update((key, pushed[key]) for key in fresh)
         for source in sources:
@@ -150,6 +158,11 @@ class RoutingTable:
     def rules(self) -> dict[RouteKey, dict[str, float]]:
         """A copy of the installed rules (for inspection/tests)."""
         return {key: dict(w) for key, w in self._rules.items()}
+
+    def hand_edits(self) -> frozenset[RouteKey]:
+        """The keys whose rule :meth:`set_weights` installed and no push
+        has replaced or retired since."""
+        return frozenset(self._edited)
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -6,7 +6,7 @@ did it do about it": the quantized demand snapshot and how far it moved
 (L1 delta), the model fingerprint the solver cache keyed on, whether the
 epoch was freshly **solved** or **replayed** from cache (PR 2's hysteresis
 skip), the objective and wall solve time, and the routing diff actually
-shipped (rules added/removed/changed plus total weight churn).
+shipped (rules whose route changed plus total weight churn).
 
 The log is append-only and derived purely from controller state the harness
 already holds — recording it does not perturb the control loop, so enabling
@@ -42,8 +42,12 @@ class EpochDecision:
     solve_time: float | None
     cache_hits: int
     cache_misses: int
+    #: always 0, kept in the export format: a rule diff reads a missing
+    #: key as local-first (:func:`~repro.obs.reading.diff_rules`), so a
+    #: plan only ever changes routes
     rules_added: int
     rules_removed: int
+    #: keys whose route moved by more than float noise
     rules_changed: int
     #: summed |weight change| across all (rule, destination) pairs
     weight_churn: float
@@ -105,13 +109,13 @@ class DecisionLog:
         delta = sum(
             abs(demand.get(key, 0.0) - self._prev_demand.get(key, 0.0))
             for key in sorted(set(demand) | set(self._prev_demand)))
-        shipped = {"added": 0, "removed": 0, "changed": 0}
+        changed = 0
         churn = 0.0
         if reading.update is not None:
             new_rules = reading.update.by_key()
             for change in diff_rules(self._prev_rules, new_rules):
                 if change.moved:
-                    shipped[change.kind] += 1
+                    changed += 1
                     churn += change.churn
             self._prev_rules = new_rules
         result = reading.result
@@ -129,9 +133,9 @@ class DecisionLog:
             # the solver cache's running totals as of this epoch's plan
             cache_hits=controller.solver_cache.hits if result else 0,
             cache_misses=controller.solver_cache.misses if result else 0,
-            rules_added=shipped["added"],
-            rules_removed=shipped["removed"],
-            rules_changed=shipped["changed"],
+            rules_added=0,
+            rules_removed=0,
+            rules_changed=changed,
             weight_churn=churn,
             telemetry_age=(None if observed is None
                            else max(0.0, reading.sim_time - observed)),

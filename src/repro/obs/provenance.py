@@ -123,6 +123,8 @@ class ProvenanceRecord:
     objective: float | None
     fingerprint: str | None
     #: class → {"added","removed","changed","churn","shift":{dst: net Δw}}
+    #: ("added" and "removed" stay 0: a rule diff reads a missing key as
+    #: local-first, so every entry is a changed route)
     rule_deltas: dict[str, dict]
     #: itemised largest-churn rule changes (capped at MAX_RULE_CHANGES)
     rule_changes: list[dict]
@@ -451,7 +453,7 @@ class ProvenanceLog:
             entry = per_class.setdefault(
                 cls, {"added": 0, "removed": 0, "changed": 0,
                       "churn": 0.0, "shift": {}})
-            entry[change.kind] += 1
+            entry["changed"] += 1
             entry["churn"] += change.churn
             total_churn += change.churn
             shift = entry["shift"]
@@ -460,9 +462,8 @@ class ProvenanceLog:
                     shift[dst] = shift.get(dst, 0.0) + moved
             changes.append({
                 "service": key.service, "class": cls,
-                "src": key.src_cluster, "kind": change.kind,
-                "old": None if change.old is None else dict(change.old),
-                "new": None if change.new is None else dict(change.new),
+                "src": key.src_cluster, "kind": "changed",
+                "old": dict(change.old), "new": dict(change.new),
                 "churn": change.churn,
             })
         changes.sort(key=lambda c: (-c["churn"], c["service"], c["class"],

@@ -72,13 +72,13 @@ def read_epoch(sim_time: float, controller: "GlobalController | None",
 
 
 class RuleChange(NamedTuple):
-    """One rule key whose weights differ between two rule maps."""
+    """One rule key whose route differs between two rule maps."""
 
     key: "RouteKey"
-    #: "added", "removed" or "changed"
-    kind: str
-    old: dict[str, float] | None
-    new: dict[str, float] | None
+    #: the key's route before and after: its weights, or local-first
+    #: (``{src: 1.0}``) where the map holds no rule for it
+    old: dict[str, float]
+    new: dict[str, float]
     #: destination → new − old weight, destinations sorted
     deltas: dict[str, float]
     #: Σ |delta|, the key's L1 weight churn
@@ -86,27 +86,30 @@ class RuleChange(NamedTuple):
 
     @property
     def moved(self) -> bool:
-        """False for a changed key whose churn is only float noise."""
-        return self.kind != "changed" or self.churn > EPSILON
+        """False for a change that is only float noise."""
+        return self.churn > EPSILON
 
 
 def diff_rules(previous: dict, current: dict) -> list[RuleChange]:
-    """Every key whose weights differ from ``previous`` to ``current``
-    (``RouteKey → {destination: weight}`` maps), in rule-key order."""
+    """Every key whose route differs from ``previous`` to ``current``
+    (``RouteKey → {destination: weight}`` maps), in rule-key order.
+
+    A key a map holds no rule for reads as local-first, ``{src: 1.0}`` —
+    where a proxy without a rule sends the call — so a routing table that
+    holds only departures (:meth:`~repro.core.rules.RuleSet.for_source`)
+    diffs alike against a table or a plan that spells local rules out.
+    """
     changes = []
     for key in sorted(previous.keys() | current.keys(),
                       key=lambda k: (k.service, k.traffic_class,
                                      k.src_cluster)):
-        old = previous.get(key)
-        new = current.get(key)
+        local = {key.src_cluster: 1.0}
+        old = previous.get(key, local)
+        new = current.get(key, local)
         if old == new:
             continue
-        before = old or {}
-        after = new or {}
-        deltas = {dst: after.get(dst, 0.0) - before.get(dst, 0.0)
-                  for dst in sorted(before.keys() | after.keys())}
-        kind = ("added" if old is None
-                else "removed" if new is None else "changed")
-        changes.append(RuleChange(key, kind, old, new, deltas,
+        deltas = {dst: new.get(dst, 0.0) - old.get(dst, 0.0)
+                  for dst in sorted(old.keys() | new.keys())}
+        changes.append(RuleChange(key, old, new, deltas,
                                   sum(abs(d) for d in deltas.values())))
     return changes

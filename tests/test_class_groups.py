@@ -139,7 +139,9 @@ def test_member_flows_equal_the_column_walk(instance):
     for i in np.flatnonzero(rates > FLOW_EPSILON):
         for key, mult in split.plan.hops[i]:
             walk[key] = walk.get(key, 0.0) + float(rates[i]) * mult
-    assert list(split.flows(x).items()) == list(walk.items())
+    flows, order = split.flows(x)
+    assert list(flows.items()) == list(walk.items())
+    assert [split.plan.keys[i] for i in order] == list(flows)
 
 
 def test_a_problem_without_interchangeable_classes_builds_the_ungrouped_lp(

@@ -250,15 +250,16 @@ def test_warm_epoch_reads_the_structures_tables(monkeypatch):
 def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
     """After the first epoch a rule object is built only for a (rule,
     destination) pair not met before or a rule split across destinations,
-    only the rules whose weights moved are normalised into the table, and
-    a replay epoch builds nothing and leaves ``table.version`` alone."""
+    only the departures from local-first whose weights moved are
+    normalised into the table (a local rule is never pushed), and a replay
+    epoch builds nothing and leaves ``table.version`` alone."""
     app, deployment, base, config = smoke_mesh()
     names = deployment.cluster_names
     controller = GlobalController(app, deployment, config)
     table = RoutingTable()
     distributors = [ClusterController(name) for name in names]
     seen: set = set()          # (rule key, destination) of one-way rules
-    installed: dict = {}       # rule key → the weights last pushed
+    installed: dict = {}       # departing rule key → its installed weights
     paths_taken = []
     for epoch, batch in enumerate(epoch_reports(names, base)):
         if epoch == 1:
@@ -275,7 +276,8 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
         one_way = {(rule.key, rule.weights[0][0]) for rule in rules
                    if len(rule.weights) == 1}
         split = [rule for rule in rules if len(rule.weights) > 1]
-        moved = [rule for rule in rules
+        pushed = [rule for rule in rules if rule.departs]
+        moved = [rule for rule in pushed
                  if installed.get(rule.key) != rule.weights]
         if epoch:
             paths_taken.append(result.solver_path)
@@ -286,7 +288,8 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
                 assert len(built) == built_before
                 assert table.version == version
         seen |= one_way
-        installed.update((rule.key, rule.weights) for rule in rules)
+        installed = {rule.key: rule.weights for rule in pushed}
+        assert table.rules().keys() == installed.keys()
     assert "replay" in paths_taken and "warm" in paths_taken
 
 

@@ -59,7 +59,9 @@ def test_record_outcomes_and_demand_delta():
     assert first.epoch == 0
     assert first.demand_total == 100.0
     assert first.demand_delta == 100.0        # vs. the empty previous epoch
-    assert first.rules_added == 1 and first.rules_changed == 0
+    # a key with no previous rule read as local-first: a changed route
+    assert first.rules_added == 0 and first.rules_changed == 1
+    assert first.weight_churn == pytest.approx(0.4)
 
     second = record(log, 20.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(cache_hit=True),

@@ -102,15 +102,17 @@ def test_telemetry_digest_is_content_addressed():
 
 def test_seed_rules_baselines_the_first_diff():
     log = ProvenanceLog()
-    initial = {RouteKey("S1", "default", "west"): {"west": 1.0}}
+    initial = {RouteKey("S1", "default", "west"): {"west": 0.8, "east": 0.2}}
     log.seed_rules(initial)
     record = log.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
     assert record.weight_churn == 0.0
     assert record.rule_deltas == {}
-    # ...whereas an unseeded log would have claimed the install
+    # ...whereas an unseeded log would have claimed the install, as a move
+    # away from local-first
     unseeded = ProvenanceLog()
     claimed = unseeded.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
-    assert claimed.rule_deltas["default"]["added"] == 1
+    assert claimed.rule_deltas["default"]["changed"] == 1
+    assert claimed.weight_churn == pytest.approx(0.4)
 
 
 def test_record_epoch_diffs_rules_and_closes_effect_windows():

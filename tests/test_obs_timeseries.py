@@ -243,7 +243,8 @@ def test_zero_season_length_disables_seasonality():
 def walked_routing_sample(self, now: float) -> None:
     """``ScrapeLoop._sample_routing`` copying and walking the table at every
     scrape, as it did before it skipped an unmoved ``table.version`` —
-    frozen here as the reference."""
+    frozen here as the reference, a key without a rule read as
+    local-first."""
     table = self.simulation.table
     rules = table.rules()
     churn = 0.0
@@ -251,8 +252,9 @@ def walked_routing_sample(self, now: float) -> None:
     for key in sorted(set(rules) | set(previous),
                       key=lambda k: (k.service, k.traffic_class,
                                      k.src_cluster)):
-        old = previous.get(key, {})
-        new = rules.get(key, {})
+        local = {key.src_cluster: 1.0}
+        old = previous.get(key, local)
+        new = rules.get(key, local)
         churn += sum(abs(new.get(c, 0.0) - old.get(c, 0.0))
                      for c in sorted(set(new) | set(old)))
     self._prev_weights = rules

@@ -198,12 +198,13 @@ def test_a_dropped_rule_installs_again(drop):
     assert table.weights_for("S1", "default", "west") == {"west": 1.0}
 
 
-class LocalFirst:
-    """A fallback policy: every service local-first, as wildcard rules."""
+class FailOver:
+    """A fallback policy: every service at west fails over to east, as
+    wildcard rules (a local-first fallback would push nothing)."""
 
     def compute_rules(self, ctx) -> RuleSet:
         return RuleSet([RoutingRule(service, WILDCARD_CLASS, "west",
-                                    (("west", 1.0),))
+                                    (("east", 1.0),))
                         for service in ("S1", "S2")])
 
 
@@ -211,7 +212,8 @@ def optimized_rules() -> RuleSet:
     return RuleSet([
         RoutingRule("S1", "default", "west", (("east", 1.0),)),
         RoutingRule("S2", "default", "west", (("east", 0.5), ("west", 0.5))),
-        RoutingRule("S1", "default", "east", (("east", 1.0),))])
+        RoutingRule("S1", "default", "east", (("east", 1.0),)),
+        RoutingRule("S2", "default", "east", (("west", 1.0),))])
 
 
 def test_a_returning_controller_reinstalls_every_purged_rule():
@@ -221,14 +223,14 @@ def test_a_returning_controller_reinstalls_every_purged_rule():
     retires the fallback's and the fallback clears."""
     table = RoutingTable()
     controller = ClusterController("west", max_rule_age=5.0,
-                                   fallback=LocalFirst())
+                                   fallback=FailOver())
     rules = optimized_rules()
     before = table.version
     assert controller.distribute(rules, table, now=0.0) == 2
     assert table.version == before + 1
     installed = table.rules()
     assert controller.check_staleness(10.0, table, ctx=None)
-    assert table.weights_for("S1", "default", "west") == {"west": 1.0}
+    assert table.weights_for("S1", "default", "west") == {"east": 1.0}
     version = table.version
     assert controller.distribute(rules, table, now=11.0) == 2
     assert table.version == version + 1
@@ -243,21 +245,25 @@ def test_a_returning_controller_reinstalls_every_purged_rule():
 
 
 def test_distribute_retires_what_the_push_omits():
-    """A push is its cluster's whole rule set: a rule the new plan no
-    longer emits is retired, so a call that reaches it takes the proxy
-    default, as on a table that never held it. Other clusters' rules
-    stay."""
+    """A push is its cluster's whole set of departures from local-first: a
+    rule the new plan no longer emits, or now keeps local, is retired, so
+    a call that reaches it takes the proxy default (local-first), as on a
+    table that never held it. A local rule is never installed. Other
+    clusters' rules stay."""
     table = RoutingTable()
     west, east = ClusterController("west"), ClusterController("east")
     for controller in (west, east):
         controller.distribute(optimized_rules(), table)
-    later = RuleSet([RoutingRule("S1", "default", "west", (("west", 1.0),))])
+    assert len(table) == 3      # S1 at east keeps every call local
+    assert table.weights_for("S1", "default", "east") is None
+    later = RuleSet([RoutingRule("S1", "default", "west", (("west", 1.0),)),
+                     RoutingRule("S2", "default", "west", (("east", 1.0),))])
     version = table.version
     assert west.distribute(later, table) == 1
     assert table.version == version + 1
-    assert table.weights_for("S1", "default", "west") == {"west": 1.0}
-    assert table.weights_for("S2", "default", "west") is None
-    assert table.weights_for("S1", "default", "east") == {"east": 1.0}
+    assert table.weights_for("S1", "default", "west") is None
+    assert table.weights_for("S2", "default", "west") == {"east": 1.0}
+    assert table.weights_for("S2", "default", "east") == {"west": 1.0}
     assert len(table) == 2
 
 
@@ -267,7 +273,7 @@ def test_a_push_without_rules_for_a_tripped_cluster_reconciles_it():
     the flag clears with them."""
     table = RoutingTable()
     controller = ClusterController("west", max_rule_age=5.0,
-                                   fallback=LocalFirst())
+                                   fallback=FailOver())
     assert controller.check_staleness(10.0, table, ctx=None)
     assert len(table) == 2
     assert controller.distribute(RuleSet(), table, now=11.0) == 0
@@ -278,8 +284,9 @@ def test_a_push_without_rules_for_a_tripped_cluster_reconciles_it():
 
 def test_the_table_holds_exactly_the_last_plans_rules_every_epoch():
     """The ledger's control loop in small: after every epoch's push to
-    every cluster, the table's keys are exactly the plan's — no rule an
-    earlier plan emitted outlives it."""
+    every cluster, the table's keys are exactly the plan's departures from
+    local-first — no rule an earlier plan emitted outlives it, and no
+    local rule is installed."""
     app, deployment, base, config = smoke_mesh()
     controller = GlobalController(app, deployment, config)
     table = RoutingTable()
@@ -292,7 +299,8 @@ def test_the_table_holds_exactly_the_last_plans_rules_every_epoch():
         rules = controller.plan().rules()
         for distributor in distributors:
             distributor.distribute(rules, table, now=10.0 * e)
-        planned = {rule.key for rule in rules}
+        planned = {rule.key for rule in rules if rule.departs}
+        assert planned and len(planned) < len(rules)
         assert set(table.rules()) == planned
         retired += len(before - planned)
     assert retired, "no epoch dropped a rule: the check proves nothing"

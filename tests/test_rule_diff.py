@@ -4,8 +4,10 @@ The decision log, the provenance chain and the scrape loop each diffed two
 rule maps with their own loop; the loops are frozen here as references and
 must agree with the shared diff float for float. Weight maps keep their
 destinations sorted, as every ``RoutingRule`` and the routing table built
-from one do (the frozen walks summed an added or removed rule in insertion
-order, the shared diff in destination order).
+from one do. Since a push carries only the rules that depart from
+local-first, every walk reads a key a map holds no rule for as
+``{src: 1.0}``, so a key is never added or removed, only its route
+changed.
 """
 
 from __future__ import annotations
@@ -30,24 +32,18 @@ def _order(key):
 
 def decision_walk(prev: dict, new: dict):
     """The decision log's diff: (added, removed, changed, churn)."""
-    added = removed = changed = 0
+    changed = 0
     churn = 0.0
     for key in sorted(set(new) | set(prev), key=_order):
-        old_weights = prev.get(key)
-        new_weights = new.get(key)
-        if old_weights is None:
-            added += 1
-            churn += sum(new_weights.values())
-        elif new_weights is None:
-            removed += 1
-            churn += sum(old_weights.values())
-        else:
-            diff = sum(abs(new_weights.get(c, 0.0) - old_weights.get(c, 0.0))
-                       for c in sorted(set(new_weights) | set(old_weights)))
-            if diff > EPSILON:
-                changed += 1
-                churn += diff
-    return added, removed, changed, churn
+        local = {key.src_cluster: 1.0}
+        old_weights = prev.get(key, local)
+        new_weights = new.get(key, local)
+        diff = sum(abs(new_weights.get(c, 0.0) - old_weights.get(c, 0.0))
+                   for c in sorted(set(new_weights) | set(old_weights)))
+        if diff > EPSILON:
+            changed += 1
+            churn += diff
+    return 0, 0, changed, churn
 
 
 def provenance_walk(prev: dict, rules: dict):
@@ -56,23 +52,18 @@ def provenance_walk(prev: dict, rules: dict):
     changes: list = []
     total = 0.0
     for key in sorted(set(rules) | set(prev), key=_order):
-        old = prev.get(key)
-        new = rules.get(key)
-        if old is None:
-            diff_map, kind = dict(new), "added"
-        elif new is None:
-            diff_map, kind = {dst: -w for dst, w in old.items()}, "removed"
-        else:
-            diff_map = {dst: new.get(dst, 0.0) - old.get(dst, 0.0)
-                        for dst in sorted(set(new) | set(old))}
-            kind = "changed"
+        local = {key.src_cluster: 1.0}
+        old = prev.get(key, local)
+        new = rules.get(key, local)
+        diff_map = {dst: new.get(dst, 0.0) - old.get(dst, 0.0)
+                    for dst in sorted(set(new) | set(old))}
         churn = sum(abs(d) for d in diff_map.values())
-        if kind == "changed" and churn <= EPSILON:
+        if churn <= EPSILON:
             continue
         entry = per_class.setdefault(
             key.traffic_class, {"added": 0, "removed": 0, "changed": 0,
                                 "churn": 0.0, "shift": {}})
-        entry[kind] += 1
+        entry["changed"] += 1
         entry["churn"] += churn
         total += churn
         for dst in sorted(diff_map):
@@ -80,7 +71,7 @@ def provenance_walk(prev: dict, rules: dict):
                 entry["shift"][dst] = (entry["shift"].get(dst, 0.0)
                                        + diff_map[dst])
         changes.append({"service": key.service, "class": key.traffic_class,
-                        "src": key.src_cluster, "kind": kind,
+                        "src": key.src_cluster, "kind": "changed",
                         "old": old, "new": new, "churn": churn})
     changes.sort(key=lambda c: (-c["churn"], c["service"], c["class"],
                                 c["src"]))
@@ -91,8 +82,9 @@ def scrape_walk(previous: dict, rules: dict) -> float:
     """The scrape loop's L1 churn between two table snapshots."""
     churn = 0.0
     for key in sorted(set(rules) | set(previous), key=_order):
-        old = previous.get(key, {})
-        new = rules.get(key, {})
+        local = {key.src_cluster: 1.0}
+        old = previous.get(key, local)
+        new = rules.get(key, local)
         churn += sum(abs(new.get(c, 0.0) - old.get(c, 0.0))
                      for c in sorted(set(new) | set(old)))
     return churn
