@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import LinearModel
 from .problem import INGRESS_EDGE, ClassWorkload, TEProblem, class_signature
-from .result import FLOW_EPSILON
+from .result import FLOW_EPSILON, run_starts
 from .tables import StructureTables
 
 __all__ = ["ClassGroups", "ClassSplit", "SplitPlan"]
@@ -184,10 +184,7 @@ class SplitPlan:
         # each key at its first live hop; a stable sort, not np.unique,
         # which hashes (about 20x slower on a few thousand keys)
         ranked = np.argsort(keys, kind="stable")
-        sorted_keys = keys[ranked]
-        opens = np.ones(len(keys), dtype=bool)
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=opens[1:])
-        order = keys[np.sort(ranked[opens])]
+        order = keys[np.sort(ranked[run_starts(keys[ranked])])]
         return dict(zip(map(self.keys.__getitem__, order.tolist()),
                         totals[order].tolist())), order
 

@@ -14,7 +14,7 @@ from .problem import INGRESS_EDGE
 from .tables import ModelTables, StructureTables
 
 __all__ = ["Certificate", "OptimizationResult", "extract_result",
-           "finalize_result"]
+           "finalize_result", "run_starts"]
 
 #: flows below this rate (requests/second) are treated as numerical zeros
 FLOW_EPSILON = 1e-7
@@ -126,13 +126,13 @@ class OptimizationResult:
         # the (rule, destination) pairs in code order, each with the
         # index of its first flow and its flows summed in flow order
         order = np.argsort(codes, kind="stable")
-        opens = _run_starts(codes[order])
+        opens = run_starts(codes[order])
         pairs, first = codes[order][opens], order[opens]
         inverse = np.empty(n, dtype=np.intp)
         inverse[order] = np.cumsum(opens) - 1
         sums = np.bincount(inverse, weights=rates)
         pair_rule = pairs // plan.n_dst
-        rule_opens = _run_starts(pair_rule)
+        rule_opens = run_starts(pair_rule)
         single = (rule_opens & np.append(rule_opens[1:], True)
                   & np.isfinite(sums))
         kept = single & (sums > FLOW_EPSILON)
@@ -195,7 +195,7 @@ class OptimizationResult:
                                      repr=False)
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
+def run_starts(values: np.ndarray) -> np.ndarray:
     """Where each run of equal neighbours in ``values`` starts."""
     opens = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=opens[1:])
@@ -217,7 +217,7 @@ def _split_rules(plan, pairs: np.ndarray, first: np.ndarray,
     destination order) is ``make``'s normalisation.
     """
     pair_rule = pairs // plan.n_dst
-    opens = _run_starts(pair_rule)
+    opens = run_starts(pair_rule)
     starts = np.flatnonzero(opens)
     run_of = np.cumsum(opens) - 1
     order = np.lexsort((first, run_of))

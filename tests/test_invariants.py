@@ -125,6 +125,29 @@ def test_check_routing_table_rejects_bad_rows():
         check_routing_table(table)
 
 
+def test_check_routing_table_rejects_a_pushed_local_rule():
+    """A push carries only departures from local-first: an installed
+    exact-class rule keeping every call local is a push that carried what
+    a missing key routes as, unless a wildcard would otherwise match."""
+    local = (RouteKey("svc", "default", "east"), (("east", 1.0),))
+    wildcard = (RouteKey("svc", "*", "east"), (("west", 1.0),))
+    table = RoutingTable()
+    table.install([local, wildcard])
+    check_routing_table(table)   # the wildcard would override a gap
+    table.install([local])
+    with pytest.raises(InvariantViolation,
+                       match="class='default' src='east' keeps every call "
+                             "local"):
+        check_routing_table(table)
+    # a hand edit may spell the local rule out
+    edited = RoutingTable()
+    edited.set_weights(local[0], {"east": 1.0})
+    check_routing_table(edited)
+    edited.install([local])
+    with pytest.raises(InvariantViolation, match="keeps every call local"):
+        check_routing_table(edited)
+
+
 # ----------------------------------------------------- request conservation
 
 def test_conservation_violation_names_the_cluster():
