@@ -7,7 +7,7 @@ to the data plane. `repro.obs.provenance` chains those four steps into
 one record per epoch — this example runs the diurnal scenario with tight
 capacity (so the day/night swings force real cross-cluster shifts) and
 prints the full causal story for the biggest one: the demand delta that
-triggered it, the solver path (replay / warm / cold) that produced it,
+triggered it, the solver path (warm / cold) that produced it,
 the rule churn that shipped, and the egress/latency movement observed
 afterwards.
 

@@ -11,7 +11,7 @@ pillar enabled, then answers the three questions the layer exists for
 2. *What state was the mesh in?* — dump the prometheus text snapshot of
    pool utilization, gateway counters, WAN egress, and solver state.
 3. *What did the controller decide?* — render the per-epoch decision log
-   (solved vs replayed vs no-demand, demand deltas, routing churn).
+   (solved vs no-demand, demand deltas, routing churn).
 
 It also writes a Chrome trace_event file — drop it on
 https://ui.perfetto.dev to see every span on a per-cluster/per-service
@@ -65,7 +65,7 @@ def main() -> None:
     print("\nmetrics snapshot (prometheus text format, excerpt):")
     for line in obs.metrics.to_prometheus().splitlines():
         if line.startswith(("pool_utilization", "wan_egress_bytes_total",
-                            "solver_objective", "solver_cache")):
+                            "solver_objective", "optimizer_")):
             print(f"  {line}")
 
     # -- 3. the controller's decisions -----------------------------------
@@ -83,7 +83,7 @@ def main() -> None:
           f"build={solver['build_seconds'] * 1000:.1f} ms  "
           f"solves={solver['solves']:<3} "
           f"solve={solver['solve_seconds'] * 1000:.1f} ms  "
-          f"replays={solver['replays']}")
+          f"hot starts={solver['warm_solves']}")
 
     # -- Perfetto export --------------------------------------------------
     events = write_chrome_trace(obs.tracer, TRACE_PATH, max_requests=200)

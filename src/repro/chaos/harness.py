@@ -77,11 +77,12 @@ class ChaosRunResult:
                       if c.fallback_tripped_at is not None)
 
     def detection_signals(self) -> list[float]:
-        """Control-plane reactions: guard trips + fresh re-plans."""
+        """Control-plane reactions: guard trips + re-plans on moved
+        demand (a plan of unchanged quantized demand is no reaction)."""
         signals = list(self.fallback_trips)
         if self.decisions is not None:
             signals.extend(d.sim_time for d in self.decisions
-                           if d.outcome == "solved")
+                           if d.outcome == "solved" and d.demand_delta > 0)
         return sorted(signals)
 
     def anomaly_signals(self) -> list[float]:

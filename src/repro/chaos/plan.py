@@ -10,7 +10,7 @@ inject/recover callbacks against a live
 :class:`~repro.sim.runner.MeshSimulation`.
 
 Plans are pure values: building one touches no simulator, no RNG stream
-and no global state, so the same plan replayed on the same seed yields a
+and no global state, so the same plan run again on the same seed yields a
 byte-identical run, and the empty plan is indistinguishable from not
 using chaos at all.
 """

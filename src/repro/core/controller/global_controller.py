@@ -31,7 +31,6 @@ from ...sim.topology import DeploymentSpec
 from ...sim.workload import DemandMatrix
 from ..classes.callgraph import CallGraphLearner
 from ..latency.profiles import ProfileRegistry
-from ..optimizer.cache import SolverCache
 from ..optimizer.problem import ClassWorkload, TEProblem
 from ..optimizer.result import OptimizationResult
 from ..optimizer.solve import SolverError
@@ -64,8 +63,9 @@ class GlobalControllerConfig:
     #: round demand estimates to multiples of this (requests/second) before
     #: planning. Acts as re-plan hysteresis: sub-quantum telemetry jitter no
     #: longer produces a numerically distinct TE instance every epoch, so
-    #: steady-demand epochs assemble *identical* models and the solver
-    #: cache replays them instead of re-solving. 0 disables quantization.
+    #: a steady-demand epoch assembles the previous epoch's LP unchanged,
+    #: and its hot start ends optimal after zero simplex iterations. 0
+    #: disables quantization.
     demand_quantum: float = 0.0
     #: optimizer formulation: "arc" (per-edge flow variables, the exact
     #: §3.3 model) or "path" (k-best candidate embeddings — linear in
@@ -127,13 +127,9 @@ class GlobalController:
         #: observe); lets the decision log report how stale the planning
         #: input was — nonzero only when telemetry was delayed or dropped
         self.last_observe_time: float | None = None
-        #: memoizes epoch solves (LRU of ``DEFAULT_CACHE_SIZE`` entries)
-        self.solver_cache = SolverCache()
-        #: the build+solve pipeline with structure reuse and warm starts;
-        #: composes the solver cache (replay) with the previous epoch's
-        #: structure (warm builds) and basis (hot starts)
+        #: the build+solve pipeline: reuses the previous epoch's structure
+        #: (warm builds) and basis (hot starts)
         self.epoch_solver = EpochSolver(
-            cache=self.solver_cache,
             formulation=self.config.formulation,
             path_k=self.config.path_k,
             path_prune_limit=self.config.path_prune_limit,

@@ -39,8 +39,8 @@ class SlatePolicy:
     def controller(self) -> GlobalController | None:
         """The adaptive-mode controller (None before ``compute_rules``).
 
-        Exposes learned state, the epoch solver and the solver memoization
-        cache (``controller.solver_cache``) for diagnostics and benchmarks.
+        Exposes learned state and the epoch solver for diagnostics and
+        benchmarks.
         Always None for a static policy: it observes nothing, and the
         harness keeps epoch records only for policies that expose one.
         """
@@ -51,8 +51,8 @@ class SlatePolicy:
 
         One per policy, so the initial plan and the adaptive epochs share
         one config-to-problem path and one epoch solver (the previous
-        epoch's structure and basis, the solver cache). Rebuilt only if the
-        policy is handed a different app or deployment.
+        epoch's structure and basis). Rebuilt only if the policy is handed
+        a different app or deployment.
         """
         controller = self._controller
         if (controller is None or controller.app is not ctx.app

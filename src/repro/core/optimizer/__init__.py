@@ -1,6 +1,6 @@
 """The Global Controller's request-routing optimizer (§3.3)."""
 
-from .cache import DEFAULT_CACHE_SIZE, SolverCache, model_fingerprint
+from .cache import model_fingerprint
 from .groups import ClassGroups
 from .model import INGRESS_EDGE, LinearModel, build_model, class_edges
 from .paths import build_path_model, candidate_paths
@@ -11,7 +11,7 @@ from .solve import HighsLP, SolverError, highs_solve, solve, solve_model
 from .warm import EpochSolver, warm_solve
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE", "SolverCache", "model_fingerprint",
+    "model_fingerprint",
     "ClassGroups",
     "INGRESS_EDGE", "LinearModel", "build_model", "class_edges",
     "build_path_model", "candidate_paths",

@@ -53,13 +53,9 @@ class OptimizationResult:
     predicted_egress_cost_rate: float = 0.0
     predicted_mean_latency: float = 0.0
     total_demand: float = 0.0
-    #: served from a SolverCache instead of a fresh HiGHS solve
-    cache_hit: bool = field(default=False, compare=False)
     #: model dimensions, for solver-scaling observability; diagnostic only
     n_variables: int = field(default=0, compare=False)
     n_constraints: int = field(default=0, compare=False)
-    #: content fingerprint of the solved model (set when a cache keyed it)
-    fingerprint: str | None = field(default=None, compare=False)
     #: wall-clock cost of model assembly (0 when the caller did not build)
     build_time: float = field(default=0.0, compare=False)
     #: the model is the previous epoch's structure snapshot with this
@@ -72,7 +68,7 @@ class OptimizationResult:
     #: how this solve's hot start ended: "optimal", "rejected" (then
     #: solved cold), or None when none was attempted
     hot_start: str | None = field(default=None, compare=False)
-    #: HiGHS's readings on the solve (None for a replay)
+    #: HiGHS's readings on the solve (None on a result built without one)
     certificate: Certificate | None = field(default=None, compare=False)
 
     @property
@@ -83,14 +79,9 @@ class OptimizationResult:
     def solver_path(self) -> str:
         """Which rung of the reuse ladder produced this result.
 
-        ``"replay"`` (solver-cache hit, no solver run), ``"warm"`` (hot
-        start from the previous epoch's basis), or ``"cold"`` (solve of a
-        freshly loaded model). The single derivation point for consumers
-        that previously re-derived it from the ``cache_hit``/``warm_start``
-        boolean pair.
+        ``"warm"`` (hot start from the previous epoch's basis) or
+        ``"cold"`` (solve of a freshly loaded model).
         """
-        if self.cache_hit:
-            return "replay"
         if self.warm_start:
             return "warm"
         return "cold"

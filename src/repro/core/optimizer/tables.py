@@ -25,13 +25,9 @@ every model instantiated from it, whatever its counts:
   multiplies each flow by.
 
 :class:`ModelTables` is what a model reads; it adds the count-dependent
-part, rebuilt by :meth:`ModelTables.recount` when a count moves and shared
-as long as none does:
-
-* per pool its replica count, load cap and delay model for the predicted
-  backlog;
-* the SHA-256 state after the model's leading demand-independent
-  components, so a warm epoch's fingerprint hashes only what moved.
+part — per pool its replica count, load cap and delay model for the
+predicted backlog — rebuilt by :meth:`ModelTables.recount` when a count
+moves and shared as long as none does.
 """
 
 from __future__ import annotations
@@ -198,26 +194,15 @@ class ModelTables:
         self.flow_terms = self.structure.flow_terms
         #: (pool, replicas, load cap just inside the pole, delay model)
         self.pools = [_pool_entry(problem, pool) for pool in pools]
-        #: hash state after the demand-independent fingerprint prefix
-        #: (kept by ``model_fingerprint``)
-        self.hash_prefix = None
 
     def recount(self, problem: TEProblem) -> ModelTables:
         """These tables at ``problem``'s replica counts: the structure part
-        is shared, a pool entry is rebuilt only where its count moved, and
-        the fingerprint prefix starts afresh."""
+        is shared, and a pool entry is rebuilt only where its count moved."""
         tables = copy.copy(self)
         tables.pools = [
             entry if problem.replica_count(*entry[0]) == entry[1]
             else _pool_entry(problem, entry[0]) for entry in self.pools]
-        tables.hash_prefix = None
         return tables
-
-    def __getstate__(self) -> dict:
-        # a hash state does not pickle; the next fingerprint rebuilds it
-        state = self.__dict__.copy()
-        state["hash_prefix"] = None
-        return state
 
 
 def _pool_entry(problem: TEProblem, pool: tuple[str, str]) -> tuple:

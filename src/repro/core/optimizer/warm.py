@@ -2,16 +2,15 @@
 
 :class:`EpochSolver` gives the controller a strict cost ladder per epoch:
 
-* demand unchanged (after ``demand_quantum`` rounding) → identical
-  fingerprint → :class:`~repro.core.optimizer.cache.SolverCache` replay,
-  no solver at all;
-* demand values or replica counts moved, structure didn't → warm build
-  (the previous epoch's
+* structure unchanged, demand values or replica counts may have moved →
+  warm build (the previous epoch's
   :meth:`~repro.core.optimizer.model.ModelStructure.instantiate`: demand
   rescattered, the moved counts' load caps and delay chords rewritten) +
   hot start (:func:`warm_solve`): the previous epoch's
   :class:`~repro.core.optimizer.solve.HighsLP` takes what moved and
-  re-runs dual simplex from its optimal basis;
+  re-runs dual simplex from its optimal basis. An unchanged LP (demand
+  unchanged after ``demand_quantum`` rounding) is a zero-iteration hot
+  start: HiGHS's basis is already optimal;
 * structure moved (topology, classes, which pools are deployed) → cold
   build + cold solve on a freshly loaded instance.
 
@@ -22,8 +21,7 @@ last seen two epochs ago is built cold again.
 Every rung works on the model of the problem's class groups
 (:class:`~repro.core.optimizer.groups.ClassGroups`): interchangeable
 classes are built and solved as one, and the solution is split back per
-member class at this epoch's demands — after a replay too, whose cached
-vector is the group model's.
+member class at this epoch's demands.
 
 A hot start solves the full model under the same certificate as a cold
 solve, and where it ends on the cold solve's basis it returns the cold
@@ -41,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import SolverCache, model_fingerprint
 from .groups import ClassGroups, SplitPlan
 from .model import LinearModel, ModelStructure, build_model
 from .paths import build_path_model
@@ -97,16 +94,22 @@ class EpochSolver:
     is cold. Each result carries its rung (``solver_path``,
     ``warm_build``, ``hot_start``), its build and solve wall time and
     HiGHS's certificate for whoever reads it; the counters sum them.
+
+    ``cache`` must be ``None``: it remains only because the performance
+    ledger's reference solver still passes ``cache=None``, and goes with
+    the ledger's next change.
     """
 
-    def __init__(self, cache: SolverCache | None = None,
+    def __init__(self, *, cache: None = None,
                  warm_start: bool = True,
                  formulation: str = "arc",
                  path_k: int = 4,
                  path_prune_limit: int | None = None) -> None:
+        if cache is not None:
+            raise TypeError(f"EpochSolver takes no solver cache, got "
+                            f"{type(cache).__name__}")
         if formulation not in ("arc", "path"):
             raise ValueError(f"unknown formulation {formulation!r}")
-        self.cache = cache
         self.warm_start = warm_start
         self.formulation = formulation
         self.path_k = path_k
@@ -124,7 +127,6 @@ class EpochSolver:
         self.solves = 0
         self.warm_solves = 0
         self.warm_rejects = 0
-        self.replays = 0
         self.solve_seconds = 0.0
 
     # ------------------------------------------------------------- helpers
@@ -196,21 +198,6 @@ class EpochSolver:
         if previous is not None:
             previous.split_plan = None if split is None else split.plan
 
-        fingerprint = None
-        if self.cache is not None:
-            fingerprint = model_fingerprint(model)
-            entry = self.cache.lookup(fingerprint)
-            if entry is not None:
-                solution, status = entry
-                self.replays += 1
-                result = extract_result(
-                    model, solution, status,
-                    time.perf_counter() - started,   # lint: ignore[D02]
-                    split)
-                result.cache_hit = True
-                return self._decorate(result, fingerprint, build_elapsed,
-                                      warm_build, hot_start=None)
-
         solve_started = time.perf_counter()   # lint: ignore[D02]
         solution = None
         hot_start = None
@@ -240,21 +227,12 @@ class EpochSolver:
             self.solve_seconds += elapsed
         if previous is not None:
             previous.lp = lp
-        if self.cache is not None:
-            self.cache.store(fingerprint, solution, "optimal")
         result = extract_result(model, solution, "optimal", elapsed, split)
         result.certificate = lp.certificate
-        return self._decorate(result, fingerprint, build_elapsed,
-                              warm_build, hot_start)
-
-    def _decorate(self, result: OptimizationResult, fingerprint,
-                  build_elapsed: float, warm_build: bool,
-                  hot_start: str | None) -> OptimizationResult:
         result.build_time = build_elapsed
         result.warm_build = warm_build
         result.warm_start = hot_start == "optimal"
         result.hot_start = hot_start
-        result.fingerprint = fingerprint
         return result
 
     def __getstate__(self) -> dict:
@@ -274,9 +252,6 @@ class EpochSolver:
             "solves": self.solves,
             "warm_solves": self.warm_solves,
             "warm_rejects": self.warm_rejects,
-            "replays": self.replays,
             "solve_seconds": self.solve_seconds,
             "candidates": self.last_candidate_stats,
-            "solver_cache": (self.cache.stats()
-                             if self.cache is not None else None),
         }

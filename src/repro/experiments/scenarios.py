@@ -137,9 +137,9 @@ def fig6a_adaptive_setup(duration: float, epoch: float,
     """Fig. 6a's overload under an adaptive controller re-planning every
     ``epoch`` seconds, so the decision log has epochs to show.
 
-    The demand quantum paired with ``learn_profiles=False`` lets the
-    constant demand replay from the solver cache instead of re-solving
-    (docs/performance.md).
+    The demand quantum paired with ``learn_profiles=False`` turns the
+    constant demand into an unchanged LP, which the hot start re-plans in
+    zero simplex iterations (docs/performance.md).
     """
     figure = fig6a_how_much(duration=duration, seed=seed)
     policy = SlatePolicy(
@@ -267,10 +267,11 @@ def diurnal_control_setup(base_rps: float = 150.0,
     seasonal component wants to see), with the adaptive Global Controller
     re-planning every epoch.
     With ``demand_quantum`` hysteresis, epochs near the sinusoid's flat
-    peaks quantize to the same demand estimate and **replay** the cached
-    solve, while the steep flanks shift the estimate past a quantum and
-    force a fresh **re-plan** — the exact mix the decision log
-    (``repro obs decisions``) exists to make visible.
+    peaks quantize to the same demand estimate and re-plan the unchanged
+    LP in zero simplex iterations, while the steep flanks shift the
+    estimate past a quantum and move the plan — the mix the decision log
+    (``repro obs decisions``, its ``delta`` column) exists to make
+    visible.
     """
     app = linear_chain_app(n_services=3, exec_time=0.010)
     deployment = DeploymentSpec.uniform(
@@ -344,7 +345,7 @@ def slo_burnrate_setup(base_rps: float = 250.0,
                         seed=seed, epoch=epoch)
     policy = SlatePolicy(
         # fixed exec profiles for the same reason as diurnal_control_setup:
-        # the demonstration needs repeatable solve/replay behaviour
+        # the demonstration needs repeatable plans on a plateau
         GlobalControllerConfig(rho_max=0.95, demand_quantum=25.0,
                                learn_profiles=False),
         adaptive=True)

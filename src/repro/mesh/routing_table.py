@@ -118,6 +118,9 @@ class RoutingTable:
         retired.
         """
         entries = list(entries)
+        if not entries and self._keys.keys().isdisjoint(
+                self._keys if sources is None else sources):
+            return   # nothing to install and nothing to retire
         pushed = dict(entries)
         if len(pushed) != len(entries):
             raise ValueError("a push holds two rules for one key")

@@ -21,7 +21,7 @@ network layer cannot; this package applies the same idea to the simulator:
   ``PredictedBreach`` alerts scored against the real alert log, all
   published on a bounded deterministic :class:`SignalBus`;
 * :mod:`repro.obs.decisions` — an append-only log of every Global
-  Controller epoch (demand delta, solve-vs-replay, routing diff);
+  Controller epoch (demand delta, reuse-ladder rung, routing diff);
 * :mod:`repro.obs.provenance` — per-epoch causal chains (telemetry digest
   → solver reuse-ladder rung → rule delta → observed data-plane shift)
   in a bounded flight-recorder ring with anomaly-triggered dumps and the

@@ -130,8 +130,10 @@ def join_alerts_decisions(alerts: AlertLog, decisions) -> list[dict]:
     For each alert, collect the :class:`~repro.obs.decisions.EpochDecision`
     records whose ``sim_time`` falls inside the alert's firing interval.
     Returns one dict per alert: the alert, the overlapping decisions, and
-    how many of those were fresh re-plans (``outcome == "solved"``) — the
-    "did the controller react *because* the SLO was burning" view.
+    how many of those were re-plans on moved demand (solved with
+    ``demand_delta > 0``; a plan of unchanged quantized demand reacts to
+    nothing) — the "did the controller react *because* the SLO was
+    burning" view.
     """
     joined = []
     for alert in alerts:
@@ -141,6 +143,7 @@ def join_alerts_decisions(alerts: AlertLog, decisions) -> list[dict]:
             "alert": alert,
             "decisions": overlapping,
             "replans": sum(1 for decision in overlapping
-                           if decision.outcome == "solved"),
+                           if decision.outcome == "solved"
+                           and decision.demand_delta > 0),
         })
     return joined

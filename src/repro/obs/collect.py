@@ -155,18 +155,6 @@ def collect_controller_metrics(registry: MetricsRegistry,
         "controller_epochs_observed_total",
         "telemetry epochs folded into learned state").inc(
             controller.epochs_observed)
-    cache = controller.solver_cache
-    if cache is not None:
-        registry.counter(
-            "solver_cache_hits_total",
-            "epoch solves replayed from the memoization cache").inc(
-                cache.hits)
-        registry.counter(
-            "solver_cache_misses_total",
-            "epoch solves that ran the optimizer").inc(cache.misses)
-        registry.gauge(
-            "solver_cache_hit_rate",
-            "hits / lookups over the run").set(cache.hit_rate)
     epoch_solver = getattr(controller, "epoch_solver", None)
     if epoch_solver is not None:
         registry.counter(
@@ -174,7 +162,8 @@ def collect_controller_metrics(registry: MetricsRegistry,
             "model assemblies over the run").inc(epoch_solver.builds)
         registry.counter(
             "optimizer_warm_builds_total",
-            "assemblies served by a structure-cache rescatter").inc(
+            "assemblies that instantiated the previous epoch's "
+            "structure").inc(
                 epoch_solver.warm_builds)
         registry.counter(
             "optimizer_build_seconds_total",
@@ -182,7 +171,7 @@ def collect_controller_metrics(registry: MetricsRegistry,
                 epoch_solver.build_seconds)
         registry.counter(
             "optimizer_solves_total",
-            "solver invocations (cold or warm; excludes replays)").inc(
+            "solver invocations (cold or warm)").inc(
                 epoch_solver.solves)
         registry.counter(
             "optimizer_warm_solves_total",
@@ -197,10 +186,6 @@ def collect_controller_metrics(registry: MetricsRegistry,
             "solves that assembled and solved the full model").inc(
                 epoch_solver.solves - epoch_solver.warm_solves)
         registry.counter(
-            "optimizer_replays_total",
-            "epoch plans replayed from the solver cache").inc(
-                epoch_solver.replays)
-        registry.counter(
             "optimizer_solve_seconds_total",
             "wall-clock seconds spent in the solver").inc(
                 epoch_solver.solve_seconds)
@@ -214,20 +199,6 @@ def collect_controller_metrics(registry: MetricsRegistry,
                 "optimizer_path_candidate_groups",
                 "(class, ingress) groups in the most recent model").set(
                     candidates["groups"])
-        # every build looks the previous epoch's structure up once: a warm
-        # build is a hit, a cold one a miss
-        builds, warm_builds = epoch_solver.builds, epoch_solver.warm_builds
-        registry.counter(
-            "structure_cache_hits_total",
-            "builds that reused a cached model structure").inc(warm_builds)
-        registry.counter(
-            "structure_cache_misses_total",
-            "builds that assembled structure from scratch").inc(
-                builds - warm_builds)
-        registry.gauge(
-            "structure_cache_hit_rate",
-            "structure-cache hits / lookups over the run").set(
-                warm_builds / builds if builds else 0.0)
     result = controller.last_result
     if result is not None:
         registry.gauge(

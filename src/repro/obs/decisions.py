@@ -3,10 +3,9 @@
 The third observability pillar. Each epoch of an adaptive policy run yields
 one :class:`EpochDecision` answering "what did the controller see and what
 did it do about it": the quantized demand snapshot and how far it moved
-(L1 delta), the model fingerprint the solver cache keyed on, whether the
-epoch was freshly **solved** or **replayed** from cache (PR 2's hysteresis
-skip), the objective and wall solve time, and the routing diff actually
-shipped (rules whose route changed plus total weight churn).
+(L1 delta), the reuse-ladder rung the plan came from, the objective and
+wall solve time, and the routing diff actually shipped (rules whose route
+changed plus total weight churn).
 
 The log is append-only and derived purely from controller state the harness
 already holds — recording it does not perturb the control loop, so enabling
@@ -30,18 +29,15 @@ class EpochDecision:
 
     epoch: int
     sim_time: float
-    #: "solved" (fresh optimization), "replayed" (solver-cache hit — the
-    #: hysteresis skip), or "no-demand" (nothing to plan against yet)
+    #: "solved" (planned), "no-demand" (nothing to plan against yet) or
+    #: "outage" (controller unreachable)
     outcome: str
     demand_total: float
     #: L1 distance between this epoch's quantized demand snapshot and the
     #: previous one (0.0 on a plateau — the signal hysteresis exploits)
     demand_delta: float
-    fingerprint: str | None
     objective: float | None
     solve_time: float | None
-    cache_hits: int
-    cache_misses: int
     #: always 0, kept in the export format: a rule diff reads a missing
     #: key as local-first (:func:`~repro.obs.reading.diff_rules`), so a
     #: plan only ever changes routes
@@ -58,13 +54,12 @@ class EpochDecision:
     #: a "solved" epoch hot-started from the previous epoch's basis
     #: (additive refinement of ``outcome``, which stays "solved")
     warm: bool = False
-    #: the model assembly reused cached structure (demand rescatter)
+    #: the model assembly instantiated the previous epoch's structure
     warm_build: bool = False
     #: wall-clock cost of model assembly for this epoch
     build_time: float | None = None
-    #: reuse-ladder rung: "replay" / "warm" / "cold" (None on "no-demand"
-    #: epochs) — :attr:`OptimizationResult.solver_path`, derived in one
-    #: place instead of re-deriving from the warm/cache_hit boolean pair
+    #: reuse-ladder rung: "warm" / "cold" (None on "no-demand" epochs) —
+    #: :attr:`OptimizationResult.solver_path`
     solver_path: str | None = None
 
     def as_dict(self) -> dict:
@@ -91,8 +86,8 @@ class DecisionLog:
         """Baseline the rule diff against the pre-epoch initial install.
 
         Epoch 0 then reports what *it* changed, not the initial plan's
-        rules as additions — in particular an epoch that replays the
-        initial plan out of the solver cache shows zero churn.
+        rules as additions — in particular an epoch that re-plans the
+        initial plan unchanged shows zero churn.
         """
         self._prev_rules = dict(rules)
 
@@ -127,12 +122,8 @@ class DecisionLog:
             outcome=reading.outcome,
             demand_total=sum(demand.values()),
             demand_delta=delta,
-            fingerprint=result.fingerprint if result else None,
             objective=result.objective if result else None,
             solve_time=result.solve_time if result else None,
-            # the solver cache's running totals as of this epoch's plan
-            cache_hits=controller.solver_cache.hits if result else 0,
-            cache_misses=controller.solver_cache.misses if result else 0,
             rules_added=0,
             rules_removed=0,
             rules_changed=changed,
@@ -152,7 +143,7 @@ class DecisionLog:
 
     def counts(self) -> dict[str, int]:
         """How many epochs landed on each outcome."""
-        out = {"solved": 0, "replayed": 0, "no-demand": 0}
+        out = {"solved": 0, "no-demand": 0}
         for decision in self.decisions:
             out[decision.outcome] = out.get(decision.outcome, 0) + 1
         return out
@@ -182,5 +173,5 @@ class DecisionLog:
         counts = self.counts()
         lines.append(
             f"epochs={len(self.decisions)} solved={counts['solved']} "
-            f"replayed={counts['replayed']} no-demand={counts['no-demand']}")
+            f"no-demand={counts['no-demand']}")
         return "\n".join(lines)

@@ -117,7 +117,7 @@ def write_flight_dump(log: ProvenanceLog, path: str | Path) -> int:
     """Anomaly-triggered flight-recorder snapshots, one JSON per line.
 
     Every snapshot carries the run's scenario + seed (``run``) so the
-    simulation that produced it can be replayed deterministically, the
+    simulation that produced it can be re-run deterministically, the
     frozen provenance ring (``records``), and the surrounding time-series
     window (``timeseries``). Returns the snapshot count.
     """

@@ -5,10 +5,10 @@ epoch; this module records *why*, as one joinable chain per epoch:
 
 (a) what the controller **observed** — a digest of the telemetry snapshot
     it folded in plus signed per-(class, cluster) demand deltas;
-(b) which rung of the optimizer's reuse ladder the epoch took — solver-cache
-    **replay**, **warm** hot start from the previous epoch's basis (with
-    its outcome), or **cold** solve — plus warm (rescatter) vs cold
-    build and path-candidate stats for the path formulation;
+(b) which rung of the optimizer's reuse ladder the epoch took — **warm**
+    hot start from the previous epoch's basis (with its outcome) or
+    **cold** solve — plus warm (rescatter) vs cold build and
+    path-candidate stats for the path formulation;
 (c) the per-class **rule deltas** actually installed in the routing table
     (including chaos-mode fallback installs the controller never saw);
 (d) the **observed data-plane shift** attributed from ``obs.timeseries``
@@ -108,7 +108,7 @@ class ProvenanceRecord:
 
     epoch: int
     sim_time: float
-    #: "solved" / "replayed" / "no-demand" / "outage" (control plane down)
+    #: "solved" / "no-demand" / "outage" (control plane down)
     outcome: str
     telemetry_digest: str | None
     report_count: int
@@ -117,11 +117,10 @@ class ProvenanceRecord:
     #: class → cluster → signed change vs the previous epoch's estimate
     demand_delta: dict[str, dict[str, float]]
     #: the reuse-ladder rung this epoch's plan took: solver_path
-    #: ("replay"/"warm"/"cold"), warm_build, hot_start
+    #: ("warm"/"cold"), warm_build, hot_start
     #: ("optimal"/"rejected"/None), formulation, n_variables, candidates
     solver: dict | None
     objective: float | None
-    fingerprint: str | None
     #: class → {"added","removed","changed","churn","shift":{dst: net Δw}}
     #: ("added" and "removed" stay 0: a rule diff reads a missing key as
     #: local-first, so every entry is a changed route)
@@ -285,7 +284,6 @@ class ProvenanceLog:
             solver=(None if result is None
                     else _solver_rung(reading.controller, result)),
             objective=result.objective if result else None,
-            fingerprint=result.fingerprint if result else None,
             rule_deltas=per_class,
             rule_changes=changes,
             weight_churn=total_churn,
@@ -641,12 +639,9 @@ class ProvenanceLog:
             return "nothing to plan against yet (no demand estimate)"
         solver = record.solver or {}
         path = solver.get("solver_path")
-        build = ("structure-cache rescatter build"
-                 if solver.get("warm_build") else "cold model build")
-        if path == "replay":
-            text = ("demand fingerprint unchanged → solver-cache replay "
-                    f"(no LP run, {build})")
-        elif path == "warm":
+        build = ("warm model build" if solver.get("warm_build")
+                 else "cold model build")
+        if path == "warm":
             text = (f"{build} + hot start from the previous epoch's basis; "
                     "HiGHS certified optimality")
         elif path == "cold":
@@ -662,8 +657,6 @@ class ProvenanceLog:
                      f"(k={candidates['k']})")
         if record.objective is not None:
             text += f"; objective {record.objective:.4f}"
-        if record.fingerprint:
-            text += f"; fingerprint {record.fingerprint[:12]}"
         return text
 
 

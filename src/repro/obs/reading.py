@@ -38,9 +38,9 @@ class EpochReading:
     controller: "GlobalController | None"
     #: the rules the policy shipped this epoch (None: nothing)
     update: "RuleSet | None"
-    #: "solved", "replayed", "no-demand" or "outage" (controller unreachable)
+    #: "solved", "no-demand" or "outage" (controller unreachable)
     outcome: str
-    #: this epoch's plan on a solved or replayed epoch, else None
+    #: this epoch's plan on a solved epoch, else None
     result: "OptimizationResult | None"
     #: class → cluster → the demand estimate planned against, classes
     #: sorted and clusters in deployment order (None without a controller)
@@ -56,8 +56,6 @@ def read_epoch(sim_time: float, controller: "GlobalController | None",
         outcome = "outage"
     elif update is None or result is None:
         outcome = "no-demand"
-    elif result.cache_hit:
-        outcome = "replayed"
     else:
         outcome = "solved"
     demand = None
@@ -66,9 +64,8 @@ def read_epoch(sim_time: float, controller: "GlobalController | None",
         demand = {cls: {cluster: controller.demand_estimate(cls, cluster)
                         for cluster in clusters}
                   for cls in sorted(controller.app.classes)}
-    planned = outcome in ("solved", "replayed")
     return EpochReading(sim_time, controller, update, outcome,
-                        result if planned else None, demand)
+                        result if outcome == "solved" else None, demand)
 
 
 class RuleChange(NamedTuple):

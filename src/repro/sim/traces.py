@@ -10,7 +10,7 @@ demand that *moves*. This module provides:
   per cluster (the usual source of long-lived cross-region imbalance);
 * :func:`load_demand_csv` / :func:`save_demand_csv` — a plain-text trace
   format (``time,class,cluster,rps``) so recorded production demand can be
-  replayed (we have no production traces; the CSV path plus the synthetic
+  played back (we have no production traces; the CSV path plus the synthetic
   generators is the substitution, see DESIGN.md §4);
 * :func:`install_timeline` — attach the whole thing to a running
   :class:`~repro.sim.runner.MeshSimulation`.

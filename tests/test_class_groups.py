@@ -5,7 +5,8 @@
   every pool as the group plan does (path, arc, and a mixed instance).
 * A problem without interchangeable classes (fig6d's L/H) builds the
   un-grouped LP byte for byte.
-* A solver-cache replay splits with this epoch's member demands.
+* A re-plan of an unchanged group model (a zero-iteration hot start)
+  splits with this epoch's member demands.
 * Warm and cold solves install the same rules on every epoch of a
   ``ctl_steady_path``-shaped loop: the ties between class copies are gone.
 """
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.controller.global_controller import GlobalController
-from repro.core.optimizer import (ClassGroups, EpochSolver, SolverCache,
-                                  TEProblem, build_model, build_path_model,
+from repro.core.optimizer import (ClassGroups, EpochSolver, TEProblem,
+                                  build_model, build_path_model,
                                   model_fingerprint)
 from repro.core.optimizer import warm as warm_module
 from repro.core.optimizer.result import FLOW_EPSILON, extract_result
@@ -174,30 +175,31 @@ def test_a_problem_without_interchangeable_classes_builds_the_ungrouped_lp(
 @pytest.mark.parametrize("formulation", ["arc", "path"])
 def test_a_replay_splits_with_this_epochs_member_demands(formulation):
     """Member demands move while every group sum stays put: the group model
-    is the same, so the solver cache replays it — and the replay's flows
-    and rules follow the members' new shares."""
-    solver = EpochSolver(cache=SolverCache(), formulation=formulation)
+    is the same, so its re-plan is a hot start that pivots nothing — and
+    the re-plan's flows and rules follow the members' new shares."""
+    solver = EpochSolver(formulation=formulation)
     problem = synthetic_te_problem(6, 3, 4, seed=5, replication=0.7,
                                    ingresses_per_class=6)
     first = solver.solve(problem)
     cluster = problem.clusters[0]
     a, b = (problem.workloads[name].demand for name in ("class0", "class1"))
     a[cluster], b[cluster] = a[cluster] + 20.0, b[cluster] - 20.0
-    replay = solver.solve(problem)
-    assert replay.cache_hit and replay.fingerprint == first.fingerprint
+    again = solver.solve(problem)
+    assert again.hot_start == "optimal"
+    assert again.certificate.simplex_iteration_count == 0
     fresh = EpochSolver(formulation=formulation).solve(problem)
-    assert not fresh.cache_hit
-    assert replay.flows == fresh.flows
-    assert replay.rules() == fresh.rules()
-    assert replay.flows != first.flows
-    assert replay.objective == first.objective
+    assert fresh.solver_path == "cold"
+    assert again.flows == fresh.flows
+    assert again.rules() == fresh.rules()
+    assert again.flows != first.flows
+    assert again.objective == first.objective
 
     def ingress(result, name):
         return sum(rate for (cls, edge, src, _), rate in result.flows.items()
                    if cls == name and edge == -1 and src == cluster)
 
-    assert ingress(replay, "class0") == pytest.approx(a[cluster], rel=1e-12)
-    assert ingress(replay, "class1") == pytest.approx(b[cluster], rel=1e-12)
+    assert ingress(again, "class0") == pytest.approx(a[cluster], rel=1e-12)
+    assert ingress(again, "class1") == pytest.approx(b[cluster], rel=1e-12)
 
 
 #: a hot start and a cold solve that end on one vertex may still differ in
@@ -222,15 +224,14 @@ def same_rules(a, b) -> bool:
 
 
 def test_warm_and_cold_solves_install_the_same_rules_every_epoch():
-    """The ledger's control loop in small: every epoch's hot-started (or
-    replayed) plan installs the rules of a cacheless cold solve of the
-    same problem — no tie-break stage needed, since the only ties on this
+    """The ledger's control loop in small: every epoch's hot-started plan
+    installs the rules of a cold solve of the same problem — no tie-break stage needed, since the only ties on this
     instance were between copies of interchangeable classes."""
     app, deployment, base, config = smoke_mesh()
     controller = GlobalController(app, deployment, config)
     solver = controller.epoch_solver
-    cold = EpochSolver(cache=None, warm_start=False,
-                       formulation=solver.formulation, path_k=solver.path_k,
+    cold = EpochSolver(warm_start=False, formulation=solver.formulation,
+                       path_k=solver.path_k,
                        path_prune_limit=solver.path_prune_limit)
     rungs = []
     for batch in epoch_reports(deployment.cluster_names, base):
@@ -240,7 +241,7 @@ def test_warm_and_cold_solves_install_the_same_rules_every_epoch():
         reference = cold.solve(controller.build_problem())
         assert reference.solver_path == "cold"
         assert same_rules(result.rules(), reference.rules())
-    assert {"warm", "replay"} <= set(rungs)
+    assert set(rungs) == {"cold", "warm"}
     stats = solver.last_candidate_stats
     assert stats["class_groups"] == 1
     assert stats["member_classes"] == len(app.classes)

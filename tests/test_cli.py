@@ -252,7 +252,7 @@ def test_obs_decisions_fig6a_text(capsys):
                  "--duration", "20", "--epoch", "5"]) == 0
     out = capsys.readouterr().out
     assert "epoch   t(sim) outcome" in out
-    assert "epochs=4 solved=0 replayed=4 no-demand=0" in out
+    assert "epochs=4 solved=4 no-demand=0" in out
 
 
 def test_obs_decisions_diurnal_jsonl(capsys, tmp_path):

@@ -17,8 +17,8 @@ host:
   non-zeros are bounded by the flow columns' own hops plus two per delay
   segment — a dense epigraph (every flow column in every segment row of
   its pools) cannot come back unnoticed;
-* ``model_fingerprint`` resumed from the structure's hash prefix is the
-  digest of hashing all seven components afresh.
+* ``model_fingerprint`` of a cold or warm build is the digest of hashing
+  all six components afresh, frozen below.
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
     """After the first epoch a rule object is built only for a (rule,
     destination) pair not met before or a rule split across destinations,
     only the departures from local-first whose weights moved are
-    normalised into the table (a local rule is never pushed), and a replay
-    epoch builds nothing and leaves ``table.version`` alone."""
+    normalised into the table (a local rule is never pushed), and an epoch
+    that repeats the one before re-plans its LP in zero simplex
+    iterations, builds nothing and leaves ``table.version`` alone."""
     app, deployment, base, config = smoke_mesh()
     names = deployment.cluster_names
     controller = GlobalController(app, deployment, config)
@@ -260,8 +261,10 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
     distributors = [ClusterController(name) for name in names]
     seen: set = set()          # (rule key, destination) of one-way rules
     installed: dict = {}       # departing rule key → its installed weights
+    repeated = 4
     paths_taken = []
-    for epoch, batch in enumerate(epoch_reports(names, base)):
+    for epoch, batch in enumerate(epoch_reports(names, base,
+                                                repeat_at=repeated)):
         if epoch == 1:
             built = counting(monkeypatch, RoutingRule, "__init__")
             normalised = counting(monkeypatch, routing_table, "_normalise")
@@ -284,13 +287,15 @@ def test_an_epoch_ships_only_the_rules_that_moved(monkeypatch):
             assert (len(built) - built_before
                     <= len(one_way - seen) + len(split))
             assert len(normalised) - normalised_before == len(moved)
-            if result.solver_path == "replay":
+            if epoch == repeated:
+                assert result.hot_start == "optimal"
+                assert result.certificate.simplex_iteration_count == 0
                 assert len(built) == built_before
                 assert table.version == version
         seen |= one_way
         installed = {rule.key: rule.weights for rule in pushed}
         assert table.rules().keys() == installed.keys()
-    assert "replay" in paths_taken and "warm" in paths_taken
+    assert paths_taken == ["warm"] * len(paths_taken)
 
 
 #: the two LP emitters, as the smoke mesh's controller would call them
@@ -334,7 +339,8 @@ def test_lp_has_one_load_column_per_pool(emitter):
 # ------------------------------------------------------------ fingerprint
 
 def uncached_fingerprint(model) -> str:
-    """``model_fingerprint`` as it was before the per-structure prefix."""
+    """``model_fingerprint`` as frozen: the six components hashed in
+    order."""
     def hash_array(hasher, array):
         data = np.ascontiguousarray(array)
         hasher.update(str(data.shape).encode())
@@ -374,9 +380,6 @@ def test_fingerprint_from_the_structure_prefix_is_the_uncached_hash(build):
         model = (build(problem) if snapshot is None
                  else snapshot.instantiate(problem))
         snapshot = model.snapshot
-        # twice: the first call of a structure lays the prefix down, every
-        # later one resumes from it
-        for _ in range(2):
-            assert model_fingerprint(model) == uncached_fingerprint(model)
+        assert model_fingerprint(model) == uncached_fingerprint(model)
         seen.add(model_fingerprint(model))
     assert len(seen) == 3

@@ -33,12 +33,11 @@ def test_decision_rows_match_provenance_records(obs):
     records = obs.provenance.records
     # every epoch of a healthy run is reachable: one row per record
     assert len(decisions) == len(records) > 5
-    assert {d.outcome for d in decisions} >= {"solved", "replayed"}
+    assert {d.outcome for d in decisions} == {"solved"}
     for decision, record in zip(decisions, records):
         assert decision.sim_time == record.sim_time
         assert decision.outcome == record.outcome
         assert decision.objective == record.objective
-        assert decision.fingerprint == record.fingerprint
         solver = record.solver or {}
         assert decision.solver_path == solver.get("solver_path")
         assert decision.warm_build == solver.get("warm_build", False)

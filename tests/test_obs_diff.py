@@ -149,7 +149,7 @@ def test_flatten_timeseries_snapshot():
 def test_flatten_decision_and_alert_jsonl():
     decisions = [{"outcome": "solved", "weight_churn": 0.5,
                   "rules_changed": 2},
-                 {"outcome": "replayed", "weight_churn": 0.0,
+                 {"outcome": "no-demand", "weight_churn": 0.0,
                   "rules_changed": 0}]
     flat = flatten_artifact(decisions)
     assert flat["decisions:epochs"] == 2.0

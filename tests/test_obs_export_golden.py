@@ -9,7 +9,7 @@ stdout and the sha256 and size of every file written by:
 
 The decision log's ``solve_time`` and ``build_time`` are wall-clock
 seconds, so their values are masked to ``"wall"`` before hashing; every
-other byte, including the solver-cache hit/miss counts, must match.
+other byte, including each epoch's reuse-ladder rung, must match.
 Regenerate only when an export format is meant to change:
 ``PYTHONPATH=src:. python tests/test_obs_export_golden.py``.
 """

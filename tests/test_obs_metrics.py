@@ -118,14 +118,12 @@ def build_optimizer_registry() -> MetricsRegistry:
 
     epoch_solver = SimpleNamespace(
         builds=6, warm_builds=4, build_seconds=0.25,
-        solves=4, warm_solves=3, warm_rejects=1, replays=2,
-        solve_seconds=0.5,
+        solves=6, warm_solves=3, warm_rejects=1, solve_seconds=0.5,
         last_candidate_stats={"paths": 12, "groups": 4,
                               "k": 3, "max_group": 3},
     )
     controller = SimpleNamespace(
         epochs_observed=6,
-        solver_cache=SimpleNamespace(hits=2, misses=4, hit_rate=1 / 3),
         epoch_solver=epoch_solver,
         last_result=None,
     )
@@ -136,11 +134,10 @@ def build_optimizer_registry() -> MetricsRegistry:
 
 def test_optimizer_counters_cover_reuse_ladder():
     registry = build_optimizer_registry()
-    # replay / warm / cold tiers are all exported, and cold is derived
+    # warm / cold tiers are both exported, and cold is derived
     # (solves - warm solves) in exactly one place
-    assert registry.counter("optimizer_replays_total").value() == 2.0
     assert registry.counter("optimizer_warm_solves_total").value() == 3.0
-    assert registry.counter("optimizer_cold_solves_total").value() == 1.0
+    assert registry.counter("optimizer_cold_solves_total").value() == 3.0
     assert registry.counter("optimizer_warm_rejects_total").value() == 1.0
     assert registry.gauge("optimizer_path_candidates").value() == 12.0
     assert registry.gauge("optimizer_path_candidate_groups").value() == 4.0
@@ -158,10 +155,10 @@ def test_arc_formulation_skips_candidate_gauges():
     from repro.obs.collect import collect_controller_metrics
 
     controller = SimpleNamespace(
-        epochs_observed=1, solver_cache=None,
+        epochs_observed=1,
         epoch_solver=SimpleNamespace(
             builds=1, warm_builds=0, build_seconds=0.0, solves=1,
-            warm_solves=0, warm_rejects=0, replays=0, solve_seconds=0.0,
+            warm_solves=0, warm_rejects=0, solve_seconds=0.0,
             last_candidate_stats=None),
         last_result=None)
     registry = MetricsRegistry()

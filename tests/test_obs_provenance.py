@@ -1,7 +1,7 @@
 """Decision provenance: the per-epoch causal chain + the flight recorder.
 
 Covers the PR 8 acceptance chain end to end: a diurnal run whose records
-link demand delta → solver path (replay/warm/cold) → installed rule delta
+link demand delta → solver path (warm/cold) → installed rule delta
 → next-epoch scraped effect; anomaly-triggered flight dumps (chaos fault
 edges, SLO alerts, invariant failures, fallback trips); and the
 perturbation-free guarantee when the pillar is off.
@@ -35,7 +35,7 @@ def make_record(epoch=0, sim_time=10.0, outcome="solved", **overrides):
         demand_delta={"default": {"west": 25.0, "east": -25.0}},
         solver={"solver_path": "warm", "warm_build": True,
                 "hot_start": "optimal"},
-        objective=1.5, fingerprint="f00",
+        objective=1.5,
         rule_deltas={"default": {"added": 0, "removed": 0, "changed": 1,
                                  "churn": 0.2,
                                  "shift": {"east": 0.1, "west": -0.1}}},
@@ -165,10 +165,9 @@ def test_diurnal_records_cover_reuse_ladder(diurnal_log):
              if r.solver is not None}
     # the cold rung is paid by the initial plan (same controller, same
     # solver), which is not an epoch: epochs start warm
-    assert {"warm", "replay"} <= paths
+    assert paths == {"warm"}
     solved = [r for r in records if r.outcome == "solved"]
-    assert solved and all(r.objective is not None and r.fingerprint
-                          for r in solved)
+    assert solved and all(r.objective is not None for r in solved)
     # every warm epoch records the hot start that produced it
     warm = [r for r in records
             if r.solver and r.solver["solver_path"] == "warm"]
@@ -188,7 +187,7 @@ def test_diurnal_chain_links_cause_to_effect(diurnal_log):
         assert record.telemetry_digest and record.report_count == 2
         assert record.demand_delta_l1("default") > 0
         # (b) decided: the epoch took a concrete reuse-ladder rung
-        assert record.solver["solver_path"] in ("replay", "warm", "cold")
+        assert record.solver["solver_path"] in ("warm", "cold")
         # (c) shipped: a per-class diff with a net destination shift
         shift = record.shift_for("default")
         assert shift and sum(shift.values()) == pytest.approx(0.0, abs=1e-6)
@@ -216,15 +215,14 @@ def test_explain_at_picks_epoch_by_time(diurnal_log):
 def test_render_and_jsonl_exports(diurnal_log, tmp_path):
     log = diurnal_log.provenance
     table = log.render()
-    assert "records=12" in table and "replay" in table
+    assert "records=12" in table and "warm" in table
     path = tmp_path / "prov.jsonl"
     count = write_provenance_jsonl(log, path)
     lines = path.read_text().strip().splitlines()
     assert count == len(lines) == 12
     restored = [json.loads(line) for line in lines]
     assert restored[0]["epoch"] == 0
-    assert {r["outcome"] for r in restored} <= {
-        "solved", "replayed", "no-demand"}
+    assert {r["outcome"] for r in restored} <= {"solved", "no-demand"}
 
 
 def test_empty_log_explains_gracefully():

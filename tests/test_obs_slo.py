@@ -167,18 +167,24 @@ def test_alert_overlap_and_log_queries():
 
 def test_join_alerts_decisions_counts_replans():
     class FakeDecision:
-        def __init__(self, sim_time, outcome):
+        def __init__(self, sim_time, outcome, demand_delta):
             self.sim_time = sim_time
             self.outcome = outcome
+            self.demand_delta = demand_delta
 
     log = AlertLog()
     alert = log.fire("lat", "latency", 10.0, 5.0, 2.0)
     alert.resolved_at = 30.0
-    decisions = [FakeDecision(5.0, "solved"), FakeDecision(15.0, "solved"),
-                 FakeDecision(25.0, "replayed"), FakeDecision(35.0, "solved")]
+    # inside the alert: one plan on moved demand, one on a plateau, and an
+    # outage epoch whose demand moved but which shipped no plan
+    decisions = [FakeDecision(5.0, "solved", 50.0),
+                 FakeDecision(15.0, "solved", 25.0),
+                 FakeDecision(20.0, "solved", 0.0),
+                 FakeDecision(25.0, "outage", 25.0),
+                 FakeDecision(35.0, "solved", 50.0)]
     joined = join_alerts_decisions(log, decisions)
     assert len(joined) == 1
-    assert [d.sim_time for d in joined[0]["decisions"]] == [15.0, 25.0]
+    assert [d.sim_time for d in joined[0]["decisions"]] == [15.0, 20.0, 25.0]
     assert joined[0]["replans"] == 1
 
 

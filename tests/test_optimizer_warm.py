@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.controller.global_controller import (GlobalController,
                                                      GlobalControllerConfig)
-from repro.core.optimizer import (EpochSolver, HighsLP, SolverCache,
-                                  build_model, build_path_model, warm_solve)
+from repro.core.optimizer import (EpochSolver, HighsLP, build_model,
+                                  build_path_model, warm_solve)
 from repro.core.optimizer.problem import INGRESS_EDGE, TEProblem
 from repro.core.optimizer.result import extract_result
 from repro.core.optimizer.solve import highs_solve
@@ -73,50 +73,55 @@ def test_epoch_solver_warm_epoch_byte_identical_rules():
 
 
 def test_reuse_ladder_counters():
-    """replay < warm rebuild+resolve < cold, each observable in stats."""
-    solver = EpochSolver(cache=SolverCache())
+    """warm rebuild+resolve < cold, each observable in stats; an
+    unchanged LP is a zero-iteration hot start."""
+    solver = EpochSolver()
     problem = chain_problem(west_rps=700.0)
     r1 = solver.solve(problem)
-    assert not r1.cache_hit and not r1.warm_start
+    assert not r1.warm_build and not r1.warm_start
 
-    r2 = solver.solve(problem)        # identical fingerprint: replay
-    assert r2.cache_hit
+    r2 = solver.solve(problem)        # the same LP: nothing to pivot
+    assert r2.warm_build and r2.warm_start
+    assert r2.certificate.simplex_iteration_count == 0
 
     problem.workloads["default"].demand["west"] = 620.0
     r3 = solver.solve(problem)        # values moved: warm build + solve
-    assert r3.warm_build and r3.warm_start and not r3.cache_hit
+    assert r3.warm_build and r3.warm_start
 
     stats = solver.stats()
     assert stats["builds"] == 3
-    assert stats["replays"] == 1
-    assert stats["warm_solves"] == 1
+    assert stats["warm_builds"] == 2
+    assert stats["warm_solves"] == 2
     assert stats["warm_rejects"] == 0
-    assert stats["solves"] == 2
+    assert stats["solves"] == 3
+
+
+def test_the_solver_cache_keyword_takes_only_none():
+    assert EpochSolver(cache=None).stats()["solves"] == 0
+    with pytest.raises(TypeError):
+        EpochSolver(cache={})
 
 
 def test_solver_path_derived_from_result_flags():
-    """replay/warm/cold is derived in exactly one place (PR 8)."""
-    solver = EpochSolver(cache=SolverCache())
+    """warm/cold is derived in exactly one place."""
+    solver = EpochSolver()
     problem = chain_problem(west_rps=700.0)
     assert solver.solve(problem).solver_path == "cold"
-    assert solver.solve(problem).solver_path == "replay"
+    assert solver.solve(problem).solver_path == "warm"
     problem.workloads["default"].demand["west"] = 620.0
     assert solver.solve(problem).solver_path == "warm"
 
 
 def test_result_carries_every_ladder_rung():
     """Each result names its rung, build reuse and hot-start outcome."""
-    solver = EpochSolver(cache=SolverCache())
+    solver = EpochSolver()
     problem = chain_problem(west_rps=700.0)
     cold = solver.solve(problem)
-    replay = solver.solve(problem)
     problem.workloads["default"].demand["west"] = 620.0
     warm = solver.solve(problem)
-    assert [r.solver_path for r in (cold, replay, warm)] == ["cold", "replay",
-                                                            "warm"]
+    assert [r.solver_path for r in (cold, warm)] == ["cold", "warm"]
     assert warm.warm_build is True
     assert cold.hot_start is None         # cold: no hot start tried
-    assert replay.hot_start is None       # replay: no solve at all
     assert warm.hot_start == "optimal"
     assert solver.formulation == "arc"
     assert cold.n_variables > 0
@@ -321,8 +326,7 @@ def test_replica_churn_is_a_warm_epoch(formulation):
     build is warm and every solve warm-started, each shadowed by a cold
     solve of the full model and matching a cacheless cold solver."""
     solver = EpochSolver(formulation=formulation)
-    reference = EpochSolver(cache=None, warm_start=False,
-                            formulation=formulation)
+    reference = EpochSolver(warm_start=False, formulation=formulation)
     problem = CHURN_PROBLEMS[formulation]()
     pools = sorted(pool for pool, count in problem.replicas.items()
                    if count > 0)

@@ -205,7 +205,9 @@ def test_golden_covers_every_scenario(golden):
 
 # scatter_gather (a single class) has a real vertex tie: this pins the
 # vertex the hot-started ladder reaches (epochs 2+ are hot starts from the
-# previous epoch's basis) until plans are made unique (ROADMAP item 1).
+# previous epoch's basis; epoch 4 repeats epoch 3, a zero-iteration hot
+# start, and epoch 5's hot start from that basis ends on the vertex that
+# swaps IOW's and OR's loads) until plans are made unique (ROADMAP item 1).
 # sparse_mesh's six classes are interchangeable, so they are planned as one
 # group and split back in proportion to demand: no tie between classes
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -138,6 +138,29 @@ def test_one_push_bumps_the_version_once():
     assert len(table) == 4
 
 
+def test_an_empty_push_for_sources_without_rules_changes_nothing():
+    """The steady control epoch's common push — no departures for a
+    source that holds none — leaves the version, the keys and the hand
+    edits as they were; an empty push for a source that holds rules
+    still retires them."""
+    table = RoutingTable()
+    table.install([(key(src="east"), (("west", 1.0),))])
+    table.set_weights(key(service="S2", src="east"), {"west": 1.0})
+    version, installed = table.version, table.rules()
+    edits = table.hand_edits()
+    table.install([], sources=("west",))
+    table.install([], sources=("west", "north"))
+    table.install(iter(()), sources=())
+    assert table.version == version
+    assert table.rules() == installed
+    assert table.hand_edits() == edits
+    table.install([], sources=("east",))
+    assert table.version == version + 1 and len(table) == 0
+    empty = RoutingTable()
+    empty.install([])
+    assert empty.version == 0 and empty.rules() == {}
+
+
 def test_a_push_retires_only_its_sources_rules():
     table = RoutingTable()
     table.install([(key(service="S1"), (("west", 1.0),)),
