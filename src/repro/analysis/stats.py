@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = ["LatencySummary", "summarize", "slo_attainment",
            "mean_confidence_interval", "nearest_rank"]
@@ -96,6 +95,9 @@ def mean_confidence_interval(values, confidence: float = 0.95,
     if sem == 0:
         return mean, mean, mean
     # Student-t quantile, the very call behind scipy.stats.t.ppf (which
-    # would import all of scipy.stats for this one number)
+    # would import all of scipy.stats for this one number); imported here
+    # so that a run, which never asks for an interval, skips scipy.special
+    from scipy.special import stdtrit
+
     margin = float(stdtrit(array.size - 1, (1 + confidence) / 2) * sem)
     return mean, mean - margin, mean + margin

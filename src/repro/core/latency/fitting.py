@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from ...mesh.telemetry import ServiceClassWindow
 from .mm1 import mmc_sojourn
 
@@ -89,6 +87,10 @@ def fit_mmc_service_time(samples: list[LoadLatencySample], servers: int,
                 return 1e18
             total += (predicted - sample.mean_sojourn) ** 2
         return total
+
+    # imported here: scipy.optimize's minimisers are most of start-up, and
+    # nothing on a run's path fits a profile
+    from scipy import optimize
 
     outcome = optimize.minimize_scalar(
         loss, bounds=(st_lower, st_upper), method="bounded")

@@ -5,11 +5,15 @@ piecewise-knot ablation call) solve cold."""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core as highspy
 
 from ...devtools.invariants import check_solver_certificate
 from .model import LinearModel, build_model
@@ -18,6 +22,39 @@ from .problem import TEProblem
 from .result import Certificate, OptimizationResult, extract_result
 
 __all__ = ["SolverError", "HighsLP", "solve", "solve_model", "highs_solve"]
+
+#: scipy's HiGHS binding, the one extension module the seam drives
+_HIGHSPY = "scipy.optimize._highspy._core"
+
+
+def _load_highspy():
+    """scipy's HiGHS extension, loaded from its file without running
+    ``scipy/optimize/__init__.py`` (its minimisers, ``scipy.special``,
+    ``scipy.linalg`` and ``scipy.spatial`` are most of start-up, and the
+    seam uses none of them). The module is registered under its own name
+    before it runs, so a later ``import scipy.optimize`` finds this object
+    rather than initialising the extension again (a pybind11 module
+    registers its types once per process). A scipy that keeps ``_core``
+    elsewhere gets the ordinary import."""
+    if _HIGHSPY in sys.modules:
+        return sys.modules[_HIGHSPY]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(_HIGHSPY, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHSPY] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_HIGHSPY]
+                raise
+            return module
+    return importlib.import_module(_HIGHSPY)
+
+
+highspy = _load_highspy()
 
 _STATUS = highspy.HighsModelStatus
 

@@ -362,8 +362,10 @@ def test_every_highs_method_the_seam_calls_exists():
     """Start-up guard for the private binding the seam drives: a scipy
     that moves ``scipy.optimize._highspy._core`` or drops one of the
     ``_Highs`` methods, ``HighsInfo`` readings or options the seam uses
-    fails here rather than mid-run."""
-    from scipy.optimize._highspy import _core
+    fails here rather than mid-run. It reads the module the seam itself
+    loaded, which is scipy's extension by name."""
+    _core = solve_module.highspy
+    assert _core.__name__ == "scipy.optimize._highspy._core"
 
     tree = ast.parse(Path(solve_module.__file__).read_text(encoding="utf-8"))
     called = {node.func.attr for node in ast.walk(tree)
