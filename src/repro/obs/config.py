@@ -26,7 +26,7 @@ from .forecast import FORECAST_MODELS, BreachPredictor, ForecastEngine
 from .metrics import MetricsRegistry
 from .profiler import ControlPlaneProfiler
 from .provenance import ProvenanceLog
-from .reading import read_epoch
+from .reading import TableWatcher, read_epoch
 from .signals import SignalBus
 from .slo import SloEngine, SloRule
 from .timeseries import ScrapeLoop, TimeSeriesStore
@@ -172,6 +172,10 @@ class Observability:
             if self.config.forecast and self.slo is not None else None)
         #: scrape loop, bound to one simulation by :meth:`attach`
         self.scrape: ScrapeLoop | None = None
+        #: the routing table as the epoch records last read it
+        self._table = TableWatcher()
+        #: the demand the previous epoch reading planned against
+        self._demand: dict | None = None
 
     @classmethod
     def coerce(cls, obj) -> "Observability | None":
@@ -232,18 +236,17 @@ class Observability:
             self.provenance.bind_run(scenario, seed, policy=policy.name)
 
     def seed_rules(self, table) -> None:
-        """Baseline every rule diff against the initial install."""
-        rules = table.rules()
-        if self.decisions is not None:
-            self.decisions.seed_rules(rules)
-        if self.provenance is not None:
-            self.provenance.seed_rules(rules)
+        """Baseline the epoch records' rule diff against the initial
+        install: epoch 0 then reports what *it* changed, not the initial
+        plan's rules as moves away from local-first."""
+        self._table = TableWatcher(table)
 
     def record_epoch(self, now: float, controller, update, reports, table,
                      *, outage: tuple | None = None, faults=()) -> None:
-        """Read one control epoch once and fold the reading into every
-        pillar that keeps epoch records, then run the flight recorder's
-        anomaly triggers.
+        """Read one control epoch once — one walk of the routing table
+        since the previous epoch, one demand diff — and fold the reading
+        into every pillar that keeps epoch records, then run the flight
+        recorder's anomaly triggers.
 
         ``controller`` is the policy's Global Controller (None for the
         baselines) and ``update`` what it shipped (None: nothing).
@@ -257,14 +260,17 @@ class Observability:
         if self.decisions is None and provenance is None:
             return
         reading = read_epoch(now, controller, update,
+                             self._table.look(table), self._demand,
                              outage=outage is not None)
+        if reading.demand is not None:
+            self._demand = reading.demand
         if (self.decisions is not None and controller is not None
                 and outage is None):
             self.decisions.record(reading)
         if provenance is None:
             return
         provenance.record_epoch(reading, reports=reports,
-                                rules=table.rules(), fallback=outage or ())
+                                fallback=outage or ())
         if self.alerts is not None:
             provenance.check_alerts(now, self.alerts)
         if self.anomaly is not None:

@@ -4,12 +4,13 @@ The third observability pillar. Each epoch of an adaptive policy run yields
 one :class:`EpochDecision` answering "what did the controller see and what
 did it do about it": the quantized demand snapshot and how far it moved
 (L1 delta), the reuse-ladder rung the plan came from, the objective and
-wall solve time, and the routing diff actually shipped (rules whose route
-changed plus total weight churn).
+wall solve time, and what the routing table did (rules whose route moved
+plus total weight churn).
 
-The log is append-only and derived purely from controller state the harness
-already holds — recording it does not perturb the control loop, so enabling
-decisions keeps runs byte-identical.
+The log is append-only and keeps nothing but its rows: each row is a view
+of the epoch's one :class:`~repro.obs.reading.EpochReading`, the reading
+the provenance chain records too. Recording it does not perturb the
+control loop, so enabling decisions keeps runs byte-identical.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .reading import EpochReading, diff_rules
+from .reading import EpochReading
 
 __all__ = ["DecisionLog", "EpochDecision"]
 
 
 @dataclass(frozen=True)
 class EpochDecision:
-    """One Global Controller epoch, as seen from outside."""
+    """One Global Controller epoch, as seen from outside.
+
+    ``rules_changed`` and ``weight_churn`` read what the routing table did
+    since the previous epoch, as the provenance chain and the scrape loop
+    do. On a healthy run that is what the plan changed, since the table
+    holds the plan's departures. The one epoch where the two part is a
+    reconcile after a control-plane outage: the table moves from the
+    fallback rules back to the plan, though the plan itself barely moved.
+    """
 
     epoch: int
     sim_time: float
@@ -39,13 +48,14 @@ class EpochDecision:
     objective: float | None
     solve_time: float | None
     #: always 0, kept in the export format: a rule diff reads a missing
-    #: key as local-first (:func:`~repro.obs.reading.diff_rules`), so a
-    #: plan only ever changes routes
+    #: key as local-first (:func:`~repro.obs.reading.diff_rules`), so the
+    #: table only ever changes routes
     rules_added: int
     rules_removed: int
-    #: keys whose route moved by more than float noise
+    #: installed keys whose route moved by more than float noise
     rules_changed: int
-    #: summed |weight change| across all (rule, destination) pairs
+    #: summed |weight change| across all installed (rule, destination)
+    #: pairs
     weight_churn: float
     #: seconds between the newest telemetry window the controller folded in
     #: and the moment this plan was applied — ~0 for healthy runs, > 0 when
@@ -71,8 +81,6 @@ class DecisionLog:
     """Append-only log of :class:`EpochDecision` records for one run."""
 
     decisions: list[EpochDecision] = field(default_factory=list)
-    _prev_demand: dict = field(default_factory=dict, repr=False)
-    _prev_rules: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.decisions)
@@ -82,15 +90,6 @@ class DecisionLog:
 
     # ----------------------------------------------------------- recording
 
-    def seed_rules(self, rules: dict) -> None:
-        """Baseline the rule diff against the pre-epoch initial install.
-
-        Epoch 0 then reports what *it* changed, not the initial plan's
-        rules as additions — in particular an epoch that re-plans the
-        initial plan unchanged shows zero churn.
-        """
-        self._prev_rules = dict(rules)
-
     def record(self, reading: EpochReading) -> EpochDecision:
         """Fold one reachable epoch of a policy with a controller.
 
@@ -98,36 +97,26 @@ class DecisionLog:
         <repro.obs.config.Observability.record_epoch>` *after* the epoch's
         plan, with the epoch read once for every record.
         """
-        demand = {(cls, cluster): value
-                  for cls, per in reading.demand.items()
-                  for cluster, value in per.items()}
-        delta = sum(
-            abs(demand.get(key, 0.0) - self._prev_demand.get(key, 0.0))
-            for key in sorted(set(demand) | set(self._prev_demand)))
-        changed = 0
-        churn = 0.0
-        if reading.update is not None:
-            new_rules = reading.update.by_key()
-            for change in diff_rules(self._prev_rules, new_rules):
-                if change.moved:
-                    changed += 1
-                    churn += change.churn
-            self._prev_rules = new_rules
         result = reading.result
         controller = reading.controller
         observed = controller.last_observe_time
+        # the sums start at 0.0 so an epoch with no move exports a float
         decision = EpochDecision(
             epoch=len(self.decisions),
             sim_time=reading.sim_time,
             outcome=reading.outcome,
-            demand_total=sum(demand.values()),
-            demand_delta=delta,
+            demand_total=sum(value for per in reading.demand.values()
+                             for value in per.values()),
+            demand_delta=sum((abs(move)
+                              for per in reading.demand_moves.values()
+                              for move in per.values()), 0.0),
             objective=result.objective if result else None,
             solve_time=result.solve_time if result else None,
             rules_added=0,
             rules_removed=0,
-            rules_changed=changed,
-            weight_churn=churn,
+            rules_changed=len(reading.changes),
+            weight_churn=sum((change.churn for change in reading.changes),
+                             0.0),
             telemetry_age=(None if observed is None
                            else max(0.0, reading.sim_time - observed)),
             warm=bool(result and result.warm_start),
@@ -135,7 +124,6 @@ class DecisionLog:
             build_time=result.build_time if result else None,
             solver_path=result.solver_path if result else None,
         )
-        self._prev_demand = demand
         self.decisions.append(decision)
         return decision
 

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .reading import EPSILON, EpochReading, diff_rules
+from .reading import EPSILON, EpochReading
 
 if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
     from .alerts import AlertLog
@@ -222,14 +222,11 @@ class ProvenanceLog:
         #: scenario/seed stamp for exact deterministic restore of the run
         self.run_info: dict = {}
         self._epoch = 0
-        self._prev_demand: dict[str, dict[str, float]] = {}
-        self._prev_rules: dict = {}
         self._pending: ProvenanceRecord | None = None
         self._prev_window: tuple[float, float] | None = None
-        self._seen_alerts = 0
+        #: trigger reason → entries of its source already snapshotted
+        self._seen: dict[str, int] = {}
         self._seen_faults: set = set()
-        self._seen_anomalies = 0
-        self._seen_predictions = 0
 
     # -------------------------------------------------------------- wiring
 
@@ -239,27 +236,16 @@ class ProvenanceLog:
         if policy is not None:
             self.run_info["policy"] = policy
 
-    def seed_rules(self, rules: dict) -> None:
-        """Baseline the rule diff against the pre-epoch initial install.
-
-        Without this, epoch 0 would claim the initial plan's rules as its
-        own additions; with it, each record shows only what *that* epoch
-        shipped — matching the scraped churn signal exactly.
-        """
-        self._prev_rules = dict(rules)
-
     # ----------------------------------------------------------- recording
 
-    def record_epoch(self, reading: EpochReading, *, rules: dict,
-                     reports=(), fallback: tuple = ()) -> ProvenanceRecord:
+    def record_epoch(self, reading: EpochReading, *, reports=(),
+                     fallback: tuple = ()) -> ProvenanceRecord:
         """Fold one control epoch into the chain.
 
-        Called by the harness after the epoch's plan + distribute (and in
-        chaos mode after the stale-rule guard ran), with ``rules`` the
-        routing table's post-epoch snapshot (``table.rules()``) — so the
-        diff captures everything this epoch installed, controller updates
-        and fallback installs alike. The snapshot is taken by the caller:
-        this module only ever reads it (contract A01). Closing the
+        Called after the epoch's plan + distribute (and in chaos mode
+        after the stale-rule guard ran), with the epoch's one reading: its
+        ``changes`` are everything the routing table installed this epoch,
+        controller updates and fallback installs alike. Closing the
         *previous* record's effect window happens first, now that its end
         is known.
         """
@@ -267,11 +253,8 @@ class ProvenanceLog:
         self._close_effect(now)
 
         digest = telemetry_digest(reports) if reports else None
-        demand, delta = self._demand_delta(reading.demand)
         result = reading.result
-
-        per_class, changes, total_churn = self._rule_deltas(rules)
-        self._prev_rules = rules
+        per_class, changes, total_churn = _rule_deltas(reading.changes)
 
         record = ProvenanceRecord(
             epoch=self._epoch,
@@ -279,8 +262,8 @@ class ProvenanceLog:
             outcome=reading.outcome,
             telemetry_digest=digest,
             report_count=len(reports),
-            demand=demand,
-            demand_delta=delta,
+            demand=reading.demand or {},
+            demand_delta=reading.demand_moves,
             solver=(None if result is None
                     else _solver_rung(reading.controller, result)),
             objective=result.objective if result else None,
@@ -305,18 +288,11 @@ class ProvenanceLog:
 
     def check_alerts(self, now: float, alert_log: "AlertLog") -> None:
         """Snapshot the ring for every SLO alert fired since last check."""
-        while self._seen_alerts < len(alert_log.alerts):
-            alert = alert_log.alerts[self._seen_alerts]
-            self._seen_alerts += 1
-            self.record_anomaly(now, "slo_alert", alert.as_dict())
+        self._snapshot_new(now, "slo_alert", alert_log.alerts)
 
     def check_anomalies(self, now: float, anomaly_log) -> None:
         """Snapshot the ring for every anomaly detected since last check."""
-        events = anomaly_log.events
-        while self._seen_anomalies < len(events):
-            event = events[self._seen_anomalies]
-            self._seen_anomalies += 1
-            self.record_anomaly(now, "anomaly", event.as_dict())
+        self._snapshot_new(now, "anomaly", anomaly_log.events)
 
     def check_predictions(self, now: float, predictor) -> None:
         """Snapshot the ring for every new predicted SLO breach.
@@ -326,12 +302,7 @@ class ProvenanceLog:
         thresholds — the controller state you would want to inspect while
         there is still lead time to act.
         """
-        predictions = predictor.predictions
-        while self._seen_predictions < len(predictions):
-            prediction = predictions[self._seen_predictions]
-            self._seen_predictions += 1
-            self.record_anomaly(now, "predicted_breach",
-                                prediction.as_dict())
+        self._snapshot_new(now, "predicted_breach", predictor.predictions)
 
     def check_faults(self, now: float, timeline) -> None:
         """Snapshot the ring at chaos fault edges (duck-typed records).
@@ -360,6 +331,14 @@ class ProvenanceLog:
         timeseries = self._window_snapshot(start, end)
         trigger = {"reason": reason, "sim_time": now, "detail": detail}
         return self.flight.snapshot(trigger, self.run_info, timeseries)
+
+    def _snapshot_new(self, now: float, reason: str, entries) -> None:
+        """Snapshot the ring once per entry appended to ``entries`` since
+        the last check for ``reason``."""
+        seen = self._seen.get(reason, 0)
+        self._seen[reason] = len(entries)
+        for entry in entries[seen:]:
+            self.record_anomaly(now, reason, entry.as_dict())
 
     # ------------------------------------------------------------- queries
 
@@ -419,54 +398,6 @@ class ProvenanceLog:
                 for r in self.records]
 
     # ------------------------------------------------------------- helpers
-
-    def _demand_delta(self, demand):
-        """The epoch's demand and its signed deltas vs the last epoch."""
-        if demand is None:
-            return ({cls: dict(per) for cls, per in self._prev_demand.items()},
-                    {})
-        delta: dict[str, dict[str, float]] = {}
-        for cls in sorted(set(demand) | set(self._prev_demand)):
-            new = demand.get(cls, {})
-            old = self._prev_demand.get(cls, {})
-            moves = {
-                cluster: new.get(cluster, 0.0) - old.get(cluster, 0.0)
-                for cluster in sorted(set(new) | set(old))}
-            moves = {c: d for c, d in moves.items() if abs(d) > EPSILON}
-            if moves:
-                delta[cls] = moves
-        self._prev_demand = demand
-        return demand, delta
-
-    def _rule_deltas(self, rules):
-        """Diff the installed table against the previous epoch's snapshot."""
-        per_class: dict[str, dict] = {}
-        changes: list[dict] = []
-        total_churn = 0.0
-        for change in diff_rules(self._prev_rules, rules):
-            if not change.moved:
-                continue
-            key = change.key
-            cls = key.traffic_class
-            entry = per_class.setdefault(
-                cls, {"added": 0, "removed": 0, "changed": 0,
-                      "churn": 0.0, "shift": {}})
-            entry["changed"] += 1
-            entry["churn"] += change.churn
-            total_churn += change.churn
-            shift = entry["shift"]
-            for dst, moved in change.deltas.items():
-                if abs(moved) > EPSILON:
-                    shift[dst] = shift.get(dst, 0.0) + moved
-            changes.append({
-                "service": key.service, "class": cls,
-                "src": key.src_cluster, "kind": "changed",
-                "old": dict(change.old), "new": dict(change.new),
-                "churn": change.churn,
-            })
-        changes.sort(key=lambda c: (-c["churn"], c["service"], c["class"],
-                                    c["src"]))
-        return per_class, changes[:MAX_RULE_CHANGES], total_churn
 
     def _close_effect(self, now: float, include_end: bool = False) -> None:
         pending = self._pending
@@ -658,6 +589,36 @@ class ProvenanceLog:
         if record.objective is not None:
             text += f"; objective {record.objective:.4f}"
         return text
+
+
+def _rule_deltas(rule_changes):
+    """Fold the epoch's moved routes into per-class entries, itemised
+    changes (largest churn first, capped) and the total churn."""
+    per_class: dict[str, dict] = {}
+    changes: list[dict] = []
+    total_churn = 0.0
+    for change in rule_changes:
+        key = change.key
+        cls = key.traffic_class
+        entry = per_class.setdefault(
+            cls, {"added": 0, "removed": 0, "changed": 0,
+                  "churn": 0.0, "shift": {}})
+        entry["changed"] += 1
+        entry["churn"] += change.churn
+        total_churn += change.churn
+        shift = entry["shift"]
+        for dst, moved in change.deltas.items():
+            if abs(moved) > EPSILON:
+                shift[dst] = shift.get(dst, 0.0) + moved
+        changes.append({
+            "service": key.service, "class": cls,
+            "src": key.src_cluster, "kind": "changed",
+            "old": dict(change.old), "new": dict(change.new),
+            "churn": change.churn,
+        })
+    changes.sort(key=lambda c: (-c["churn"], c["service"], c["class"],
+                                c["src"]))
+    return per_class, changes[:MAX_RULE_CHANGES], total_churn
 
 
 def _solver_rung(controller, result) -> dict:

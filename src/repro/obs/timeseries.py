@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
 from .collect import walk_state
-from .reading import diff_rules
+from .reading import TableWatcher
 
 if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
     from ..sim.runner import MeshSimulation
@@ -308,9 +308,8 @@ class ScrapeLoop:
         #: cursor into the run telemetry's per-request retention
         self._completed_cursor = 0
         self._last_sample_time: float | None = None
-        self._prev_weights: dict = {}
-        #: ``table.version`` at the last scrape (None before the first)
-        self._prev_version: int | None = None
+        #: the routing table at the last scrape (empty before the first)
+        self._table = TableWatcher()
 
     # -------------------------------------------------------- scheduling
 
@@ -399,20 +398,10 @@ class ScrapeLoop:
         return new_latencies
 
     def _sample_routing(self, now: float) -> None:
-        """Routing-table churn: L1 weight distance since the last scrape.
-
-        ``table.version`` moves only when a rule does, so an unmoved
-        version is zero churn over the rules already copied.
-        """
+        """Routing-table churn: L1 weight distance since the last scrape."""
         table = self.simulation.table
-        churn = 0.0
-        if table.version != self._prev_version:
-            rules = table.rules()
-            for change in diff_rules(self._prev_weights, rules):
-                churn += change.churn
-            self._prev_weights = rules
-            self._prev_version = table.version
-        self.store.record("routing_rules", now, len(self._prev_weights))
+        churn = sum(change.churn for change in self._table.look(table))
+        self.store.record("routing_rules", now, len(self._table.rules))
         self.store.record("routing_table_version", now, table.version)
         self.store.record("routing_weight_churn", now, churn)
 

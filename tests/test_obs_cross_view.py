@@ -2,14 +2,17 @@
 time series and the end-of-run metrics registry describe one run alike.
 
 One diurnal run with every epoch-reading pillar on, scraped on an interval
-that divides the control epoch, so every table change lands on a scrape.
+that divides the control epoch, so every table change lands on a scrape;
+and one chaos outage run, whose reconcile epoch moves the table from the
+fallback rules back to the plan.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenarios import diurnal_control_setup
+from repro.experiments.scenarios import (chaos_outage_setup,
+                                         diurnal_control_setup)
 from repro.obs import Observability, ObservabilityConfig
 from repro.obs.collect import STATE_METRICS
 
@@ -26,6 +29,54 @@ def obs():
         scrape_interval=SCRAPE))
     setup.run(runtime)
     return runtime
+
+
+@pytest.fixture(scope="module")
+def chaos():
+    setup = chaos_outage_setup()
+    runtime = Observability(setup.observability(
+        decisions=True, provenance=True, timeseries=True))
+    setup.run(runtime)
+    return runtime
+
+
+def churn_and_demand_rows(runtime):
+    """Per decision row, (rules_changed, weight_churn, demand L1) as the
+    decision log and as the provenance record at its sim time read it."""
+    records = {record.sim_time: record
+               for record in runtime.provenance.records}
+    assert len(runtime.decisions) > 5
+    for decision in runtime.decisions:
+        record = records[decision.sim_time]
+        changed = sum(entry["changed"]
+                      for entry in record.rule_deltas.values())
+        yield (decision.epoch,
+               (decision.rules_changed, decision.weight_churn,
+                decision.demand_delta),
+               (changed, record.weight_churn, record.demand_delta_l1()))
+
+
+@pytest.mark.parametrize("run", ["obs", "chaos"])
+def test_decision_churn_and_demand_equal_provenance(run, request):
+    """One reading per epoch: the decision row and the provenance record
+    read the same table moves and the same demand moves, bit for bit,
+    including a chaos reconcile epoch, where the table moves from the
+    fallback rules back to the plan."""
+    runtime = request.getfixturevalue(run)
+    for epoch, decision, record in churn_and_demand_rows(runtime):
+        assert decision == record, epoch
+
+
+def test_chaos_run_has_a_reconcile_epoch(chaos):
+    """The chaos fixture holds what the equality above is for: an outage
+    with fallback installs, and a decision row after it whose table
+    churn is the fallback being reconciled."""
+    records = chaos.provenance.records
+    fallback = [r for r in records if r.fallback_clusters]
+    assert fallback and any(r.outcome == "outage" for r in records)
+    after = [d for d in chaos.decisions
+             if d.sim_time > fallback[-1].sim_time]
+    assert after and after[0].weight_churn > 0
 
 
 def test_decision_rows_match_provenance_records(obs):

@@ -10,9 +10,8 @@ import pytest
 
 from repro.core.rules import RoutingRule, RuleSet
 from repro.experiments.scenarios import diurnal_control_setup
-from repro.obs import (DecisionLog, EpochDecision, Observability,
-                       ObservabilityConfig)
-from repro.obs.reading import read_epoch
+from repro.mesh.routing_table import RoutingTable
+from repro.obs import EpochDecision, Observability, ObservabilityConfig
 
 
 def fake_controller(demand, result):
@@ -26,9 +25,21 @@ def fake_controller(demand, result):
     )
 
 
-def record(log, sim_time, controller, update):
-    """One reachable epoch, read the way ``Observability`` reads it."""
-    return log.record(read_epoch(sim_time, controller, update))
+class Loop:
+    """A decision log fed as the control loop feeds it: each epoch's plan
+    is installed in a routing table, then ``Observability`` reads the
+    epoch."""
+
+    def __init__(self) -> None:
+        self.obs = Observability(ObservabilityConfig(decisions=True))
+        self.table = RoutingTable()
+        self.log = self.obs.decisions
+
+    def record(self, sim_time, controller, update):
+        if update is not None:
+            update.apply(self.table)
+        self.obs.record_epoch(sim_time, controller, update, (), self.table)
+        return self.log.decisions[-1]
 
 
 def fake_result(objective=1.5, warm_start=False):
@@ -47,8 +58,8 @@ def rules(west_share) -> RuleSet:
 # ----------------------------------------------------------------- unit
 
 def test_record_outcomes_and_demand_delta():
-    log = DecisionLog()
-    first = record(log, 10.0, fake_controller(
+    loop = Loop()
+    first = loop.record(10.0, fake_controller(
         {("default", "west"): 100.0}, fake_result()), rules(0.8))
     assert first.outcome == "solved"
     assert first.epoch == 0
@@ -58,7 +69,7 @@ def test_record_outcomes_and_demand_delta():
     assert first.rules_added == 0 and first.rules_changed == 1
     assert first.weight_churn == pytest.approx(0.4)
 
-    second = record(log, 20.0, fake_controller(
+    second = loop.record(20.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(warm_start=True)),
         rules(0.8))
     assert second.outcome == "solved"
@@ -66,20 +77,20 @@ def test_record_outcomes_and_demand_delta():
     assert second.rules_added == 0 and second.rules_changed == 0
     assert second.weight_churn == pytest.approx(0.0)
 
-    third = record(log, 30.0, fake_controller(
+    third = loop.record(30.0, fake_controller(
         {("default", "west"): 140.0}, fake_result()), rules(0.5))
     assert third.outcome == "solved"
     assert third.demand_delta == pytest.approx(40.0)
     assert third.rules_changed == 1
     assert third.weight_churn == pytest.approx(0.6)   # |0.5-0.8| x 2 dests
 
-    assert log.counts() == {"solved": 3, "no-demand": 0}
-    assert len(log) == 3
+    assert loop.log.counts() == {"solved": 3, "no-demand": 0}
+    assert len(loop.log) == 3
 
 
 def test_record_no_demand_epoch():
-    log = DecisionLog()
-    decision = record(log, 0.0, fake_controller({}, None), None)
+    loop = Loop()
+    decision = loop.record(0.0, fake_controller({}, None), None)
     assert decision.outcome == "no-demand"
     assert decision.objective is None
 
@@ -87,9 +98,9 @@ def test_record_no_demand_epoch():
 def test_no_demand_epoch_after_a_plan_reports_no_plan():
     """The controller still holds the last plan, but this epoch made none:
     the row, like its provenance record, carries no plan fields."""
-    log = DecisionLog()
+    loop = Loop()
     stale = fake_result()
-    decision = record(log, 20.0, fake_controller({}, stale), None)
+    decision = loop.record(20.0, fake_controller({}, stale), None)
     assert decision.outcome == "no-demand"
     assert decision.objective is None and decision.solve_time is None
     assert decision.build_time is None and decision.solver_path is None
@@ -97,36 +108,36 @@ def test_no_demand_epoch_after_a_plan_reports_no_plan():
 
 
 def test_jsonl_and_render():
-    log = DecisionLog()
-    record(log, 10.0, fake_controller(
+    loop = Loop()
+    loop.record(10.0, fake_controller(
         {("default", "west"): 100.0}, fake_result()), rules(0.8))
-    lines = log.to_jsonl_lines()
+    lines = loop.log.to_jsonl_lines()
     assert len(lines) == 1
     parsed = json.loads(lines[0])
     assert parsed["outcome"] == "solved"
     assert set(parsed) == set(EpochDecision.__dataclass_fields__)
-    table = log.render()
+    table = loop.log.render()
     assert "solved" in table
     assert table.splitlines()[-1] == "epochs=1 solved=1 no-demand=0"
 
 
 def test_solver_path_reflects_reuse_ladder():
-    log = DecisionLog()
+    loop = Loop()
     demand = {("default", "west"): 100.0}
-    cold = record(log, 10.0, fake_controller(
+    cold = loop.record(10.0, fake_controller(
         demand, fake_result()), rules(0.8))
     assert cold.solver_path == "cold"
-    warm = record(log, 20.0, fake_controller(
+    warm = loop.record(20.0, fake_controller(
         demand, fake_result(warm_start=True)), rules(0.7))
     assert warm.solver_path == "warm" and warm.warm
-    empty = record(log, 40.0, fake_controller({}, None), None)
+    empty = loop.record(40.0, fake_controller({}, None), None)
     assert empty.solver_path is None
 
 
 def test_as_dict_keeps_legacy_keys_alongside_solver_path():
     """PR 8 compat bar: consumers keyed on warm/warm_build keep working."""
-    log = DecisionLog()
-    decision = record(log, 10.0, fake_controller(
+    loop = Loop()
+    decision = loop.record(10.0, fake_controller(
         {("default", "west"): 100.0}, fake_result(warm_start=True)),
         rules(0.8))
     payload = decision.as_dict()

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.devtools.invariants import InvariantViolation
-from repro.mesh.routing_table import RouteKey
+from repro.mesh.routing_table import RouteKey, RoutingTable
 from repro.experiments.scenarios import (chaos_outage_setup,
                                          diurnal_control_setup)
 from repro.obs import (Observability, ObservabilityConfig, FlightRecorder,
@@ -100,27 +100,39 @@ def test_telemetry_digest_is_content_addressed():
     assert len(a) == 16
 
 
+def provenance_runtime() -> Observability:
+    return Observability(ObservabilityConfig(provenance=True))
+
+
 def test_seed_rules_baselines_the_first_diff():
-    log = ProvenanceLog()
-    initial = {RouteKey("S1", "default", "west"): {"west": 0.8, "east": 0.2}}
-    log.seed_rules(initial)
-    record = log.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
+    table = RoutingTable()
+    table.set_weights(RouteKey("S1", "default", "west"),
+                      {"west": 0.8, "east": 0.2})
+    obs = provenance_runtime()
+    obs.seed_rules(table)
+    obs.record_epoch(10.0, None, None, (), table)
+    record, = obs.provenance.records
     assert record.weight_churn == 0.0
     assert record.rule_deltas == {}
-    # ...whereas an unseeded log would have claimed the install, as a move
-    # away from local-first
-    unseeded = ProvenanceLog()
-    claimed = unseeded.record_epoch(read_epoch(10.0, None, None), rules=dict(initial))
+    # ...whereas an unseeded runtime would have claimed the install, as a
+    # move away from local-first
+    unseeded = provenance_runtime()
+    unseeded.record_epoch(10.0, None, None, (), table)
+    claimed, = unseeded.provenance.records
     assert claimed.rule_deltas["default"]["changed"] == 1
     assert claimed.weight_churn == pytest.approx(0.4)
 
 
 def test_record_epoch_diffs_rules_and_closes_effect_windows():
     key = RouteKey("S1", "default", "west")
-    log = ProvenanceLog()
-    log.seed_rules({key: {"west": 1.0}})
-    first = log.record_epoch(read_epoch(10.0, None, None), rules={key: {"west": 0.8, "east": 0.2}})
-    second = log.record_epoch(read_epoch(20.0, None, None), rules={key: {"west": 0.8, "east": 0.2}})
+    table = RoutingTable()
+    table.set_weights(key, {"west": 1.0})
+    obs = provenance_runtime()
+    obs.seed_rules(table)
+    table.set_weights(key, {"west": 0.8, "east": 0.2})
+    obs.record_epoch(10.0, None, None, (), table)
+    obs.record_epoch(20.0, None, None, (), table)
+    first, second = obs.provenance.records
     delta = first.rule_deltas["default"]
     assert delta["changed"] == 1
     assert delta["churn"] == pytest.approx(0.4)   # |Δwest| + |Δeast|
@@ -128,21 +140,26 @@ def test_record_epoch_diffs_rules_and_closes_effect_windows():
     assert first.rule_changes[0]["new"] == {"west": 0.8, "east": 0.2}
     assert first.rule_changes[0]["kind"] == "changed"
     assert second.weight_churn == 0.0
-    # without a bound TimeSeriesStore the window closes but cannot be
-    # attributed: effect stays None rather than inventing numbers
-    log.finalize(30.0)
-    assert first.effect is None and second.effect is None
+    # the next epoch closes the window; with nothing scraped inside it,
+    # nothing is attributed
+    assert first.effect == EpochEffect(start=10.0, end=20.0)
+    assert second.effect is None
 
 
 def test_record_anomaly_without_store_snapshots_ring():
     log = ProvenanceLog()
     log.bind_run("unit", 3, policy="slate")
-    log.record_epoch(read_epoch(10.0, None, None), rules={})
+    log.record_epoch(read_epoch(10.0, None, None))
     dump = log.record_anomaly(10.0, "invariant", {"error": "boom"})
     assert dump["trigger"]["reason"] == "invariant"
     assert dump["run"] == {"scenario": "unit", "seed": 3, "policy": "slate"}
     assert dump["timeseries"] is None        # no store bound
     assert log.snapshots == [dump]
+    # without a bound TimeSeriesStore the window closes but cannot be
+    # attributed: effect stays None rather than inventing numbers
+    log.record_epoch(read_epoch(20.0, None, None))
+    log.finalize(30.0)
+    assert all(record.effect is None for record in log.records)
 
 
 # --------------------------------------------- diurnal acceptance chain

@@ -248,7 +248,7 @@ def walked_routing_sample(self, now: float) -> None:
     table = self.simulation.table
     rules = table.rules()
     churn = 0.0
-    previous = self._prev_weights
+    previous = getattr(self, "_walked_rules", {})
     for key in sorted(set(rules) | set(previous),
                       key=lambda k: (k.service, k.traffic_class,
                                      k.src_cluster)):
@@ -257,7 +257,7 @@ def walked_routing_sample(self, now: float) -> None:
         new = rules.get(key, local)
         churn += sum(abs(new.get(c, 0.0) - old.get(c, 0.0))
                      for c in sorted(set(new) | set(old)))
-    self._prev_weights = rules
+    self._walked_rules = rules
     self.store.record("routing_rules", now, len(rules))
     self.store.record("routing_table_version", now, table.version)
     self.store.record("routing_weight_churn", now, churn)

@@ -1,8 +1,10 @@
 """``diff_rules`` against the three rule walks it replaced.
 
 The decision log, the provenance chain and the scrape loop each diffed two
-rule maps with their own loop; the loops are frozen here as references and
-must agree with the shared diff float for float. Weight maps keep their
+rule maps with their own loop; the loops are frozen here as references.
+Both logs now read one epoch reading of the pair, and the scrape loop its
+own watcher's diff, and each must agree with its reference float for
+float. Weight maps keep their
 destinations sorted, as every ``RoutingRule`` and the routing table built
 from one do. Since a push carries only the rules that depart from
 local-first, every walk reads a key a map holds no rule for as
@@ -21,7 +23,7 @@ from repro.core.rules import RoutingRule, RuleSet
 from repro.mesh.routing_table import RouteKey
 from repro.obs.decisions import DecisionLog
 from repro.obs.provenance import ProvenanceLog
-from repro.obs.reading import diff_rules, read_epoch
+from repro.obs.reading import TableWatcher, diff_rules, read_epoch
 
 EPSILON = 1e-9
 
@@ -95,8 +97,8 @@ KEYS = [RouteKey(service, cls, src)
         for src in ("east", "west")]
 DESTINATIONS = ("east", "north", "west")
 
-#: a controller with no classes and no plan: the decision log diffs the
-#: shipped rules and reads nothing else
+#: a controller with no classes and no plan: the decision log reads the
+#: reading's rule changes and nothing else
 CONTROLLER = SimpleNamespace(app=SimpleNamespace(classes={}),
                              deployment=SimpleNamespace(cluster_names=[]),
                              last_result=None, last_observe_time=None)
@@ -130,22 +132,23 @@ def rule_map_pairs(draw):
 @given(rule_map_pairs())
 def test_diff_rules_agrees_with_every_frozen_walk(pair):
     previous, current = pair
-    decisions = DecisionLog()
-    decisions.seed_rules(previous)
     plan = RuleSet([RoutingRule(key.service, key.traffic_class,
                                 key.src_cluster, tuple(w.items()))
                     for key, w in current.items()])
-    row = decisions.record(read_epoch(1.0, CONTROLLER, plan))
+    reading = read_epoch(1.0, CONTROLLER, plan,
+                         diff_rules(previous, current))
+
+    row = DecisionLog().record(reading)
     assert (row.rules_added, row.rules_removed, row.rules_changed,
             row.weight_churn) == decision_walk(previous, current)
 
-    log = ProvenanceLog()
-    log.seed_rules(previous)
-    record = log.record_epoch(read_epoch(1.0, None, None), rules=current)
+    record = ProvenanceLog().record_epoch(reading)
     assert (record.rule_deltas, record.rule_changes,
             record.weight_churn) == provenance_walk(previous, current)
 
+    watcher = TableWatcher(SimpleNamespace(version=0, rules=lambda: previous))
+    changes = watcher.look(SimpleNamespace(version=1, rules=lambda: current))
     scraped = 0.0
-    for change in diff_rules(previous, current):
+    for change in changes:
         scraped += change.churn
     assert scraped == scrape_walk(previous, current)
