@@ -1,11 +1,13 @@
-"""Byte goldens for the decision-log and provenance exports.
+"""Byte goldens for the decision-log, provenance and predictive exports.
 
 ``tests/golden/obs_exports.json`` freezes, per run, the exit code, the
 stdout and the sha256 and size of every file written by:
 
 * ``repro obs decisions --scenario diurnal --format jsonl``;
 * ``repro obs explain default -o ... --dump ...`` (diurnal scenario);
-* ``repro obs explain default --scenario chaos -o ... --dump ...``.
+* ``repro obs explain default --scenario chaos -o ... --dump ...``;
+* ``repro obs anomalies --scenario chaos --duration 30 --table -o ...``;
+* ``repro obs forecast --scenario slo --duration 60 -o ...``.
 
 The decision log's ``solve_time`` and ``build_time`` are wall-clock
 seconds, so their values are masked to ``"wall"`` before hashing; every
@@ -41,6 +43,12 @@ RUNS = {
     "explain_chaos": (
         ["obs", "explain", "default", "--scenario", "chaos",
          "-o", "{provenance}", "--dump", "{dump}"], ("provenance", "dump")),
+    "anomalies_chaos": (
+        ["obs", "anomalies", "--scenario", "chaos", "--duration", "30",
+         "--table", "-o", "{anomalies}"], ("anomalies",)),
+    "forecast_slo": (
+        ["obs", "forecast", "--scenario", "slo", "--duration", "60",
+         "-o", "{forecast}"], ("forecast",)),
 }
 
 _WALL_CLOCK = re.compile(rb'"(build_time|solve_time)": -?[0-9][0-9.e+-]*')
