@@ -49,11 +49,16 @@ class FitResult:
 def service_time_from_window(window: ServiceClassWindow) -> float | None:
     """Mean observed compute time for a (service, class) window.
 
-    Returns ``None`` when the window has no completions (cannot estimate).
+    Returns ``None`` when the window cannot give an estimate: it has no
+    completions, or its mean compute time is NaN, infinite or negative
+    (corrupt telemetry, which would otherwise stick in the profile's EWMA).
     """
     if window.completions == 0:
         return None
-    return window.mean_exec
+    mean = window.mean_exec
+    if not math.isfinite(mean) or mean < 0:
+        return None
+    return mean
 
 
 def fit_mmc_service_time(samples: list[LoadLatencySample], servers: int,

@@ -158,6 +158,38 @@ class TestGlobalController:
         spec = problem.workloads["default"].spec
         assert spec.exec_time_of("S1") == pytest.approx(0.020)
 
+    def test_nan_compute_window_does_not_poison_the_profile(self):
+        # a NaN sample once made the profile NaN for good, and plan()
+        # then reported optimal with the service planned as free
+        app = linear_chain_app(exec_time=0.010)
+        controller = GlobalController(
+            app, make_deployment(app),
+            GlobalControllerConfig(learn_profiles=True))
+        for exec_time in (math.nan, 0.020):
+            controller.observe([make_report(
+                "west", {"default": 300.0},
+                exec_times={("S1", "default"): exec_time})])
+        assert controller.profiles.service_time("S1", "default") \
+            == pytest.approx(0.020)
+        spec = controller.build_problem().workloads["default"].spec
+        assert spec.exec_time_of("S1") == pytest.approx(0.020)
+        assert controller.plan().ok
+
+    def test_negative_compute_window_is_skipped(self):
+        # a negative sample once made plan() raise ValueError from the
+        # class spec's validation
+        app = linear_chain_app(exec_time=0.010)
+        controller = GlobalController(
+            app, make_deployment(app),
+            GlobalControllerConfig(learn_profiles=True))
+        controller.observe([make_report(
+            "west", {"default": 300.0},
+            exec_times={("S1", "default"): -0.020})])
+        assert controller.plan().ok
+        assert not controller.profiles.known("S1", "default")
+        spec = controller.build_problem().workloads["default"].spec
+        assert spec.exec_time_of("S1") == pytest.approx(0.010)
+
     def test_unobserved_services_keep_spec_exec_time(self):
         app = linear_chain_app(exec_time=0.010)
         controller = GlobalController(
