@@ -75,7 +75,9 @@ DEFAULT_PURITY_CONTRACTS: tuple[PurityContract, ...] = (
                        "repro.obs.slo", "repro.obs.alerts",
                        "repro.obs.diff", "repro.obs.analyzer",
                        "repro.obs.decisions", "repro.obs.provenance",
-                       "repro.obs.reading"),
+                       "repro.obs.reading", "repro.obs.forecast",
+                       "repro.obs.anomaly", "repro.obs.config",
+                       "repro.obs.metrics", "repro.obs.profiler"),
         forbidden=("repro.sim", "repro.mesh", "repro.core",
                    "repro.baselines", "repro.experiments", "repro.chaos"),
         description=("observability collection/scrape/SLO/diff code must "
