@@ -453,7 +453,6 @@ def _emit_json(document: dict, output: str | None, what: str) -> None:
 
 
 def _obs_forecast(args: argparse.Namespace) -> int:
-    from .obs import write_signals_jsonl
     setup, obs = _run_predictive(args, forecast=True, anomaly=False)
     duration = setup.scenario.duration
     engine = obs.forecast
@@ -493,14 +492,11 @@ def _obs_forecast(args: argparse.Namespace) -> int:
                           f"eta={p.breach_eta:.1f} "
                           f"lead_est={p.lead_estimate:.1f}s "
                           f"outcome={p.outcome} actual_lead={lead}")
-    if args.signals_out:
-        count = write_signals_jsonl(obs.signals, args.signals_out)
-        print(f"wrote {count} signals to {args.signals_out}")
     return 0
 
 
 def _obs_anomalies(args: argparse.Namespace) -> int:
-    from .obs import write_anomalies_jsonl, write_signals_jsonl
+    from .obs import write_anomalies_jsonl
     setup, obs = _run_predictive(args, forecast=False, anomaly=True)
     duration = setup.scenario.duration
     engine = obs.anomaly
@@ -523,9 +519,6 @@ def _obs_anomalies(args: argparse.Namespace) -> int:
     if args.output:
         count = write_anomalies_jsonl(engine.log, args.output)
         print(f"wrote {count} anomaly events to {args.output}")
-    if args.signals_out:
-        count = write_signals_jsonl(obs.signals, args.signals_out)
-        print(f"wrote {count} signals to {args.signals_out}")
     return 0
 
 
@@ -822,8 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print one JSON document instead of text")
     forecast.add_argument("-o", "--output", default=None,
                           help="write the JSON report here")
-    forecast.add_argument("--signals-out", default=None,
-                          help="write the signal-bus JSONL here")
 
     anomalies = obs_sub.add_parser(
         "anomalies", help="streaming anomaly detection (z-score spikes + "
@@ -842,8 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print one JSON document instead of text")
     anomalies.add_argument("-o", "--output", default=None,
                            help="write the anomaly-event JSONL here")
-    anomalies.add_argument("--signals-out", default=None,
-                           help="write the signal-bus JSONL here")
 
     explain = obs_sub.add_parser(
         "explain", help="why did traffic for a class shift? walk the "

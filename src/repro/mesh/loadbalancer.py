@@ -6,12 +6,15 @@ consistent hashing, or least outstanding requests." These are the policies
 the survey respondents rely on today; SLATE keeps them for the *within-
 cluster* replica choice after its rules pick the cluster.
 
-The simulator's replica pools expose a single FIFO queue per (service,
-cluster), which subsumes the replica choice for queueing purposes, so these
-balancers are exercised by tests and available to library users embedding
-their own endpoint model. ``WeightedRandomSelector`` is the one component in
-the request path: proxies use it to realise SLATE's fractional cluster
-weights.
+The default ``service_model="pool"`` keeps one FIFO queue per (service,
+cluster) and makes no replica choice. Under ``service_model="replicas"``
+(event fidelity) each (service, cluster) is a
+:class:`~repro.sim.replicas.ReplicaSet` of per-replica queues, and
+``MeshSimulation``'s ``intra_lb`` picks the balancer that routes into
+them: :class:`RoundRobinBalancer` or :class:`LeastOutstandingBalancer`
+(the default). :class:`ConsistentHashBalancer` is for library users
+embedding their own endpoint model. ``WeightedRandomSelector`` realises
+SLATE's fractional cluster weights in every proxy.
 """
 
 from __future__ import annotations

@@ -14,12 +14,11 @@ network layer cannot; this package applies the same idea to the simulator:
   every ``scrape_interval`` virtual seconds into ring-buffered series;
 * :mod:`repro.obs.slo` / :mod:`repro.obs.alerts` — declarative SLO rules
   with multi-window burn-rate alerting over the scraped series;
-* :mod:`repro.obs.forecast` / :mod:`repro.obs.anomaly` /
-  :mod:`repro.obs.signals` — the predictive pillar: online forecast
-  models (EWMA / Holt / Holt–Winters, backtested with MASE/sMAPE),
-  residual z-score + CUSUM anomaly detection, projected
-  ``PredictedBreach`` alerts scored against the real alert log, all
-  published on a bounded deterministic :class:`SignalBus`;
+* :mod:`repro.obs.forecast` / :mod:`repro.obs.anomaly` — the predictive
+  pillar: online forecast models (EWMA / Holt / Holt–Winters, backtested
+  with MASE/sMAPE) recorded back as ``forecast_<name>`` series, residual
+  z-score + CUSUM anomaly detection into an :class:`AnomalyLog`, and
+  projected ``PredictedBreach`` alerts scored against the real alert log;
 * :mod:`repro.obs.decisions` — an append-only log of every Global
   Controller epoch (demand delta, reuse-ladder rung, routing diff);
 * :mod:`repro.obs.provenance` — per-epoch causal chains (telemetry digest
@@ -52,8 +51,8 @@ from .export import (load_trace_jsonl, write_alerts_jsonl,
                      write_anomalies_jsonl, write_chrome_trace,
                      write_decisions_jsonl, write_flight_dump,
                      write_metrics_json, write_metrics_prometheus,
-                     write_provenance_jsonl, write_signals_jsonl,
-                     write_timeseries_json, write_trace_jsonl)
+                     write_provenance_jsonl, write_timeseries_json,
+                     write_trace_jsonl)
 from .forecast import (DEFAULT_FORECAST_TARGETS, FORECAST_MODELS,
                        BreachPredictor, ForecastEngine, PredictedBreach,
                        PredictionScore, make_model, score_predictions)
@@ -63,8 +62,6 @@ from .metrics import (Counter, DEFAULT_LATENCY_BUCKETS,
 from .profiler import ControlPlaneProfiler
 from .provenance import (DEFAULT_FLIGHT_RING, EpochEffect, FlightRecorder,
                          ProvenanceLog, ProvenanceRecord, telemetry_digest)
-from .signals import (DEFAULT_SIGNAL_CAPACITY, Signal, SignalBus,
-                      TOPIC_ANOMALY, TOPIC_FORECAST, TOPIC_PREDICTED_BREACH)
 from .slo import SloEngine, SloRule, default_latency_slo
 from .timeseries import (DEFAULT_MAX_POINTS, ScrapeLoop, TimeSeries,
                          TimeSeriesStore, percentile)
@@ -85,7 +82,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_MAX_LABEL_SETS",
     "DEFAULT_MAX_POINTS",
-    "DEFAULT_SIGNAL_CAPACITY",
     "DecisionLog",
     "DiffConfig",
     "DiffReport",
@@ -106,13 +102,8 @@ __all__ = [
     "ProvenanceRecord",
     "ScrapeLoop",
     "SeriesDelta",
-    "Signal",
-    "SignalBus",
     "SloEngine",
     "SloRule",
-    "TOPIC_ANOMALY",
-    "TOPIC_FORECAST",
-    "TOPIC_PREDICTED_BREACH",
     "TimeSeries",
     "TimeSeriesStore",
     "TraceNode",
@@ -141,7 +132,6 @@ __all__ = [
     "write_metrics_json",
     "write_metrics_prometheus",
     "write_provenance_jsonl",
-    "write_signals_jsonl",
     "write_timeseries_json",
     "write_trace_jsonl",
 ]

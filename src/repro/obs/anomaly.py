@@ -15,11 +15,13 @@ and two online detectors over its residuals:
   sustained small shifts a spike detector misses — the "demand drifted
   20% over a minute" signal. Sums reset on firing.
 
-Events land in an :class:`AnomalyLog` and on the
-:class:`~repro.obs.signals.SignalBus` (topic ``anomaly``); the provenance
-pillar snapshots the flight recorder on each one, and the chaos harness
-scores detection lead time against injected fault edges. Pure reads —
-no RNG, no mesh access — so enabling detection cannot perturb a run.
+Events land in one record, an :class:`AnomalyLog`: the provenance pillar
+polls it to snapshot the flight recorder on each one, and the chaos
+harness scores detection lead time against injected fault edges. The
+engine reads its series through the same
+:class:`~repro.obs.forecast.SeriesFollower` walk as the forecast engine.
+Pure reads — no RNG, no mesh access — so enabling detection cannot
+perturb a run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..forecasting import EwmaForecaster
-from .signals import TOPIC_ANOMALY, SignalBus
+from .forecast import SeriesFollower, _series_id
 from .timeseries import TimeSeriesStore
 
 __all__ = ["DEFAULT_ANOMALY_TARGETS", "AnomalyEngine", "AnomalyEvent",
@@ -68,10 +70,7 @@ class AnomalyEvent:
 
     @property
     def series_id(self) -> str:
-        if not self.labels:
-            return self.series
-        inner = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{self.series}{{{inner}}}"
+        return _series_id(self.series, self.labels)
 
     def as_dict(self) -> dict:
         return {
@@ -144,7 +143,6 @@ class AnomalyEngine:
     """Residual-based detection over followed series, one pass per tick."""
 
     def __init__(self, store: TimeSeriesStore,
-                 bus: SignalBus | None = None,
                  targets=DEFAULT_ANOMALY_TARGETS,
                  z_threshold: float = 4.0, min_samples: int = 8,
                  cusum_k: float = 0.5, cusum_h: float = 5.0,
@@ -156,8 +154,7 @@ class AnomalyEngine:
         if cusum_k < 0 or cusum_h <= 0:
             raise ValueError("need cusum_k >= 0 and cusum_h > 0")
         self.store = store
-        self.bus = bus
-        self.targets = tuple(targets)
+        self.follower = SeriesFollower(targets)
         self.z_threshold = z_threshold
         self.min_samples = min_samples
         self.cusum_k = cusum_k
@@ -165,35 +162,18 @@ class AnomalyEngine:
         self.predictor = EwmaForecaster(alpha=ewma_alpha)
         self.log = AnomalyLog()
         self._states: dict = {}
-        self._cursors: dict = {}
-        self._prev_point: dict = {}
         self.samples = 0
 
     # ----------------------------------------------------------- sampling
 
     def sample(self, now: float) -> None:
         """Consume the newest scraped points and run both detectors."""
-        for name, kind in self.targets:
-            for series in self.store.all_series(name):
-                key = (name, series.labels)
-                cursor = self._cursors.get(key, 0)
-                points = series.items()[cursor:]
-                self._cursors[key] = cursor + len(points)
-                for time, value in points:
-                    if kind == "counter":
-                        previous = self._prev_point.get(key)
-                        self._prev_point[key] = (time, value)
-                        if previous is None or time <= previous[0]:
-                            continue
-                        observation = ((value - previous[1])
-                                       / (time - previous[0]))
-                    else:
-                        observation = value
-                    self._step(key, name, series.labels, time, observation)
+        for key, observations in self.follower.fresh(self.store):
+            for time, observation in observations:
+                self._step(key, time, observation)
         self.samples += 1
 
-    def _step(self, key, name: str, labels, time: float,
-              value: float) -> None:
+    def _step(self, key, time: float, value: float) -> None:
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _DetectorState()
@@ -221,7 +201,7 @@ class AnomalyEngine:
         # spike detector: edge-triggered with hysteresis re-arm
         if state.armed and abs(z) >= self.z_threshold:
             state.armed = False
-            self._fire(name, labels, time, "zscore", value, abs(z),
+            self._fire(key, time, "zscore", value, abs(z),
                        "up" if z > 0 else "down")
         elif not state.armed and abs(z) < self.z_threshold / 2:
             state.armed = True
@@ -230,23 +210,20 @@ class AnomalyEngine:
         state.cusum_up = max(0.0, state.cusum_up + z - self.cusum_k)
         state.cusum_down = max(0.0, state.cusum_down - z - self.cusum_k)
         if state.cusum_up > self.cusum_h:
-            self._fire(name, labels, time, "cusum", value, state.cusum_up,
-                       "up")
+            self._fire(key, time, "cusum", value, state.cusum_up, "up")
             state.cusum_up = 0.0
         if state.cusum_down > self.cusum_h:
-            self._fire(name, labels, time, "cusum", value,
-                       state.cusum_down, "down")
+            self._fire(key, time, "cusum", value, state.cusum_down,
+                       "down")
             state.cusum_down = 0.0
 
-    def _fire(self, name: str, labels, time: float, detector: str,
-              value: float, score: float, direction: str) -> None:
-        event = AnomalyEvent(series=name, labels=tuple(labels),
-                             sim_time=time, detector=detector, value=value,
-                             score=score, direction=direction)
-        self.log.append(event)
-        if self.bus is not None:
-            self.bus.publish(TOPIC_ANOMALY, time, event.as_dict(),
-                             source="anomaly")
+    def _fire(self, key, time: float, detector: str, value: float,
+              score: float, direction: str) -> None:
+        name, labels = key
+        self.log.append(AnomalyEvent(
+            series=name, labels=tuple(labels), sim_time=time,
+            detector=detector, value=value, score=score,
+            direction=direction))
 
     # ------------------------------------------------------------ queries
 

@@ -27,7 +27,6 @@ from .metrics import MetricsRegistry
 from .profiler import ControlPlaneProfiler
 from .provenance import ProvenanceLog
 from .reading import TableWatcher, read_epoch
-from .signals import SignalBus
 from .slo import SloEngine, SloRule
 from .timeseries import ScrapeLoop, TimeSeriesStore
 from .tracing import Tracer
@@ -126,8 +125,8 @@ class Observability:
     the tracer (a view over the attached run's spans), the metrics
     registry, the decision log, the control-plane profiler, the time-series
     store and its scrape loop (bound by :meth:`attach`), the SLO engine and
-    its alert log, the provenance log, and the signal bus with the
-    forecast, anomaly and breach-prediction engines that publish on it.
+    its alert log, the provenance log, and the forecast, anomaly and
+    breach-prediction engines.
     """
 
     def __init__(self, config: ObservabilityConfig | None = None) -> None:
@@ -153,21 +152,16 @@ class Observability:
         self.provenance: ProvenanceLog | None = (
             ProvenanceLog(store=self.timeseries)
             if self.config.provenance else None)
-        self.signals: SignalBus | None = (
-            SignalBus() if self.config.forecast or self.config.anomaly
-            else None)
         self.forecast: ForecastEngine | None = (
-            ForecastEngine(self.timeseries, bus=self.signals,
-                           model=self.config.forecast_model,
+            ForecastEngine(self.timeseries, model=self.config.forecast_model,
                            season_length=self.config.season_ticks,
                            horizon=self.config.forecast_horizon)
             if self.config.forecast else None)
         self.anomaly: AnomalyEngine | None = (
-            AnomalyEngine(self.timeseries, bus=self.signals)
+            AnomalyEngine(self.timeseries)
             if self.config.anomaly else None)
         self.breach: BreachPredictor | None = (
             BreachPredictor(self.slo, self.timeseries, self.alerts,
-                            bus=self.signals,
                             interval=self.config.scrape_interval)
             if self.config.forecast and self.slo is not None else None)
         #: scrape loop, bound to one simulation by :meth:`attach`

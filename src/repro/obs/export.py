@@ -19,7 +19,6 @@ from .anomaly import AnomalyLog
 from .decisions import DecisionLog
 from .metrics import MetricsRegistry
 from .provenance import ProvenanceLog
-from .signals import SignalBus
 from .timeseries import TimeSeriesStore
 from .tracing import Tracer, chrome_trace
 
@@ -27,8 +26,7 @@ __all__ = ["load_trace_jsonl", "write_alerts_jsonl", "write_anomalies_jsonl",
            "write_chrome_trace", "write_decisions_jsonl",
            "write_flight_dump", "write_metrics_json",
            "write_metrics_prometheus", "write_provenance_jsonl",
-           "write_signals_jsonl", "write_timeseries_json",
-           "write_trace_jsonl"]
+           "write_timeseries_json", "write_trace_jsonl"]
 
 
 def _write(path: str | Path, chunks: Iterable[str]) -> None:
@@ -96,11 +94,6 @@ def write_alerts_jsonl(log: AlertLog, path: str | Path) -> int:
 def write_anomalies_jsonl(log: AnomalyLog, path: str | Path) -> int:
     """One anomaly event per line; returns the event count."""
     return _write_lines(path, log.to_jsonl_lines())
-
-
-def write_signals_jsonl(bus: SignalBus, path: str | Path) -> int:
-    """Every retained bus signal, one JSON per line, in publish order."""
-    return _write_lines(path, bus.to_jsonl_lines())
 
 
 def write_decisions_jsonl(log: DecisionLog, path: str | Path) -> int:

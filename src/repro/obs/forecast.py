@@ -9,9 +9,10 @@ Holt damped-trend, or Holt–Winters with seasonality matched to the
 scenario's diurnal period — wrapped in a :class:`~repro.forecasting
 .BacktestTracker` so every forecast carries a rolling MASE/sMAPE against
 the naive baseline. Forecast values are recorded back into the same store
-(``forecast_<name>`` series) and published on the
-:class:`~repro.obs.signals.SignalBus`, so they are plottable, diffable,
-and subscribable like any other telemetry.
+(``forecast_<name>`` series), so they are plottable and diffable like any
+other telemetry. :class:`SeriesFollower` is the one walk over followed
+series that this engine and :class:`~repro.obs.anomaly.AnomalyEngine`
+share: it hands each engine only the points scraped since its last tick.
 
 :class:`BreachPredictor` turns forecasts into *predictive SLO alerts*: it
 fits the same Holt model to each rule's fast/slow ``slo_burn_rate``
@@ -22,7 +23,9 @@ Predictions are scored post-hoc against the real
 :class:`~repro.obs.alerts.AlertLog` (:func:`score_predictions`: lead
 time, precision, recall), and — being alert-shaped — join the decision
 log via ``join_alerts_decisions`` and trip the provenance flight recorder
-like every other anomaly trigger.
+like every other anomaly trigger. Each kind of event has one record: the
+``forecast_<name>`` series, :attr:`BreachPredictor.predictions`, and the
+anomaly engine's :class:`~repro.obs.anomaly.AnomalyLog`.
 
 Everything here is pure arithmetic over already-scraped values: no RNG,
 no mesh access, no mutation outside the obs layer — enabling the pillar
@@ -37,7 +40,6 @@ from typing import TYPE_CHECKING
 
 from ..forecasting import (BacktestTracker, EwmaForecaster, HoltForecaster,
                            HoltWintersForecaster)
-from .signals import TOPIC_FORECAST, TOPIC_PREDICTED_BREACH, SignalBus
 from .timeseries import TimeSeriesStore
 
 if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # imports for annotations only — obs stays decoupled
 
 __all__ = ["DEFAULT_FORECAST_TARGETS", "FORECAST_MODELS", "BreachPredictor",
            "ForecastEngine", "PredictedBreach", "PredictionScore",
-           "make_model", "score_predictions"]
+           "SeriesFollower", "make_model", "score_predictions"]
 
 #: (series name, kind) pairs the engine follows by default. ``gauge``
 #: series are forecast directly; ``counter`` series are differenced into
@@ -83,66 +85,75 @@ def make_model(model: str, season_length: int = 0):
         f"unknown forecast model {model!r}; choose from {FORECAST_MODELS}")
 
 
-class ForecastEngine:
-    """Fits online models to scraped series, one observation per tick."""
+class SeriesFollower:
+    """Walks a store's followed series, yielding each point once.
 
-    def __init__(self, store: TimeSeriesStore,
-                 bus: SignalBus | None = None, model: str = "holt",
-                 season_length: int = 0, horizon: int = 5,
-                 targets=DEFAULT_FORECAST_TARGETS) -> None:
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.store = store
-        self.bus = bus
-        self.model_name = model
-        self.horizon = horizon
+    ``targets`` are ``(series name, kind)`` pairs. :meth:`fresh` yields,
+    per series that gained points since the last call, its
+    ``(name, labels)`` key and the new points as ``(time, observation)``:
+    a ``gauge`` value as scraped, a ``counter`` differenced against its
+    previous point into a per-second rate (a counter's first point yields
+    none). The cursor counts appended points, not retained ones, so a full
+    ring keeps yielding its newest points, and only the fresh tail is read.
+    """
+
+    def __init__(self, targets) -> None:
         self.targets = tuple(targets)
-        self.tracker = BacktestTracker(make_model(model, season_length))
-        #: (name, labelkey) -> consumed point count, per followed series
+        #: (name, labelkey) -> points appended (retained + evicted) when
+        #: last read
         self._cursors: dict = {}
-        #: (name, labelkey) -> last (time, value) seen, for counter rates
+        #: (name, labelkey) -> last (time, value) read, for counter rates
         self._prev_point: dict = {}
-        self.samples = 0
 
-    # ----------------------------------------------------------- sampling
-
-    def sample(self, now: float) -> None:
-        """Fold the newest scraped points in; record + publish forecasts."""
-        forecasts: dict[str, float] = {}
+    def fresh(self, store: TimeSeriesStore):
         for name, kind in self.targets:
-            for series in self.store.all_series(name):
+            for series in store.all_series(name):
                 key = (name, series.labels)
-                cursor = self._cursors.get(key, 0)
-                points = series.items()[cursor:]
-                self._cursors[key] = cursor + len(points)
-                if not points:
+                appended = len(series) + series.dropped_points
+                count = appended - self._cursors.get(key, 0)
+                if count <= 0:
                     continue
-                for time, value in points:
+                self._cursors[key] = appended
+                observations = []
+                for time, value in series.tail(count):
                     if kind == "counter":
                         previous = self._prev_point.get(key)
                         self._prev_point[key] = (time, value)
                         if previous is None or time <= previous[0]:
                             continue
-                        observation = ((value - previous[1])
-                                       / (time - previous[0]))
-                    else:
-                        observation = value
-                    self.tracker.observe(key, observation)
-                if not self.tracker.known(key):
-                    continue
-                predicted = max(
-                    0.0, self.tracker.forecast(key, self.horizon))
-                labels = dict(series.labels)
-                self.store.record(f"forecast_{name}", now, predicted,
-                                  **labels)
-                forecasts[_series_id(name, series.labels)] = predicted
+                        value = (value - previous[1]) / (time - previous[0])
+                    observations.append((time, value))
+                yield key, observations
+
+
+class ForecastEngine:
+    """Fits online models to scraped series, one observation per tick."""
+
+    def __init__(self, store: TimeSeriesStore, model: str = "holt",
+                 season_length: int = 0, horizon: int = 5,
+                 targets=DEFAULT_FORECAST_TARGETS) -> None:
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.store = store
+        self.model_name = model
+        self.horizon = horizon
+        self.follower = SeriesFollower(targets)
+        self.tracker = BacktestTracker(make_model(model, season_length))
+        self.samples = 0
+
+    # ----------------------------------------------------------- sampling
+
+    def sample(self, now: float) -> None:
+        """Fold the newest scraped points in; record the forecasts."""
+        for key, observations in self.follower.fresh(self.store):
+            for _, observation in observations:
+                self.tracker.observe(key, observation)
+            if not self.tracker.known(key):
+                continue
+            predicted = max(0.0, self.tracker.forecast(key, self.horizon))
+            self.store.record(f"forecast_{key[0]}", now, predicted,
+                              **dict(key[1]))
         self.samples += 1
-        if self.bus is not None and forecasts:
-            self.bus.publish(
-                TOPIC_FORECAST, now,
-                {"model": self.model_name, "horizon": self.horizon,
-                 "forecasts": dict(sorted(forecasts.items()))},
-                source="forecast")
 
     # ------------------------------------------------------------ queries
 
@@ -312,14 +323,13 @@ class BreachPredictor:
     MIN_OBSERVATIONS = 3
 
     def __init__(self, slo_engine: "SloEngine", store: TimeSeriesStore,
-                 alerts: "AlertLog", bus: SignalBus | None = None,
-                 interval: float = 1.0, horizon: int = 30) -> None:
+                 alerts: "AlertLog", interval: float = 1.0,
+                 horizon: int = 30) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.slo_engine = slo_engine
         self.store = store
         self.alerts = alerts
-        self.bus = bus
         self.interval = interval
         self.horizon = horizon
         self.model = HoltForecaster(alpha=0.5, beta=0.3)
@@ -393,9 +403,6 @@ class BreachPredictor:
                     predicted_fast_burn=fast, predicted_slow_burn=slow)
                 self.predictions.append(prediction)
                 self._open[rule.name] = prediction
-                if self.bus is not None:
-                    self.bus.publish(TOPIC_PREDICTED_BREACH, now,
-                                     prediction.as_dict(), source="slo")
                 return
 
     # ------------------------------------------------------------ queries

@@ -114,6 +114,12 @@ class TimeSeries:
         """All retained points, oldest first."""
         return list(zip(self._times, self._values))
 
+    def tail(self, count: int) -> list[tuple[float, float]]:
+        """The newest ``count`` retained points (all of them when fewer
+        remain), oldest first."""
+        start = max(0, len(self._times) - count)
+        return list(zip(self._times[start:], self._values[start:]))
+
     def window(self, start: float, end: float) -> list[tuple[float, float]]:
         """Points with ``start <= t <= end``, oldest first."""
         lo = bisect_left(self._times, start)

@@ -1,9 +1,10 @@
 """Tests for streaming anomaly detection (z-score spikes, CUSUM drifts)."""
 
+import json
+
 import pytest
 
-from repro.obs import (AnomalyEngine, SignalBus, TOPIC_ANOMALY,
-                       TimeSeriesStore)
+from repro.obs import AnomalyEngine, TimeSeriesStore
 
 
 def make_engine(**kwargs):
@@ -53,6 +54,16 @@ def test_sustained_drift_fires_cusum():
     assert changepoints and changepoints[0].direction == "up"
 
 
+def test_spike_detected_past_ring_eviction():
+    # the ring holds 8 points, and the spike lands 22 ticks after it
+    # first filled
+    store = TimeSeriesStore(max_points=8)
+    engine = AnomalyEngine(store, targets=(("metric", "gauge"),))
+    feed(store, engine, wiggle(30) + [100.0] + wiggle(9))
+    spikes = [e for e in engine.log if e.detector == "zscore"]
+    assert [e.sim_time for e in spikes] == [30.0]
+
+
 def test_no_events_before_min_samples():
     store, engine = make_engine(min_samples=8)
     feed(store, engine, [10.0, 10.5, 10.0, 1000.0])
@@ -75,15 +86,13 @@ def test_counter_series_detects_rate_change_not_growth():
     assert any(e.detector == "zscore" for e in engine.log)
 
 
-def test_events_published_on_bus():
-    bus = SignalBus()
-    store = TimeSeriesStore()
-    engine = AnomalyEngine(store, bus=bus, targets=(("metric", "gauge"),))
+def test_events_recorded_in_log():
+    store, engine = make_engine()
     feed(store, engine, wiggle(24) + [100.0])
     assert len(engine.log) > 0
-    signals = bus.history(TOPIC_ANOMALY)
-    assert len(signals) == len(engine.log)
-    assert signals[0].payload["series"] == "metric"
+    lines = engine.log.to_jsonl_lines()
+    assert len(lines) == len(engine.log)
+    assert json.loads(lines[0])["series"] == "metric"
 
 
 def test_log_queries_and_render():

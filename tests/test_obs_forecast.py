@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import (ForecastEngine, BreachPredictor, SignalBus,
-                       TOPIC_FORECAST, TOPIC_PREDICTED_BREACH,
-                       TimeSeriesStore, make_model, score_predictions)
+from repro.obs import (ForecastEngine, BreachPredictor, TimeSeriesStore,
+                       make_model, score_predictions)
 from repro.obs.alerts import AlertLog
 from repro.obs.slo import default_latency_slo
 
@@ -40,10 +39,9 @@ def drive(store, engine, values, name, kind="gauge", start=0.0, **labels):
     return now
 
 
-def test_engine_records_forecast_series_and_publishes():
-    bus = SignalBus()
+def test_engine_records_forecast_series():
     store = TimeSeriesStore()
-    engine = ForecastEngine(store, bus=bus, model="holt", horizon=3,
+    engine = ForecastEngine(store, model="holt", horizon=3,
                             targets=(("load", "gauge"),))
     drive(store, engine, [float(10 * i) for i in range(1, 8)], "load",
           cluster="west")
@@ -51,12 +49,9 @@ def test_engine_records_forecast_series_and_publishes():
     assert forecast_series is not None and len(forecast_series) > 0
     # a rising ramp forecast 3 steps out must exceed the last observation
     assert forecast_series.last[1] > 70.0
-    # one aggregated signal per tick that produced forecasts
-    signals = bus.history(TOPIC_FORECAST)
-    assert signals
-    payload = signals[-1].payload
-    assert payload["model"] == "holt" and payload["horizon"] == 3
-    assert "load{cluster=west}" in payload["forecasts"]
+    # one forecast point per tick once the model knows the series
+    assert len(forecast_series) == 7
+    assert forecast_series.last[0] == 6.0
 
 
 def test_engine_differences_counter_targets():
@@ -78,6 +73,16 @@ def test_engine_backtests_and_summary():
     assert summary["model"] == "holt" and summary["samples"] == 4
     (sid, score), = summary["series"].items()
     assert sid == "load" and score["evaluations"] == 3
+
+
+def test_engine_keeps_consuming_past_ring_eviction():
+    # the ring holds 8 points; the cursor counts appended ones, so every
+    # tick after the first still yields one backtest evaluation
+    store = TimeSeriesStore(max_points=8)
+    engine = ForecastEngine(store, targets=(("load", "gauge"),))
+    drive(store, engine, [10.0 + (i % 3) for i in range(40)], "load")
+    assert engine.backtests()["load"].evaluations == 39
+    assert store.series("forecast_load").last[0] == 39.0
 
 
 def test_engine_validation():
@@ -106,10 +111,9 @@ def make_predictor(horizon=10):
     store = TimeSeriesStore()
     alerts = AlertLog()
     engine = _FakeSloEngine([rule])
-    bus = SignalBus()
-    predictor = BreachPredictor(engine, store, alerts, bus=bus,
-                                interval=1.0, horizon=horizon)
-    return rule, store, alerts, engine, bus, predictor
+    predictor = BreachPredictor(engine, store, alerts, interval=1.0,
+                                horizon=horizon)
+    return rule, store, alerts, engine, predictor
 
 
 def burn(store, rule, now, fast, slow):
@@ -118,7 +122,7 @@ def burn(store, rule, now, fast, slow):
 
 
 def test_rising_burn_produces_prediction_then_hit():
-    rule, store, alerts, _, bus, predictor = make_predictor()
+    rule, store, alerts, _, predictor = make_predictor()
     for tick, (fast, slow) in enumerate([(0.5, 0.2), (1.5, 0.5),
                                          (2.5, 0.8), (3.5, 1.1)]):
         burn(store, rule, float(tick), fast, slow)
@@ -128,7 +132,8 @@ def test_rising_burn_produces_prediction_then_hit():
     assert prediction.outcome == "open" and prediction.active
     assert prediction.breach_eta > prediction.fired_at
     assert prediction.lead_estimate > 0
-    assert bus.history(TOPIC_PREDICTED_BREACH)
+    assert predictor.to_jsonl_lines() == [
+        json.dumps(prediction.as_dict(), sort_keys=True)]
     # the real alert fires two ticks later: the prediction settles as a hit
     alerts.fire(rule.name, "latency", 5.0, 4.2, 1.3)
     burn(store, rule, 5.0, 4.2, 1.3)
@@ -143,7 +148,7 @@ def test_rising_burn_produces_prediction_then_hit():
 
 
 def test_unmatched_prediction_expires_as_miss():
-    rule, store, alerts, _, _, predictor = make_predictor(horizon=5)
+    rule, store, alerts, _, predictor = make_predictor(horizon=5)
     for tick, (fast, slow) in enumerate([(0.5, 0.2), (1.5, 0.5),
                                          (2.5, 0.8), (3.5, 1.1)]):
         burn(store, rule, float(tick), fast, slow)
@@ -158,7 +163,7 @@ def test_unmatched_prediction_expires_as_miss():
 
 
 def test_no_projection_while_rule_is_firing():
-    rule, store, alerts, engine, _, predictor = make_predictor()
+    rule, store, alerts, engine, predictor = make_predictor()
     engine.state(rule.name).firing = True
     for tick in range(6):
         burn(store, rule, float(tick), 5.0 + tick, 2.0 + tick)
@@ -167,7 +172,7 @@ def test_no_projection_while_rule_is_firing():
 
 
 def test_min_observations_gate():
-    rule, store, _, _, _, predictor = make_predictor()
+    rule, store, _, _, predictor = make_predictor()
     burn(store, rule, 0.0, 3.9, 0.9)
     burn(store, rule, 1.0, 3.95, 0.95)
     for tick in range(2):
@@ -176,7 +181,7 @@ def test_min_observations_gate():
 
 
 def test_predictor_jsonl_and_validation():
-    rule, store, alerts, engine, _, predictor = make_predictor()
+    rule, store, alerts, engine, predictor = make_predictor()
     assert predictor.to_jsonl_lines() == [] and len(predictor) == 0
     with pytest.raises(ValueError):
         BreachPredictor(engine, store, alerts, horizon=0)
@@ -190,7 +195,7 @@ def test_score_predictions_empty_run_is_perfect():
 
 def test_predicted_breach_is_alert_shaped():
     """join_alerts_decisions and provenance only need the Alert duck."""
-    rule, store, alerts, _, _, predictor = make_predictor()
+    rule, store, alerts, _, predictor = make_predictor()
     for tick, (fast, slow) in enumerate([(0.5, 0.2), (1.5, 0.5),
                                          (2.5, 0.8), (3.5, 1.1)]):
         burn(store, rule, float(tick), fast, slow)

@@ -38,13 +38,17 @@ def test_predictive_pillar_does_not_perturb_the_run():
     assert observed.egress_cost == baseline.egress_cost
     # ... while the pillar actually did its work
     assert obs.forecast.samples > 0 and obs.anomaly.samples > 0
-    assert len(obs.signals) > 0
+    assert len(obs.anomaly.log) > 0
+    assert obs.timeseries.all_series("forecast_request_rate_rps")
 
 
 def test_same_seed_predictive_run_is_byte_identical():
     def artifacts():
         _, obs = _slo_run(dict(forecast=True, anomaly=True))
-        return (obs.signals.to_jsonl_lines(),
+        store = obs.timeseries
+        return ([series.as_dict() for name in store.names()
+                 if name.startswith("forecast_")
+                 for series in store.all_series(name)],
                 obs.anomaly.log.to_jsonl_lines(),
                 obs.breach.to_jsonl_lines(),
                 sorted((sid, score.as_dict())

@@ -59,6 +59,15 @@ def test_series_ring_buffer_evicts_oldest():
         TimeSeries("x", capacity=1)
 
 
+def test_series_tail_reads_newest_retained_points():
+    series = TimeSeries("x", capacity=3)
+    for t in range(5):
+        series.append(float(t), float(t))
+    assert series.tail(2) == [(3.0, 3.0), (4.0, 4.0)]
+    assert series.tail(9) == series.items()      # at most what is retained
+    assert series.tail(0) == []
+
+
 # ------------------------------------------------------ TimeSeriesStore
 
 def test_store_records_labeled_series():
