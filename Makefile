@@ -1,7 +1,7 @@
 # SLATE reproduction — convenience targets
 PYTHON ?= python3
 
-.PHONY: install test lint check bench bench-smoke bench-diff \
+.PHONY: install test lint check bench bench-smoke bench-diff startup \
 	examples figures clean
 
 install:
@@ -28,6 +28,12 @@ check: lint
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# start-up cost: wall time, modules loaded and peak RSS of
+# `import repro` and of a run's paths, in fresh interpreters (5 alternating
+# runs each; docs/performance.md, "Start-up cost")
+startup:
+	$(PYTHON) benchmarks/startup.py
 
 # fast perf subset (~90s): regenerates benchmarks/results/BENCH_*.json
 # (docs/performance.md documents the keys)

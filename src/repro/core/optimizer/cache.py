@@ -10,9 +10,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy import sparse
 
-from .model import LinearModel
+from .model import CsrMatrix, LinearModel
 
 __all__ = ["model_fingerprint"]
 
@@ -26,14 +25,12 @@ def _hash_array(hasher, array: np.ndarray) -> None:
     hasher.update(data.tobytes())
 
 
-def _hash_sparse(hasher, matrix: sparse.csr_matrix) -> None:
-    canonical = matrix.tocsr().copy()
-    canonical.sum_duplicates()
-    canonical.sort_indices()
-    hasher.update(str(canonical.shape).encode())
-    _hash_array(hasher, canonical.indptr)
-    _hash_array(hasher, canonical.indices)
-    _hash_array(hasher, canonical.data)
+def _hash_csr(hasher, matrix: CsrMatrix) -> None:
+    # the builders emit canonical CSR, so its arrays hash as they stand
+    hasher.update(str(matrix.shape).encode())
+    _hash_array(hasher, matrix.indptr)
+    _hash_array(hasher, matrix.indices)
+    _hash_array(hasher, matrix.data)
 
 
 def model_fingerprint(model: LinearModel) -> str:
@@ -46,8 +43,8 @@ def model_fingerprint(model: LinearModel) -> str:
     hasher = hashlib.sha256()
     for component in (model.objective, model.a_ub, model.b_ub, model.a_eq,
                       model.b_eq, model.upper_bounds):
-        if sparse.issparse(component):
-            _hash_sparse(hasher, component)
+        if isinstance(component, CsrMatrix):
+            _hash_csr(hasher, component)
         else:
             _hash_array(hasher, component)
     return hasher.hexdigest()

@@ -30,14 +30,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from ..latency.mm1 import PoolDelayModel
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment, linearize_convex
 from .problem import INGRESS_EDGE, TEProblem
 from .tables import ModelTables
 
-__all__ = ["EdgeRef", "RouteVar", "LinearModel", "CountSlots",
+__all__ = ["CsrMatrix", "EdgeRef", "RouteVar", "LinearModel", "CountSlots",
            "ModelStructure", "build_model", "class_edges",
            "pool_segments_for"]
 
@@ -65,6 +64,29 @@ def pool_segments_for(replicas: int, mode: str, a_max: float,
             _SEGMENTS_MEMO.clear()
         _SEGMENTS_MEMO[key] = segments
     return segments
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A constraint matrix in canonical compressed sparse row form.
+
+    Row ``r``'s entries are ``data[indptr[r]:indptr[r + 1]]`` at columns
+    ``indices[...]``, strictly ascending within the row, with no duplicate
+    and the index dtype scipy's ``csr_matrix`` would choose — the arrays
+    a ``csr_matrix`` holds, and all the library reads of one. The
+    builders emit this form directly, so no run imports ``scipy.sparse``
+    (about 300 modules) to hold four arrays.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries."""
+        return int(self.indptr[-1])
 
 
 @dataclass(frozen=True)
@@ -106,9 +128,9 @@ class LinearModel:
     """
 
     objective: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: CsrMatrix
     b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
+    a_eq: CsrMatrix
     b_eq: np.ndarray
     upper_bounds: np.ndarray
     #: identity of each flow column: RouteVar (arc) or CandidateEmbedding
@@ -241,10 +263,8 @@ class ModelStructure:
             upper[slots.load_column] = a_max
             data[slots.positions] = [segment.slope for segment in segments]
             b_ub[slots.rows] = [-segment.intercept for segment in segments]
-        a_ub = sparse.csr_matrix((data, model.a_ub.indices,
-                                  model.a_ub.indptr), shape=model.a_ub.shape)
-        moved.update(a_ub=a_ub, b_ub=b_ub, upper_bounds=upper,
-                     pool_segments=pool_segments,
+        moved.update(a_ub=replace(model.a_ub, data=data), b_ub=b_ub,
+                     upper_bounds=upper, pool_segments=pool_segments,
                      tables=model.tables.recount(problem))
 
 

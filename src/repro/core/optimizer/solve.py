@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from ...devtools.invariants import check_solver_certificate
 from .model import LinearModel, build_model
@@ -68,19 +67,40 @@ class SolverError(RuntimeError):
     """The optimizer could not produce a usable solution."""
 
 
+def _stacked_csc(model: LinearModel) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """``a_ub`` over ``a_eq`` in compressed sparse column form: the
+    ``start``, ``index`` and ``value`` arrays HiGHS reads, each column's
+    rows ascending — entry for entry what ``scipy.sparse.vstack((a_ub,
+    a_eq), format="csc")`` holds.
+
+    Both blocks are canonical CSR, so their entries concatenated run in
+    row order, and a stable sort by column keeps that order per column.
+    """
+    a_ub, a_eq = model.a_ub, model.a_eq
+    columns = np.concatenate((a_ub.indices, a_eq.indices))
+    rows = np.repeat(
+        np.arange(a_ub.shape[0] + a_eq.shape[0], dtype=columns.dtype),
+        np.concatenate((np.diff(a_ub.indptr), np.diff(a_eq.indptr))))
+    order = np.argsort(columns, kind="stable")
+    start = np.zeros(model.n_variables + 1, dtype=columns.dtype)
+    np.cumsum(np.bincount(columns, minlength=model.n_variables),
+              out=start[1:])
+    return start, rows[order], np.concatenate((a_ub.data, a_eq.data))[order]
+
+
 def _load(model: LinearModel) -> highspy._Highs:
     """HiGHS holding ``model`` column-wise (``a_ub`` over ``a_eq``), with
     ``linprog``'s options — dual simplex, presolve on, no output — so a
     cold solve lands on ``linprog``'s vertex bit for bit. The one place a
     ``_Highs`` is constructed."""
-    matrix = sparse.vstack((model.a_ub, model.a_eq), format="csc")
+    shape = (len(model.b_ub) + len(model.b_eq), model.n_variables)
     lp = highspy.HighsLp()
-    lp.num_row_, lp.num_col_ = matrix.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+    lp.num_row_, lp.num_col_ = shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
+    (lp.a_matrix_.start_, lp.a_matrix_.index_,
+     lp.a_matrix_.value_) = _stacked_csc(model)
     lp.col_cost_ = model.objective
     lp.col_lower_ = np.zeros(model.n_variables)
     lp.col_upper_ = model.upper_bounds

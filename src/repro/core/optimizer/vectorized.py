@@ -39,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
-from .model import (CountSlots, LinearModel, ModelStructure, RouteVar,
-                    class_edges, pool_segments_for)
+from .model import (CountSlots, CsrMatrix, LinearModel, ModelStructure,
+                    RouteVar, class_edges, pool_segments_for)
 from .piecewise import DEFAULT_KNOT_FRACTIONS, Segment
 from .problem import INGRESS_EDGE, TEProblem, class_signature
 from .tables import ModelTables
@@ -206,7 +205,7 @@ class _Coo:
         self.rhs.extend(rhs_values)
         self.n_rows += len(rhs_values)
 
-    def matrix(self, n_cols: int) -> tuple[sparse.csr_matrix, np.ndarray]:
+    def matrix(self, n_cols: int) -> tuple[CsrMatrix, np.ndarray]:
         if self.rows:
             rows = np.concatenate(self.rows)
             cols = np.concatenate(self.cols)
@@ -230,9 +229,8 @@ class _Coo:
         indptr = np.empty(self.n_rows + 1, dtype=idx_dtype)
         indptr[0] = 0
         np.cumsum(counts, out=indptr[1:])
-        matrix = sparse.csr_matrix(
-            (data, cols.astype(idx_dtype), indptr),
-            shape=(self.n_rows, n_cols))
+        matrix = CsrMatrix(data, cols.astype(idx_dtype), indptr,
+                           (self.n_rows, n_cols))
         return matrix, np.array(self.rhs, dtype=float)
 
 
@@ -248,7 +246,7 @@ class _PoolBlock:
     #: (service, cluster) → its delay-chord rows in ``a_ub``
     chord_rows: dict[tuple[str, str], np.ndarray]
 
-    def count_slots(self, a_ub: sparse.csr_matrix) -> dict:
+    def count_slots(self, a_ub: CsrMatrix) -> dict:
         """Each pool's :class:`CountSlots` in the canonical ``a_ub``.
 
         Every chord row is exactly ``(t, L)`` with ``t``'s column below

@@ -22,6 +22,7 @@ SLO burn-rate engine (:mod:`repro.obs.slo`) evaluates each scrape.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
@@ -80,7 +81,7 @@ class TimeSeries:
     """
 
     __slots__ = ("name", "labels", "capacity", "dropped_points",
-                 "_times", "_values")
+                 "_times", "_values", "_head")
 
     def __init__(self, name: str, labels: _LabelKey = (),
                  capacity: int = DEFAULT_MAX_POINTS) -> None:
@@ -90,40 +91,49 @@ class TimeSeries:
         self.labels = labels
         self.capacity = capacity
         self.dropped_points = 0
+        # the retained points are ``_times[_head:]`` (and ``_values``):
+        # eviction advances ``_head``, and the evicted prefix is cut off
+        # once it is as long as the buffer, so an append at capacity is
+        # amortised O(1) instead of a shift of every retained point.
+        # Both lists stay sorted, so the window queries bisect from _head
         self._times: list[float] = []
         self._values: list[float] = []
+        self._head = 0
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._times) - self._head
 
     def append(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
+        times = self._times
+        if times and time < times[-1]:
             raise ValueError(
                 f"series {self.name!r}: non-monotone append at t={time} "
-                f"(last t={self._times[-1]})")
-        if len(self._times) >= self.capacity:
-            # evict the oldest point; keeping lists sorted keeps the
-            # bisect-based window queries O(log n)
-            del self._times[0]
-            del self._values[0]
+                f"(last t={times[-1]})")
+        if len(times) - self._head >= self.capacity:
+            self._head += 1
             self.dropped_points += 1
-        self._times.append(time)
+            if self._head >= self.capacity:
+                del times[:self._head]
+                del self._values[:self._head]
+                self._head = 0
+        times.append(time)
         self._values.append(value)
 
     def items(self) -> list[tuple[float, float]]:
         """All retained points, oldest first."""
-        return list(zip(self._times, self._values))
+        head = self._head
+        return list(zip(self._times[head:], self._values[head:]))
 
     def tail(self, count: int) -> list[tuple[float, float]]:
         """The newest ``count`` retained points (all of them when fewer
         remain), oldest first."""
-        start = max(0, len(self._times) - count)
+        start = max(self._head, len(self._times) - count)
         return list(zip(self._times[start:], self._values[start:]))
 
     def window(self, start: float, end: float) -> list[tuple[float, float]]:
         """Points with ``start <= t <= end``, oldest first."""
-        lo = bisect_left(self._times, start)
-        hi = bisect_right(self._times, end)
+        lo = bisect_left(self._times, start, self._head)
+        hi = bisect_right(self._times, end, lo)
         return list(zip(self._times[lo:hi], self._values[lo:hi]))
 
     def value_at(self, time: float, default: float = 0.0) -> float:
@@ -133,8 +143,8 @@ class TimeSeries:
         cumulative counters the SLO engine windows over, 0.0 is the correct
         "before the run started" value.
         """
-        index = bisect_right(self._times, time)
-        if index == 0:
+        index = bisect_right(self._times, time, self._head)
+        if index == self._head:
             return default
         return self._values[index - 1]
 
@@ -145,7 +155,7 @@ class TimeSeries:
         return self._times[-1], self._values[-1]
 
     def values(self) -> list[float]:
-        return list(self._values)
+        return self._values[self._head:]
 
     def as_dict(self) -> dict:
         return {
@@ -153,13 +163,12 @@ class TimeSeries:
             "labels": dict(self.labels),
             "capacity": self.capacity,
             "dropped_points": self.dropped_points,
-            "points": [[t, v] for t, v in zip(self._times, self._values)],
+            "points": [[t, v] for t, v in self.items()],
         }
 
     def __repr__(self) -> str:
         labels = ",".join(f"{k}={v}" for k, v in self.labels)
-        return (f"TimeSeries({self.name}{{{labels}}}, "
-                f"points={len(self._times)})")
+        return f"TimeSeries({self.name}{{{labels}}}, points={len(self)})"
 
 
 class TimeSeriesStore:
@@ -305,7 +314,7 @@ class ScrapeLoop:
         if not interval > 0:   # NaN fails every comparison
             raise ValueError(f"scrape_interval must be > 0, got {interval}")
         self.store = store
-        self.simulation = simulation
+        self._simulation = weakref.ref(simulation)
         self.interval = interval
         self.slo_engine = slo_engine
         self.forecast_engine = forecast_engine
@@ -316,6 +325,13 @@ class ScrapeLoop:
         self._last_sample_time: float | None = None
         #: the routing table at the last scrape (empty before the first)
         self._table = TableWatcher()
+
+    @property
+    def simulation(self) -> "MeshSimulation":
+        """The simulation this loop samples, held weakly: it owns the
+        loop (through its observability runtime), and an owning edge back
+        would keep every finished run alive until a full collection."""
+        return self._simulation()
 
     # -------------------------------------------------------- scheduling
 

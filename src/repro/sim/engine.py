@@ -75,17 +75,14 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current virtual time in seconds; a plain attribute, read on
+        #: every event, that only :meth:`run` writes
+        self.now = 0.0
         #: entries: (time, seq, callback, args) or (time, seq, None, handle)
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -107,15 +104,15 @@ class Simulator:
         """
         if not delay >= 0:   # NaN fails every comparison
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq),
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq),
                                     callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
+                f"cannot schedule at t={time} before now={self.now}")
         heapq.heappush(self._heap, (time, next(self._seq), callback, args))
 
     def schedule_periodic(self, interval: float,
@@ -132,16 +129,16 @@ class Simulator:
         if not interval > 0:
             raise SimulationError(
                 f"periodic interval must be > 0, got {interval}")
-        if not until >= self._now:
+        if not until >= self.now:
             raise SimulationError(
-                f"cannot schedule until t={until} before now={self._now}")
+                f"cannot schedule until t={until} before now={self.now}")
         count = 0
-        time = self._now + interval
+        time = self.now + interval
         while time < until:
             heapq.heappush(self._heap, (time, next(self._seq),
                                         callback, args))
             count += 1
-            time = self._now + interval * (count + 1)
+            time = self.now + interval * (count + 1)
         return count
 
     def schedule_cancellable(self, delay: float,
@@ -150,16 +147,16 @@ class Simulator:
         """Like :meth:`schedule`, but returns a cancellable handle."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at_cancellable(self._now + delay, callback,
+        return self.schedule_at_cancellable(self.now + delay, callback,
                                             *args)
 
     def schedule_at_cancellable(self, time: float,
                                 callback: Callable[..., None],
                                 *args: Any) -> EventHandle:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
+                f"cannot schedule at t={time} before now={self.now}")
         handle = EventHandle(time, callback, args)
         heapq.heappush(self._heap, (time, next(self._seq), None, handle))
         return handle
@@ -185,10 +182,10 @@ class Simulator:
         self._running = True
         executed = 0
         # locals shave attribute lookups off the per-event cost; ``now``
-        # mirrors ``self._now``, which only this loop writes
+        # mirrors ``self.now``, which only this method writes
         heap = self._heap
         pop = heapq.heappop
-        now = self._now
+        now = self.now
         try:
             while heap:
                 head = heap[0]
@@ -210,7 +207,7 @@ class Simulator:
                 pop(heap)
                 if time < now:
                     check_event_monotonic(now, time, callback)
-                self._now = now = time
+                self.now = now = time
                 callback(*args)
                 executed += 1
         finally:
@@ -220,7 +217,7 @@ class Simulator:
         # loop (cancelled heads were popped above): the clock waits for it
         if (until is not None and now < until
                 and not (heap and heap[0][0] <= until)):
-            self._now = until
+            self.now = until
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         """Drain all pending events (used to let in-flight requests finish)."""
@@ -230,5 +227,5 @@ class Simulator:
                 f"simulation did not drain within {max_events} events")
 
     def __repr__(self) -> str:
-        return (f"Simulator(now={self._now:.6f}, pending={len(self._heap)}, "
+        return (f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
                 f"processed={self._events_processed})")

@@ -49,7 +49,11 @@ class FluidSubstrate:
         if not 0.0 <= bulk_fraction <= 1.0:
             raise ValueError(
                 f"bulk_fraction must be in [0, 1], got {bulk_fraction}")
-        self._mesh = simulation
+        # the parts of the simulation the tick reads, never the simulation
+        # itself, which holds this substrate: no cycle outlives a run
+        self._clusters = simulation.clusters
+        self._run_telemetry = simulation.telemetry
+        self._network = simulation.network
         self._sim = simulation.sim
         self._timeline = timeline
         self.tick = tick
@@ -94,8 +98,8 @@ class FluidSubstrate:
             return
         demand = self._timeline.demand_at(self._last_tick)
         pool_state: dict[tuple[str, str], tuple[int, float]] = {}
-        for cluster_name in sorted(self._mesh.clusters):
-            cluster = self._mesh.clusters[cluster_name]
+        for cluster_name in sorted(self._clusters):
+            cluster = self._clusters[cluster_name]
             for service in sorted(cluster.pools):
                 pool = cluster.pools[service]
                 pool_state[(service, cluster_name)] = (pool.replicas,
@@ -113,7 +117,7 @@ class FluidSubstrate:
                      dt: float) -> None:
         for key in sorted(pool_state):
             service, cluster_name = key
-            pool = self._mesh.clusters[cluster_name].pools[service]
+            pool = self._clusters[cluster_name].pools[service]
             arrival = solution.pool_arrival.get(key, 0.0)
             carry = (self._carry_pool.get(key, 0.0)
                      + arrival * self.bulk_fraction * dt)
@@ -151,7 +155,7 @@ class FluidSubstrate:
         for gateway, column in zip(self._gateways, counts.T):
             gateway.admit_bulk(classes, column)
         completions = counts - failures
-        run_telemetry = self._mesh.telemetry
+        run_telemetry = self._run_telemetry
         for row in np.flatnonzero(counts.any(axis=1)).tolist():
             # the credit event settles this tick's cohort of the class at
             # every gateway after its predicted latency, so open_requests
@@ -187,7 +191,7 @@ class FluidSubstrate:
             telemetry.observe_bulk(keys, *block)
 
     def _apply_egress(self, solution: FluidTickSolution, dt: float) -> None:
-        network = self._mesh.network
+        network = self._network
         counts = self._spill("bytes", solution.egress_bytes, dt)
         rows, columns = np.nonzero(counts)
         for row, column, nbytes in zip(rows.tolist(), columns.tolist(),

@@ -21,6 +21,7 @@ routing policy — the Cluster Controller → Global Controller cycle of §3.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -476,6 +477,14 @@ class MeshSimulation:
         self.clusters: dict[str, Cluster] = {}
         self.proxies: dict[str, SlateProxy] = {}
         self.gateways: dict[str, IngressGateway] = {}
+        # the gateways reach the simulation through a weak reference: a
+        # bound ``self._dispatch`` would make every run a reference cycle
+        # that holds its requests until a full collection
+        this = weakref.ref(self)
+
+        def dispatch(request: Request) -> None:
+            this()._dispatch(request)
+
         for spec in deployment.clusters:
             cluster = Cluster(self.sim, spec, pool_factory=pool_factory)
             proxy = SlateProxy(spec.name, self.table, deployment,
@@ -484,7 +493,7 @@ class MeshSimulation:
                                trace_sample_rate=trace_sample_rate)
             gateway = IngressGateway(spec.name, proxy.telemetry,
                                      self.telemetry, classifier)
-            gateway.bind(self._dispatch)
+            gateway.bind(dispatch)
             self.clusters[spec.name] = cluster
             self.proxies[spec.name] = proxy
             self.gateways[spec.name] = gateway

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import repro.core.optimizer.warm as warm_module
 from repro.core.optimizer.solve import SolverError, highs_solve
@@ -63,6 +64,15 @@ def real_tree_check():
                                    / "src"]))
 
 
+def scipy_csr(matrix) -> sparse.csr_matrix:
+    """A model's :class:`~repro.core.optimizer.model.CsrMatrix` as a
+    ``scipy.sparse`` matrix over the same arrays, for the algebra tests do
+    with it (products, stacking, slicing); the library holds the arrays
+    alone."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
+
+
 # ------------------------------------------------------- hot-start shadow
 
 #: shadow tolerance (relative, scaled by the cold solution's magnitude)
@@ -87,10 +97,11 @@ def infeasibility(model, x: np.ndarray) -> float:
                                     initial=0.0)))
     if model.a_ub.shape[0]:
         worst = max(worst, float(np.max(
-            (model.a_ub @ x - model.b_ub) / (1.0 + np.abs(model.b_ub)))))
+            (scipy_csr(model.a_ub) @ x - model.b_ub)
+            / (1.0 + np.abs(model.b_ub)))))
     if model.a_eq.shape[0]:
         worst = max(worst, float(np.max(
-            np.abs(model.a_eq @ x - model.b_eq)
+            np.abs(scipy_csr(model.a_eq) @ x - model.b_eq)
             / (1.0 + np.abs(model.b_eq)))))
     return worst
 

@@ -36,6 +36,7 @@ from scipy import sparse
 
 from repro.core.optimizer import TEProblem, build_model
 from repro.core.optimizer.cache import model_fingerprint
+from repro.core.optimizer.model import CsrMatrix
 from repro.core.optimizer.solve import solve_model
 from repro.core.optimizer.tables import ModelTables
 from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
@@ -45,6 +46,8 @@ from repro.experiments.scenarios import (fig6a_how_much, fig6b_which_cluster,
 from repro.sim import (DemandMatrix, DeploymentSpec, anomaly_detection_app,
                        two_region_latency)
 from repro.sim.topology import ClusterSpec
+
+from tests.conftest import scipy_csr
 
 GOLDEN = Path(__file__).parent / "golden" / "arc_models.json"
 
@@ -108,6 +111,12 @@ INSTANCES = {
 }
 
 
+def _held(matrix) -> CsrMatrix:
+    """A scipy CSR matrix's arrays as the model holds them."""
+    return CsrMatrix(matrix.data, matrix.indices, matrix.indptr,
+                     matrix.shape)
+
+
 def densify(model):
     """``model`` with each pool's load column ``L`` substituted back into
     its rows: the dense arc LP the frozen fingerprints were taken of.
@@ -119,7 +128,7 @@ def densify(model):
     routes | t, rows run pool by pool, then the egress budget.
     """
     n_cols = len(model.route_columns) + len(model.pool_columns)
-    a_eq, a_ub = model.a_eq.tocsc(), model.a_ub.tocsc()
+    a_eq, a_ub = scipy_csr(model.a_eq).tocsc(), scipy_csr(model.a_ub).tocsc()
     rows, cols, data, rhs = [], [], [], []
 
     def add_row(row_cols, row_data, row_rhs) -> None:
@@ -159,10 +168,10 @@ def densify(model):
         shape=(len(rhs), n_cols))
     dense_ub.sort_indices()
     kept = np.setdiff1d(np.arange(model.a_eq.shape[0]), load_rows)
-    dense_eq = model.a_eq[kept][:, :n_cols]
+    dense_eq = scipy_csr(model.a_eq)[kept][:, :n_cols]
     return dataclasses.replace(
-        model, objective=model.objective[:n_cols], a_ub=dense_ub,
-        b_ub=np.array(rhs, dtype=float), a_eq=dense_eq,
+        model, objective=model.objective[:n_cols], a_ub=_held(dense_ub),
+        b_ub=np.array(rhs, dtype=float), a_eq=_held(dense_eq),
         b_eq=model.b_eq[kept], upper_bounds=model.upper_bounds[:n_cols],
         load_columns={},
         tables=ModelTables(model.problem, model.pool_columns,

@@ -51,6 +51,7 @@ from repro.sim import DeploymentSpec, linear_chain_app, two_region_latency
 from repro.sim.apps import AppSpec, TrafficClassSpec
 from repro.sim.network import LatencyMatrix
 
+from .conftest import scipy_csr
 from .test_path_plan_golden import epoch_reports, mesh_of
 
 # ------------------------------------------ sparse observe == dense observe
@@ -348,7 +349,7 @@ def uncached_fingerprint(model) -> str:
         hasher.update(data.tobytes())
 
     def hash_sparse(hasher, matrix):
-        canonical = matrix.tocsr().copy()
+        canonical = scipy_csr(matrix).copy()
         canonical.sum_duplicates()
         canonical.sort_indices()
         hasher.update(str(canonical.shape).encode())

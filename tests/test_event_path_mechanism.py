@@ -15,16 +15,19 @@ Wall time says a run got faster; these say *why*, byte-stable on any host:
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.workloads import ClosedLoop
 from repro.chaos import ChaosRuntime, FaultPlan, ReplicaFault
 from repro.mesh.loadbalancer import WeightedRandomSelector
 from repro.mesh.routing_table import RouteKey
-from repro.sim import DemandMatrix, DeploymentSpec, linear_chain_app
+from repro.sim import (DemandMatrix, DeploymentSpec, linear_chain_app,
+                       two_region_latency)
 from repro.sim.network import LatencyMatrix
 from repro.sim.runner import MeshSimulation, TimeoutPolicy
 from repro.sim.topology import ClusterSpec
@@ -71,6 +74,34 @@ def test_request_path_leaves_no_cyclic_garbage(timeouts, load):
     # refcounting alone frees every call, span, guard and event handle
     assert few == many
     assert many < 50
+
+
+@pytest.mark.parametrize("fidelity", ["event", "fluid", "hybrid"])
+def test_a_finished_simulation_is_freed_by_reference_count(fidelity):
+    """Nothing a simulation owns (gateways, fluid substrate, scrape loop)
+    owns it back, so dropping the last reference frees the run and every
+    request it holds with the cycle collector off — under the closed-loop
+    ledger's observability, with an epoch hook installed."""
+    app = linear_chain_app(n_services=3, exec_time=0.010)
+    deployment = DeploymentSpec.uniform(
+        app.services(), ["west", "east"], replicas=5,
+        latency=two_region_latency(25.0))
+    demand = DemandMatrix({("default", "west"): 300.0,
+                           ("default", "east"): 100.0})
+    gc.collect()
+    gc.disable()
+    try:
+        sim = MeshSimulation(app, deployment, seed=1, fidelity=fidelity,
+                             observability=ClosedLoop.OBSERVABILITY)
+        sim.run(demand, duration=1.0, epoch=0.5,
+                on_epoch=lambda reports, simulation: None)
+        assert sim.gateways["west"].completed_count > 0
+        assert sim.observability.timeseries.scrape_count > 0
+        run = weakref.ref(sim)
+        del sim
+        assert run() is None
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------- route compiles

@@ -68,6 +68,40 @@ def test_series_tail_reads_newest_retained_points():
     assert series.tail(0) == []
 
 
+@pytest.mark.parametrize("capacity", [2, 5, 64])
+def test_series_queries_equal_a_plain_list_through_eviction(capacity):
+    """Every query, after every append of three capacities' worth, reads
+    what a plain list that drops its first point at capacity holds —
+    ties in time included, across each compaction of the evicted
+    prefix."""
+    series = TimeSeries("x", capacity=capacity)
+    kept: list[tuple[float, float]] = []
+    dropped = 0
+    for step in range(3 * capacity):
+        time = float(step // 2)   # each time twice
+        series.append(time, float(step))
+        kept.append((time, float(step)))
+        if len(kept) > capacity:
+            del kept[0]
+            dropped += 1
+        assert len(series) == len(kept)
+        assert series.dropped_points == dropped
+        assert series.items() == kept
+        assert series.values() == [value for _, value in kept]
+        assert series.last == kept[-1]
+        assert series.as_dict()["points"] == [list(point) for point in kept]
+        for count in (0, 1, capacity // 2, capacity + 1):
+            assert series.tail(count) == kept[max(0, len(kept) - count):]
+        probes = [kept[0][0] - 0.5, kept[0][0], time - 0.5, time, time + 1.0]
+        for probe in probes:
+            at = [value for t, value in kept if t <= probe]
+            assert series.value_at(probe, default=-1.0) == (
+                at[-1] if at else -1.0)
+            for end in probes:
+                assert series.window(probe, end) == [
+                    point for point in kept if probe <= point[0] <= end]
+
+
 # ------------------------------------------------------ TimeSeriesStore
 
 def test_store_records_labeled_series():

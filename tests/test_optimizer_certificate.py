@@ -22,6 +22,7 @@ from repro.core.optimizer import EpochSolver, HighsLP
 from repro.core.optimizer.result import Certificate
 from repro.devtools.invariants import (InvariantViolation,
                                        check_solver_certificate)
+from tests.conftest import scipy_csr
 from tests.test_optimizer import chain_problem, chain_specs
 
 
@@ -39,15 +40,16 @@ def recomputed_certificate(model, x, row_dual, col_dual) -> Certificate:
     """
     n_ub = len(model.b_ub)
     y_ub, y_eq = row_dual[:n_ub], row_dual[n_ub:]
-    matrix = sparse.vstack((model.a_ub, model.a_eq), format="csr")
+    a_ub, a_eq = scipy_csr(model.a_ub), scipy_csr(model.a_eq)
+    matrix = sparse.vstack((a_ub, a_eq), format="csr")
     reduced = model.objective - matrix.T @ row_dual
     np.testing.assert_allclose(reduced, col_dual, rtol=0, atol=1e-9)
     upper = model.upper_bounds
     primal = max(
         float(np.max(-x, initial=0.0)),
         float(np.max(x - upper, initial=0.0)),
-        float(np.max(model.a_ub @ x - model.b_ub, initial=0.0)),
-        float(np.max(np.abs(model.a_eq @ x - model.b_eq)
+        float(np.max(a_ub @ x - model.b_ub, initial=0.0)),
+        float(np.max(np.abs(a_eq @ x - model.b_eq)
                      / (1.0 + np.abs(model.b_eq)), initial=0.0)))
     dual = max(
         float(np.max(-reduced[x < upper], initial=0.0)),

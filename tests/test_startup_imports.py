@@ -2,10 +2,12 @@
 
 Most of a short run's start-up is importing the package, and a single
 convenience import can double it: ``scipy.stats`` costs well over a
-second, ``scipy.optimize`` (which loads ``scipy.special``) about 0.3 s
-and ``networkx`` a quarter of one (docs/performance.md, "Start-up
-cost"). These tests check which modules get loaded, not how long that
-takes, so they fail only when someone brings a heavy import back.
+second, ``scipy.optimize`` (which loads ``scipy.special``) about 0.3 s,
+``scipy.sparse`` about 300 modules and 13 MB of resident memory, and
+``networkx`` a quarter of a second (docs/performance.md, "Start-up
+cost"; ``make startup`` measures it). These tests check which modules
+get loaded, not how long that takes, so they fail only when someone
+brings a heavy import back.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: modules that must stay off the start-up path
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.special", "networkx",
-         "matplotlib")
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse",
+         "networkx", "matplotlib")
 
 #: Fig. 6b's oracle plan, as the ledger's ``mesh_event`` makes it
 ORACLE_PLAN = """
@@ -84,7 +86,8 @@ def test_import_leaves_heavy_modules_unloaded() -> None:
 def test_a_run_leaves_heavy_modules_unloaded() -> None:
     """Planning, solving and simulating load only the HiGHS extension,
     not ``scipy.optimize`` around it; nor ``scipy.special``, whose one
-    caller is an analysis helper no run reaches."""
+    caller is an analysis helper no run reaches; nor ``scipy.sparse``:
+    the LP's matrices are plain CSR arrays."""
     loaded = _loaded_after(RUN_PATHS)
     assert "scipy.optimize._highspy._core" in loaded
     assert not [name for name in HEAVY if name in loaded]
